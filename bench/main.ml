@@ -677,128 +677,8 @@ let fct () =
      src/dst hashing (fewer persistent collisions)@."
 
 (* ------------------------------------------------------------------ *)
-(* CHURN: flow-churn storm — recompute coalescing and indexed state    *)
-(* ------------------------------------------------------------------ *)
-
-(* Upper-bound percentile estimate from a telemetry histogram's
-   cumulative bucket counts. *)
-let histogram_percentile h p =
-  let total = Horse_telemetry.Histogram.count h in
-  if total = 0 then 0.0
-  else
-    let target =
-      max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int total)))
-    in
-    let rec go last = function
-      | [] -> last
-      | (ub, c) :: rest ->
-          if c >= target then ub
-          else go (if Float.is_finite ub then ub else last) rest
-    in
-    go 0.0 (Horse_telemetry.Histogram.cumulative h)
-
-let run_churn ~eager ~k ~n_flows ~batch =
-  let ft = Fat_tree.build ~k () in
-  let sched = Sched.create () in
-  let fluid = Horse_dataplane.Fluid.create ~eager sched ft.Fat_tree.topo in
-  let rng = Rng.create 4242 in
-  let hosts = ft.Fat_tree.hosts in
-  let n_hosts = Array.length hosts in
-  let dsts = Rng.derangement rng n_hosts in
-  let paths =
-    Array.mapi
-      (fun i (h : Topology.node) ->
-        let t = Spf.shortest_tree ft.Fat_tree.topo ~src:h.Topology.id in
-        match
-          Spf.first_path t ft.Fat_tree.topo ~dst:hosts.(dsts.(i)).Topology.id
-        with
-        | Some p -> p
-        | None -> failwith "churn: no path in fat-tree")
-      hosts
-  in
-  (* Light per-flow demand so the storm stays demand-limited: every
-     flow of a batch then finishes exactly [size/demand] after its
-     batched start, so completions arrive in bursts too and the
-     coalescing ratio reflects both edges of the flow lifetime. *)
-  let demand = 2e6 and size_bits = 20e6 in
-  let completed = ref 0 in
-  let batches = (n_flows + batch - 1) / batch in
-  for b = 0 to batches - 1 do
-    ignore
-      (Sched.schedule_at sched
-         (Time.of_ms (10 * b))
-         (fun () ->
-           for j = 0 to batch - 1 do
-             let idx = (b * batch) + j in
-             if idx < n_flows then begin
-               let src = idx mod n_hosts in
-               let key =
-                 Flow_key.make
-                   ~src:(Fat_tree.host_ip ft src)
-                   ~dst:(Fat_tree.host_ip ft dsts.(src))
-                   ~src_port:(10_000 + (idx / n_hosts))
-                   ~dst_port:20_000 ()
-               in
-               ignore
-                 (Horse_dataplane.Fluid.start_finite_flow ~demand fluid ~key
-                    ~path:paths.(src) ~size_bits ~on_complete:(fun _ ->
-                      incr completed))
-             end
-           done))
-  done;
-  let _stats, wall = Wall.time (fun () -> Sched.run sched) in
-  (sched, fluid, wall, !completed)
-
-let churn ~full =
-  section
-    "CHURN — arrival storm of finite flows: recompute coalescing vs the eager \
-     engine";
-  let k = if full then 8 else 4 in
-  let n_flows = if full then 5000 else 1000 in
-  let batch = 10 in
-  Format.fprintf fmt
-    "fat-tree k=%d, %d finite flows (%d-flow batches every 10 ms, 2 Mbps \
-     demand, 20 Mbit each)@.@."
-    k n_flows batch;
-  Format.fprintf fmt "%-10s %10s %10s %9s %12s %12s %14s@." "engine" "requests"
-    "solves" "ratio" "wall(ms)" "solves/sec" "p99 solve(us)";
-  let report name (sched, fluid, wall, completed) =
-    let reqs = Horse_dataplane.Fluid.recompute_requests fluid in
-    let solves = Horse_dataplane.Fluid.recompute_count fluid in
-    let p99 =
-      match
-        Horse_telemetry.Registry.find_histogram (Sched.registry sched)
-          "horse_fluid_recompute_wall_seconds"
-      with
-      | Some h -> histogram_percentile h 99.0
-      | None -> 0.0
-    in
-    if completed <> n_flows then
-      Format.fprintf fmt "WARNING: only %d/%d flows completed@." completed
-        n_flows;
-    Format.fprintf fmt "%-10s %10d %10d %8.1fx %12.2f %12.0f %14.1f@." name
-      reqs solves
-      (float_of_int reqs /. float_of_int (max 1 solves))
-      (wall *. 1e3)
-      (float_of_int solves /. Float.max 1e-9 wall)
-      (1e6 *. p99);
-    solves
-  in
-  let eager_solves = report "eager" (run_churn ~eager:true ~k ~n_flows ~batch) in
-  let ((sched_c, _, _, _) as coalesced) =
-    run_churn ~eager:false ~k ~n_flows ~batch
-  in
-  let coalesced_solves = report "coalesced" coalesced in
-  Format.fprintf fmt "@.solve reduction: %.1fx@."
-    (float_of_int eager_solves /. float_of_int (max 1 coalesced_solves));
-  write_snapshot "churn" (Sched.registry sched_c);
-  Format.fprintf fmt
-    "@.shape check: both counters equal per-engine requests; the coalesced \
-     engine pays >=5x fewer solves for the same storm@."
-
-(* ------------------------------------------------------------------ *)
 (* MEGAUSER: million-user fluid workloads — the delta fair-share       *)
-(* solver vs component recompute on the CDN/anycast WAN scenario       *)
+(* solver on the CDN/anycast WAN scenario, at one scale and swept     *)
 (* ------------------------------------------------------------------ *)
 
 let megauser_run_json (r : Scenario.megauser_result) =
@@ -823,90 +703,42 @@ let megauser_run_json (r : Scenario.megauser_result) =
     ]
   in
   let delta =
-    match r.Scenario.mu_delta with
-    | None -> []
-    | Some d ->
-        let module D = Horse_dataplane.Fair_share.Delta in
-        [
-          ( "delta",
-            Json.Obj
-              [
-                ("solves", Json.Int d.D.solves);
-                ("events", Json.Int d.D.events);
-                ("flows_touched", Json.Int d.D.flows_touched);
-                ("links_touched", Json.Int d.D.links_touched);
-                ("expansions", Json.Int d.D.expansions);
-                ("promotions", Json.Int d.D.promotions);
-              ] );
-        ]
+    Option.to_list r.Scenario.mu_delta
+    |> List.map (fun (d : Horse_dataplane.Fair_share.Delta.stats) ->
+           ( "delta",
+             Json.Obj
+               [
+                 ("solves", Json.Int d.solves);
+                 ("events", Json.Int d.events);
+                 ("flows_touched", Json.Int d.flows_touched);
+                 ("links_touched", Json.Int d.links_touched);
+                 ("expansions", Json.Int d.expansions);
+                 ("promotions", Json.Int d.promotions);
+               ] ))
   in
   Json.Obj (base @ delta)
 
 let megauser ~full =
   section
-    "MEGAUSER — million-user CDN workload: delta fair-share solver vs \
-     component recompute";
+    "MEGAUSER — million-user CDN workload through the delta fair-share solver";
   let module Json = Horse_telemetry.Json in
   let duration = Time.of_sec 20.0 in
   let ticks = 24 in
-  let run ?wan ?sites ~solver ~eager ~classes ~users () =
-    Scenario.run_wan_megauser ?wan ?sites ~solver ~eager ~classes ~users
-      ~ticks ~duration ()
+  let run ?wan ?sites ~classes ~users () =
+    Scenario.run_wan_megauser ?wan ?sites ~classes ~users ~ticks ~duration ()
   in
-  (* A/B on Abilene at one scale: the same event schedule through the
-     delta solver, the coalescing component solver, and (at a size
-     where its quadratic setup stays sane) the eager per-event
-     component recompute. *)
-  let ab_classes = if full then 20_000 else 5_000 in
-  let ab_users = ab_classes * 50 in
-  let eager_classes = if full then 5_000 else 2_500 in
-  Format.fprintf fmt
-    "A/B on Abilene: %d peak classes, %d users, %d ticks over %.0fs@.@."
-    ab_classes ab_users ticks (Time.to_sec duration);
-  Format.fprintf fmt "%-22s %9s %9s %12s %14s %12s@." "engine" "classes"
-    "events" "work" "work/event" "wall(s)";
-  let report name (r : Scenario.megauser_result) =
-    Format.fprintf fmt "%-22s %9d %9d %12d %14.1f %12.3f@." name
-      r.Scenario.mu_classes_peak r.Scenario.mu_events r.Scenario.mu_solve_work
-      (float_of_int r.Scenario.mu_solve_work
-      /. float_of_int (max 1 r.Scenario.mu_events))
-      r.Scenario.mu_run_wall_s;
-    r
-  in
-  let d_ab =
-    report "delta"
-      (run ~solver:Horse_dataplane.Fluid.Delta ~eager:false ~classes:ab_classes
-         ~users:ab_users ())
-  in
-  let c_ab =
-    report "component"
-      (run ~solver:Horse_dataplane.Fluid.Component ~eager:false
-         ~classes:ab_classes ~users:ab_users ())
-  in
-  let e_ab =
-    report
-      (Printf.sprintf "eager (at %d)" eager_classes)
-      (run ~solver:Horse_dataplane.Fluid.Component ~eager:true
-         ~classes:eager_classes ~users:(eager_classes * 50) ())
-  in
-  let work_reduction =
-    float_of_int c_ab.Scenario.mu_solve_work
-    /. float_of_int (max 1 d_ab.Scenario.mu_solve_work)
-  in
-  (* Scoped and full water-fills sum member rates in different orders,
-     so delivered bits agree to rounding, not bit-for-bit. *)
-  let delivered_rel_err =
-    abs_float
-      (d_ab.Scenario.mu_delivered_bits -. c_ab.Scenario.mu_delivered_bits)
-    /. Float.max 1.0 (abs_float c_ab.Scenario.mu_delivered_bits)
-  in
-  let delivered_equal = delivered_rel_err <= 1e-9 in
-  Format.fprintf fmt
-    "@.solve-work reduction delta vs component: %.1fx; delivered bits %s \
-     (rel err %.2e)@."
-    work_reduction
-    (if delivered_equal then "MATCH (<= 1e-9 relative)" else "DIVERGED")
-    delivered_rel_err;
+  let abilene_classes = if full then 20_000 else 5_000 in
+  let abilene_users = abilene_classes * 50 in
+  Format.fprintf fmt "Abilene: %d peak classes, %d users, %d ticks over %.0fs@.@."
+    abilene_classes abilene_users ticks (Time.to_sec duration);
+  Format.fprintf fmt "%9s %9s %12s %14s %12s@." "classes" "events" "work"
+    "work/event" "wall(s)";
+  let abilene = run ~classes:abilene_classes ~users:abilene_users () in
+  Format.fprintf fmt "%9d %9d %12d %14.1f %12.3f@." abilene.Scenario.mu_classes_peak
+    abilene.Scenario.mu_events abilene.Scenario.mu_solve_work
+    (float_of_int abilene.Scenario.mu_solve_work
+    /. float_of_int (max 1 abilene.Scenario.mu_events))
+    abilene.Scenario.mu_run_wall_s;
   (* Scaling sweep: the WAN footprint grows with the user base (as a
      CDN's does), per-city intensity held constant. Per-event solve
      work staying flat while total flow classes double is the
@@ -931,10 +763,7 @@ let megauser ~full =
                    ~p:(4.0 /. float_of_int cities) ()),
               max 3 (cities / 8) )
         in
-        let r =
-          run ?wan ~sites ~solver:Horse_dataplane.Fluid.Delta ~eager:false
-            ~classes ~users:(classes * 40) ()
-        in
+        let r = run ?wan ~sites ~classes ~users:(classes * 40) () in
         Format.fprintf fmt "%9d %7d %9d %10d %9d %12d %14.1f %10.3f@." classes
           r.Scenario.mu_cities r.Scenario.mu_classes_peak
           r.Scenario.mu_users_peak r.Scenario.mu_events r.Scenario.mu_solve_work
@@ -959,12 +788,7 @@ let megauser ~full =
        ]
       @ env_fields ()
       @ [
-          ("delta", megauser_run_json d_ab);
-          ("component", megauser_run_json c_ab);
-          ("eager_component", megauser_run_json e_ab);
-          ("work_reduction_vs_component", Json.Float work_reduction);
-          ("delivered_bits_match", Json.Bool delivered_equal);
-          ("delivered_bits_rel_err", Json.Float delivered_rel_err);
+          ("abilene", megauser_run_json abilene);
           ( "scaling",
             Json.List
               (List.map
@@ -985,148 +809,7 @@ let megauser ~full =
   close_out oc;
   Format.fprintf fmt "@.artifact written to %s@." path;
   Format.fprintf fmt
-    "@.shape check: the delta solver does >=5x less solve work than \
-     component recompute for the same schedule with matching delivered \
-     bits, and per-event work stays flat as classes double@."
-
-(* ------------------------------------------------------------------ *)
-(* BGP-SCALE: update groups + packed UPDATEs vs the legacy speaker     *)
-(* ------------------------------------------------------------------ *)
-
-module Speaker = Horse_bgp.Speaker
-module Bgp_chan = Horse_emulation.Channel
-module Bgp_proc = Horse_emulation.Process
-
-type bgp_scale_outcome = {
-  bs_wall : float;
-  bs_converged : Time.t option;
-  bs_updates : int;
-  bs_prefixes : int;
-  bs_messages : int;
-  bs_groups : int;
-  bs_registry : Horse_telemetry.Registry.t;
-}
-
-(* A leaf-spine fabric of raw speakers (no data plane): every router
-   originates [prefixes_per] /24s, leaves peer with every spine.  The
-   long hold time keeps keepalive processing out of the measurement
-   window — the workload is pure table transfer and propagation. *)
-let run_bgp_scale ~packing ~spines ~leaves ~prefixes_per ~horizon () =
-  let sched = Sched.create () in
-  let n_routers = spines + leaves in
-  let total = n_routers * prefixes_per in
-  let router_prefixes r =
-    List.init prefixes_per (fun j ->
-        Prefix.make
-          (Ipv4.of_int32
-             (Int32.of_int (0x0A000000 lor (((r * prefixes_per) + j) lsl 8))))
-          24)
-  in
-  let mk name asn idx =
-    Speaker.create
-      (Bgp_proc.create sched ~name)
-      {
-        (Speaker.default_config ~asn
-           ~router_id:(Ipv4.of_octets 1 (idx / 250) 0 ((idx mod 250) + 1)))
-        with
-        Speaker.networks = router_prefixes idx;
-        hold_time = Time.of_sec 3600.0;
-        packing;
-      }
-  in
-  let spine_arr =
-    Array.init spines (fun s -> mk (Printf.sprintf "spine%d" s) (64000 + s) s)
-  in
-  let leaf_arr =
-    Array.init leaves (fun l ->
-        mk (Printf.sprintf "leaf%d" l) (64100 + l) (spines + l))
-  in
-  let channels = ref [] in
-  Array.iter
-    (fun leaf ->
-      Array.iter
-        (fun spine ->
-          let chan = Bgp_chan.create sched () in
-          channels := chan :: !channels;
-          let el, es = Bgp_chan.endpoints chan in
-          ignore (Speaker.add_peer leaf ~remote_asn:(Speaker.asn spine) el);
-          ignore (Speaker.add_peer spine ~remote_asn:(Speaker.asn leaf) es))
-        spine_arr)
-    leaf_arr;
-  ignore
-    (Sched.schedule_at sched Time.zero (fun () ->
-         Array.iter Speaker.start spine_arr;
-         Array.iter Speaker.start leaf_arr));
-  let converged = ref None in
-  let all = Array.append spine_arr leaf_arr in
-  ignore
-    (Sched.every sched (Time.of_ms 500) (fun () ->
-         if
-           !converged = None
-           && Array.for_all (fun s -> Speaker.loc_rib_size s = total) all
-         then converged := Some (Sched.now sched)));
-  let _stats, wall = Wall.time (fun () -> Sched.run ~until:horizon sched) in
-  Array.iter
-    (fun s ->
-      if Speaker.loc_rib_size s <> total then
-        failwith "bgp-scale: fabric did not converge within the horizon")
-    all;
-  let reg = Sched.registry sched in
-  let counter name =
-    match Horse_telemetry.Registry.find_counter reg name with
-    | Some c -> Horse_telemetry.Registry.Counter.value c
-    | None -> 0
-  in
-  {
-    bs_wall = wall;
-    bs_converged = !converged;
-    bs_updates = counter "horse_bgp_updates_sent_total";
-    bs_prefixes = counter "horse_bgp_prefixes_sent_total";
-    bs_messages =
-      List.fold_left (fun acc c -> acc + Bgp_chan.messages_sent c) 0 !channels;
-    bs_groups = Speaker.update_group_count spine_arr.(0);
-    bs_registry = reg;
-  }
-
-let bgp_scale ~full =
-  section
-    "BGP-SCALE — control-plane table transfer: update groups + packed \
-     UPDATEs vs the legacy per-prefix speaker";
-  let spines, leaves, prefixes_per, horizon =
-    if full then (4, 30, 400, Time.of_sec 600.0)
-    else (2, 14, 200, Time.of_sec 120.0)
-  in
-  let n = spines + leaves in
-  Format.fprintf fmt
-    "leaf-spine, %d routers (%d spines x %d leaves), %d prefixes originated \
-     per router (%d total)@.@."
-    n spines leaves prefixes_per (n * prefixes_per);
-  Format.fprintf fmt "%-10s %10s %12s %10s %12s %12s %12s@." "speaker"
-    "updates" "prefixes" "pack" "chan msgs" "converged" "wall(ms)";
-  let report name (o : bgp_scale_outcome) =
-    Format.fprintf fmt "%-10s %10d %12d %9.1fx %12d %12s %12.1f@." name
-      o.bs_updates o.bs_prefixes
-      (float_of_int o.bs_prefixes /. float_of_int (max 1 o.bs_updates))
-      o.bs_messages
-      (match o.bs_converged with
-      | Some at -> Format.asprintf "%a" Time.pp at
-      | None -> "horizon")
-      (o.bs_wall *. 1e3)
-  in
-  let packed = run_bgp_scale ~packing:true ~spines ~leaves ~prefixes_per ~horizon () in
-  report "packed" packed;
-  let legacy = run_bgp_scale ~packing:false ~spines ~leaves ~prefixes_per ~horizon () in
-  report "legacy" legacy;
-  Format.fprintf fmt
-    "@.update groups per spine: %d (one per distinct export policy, %d peers)@."
-    packed.bs_groups leaves;
-  Format.fprintf fmt "speedup: %.1fx wall, %.1fx fewer UPDATE messages@."
-    (legacy.bs_wall /. Float.max 1e-9 packed.bs_wall)
-    (float_of_int legacy.bs_updates /. float_of_int (max 1 packed.bs_updates));
-  write_snapshot "bgp_scale" packed.bs_registry;
-  Format.fprintf fmt
-    "@.shape check: same converged tables, >=8 prefixes per packed UPDATE, \
-     packed wall and message counts well under legacy@."
+    "@.shape check: per-event solve work stays flat as classes double@."
 
 (* ------------------------------------------------------------------ *)
 (* FAILURE-STORM: the fault plane A/B — clean run vs a deterministic  *)
@@ -1292,148 +975,7 @@ let failure_storm ~full =
      the final FIBs bit-for-bit@."
 
 (* ------------------------------------------------------------------ *)
-(* SCHED-STORM: the scheduler fast path A/B — timing-wheel timers,    *)
-(* demand-driven pollers and FTI fast-forward against the eager loop, *)
-(* on the fault-storm workload (bursts of control activity separated  *)
-(* by quiet FTI windows — exactly where the fast path must win).      *)
-(* ------------------------------------------------------------------ *)
-
-let sched_storm ~full =
-  section
-    "SCHED-STORM — scheduler fast path (wheel + wake hints + fast-forward) \
-     vs the eager loop";
-  let module Plan = Horse_faults.Plan in
-  let pods = 4 in
-  let duration = if full then Time.of_sec 60.0 else Time.of_sec 30.0 in
-  let ft = Fat_tree.build ~k:pods () in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
-  let sites =
-    List.filteri
-      (fun i _ -> i mod 7 = 0)
-      (List.filter_map
-         (fun (l : Topology.link) ->
-           if l.Topology.link_id < l.Topology.peer then
-             let src = Topology.node ft.Fat_tree.topo l.Topology.src in
-             let dst = Topology.node ft.Fat_tree.topo l.Topology.dst in
-             if is_switch src && is_switch dst then
-               Some (src.Topology.name, dst.Topology.name)
-             else None
-           else None)
-         (Topology.links ft.Fat_tree.topo))
-  in
-  let victim = ft.Fat_tree.aggs.(0).(0).Topology.name in
-  let plan =
-    let storm =
-      Plan.flap_storm ~seed:7 ~sites ~start:(Time.of_sec 5.0)
-        ~stop:(Time.div duration 2) ~rate:0.3 ~down_for:(Time.of_sec 1.5) ()
-    in
-    {
-      storm with
-      Plan.events =
-        [
-          { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash victim };
-          { Plan.at = Time.of_sec 14.0; action = Plan.Node_restart victim };
-        ];
-    }
-  in
-  Format.fprintf fmt
-    "workload: fat-tree k=%d, bgp-ecmp, %a virtual, %d flap sites + a node \
-     crash/restart@.@."
-    pods Time.pp duration (List.length sites);
-  let run ~fast_path =
-    Scenario.run_fat_tree_te ~seed:42
-      ~config:{ Sched.default_config with Sched.fast_path }
-      ~faults:plan ~pods ~te:Scenario.Bgp_ecmp ~duration ()
-  in
-  let eager = run ~fast_path:false in
-  let fast = run ~fast_path:true in
-  Format.fprintf fmt "%-10s %14s %14s %12s %14s %10s@." "scheduler"
-    "poller ticks" "ticks saved" "fti incr" "fast-fwd" "wall(s)";
-  let row name (r : Scenario.result) =
-    let s = r.Scenario.sched_stats in
-    Format.fprintf fmt "%-10s %14d %14d %12d %14d %10.3f@." name
-      s.Sched.poller_ticks s.Sched.poller_ticks_saved s.Sched.fti_increments
-      s.Sched.fti_increments_skipped r.Scenario.run_wall_s
-  in
-  row "eager" eager;
-  row "fast" fast;
-  let timeline (r : Scenario.result) =
-    List.map
-      (fun (tr : Sched.transition) ->
-        ( Time.to_us tr.Sched.at,
-          Sched.mode_to_string tr.Sched.from_mode,
-          Sched.mode_to_string tr.Sched.to_mode,
-          tr.Sched.reason ))
-      r.Scenario.sched_stats.Sched.transitions
-  in
-  let timeline_equal = timeline eager = timeline fast in
-  let fib_equal =
-    eager.Scenario.fib_fingerprint = fast.Scenario.fib_fingerprint
-    && fast.Scenario.fib_fingerprint <> None
-  in
-  let tick_ratio =
-    float_of_int eager.Scenario.sched_stats.Sched.poller_ticks
-    /. float_of_int (max 1 fast.Scenario.sched_stats.Sched.poller_ticks)
-  in
-  Format.fprintf fmt
-    "@.poller-tick reduction: %.1fx; wall %.3fs -> %.3fs; mode timeline %s \
-     (%d transitions), final FIBs %s (%s)@."
-    tick_ratio eager.Scenario.run_wall_s fast.Scenario.run_wall_s
-    (if timeline_equal then "IDENTICAL" else "DIVERGED")
-    (List.length fast.Scenario.sched_stats.Sched.transitions)
-    (if fib_equal then "IDENTICAL" else "DIVERGED")
-    (Option.value fast.Scenario.fib_fingerprint ~default:"-");
-  let module Json = Horse_telemetry.Json in
-  let run_json (r : Scenario.result) =
-    let s = r.Scenario.sched_stats in
-    Json.Obj
-      [
-        ("poller_ticks", Json.Int s.Sched.poller_ticks);
-        ("poller_ticks_saved", Json.Int s.Sched.poller_ticks_saved);
-        ("fti_increments", Json.Int s.Sched.fti_increments);
-        ("fti_increments_skipped", Json.Int s.Sched.fti_increments_skipped);
-        ("events_executed", Json.Int s.Sched.events_executed);
-        ("transitions", Json.Int (List.length s.Sched.transitions));
-        ("run_wall_s", Json.Float r.Scenario.run_wall_s);
-        ( "fib_fingerprint",
-          match r.Scenario.fib_fingerprint with
-          | Some f -> Json.String f
-          | None -> Json.Null );
-      ]
-  in
-  let j =
-    Json.Obj
-      [
-        ("bench", Json.String "sched_fastpath");
-        ("domains", Json.Int 1);
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("pods", Json.Int pods);
-        ("duration_s", Json.Float (Time.to_sec duration));
-        ("eager", run_json eager);
-        ("fast", run_json fast);
-        ("tick_reduction", Json.Float tick_ratio);
-        ("timeline_equal", Json.Bool timeline_equal);
-        ("fib_equal", Json.Bool fib_equal);
-      ]
-  in
-  (try Unix.mkdir "results" 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = "results/BENCH_sched_fastpath.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "artifact written to %s@." path;
-  Format.fprintf fmt
-    "@.shape check: >=5x fewer poller ticks, wall no worse, and the fast \
-     path reproduces the eager mode timeline and final FIBs bit-for-bit@."
-
-(* ------------------------------------------------------------------ *)
-(* TRACE-OVERHEAD: causal tracing A/B on the sched-storm workload —    *)
+(* TRACE-OVERHEAD: causal tracing A/B on the fault-storm workload —   *)
 (* the "zero-cost when disabled, cheap when on" claim, measured. Wall  *)
 (* times are min-of-5, sides interleaved: in one process later runs   *)
 (* pay earlier runs' GC debt, so a second block measures slower —      *)
@@ -1588,14 +1130,13 @@ let trace_overhead ~full =
 (* ------------------------------------------------------------------ *)
 (* CLASSIFIER-STORM: the OpenFlow lookup hierarchy (microflow /       *)
 (* megaflow / classifier) against the preserved linear reference      *)
-(* scan, at 100k+ rules, for both slow-path backends — with a         *)
-(* flow_mod churn phase driving cache invalidation.                   *)
+(* scan, at 100k+ rules — with a flow_mod churn phase driving cache  *)
+(* invalidation.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let classifier_storm ~full =
   section
-    "CLASSIFIER-STORM — lookup hierarchy vs linear scan, 100k+ rules, \
-     TSS and interval backends";
+    "CLASSIFIER-STORM — lookup hierarchy vs linear scan, 100k+ rules";
   let module OF = Horse_openflow in
   let module VTime = Horse_engine.Time in
   let module Reg = Horse_telemetry.Registry in
@@ -1705,111 +1246,99 @@ let classifier_storm ~full =
   in
   let median l = Summary.percentile l 0.5 in
   let reg = Reg.create () in
-  let run_backend backend =
-    let bname = OF.Classifier.backend_to_string backend in
-    let t = OF.Flow_table.create ~backend () in
-    let (), build_wall =
+  let t = OF.Flow_table.create () in
+  let (), build_wall =
+    Wall.time (fun () ->
+        for i = 0 to n_rules - 1 do
+          OF.Flow_table.apply_flow_mod t ~now:VTime.zero (rule_fm i)
+        done)
+  in
+  (* Byte-identical forwarding decisions, hierarchy vs reference. *)
+  let fp_fast = fingerprint OF.Flow_table.lookup t in
+  let fp_ref = fingerprint OF.Flow_table.lookup_reference t in
+  if fp_fast <> fp_ref then
+    failwith "classifier-storm: decision fingerprints diverge";
+  (* Reference: per-probe wall medians (each probe is a full linear
+     scan, so individual timing is well above clock resolution). *)
+  let ref_times =
+    List.init n_ref_probes (fun k ->
+        let f = probes.(k * (n_probes / n_ref_probes)) in
+        let (), dt = Wall.time (fun () -> ignore (OF.Flow_table.lookup_reference t f)) in
+        dt)
+  in
+  let ref_median = median ref_times in
+  (* Hierarchy: batched medians over 1000-lookup chunks. *)
+  let chunk = 1000 in
+  let fast_times = ref [] in
+  let i = ref 0 in
+  while !i + chunk <= n_probes do
+    let lo = !i in
+    let (), dt =
       Wall.time (fun () ->
-          for i = 0 to n_rules - 1 do
-            OF.Flow_table.apply_flow_mod t ~now:VTime.zero (rule_fm i)
+          for j = lo to lo + chunk - 1 do
+            ignore (OF.Flow_table.lookup t probes.(j))
           done)
     in
-    (* Byte-identical forwarding decisions, hierarchy vs reference. *)
-    let fp_fast = fingerprint OF.Flow_table.lookup t in
-    let fp_ref = fingerprint OF.Flow_table.lookup_reference t in
-    if fp_fast <> fp_ref then
-      failwith
-        (Printf.sprintf "classifier-storm(%s): decision fingerprints diverge"
-           bname);
-    (* Reference: per-probe wall medians (each probe is a full linear
-       scan, so individual timing is well above clock resolution). *)
-    let ref_times =
-      List.init n_ref_probes (fun k ->
-          let f = probes.(k * (n_probes / n_ref_probes)) in
-          let (), dt = Wall.time (fun () -> ignore (OF.Flow_table.lookup_reference t f)) in
-          dt)
-    in
-    let ref_median = median ref_times in
-    (* Hierarchy: batched medians over 1000-lookup chunks. *)
-    let chunk = 1000 in
-    let fast_times = ref [] in
-    let i = ref 0 in
-    while !i + chunk <= n_probes do
-      let lo = !i in
-      let (), dt =
-        Wall.time (fun () ->
-            for j = lo to lo + chunk - 1 do
-              ignore (OF.Flow_table.lookup t probes.(j))
-            done)
-      in
-      fast_times := (dt /. float_of_int chunk) :: !fast_times;
-      i := !i + chunk
-    done;
-    let fast_median = median !fast_times in
-    let st = OF.Flow_table.stats t in
-    let hit_ratio =
-      float_of_int (st.OF.Flow_table.micro_hits + st.OF.Flow_table.mega_hits)
-      /. float_of_int (max 1 st.OF.Flow_table.lookups)
-    in
-    (* Churn: interleaved precise deletes and fresh adds with traffic,
-       driving seq-tagged and overlap-driven cache invalidation; the
-       differential must still hold on the churned table. *)
-    let crng = Rng.create 4242 in
-    let inv0 = st.OF.Flow_table.invalidations in
-    for k = 0 to n_churn - 1 do
-      (if k mod 3 = 0 then
-         let i = Rng.int crng (n_rules / 10) * 10 in
-         OF.Flow_table.apply_flow_mod t ~now:VTime.zero
-           (mk_fm ~command:OF.Ofmsg.Delete ~cookie:0 ~priority:0
-              (OF.Ofmatch.exact_5tuple (exact_key i)))
-       else
-         OF.Flow_table.apply_flow_mod t ~now:VTime.zero
-           (mk_fm ~cookie:(n_rules + k) ~priority:100
-              (OF.Ofmatch.exact_5tuple (exact_key (n_rules + k)))));
-      if k mod 7 = 0 then
-        for _ = 1 to 10 do
-          ignore (OF.Flow_table.lookup t hot.(Rng.int crng 256))
-        done
-    done;
-    let churn_inv = st.OF.Flow_table.invalidations - inv0 in
-    let fp_fast' = fingerprint OF.Flow_table.lookup t in
-    let fp_ref' = fingerprint OF.Flow_table.lookup_reference t in
-    if fp_fast' <> fp_ref' then
-      failwith
-        (Printf.sprintf
-           "classifier-storm(%s): post-churn decision fingerprints diverge"
-           bname);
-    let speedup = ref_median /. fast_median in
-    Format.fprintf fmt
-      "%-9s build %.2fs | ref median %8.1f us | hierarchy median %7.1f ns | \
-       speedup %8.1fx@."
-      bname build_wall (ref_median *. 1e6) (fast_median *. 1e9) speedup;
-    Format.fprintf fmt
-      "          hits micro/mega/slow %d/%d/%d  misses %d  hit-ratio %.3f  \
-       churn invalidations %d  fingerprints ok@."
-      st.OF.Flow_table.micro_hits st.OF.Flow_table.mega_hits
-      st.OF.Flow_table.slow_hits st.OF.Flow_table.misses hit_ratio churn_inv;
-    let labels = [ ("backend", bname) ] in
-    let g name v = Reg.Gauge.set (Reg.gauge reg ~subsystem:"classifier" ~labels name) v in
-    let c name v = Reg.Counter.add (Reg.counter reg ~subsystem:"classifier" ~labels name) v in
-    g "ref_median_seconds" ref_median;
-    g "hierarchy_median_seconds" fast_median;
-    g "speedup" speedup;
-    g "hit_ratio" hit_ratio;
-    g "build_seconds" build_wall;
-    c "rules_total" n_rules;
-    c "lookups_total" st.OF.Flow_table.lookups;
-    c "microflow_hits_total" st.OF.Flow_table.micro_hits;
-    c "megaflow_hits_total" st.OF.Flow_table.mega_hits;
-    c "slow_path_hits_total" st.OF.Flow_table.slow_hits;
-    c "misses_total" st.OF.Flow_table.misses;
-    c "churn_invalidations_total" churn_inv;
-    c "fingerprint_equal" 1;
-    speedup
+    fast_times := (dt /. float_of_int chunk) :: !fast_times;
+    i := !i + chunk
+  done;
+  let fast_median = median !fast_times in
+  let st = OF.Flow_table.stats t in
+  let hit_ratio =
+    float_of_int (st.OF.Flow_table.micro_hits + st.OF.Flow_table.mega_hits)
+    /. float_of_int (max 1 st.OF.Flow_table.lookups)
   in
-  let s_tss = run_backend OF.Classifier.Tss in
-  let s_itv = run_backend OF.Classifier.Interval in
-  if s_tss < 10.0 || s_itv < 10.0 then
+  (* Churn: interleaved precise deletes and fresh adds with traffic,
+     driving seq-tagged and overlap-driven cache invalidation; the
+     differential must still hold on the churned table. *)
+  let crng = Rng.create 4242 in
+  let inv0 = st.OF.Flow_table.invalidations in
+  for k = 0 to n_churn - 1 do
+    (if k mod 3 = 0 then
+       let i = Rng.int crng (n_rules / 10) * 10 in
+       OF.Flow_table.apply_flow_mod t ~now:VTime.zero
+         (mk_fm ~command:OF.Ofmsg.Delete ~cookie:0 ~priority:0
+            (OF.Ofmatch.exact_5tuple (exact_key i)))
+     else
+       OF.Flow_table.apply_flow_mod t ~now:VTime.zero
+         (mk_fm ~cookie:(n_rules + k) ~priority:100
+            (OF.Ofmatch.exact_5tuple (exact_key (n_rules + k)))));
+    if k mod 7 = 0 then
+      for _ = 1 to 10 do
+        ignore (OF.Flow_table.lookup t hot.(Rng.int crng 256))
+      done
+  done;
+  let churn_inv = st.OF.Flow_table.invalidations - inv0 in
+  let fp_fast' = fingerprint OF.Flow_table.lookup t in
+  let fp_ref' = fingerprint OF.Flow_table.lookup_reference t in
+  if fp_fast' <> fp_ref' then
+    failwith "classifier-storm: post-churn decision fingerprints diverge";
+  let speedup = ref_median /. fast_median in
+  Format.fprintf fmt
+    "build %.2fs | ref median %8.1f us | hierarchy median %7.1f ns | \
+     speedup %8.1fx@."
+    build_wall (ref_median *. 1e6) (fast_median *. 1e9) speedup;
+  Format.fprintf fmt
+    "hits micro/mega/slow %d/%d/%d  misses %d  hit-ratio %.3f  \
+     churn invalidations %d  fingerprints ok@."
+    st.OF.Flow_table.micro_hits st.OF.Flow_table.mega_hits
+    st.OF.Flow_table.slow_hits st.OF.Flow_table.misses hit_ratio churn_inv;
+  let g name v = Reg.Gauge.set (Reg.gauge reg ~subsystem:"classifier" name) v in
+  let c name v = Reg.Counter.add (Reg.counter reg ~subsystem:"classifier" name) v in
+  g "ref_median_seconds" ref_median;
+  g "hierarchy_median_seconds" fast_median;
+  g "speedup" speedup;
+  g "hit_ratio" hit_ratio;
+  g "build_seconds" build_wall;
+  c "rules_total" n_rules;
+  c "lookups_total" st.OF.Flow_table.lookups;
+  c "microflow_hits_total" st.OF.Flow_table.micro_hits;
+  c "megaflow_hits_total" st.OF.Flow_table.mega_hits;
+  c "slow_path_hits_total" st.OF.Flow_table.slow_hits;
+  c "misses_total" st.OF.Flow_table.misses;
+  c "churn_invalidations_total" churn_inv;
+  c "fingerprint_equal" 1;
+  if speedup < 10.0 then
     Format.fprintf fmt
       "WARNING: median speedup below the 10x acceptance budget@.";
   write_snapshot "classifier_storm" reg
@@ -1850,24 +1379,25 @@ let micro () =
       ft8.Fat_tree.hosts;
     !acc
   in
-  let flow_inputs =
-    Array.of_list
-      (List.map
-         (fun p ->
-           {
-             Horse_dataplane.Fair_share.demand = 1e9;
-             links = List.map (fun (l : Topology.link) -> l.Topology.link_id) p;
-           })
-         permutation_paths)
+  let flow_links =
+    List.map
+      (List.map (fun (l : Topology.link) -> l.Topology.link_id))
+      permutation_paths
   in
   let test_fair_share =
-    Test.make ~name:"max-min 128 flows k=8"
+    let module Delta = Horse_dataplane.Fair_share.Delta in
+    Test.make ~name:"max-min 128 flows k=8 (delta, from scratch)"
       (Staged.stage (fun () ->
-           ignore
-             (Horse_dataplane.Fair_share.compute
-                ~capacity:(fun l ->
-                  (Topology.link ft8.Fat_tree.topo l).Topology.capacity)
-                flow_inputs)))
+           let d =
+             Delta.create
+               ~capacity:(fun l ->
+                 (Topology.link ft8.Fat_tree.topo l).Topology.capacity)
+               ()
+           in
+           List.iteri
+             (fun id links -> Delta.add_flow d ~id ~demand:1e9 ~links)
+             flow_links;
+           Delta.flush d))
   in
   let test_fat_tree =
     Test.make ~name:"fat-tree build k=8"
@@ -2019,8 +1549,8 @@ let () =
   let full = List.mem "--full" args in
   let known =
     [ "fig1"; "fig3"; "te"; "ablation-timeout"; "ablation-increment";
-      "protocols"; "ablation-placer"; "scaling"; "fct"; "failure"; "churn";
-      "bgp-scale"; "failure-storm"; "sched-storm"; "trace-overhead";
+      "protocols"; "ablation-placer"; "scaling"; "fct"; "failure";
+      "failure-storm"; "trace-overhead";
       "multicore"; "classifier-storm"; "megauser"; "micro" ]
   in
   let commands = List.filter (fun a -> List.mem a known) args in
@@ -2038,10 +1568,7 @@ let () =
       | "scaling" -> scaling ()
       | "fct" -> fct ()
       | "failure" -> failure ()
-      | "churn" -> churn ~full
-      | "bgp-scale" -> bgp_scale ~full
       | "failure-storm" -> failure_storm ~full
-      | "sched-storm" -> sched_storm ~full
       | "trace-overhead" -> trace_overhead ~full
       | "multicore" -> multicore_scaling ()
       | "classifier-storm" -> classifier_storm ~full

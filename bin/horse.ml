@@ -175,36 +175,12 @@ let te_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let classifier_arg =
-    let backend_conv =
-      let parse s =
-        match Horse_openflow.Classifier.backend_of_string s with
-        | Some b -> Ok b
-        | None ->
-            Error (`Msg (Printf.sprintf "unknown classifier backend %S" s))
-      in
-      Arg.conv
-        ( parse,
-          fun fmt b ->
-            Format.pp_print_string fmt
-              (Horse_openflow.Classifier.backend_to_string b) )
-    in
-    let doc =
-      "Slow-path lookup backend for the OpenFlow switches: tss (tuple-space \
-       search, default) or interval (interval tree over ip_dst for very \
-       large tables). Ignored by the non-OpenFlow TE approaches."
-    in
-    Arg.(
-      value
-      & opt (some backend_conv) None
-      & info [ "classifier" ] ~docv:"BACKEND" ~doc)
-  in
   let run pods te duration seed quiet_timeout increment max_wall no_causal
-      profile faults classifier csv explain metrics_out trace_out report =
+      profile faults csv explain metrics_out trace_out report =
     let result =
       Scenario.run_fat_tree_te ~seed
         ~config:(sched_config quiet_timeout increment max_wall no_causal profile)
-        ?faults:(load_faults faults) ?classifier ~pods ~te
+        ?faults:(load_faults faults) ~pods ~te
         ~duration:(Time.of_sec duration)
         ()
     in
@@ -249,7 +225,7 @@ let te_cmd =
     Term.(
       const run $ pods_arg $ te_arg $ duration_arg $ seed_arg
       $ quiet_timeout_arg $ increment_arg $ max_wall_arg $ no_causal_arg
-      $ profile_arg $ faults_arg $ classifier_arg $ csv_arg $ explain_arg
+      $ profile_arg $ faults_arg $ csv_arg $ explain_arg
       $ metrics_out_arg $ trace_out_arg $ report_arg)
 
 (* --- multicore ----------------------------------------------------------- *)
@@ -632,39 +608,15 @@ let megauser_cmd =
     let doc = "Capacity-planning headroom over expected peak link load." in
     Arg.(value & opt float 1.1 & info [ "headroom" ] ~docv:"FACTOR" ~doc)
   in
-  let solver_conv =
-    let parse = function
-      | "delta" -> Ok Horse_dataplane.Fluid.Delta
-      | "component" -> Ok Horse_dataplane.Fluid.Component
-      | s -> Error (`Msg (Printf.sprintf "unknown solver %S" s))
-    in
-    let print fmt = function
-      | Horse_dataplane.Fluid.Delta -> Format.pp_print_string fmt "delta"
-      | Horse_dataplane.Fluid.Component ->
-          Format.pp_print_string fmt "component"
-    in
-    Arg.conv (parse, print)
-  in
-  let solver_arg =
-    let doc = "Fair-share solver: delta (incremental) or component." in
-    Arg.(
-      value
-      & opt solver_conv Horse_dataplane.Fluid.Delta
-      & info [ "solver" ] ~docv:"SOLVER" ~doc)
-  in
-  let eager_arg =
-    let doc = "Solve on every event instead of coalescing per instant." in
-    Arg.(value & flag & info [ "eager" ] ~doc)
-  in
   let run duration seed classes users user_demand cities sites ticks headroom
-      solver eager metrics_out report =
+      metrics_out report =
     let wan =
       Option.map
         (fun n -> Wan.random_gnp ~seed ~n ~p:(4.0 /. float_of_int n) ())
         cities
     in
     let r =
-      Scenario.run_wan_megauser ~seed ~solver ~eager ?wan ~classes ~users
+      Scenario.run_wan_megauser ~seed ?wan ~classes ~users
         ~user_demand ~headroom ~sites ~ticks
         ~duration:(Time.of_sec duration) ()
     in
@@ -676,17 +628,13 @@ let megauser_cmd =
           Horse_stats.Series.map r.Scenario.mu_aggregate ~f:(fun v ->
               v /. 1e9) );
       ];
-    (match r.Scenario.mu_delta with
-    | Some d ->
+    Option.iter
+      (fun (d : Horse_dataplane.Fair_share.Delta.stats) ->
         Format.printf
           "@.delta solver: %d solves, %d flows touched, %d links touched, %d \
            expansions, %d promotions@."
-          d.Horse_dataplane.Fair_share.Delta.solves
-          d.Horse_dataplane.Fair_share.Delta.flows_touched
-          d.Horse_dataplane.Fair_share.Delta.links_touched
-          d.Horse_dataplane.Fair_share.Delta.expansions
-          d.Horse_dataplane.Fair_share.Delta.promotions
-    | None -> ());
+          d.solves d.flows_touched d.links_touched d.expansions d.promotions)
+      r.Scenario.mu_delta;
     emit_telemetry ~stats:r.Scenario.mu_sched_stats ~metrics_out
       ~trace_out:None ~report r.Scenario.mu_registry
   in
@@ -700,7 +648,7 @@ let megauser_cmd =
     Term.(
       const run $ duration_arg $ seed_arg $ classes_arg $ users_arg
       $ user_demand_arg $ cities_arg $ sites_arg $ ticks_arg $ headroom_arg
-      $ solver_arg $ eager_arg $ metrics_out_arg $ report_arg)
+      $ metrics_out_arg $ report_arg)
 
 (* --- topo ------------------------------------------------------------------ *)
 

@@ -23,7 +23,6 @@ type config = {
   multipath : bool;
   networks : Prefix.t list;
   processing_delay : Time.t;
-  packing : bool;
   connect_retry : Time.t;
 }
 
@@ -36,7 +35,6 @@ let default_config ~asn ~router_id =
     multipath = true;
     networks = [];
     processing_delay = Time.of_us 100;
-    packing = true;
     connect_retry = Time.of_sec 5.0;
   }
 
@@ -76,7 +74,7 @@ type peer = {
   mutable hold_ev : Event_queue.handle option;
       (* per-peer hold deadline, re-aimed in place on every RX *)
   mutable pending_announce : Prefix_set.t;
-  mutable pending_withdraw : Prefix_set.t;
+      (* initial table transfer, sent by [flush_peer] *)
   mutable mrai_armed : bool;
   mutable advertised : Prefix_set.t;
   mutable admin_down : bool;
@@ -173,7 +171,7 @@ let make_metrics reg ~router_id =
         "group_flushes_total";
     m_peer_flushes =
       Registry.counter reg ~subsystem:"bgp"
-        ~help:"Per-peer flushes (initial table transfers and unpacked mode)"
+        ~help:"Per-peer flushes (initial table transfers)"
         "peer_flushes_total";
   }
 
@@ -361,42 +359,35 @@ let export_for t group prefix (first : Rib.route) =
 let advertise_all set prefixes =
   List.fold_left (fun s p -> Prefix_set.add p s) set prefixes
 
-(* Flush one peer's pending sets: the initial table transfer of a
-   fresh session (packed mode) and every flush in unpacked mode.
-   NLRI sharing identical exported attributes group together — by
+(* Flush one peer's initial table transfer after its session comes
+   up. NLRI sharing identical exported attributes group together — by
    interned uid, so grouping is O(1) per prefix. *)
 let flush_peer t peer =
   peer.mrai_armed <- false;
   if Process.is_alive t.proc && peer.state = Established then begin
     Counter.incr t.m.m_peer_flushes;
-    let withdraws =
-      Prefix_set.filter (fun p -> Prefix_set.mem p peer.advertised)
-        peer.pending_withdraw
-    in
     let announces = peer.pending_announce in
-    peer.pending_withdraw <- Prefix_set.empty;
     peer.pending_announce <- Prefix_set.empty;
     (* Re-read the loc-rib at flush time (MRAI coalescing). *)
     let grouped : (int, Msg.attrs * Prefix.t list ref) Hashtbl.t =
       Hashtbl.create 16
     in
     let order = ref [] in
-    let extra_withdraws = ref Prefix_set.empty in
+    let withdraws = ref Prefix_set.empty in
     Prefix_set.iter
       (fun prefix ->
         match Rib.best t.rib prefix with
-        | [] -> extra_withdraws := Prefix_set.add prefix !extra_withdraws
+        | [] -> withdraws := Prefix_set.add prefix !withdraws
         | (first :: _ : Rib.route list) as bests ->
             (* Split horizon: never advertise back to a source peer. *)
             let from_this_peer =
               List.exists (fun (r : Rib.route) -> r.Rib.peer = peer.id) bests
             in
             if from_this_peer then
-              extra_withdraws := Prefix_set.add prefix !extra_withdraws
+              withdraws := Prefix_set.add prefix !withdraws
             else (
               match export_for t peer.group prefix first with
-              | None ->
-                  extra_withdraws := Prefix_set.add prefix !extra_withdraws
+              | None -> withdraws := Prefix_set.add prefix !withdraws
               | Some ia -> (
                   let uid = ia.Attr_intern.uid in
                   match Hashtbl.find_opt grouped uid with
@@ -407,42 +398,21 @@ let flush_peer t peer =
                       order := uid :: !order)))
       announces;
     let withdraws =
-      Prefix_set.union withdraws
-        (Prefix_set.filter (fun p -> Prefix_set.mem p peer.advertised)
-           !extra_withdraws)
+      Prefix_set.filter (fun p -> Prefix_set.mem p peer.advertised) !withdraws
     in
     let withdraw_list = Prefix_set.elements withdraws in
     let groups = List.rev_map (fun uid -> Hashtbl.find grouped uid) !order in
     peer.advertised <- Prefix_set.diff peer.advertised withdraws;
-    if t.cfg.packing then begin
-      let msgs = ref [] in
-      if withdraw_list <> [] then
-        msgs := Msg.Packer.pack peer.group.packer ~withdrawn:withdraw_list ();
-      List.iter
-        (fun (attrs, nlri) ->
-          let nlri = List.rev !nlri in
-          msgs :=
-            !msgs @ Msg.Packer.pack peer.group.packer ~reach:(attrs, nlri) ();
-          peer.advertised <- advertise_all peer.advertised nlri)
-        groups;
-      send_packed t peer !msgs
-    end
-    else begin
-      (* Legacy shape: one (unbounded) UPDATE per attribute group,
-         withdrawals riding on the first. *)
-      match (groups, withdraw_list) with
-      | [], [] -> ()
-      | [], w -> send_msg t peer (Msg.Update { withdrawn = w; reach = None })
-      | groups, w ->
-          List.iteri
-            (fun i (attrs, nlri) ->
-              let withdrawn = if i = 0 then w else [] in
-              let nlri = List.rev !nlri in
-              send_msg t peer
-                (Msg.Update { withdrawn; reach = Some (attrs, nlri) });
-              peer.advertised <- advertise_all peer.advertised nlri)
-            groups
-    end
+    let msgs = ref [] in
+    if withdraw_list <> [] then
+      msgs := Msg.Packer.pack peer.group.packer ~withdrawn:withdraw_list ();
+    List.iter
+      (fun (attrs, nlri) ->
+        let nlri = List.rev !nlri in
+        msgs := !msgs @ Msg.Packer.pack peer.group.packer ~reach:(attrs, nlri) ();
+        peer.advertised <- advertise_all peer.advertised nlri)
+      groups;
+    send_packed t peer !msgs
   end
 
 (* Flush a whole update group: the Adj-RIB-Out computation (best
@@ -549,55 +519,32 @@ let schedule_group_flush t group =
   end
 
 let schedule_flush t peer =
-  if t.cfg.packing then begin
-    if not peer.mrai_armed then begin
-      peer.mrai_armed <- true;
-      if Time.equal t.cfg.mrai Time.zero then
-        Sched.defer (sched t) (fun () -> flush_peer t peer)
-      else Process.after t.proc t.cfg.mrai (fun () -> flush_peer t peer)
-    end
-  end
-  else if Time.equal t.cfg.mrai Time.zero then flush_peer t peer
-  else if not peer.mrai_armed then begin
+  if not peer.mrai_armed then begin
     peer.mrai_armed <- true;
-    Process.after t.proc t.cfg.mrai (fun () -> flush_peer t peer)
+    if Time.equal t.cfg.mrai Time.zero then
+      Sched.defer (sched t) (fun () -> flush_peer t peer)
+    else Process.after t.proc t.cfg.mrai (fun () -> flush_peer t peer)
   end
 
-(* Dirty-track one Loc-RIB change: O(update groups) in packed mode,
-   O(peers) in unpacked mode. *)
+(* Dirty-track one Loc-RIB change: O(update groups). *)
 let enqueue_prefix t prefix =
-  if t.cfg.packing then
-    List.iter
-      (fun group ->
-        if group.up_members > 0 then begin
-          (match Rib.best t.rib prefix with
-          | [] ->
-              group.g_pending_withdraw <-
-                Prefix_set.add prefix group.g_pending_withdraw;
-              group.g_pending_announce <-
-                Prefix_set.remove prefix group.g_pending_announce
-          | _ :: _ ->
-              group.g_pending_announce <-
-                Prefix_set.add prefix group.g_pending_announce;
-              group.g_pending_withdraw <-
-                Prefix_set.remove prefix group.g_pending_withdraw);
-          schedule_group_flush t group
-        end)
-      t.groups
-  else
-    List.iter
-      (fun peer ->
-        if peer.state = Established then begin
-          (match Rib.best t.rib prefix with
-          | [] ->
-              peer.pending_withdraw <- Prefix_set.add prefix peer.pending_withdraw;
-              peer.pending_announce <- Prefix_set.remove prefix peer.pending_announce
-          | _ :: _ ->
-              peer.pending_announce <- Prefix_set.add prefix peer.pending_announce;
-              peer.pending_withdraw <- Prefix_set.remove prefix peer.pending_withdraw);
-          schedule_flush t peer
-        end)
-      t.peers
+  List.iter
+    (fun group ->
+      if group.up_members > 0 then begin
+        (match Rib.best t.rib prefix with
+        | [] ->
+            group.g_pending_withdraw <-
+              Prefix_set.add prefix group.g_pending_withdraw;
+            group.g_pending_announce <-
+              Prefix_set.remove prefix group.g_pending_announce
+        | _ :: _ ->
+            group.g_pending_announce <-
+              Prefix_set.add prefix group.g_pending_announce;
+            group.g_pending_withdraw <-
+              Prefix_set.remove prefix group.g_pending_withdraw);
+        schedule_group_flush t group
+      end)
+    t.groups
 
 let notify_rib_change t prefix routes =
   Hooks.iter (fun f -> f prefix routes) t.rib_hooks
@@ -661,7 +608,6 @@ let session_down t peer ~reason =
     (* The handle stays: the next send_open re-arms it in place. *)
     Option.iter Sched.cancel peer.hold_ev;
     peer.pending_announce <- Prefix_set.empty;
-    peer.pending_withdraw <- Prefix_set.empty;
     peer.advertised <- Prefix_set.empty;
     let affected = Rib.drop_peer t.rib ~peer:peer.id in
     List.iter (refresh_and_propagate t) affected;
@@ -882,7 +828,6 @@ let add_peer ?(import = Policy.accept_all) ?(export = Policy.accept_all) t
       keepalive_timer = None;
       hold_ev = None;
       pending_announce = Prefix_set.empty;
-      pending_withdraw = Prefix_set.empty;
       mrai_armed = false;
       advertised = Prefix_set.empty;
       admin_down = false;

@@ -16,18 +16,14 @@
 
     {2 Control-plane scaling}
 
-    With [packing] on (the default), the speaker behaves like a
-    large-scale production daemon: peers whose export policies are
+    The speaker behaves like a large-scale production daemon: peers whose export policies are
     {!Policy.equal} share one {e update group}, so the Adj-RIB-Out
     computation, the export-policy evaluation and the serialized
     UPDATE buffers are produced once per group and shared by every
     member; flushes pack as many NLRI as fit into each 4096-byte
     UPDATE ({!Msg.Packer}); with MRAI zero, flushes coalesce to the
     end of the current scheduler instant, so a received UPDATE
-    carrying k prefixes triggers one outgoing flush, not k. Set
-    [packing = false] to recover the original one-UPDATE-per-
-    attribute-group behaviour — kept as the differential-testing
-    baseline. Both modes converge to identical Loc-RIBs. *)
+    carrying k prefixes triggers one outgoing flush, not k. *)
 
 open Horse_net
 open Horse_engine
@@ -49,11 +45,6 @@ type config = {
           through a single work queue — models the single-threaded
           processing of a real routing daemon. {!Time.zero} handles
           messages inline. *)
-  packing : bool;
-      (** Update groups + packed UPDATEs + end-of-instant flush
-          coalescing (see module docs). [false] = legacy per-peer,
-          per-attribute-group UPDATEs, used as the differential
-          baseline. *)
   connect_retry : Time.t;
       (** RFC 4271 ConnectRetry: Idle sessions that are not admin-down
           are re-initiated with a fresh OPEN at this interval, so a
@@ -64,7 +55,7 @@ type config = {
 
 val default_config : asn:int -> router_id:Ipv4.t -> config
 (** hold 9 s, MRAI 0, multipath on, no networks, 100 µs processing
-    delay, packing on, ConnectRetry 5 s. *)
+    delay, ConnectRetry 5 s. *)
 
 type t
 

@@ -11,7 +11,7 @@ type t = {
   exp_rng : Rng.t;
 }
 
-let create ?config ?registry ?solver ?(seed = 42) topo =
+let create ?config ?registry ?(seed = 42) topo =
   let sched = Sched.create ?config ?registry () in
   let trace = Trace.create () in
   Trace.bind_registry trace (Sched.registry sched);
@@ -19,7 +19,7 @@ let create ?config ?registry ?solver ?(seed = 42) topo =
     sched;
     exp_topo = topo;
     exp_cm = Connection_manager.create sched trace;
-    exp_fluid = Fluid.create ?solver sched topo;
+    exp_fluid = Fluid.create sched topo;
     exp_trace = trace;
     exp_rng = Rng.create seed;
   }

@@ -17,14 +17,12 @@ type t
 val create :
   ?config:Sched.config ->
   ?registry:Horse_telemetry.Registry.t ->
-  ?solver:Fluid.solver ->
   ?seed:int ->
   Topology.t ->
   t
 (** Default scheduler config: 1 ms FTI increment, 1 s quiet timeout.
     Default seed 42. A fresh telemetry registry is created unless one
-    is supplied. [?solver] picks the fluid engine's rate solver
-    (default the incremental delta solver). *)
+    is supplied. *)
 
 val scheduler : t -> Sched.t
 

@@ -94,7 +94,7 @@ let install_fib t ctx node peer_links prefix (routes : Rib.route list) =
           record_write ())
 
 let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
-    ?(mrai = Time.zero) ?(packing = true) ?sched_config ?(seed = 42)
+    ?(mrai = Time.zero) ?sched_config ?(seed = 42)
     ?(quantum = Time.of_ms 1) ?(latency = Time.of_ms 1) ~partition
     ~originate topo =
   if Time.(latency < quantum) then
@@ -168,7 +168,6 @@ let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
             Speaker.hold_time;
             mrai;
             networks;
-            packing;
           }
         in
         let speaker = Speaker.create ~trace:ctx.sh_trace proc config in

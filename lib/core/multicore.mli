@@ -22,7 +22,6 @@ val build :
   ?asn_base:int ->
   ?hold_time:Time.t ->
   ?mrai:Time.t ->
-  ?packing:bool ->
   ?sched_config:Sched.config ->
   ?seed:int ->
   ?quantum:Time.t ->

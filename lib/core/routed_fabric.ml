@@ -76,7 +76,7 @@ let install_fib t node peer_links prefix (routes : Rib.route list) =
       Hooks.iter (fun f -> f node prefix) t.fib_hooks)
 
 let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0) ?(mrai = Time.zero)
-    ?(packing = true) ~cm ~originate topo =
+    ~cm ~originate topo =
   let sched = Connection_manager.scheduler cm in
   let trace = Connection_manager.trace cm in
   let t =
@@ -118,7 +118,6 @@ let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0) ?(mrai = Time.zero)
             Speaker.hold_time;
             mrai;
             networks;
-            packing;
           }
         in
         let speaker = Speaker.create ~trace proc config in

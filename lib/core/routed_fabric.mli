@@ -22,7 +22,6 @@ val build :
   ?asn_base:int ->
   ?hold_time:Time.t ->
   ?mrai:Time.t ->
-  ?packing:bool ->
   cm:Connection_manager.t ->
   originate:(int -> Prefix.t list) ->
   Topology.t ->
@@ -31,9 +30,7 @@ val build :
     advertises (typically: edge switches advertise their host
     subnet). Host-facing /32 routes are installed statically, as a
     real fabric's connected routes would be. Speakers are created but
-    not started. Defaults: ASNs from 64512, hold time 9 s, MRAI 0,
-    [packing] on ([false] = legacy one-UPDATE-per-attribute-group
-    speakers, the differential baseline). *)
+    not started. Defaults: ASNs from 64512, hold time 9 s, MRAI 0. *)
 
 val start : t -> unit
 (** Starts every speaker at the current virtual time (schedule this

@@ -150,9 +150,9 @@ let setup_bgp rt (ft : Fat_tree.t) =
 
 (* --- SDN (reactive controller) -------------------------------------- *)
 
-let setup_sdn ?classifier rt (ft : Fat_tree.t) te =
+let setup_sdn rt (ft : Fat_tree.t) te =
   let fabric =
-    Sdn_fabric.build ?classifier ~cm:(Experiment.cm rt.exp)
+    Sdn_fabric.build ~cm:(Experiment.cm rt.exp)
       ~fluid:(Experiment.fluid rt.exp) ft.Fat_tree.topo
   in
   let ctrl = Sdn_fabric.controller fabric in
@@ -220,7 +220,7 @@ let setup_p4 rt (ft : Fat_tree.t) =
 (* --- entry point ----------------------------------------------------- *)
 
 let run_fat_tree_te ?(seed = 42) ?(sample_every = Time.of_ms 500) ?config
-    ?(flow_rate = 1e9) ?faults ?classifier ~pods ~te ~duration () =
+    ?(flow_rate = 1e9) ?faults ~pods ~te ~duration () =
   let (rt, injector, fingerprint, provenance), setup_wall_s =
     Wall.time (fun () ->
         let ft = Fat_tree.build ~k:pods () in
@@ -240,7 +240,7 @@ let run_fat_tree_te ?(seed = 42) ?(sample_every = Time.of_ms 500) ?config
               | Bgp_ecmp -> setup_bgp rt ft
               | P4_ecmp -> setup_p4 rt ft
               | Sdn_ecmp | Hedera_gff | Hedera_annealing ->
-                  setup_sdn ?classifier rt ft te)
+                  setup_sdn rt ft te)
         in
         let injector =
           match (faults, target) with
@@ -322,8 +322,7 @@ type mu_cell = {
   mutable mc_seq : int;
 }
 
-let run_wan_megauser ?(seed = 42) ?config ?(solver = Fluid.Delta)
-    ?(eager = false) ?wan ?(classes = 20_000) ?(users = 1_000_000)
+let run_wan_megauser ?(seed = 42) ?config ?wan ?(classes = 20_000) ?(users = 1_000_000)
     ?(user_demand = 150e3) ?(headroom = 1.1) ?(sites = 3) ?(ticks = 48)
     ?(sample_every = Time.of_ms 500) ?(duration = Time.of_sec 60.0) () =
   let wan = match wan with Some w -> w | None -> Wan.abilene () in
@@ -337,7 +336,7 @@ let run_wan_megauser ?(seed = 42) ?config ?(solver = Fluid.Delta)
         let topo = wan.Wan.topo in
         let hosts = Wan.attach_hosts ~capacity:40e9 wan in
         let sched = Sched.create ?config () in
-        let fluid = Fluid.create ~eager ~solver sched topo in
+        let fluid = Fluid.create sched topo in
         ignore seed;
         (* Anycast replicas: site cities spread across the index range
            (for Abilene that is roughly west-to-east). *)

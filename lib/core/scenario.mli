@@ -64,7 +64,6 @@ val run_fat_tree_te :
   ?config:Sched.config ->
   ?flow_rate:float ->
   ?faults:Horse_faults.Plan.t ->
-  ?classifier:Horse_openflow.Classifier.backend ->
   pods:int ->
   te:te ->
   duration:Time.t ->
@@ -75,9 +74,7 @@ val run_fat_tree_te :
     fault-injection plan against the chosen control plane before the
     run ({!Bgp_ecmp}: full target; SDN variants: link faults only;
     raises [Invalid_argument] for {!P4_ecmp}, which has no fault
-    surface yet). [classifier] selects the OpenFlow switches' slow-path
-    lookup backend (default tuple-space search; ignored by the
-    non-OpenFlow scenarios). *)
+    surface yet). *)
 
 val pp_result : Format.formatter -> result -> unit
 
@@ -104,7 +101,7 @@ type megauser_result = {
   mu_solves : int;  (** rate solves actually executed *)
   mu_solve_work : int;  (** total flows entering solves *)
   mu_delta : Horse_dataplane.Fair_share.Delta.stats option;
-      (** [None] when the component solver was selected *)
+      (** the incremental solver's counters; always [Some] *)
   mu_setup_wall_s : float;
   mu_run_wall_s : float;
   mu_delivered_bits : float;
@@ -116,8 +113,6 @@ type megauser_result = {
 val run_wan_megauser :
   ?seed:int ->
   ?config:Sched.config ->
-  ?solver:Horse_dataplane.Fluid.solver ->
-  ?eager:bool ->
   ?wan:Horse_topo.Wan.t ->
   ?classes:int ->
   ?users:int ->
@@ -132,13 +127,12 @@ val run_wan_megauser :
 (** Defaults: Abilene WAN, 20 000 peak flow classes standing for
     1 000 000 users at 150 kbps each, 3 anycast sites, 48 diurnal
     ticks over a 60 s virtual day, the incremental delta solver with
-    coalesced (non-eager) recomputes. Links are capacity-planned for
+    coalesced recomputes. Links are capacity-planned for
     [headroom] (default 1.1) times their expected peak load, so the
     diurnal swing stays within plan — the solver's O(1) fast path —
     until the drain event concentrates load and saturates the
     under-planned paths for real. [classes], [users] and
-    [user_demand] scale the workload; [eager] forces a solve per
-    event (used by the A/B benchmarks).
+    [user_demand] scale the workload.
     @raise Invalid_argument on [sites] outside [1, cities],
     [classes < 1] or [ticks < 1]. *)
 

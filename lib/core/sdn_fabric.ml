@@ -126,7 +126,7 @@ let schedule_retry t =
     ignore (Sched.schedule_after t.sched Time.zero (fun () -> retry_pending t))
   end
 
-let build ?(channel_latency = Time.of_ms 1) ?classifier ~cm ~fluid topo =
+let build ?(channel_latency = Time.of_ms 1) ~cm ~fluid topo =
   let sched = Connection_manager.scheduler cm in
   let trace = Connection_manager.trace cm in
   let ctrl_proc = Process.create sched ~name:"controller" in
@@ -193,7 +193,7 @@ let build ?(channel_latency = Time.of_ms 1) ?classifier ~cm ~fluid topo =
             (Topology.out_links topo n.Topology.id)
         in
         let agent =
-          Switch.create ~trace ?classifier proc ~dpid:n.Topology.id ~ports
+          Switch.create ~trace proc ~dpid:n.Topology.id ~ports
             switch_end
         in
         Hashtbl.replace t.agents n.Topology.id agent;

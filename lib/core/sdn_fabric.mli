@@ -23,7 +23,6 @@ type t
 
 val build :
   ?channel_latency:Time.t ->
-  ?classifier:Horse_openflow.Classifier.backend ->
   cm:Connection_manager.t ->
   fluid:Fluid.t ->
   Topology.t ->
@@ -31,9 +30,7 @@ val build :
 (** Creates the controller and every switch agent, connects them
     through CM-observed channels (default latency 1 ms), and performs
     the handshake when the scheduler runs. Dpids equal node ids;
-    port [i+1] of a switch is its [i]-th out-link.  [classifier]
-    selects every switch's slow-path lookup backend (default
-    tuple-space search). *)
+    port [i+1] of a switch is its [i]-th out-link. *)
 
 val controller : t -> Controller.t
 val env : t -> Env.t

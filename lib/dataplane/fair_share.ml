@@ -90,60 +90,9 @@ let compute_reference ~capacity flows =
   done;
   rates
 
-(* ------------------------------------------------------------------ *)
-(* Production solver: sorted-demand water filling over dense arrays.  *)
-(* ------------------------------------------------------------------ *)
-
-(* The arena holds every scratch buffer the solver needs, grown
-   geometrically and reused across calls, so the hot path (one solve
-   per fluid-dataplane change instant) allocates only the result
-   array. Link ids are mapped to dense indices through one Hashtbl
-   that is cleared — never re-created — per call. *)
-type arena = {
-  mutable link_idx : (int, int) Hashtbl.t;  (* link id -> dense index *)
-  mutable cap : float array;            (* per dense link *)
-  mutable frozen_load : float array;
-  mutable unfrozen : int array;
-  mutable lf_off : int array;           (* CSR link -> member flows *)
-  mutable lf_fill : int array;
-  mutable lf_flow : int array;
-  mutable fl_off : int array;           (* CSR flow -> dense links *)
-  mutable fl_link : int array;
-  mutable frozen : bool array;
-  mutable order : int array;            (* flow indices by demand asc *)
-}
-
-let create_arena () =
-  {
-    link_idx = Hashtbl.create 256;
-    cap = Array.make 64 0.0;
-    frozen_load = Array.make 64 0.0;
-    unfrozen = Array.make 64 0;
-    lf_off = Array.make 65 0;
-    lf_fill = Array.make 64 0;
-    lf_flow = Array.make 64 0;
-    fl_off = Array.make 65 0;
-    fl_link = Array.make 64 0;
-    frozen = Array.make 64 false;
-    order = Array.make 64 0;
-  }
-
-let grown gen a n =
-  if Array.length a >= n then a
-  else begin
-    let b = gen (2 * n) in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-let grown_f a n = grown (fun n -> Array.make n 0.0) a n
-let grown_i a n = grown (fun n -> Array.make n 0) a n
-let grown_b a n = grown (fun n -> Array.make n false) a n
-
-(* In-place insertion-plus-heapsort hybrid is overkill here: demands
-   repeat heavily (uniform TE workloads), so a simple bottom-up
-   heapsort over [order.(0..n-1)] keyed by demand keeps the arena
-   allocation-free. *)
+(* Heapsort over [order.(0..n-1)] keyed by demand: demands repeat
+   heavily (uniform TE workloads), and an in-place sort keeps the
+   water fill's ordering step allocation-free. *)
 let sort_by_demand order n key =
   let lt i j = key order.(i) < key order.(j) in
   let swap i j =
@@ -169,165 +118,6 @@ let sort_by_demand order n key =
     sift_down 0 last
   done
 
-let compute_with arena ~capacity flows =
-  let n = Array.length flows in
-  let rates = Array.make n 0.0 in
-  if n = 0 then rates
-  else begin
-    Hashtbl.clear arena.link_idx;
-    (* Pass 1: total path length, validation. *)
-    let total = ref 0 in
-    Array.iter
-      (fun f ->
-        if f.demand < 0.0 then
-          invalid_arg "Fair_share.compute: negative demand";
-        List.iter (fun _ -> incr total) f.links)
-      flows;
-    let total = !total in
-    arena.fl_off <- grown_i arena.fl_off (n + 1);
-    arena.fl_link <- grown_i arena.fl_link (max 1 total);
-    arena.frozen <- grown_b arena.frozen n;
-    arena.order <- grown_i arena.order n;
-    let fl_off = arena.fl_off
-    and frozen = arena.frozen
-    and order = arena.order in
-    (* Pass 2: dense link ids + flow->link CSR. *)
-    let n_links = ref 0 in
-    let pos = ref 0 in
-    Array.iteri
-      (fun i f ->
-        fl_off.(i) <- !pos;
-        frozen.(i) <- false;
-        order.(i) <- i;
-        List.iter
-          (fun l ->
-            let li =
-              match Hashtbl.find_opt arena.link_idx l with
-              | Some li -> li
-              | None ->
-                  let c = capacity l in
-                  if c <= 0.0 then
-                    invalid_arg "Fair_share.compute: non-positive capacity";
-                  let li = !n_links in
-                  incr n_links;
-                  arena.cap <- grown_f arena.cap !n_links;
-                  arena.frozen_load <- grown_f arena.frozen_load !n_links;
-                  arena.unfrozen <- grown_i arena.unfrozen !n_links;
-                  arena.lf_fill <- grown_i arena.lf_fill !n_links;
-                  arena.cap.(li) <- c;
-                  arena.frozen_load.(li) <- 0.0;
-                  arena.unfrozen.(li) <- 0;
-                  arena.lf_fill.(li) <- 0;
-                  Hashtbl.add arena.link_idx l li;
-                  li
-            in
-            arena.fl_link.(!pos) <- li;
-            incr pos;
-            arena.unfrozen.(li) <- arena.unfrozen.(li) + 1;
-            arena.lf_fill.(li) <- arena.lf_fill.(li) + 1)
-          f.links)
-      flows;
-    fl_off.(n) <- !pos;
-    let n_links = !n_links in
-    let cap = arena.cap
-    and frozen_load = arena.frozen_load
-    and unfrozen = arena.unfrozen
-    and fl_link = arena.fl_link in
-    (* Pass 3: link->flow CSR from the per-link counts. *)
-    arena.lf_off <- grown_i arena.lf_off (n_links + 1);
-    arena.lf_flow <- grown_i arena.lf_flow (max 1 total);
-    let lf_off = arena.lf_off and lf_fill = arena.lf_fill in
-    let acc = ref 0 in
-    for li = 0 to n_links - 1 do
-      lf_off.(li) <- !acc;
-      acc := !acc + lf_fill.(li);
-      lf_fill.(li) <- lf_off.(li)
-    done;
-    lf_off.(n_links) <- !acc;
-    for i = 0 to n - 1 do
-      for k = fl_off.(i) to fl_off.(i + 1) - 1 do
-        let li = fl_link.(k) in
-        arena.lf_flow.(lf_fill.(li)) <- i;
-        lf_fill.(li) <- lf_fill.(li) + 1
-      done
-    done;
-    let lf_flow = arena.lf_flow in
-    (* Water filling. *)
-    let n_unfrozen = ref n in
-    let freeze i rate =
-      rates.(i) <- rate;
-      frozen.(i) <- true;
-      decr n_unfrozen;
-      for k = fl_off.(i) to fl_off.(i + 1) - 1 do
-        let li = fl_link.(k) in
-        frozen_load.(li) <- frozen_load.(li) +. rate;
-        unfrozen.(li) <- unfrozen.(li) - 1
-      done
-    in
-    Array.iteri
-      (fun i f ->
-        if f.demand = 0.0 then freeze i 0.0
-        else if f.links = [] then freeze i f.demand)
-      flows;
-    sort_by_demand order n (fun i -> flows.(i).demand);
-    let ptr = ref 0 in
-    while !n_unfrozen > 0 do
-      (* Bottleneck link: minimal equal share among remaining flows. *)
-      let level = ref infinity and bott = ref (-1) in
-      for li = 0 to n_links - 1 do
-        if unfrozen.(li) > 0 then begin
-          let share =
-            Float.max 0.0 (cap.(li) -. frozen_load.(li))
-            /. float_of_int unfrozen.(li)
-          in
-          if share < !level then begin
-            level := share;
-            bott := li
-          end
-        end
-      done;
-      while !ptr < n && frozen.(order.(!ptr)) do incr ptr done;
-      (* !n_unfrozen > 0 guarantees !ptr < n here. *)
-      let dmin = flows.(order.(!ptr)).demand in
-      if !bott < 0 || dmin <= !level then begin
-        (* As the water rises to [level], every flow whose demand sits
-           below it saturates at that demand without any link filling
-           up first; the sorted order lets us freeze the whole batch
-           in one sweep instead of one progressive-filling round per
-           distinct demand. *)
-        let threshold = if !bott < 0 then dmin else !level in
-        let continue = ref true in
-        while !continue && !ptr < n do
-          let i = order.(!ptr) in
-          if frozen.(i) then incr ptr
-          else if flows.(i).demand <= threshold then begin
-            freeze i flows.(i).demand;
-            incr ptr
-          end
-          else continue := false
-        done
-      end
-      else begin
-        (* The bottleneck saturates first: its members freeze at the
-           equal share. *)
-        let b = !bott in
-        for k = lf_off.(b) to lf_off.(b + 1) - 1 do
-          let i = lf_flow.(k) in
-          if not frozen.(i) then freeze i !level
-        done
-      end
-    done;
-    rates
-  end
-
-let default_arena = lazy (create_arena ())
-
-let compute ?arena ~capacity flows =
-  let arena =
-    match arena with Some a -> a | None -> Lazy.force default_arena
-  in
-  compute_with arena ~capacity flows
-
 (* ------------------------------------------------------------------ *)
 (* Delta solver: persistent bottleneck state, event-scoped resolves.  *)
 (* ------------------------------------------------------------------ *)
@@ -338,6 +128,9 @@ module Delta = struct
     demand : float;
     mutable flinks : int list;
     mutable rate : float;
+    mutable pending : bool;
+        (* waiting in [seed_flows] for a solve: [rate] is stale and is
+           not counted in the [lload] of the current [flinks] *)
   }
 
   type dlink = {
@@ -439,7 +232,7 @@ module Delta = struct
       invalid_arg "Fair_share.Delta.add_flow: negative demand";
     if Hashtbl.mem t.dflows id then
       invalid_arg "Fair_share.Delta.add_flow: duplicate id";
-    let f = { fid = id; demand; flinks = links; rate = 0.0 } in
+    let f = { fid = id; demand; flinks = links; rate = 0.0; pending = false } in
     Hashtbl.add t.dflows id f;
     List.iter (fun lid -> Hashtbl.replace (dlink t lid).lmembers id f) links;
     t.s_events <- t.s_events + 1;
@@ -459,20 +252,27 @@ module Delta = struct
         links;
       fast_commit t ~id ~links
     end
-    else t.seed_flows <- id :: t.seed_flows
+    else begin
+      f.pending <- true;
+      t.seed_flows <- id :: t.seed_flows
+    end
 
   let remove_flow t ~id =
     match Hashtbl.find_opt t.dflows id with
     | None -> ()
     | Some f ->
         Hashtbl.remove t.dflows id;
+        (* A pending flow never entered a committed solution: dropping
+           it moves no one's rate, and its stale rate was never added
+           to its links' load. *)
         let unsaturated =
-          List.for_all
-            (fun lid ->
-              match Hashtbl.find_opt t.dlinks lid with
-              | None -> true
-              | Some l -> l.level = infinity)
-            f.flinks
+          f.pending
+          || List.for_all
+               (fun lid ->
+                 match Hashtbl.find_opt t.dlinks lid with
+                 | None -> true
+                 | Some l -> l.level = infinity)
+               f.flinks
         in
         List.iter
           (fun lid ->
@@ -481,7 +281,7 @@ module Delta = struct
             | Some l ->
                 Hashtbl.remove l.lmembers id;
                 if unsaturated then begin
-                  l.lload <- l.lload -. f.rate;
+                  if not f.pending then l.lload <- l.lload -. f.rate;
                   if Hashtbl.length l.lmembers = 0 then
                     Hashtbl.remove t.dlinks lid
                 end)
@@ -499,9 +299,7 @@ module Delta = struct
     | Some f ->
         let old_links = f.flinks in
         let old_unsaturated =
-          (* rate = demand also rules out flows still waiting on their
-             first solve, whose rate field is not yet meaningful *)
-          f.rate = f.demand
+          (not f.pending) && f.rate = f.demand
           && List.for_all
                (fun lid ->
                  match Hashtbl.find_opt t.dlinks lid with
@@ -544,6 +342,7 @@ module Delta = struct
           fast_commit t ~id ~links
         end
         else begin
+          f.pending <- true;
           t.seed_links <- List.rev_append old_links t.seed_links;
           t.seed_flows <- id :: t.seed_flows
         end
@@ -567,8 +366,12 @@ module Delta = struct
   (* One scoped water-fill over [n] flows with effective demands [eff]
      and dense link lists [fl]. Returns rates and per-dense-link
      saturation levels ([infinity] = never selected as bottleneck).
-     Same sorted-demand arithmetic and demand-wins tie rule as
-     [compute], and every freeze happens in ascending rate order, so a
+     Sorted-demand water filling with a demand-wins tie rule: each
+     round either saturates one bottleneck link or retires the whole
+     batch of demand-limited flows below the current water level, so
+     the round count is bounded by [#links + #distinct-demand-batches]
+     rather than [#flows]. Every freeze happens in ascending rate
+     order, so a
      link's frozen load is a canonical ascending-order sum of its
      members' rates — which is what makes levels comparable across
      scoped and full solves. *)
@@ -763,7 +566,8 @@ module Delta = struct
         done;
         if Hashtbl.length promote = 0 then begin
           for i = 0 to ns - 1 do
-            sf.(i).rate <- rates.(i)
+            sf.(i).rate <- rates.(i);
+            sf.(i).pending <- false
           done;
           Hashtbl.iter
             (fun lid (l : dlink) ->

@@ -7,46 +7,27 @@
     smaller rate — the classic max-min fairness criterion that a
     network of fair queues converges to.
 
-    Two implementations share the semantics: {!compute} is the
-    production sorted-demand water-filling solver over dense arena
-    buffers (the fluid hot path), {!compute_reference} is the textbook
-    progressive-filling loop kept for differential testing. *)
+    Two implementations share the semantics: {!Delta} is the
+    production incremental solver (the fluid hot path), and
+    {!compute_reference} is the textbook progressive-filling loop kept
+    as the oracle for differential testing. *)
 
 type flow_input = {
   demand : float;  (** offered rate, bps; must be >= 0 *)
   links : int list;  (** directed link ids along the path; [] = unconstrained *)
 }
 
-type arena
-(** Reusable scratch buffers for {!compute}: dense link indexing and
-    CSR adjacency in both directions, grown geometrically and never
-    shrunk, so a steady-state solve allocates only its result array.
-    An arena is single-solver state — do not share one between
-    concurrent solves (there is no concurrency in the simulator). *)
-
-val create_arena : unit -> arena
-
-val compute :
-  ?arena:arena -> capacity:(int -> float) -> flow_input array -> float array
-(** [compute ~capacity flows] returns the max-min rate of each flow,
-    positionally. [capacity] gives the bps capacity of a link id and
-    must be positive for every referenced link.
-
-    Sorted-demand water filling: flows are ordered by demand once, and
-    each round either saturates one bottleneck link or retires the
-    whole batch of demand-limited flows below the current water level,
-    so the round count is bounded by [#links + #distinct-demand-batches]
-    rather than [#flows]. Without [?arena] a process-wide default
-    arena is reused.
+val compute_reference :
+  capacity:(int -> float) -> flow_input array -> float array
+(** [compute_reference ~capacity flows] returns the max-min rate of
+    each flow, positionally. [capacity] gives the bps capacity of a
+    link id and must be positive for every referenced link. This is
+    the O(rounds × (flows + links)) progressive-filling loop: the
+    testing oracle that a from-scratch {!Delta} solve must match
+    (asserted by the differential property suite).
 
     @raise Invalid_argument on a negative demand or non-positive
     capacity. *)
-
-val compute_reference :
-  capacity:(int -> float) -> flow_input array -> float array
-(** The original O(rounds × (flows + links)) progressive-filling
-    implementation. Semantically identical to {!compute} (asserted by
-    the differential property suite); kept as the testing oracle. *)
 
 val link_loads : flow_input array -> float array -> (int * float) list
 (** Total allocated rate per link id, for checking feasibility. *)
@@ -65,7 +46,7 @@ val link_loads : flow_input array -> float array -> (int * float) list
     clamped members; any breach promotes the breached flows into the
     scope and the solve expands along the flow/link sharing graph —
     the bottleneck-set change propagation of the delta design. The
-    fixpoint therefore agrees with a from-scratch {!compute} of the
+    fixpoint therefore agrees with a from-scratch solve of the
     component, while an event whose bottleneck structure is local
     costs work proportional to its neighbourhood, not the component.
 

@@ -85,15 +85,11 @@ type finite_state = {
 
 module Key_tbl = Flow_key.Table
 
-type solver = Component | Delta
-
 type t = {
   sched : Sched.t;
   topo : Topology.t;
   m : metrics;
-  eager : bool;
-  arena : Fair_share.arena;
-  delta : Fair_share.Delta.t option;  (* Some iff solver = Delta *)
+  delta : Fair_share.Delta.t;
   (* Indexed flow state: stopped flows retire out of every scan
      path. *)
   active : (int, Flow.t) Hashtbl.t;  (* flow id -> active flow *)
@@ -111,12 +107,11 @@ type t = {
   (* Completed accumulators. *)
   mutable completed_bits : float;
   mutable completed_flows : int;
-  (* Coalescing state: mutations mark the engine dirty and record the
-     touched flows/links; the solve drains at the end of the current
-     scheduler instant (Sched.defer) or on the first rate read. *)
+  (* Coalescing state: mutations mark the engine dirty (the delta
+     engine keeps its own event log); the solve drains at the end of
+     the current scheduler instant (Sched.defer) or on the first rate
+     read. *)
   mutable dirty : bool;
-  mutable dirty_flows : Flow.t list;
-  mutable dirty_links : int list;
   mutable flush_hooked : bool;
   finite : (int, finite_state) Hashtbl.t;  (* flow id -> finite state *)
   aggregate : Horse_stats.Series.t;
@@ -124,21 +119,15 @@ type t = {
   mutable sampler : Sched.recurring option;
 }
 
-let create ?(eager = false) ?(solver = Delta) sched topo =
+let create sched topo =
   {
     sched;
     topo;
     m = make_metrics (Sched.registry sched);
-    eager;
-    arena = Fair_share.create_arena ();
     delta =
-      (match solver with
-      | Component -> None
-      | Delta ->
-          Some
-            (Fair_share.Delta.create
-               ~capacity:(fun l -> (Topology.link topo l).Topology.capacity)
-               ()));
+      Fair_share.Delta.create
+        ~capacity:(fun l -> (Topology.link topo l).Topology.capacity)
+        ();
     active = Hashtbl.create 256;
     by_key = Key_tbl.create 256;
     link_index = Hashtbl.create 256;
@@ -152,8 +141,6 @@ let create ?(eager = false) ?(solver = Delta) sched topo =
     completed_bits = 0.0;
     completed_flows = 0;
     dirty = false;
-    dirty_flows = [];
-    dirty_links = [];
     flush_hooked = false;
     finite = Hashtbl.create 32;
     aggregate = Horse_stats.Series.create ~name:"aggregate-rx-bps" ();
@@ -218,52 +205,16 @@ let integrate_flow now (f : Flow.t) =
   end;
   f.Flow.last_integration <- Time.max f.Flow.last_integration now
 
-(* --- component-restricted solve ------------------------------------ *)
+(* --- solve ------------------------------------------------------------ *)
 
-(* The max-min problem decomposes exactly over connected components of
-   the flow/link sharing graph, so a solve only needs the component
-   reachable from the links the dirty flows touch; everything outside
-   keeps its rate (and its completion timer) untouched. *)
-let component_of t ~seed_flows ~seed_links =
-  let flows : (int, Flow.t) Hashtbl.t = Hashtbl.create 64 in
-  let links : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let pending : int Queue.t = Queue.create () in
-  let add_link l =
-    if not (Hashtbl.mem links l) then begin
-      Hashtbl.add links l ();
-      Queue.add l pending
-    end
-  in
-  let add_flow (f : Flow.t) =
-    if f.Flow.active && not (Hashtbl.mem flows f.Flow.id) then begin
-      Hashtbl.add flows f.Flow.id f;
-      List.iter add_link (Flow.link_ids f)
-    end
-  in
-  List.iter add_flow seed_flows;
-  List.iter add_link seed_links;
-  while not (Queue.is_empty pending) do
-    let l = Queue.pop pending in
-    match Hashtbl.find_opt t.link_index l with
-    | None -> ()
-    | Some members -> Hashtbl.iter (fun _ f -> add_flow f) members
-  done;
-  flows
-
-(* A solve either drains through the delta engine (persistent
-   bottleneck state, event-scoped water fill) or re-solves the dirty
-   component from scratch (the PR 2 path, kept for A/B benchmarks). *)
+(* A solve drains the delta engine's event log (persistent bottleneck
+   state, event-scoped water fill) and copies the new rates of the
+   flows it touched. *)
 let rec solve t =
-  match t.delta with
-  | Some d -> solve_delta t d
-  | None -> solve_component t
-
-and solve_delta t d =
+  let d = t.delta in
   let wall0 = Wall.now () in
   let now = Sched.now t.sched in
   t.dirty <- false;
-  t.dirty_flows <- [];
-  t.dirty_links <- [];
   let before = Fair_share.Delta.stats d in
   Fair_share.Delta.flush d;
   let after = Fair_share.Delta.stats d in
@@ -292,70 +243,18 @@ and solve_delta t d =
   List.iter (fun f -> aim_completion t f) touched;
   Histogram.add t.m.h_recompute_wall (Wall.now () -. wall0)
 
-and solve_component t =
-  let wall0 = Wall.now () in
-  let now = Sched.now t.sched in
-  let seed_flows = t.dirty_flows and seed_links = t.dirty_links in
-  t.dirty <- false;
-  t.dirty_flows <- [];
-  t.dirty_links <- [];
-  let component = component_of t ~seed_flows ~seed_links in
-  let scope = Array.make (Hashtbl.length component) None in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun _ f ->
-      scope.(!i) <- Some f;
-      incr i)
-    component;
-  let scope = Array.map Option.get scope in
-  (* Integrate at old rates before reassigning; flows outside the
-     component keep a constant rate, so their integration can stay
-     lazy. *)
-  Array.iter (integrate_flow now) scope;
-  let inputs =
-    Array.map
-      (fun (f : Flow.t) ->
-        { Fair_share.demand = f.Flow.demand; links = Flow.link_ids f })
-      scope
-  in
-  let rates =
-    Fair_share.compute ~arena:t.arena
-      ~capacity:(fun l -> (Topology.link t.topo l).Topology.capacity)
-      inputs
-  in
-  Array.iteri (fun i (f : Flow.t) -> f.Flow.rate <- rates.(i)) scope;
-  t.solve_work <- t.solve_work + Array.length scope;
-  t.recomputes <- t.recomputes + 1;
-  Counter.incr t.m.m_recomputes;
-  Histogram.add t.m.h_recompute_flows (float_of_int (Array.length scope));
-  Array.iter (fun f -> aim_completion t f) scope;
-  Histogram.add t.m.h_recompute_wall (Wall.now () -. wall0)
-
-(* Request a recompute covering [flows] and [links]. Eager engines
-   solve on the spot (the pre-coalescing behaviour, kept for
-   benchmarking the difference); otherwise the request is folded into
-   one solve that drains at the end of the current scheduler instant,
-   before virtual time can advance. *)
-and request_recompute t ~flows ~links =
+(* Request a recompute: the request is folded into one solve that
+   drains at the end of the current scheduler instant, before virtual
+   time can advance. *)
+and request_recompute t =
   t.recompute_requests <- t.recompute_requests + 1;
   Counter.incr t.m.m_recompute_requests;
-  (match t.delta with
-  | Some _ -> ()  (* the delta engine keeps its own event log *)
-  | None ->
-      t.dirty_flows <- List.rev_append flows t.dirty_flows;
-      t.dirty_links <- List.rev_append links t.dirty_links);
-  if t.eager then begin
-    t.dirty <- true;
-    solve t
-  end
-  else begin
-    t.dirty <- true;
-    if not t.flush_hooked then begin
-      t.flush_hooked <- true;
-      Sched.defer t.sched (fun () ->
-          t.flush_hooked <- false;
-          if t.dirty then solve t)
-    end
+  t.dirty <- true;
+  if not t.flush_hooked then begin
+    t.flush_hooked <- true;
+    Sched.defer t.sched (fun () ->
+        t.flush_hooked <- false;
+        if t.dirty then solve t)
   end
 
 (* Rate readers flush pending work first so coalescing is invisible to
@@ -399,9 +298,7 @@ and stop_flow t (f : Flow.t) =
     Counter.incr t.m.m_stopped;
     Gauge.set t.m.g_active (float_of_int t.n_active);
     Gauge.set t.m.g_users (float_of_int t.n_users);
-    Option.iter
-      (fun d -> Fair_share.Delta.remove_flow d ~id:f.Flow.id)
-      t.delta;
+    Fair_share.Delta.remove_flow t.delta ~id:f.Flow.id;
     Histogram.add t.m.h_duration
       (Time.to_sec (Time.sub (Sched.now t.sched) f.Flow.started));
     t.completed_bits <- t.completed_bits +. f.Flow.delivered_bits;
@@ -412,8 +309,7 @@ and stop_flow t (f : Flow.t) =
         Hashtbl.remove t.finite f.Flow.id
     | None -> ());
     retire t f;
-    (* The vacated links seed the recompute component. *)
-    request_recompute t ~flows:[] ~links:(Flow.link_ids f)
+    request_recompute t
   end
 
 (* --- queries -------------------------------------------------------- *)
@@ -463,12 +359,9 @@ let start_flow ?(demand = 1e9) ?(users = 1) t ~key ~path =
   Counter.incr t.m.m_started;
   Gauge.set t.m.g_active (float_of_int t.n_active);
   Gauge.set t.m.g_users (float_of_int t.n_users);
-  Option.iter
-    (fun d ->
-      Fair_share.Delta.add_flow d ~id:f.Flow.id ~demand
-        ~links:(Flow.link_ids f))
-    t.delta;
-  request_recompute t ~flows:[ f ] ~links:[];
+  Fair_share.Delta.add_flow t.delta ~id:f.Flow.id ~demand
+    ~links:(Flow.link_ids f);
+  request_recompute t;
   f
 
 let start_finite_flow ?demand ?users t ~key ~path ~size_bits ~on_complete =
@@ -477,25 +370,20 @@ let start_finite_flow ?demand ?users t ~key ~path ~size_bits ~on_complete =
   let f = start_flow ?demand ?users t ~key ~path in
   Hashtbl.replace t.finite f.Flow.id
     { size = size_bits; on_complete; timer = None };
-  (* Under coalescing the rate is not assigned yet; the pending solve
-     aims the completion. Eager engines aim here. *)
-  if not t.dirty then aim_completion t f;
+  (* The rate is not assigned yet; the pending solve aims the
+     completion. *)
   f
 
 let set_path t (f : Flow.t) path =
   if not f.Flow.active then invalid_arg "Fluid.set_path: flow is stopped";
   check_path path;
-  let old_links = Flow.link_ids f in
-  List.iter (fun l -> index_remove t.link_index l f) old_links;
+  List.iter (fun l -> index_remove t.link_index l f) (Flow.link_ids f);
   Option.iter (fun dst -> index_remove t.dst_index dst f) (Flow.dst_node f);
   f.Flow.path <- path;
   List.iter (fun l -> index_add t.link_index l f) (Flow.link_ids f);
   Option.iter (fun dst -> index_add t.dst_index dst f) (Flow.dst_node f);
-  Option.iter
-    (fun d ->
-      Fair_share.Delta.set_links d ~id:f.Flow.id ~links:(Flow.link_ids f))
-    t.delta;
-  request_recompute t ~flows:[ f ] ~links:old_links
+  Fair_share.Delta.set_links t.delta ~id:f.Flow.id ~links:(Flow.link_ids f);
+  request_recompute t
 
 let current_rate t (f : Flow.t) =
   ensure_fresh t;
@@ -580,8 +468,7 @@ let completed_flow_count t = t.completed_flows
 let active_users t = t.n_users
 let solve_work t = t.solve_work
 
-let delta_stats t =
-  Option.map (fun d -> Fair_share.Delta.stats d) t.delta
+let delta_stats t = Some (Fair_share.Delta.stats t.delta)
 
 let total_delivered_bits t =
   ensure_fresh t;

@@ -23,11 +23,12 @@
     path into completed accumulators; an active table plus per-link
     and per-destination membership indexes make {!find_flow},
     {!link_load}, {!host_rx_rate}, {!total_rx_rate} and the sampler
-    proportional to the active (or per-link) flow count. A solve is
-    further restricted to the bottleneck-connected component of links
-    touched by the changed flows — max-min allocation decomposes
-    exactly over connected components of the flow/link sharing graph,
-    so rates outside the component are provably unchanged.
+    proportional to the active (or per-link) flow count.
+
+    {b Incremental solves.} Rates come from one {!Fair_share.Delta}
+    engine: it keeps per-link bottleneck state across solves and
+    water-fills only the links whose bottleneck set a mutation
+    changed, so rates outside that scope are untouched.
 
     Rate sampling (for the demonstration's aggregate-throughput graph)
     is a periodic simulation event recorded into {!Horse_stats.Series}
@@ -39,21 +40,7 @@ open Horse_topo
 
 type t
 
-type solver =
-  | Component
-      (** re-solve the dirty connected component from scratch on every
-          flush (the pre-delta behaviour, kept for A/B benchmarks) *)
-  | Delta
-      (** incremental {!Fair_share.Delta} solves: persistent per-link
-          bottleneck state, water filling only over links whose
-          bottleneck set changed (the default) *)
-
-val create : ?eager:bool -> ?solver:solver -> Sched.t -> Topology.t -> t
-(** [~eager:true] restores the pre-coalescing behaviour — one max-min
-    solve per mutation, on the spot. Kept so benchmarks can measure
-    the coalescing win; experiments should use the default.
-    [~solver] picks the rate solver (default {!Delta}); both produce
-    max-min fair rates, differing only in per-event solve work. *)
+val create : Sched.t -> Topology.t -> t
 
 val topology : t -> Topology.t
 val scheduler : t -> Sched.t
@@ -167,10 +154,8 @@ val active_users : t -> int
 
 val solve_work : t -> int
 (** Flows that entered a solve, summed over all solves — the
-    solver-work metric the delta benchmarks gate. A component solve
-    counts its whole component; a delta solve counts only its scoped
-    water fills. *)
+    solver-work metric the delta benchmarks gate: only the flows of
+    each scoped water fill count. *)
 
 val delta_stats : t -> Fair_share.Delta.stats option
-(** The incremental solver's counters ([None] under
-    {!solver.Component}). *)
+(** The incremental solver's counters; always [Some]. *)

@@ -13,7 +13,6 @@ type config = {
   start_in_fti : bool;
   fti_pacing : float;
   max_wall_s : float;
-  fast_path : bool;
   causal : bool;
   profile : bool;
 }
@@ -25,7 +24,6 @@ let default_config =
     start_in_fti = false;
     fti_pacing = 0.0;
     max_wall_s = 0.0;
-    fast_path = true;
     causal = true;
     profile = false;
   }
@@ -387,11 +385,9 @@ let apply_hint t p hint =
               Some (Event_queue.schedule t.queue at (fun () -> wake_poller p))
       end
 
-(* One FTI increment's poller pass. Eager mode ([fast_path = false])
-   reproduces the original scheduler exactly: every poller ticks every
-   increment and wake hints are ignored. The fast path ticks only
-   runnable pollers — in registration order, so waking a subset never
-   reorders work — and skips the whole walk when none are runnable. *)
+(* One FTI increment's poller pass ticks only runnable pollers — in
+   registration order, so waking a subset never reorders work — and
+   skips the whole walk when none are runnable. *)
 let tick_one t p =
   (* A poller tick is spontaneous activity: whatever it causes roots a
      fresh chain, never the previous event's. *)
@@ -407,13 +403,7 @@ let tick_one t p =
 let tick_pollers t =
   let n = Hooks.length t.pollers in
   if n > 0 then begin
-    if not t.cfg.fast_path then
-      Hooks.iter
-        (fun p ->
-          Counter.incr t.m.m_poller_ticks;
-          ignore (tick_one t p))
-        t.pollers
-    else if t.runnable_pollers = 0 then Counter.add t.m.m_poller_saved n
+    if t.runnable_pollers = 0 then Counter.add t.m.m_poller_saved n
     else begin
       let ticked = ref 0 in
       Hooks.iter
@@ -567,14 +557,13 @@ let des_step t until =
 (* Fast-forward: with no runnable poller, the increments up to the
    next pending event are pure clock advances — and the quiet-timeout
    boundary caps the skip, so the DES transition fires at exactly the
-   boundary the eager loop would pick. Skipped increments still count
-   in [fti_increments_total] (and the virtual-residency counters), so
-   stats and the mode timeline are identical to an eager run; only the
-   loop iterations and poller walks disappear. *)
+   boundary that stepping every increment would pick. Skipped
+   increments still count in [fti_increments_total] (and the
+   virtual-residency counters), so stats and the mode timeline match a
+   stepped run; only the loop iterations and poller walks disappear. *)
 let fast_forward t until =
   if
-    t.cfg.fast_path && t.cfg.fti_pacing <= 0.0 && t.runnable_pollers = 0
-    && not (has_deferred t)
+    t.cfg.fti_pacing <= 0.0 && t.runnable_pollers = 0 && not (has_deferred t)
   then begin
     let inc = Time.to_us t.cfg.fti_increment in
     let clock = Time.to_us t.clock in

@@ -51,14 +51,6 @@ type config = {
           a snapshot with [aborted = true] and registered {!on_abort}
           hooks fire first, so callers can still flush telemetry and
           print a partial report. [0.0] (default) disables it. *)
-  fast_path : bool;
-      (** default [true]: honour poller wake hints (dozing pollers are
-          skipped) and fast-forward the clock over provably idle FTI
-          windows. [false] reproduces the original eager loop — every
-          poller ticks every increment, every increment is stepped —
-          for A/B comparisons; results (event order, FIBs, the mode
-          timeline, [fti_increments]) are identical either way, only
-          wall cost differs. *)
   causal : bool;
       (** default [true]: record the causal graph — every interesting
           occurrence ({!cause_point}) becomes a node whose parent is
@@ -89,8 +81,7 @@ type stats = {
   events_executed : int;
   fti_increments : int;
       (** increments the virtual clock advanced by, including
-          fast-forwarded ones — identical for eager and fast-path
-          runs of the same experiment *)
+          fast-forwarded ones *)
   fti_increments_skipped : int;
       (** of {!field-fti_increments}, how many fast-forward covered in
           one step instead of looping *)
@@ -234,16 +225,15 @@ val add_poller : ?name:string -> t -> (unit -> wake_hint) -> poller
     ["poller-<index>"]). Pollers model the
     scheduling quantum an emulated process receives; they run only in
     FTI mode, once per increment, in registration order. Each tick
-    returns a wake hint; with [fast_path] the scheduler skips dozing
-    pollers (and whole increments when none are runnable), with eager
-    config the hint is ignored and every poller ticks every increment.
+    returns a wake hint: the scheduler skips dozing pollers, and
+    fast-forwards over whole increments when none is runnable.
     Pollers start runnable. *)
 
 val wake_poller : poller -> unit
 (** Makes a dozing poller runnable again from the next increment on
     (idempotent). Input delivery calls this so a [Wake_on_input]
     poller reacts on the increment after its message arrives — the
-    same latency it had when it polled eagerly. *)
+    same latency it would have if it polled every increment. *)
 
 val next_activity : t -> Time.t option
 (** The earliest virtual time at which this scheduler could do

@@ -1,10 +1,6 @@
-open Horse_net
-
 module Mask = Ofmatch.Mask
 module Ftbl = Hashtbl.Make (Ofmatch.Fields_key)
 module Mtbl = Hashtbl.Make (Ofmatch.Mask)
-
-type backend = Tss | Interval
 
 type 'a rule = {
   r_match : Ofmatch.t;
@@ -15,13 +11,6 @@ type 'a rule = {
 
 (* The match order: priority descending, insertion sequence ascending. *)
 let better a b = a.r_prio > b.r_prio || (a.r_prio = b.r_prio && a.r_seq < b.r_seq)
-
-let order_rules a b =
-  match Int.compare b.r_prio a.r_prio with
-  | 0 -> Int.compare a.r_seq b.r_seq
-  | c -> c
-
-let sort_rules l = List.sort order_rules l
 
 (* ------------------------------------------------------------------ *)
 (* Tuple-space search: one hash table per distinct wildcard mask.      *)
@@ -35,7 +24,7 @@ type 'a bucket = {
   mutable b_max_prio : int;
 }
 
-type 'a tss = {
+type 'a t = {
   tbl : 'a bucket Mtbl.t;
   mutable ordered : 'a bucket array;  (* (b_max_prio desc, b_id asc) *)
   mutable dirty : bool;
@@ -43,7 +32,7 @@ type 'a tss = {
   mutable next_id : int;
 }
 
-let tss_create () =
+let create () =
   { tbl = Mtbl.create 64; ordered = [||]; dirty = false; count = 0; next_id = 0 }
 
 let rec insert_sorted r = function
@@ -51,7 +40,11 @@ let rec insert_sorted r = function
   | r' :: _ as l when better r r' -> r :: l
   | r' :: rest -> r' :: insert_sorted r rest
 
-let tss_insert ts (r : 'a rule) =
+let length ts = ts.count
+let mask_count ts = Mtbl.length ts.tbl
+
+let insert ts ~match_ ~priority ~seq value =
+  let r = { r_match = match_; r_prio = priority; r_seq = seq; r_value = value } in
   let mask = Ofmatch.mask_of r.r_match in
   let b =
     match Mtbl.find_opt ts.tbl mask with
@@ -87,17 +80,16 @@ let bucket_max_prio b =
     (fun _ cell acc -> List.fold_left (fun acc r -> max acc r.r_prio) acc !cell)
     b.b_rules min_int
 
-let tss_remove ts ~match_ ~seq =
+let remove ts ~match_ ~seq =
   let mask = Ofmatch.mask_of match_ in
   match Mtbl.find_opt ts.tbl mask with
-  | None -> false
+  | None -> ()
   | Some b -> (
       let key = Ofmatch.fields_of_match match_ in
       match Ftbl.find_opt b.b_rules key with
-      | None -> false
+      | None -> ()
       | Some cell ->
-          if not (List.exists (fun r -> r.r_seq = seq) !cell) then false
-          else begin
+          if List.exists (fun r -> r.r_seq = seq) !cell then begin
             (match List.filter (fun r -> r.r_seq <> seq) !cell with
             | [] -> Ftbl.remove b.b_rules key
             | kept -> cell := kept);
@@ -113,8 +105,7 @@ let tss_remove ts ~match_ ~seq =
                 b.b_max_prio <- mp;
                 ts.dirty <- true
               end
-            end;
-            true
+            end
           end)
 
 let ensure_ordered ts =
@@ -137,7 +128,7 @@ let ensure_ordered ts =
    on the best-so-far rule, which (by induction over the fixed bucket
    order) is identical for any packet with an equal projection under
    the accumulated mask — so the megaflow region it defines is sound. *)
-let tss_lookup ts (fields : Ofmatch.fields) =
+let lookup ts (fields : Ofmatch.fields) =
   ensure_ordered ts;
   let best = ref None in
   let acc = ref Mask.empty in
@@ -158,200 +149,8 @@ let tss_lookup ts (fields : Ofmatch.fields) =
    with Exit -> ());
   (!best, !acc)
 
-let tss_clear ts =
+let clear ts =
   Mtbl.reset ts.tbl;
   ts.ordered <- [||];
   ts.dirty <- false;
   ts.count <- 0
-
-let tss_rules ts =
-  Mtbl.fold
-    (fun _ b acc -> Ftbl.fold (fun _ cell acc -> List.rev_append !cell acc) b.b_rules acc)
-    ts.tbl []
-
-(* ------------------------------------------------------------------ *)
-(* Interval backend: a frozen decision tree over the ip_dst range,     *)
-(* with a TSS remainder for recent inserts and a tombstone set for     *)
-(* removals — rebuilt lazily when either side grows too large          *)
-(* (NuevoMatchUp-style split between a fast frozen structure and a     *)
-(* small updatable remainder).                                         *)
-(* ------------------------------------------------------------------ *)
-
-let ip_u a = Int32.to_int (Ipv4.to_int32 a) land 0xFFFFFFFF
-
-let range_of (m : Ofmatch.t) =
-  match m.Ofmatch.m_ip_dst with
-  | None -> (0, 0xFFFFFFFF)
-  | Some p -> (ip_u (Prefix.network p), ip_u (Prefix.broadcast p))
-
-type 'a itree =
-  | Leaf of 'a rule array
-  | Node of { split : int; here : 'a rule array; left : 'a itree; right : 'a itree }
-
-let leaf_max = 16
-
-let rec build depth (rules : 'a rule list) =
-  let n = List.length rules in
-  if n <= leaf_max || depth >= 40 then Leaf (Array.of_list (sort_rules rules))
-  else
-    let pts =
-      List.sort_uniq Int.compare
-        (List.concat_map
-           (fun r ->
-             let lo, hi = range_of r.r_match in
-             [ lo; hi ])
-           rules)
-    in
-    let split = List.nth pts (List.length pts / 2) in
-    let left = ref [] and right = ref [] and here = ref [] in
-    List.iter
-      (fun r ->
-        let lo, hi = range_of r.r_match in
-        if hi < split then left := r :: !left
-        else if lo > split then right := r :: !right
-        else here := r :: !here)
-      rules;
-    if List.length !here = n then Leaf (Array.of_list (sort_rules rules))
-    else
-      Node
-        {
-          split;
-          here = Array.of_list (sort_rules !here);
-          left = build (depth + 1) !left;
-          right = build (depth + 1) !right;
-        }
-
-(* Scan a (prio desc, seq asc) array: every rule examined would beat
-   the current best, so a successful [matches] always replaces it; the
-   first rule that cannot beat it ends the scan.  Masks of examined
-   rules accumulate into the megaflow mask (skipping a tombstoned rule
-   is packet-independent, so tombstones contribute nothing). *)
-let scan_arr removed (fields : Ofmatch.fields) best acc (arr : 'a rule array) =
-  try
-    Array.iter
-      (fun r ->
-        (match !best with
-        | Some br
-          when r.r_prio < br.r_prio || (r.r_prio = br.r_prio && r.r_seq > br.r_seq)
-          ->
-            raise Exit
-        | _ -> ());
-        if not (Hashtbl.mem removed r.r_seq) then begin
-          acc := Mask.union !acc (Ofmatch.mask_of r.r_match);
-          if Ofmatch.matches r.r_match fields then best := Some r
-        end)
-      arr
-  with Exit -> ()
-
-let rec tree_lookup removed fields best acc u = function
-  | Leaf arr -> scan_arr removed fields best acc arr
-  | Node { split; here; left; right } ->
-      scan_arr removed fields best acc here;
-      if u < split then tree_lookup removed fields best acc u left
-      else if u > split then tree_lookup removed fields best acc u right
-
-type 'a interval = {
-  mutable tree : 'a itree;
-  mutable frozen : 'a rule list;  (* rules in the tree, incl. tombstoned *)
-  mutable live : int;  (* frozen minus tombstones *)
-  removed : (int, unit) Hashtbl.t;  (* tombstoned seqs in the tree *)
-  rem : 'a tss;  (* inserts since the last rebuild *)
-  mutable rebuilds : int;
-}
-
-let itv_create () =
-  {
-    tree = Leaf [||];
-    frozen = [];
-    live = 0;
-    removed = Hashtbl.create 64;
-    rem = tss_create ();
-    rebuilds = 0;
-  }
-
-let rebuild_threshold itv = max 64 (itv.live / 4)
-
-let itv_rebuild itv =
-  let keep = List.filter (fun r -> not (Hashtbl.mem itv.removed r.r_seq)) itv.frozen in
-  let all = List.rev_append (tss_rules itv.rem) keep in
-  itv.frozen <- all;
-  itv.live <- List.length all;
-  Hashtbl.reset itv.removed;
-  tss_clear itv.rem;
-  itv.tree <- build 0 all;
-  itv.rebuilds <- itv.rebuilds + 1
-
-let itv_maybe_rebuild itv =
-  if
-    itv.rem.count > rebuild_threshold itv
-    || Hashtbl.length itv.removed > rebuild_threshold itv
-  then itv_rebuild itv
-
-let itv_remove itv ~match_ ~seq =
-  if tss_remove itv.rem ~match_ ~seq then true
-  else if not (Hashtbl.mem itv.removed seq) then begin
-    (* Precondition: the rule is in the classifier, so not in the
-       remainder means it is in the frozen tree. *)
-    Hashtbl.replace itv.removed seq ();
-    itv.live <- itv.live - 1;
-    true
-  end
-  else false
-
-(* The tree path depends on the full ip_dst, so the megaflow mask
-   starts at ip_dst/32 and adds the mask of every rule examined. *)
-let itv_lookup itv (fields : Ofmatch.fields) =
-  itv_maybe_rebuild itv;
-  let b0, m0 = tss_lookup itv.rem fields in
-  let best = ref b0 in
-  let acc = ref (Mask.union m0 Mask.{ empty with k_ip_dst = 32 }) in
-  tree_lookup itv.removed fields best acc (ip_u fields.Ofmatch.ip_dst) itv.tree;
-  (!best, !acc)
-
-let itv_clear itv =
-  itv.tree <- Leaf [||];
-  itv.frozen <- [];
-  itv.live <- 0;
-  Hashtbl.reset itv.removed;
-  tss_clear itv.rem
-
-(* ------------------------------------------------------------------ *)
-(* Public wrapper                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type 'a t = Tss_t of 'a tss | Itv_t of 'a interval
-
-let create ?(backend = Tss) () =
-  match backend with
-  | Tss -> Tss_t (tss_create ())
-  | Interval -> Itv_t (itv_create ())
-
-let backend = function Tss_t _ -> Tss | Itv_t _ -> Interval
-let length = function Tss_t ts -> ts.count | Itv_t itv -> itv.live + itv.rem.count
-
-let mask_count = function
-  | Tss_t ts -> Mtbl.length ts.tbl
-  | Itv_t itv -> Mtbl.length itv.rem.tbl + if itv.live > 0 then 1 else 0
-
-let rebuilds = function Tss_t _ -> 0 | Itv_t itv -> itv.rebuilds
-
-let insert t ~match_ ~priority ~seq value =
-  let r = { r_match = match_; r_prio = priority; r_seq = seq; r_value = value } in
-  match t with Tss_t ts -> tss_insert ts r | Itv_t itv -> tss_insert itv.rem r
-
-let remove t ~match_ ~seq =
-  match t with
-  | Tss_t ts -> ignore (tss_remove ts ~match_ ~seq : bool)
-  | Itv_t itv -> ignore (itv_remove itv ~match_ ~seq : bool)
-
-let lookup t fields =
-  match t with Tss_t ts -> tss_lookup ts fields | Itv_t itv -> itv_lookup itv fields
-
-let clear = function Tss_t ts -> tss_clear ts | Itv_t itv -> itv_clear itv
-
-let backend_of_string = function
-  | "tss" -> Some Tss
-  | "interval" -> Some Interval
-  | _ -> None
-
-let backend_to_string = function Tss -> "tss" | Interval -> "interval"

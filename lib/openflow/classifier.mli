@@ -1,25 +1,16 @@
-(** Swappable rule classifier — the slow path of the switch lookup
-    hierarchy.
+(** Tuple-space-search rule classifier — the slow path of the switch
+    lookup hierarchy.
 
     Rules are (match, priority, insertion-seq, value) with the OpenFlow
-    match order: priority descending, then seq ascending.  Both
-    backends return the same chosen rule as the linear reference scan,
-    plus a {e megaflow mask}: a wildcard mask such that any packet with
-    an equal {!Ofmatch.Mask.project}ion is guaranteed the identical
+    match order: priority descending, then seq ascending.  A lookup
+    returns the same chosen rule as the linear reference scan, plus a
+    {e megaflow mask}: a wildcard mask such that any packet with an
+    equal {!Ofmatch.Mask.project}ion is guaranteed the identical
     decision — what the megaflow cache above this layer stores.
 
-    Backends:
-    - {!Tss} (default): tuple-space search.  One hash table per
-      distinct wildcard mask, probed in descending max-priority order
-      with priority short-circuiting.  O(masks) lookup, O(1) updates.
-    - {!Interval}: a frozen decision tree over the [ip_dst] range with
-      a TSS remainder for recent inserts and a tombstone set for
-      removals, rebuilt lazily — for 100k–1M-rule tables whose mask
-      diversity would defeat TSS.  Its megaflow masks pin [ip_dst/32]
-      (the tree path consults the full address), so the cache above is
-      per-destination. *)
-
-type backend = Tss | Interval
+    One hash table per distinct wildcard mask, probed in descending
+    max-priority order with priority short-circuiting: O(masks)
+    lookup, O(1) updates. *)
 
 type 'a rule = {
   r_match : Ofmatch.t;
@@ -30,20 +21,13 @@ type 'a rule = {
 
 type 'a t
 
-val create : ?backend:backend -> unit -> 'a t
-(** Default backend is {!Tss}. *)
-
-val backend : 'a t -> backend
+val create : unit -> 'a t
 
 val length : 'a t -> int
 (** Live rules, O(1). *)
 
 val mask_count : 'a t -> int
-(** Distinct wildcard masks (TSS buckets); for {!Interval}, remainder
-    buckets plus one for the tree. *)
-
-val rebuilds : 'a t -> int
-(** Frozen-structure rebuilds so far (always 0 for {!Tss}). *)
+(** Distinct wildcard masks (TSS buckets). *)
 
 val insert : 'a t -> match_:Ofmatch.t -> priority:int -> seq:int -> 'a -> unit
 (** [seq] must be unique across the classifier's lifetime — it is the
@@ -58,6 +42,3 @@ val lookup : 'a t -> Ofmatch.fields -> 'a rule option * Ofmatch.Mask.t
     megaflow mask covering this decision. *)
 
 val clear : 'a t -> unit
-
-val backend_of_string : string -> backend option
-val backend_to_string : backend -> string

@@ -52,9 +52,9 @@ type t = {
   stats : stats;
 }
 
-let create ?backend () =
+let create () =
   {
-    cls = Classifier.create ?backend ();
+    cls = Classifier.create ();
     by_seq = Hashtbl.create 256;
     by_match = MKtbl.create 256;
     count = 0;
@@ -75,7 +75,6 @@ let create ?backend () =
       };
   }
 
-let backend t = Classifier.backend t.cls
 let stats t = t.stats
 let size t = t.count
 let cache_sizes t = (Ftbl.length t.micro, t.mega_count)

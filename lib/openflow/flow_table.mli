@@ -7,8 +7,7 @@
     + a {e megaflow cache} of wildcarded cells whose masks un-wildcard
       only the fields the slow path actually consulted, so one cell
       covers a whole traffic class;
-    + the swappable {!Classifier} slow path (tuple-space search by
-      default, interval tree for very large tables).
+    + the {!Classifier} slow path (tuple-space search).
 
     Matching returns the highest-priority matching entry; among equal
     priorities the oldest entry wins (stable, deterministic), and the
@@ -54,10 +53,7 @@ type stats = {
 
 type t
 
-val create : ?backend:Classifier.backend -> unit -> t
-(** Default slow-path backend is {!Classifier.Tss}. *)
-
-val backend : t -> Classifier.backend
+val create : unit -> t
 val stats : t -> stats
 
 val cache_sizes : t -> int * int

@@ -214,7 +214,7 @@ let receive t bytes =
     | Ok (msg, xid) -> handle t msg xid
     | Error err -> tracef t "decode error: %s" err
 
-let create ?trace ?classifier proc ~dpid ~ports endpoint =
+let create ?trace proc ~dpid ~ports endpoint =
   let port_numbers = List.map fst ports in
   if List.length (List.sort_uniq Int.compare port_numbers) <> List.length ports
   then invalid_arg "Switch.create: duplicate port numbers";
@@ -222,7 +222,7 @@ let create ?trace ?classifier proc ~dpid ~ports endpoint =
     {
       proc;
       dpid;
-      table = Flow_table.create ?backend:classifier ();
+      table = Flow_table.create ();
       endpoint;
       port_to_link = ports;
       trace;

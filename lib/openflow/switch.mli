@@ -15,15 +15,13 @@ type t
 
 val create :
   ?trace:Trace.t ->
-  ?classifier:Classifier.backend ->
   Process.t ->
   dpid:int ->
   ports:(int * int) list ->
   Channel.endpoint ->
   t
 (** [ports] maps OpenFlow port numbers to directed out-link ids of the
-    underlying topology node.  [classifier] selects the slow-path
-    backend of the flow table (default {!Classifier.Tss}).
+    underlying topology node.
     @raise Invalid_argument on duplicate port numbers. *)
 
 val start : t -> unit

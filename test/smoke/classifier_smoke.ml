@@ -1,10 +1,9 @@
 (* Classifier smoke: the OpenFlow lookup hierarchy (microflow cache,
-   megaflow cache, swappable classifier slow path) against the
-   preserved linear reference scan on a 20k-rule table with skewed
+   megaflow cache, tuple-space-search slow path) against the preserved
+   linear reference scan on a 20k-rule table with skewed
    repeated-flow traffic.
 
-   Gates, failing @classifier-smoke (and @runtest with it), for BOTH
-   backends (tuple-space search and the interval tree):
+   Gates, failing @classifier-smoke (and @runtest with it):
    - every probed decision is byte-identical to lookup_reference,
      before and after a flow_mod churn phase;
    - >= 5x median lookup speedup over the reference scan;
@@ -12,7 +11,7 @@
    - determinism: two independent runs produce the same decision
      fingerprint and the same hit/miss counter values.
 
-   Writes both backends' stats to the path given as argv(1). *)
+   Writes the first run's stats to the path given as argv(1). *)
 
 module OF = Horse_openflow
 module Time = Horse_engine.Time
@@ -127,7 +126,6 @@ let median l =
   a.(Array.length a / 2)
 
 type outcome = {
-  o_backend : string;
   o_speedup : float;
   o_hit_ratio : float;
   o_fp : string;
@@ -138,17 +136,15 @@ type outcome = {
   o_inv : int;
 }
 
-let run_backend backend =
-  let bname = OF.Classifier.backend_to_string backend in
-  let t = OF.Flow_table.create ~backend () in
+let run () =
+  let t = OF.Flow_table.create () in
   for i = 0 to n_rules - 1 do
     OF.Flow_table.apply_flow_mod t ~now:Time.zero (rule_fm i)
   done;
   let fp_fast = fingerprint OF.Flow_table.lookup t in
   let fp_ref = fingerprint OF.Flow_table.lookup_reference t in
   if fp_fast <> fp_ref then begin
-    Printf.eprintf "classifier-smoke(%s): hierarchy diverges from reference\n"
-      bname;
+    prerr_endline "classifier-smoke: hierarchy diverges from reference";
     exit 1
   end;
   let ref_times =
@@ -197,13 +193,10 @@ let run_backend backend =
   let fp_fast' = fingerprint OF.Flow_table.lookup t in
   let fp_ref' = fingerprint OF.Flow_table.lookup_reference t in
   if fp_fast' <> fp_ref' then begin
-    Printf.eprintf
-      "classifier-smoke(%s): post-churn hierarchy diverges from reference\n"
-      bname;
+    prerr_endline "classifier-smoke: post-churn hierarchy diverges from reference";
     exit 1
   end;
   {
-    o_backend = bname;
     o_speedup = speedup;
     o_hit_ratio = hit_ratio;
     o_fp = fp_fast ^ "+" ^ fp_fast';
@@ -217,7 +210,6 @@ let run_backend backend =
 let outcome_json o =
   Json.Obj
     [
-      ("backend", Json.String o.o_backend);
       ("speedup", Json.Float o.o_speedup);
       ("hit_ratio", Json.Float o.o_hit_ratio);
       ("fingerprint", Json.String o.o_fp);
@@ -230,13 +222,10 @@ let outcome_json o =
 
 let () =
   let out = Sys.argv.(1) in
-  let outcomes =
-    List.map run_backend [ OF.Classifier.Tss; OF.Classifier.Interval ]
-  in
-  (* Determinism: a second TSS run must reproduce decisions and
-     counters exactly. *)
-  let again = run_backend OF.Classifier.Tss in
-  let first = List.hd outcomes in
+  let first = run () in
+  (* Determinism: a second run must reproduce decisions and counters
+     exactly. *)
+  let again = run () in
   if
     again.o_fp <> first.o_fp || again.o_micro <> first.o_micro
     || again.o_mega <> first.o_mega || again.o_slow <> first.o_slow
@@ -246,30 +235,21 @@ let () =
     exit 1
   end;
   let oc = open_out out in
-  output_string oc
-    (Json.to_string (Json.Obj [ ("runs", Json.List (List.map outcome_json outcomes)) ]));
+  output_string oc (Json.to_string (outcome_json first));
   output_char oc '\n';
   close_out oc;
-  List.iter
-    (fun o ->
-      Printf.printf
-        "classifier-smoke: %-8s speedup %.1fx, hit-ratio %.3f, hits \
-         micro/mega/slow %d/%d/%d, misses %d, invalidations %d\n"
-        o.o_backend o.o_speedup o.o_hit_ratio o.o_micro o.o_mega o.o_slow
-        o.o_miss o.o_inv)
-    outcomes;
-  List.iter
-    (fun o ->
-      if o.o_speedup < speedup_budget then begin
-        Printf.eprintf
-          "classifier-smoke: %s speedup budget missed: %.1fx < %.1fx\n"
-          o.o_backend o.o_speedup speedup_budget;
-        exit 1
-      end;
-      if o.o_hit_ratio < hit_ratio_budget then begin
-        Printf.eprintf
-          "classifier-smoke: %s hit-ratio budget missed: %.3f < %.2f\n"
-          o.o_backend o.o_hit_ratio hit_ratio_budget;
-        exit 1
-      end)
-    outcomes
+  Printf.printf
+    "classifier-smoke: speedup %.1fx, hit-ratio %.3f, hits micro/mega/slow \
+     %d/%d/%d, misses %d, invalidations %d\n"
+    first.o_speedup first.o_hit_ratio first.o_micro first.o_mega first.o_slow
+    first.o_miss first.o_inv;
+  if first.o_speedup < speedup_budget then begin
+    Printf.eprintf "classifier-smoke: speedup budget missed: %.1fx < %.1fx\n"
+      first.o_speedup speedup_budget;
+    exit 1
+  end;
+  if first.o_hit_ratio < hit_ratio_budget then begin
+    Printf.eprintf "classifier-smoke: hit-ratio budget missed: %.3f < %.2f\n"
+      first.o_hit_ratio hit_ratio_budget;
+    exit 1
+  end

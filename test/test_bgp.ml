@@ -7,8 +7,7 @@ open Horse_emulation
 open Horse_bgp
 
 let check = Alcotest.check
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 let p = Prefix.of_string_exn
 let ip = Ipv4.of_string_exn
@@ -826,7 +825,7 @@ let test_attr_intern_dedup () =
     (Attr_intern.equal i1 i3);
   check Alcotest.int "two records" 2 (Attr_intern.size tbl)
 
-(* --- update groups + packed vs unpacked differential ----------------------- *)
+(* --- update groups + ring geometry oracle ------------------------------------ *)
 
 let test_update_groups_and_established_count () =
   let sched = Sched.create () in
@@ -887,14 +886,22 @@ let test_update_groups_and_established_count () =
 
 (* A 6-router ring where every router originates distinct prefixes:
    multipath ties (two ways around for the antipode), split horizon
-   and policy rewrites are all exercised. Run once with packing and
-   once with the legacy per-peer flushes: the Loc-RIBs must agree. *)
-let run_ring ~packing =
+   and the eBGP export rewrite are all exercised, with mid-run churn so
+   deltas (not just initial transfers) flow. Ring geometry is the
+   oracle: every route's AS path is as long as the ring distance to the
+   prefix's origin, and the antipode is reached both ways round. *)
+let test_ring_geometry () =
   let n = 6 and per = 8 in
   let sched = Sched.create () in
   let networks i =
     List.init per (fun j -> Prefix.make (Ipv4.of_octets 10 i j 0) 24)
   in
+  let late = p "99.9.0.0/16" in
+  let origin = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    List.iter (fun pfx -> Hashtbl.replace origin pfx i) (networks i)
+  done;
+  Hashtbl.replace origin late 1;
   let speakers =
     Array.init n (fun i ->
         Speaker.create
@@ -904,7 +911,6 @@ let run_ring ~packing =
                ~router_id:(Ipv4.of_octets 1 0 0 (i + 1)))
             with
             Speaker.networks = networks i;
-            packing;
           })
   in
   for i = 0 to n - 1 do
@@ -917,41 +923,30 @@ let run_ring ~packing =
   ignore
     (Sched.schedule_at sched Time.zero (fun () ->
          Array.iter Speaker.start speakers));
-  (* Mid-run churn so deltas (not just initial transfers) flow. *)
   ignore
     (Sched.schedule_at sched (Time.of_sec 20.0) (fun () ->
          Speaker.withdraw_network speakers.(0) (List.hd (networks 0));
-         Speaker.announce speakers.(1) (p "99.9.0.0/16")));
+         Speaker.announce speakers.(1) late));
   ignore (Sched.run ~until:(Time.of_sec 60.0) sched);
-  let signature i =
-    List.map
-      (fun (pfx, routes) ->
-        ( Prefix.to_string pfx,
-          List.map
+  Array.iteri
+    (fun i speaker ->
+      let table = Speaker.routes speaker in
+      (* Everyone holds every prefix: 6*8 - 1 withdrawn + 1 late announce. *)
+      check Alcotest.int "full table" 48 (List.length table);
+      List.iter
+        (fun (pfx, routes) ->
+          let d = abs (i - Hashtbl.find origin pfx) in
+          let d = min d (n - d) in
+          let name = Printf.sprintf "r%d %s" i (Prefix.to_string pfx) in
+          check Alcotest.int (name ^ " routes") (if d = n / 2 then 2 else 1)
+            (List.length routes);
+          List.iter
             (fun (r : Rib.route) ->
-              ( r.Rib.attrs.Msg.as_path,
-                Ipv4.to_string r.Rib.attrs.Msg.next_hop,
-                r.Rib.attrs.Msg.local_pref ))
-            routes
-          |> List.sort compare ))
-      (Speaker.routes speakers.(i))
-  in
-  let total = Speaker.counters speakers.(0) in
-  (List.init n signature, total.Speaker.updates_sent)
-
-let test_packed_vs_unpacked_differential () =
-  let packed_sigs, _ = run_ring ~packing:true in
-  let unpacked_sigs, _ = run_ring ~packing:false in
-  List.iteri
-    (fun i (a, b) ->
-      if a <> b then
-        Alcotest.failf "router %d: packed and unpacked Loc-RIBs differ" i)
-    (List.combine packed_sigs unpacked_sigs);
-  (* Everyone holds every prefix: 6*8 - 1 withdrawn + 1 late announce. *)
-  List.iter
-    (fun s ->
-      check Alcotest.int "full table" 48 (List.length s))
-    packed_sigs
+              check Alcotest.int (name ^ " as-path length") d
+                (List.length r.Rib.attrs.Msg.as_path))
+            routes)
+        table)
+    speakers
 
 let () =
   Alcotest.run "horse_bgp"
@@ -1012,7 +1007,7 @@ let () =
           Alcotest.test_case "mrai batching" `Quick test_mrai_batches_updates;
           Alcotest.test_case "update groups + established count" `Quick
             test_update_groups_and_established_count;
-          Alcotest.test_case "packed vs unpacked loc-rib differential" `Quick
-            test_packed_vs_unpacked_differential;
+          Alcotest.test_case "ring loc-rib matches ring geometry" `Quick
+            test_ring_geometry;
         ] );
     ]

@@ -7,8 +7,7 @@ open Horse_topo
 open Horse_dataplane
 
 let check = Alcotest.check
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 (* --- Fwd (longest prefix match) ---------------------------------------- *)
 
@@ -60,7 +59,7 @@ let test_fwd_empty_group_rejected () =
 
 (* LPM vs naive oracle. *)
 let prop_fwd_matches_naive =
-  qtest "fwd: lookup matches the naive longest-match oracle"
+  qtest ~count:100 "fwd: lookup matches the naive longest-match oracle"
     QCheck2.Gen.(
       pair
         (list_size (int_range 1 30)
@@ -98,12 +97,24 @@ let prop_fwd_matches_naive =
 
 let capacity_all c _ = c
 
+(* A from-scratch solve through the production solver: add every flow
+   to a fresh delta engine, flush once, read the rates back. *)
+let delta_solve ~capacity flows =
+  let d = Fair_share.Delta.create ~capacity () in
+  Array.iteri
+    (fun id (f : Fair_share.flow_input) ->
+      Fair_share.Delta.add_flow d ~id ~demand:f.Fair_share.demand
+        ~links:f.Fair_share.links)
+    flows;
+  Fair_share.Delta.flush d;
+  Array.mapi (fun id _ -> Fair_share.Delta.rate d ~id) flows
+
 let test_fair_share_single_bottleneck () =
   (* Three flows share one 9 Gbps link: 3 Gbps each. *)
   let flows =
     Array.make 3 { Fair_share.demand = 10e9; links = [ 0 ] }
   in
-  let rates = Fair_share.compute ~capacity:(capacity_all 9e9) flows in
+  let rates = delta_solve ~capacity:(capacity_all 9e9) flows in
   Array.iter (fun r -> check (Alcotest.float 1.0) "equal share" 3e9 r) rates
 
 let test_fair_share_demand_limited () =
@@ -115,7 +126,7 @@ let test_fair_share_demand_limited () =
       { Fair_share.demand = 10e9; links = [ 0 ] };
     |]
   in
-  let rates = Fair_share.compute ~capacity:(capacity_all 9e9) flows in
+  let rates = delta_solve ~capacity:(capacity_all 9e9) flows in
   check (Alcotest.float 1.0) "small keeps demand" 1e9 rates.(0);
   check (Alcotest.float 1.0) "big splits remainder" 4e9 rates.(1);
   check (Alcotest.float 1.0) "big splits remainder" 4e9 rates.(2)
@@ -131,7 +142,7 @@ let test_fair_share_two_bottlenecks () =
     |]
   in
   let capacity = function 0 -> 1.0 | _ -> 10.0 in
-  let rates = Fair_share.compute ~capacity flows in
+  let rates = delta_solve ~capacity flows in
   check (Alcotest.float 1e-9) "A" 0.5 rates.(0);
   check (Alcotest.float 1e-9) "B" 0.5 rates.(1)
 
@@ -148,19 +159,19 @@ let test_fair_share_cascade () =
     |]
   in
   let capacity = function 0 -> 1.0 | _ -> 10.0 in
-  let rates = Fair_share.compute ~capacity flows in
+  let rates = delta_solve ~capacity flows in
   check (Alcotest.float 1e-9) "A" 0.5 rates.(0);
   check (Alcotest.float 1e-9) "B" 0.5 rates.(1);
   check (Alcotest.float 1e-9) "C demand-capped" 2.0 rates.(2)
 
 let test_fair_share_empty_path () =
   let flows = [| { Fair_share.demand = 5.0; links = [] } |] in
-  let rates = Fair_share.compute ~capacity:(capacity_all 1.0) flows in
+  let rates = delta_solve ~capacity:(capacity_all 1.0) flows in
   check (Alcotest.float 1e-9) "unconstrained = demand" 5.0 rates.(0)
 
 let test_fair_share_zero_demand () =
   let flows = [| { Fair_share.demand = 0.0; links = [ 0 ] } |] in
-  let rates = Fair_share.compute ~capacity:(capacity_all 1.0) flows in
+  let rates = delta_solve ~capacity:(capacity_all 1.0) flows in
   check (Alcotest.float 1e-9) "zero demand" 0.0 rates.(0)
 
 let gen_fair_share_case =
@@ -178,10 +189,10 @@ let gen_fair_share_case =
   return (caps, Array.of_list flows)
 
 let prop_fair_share_feasible =
-  qtest "fair share: allocation is feasible and demand-capped"
+  qtest ~count:100 "fair share: allocation is feasible and demand-capped"
     gen_fair_share_case (fun (caps, flows) ->
       let capacity l = caps.(l) in
-      let rates = Fair_share.compute ~capacity flows in
+      let rates = delta_solve ~capacity flows in
       let demand_ok =
         Array.for_all2
           (fun r (f : Fair_share.flow_input) ->
@@ -198,10 +209,10 @@ let prop_fair_share_feasible =
 let prop_fair_share_maxmin_bottleneck =
   (* Max-min optimality witness: every flow is either demand-capped
      or crosses a saturated link on which it has the maximal rate. *)
-  qtest "fair share: every flow is demand- or bottleneck-limited"
+  qtest ~count:100 "fair share: every flow is demand- or bottleneck-limited"
     gen_fair_share_case (fun (caps, flows) ->
       let capacity l = caps.(l) in
-      let rates = Fair_share.compute ~capacity flows in
+      let rates = delta_solve ~capacity flows in
       let loads = Fair_share.link_loads flows rates in
       let load l = List.assoc l loads in
       let ok = ref true in
@@ -254,7 +265,7 @@ let prop_fair_share_differential =
   qtest ~count:500 "fair share: water filling matches progressive filling"
     gen_differential_case (fun (caps, flows) ->
       let capacity l = caps.(l) in
-      let fast = Fair_share.compute ~capacity flows in
+      let fast = delta_solve ~capacity flows in
       let slow = Fair_share.compute_reference ~capacity flows in
       Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) fast slow)
 
@@ -264,7 +275,7 @@ let prop_fair_share_differential_invariants =
   qtest ~count:300 "fair share: invariants hold on degenerate inputs"
     gen_differential_case (fun (caps, flows) ->
       let capacity l = caps.(l) in
-      let rates = Fair_share.compute ~capacity flows in
+      let rates = delta_solve ~capacity flows in
       let demand_ok =
         Array.for_all2
           (fun r (f : Fair_share.flow_input) ->
@@ -277,25 +288,6 @@ let prop_fair_share_differential_invariants =
           (Fair_share.link_loads flows rates)
       in
       demand_ok && load_ok)
-
-let prop_fair_share_arena_reuse_stable =
-  (* Re-solving different problems through one arena must not leak
-     state between calls. *)
-  qtest ~count:100 "fair share: arena reuse is call-independent"
-    QCheck2.Gen.(pair gen_differential_case gen_differential_case)
-    (fun ((caps1, flows1), (caps2, flows2)) ->
-      let arena = Fair_share.create_arena () in
-      let solve caps flows =
-        Fair_share.compute ~arena ~capacity:(fun l -> caps.(l)) flows
-      in
-      ignore (solve caps1 flows1);
-      let second = solve caps2 flows2 in
-      let fresh =
-        Fair_share.compute ~arena:(Fair_share.create_arena ())
-          ~capacity:(fun l -> caps2.(l))
-          flows2
-      in
-      Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-12) second fresh)
 
 (* --- Delta solver: random arrival/departure/reroute schedules ----------- *)
 
@@ -436,6 +428,25 @@ let test_delta_scoped_arrival () =
     (Fair_share.Delta.rate d ~id:0);
   check Alcotest.bool "f0 outside the delta scope" false
     (List.mem 0 (Fair_share.Delta.touched d))
+
+let test_delta_pending_removal () =
+  (* A flow rerouted and then removed before any flush never entered a
+     committed solution: its stale rate must not be subtracted from its
+     new links' load, or a later arrival there is wrongly absorbed at
+     full demand. *)
+  let capacity = capacity_all 1.0 in
+  let d = Fair_share.Delta.create ~capacity () in
+  Fair_share.Delta.add_flow d ~id:0 ~demand:0.6 ~links:[ 0 ];
+  Fair_share.Delta.add_flow d ~id:1 ~demand:0.7 ~links:[ 1 ];
+  Fair_share.Delta.flush d;
+  Fair_share.Delta.set_links d ~id:0 ~links:[ 1 ];
+  Fair_share.Delta.remove_flow d ~id:0;
+  Fair_share.Delta.add_flow d ~id:2 ~demand:0.85 ~links:[ 1 ];
+  Fair_share.Delta.flush d;
+  check (Alcotest.float 1e-9) "f1 shares link 1" 0.5
+    (Fair_share.Delta.rate d ~id:1);
+  check (Alcotest.float 1e-9) "f2 shares link 1" 0.5
+    (Fair_share.Delta.rate d ~id:2)
 
 let test_delta_departure_propagates () =
   (* A departure frees capacity; the clamped survivors must be promoted
@@ -655,36 +666,33 @@ let test_fluid_validation () =
 
 let test_fluid_coalescing () =
   (* A burst of k flow events inside one scheduler instant must cost
-     one max-min solve; the eager engine pays k. *)
+     one max-min solve, and still land on the max-min allocation. *)
   let k = 10 in
-  let run ~eager =
-    let topo, _, _, path = dumbbell () in
-    let sched = Sched.create () in
-    let fluid = Fluid.create ~eager sched topo in
-    ignore
-      (Sched.schedule_at sched Time.zero (fun () ->
-           for i = 0 to k - 1 do
-             ignore (Fluid.start_flow ~demand:1e9 fluid ~key:(key_i i) ~path)
-           done));
-    ignore (Sched.run ~until:(Time.of_sec 1.0) sched);
-    fluid
+  let topo, _, _, path = dumbbell () in
+  let sched = Sched.create () in
+  let fluid = Fluid.create sched topo in
+  ignore
+    (Sched.schedule_at sched Time.zero (fun () ->
+         for i = 0 to k - 1 do
+           ignore (Fluid.start_flow ~demand:1e9 fluid ~key:(key_i i) ~path)
+         done));
+  ignore (Sched.run ~until:(Time.of_sec 1.0) sched);
+  check Alcotest.int "k requests recorded" k (Fluid.recompute_requests fluid);
+  check Alcotest.int "one solve for the burst" 1 (Fluid.recompute_count fluid);
+  let active = Array.of_list (Fluid.active_flows fluid) in
+  let want =
+    Fair_share.compute_reference
+      ~capacity:(fun l -> (Topology.link topo l).Topology.capacity)
+      (Array.map
+         (fun (f : Flow.t) ->
+           { Fair_share.demand = f.Flow.demand; links = Flow.link_ids f })
+         active)
   in
-  let coalesced = run ~eager:false in
-  check Alcotest.int "k requests recorded" k
-    (Fluid.recompute_requests coalesced);
-  check Alcotest.int "one solve for the burst" 1
-    (Fluid.recompute_count coalesced);
-  let eager = run ~eager:true in
-  check Alcotest.int "eager solves once per mutation" k
-    (Fluid.recompute_count eager);
-  (* Both engines end at identical allocations. *)
-  List.iter2
-    (fun a b ->
-      check (Alcotest.float 1.0) "same rate either way"
-        (Fluid.current_rate eager a)
-        (Fluid.current_rate coalesced b))
-    (Fluid.active_flows eager)
-    (Fluid.active_flows coalesced)
+  Array.iteri
+    (fun i f ->
+      check (Alcotest.float 1.0) "reference rate" want.(i)
+        (Fluid.current_rate fluid f))
+    active
 
 let test_fluid_coalesced_reads_are_fresh () =
   (* Reading a rate inside the mutating instant must observe the
@@ -923,12 +931,13 @@ let () =
           prop_fair_share_maxmin_bottleneck;
           prop_fair_share_differential;
           prop_fair_share_differential_invariants;
-          prop_fair_share_arena_reuse_stable;
           prop_fair_share_delta_schedule;
           Alcotest.test_case "delta: scoped arrival" `Quick
             test_delta_scoped_arrival;
           Alcotest.test_case "delta: departure propagates" `Quick
             test_delta_departure_propagates;
+          Alcotest.test_case "delta: pending flow removal" `Quick
+            test_delta_pending_removal;
         ] );
       ( "fluid",
         [

@@ -4,8 +4,7 @@
 open Horse_engine
 
 let check = Alcotest.check
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 (* --- Time ------------------------------------------------------------ *)
 
@@ -537,8 +536,9 @@ let test_start_in_fti () =
 
 let test_fti_wall_cost_exceeds_des () =
   (* The paper's core claim in miniature: the same quiet virtual hour
-     costs far less wall time in DES than in FTI. Pinned to the eager
-     scheduler — fast-forward exists precisely to erase this cost. *)
+     costs far less wall time in DES than in FTI. An always-runnable
+     poller pins FTI to stepping every increment — fast-forward exists
+     precisely to erase this cost. *)
   let run ~start_in_fti ~quiet_timeout =
     let config =
       {
@@ -546,10 +546,10 @@ let test_fti_wall_cost_exceeds_des () =
         Sched.start_in_fti;
         quiet_timeout;
         fti_increment = Time.of_ms 1;
-        fast_path = false;
       }
     in
     let sched = Sched.create ~config () in
+    ignore (Sched.add_poller sched (fun () -> Sched.Always));
     Sched.run ~until:(Time.of_sec 3600.0) sched
   in
   let des = run ~start_in_fti:false ~quiet_timeout:(Time.of_sec 1.0) in
@@ -557,6 +557,8 @@ let test_fti_wall_cost_exceeds_des () =
   check Alcotest.int "DES: no increments" 0 des.Sched.fti_increments;
   check Alcotest.int "FTI: one increment per millisecond" 3_600_000
     fti.Sched.fti_increments;
+  check Alcotest.int "FTI: every increment stepped" 0
+    fti.Sched.fti_increments_skipped;
   check Alcotest.bool "FTI costs more wall time" true
     (fti.Sched.wall_total > des.Sched.wall_total)
 

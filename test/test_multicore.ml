@@ -15,8 +15,7 @@ module Histogram = Horse_telemetry.Histogram
 
 let check = Alcotest.check
 
-let qcheck ~count ~name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 (* --- partitions --------------------------------------------------------- *)
 
@@ -185,7 +184,7 @@ let mailbox_prop plan =
   run_mail_plan ~domains:1 plan = run_mail_plan ~domains:3 plan
 
 let qcheck_mailbox_deterministic =
-  qcheck ~count:60 ~name:"mailbox delivery is a pure function of the plan"
+  qtest ~count:60 "mailbox delivery is a pure function of the plan"
     QCheck2.Gen.(
       list_size (int_range 1 40)
         (quad (int_range 0 2) (int_range 0 1) (int_range 0 20)

@@ -7,8 +7,7 @@ open Horse_emulation
 open Horse_openflow
 
 let check = Alcotest.check
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 let ip = Ipv4.of_string_exn
 let p = Prefix.of_string_exn
@@ -572,8 +571,7 @@ let test_o1_size_no_resort () =
 
 (* Differential suite: random flow_mod / traffic / expiry
    interleavings; on every probe the hierarchy must return the
-   physically-same entry as the preserved linear scan — for both
-   classifier backends. *)
+   physically-same entry as the preserved linear scan. *)
 let gen_op =
   let open QCheck2.Gen in
   let gen_fm =
@@ -603,8 +601,8 @@ let gen_op =
       (1, return `Tick);
     ]
 
-let run_differential backend ops =
-  let t = Flow_table.create ~backend () in
+let run_differential ops =
+  let t = Flow_table.create () in
   let now = ref Time.zero in
   List.for_all
     (fun op ->
@@ -624,32 +622,9 @@ let run_differential backend ops =
     ops
 
 let prop_differential =
-  qtest ~count:150 "flow_table: hierarchy == reference (both backends)"
+  qtest ~count:150 "flow_table: hierarchy == reference (backed by TSS)"
     QCheck2.Gen.(list_size (int_range 10 80) gen_op)
-    (fun ops ->
-      run_differential Classifier.Tss ops
-      && run_differential Classifier.Interval ops)
-
-let test_interval_rebuild () =
-  let cls = Classifier.create ~backend:Classifier.Interval () in
-  for i = 0 to 199 do
-    let dst = Ipv4.of_octets 10 0 (i land 0xFF) 0 in
-    Classifier.insert cls
-      ~match_:(Ofmatch.to_dst (Prefix.make dst 24))
-      ~priority:(i mod 5) ~seq:i i
-  done;
-  check Alcotest.int "all rules live" 200 (Classifier.length cls);
-  check Alcotest.int "no rebuild before first lookup" 0 (Classifier.rebuilds cls);
-  let probe = fields { key_ab with Flow_key.dst = ip "10.0.7.9" } in
-  (match Classifier.lookup cls probe with
-  | Some r, _ -> check Alcotest.int "right rule" 7 r.Classifier.r_seq
-  | None, _ -> Alcotest.fail "expected hit");
-  check Alcotest.int "lazy rebuild happened" 1 (Classifier.rebuilds cls);
-  Classifier.remove cls ~match_:(Ofmatch.to_dst (p "10.0.7.0/24")) ~seq:7;
-  (match Classifier.lookup cls probe with
-  | Some r, _ -> Alcotest.failf "tombstoned rule served (seq %d)" r.Classifier.r_seq
-  | None, _ -> ());
-  check Alcotest.int "length tracks tombstones" 199 (Classifier.length cls)
+    run_differential
 
 (* --- Switch agent ----------------------------------------------------------- *)
 
@@ -847,7 +822,6 @@ let () =
           Alcotest.test_case "modify invalidates" `Quick
             test_modify_invalidates_caches;
           Alcotest.test_case "O(1) size, no resort" `Quick test_o1_size_no_resort;
-          Alcotest.test_case "interval lazy rebuild" `Quick test_interval_rebuild;
           prop_differential;
         ] );
       ( "switch",

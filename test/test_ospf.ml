@@ -9,8 +9,7 @@ open Horse_ospf
 open Horse_core
 
 let check = Alcotest.check
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 let ip = Ipv4.of_string_exn
 let p = Prefix.of_string_exn

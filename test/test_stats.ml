@@ -4,8 +4,7 @@ open Horse_engine
 open Horse_stats
 
 let check = Alcotest.check
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 let series_of samples =
   let s = Series.create () in
@@ -50,7 +49,7 @@ let test_series_merge_sum () =
       ignore (Series.merge_sum [ a; short ]))
 
 let prop_series_integrate_constant =
-  qtest "series: integral of a constant is value * span"
+  qtest ~count:100 "series: integral of a constant is value * span"
     QCheck2.Gen.(pair (int_range 1 50) (float_range 0.0 100.0))
     (fun (n, v) ->
       let s = Series.create () in
@@ -139,7 +138,7 @@ let test_histogram_buckets () =
   check Alcotest.bool "renders" true (String.length out > 20)
 
 let prop_histogram_conserves =
-  qtest "histogram: buckets + under + over = total"
+  qtest ~count:100 "histogram: buckets + under + over = total"
     QCheck2.Gen.(list_size (int_range 0 300) (float_range 0.0001 100000.0))
     (fun vs ->
       let h = Histogram.create_log ~lo:0.001 ~hi:10000.0 () in

@@ -6,8 +6,7 @@ open Horse_topo
 module Tm = Traffic_matrix
 
 let check = Alcotest.check
-let qtest ?(count = 50) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest = Horse_test_support.qtest
 
 (* --- Topology --------------------------------------------------------- *)
 
@@ -231,7 +230,7 @@ let test_ecmp_paths_distinct_and_valid () =
     paths
 
 let prop_spf_matches_floyd_warshall =
-  qtest "spf: Dijkstra distances match Floyd-Warshall on random graphs"
+  qtest ~count:50 "spf: Dijkstra distances match Floyd-Warshall on random graphs"
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 2 14))
     (fun (seed, n) ->
       let wan = Wan.random_gnp ~seed ~n ~p:0.3 () in
@@ -248,7 +247,7 @@ let prop_spf_matches_floyd_warshall =
       !ok)
 
 let prop_ecmp_paths_equal_length =
-  qtest "spf: all ecmp paths share the shortest length"
+  qtest ~count:50 "spf: all ecmp paths share the shortest length"
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 3 12))
     (fun (seed, n) ->
       let wan = Wan.random_gnp ~seed ~n ~p:0.4 () in
@@ -289,7 +288,7 @@ let test_wan_ring_distance () =
     (List.length (Spf.ecmp_paths tree ring.Wan.topo ~dst:3))
 
 let prop_random_gnp_connected =
-  qtest "wan: random graphs are connected"
+  qtest ~count:50 "wan: random graphs are connected"
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 2 20))
     (fun (seed, n) ->
       let wan = Wan.random_gnp ~seed ~n ~p:0.1 () in
@@ -329,7 +328,7 @@ let test_tm_zipf_shape () =
     (m.(0) > m.(1) && m.(1) > m.(2) && m.(2) > m.(3) && m.(3) > m.(4))
 
 let prop_tm_diurnal_bounds =
-  qtest "tm: diurnal factor stays within [trough, 1]"
+  qtest ~count:50 "tm: diurnal factor stays within [trough, 1]"
     QCheck2.Gen.(
       triple (float_range 0.0 86_400.0) (float_range 0.0 1.0)
         (float_range 0.0 1.0))
