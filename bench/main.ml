@@ -503,20 +503,9 @@ let failure () =
   let duration = Time.of_sec 60.0 in
   let ft = Fat_tree.build ~k:pods () in
   let exp = Experiment.create ft.Fat_tree.topo in
-  let edge_prefix = Hashtbl.create 16 in
-  Array.iteri
-    (fun pod edges ->
-      Array.iteri
-        (fun e (edge : Topology.node) ->
-          Hashtbl.replace edge_prefix edge.Topology.id
-            [ Prefix.make (Ipv4.of_octets 10 pod e 0) 24 ])
-        edges)
-    ft.Fat_tree.edges;
   let fabric =
     Routed_fabric.build ~cm:(Experiment.cm exp)
-      ~originate:(fun node ->
-        Option.value (Hashtbl.find_opt edge_prefix node) ~default:[])
-      ft.Fat_tree.topo
+      ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
   in
   Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
   let fluid = Experiment.fluid exp in
@@ -628,20 +617,9 @@ let fct () =
   let run name hash_for =
     let ft = Fat_tree.build ~k:pods () in
     let exp = Experiment.create ft.Fat_tree.topo in
-    let edge_prefix = Hashtbl.create 16 in
-    Array.iteri
-      (fun pod edges ->
-        Array.iteri
-          (fun e (edge : Topology.node) ->
-            Hashtbl.replace edge_prefix edge.Topology.id
-              [ Prefix.make (Ipv4.of_octets 10 pod e 0) 24 ])
-          edges)
-      ft.Fat_tree.edges;
     let fabric =
       Routed_fabric.build ~cm:(Experiment.cm exp)
-        ~originate:(fun node ->
-          Option.value (Hashtbl.find_opt edge_prefix node) ~default:[])
-        ft.Fat_tree.topo
+        ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
     in
     Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
     ignore (Experiment.run ~until:(Time.of_sec 3.0) exp);

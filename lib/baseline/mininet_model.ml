@@ -37,7 +37,6 @@ type result = {
    edge subnet, all equal-cost next hops installed as one group. *)
 let install_routes (ft : Fat_tree.t) (engine : Packet_engine.t) =
   let topo = ft.Fat_tree.topo in
-  let half = ft.Fat_tree.k / 2 in
   (* Hosts: single default route up their access link. *)
   Array.iter
     (fun (h : Topology.node) ->
@@ -63,39 +62,38 @@ let install_routes (ft : Fat_tree.t) (engine : Packet_engine.t) =
       | (_, _) -> ())
     ft.Fat_tree.hosts;
   (* Edge subnets everywhere else, via reverse shortest-path trees. *)
-  Array.iteri
-    (fun pod edges ->
-      Array.iteri
-        (fun e (edge : Topology.node) ->
-          let subnet = Prefix.make (Ipv4.of_octets 10 pod e 0) 24 in
-          let tree = Spf.shortest_tree topo ~src:edge.Topology.id in
-          (* Links symmetric: dist from v to edge = dist from edge to v. *)
-          List.iter
-            (fun (n : Topology.node) ->
-              if n.Topology.kind = Topology.Switch && n.Topology.id <> edge.Topology.id
-              then begin
-                let dist v =
-                  match Spf.distance tree v with Some d -> d | None -> max_int
-                in
-                let my_dist = dist n.Topology.id in
-                let next_hops =
-                  List.filter_map
-                    (fun (l : Topology.link) ->
-                      let nd = dist l.Topology.dst in
-                      if nd < max_int && nd = my_dist - 1 then
-                        Some l.Topology.link_id
-                      else None)
-                    (Topology.out_links topo n.Topology.id)
-                in
-                if next_hops <> [] then
-                  Fwd.set_route
-                    (Packet_engine.table engine n.Topology.id)
-                    subnet ~next_hops
-              end)
-            (Topology.nodes topo))
-        edges)
-    ft.Fat_tree.edges;
-  ignore half
+  let subnets = Fat_tree.edge_subnets ft in
+  Array.iter
+    (Array.iter (fun (edge : Topology.node) ->
+         let tree = Spf.shortest_tree topo ~src:edge.Topology.id in
+         (* Links symmetric: dist from v to edge = dist from edge to v. *)
+         List.iter
+           (fun (n : Topology.node) ->
+             if n.Topology.kind = Topology.Switch && n.Topology.id <> edge.Topology.id
+             then begin
+               let dist v =
+                 match Spf.distance tree v with Some d -> d | None -> max_int
+               in
+               let my_dist = dist n.Topology.id in
+               let next_hops =
+                 List.filter_map
+                   (fun (l : Topology.link) ->
+                     let nd = dist l.Topology.dst in
+                     if nd < max_int && nd = my_dist - 1 then
+                       Some l.Topology.link_id
+                     else None)
+                   (Topology.out_links topo n.Topology.id)
+               in
+               if next_hops <> [] then
+                 List.iter
+                   (fun subnet ->
+                     Fwd.set_route
+                       (Packet_engine.table engine n.Topology.id)
+                       subnet ~next_hops)
+                   (subnets edge.Topology.id)
+             end)
+           (Topology.nodes topo)))
+    ft.Fat_tree.edges
 
 let run_fat_tree ?(creation = default_creation_model) ?(pkt_bytes = 1500)
     ?(rate = 1e9) ?(stack_work = true) ?(seed = 42) ?(contention = 1.2)

@@ -115,22 +115,9 @@ let sdn_fault_target fabric (topo : Topology.t) =
   }
 
 let setup_bgp rt (ft : Fat_tree.t) =
-  let half = ft.Fat_tree.k / 2 in
-  let edge_prefix = Hashtbl.create 64 in
-  Array.iteri
-    (fun pod edges ->
-      Array.iteri
-        (fun e (edge : Topology.node) ->
-          Hashtbl.replace edge_prefix edge.Topology.id
-            [ Prefix.make (Ipv4.of_octets 10 pod e 0) 24 ])
-        edges)
-    ft.Fat_tree.edges;
-  ignore half;
   let fabric =
     Routed_fabric.build ~cm:(Experiment.cm rt.exp)
-      ~originate:(fun node ->
-        Option.value (Hashtbl.find_opt edge_prefix node) ~default:[])
-      ft.Fat_tree.topo
+      ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
   in
   Experiment.at rt.exp Time.zero (fun () -> Routed_fabric.start fabric);
   Routed_fabric.when_converged fabric (fun () ->

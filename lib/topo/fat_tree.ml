@@ -97,3 +97,14 @@ let host_prefix _t (n : Topology.node) =
   match n.Topology.ip with
   | Some ip -> Prefix.host ip
   | None -> invalid_arg "Fat_tree.host_prefix: node has no address"
+
+let edge_subnets t =
+  let subnets = Array.make (Topology.n_nodes t.topo) [] in
+  Array.iteri
+    (fun pod edges ->
+      Array.iteri
+        (fun e (edge : Topology.node) ->
+          subnets.(edge.Topology.id) <- [ Prefix.make (Ipv4.of_octets 10 pod e 0) 24 ])
+        edges)
+    t.edges;
+  fun node -> subnets.(node)

@@ -46,3 +46,9 @@ val pod_of_host : t -> int -> int
 val host_prefix : t -> Topology.node -> Prefix.t
 (** The /32 of a host, as advertised by its edge switch in the BGP
     scenario. *)
+
+val edge_subnets : t -> int -> Prefix.t list
+(** [edge_subnets t] maps the node id of edge switch [e] of pod [p] to
+    its host subnet [[10.p.e.0/24]] and every other node to [[]] — the
+    [originate] function of the BGP scenario. Apply it to [t] once and
+    reuse the result: that builds the lookup table. *)

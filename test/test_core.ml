@@ -39,20 +39,9 @@ let test_cm_triggers_fti () =
 let build_bgp_fat_tree ?(k = 4) () =
   let ft = Fat_tree.build ~k () in
   let exp = Experiment.create ft.Fat_tree.topo in
-  let edge_prefix = Hashtbl.create 16 in
-  Array.iteri
-    (fun pod edges ->
-      Array.iteri
-        (fun e (edge : Topology.node) ->
-          Hashtbl.replace edge_prefix edge.Topology.id
-            [ Prefix.make (Ipv4.of_octets 10 pod e 0) 24 ])
-        edges)
-    ft.Fat_tree.edges;
   let fabric =
     Routed_fabric.build ~cm:(Experiment.cm exp)
-      ~originate:(fun node ->
-        Option.value (Hashtbl.find_opt edge_prefix node) ~default:[])
-      ft.Fat_tree.topo
+      ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
   in
   (ft, exp, fabric)
 
@@ -180,6 +169,19 @@ let test_bgp_fabric_session_flap () =
         (Routed_fabric.restore_link fabric ~a:edge.Topology.id ~b:agg.Topology.id));
   ignore (Experiment.run ~until:(Time.of_sec 20.0) exp);
   check Alcotest.int "healed back to two uplinks" 2 (group_size ())
+
+let test_bgp_fabric_fail_twice () =
+  (* A fault on a session already in that state is a no-op, reported
+     as [false] so the injector records it as skipped. *)
+  let ft, exp, fabric = build_bgp_fat_tree () in
+  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
+  ignore (Experiment.run ~until:(Time.of_sec 5.0) exp);
+  let a = ft.Fat_tree.edges.(0).(0).Topology.id in
+  let b = ft.Fat_tree.aggs.(0).(0).Topology.id in
+  check Alcotest.bool "restoring an up session" false
+    (Routed_fabric.restore_link fabric ~a ~b);
+  check Alcotest.bool "first fail" true (Routed_fabric.fail_link fabric ~a ~b);
+  check Alcotest.bool "second fail" false (Routed_fabric.fail_link fabric ~a ~b)
 
 let test_bgp_random_wans_converge () =
   (* Random connected WANs: the fabric always converges and every FIB
@@ -502,6 +504,7 @@ let () =
             test_bgp_fabric_session_flap;
           Alcotest.test_case "random WANs converge loop-free" `Slow
             test_bgp_random_wans_converge;
+          Alcotest.test_case "fail twice" `Quick test_bgp_fabric_fail_twice;
         ] );
       ( "sdn_fabric",
         [

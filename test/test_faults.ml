@@ -307,6 +307,28 @@ let test_unknown_site_is_skipped () =
   check Alcotest.int "both skipped" 2 (Injector.skipped inj);
   check Alcotest.int "none applied" 0 (Injector.injected inj)
 
+let test_overlapping_downs_skipped () =
+  (* The second down lands on a session that is already down: a no-op,
+     recorded as skipped. *)
+  let site = { Plan.a = "r0"; b = "r1" } in
+  let plan =
+    {
+      Plan.empty with
+      Plan.events =
+        [
+          { Plan.at = Time.of_sec 5.0; action = Plan.Link_down site };
+          { Plan.at = Time.of_sec 6.0; action = Plan.Link_down site };
+          { Plan.at = Time.of_sec 8.0; action = Plan.Link_up site };
+        ];
+    }
+  in
+  let inj, fabric = run_ring plan in
+  check Alcotest.int "one skipped" 1 (Injector.skipped inj);
+  check Alcotest.int "two applied" 2 (Injector.injected inj);
+  check Alcotest.int "healed"
+    (Routed_fabric.sessions_expected fabric)
+    (Routed_fabric.sessions_established fabric)
+
 (* --- ospf fabric: fail + restore ---------------------------------------- *)
 
 let test_ospf_fabric_restore_link () =
@@ -369,6 +391,8 @@ let () =
             test_injection_heals_and_replays;
           Alcotest.test_case "unknown sites skipped" `Quick
             test_unknown_site_is_skipped;
+          Alcotest.test_case "overlapping downs skipped" `Quick
+            test_overlapping_downs_skipped;
         ] );
       ( "ospf-fabric",
         [

@@ -249,17 +249,22 @@ let check_identical name (r1 : Multicore.result) (rn : Multicore.result) =
     rn.Multicore.epochs
 
 let test_differential_clean () =
-  let run d =
-    Multicore.run_fat_tree ~pods:4 ~domains:d ~duration:(Time.of_sec 10.0) ()
-  in
-  let r1 = run 1 in
-  check Alcotest.bool "converges" true (r1.Multicore.converged_at <> None);
-  check Alcotest.int "all sessions up" r1.Multicore.sessions_total
-    r1.Multicore.sessions_up;
-  check Alcotest.bool "traffic crosses shards" true
-    (r1.Multicore.cross_messages > 0);
-  check_identical "domains 2" r1 (run 2);
-  check_identical "domains 4" r1 (run 4)
+  List.iter
+    (fun pods ->
+      let run d =
+        Multicore.run_fat_tree ~pods ~domains:d ~duration:(Time.of_sec 10.0) ()
+      in
+      let r1 = run 1 in
+      let name what = Printf.sprintf "k=%d %s" pods what in
+      check Alcotest.bool (name "converges") true
+        (r1.Multicore.converged_at <> None);
+      check Alcotest.int (name "all sessions up") r1.Multicore.sessions_total
+        r1.Multicore.sessions_up;
+      check Alcotest.bool (name "traffic crosses shards") true
+        (r1.Multicore.cross_messages > 0);
+      check_identical (name "domains 2") r1 (run 2);
+      check_identical (name "domains 4") r1 (run 4))
+    [ 4; 6 ]
 
 (* The failure storm: flaps on every 7th inter-switch session plus an
    aggregation-switch crash and restart mid-run. *)
@@ -313,6 +318,95 @@ let test_differential_storm () =
   check_identical "domains 2" r1 (run 2);
   check_identical "domains 4" r1 (run 4)
 
+(* --- the cross-path differential ------------------------------------------ *)
+
+(* The unsharded fabric on an Experiment (no flows), reduced to what the
+   sharded runner reports. *)
+type facts = {
+  fingerprint : string;
+  causal : string;
+  messages : int;
+  fib_writes : int;
+  converged_us : int option;
+  faults : string list;  (* sorted trace labels *)
+}
+
+let unsharded_facts ?faults ~duration ft =
+  let exp = Experiment.create ft.Fat_tree.topo in
+  let sched = Experiment.scheduler exp in
+  let fabric =
+    Routed_fabric.build ~cm:(Experiment.cm exp)
+      ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
+  in
+  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
+  let converged = ref None in
+  Routed_fabric.when_converged fabric (fun () ->
+      converged := Some (Time.to_us (Sched.now sched)));
+  let inj =
+    Option.map
+      (Horse_faults.Injector.arm sched
+         ~target:(Routed_fabric.fault_target fabric))
+      faults
+  in
+  ignore (Experiment.run ~until:duration exp);
+  let graph = Option.get (Sched.causal sched) in
+  {
+    fingerprint = Routed_fabric.fib_fingerprint fabric;
+    causal = Digest.to_hex (Digest.string (Causal.hash graph ^ "\n"));
+    messages = Connection_manager.messages_observed (Experiment.cm exp);
+    fib_writes = Routed_fabric.fib_routes_installed fabric;
+    converged_us = !converged;
+    faults =
+      (match inj with
+      | Some inj -> List.sort compare (Horse_faults.Injector.trace_labels inj)
+      | None -> []);
+  }
+
+let sharded_facts (r : Multicore.result) =
+  {
+    fingerprint = r.Multicore.fib_fingerprint;
+    causal = r.Multicore.causal_hash;
+    messages = r.Multicore.control_messages;
+    fib_writes = r.Multicore.fib_writes;
+    converged_us = Option.map Time.to_us r.Multicore.converged_at;
+    faults =
+      List.sort compare (List.concat (Array.to_list r.Multicore.fault_trace));
+  }
+
+(* Unsharded, one shard, and one shard per pod reach the same final
+   FIBs through the same faults; one shard is the unsharded run byte
+   for byte. *)
+let cross_path ~storm ~messages ~fib_writes () =
+  let ft = Fat_tree.build ~k:4 () in
+  let faults = if storm then Some (storm_plan ft) else None in
+  let duration = Time.of_sec 25.0 in
+  let plain = unsharded_facts ?faults ~duration ft in
+  let one =
+    sharded_facts (Multicore.run_fat_tree ~pods:4 ~shards:1 ?faults ~duration ())
+  in
+  let per_pod =
+    sharded_facts (Multicore.run_fat_tree ~pods:4 ?faults ~duration ())
+  in
+  List.iter
+    (fun (name, f) ->
+      check Alcotest.string (name ^ ": fib fingerprint")
+        "0a9e8e63eee7c80d79f89d0181f3255b" f.fingerprint;
+      check
+        (Alcotest.list Alcotest.string)
+        (name ^ ": fault trace") plain.faults f.faults)
+    [ ("unsharded", plain); ("shards 1", one); ("shard per pod", per_pod) ];
+  check Alcotest.int "unsharded: control messages" messages plain.messages;
+  check Alcotest.int "unsharded: fib writes" fib_writes plain.fib_writes;
+  check
+    (Alcotest.option Alcotest.int)
+    "unsharded: convergence instant" (Some 50_000) plain.converged_us;
+  check Alcotest.string "shards 1: causal hash" plain.causal one.causal;
+  check Alcotest.int "shards 1: control messages" plain.messages one.messages;
+  check Alcotest.int "shards 1: fib writes" plain.fib_writes one.fib_writes;
+  check
+    (Alcotest.option Alcotest.int)
+    "shards 1: convergence instant" plain.converged_us one.converged_us
+
 let () =
   Alcotest.run "multicore"
     [
@@ -347,5 +441,9 @@ let () =
             test_differential_clean;
           Alcotest.test_case "failure storm, domains 1/2/4" `Quick
             test_differential_storm;
+          Alcotest.test_case "clean, unsharded vs shards" `Quick
+            (cross_path ~storm:false ~messages:1_248 ~fib_writes:352);
+          Alcotest.test_case "failure storm, unsharded vs shards" `Quick
+            (cross_path ~storm:true ~messages:2_798 ~fib_writes:1_240);
         ] );
     ]
