@@ -6,20 +6,23 @@ type t = {
   env_dpid_of_node : int -> int option;
   env_node_of_dpid : int -> int option;
   env_port_of_link : int -> int option;
-  mutable trees : (int, Spf.tree) Hashtbl.t;
   mutable ip_index : (Ipv4.t, int) Hashtbl.t option;
-  down_links : (int, unit) Hashtbl.t;
+  down : bool array;  (* indexed by link id *)
+  usable : Topology.link -> bool;
+  ws : Spf.workspace;
 }
 
 let create ~topo ~dpid_of_node ~node_of_dpid ~port_of_link () =
+  let down = Array.make (Topology.n_links topo) false in
   {
     env_topo = topo;
     env_dpid_of_node = dpid_of_node;
     env_node_of_dpid = node_of_dpid;
     env_port_of_link = port_of_link;
-    trees = Hashtbl.create 32;
     ip_index = None;
-    down_links = Hashtbl.create 8;
+    down;
+    usable = (fun (l : Topology.link) -> not down.(l.Topology.link_id));
+    ws = Spf.workspace ();
   }
 
 let topo t = t.env_topo
@@ -43,33 +46,11 @@ let ip_index t =
 
 let host_of_ip t ip = Hashtbl.find_opt (ip_index t) ip
 
-let link_usable t link_id = not (Hashtbl.mem t.down_links link_id)
+let link_usable t link_id = not t.down.(link_id)
+let set_link_usable t link_id usable = t.down.(link_id) <- not usable
 
-let set_link_usable t link_id usable =
-  let changed =
-    if usable then Hashtbl.mem t.down_links link_id
-    else not (Hashtbl.mem t.down_links link_id)
-  in
-  if changed then begin
-    if usable then Hashtbl.remove t.down_links link_id
-    else Hashtbl.replace t.down_links link_id ();
-    (* Paths through the link are stale. *)
-    t.trees <- Hashtbl.create 32
-  end
-
-let tree t src =
-  match Hashtbl.find_opt t.trees src with
-  | Some tr -> tr
-  | None ->
-      let tr =
-        Spf.shortest_tree
-          ~usable:(fun (l : Topology.link) -> link_usable t l.Topology.link_id)
-          t.env_topo ~src
-      in
-      Hashtbl.add t.trees src tr;
-      tr
-
-let ecmp_paths t ~src ~dst = Spf.ecmp_paths (tree t src) t.env_topo ~dst
+let ecmp_paths t ~src ~dst =
+  Spf.ecmp_between ~usable:t.usable t.ws t.env_topo ~src ~dst
 
 let edge_switch_of_host t host =
   List.find_map
@@ -90,7 +71,3 @@ let edge_dpids t =
       (Topology.hosts t.env_topo)
   in
   List.sort_uniq Int.compare dpids
-
-let invalidate t =
-  t.trees <- Hashtbl.create 32;
-  t.ip_index <- None

@@ -4,7 +4,8 @@
     demonstration (like most Ryu example apps) hands the application a
     topology map instead. [Env] bundles that map with the
     dpid↔node and link↔port translations the experiment scaffolding
-    established, plus a cache of equal-cost shortest paths. *)
+    established, plus the administrative link state its path queries
+    honour. *)
 
 open Horse_net
 open Horse_topo
@@ -19,7 +20,8 @@ val create :
   unit ->
   t
 (** [port_of_link] maps a directed link id to the OpenFlow port number
-    on its source switch. *)
+    on its source switch. The topology must be complete: links added
+    afterwards are unknown to {!set_link_usable}. *)
 
 val topo : t -> Topology.t
 val dpid_of_node : t -> int -> int option
@@ -31,8 +33,10 @@ val host_of_ip : t -> Ipv4.t -> int option
     cached). *)
 
 val ecmp_paths : t -> src:int -> dst:int -> Spf.path list
-(** All equal-cost shortest paths between two nodes, cached per
-    source. *)
+(** All equal-cost shortest paths between two nodes over usable links,
+    in {!Spf.ecmp_paths} order (at most 64). Each call is one
+    {!Spf.ecmp_between} search; nothing is cached, since a reactive
+    controller rarely asks twice from the same source. *)
 
 val edge_switch_of_host : t -> int -> int option
 (** The switch adjacent to a host node. *)
@@ -42,10 +46,7 @@ val edge_dpids : t -> int list
 
 val set_link_usable : t -> int -> bool -> unit
 (** Administratively marks a directed link up/down; down links are
-    excluded from {!ecmp_paths} and the path caches are dropped. The
-    applications call this from PORT_STATUS notifications. *)
+    excluded from {!ecmp_paths}. The applications call this from
+    PORT_STATUS notifications. *)
 
 val link_usable : t -> int -> bool
-
-val invalidate : t -> unit
-(** Drops the path and host caches (after a topology change). *)

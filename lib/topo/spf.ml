@@ -9,100 +9,121 @@ let path_length = List.length
 
 type tree = { src : int; dist : int array; preds : Topology.link list array }
 
-(* Dijkstra with a simple leftist-free binary heap on (dist, node).
-   Stale heap entries are skipped via the dist check. *)
-module Heap = struct
-  type t = { mutable a : (int * int) array; mutable len : int }
+type workspace = {
+  mutable dist : int array;
+  mutable stamp : int array;
+  mutable queue : int array;
+  mutable epoch : int;
+  mutable expanded : int;
+}
 
-  let create () = { a = Array.make 64 (0, 0); len = 0 }
+let workspace () =
+  { dist = [||]; stamp = [||]; queue = [||]; epoch = 0; expanded = 0 }
 
-  let push h x =
-    if h.len = Array.length h.a then begin
-      let bigger = Array.make (2 * h.len) (0, 0) in
-      Array.blit h.a 0 bigger 0 h.len;
-      h.a <- bigger
-    end;
-    h.a.(h.len) <- x;
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && fst h.a.((!i - 1) / 2) > fst h.a.(!i) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
+let expanded ws = ws.expanded
 
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.len <- h.len - 1;
-      h.a.(0) <- h.a.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < h.len && fst h.a.(l) < fst h.a.(!s) then s := l;
-        if r < h.len && fst h.a.(r) < fst h.a.(!s) then s := r;
-        if !s = !i then continue := false
-        else begin
-          let tmp = h.a.(!s) in
-          h.a.(!s) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !s
-        end
-      done;
-      Some top
-    end
-end
+(* A node's [dist] entry is current only while its stamp equals the
+   epoch, so bumping the epoch resets the workspace without clearing
+   any array. *)
+let hops ws v = if ws.stamp.(v) = ws.epoch then ws.dist.(v) else max_int
 
-let shortest_tree ?(weight = fun _ -> 1) ?(usable = fun _ -> true) topo ~src =
+(* Unit-weight BFS from [src] over usable links. It stops as soon as
+   [stop] is discovered: by then every node closer than [stop] has its
+   final distance. [stop = -1] searches the whole component. *)
+let bfs ws ~usable topo ~src ~stop =
   let n = Topology.n_nodes topo in
-  let dist = Array.make n max_int in
-  let preds = Array.make n [] in
-  let heap = Heap.create () in
-  dist.(src) <- 0;
-  Heap.push heap (0, src);
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if d = dist.(u) then
-          List.iter
-            (fun (l : Topology.link) ->
-              if usable l then begin
-              let w = weight l in
-              if w <= 0 then invalid_arg "Spf.shortest_tree: weight <= 0";
-              let nd = d + w in
-              let v = l.Topology.dst in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                preds.(v) <- [ l ];
-                Heap.push heap (nd, v)
-              end
-              else if nd = dist.(v) then preds.(v) <- l :: preds.(v)
-              end)
-            (Topology.out_links topo u);
-        loop ()
+  if Array.length ws.dist < n then begin
+    ws.dist <- Array.make n 0;
+    ws.stamp <- Array.make n 0;
+    ws.queue <- Array.make n 0;
+    ws.epoch <- 0
+  end;
+  let epoch = ws.epoch + 1 in
+  ws.epoch <- epoch;
+  ws.expanded <- 0;
+  ws.stamp.(src) <- epoch;
+  ws.dist.(src) <- 0;
+  ws.queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 and found = ref false in
+  while !head < !tail && not !found do
+    let u = ws.queue.(!head) in
+    incr head;
+    ws.expanded <- ws.expanded + 1;
+    let d = ws.dist.(u) + 1 in
+    List.iter
+      (fun (l : Topology.link) ->
+        let v = l.Topology.dst in
+        if ws.stamp.(v) <> epoch && usable l then begin
+          ws.stamp.(v) <- epoch;
+          ws.dist.(v) <- d;
+          ws.queue.(!tail) <- v;
+          incr tail;
+          if v = stop then found := true
+        end)
+      (Topology.out_links topo u)
+  done
+
+(* Calls [f] on every usable in-link of [v] whose source is one hop
+   closer to the search root, in ascending link id. [add_duplex] is the
+   only link constructor, so the in-links are the peers of the
+   out-links; out-links come in creation order and each duplex pair
+   takes two consecutive ids, so the peers ascend as well. *)
+let iter_preds ~usable topo dist v f =
+  let d = dist v - 1 in
+  List.iter
+    (fun (out : Topology.link) ->
+      let l = Topology.link topo out.Topology.peer in
+      if dist l.Topology.src = d && usable l then f l)
+    (Topology.out_links topo v)
+
+let default_max_paths = 64
+
+(* Depth-first enumeration of the shortest-path DAG backward from
+   [dst], at most [max_paths] paths. *)
+let enumerate ~max_paths ~src ~dst iter =
+  let found = ref [] in
+  let count = ref 0 in
+  let rec walk v suffix =
+    if !count < max_paths then
+      if v = src then begin
+        found := suffix :: !found;
+        incr count
+      end
+      else iter v (fun (l : Topology.link) -> walk l.Topology.src (l :: suffix))
   in
-  loop ();
-  (* Deterministic order: predecessors sorted by link id. *)
-  Array.iteri
-    (fun i ps ->
-      preds.(i) <-
-        List.sort_uniq
-          (fun (a : Topology.link) b -> Int.compare a.Topology.link_id b.Topology.link_id)
-          ps)
-    preds;
+  walk dst [];
+  List.rev !found
+
+let shortest_tree ?(usable = fun _ -> true) topo ~src =
+  let ws = workspace () in
+  bfs ws ~usable topo ~src ~stop:(-1);
+  let dist = Array.init (Topology.n_nodes topo) (hops ws) in
+  let preds = Array.make (Topology.n_nodes topo) [] in
+  (* Descending link id, so consing leaves each list ascending. *)
+  for id = Topology.n_links topo - 1 downto 0 do
+    let l = Topology.link topo id in
+    let d = dist.(l.Topology.src) in
+    if d <> max_int && dist.(l.Topology.dst) = d + 1 && usable l then
+      preds.(l.Topology.dst) <- l :: preds.(l.Topology.dst)
+  done;
   { src; dist; preds }
 
-let distance tree v =
+let ecmp_between ~usable ws topo ~src ~dst =
+  ws.expanded <- 0;
+  if src = dst || dst < 0 || dst >= Topology.n_nodes topo then []
+  else begin
+    bfs ws ~usable topo ~src ~stop:dst;
+    if hops ws dst = max_int then []
+    else
+      enumerate ~max_paths:default_max_paths ~src ~dst
+        (iter_preds ~usable topo (hops ws))
+  end
+
+let distance (tree : tree) v =
   if v < 0 || v >= Array.length tree.dist || tree.dist.(v) = max_int then None
   else Some tree.dist.(v)
 
-let first_path tree topo ~dst =
+let first_path (tree : tree) topo ~dst =
   ignore topo;
   if dst = tree.src then Some []
   else if dst < 0 || dst >= Array.length tree.dist || tree.dist.(dst) = max_int
@@ -117,32 +138,16 @@ let first_path tree topo ~dst =
     in
     walk dst []
 
-let ecmp_paths ?(max_paths = 64) tree topo ~dst =
+let ecmp_paths ?(max_paths = default_max_paths) (tree : tree) topo ~dst =
   ignore topo;
   if
     dst = tree.src || dst < 0
     || dst >= Array.length tree.dist
     || tree.dist.(dst) = max_int
   then []
-  else begin
-    (* Enumerate the predecessor DAG depth-first; link-id ordering of
-       [preds] makes the result deterministic. *)
-    let found = ref [] in
-    let count = ref 0 in
-    let rec walk v suffix =
-      if !count < max_paths then
-        if v = tree.src then begin
-          found := suffix :: !found;
-          incr count
-        end
-        else
-          List.iter
-            (fun (l : Topology.link) -> walk l.Topology.src (l :: suffix))
-            tree.preds.(v)
-    in
-    walk dst [];
-    List.rev !found
-  end
+  else
+    enumerate ~max_paths ~src:tree.src ~dst (fun v f ->
+        List.iter f tree.preds.(v))
 
 let all_pairs_hops topo =
   let n = Topology.n_nodes topo in

@@ -1,9 +1,8 @@
 (** Shortest paths and equal-cost multipath enumeration.
 
-    Paths are hop-count shortest by default (every link has weight 1,
-    matching how the demonstration's fabrics route); a custom link
-    weight can be supplied. A path is the list of directed links from
-    source to destination, in order. *)
+    Paths are hop-count shortest (every link has weight 1, matching how
+    the demonstration's fabrics route). A path is the list of directed
+    links from source to destination, in order. *)
 
 type path = Topology.link list
 
@@ -20,14 +19,11 @@ type tree = {
 }
 
 val shortest_tree :
-  ?weight:(Topology.link -> int) ->
-  ?usable:(Topology.link -> bool) ->
-  Topology.t ->
-  src:int ->
-  tree
-(** Dijkstra from [src]. [weight] defaults to [fun _ -> 1] and must be
-    positive; links for which [usable] (default: everything) is
-    [false] are ignored — the hook for administratively-down links. *)
+  ?usable:(Topology.link -> bool) -> Topology.t -> src:int -> tree
+(** Breadth-first search from [src] over the whole component. Links for
+    which [usable] (default: everything) is [false] are ignored — the
+    hook for administratively-down links. [preds] lists are in
+    ascending link id. *)
 
 val distance : tree -> int -> int option
 (** Distance to a node, [None] if unreachable. *)
@@ -39,6 +35,36 @@ val ecmp_paths : ?max_paths:int -> tree -> Topology.t -> dst:int -> path list
 (** All distinct equal-cost shortest paths, in a deterministic order,
     truncated to [max_paths] (default 64). Empty if unreachable or
     [dst = src]. *)
+
+(** {1 Per-query search}
+
+    A controller asks for the paths of one (src, dst) pair at a time and
+    rarely asks twice from the same source, so a full tree per query
+    wastes most of its work. {!ecmp_between} searches only as far as
+    [dst] on a reusable workspace. *)
+
+type workspace
+(** Scratch arrays for {!ecmp_between}, grown to the topology's node
+    count on first use and reset in O(1) between queries. *)
+
+val workspace : unit -> workspace
+
+val ecmp_between :
+  usable:(Topology.link -> bool) ->
+  workspace ->
+  Topology.t ->
+  src:int ->
+  dst:int ->
+  path list
+(** [ecmp_paths (shortest_tree ~usable topo ~src) topo ~dst], element
+    for element, without building the tree: the search stops once
+    [dst] is discovered and the paths are enumerated backward from it.
+    Needs every link to come from {!Topology.add_duplex}, which is the
+    only link constructor. *)
+
+val expanded : workspace -> int
+(** Nodes whose out-links the last {!ecmp_between} scanned (0 for
+    [src = dst]); a work counter for tests. *)
 
 val all_pairs_hops : Topology.t -> int array array
 (** Floyd–Warshall hop-count matrix ([max_int] = unreachable); an

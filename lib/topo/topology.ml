@@ -28,7 +28,7 @@ type t = {
   mutable nn : int;
   mutable link_arr : link array;
   mutable nl : int;
-  mutable adj : link list array;  (* out-links per node, reversed *)
+  mutable adj : link list array;  (* out-links per node, in creation order *)
 }
 
 let dummy_node = { id = -1; name = ""; kind = Host; ip = None; mac = None }
@@ -88,8 +88,8 @@ let add_duplex t ?(delay = Horse_engine.Time.of_us 10) ~capacity (a : node) (b :
   t.link_arr.(fwd_id) <- fwd;
   t.link_arr.(rev_id) <- rev;
   t.nl <- t.nl + 2;
-  t.adj.(a.id) <- fwd :: t.adj.(a.id);
-  t.adj.(b.id) <- rev :: t.adj.(b.id);
+  t.adj.(a.id) <- t.adj.(a.id) @ [ fwd ];
+  t.adj.(b.id) <- t.adj.(b.id) @ [ rev ];
   (fwd, rev)
 
 let node t id =
@@ -110,7 +110,7 @@ let nodes t = List.init t.nn (fun i -> t.node_arr.(i))
 let links t = List.init t.nl (fun i -> t.link_arr.(i))
 let n_nodes t = t.nn
 let n_links t = t.nl
-let out_links t id = List.rev t.adj.(id)
+let out_links t id = t.adj.(id)
 
 let find_link t ~src ~dst =
   List.find_opt (fun l -> l.dst = dst) (out_links t src)

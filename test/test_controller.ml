@@ -10,6 +10,7 @@ open Horse_openflow
 open Horse_controller
 
 let check = Alcotest.check
+let qtest = Horse_test_support.qtest
 let ip = Ipv4.of_string_exn
 
 (* --- rig: a controller wired to n switch agents ------------------------- *)
@@ -400,6 +401,132 @@ let test_app_learning () =
   check Alcotest.int "two macs" 2 (App_learning.macs_learned app);
   check Alcotest.int "entry installed" 1 (Flow_table.size (Switch.table agent))
 
+(* --- Env path queries vs the full shortest-path tree ------------------------ *)
+
+let path_env topo =
+  Env.create ~topo ~dpid_of_node:Option.some ~node_of_dpid:Option.some
+    ~port_of_link:(fun _ -> None) ()
+
+let link_ids paths =
+  List.map (List.map (fun (l : Topology.link) -> l.Topology.link_id)) paths
+
+(* The oracle: every shortest path from a full tree over the links not
+   in [down], the test's own model of the link state. *)
+let tree_paths topo ~down ~src ~dst =
+  let usable (l : Topology.link) = not (Hashtbl.mem down l.Topology.link_id) in
+  Spf.ecmp_paths (Spf.shortest_tree ~usable topo ~src) topo ~dst
+
+(* Hop count over links not in [down], from a plain queue BFS that
+   shares no code with Spf. *)
+let reference_hops topo ~down ~src ~dst =
+  let dist = Array.make (Topology.n_nodes topo) max_int in
+  let q = Queue.create () in
+  dist.(src) <- 0;
+  Queue.add src q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun (l : Topology.link) ->
+        let v = l.Topology.dst in
+        if dist.(v) = max_int && not (Hashtbl.mem down l.Topology.link_id)
+        then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v q
+        end)
+      (Topology.out_links topo u)
+  done;
+  dist.(dst)
+
+(* Equal to the tree's paths, and consistent with the reference BFS:
+   no path when src = dst or dst is cut off, otherwise at least one,
+   each of the shortest length and over up links only. *)
+let same_paths env ~down ~src ~dst =
+  let topo = Env.topo env in
+  let paths = Env.ecmp_paths env ~src ~dst in
+  let hops = reference_hops topo ~down ~src ~dst in
+  link_ids paths = link_ids (tree_paths topo ~down ~src ~dst)
+  && (paths = []) = (src = dst || hops = max_int)
+  && List.for_all
+       (fun p ->
+         Spf.path_length p = hops
+         && List.for_all
+              (fun (l : Topology.link) -> not (Hashtbl.mem down l.Topology.link_id))
+              p)
+       paths
+
+(* Marks a link down or up in both the Env and the oracle's model. *)
+let set_link env down id up =
+  Env.set_link_usable env id up;
+  if up then Hashtbl.remove down id else Hashtbl.replace down id ()
+
+let path_topology (shape, seed) =
+  match shape with
+  | 0 | 1 | 2 -> (Fat_tree.build ~k:(4 + (2 * shape)) ()).Fat_tree.topo
+  | 3 ->
+      (Leaf_spine.build ~leaves:(2 + (seed mod 4)) ~spines:(1 + (seed mod 3))
+         ~hosts_per_leaf:(1 + (seed mod 2)) ())
+        .Leaf_spine.topo
+  | _ -> (Wan.random_gnp ~seed ~n:(2 + (seed mod 19)) ~p:0.25 ()).Wan.topo
+
+(* An op is a link toggle (down with probability 1/2, so links also
+   come back up) or a query between two nodes of any kind. Endpoints
+   are drawn modulo the node count, so src = dst and switch endpoints
+   occur; down links make some pairs unreachable. *)
+let prop_env_paths_match_tree =
+  qtest ~count:150 "env: ecmp_paths equals the tree's paths under link toggles"
+    QCheck2.Gen.(
+      pair
+        (pair (int_bound 4) (int_bound 10_000))
+        (list_size (int_range 1 60)
+           (quad bool (int_bound 100_000) (int_bound 100_000) bool)))
+    (fun (topo_case, ops) ->
+      let topo = path_topology topo_case in
+      let env = path_env topo and down = Hashtbl.create 16 in
+      let n = Topology.n_nodes topo and nl = Topology.n_links topo in
+      List.for_all
+        (fun (toggle, a, b, up) ->
+          if toggle then begin
+            set_link env down (a mod nl) up;
+            true
+          end
+          else same_paths env ~down ~src:(a mod n) ~dst:(b mod n))
+        ops)
+
+let prop_bfs_distance_matches_floyd_warshall =
+  qtest ~count:30 "env: BFS distance equals Floyd-Warshall hops"
+    QCheck2.Gen.(pair (int_bound 4) (int_bound 10_000))
+    (fun topo_case ->
+      let topo = path_topology topo_case in
+      let fw = Spf.all_pairs_hops topo in
+      let n = Topology.n_nodes topo in
+      List.for_all
+        (fun src ->
+          let tree = Spf.shortest_tree topo ~src in
+          List.for_all
+            (fun dst ->
+              Option.value (Spf.distance tree dst) ~default:max_int
+              = fw.(src).(dst))
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
+(* k=18 inter-pod pairs have 81 equal-cost paths, so the 64-path cap
+   truncates the enumeration, and the hash index of App_ecmp depends on
+   the order of what is left. *)
+let test_env_paths_truncated () =
+  let ft = Fat_tree.build ~k:18 () in
+  let env = path_env ft.Fat_tree.topo and down = Hashtbl.create 1 in
+  let src = ft.Fat_tree.hosts.(0).Topology.id in
+  let dst = ft.Fat_tree.hosts.(Array.length ft.Fat_tree.hosts - 1).Topology.id in
+  check Alcotest.int "truncated to 64" 64
+    (List.length (Env.ecmp_paths env ~src ~dst));
+  check Alcotest.bool "same paths as the tree" true
+    (same_paths env ~down ~src ~dst);
+  (* Take down the first path's core uplink: the survivors shift. *)
+  let first = List.hd (Env.ecmp_paths env ~src ~dst) in
+  set_link env down (List.nth first 2).Topology.link_id false;
+  check Alcotest.bool "same paths with a core link down" true
+    (same_paths env ~down ~src ~dst)
+
 let () =
   Alcotest.run "horse_controller"
     [
@@ -433,5 +560,11 @@ let () =
           Alcotest.test_case "env helpers" `Quick test_env_helpers;
           Alcotest.test_case "ecmp reactive" `Quick test_app_ecmp_reactive;
           Alcotest.test_case "learning switch" `Quick test_app_learning;
+        ] );
+      ( "paths",
+        [
+          prop_env_paths_match_tree;
+          prop_bfs_distance_matches_floyd_warshall;
+          Alcotest.test_case "k=18 truncation" `Quick test_env_paths_truncated;
         ] );
     ]

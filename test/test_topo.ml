@@ -199,6 +199,24 @@ let test_fat_tree_ecmp_count () =
       check Alcotest.int "2 hops" 2 (Spf.path_length (List.hd paths2)))
     [ 4; 6 ]
 
+(* Work gate: a per-query search only expands nodes closer than its
+   destination. A same-edge pair at k=8 expands the source host and its
+   edge switch; a full tree expands all 208 nodes. *)
+let test_ecmp_between_work () =
+  let ft = Fat_tree.build ~k:8 () in
+  let topo = ft.Fat_tree.topo in
+  check Alcotest.int "k=8 nodes" 208 (Topology.n_nodes topo);
+  let ws = Spf.workspace () in
+  let usable _ = true in
+  let src = ft.Fat_tree.hosts.(0).Topology.id in
+  let paths =
+    Spf.ecmp_between ~usable ws topo ~src ~dst:ft.Fat_tree.hosts.(1).Topology.id
+  in
+  check Alcotest.int "same-edge paths" 1 (List.length paths);
+  check Alcotest.bool "same-edge expands <= 2" true (Spf.expanded ws <= 2);
+  ignore (Spf.ecmp_between ~usable ws topo ~src ~dst:src);
+  check Alcotest.int "src = dst expands nothing" 0 (Spf.expanded ws)
+
 let test_ecmp_paths_distinct_and_valid () =
   let ft = Fat_tree.build ~k:4 () in
   let topo = ft.Fat_tree.topo in
@@ -375,6 +393,7 @@ let () =
           Alcotest.test_case "fat-tree ecmp count" `Quick test_fat_tree_ecmp_count;
           Alcotest.test_case "ecmp paths distinct and valid" `Quick
             test_ecmp_paths_distinct_and_valid;
+          Alcotest.test_case "ecmp_between work" `Quick test_ecmp_between_work;
           prop_spf_matches_floyd_warshall;
           prop_ecmp_paths_equal_length;
         ] );
