@@ -3,9 +3,13 @@
    Bechamel microbenchmarks.
 
    Usage:
-     main.exe                 run FIG1, FIG3, DEMO-TE, ablations, micro (quick)
-     main.exe --full          paper-scale parameters (slower)
-     main.exe fig1|fig3|te|ablation-timeout|ablation-increment|micro
+     main.exe [--full] [VERB ...]
+
+   With no verb it runs every verb below, in this order; --full selects
+   paper-scale parameters (slower) where a verb has them. Verbs:
+     fig1 fig3 te ablation-timeout ablation-increment protocols
+     ablation-placer scaling fct failure multicore micro
+   An unknown verb exits 2 and runs nothing.
 *)
 
 open Horse_net
@@ -18,30 +22,27 @@ let fmt = Format.std_formatter
 
 let section title = Format.fprintf fmt "@.== %s ==@.@." title
 
-(* Every artefact records its execution environment — how many domains
-   the run used and how many cores the host offers — because wall
-   times and speedups are meaningless without them. *)
-let env_fields ?(domains = 1) () =
-  let module Json = Horse_telemetry.Json in
-  [
-    ("domains", Json.Int domains);
-    ("cores", Json.Int (Domain.recommended_domain_count ()));
-  ]
-
 (* Machine-readable telemetry snapshot for one benchmark run: the full
-   registry (metrics + spans) as one JSON object in results/. *)
-let write_snapshot ?domains name reg =
+   registry (metrics + spans) as one JSON object in results/. It
+   records how many domains the run used and how many cores the host
+   offers, because wall times and speedups are meaningless without
+   them. *)
+let write_snapshot name reg =
+  let module Json = Horse_telemetry.Json in
   (try Unix.mkdir "results" 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = Printf.sprintf "results/BENCH_%s.json" name in
   let oc = open_out path in
   let j =
     match Horse_telemetry.Export.json reg with
-    | Horse_telemetry.Json.Obj fields ->
-        Horse_telemetry.Json.Obj (env_fields ?domains () @ fields)
+    | Json.Obj fields ->
+        Json.Obj
+          (("domains", Json.Int 1)
+          :: ("cores", Json.Int (Domain.recommended_domain_count ()))
+          :: fields)
     | other -> other
   in
-  output_string oc (Horse_telemetry.Json.to_string j);
+  output_string oc (Json.to_string j);
   output_char oc '\n';
   close_out oc;
   Format.fprintf fmt "telemetry snapshot written to %s@." path
@@ -655,671 +656,8 @@ let fct () =
      src/dst hashing (fewer persistent collisions)@."
 
 (* ------------------------------------------------------------------ *)
-(* MEGAUSER: million-user fluid workloads — the delta fair-share       *)
-(* solver on the CDN/anycast WAN scenario, at one scale and swept     *)
-(* ------------------------------------------------------------------ *)
-
-let megauser_run_json (r : Scenario.megauser_result) =
-  let module Json = Horse_telemetry.Json in
-  let base =
-    [
-      ("cities", Json.Int r.Scenario.mu_cities);
-      ("sites", Json.Int r.Scenario.mu_sites);
-      ("flow_classes", Json.Int r.Scenario.mu_classes_peak);
-      ("classes_started", Json.Int r.Scenario.mu_classes_started);
-      ("users_peak", Json.Int r.Scenario.mu_users_peak);
-      ("events", Json.Int r.Scenario.mu_events);
-      ("reroutes", Json.Int r.Scenario.mu_reroutes);
-      ("solves", Json.Int r.Scenario.mu_solves);
-      ("solve_work_flows", Json.Int r.Scenario.mu_solve_work);
-      ( "work_per_event",
-        Json.Float
-          (float_of_int r.Scenario.mu_solve_work
-          /. float_of_int (max 1 r.Scenario.mu_events)) );
-      ("run_wall_s", Json.Float r.Scenario.mu_run_wall_s);
-      ("delivered_bits", Json.Float r.Scenario.mu_delivered_bits);
-    ]
-  in
-  let delta =
-    Option.to_list r.Scenario.mu_delta
-    |> List.map (fun (d : Horse_dataplane.Fair_share.Delta.stats) ->
-           ( "delta",
-             Json.Obj
-               [
-                 ("solves", Json.Int d.solves);
-                 ("events", Json.Int d.events);
-                 ("flows_touched", Json.Int d.flows_touched);
-                 ("links_touched", Json.Int d.links_touched);
-                 ("expansions", Json.Int d.expansions);
-                 ("promotions", Json.Int d.promotions);
-               ] ))
-  in
-  Json.Obj (base @ delta)
-
-let megauser ~full =
-  section
-    "MEGAUSER — million-user CDN workload through the delta fair-share solver";
-  let module Json = Horse_telemetry.Json in
-  let duration = Time.of_sec 20.0 in
-  let ticks = 24 in
-  let run ?wan ?sites ~classes ~users () =
-    Scenario.run_wan_megauser ?wan ?sites ~classes ~users ~ticks ~duration ()
-  in
-  let abilene_classes = if full then 20_000 else 5_000 in
-  let abilene_users = abilene_classes * 50 in
-  Format.fprintf fmt "Abilene: %d peak classes, %d users, %d ticks over %.0fs@.@."
-    abilene_classes abilene_users ticks (Time.to_sec duration);
-  Format.fprintf fmt "%9s %9s %12s %14s %12s@." "classes" "events" "work"
-    "work/event" "wall(s)";
-  let abilene = run ~classes:abilene_classes ~users:abilene_users () in
-  Format.fprintf fmt "%9d %9d %12d %14.1f %12.3f@." abilene.Scenario.mu_classes_peak
-    abilene.Scenario.mu_events abilene.Scenario.mu_solve_work
-    (float_of_int abilene.Scenario.mu_solve_work
-    /. float_of_int (max 1 abilene.Scenario.mu_events))
-    abilene.Scenario.mu_run_wall_s;
-  (* Scaling sweep: the WAN footprint grows with the user base (as a
-     CDN's does), per-city intensity held constant. Per-event solve
-     work staying flat while total flow classes double is the
-     sublinearity claim, measured. *)
-  let sweep =
-    if full then
-      [ (25_000, 22); (50_000, 44); (100_000, 88); (140_000, 123) ]
-    else [ (6_250, 11); (12_500, 22); (25_000, 44) ]
-  in
-  Format.fprintf fmt
-    "@.scaling sweep (delta solver, WAN grows with the user base):@.@.";
-  Format.fprintf fmt "%9s %7s %9s %10s %9s %12s %14s %10s@." "classes" "cities"
-    "peak" "users" "events" "work" "work/event" "wall(s)";
-  let scaled =
-    List.map
-      (fun (classes, cities) ->
-        let wan, sites =
-          if cities <= 11 then (None, 3)
-          else
-            ( Some
-                (Wan.random_gnp ~seed:7 ~n:cities
-                   ~p:(4.0 /. float_of_int cities) ()),
-              max 3 (cities / 8) )
-        in
-        let r = run ?wan ~sites ~classes ~users:(classes * 40) () in
-        Format.fprintf fmt "%9d %7d %9d %10d %9d %12d %14.1f %10.3f@." classes
-          r.Scenario.mu_cities r.Scenario.mu_classes_peak
-          r.Scenario.mu_users_peak r.Scenario.mu_events r.Scenario.mu_solve_work
-          (float_of_int r.Scenario.mu_solve_work
-          /. float_of_int (max 1 r.Scenario.mu_events))
-          r.Scenario.mu_run_wall_s;
-        (classes, r))
-      sweep
-  in
-  let headline = snd (List.nth scaled (List.length scaled - 1)) in
-  (* Every artifact from this verb carries the flow-class count and
-     event count it was measured at. *)
-  let j =
-    Json.Obj
-      ([
-         ("bench", Json.String "megauser");
-         ("full", Json.Bool full);
-         ("flow_classes", Json.Int headline.Scenario.mu_classes_peak);
-         ("events", Json.Int headline.Scenario.mu_events);
-         ("duration_s", Json.Float (Time.to_sec duration));
-         ("ticks", Json.Int ticks);
-       ]
-      @ env_fields ()
-      @ [
-          ("abilene", megauser_run_json abilene);
-          ( "scaling",
-            Json.List
-              (List.map
-                 (fun (classes, r) ->
-                   match megauser_run_json r with
-                   | Json.Obj fields ->
-                       Json.Obj (("classes", Json.Int classes) :: fields)
-                   | other -> other)
-                 scaled) );
-        ])
-  in
-  (try Unix.mkdir "results" 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = "results/BENCH_megauser.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "@.artifact written to %s@." path;
-  Format.fprintf fmt
-    "@.shape check: per-event solve work stays flat as classes double@."
-
-(* ------------------------------------------------------------------ *)
-(* FAILURE-STORM: the fault plane A/B — clean run vs a deterministic  *)
-(* flap storm + node crash on the BGP fabric, the storm replayed to   *)
-(* prove same seed + plan => same fault trace and same final FIBs.    *)
-(* ------------------------------------------------------------------ *)
-
-let failure_storm ~full =
-  section
-    "FAILURE-STORM — deterministic fault plane on the BGP fabric (A/B + replay)";
-  let module Plan = Horse_faults.Plan in
-  let module Injector = Horse_faults.Injector in
-  let pods = 4 in
-  let duration = if full then Time.of_sec 60.0 else Time.of_sec 30.0 in
-  let ft = Fat_tree.build ~k:pods () in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
-  let switch_links =
-    List.filter_map
-      (fun (l : Topology.link) ->
-        if l.Topology.link_id < l.Topology.peer then
-          let src = Topology.node ft.Fat_tree.topo l.Topology.src in
-          let dst = Topology.node ft.Fat_tree.topo l.Topology.dst in
-          if is_switch src && is_switch dst then
-            Some (src.Topology.name, dst.Topology.name)
-          else None
-        else None)
-      (Topology.links ft.Fat_tree.topo)
-  in
-  (* Every 7th inter-switch link becomes a Poisson flap source; one
-     aggregation switch silently crashes and comes back 8 s later
-     (hold time 9 s, so peers detect the crash via hold expiry and the
-     revived speaker rejoins via ConnectRetry). *)
-  let sites = List.filteri (fun i _ -> i mod 7 = 0) switch_links in
-  let victim = ft.Fat_tree.aggs.(0).(0).Topology.name in
-  let plan =
-    let storm =
-      Plan.flap_storm ~seed:7 ~sites ~start:(Time.of_sec 5.0)
-        ~stop:(Time.div duration 2) ~rate:0.3
-        ~down_for:(Time.of_sec 1.5) ()
-    in
-    {
-      storm with
-      Plan.events =
-        [
-          { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash victim };
-          { Plan.at = Time.of_sec 14.0; action = Plan.Node_restart victim };
-        ];
-    }
-  in
-  Format.fprintf fmt
-    "workload: fat-tree k=%d, bgp-ecmp, %a virtual; %d flap sites (Poisson \
-     0.3/s, down 1.5s), crash %s at 6s, restart at 14s@.@."
-    pods Time.pp duration (List.length sites) victim;
-  let run ?faults () =
-    Scenario.run_fat_tree_te ~seed:42 ?faults ~pods ~te:Scenario.Bgp_ecmp
-      ~duration ()
-  in
-  let delivered (r : Scenario.result) =
-    100.0 *. r.Scenario.delivered_bits /. Float.max 1.0 r.Scenario.offered_bits
-  in
-  let clean = run () in
-  let storm1 = run ~faults:plan () in
-  let storm2 = run ~faults:plan () in
-  let inj1 = Option.get storm1.Scenario.injector in
-  let inj2 = Option.get storm2.Scenario.injector in
-  Format.fprintf fmt "%-10s %12s %12s %10s %10s@." "run" "delivered" "wall(s)"
-    "faults" "skipped";
-  let row name (r : Scenario.result) inj =
-    Format.fprintf fmt "%-10s %11.1f%% %12.3f %10s %10s@." name (delivered r)
-      r.Scenario.run_wall_s
-      (match inj with
-      | Some i -> string_of_int (Injector.injected i)
-      | None -> "-")
-      (match inj with
-      | Some i -> string_of_int (Injector.skipped i)
-      | None -> "-")
-  in
-  row "clean" clean None;
-  row "storm" storm1 (Some inj1);
-  row "replay" storm2 (Some inj2);
-  let recon = Injector.reconvergence inj1 in
-  let durations =
-    List.map (fun (_, at, healed) -> Time.to_sec healed -. Time.to_sec at) recon
-  in
-  (match durations with
-  | [] -> Format.fprintf fmt "@.no reconvergence samples (fabric never broke?)@."
-  | ds ->
-      let n = float_of_int (List.length ds) in
-      Format.fprintf fmt
-        "@.reconvergence: %d faults healed, mean %.3fs, max %.3fs@."
-        (List.length ds)
-        (List.fold_left ( +. ) 0.0 ds /. n)
-        (List.fold_left Float.max 0.0 ds));
-  let traces_equal = Injector.trace_labels inj1 = Injector.trace_labels inj2 in
-  let fib_equal =
-    storm1.Scenario.fib_fingerprint = storm2.Scenario.fib_fingerprint
-    && storm1.Scenario.fib_fingerprint <> None
-  in
-  Format.fprintf fmt
-    "determinism: fault traces %s (%d events), final FIBs %s (%s)@."
-    (if traces_equal then "IDENTICAL" else "DIVERGED")
-    (List.length (Injector.trace inj1))
-    (if fib_equal then "IDENTICAL" else "DIVERGED")
-    (Option.value storm1.Scenario.fib_fingerprint ~default:"-");
-  let module Json = Horse_telemetry.Json in
-  let j =
-    Json.Obj
-      [
-        ("bench", Json.String "failure_storm");
-        ("domains", Json.Int 1);
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("pods", Json.Int pods);
-        ("duration_s", Json.Float (Time.to_sec duration));
-        ("plan", Plan.to_json plan);
-        ( "clean",
-          Json.Obj
-            [
-              ("delivered_pct", Json.Float (delivered clean));
-              ("run_wall_s", Json.Float clean.Scenario.run_wall_s);
-            ] );
-        ( "storm",
-          Json.Obj
-            [
-              ("delivered_pct", Json.Float (delivered storm1));
-              ("run_wall_s", Json.Float storm1.Scenario.run_wall_s);
-              ("injected", Json.Int (Injector.injected inj1));
-              ("skipped", Json.Int (Injector.skipped inj1));
-              ("still_healing", Json.Int (Injector.pending inj1));
-              ("faults", Injector.report_json inj1);
-            ] );
-        ( "determinism",
-          Json.Obj
-            [
-              ("trace_equal", Json.Bool traces_equal);
-              ("fib_equal", Json.Bool fib_equal);
-              ( "fib_fingerprint",
-                match storm1.Scenario.fib_fingerprint with
-                | Some f -> Json.String f
-                | None -> Json.Null );
-              ( "trace",
-                Json.List
-                  (List.map
-                     (fun s -> Json.String s)
-                     (Injector.trace_labels inj1)) );
-            ] );
-      ]
-  in
-  (try Unix.mkdir "results" 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = "results/BENCH_failure_storm.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "artifact written to %s@." path;
-  Format.fprintf fmt
-    "@.shape check: every fault heals (control-plane faults; the fluid data \
-     plane keeps forwarding), and the replay reproduces the fault trace and \
-     the final FIBs bit-for-bit@."
-
-(* ------------------------------------------------------------------ *)
-(* TRACE-OVERHEAD: causal tracing A/B on the fault-storm workload —   *)
-(* the "zero-cost when disabled, cheap when on" claim, measured. Wall  *)
-(* times are min-of-5, sides interleaved: in one process later runs   *)
-(* pay earlier runs' GC debt, so a second block measures slower —      *)
-(* an ordering artifact bigger than the overhead being measured.       *)
-(* ------------------------------------------------------------------ *)
-
-let trace_overhead ~full =
-  section "TRACE-OVERHEAD — causal tracing on/off on the fault-storm workload";
-  let module Plan = Horse_faults.Plan in
-  let module Causal = Horse_engine.Causal in
-  let pods = 4 in
-  let duration = if full then Time.of_sec 60.0 else Time.of_sec 30.0 in
-  let ft = Fat_tree.build ~k:pods () in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
-  let sites =
-    List.filteri
-      (fun i _ -> i mod 7 = 0)
-      (List.filter_map
-         (fun (l : Topology.link) ->
-           if l.Topology.link_id < l.Topology.peer then
-             let src = Topology.node ft.Fat_tree.topo l.Topology.src in
-             let dst = Topology.node ft.Fat_tree.topo l.Topology.dst in
-             if is_switch src && is_switch dst then
-               Some (src.Topology.name, dst.Topology.name)
-             else None
-           else None)
-         (Topology.links ft.Fat_tree.topo))
-  in
-  let victim = ft.Fat_tree.aggs.(0).(0).Topology.name in
-  let plan =
-    let storm =
-      Plan.flap_storm ~seed:7 ~sites ~start:(Time.of_sec 5.0)
-        ~stop:(Time.div duration 2) ~rate:0.3 ~down_for:(Time.of_sec 1.5) ()
-    in
-    {
-      storm with
-      Plan.events =
-        [
-          { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash victim };
-          { Plan.at = Time.of_sec 14.0; action = Plan.Node_restart victim };
-        ];
-    }
-  in
-  let run ~causal =
-    Scenario.run_fat_tree_te ~seed:42
-      ~config:{ Sched.default_config with Sched.causal }
-      ~faults:plan ~pods ~te:Scenario.Bgp_ecmp ~duration ()
-  in
-  let reps = 5 in
-  let off, on_ =
-    let pick b r =
-      match b with
-      | Some (b : Scenario.result)
-        when b.Scenario.run_wall_s <= r.Scenario.run_wall_s ->
-          Some b
-      | _ -> Some r
-    in
-    (* one discarded warmup per side settles allocator state *)
-    ignore (run ~causal:false);
-    ignore (run ~causal:true);
-    let off = ref None and on_ = ref None in
-    for _ = 1 to reps do
-      off := pick !off (run ~causal:false);
-      on_ := pick !on_ (run ~causal:true)
-    done;
-    (Option.get !off, Option.get !on_)
-  in
-  let overhead_pct =
-    100.0 *. ((on_.Scenario.run_wall_s /. off.Scenario.run_wall_s) -. 1.0)
-  in
-  let graph = off.Scenario.causal in
-  assert (graph = None);
-  let g = Option.get on_.Scenario.causal in
-  let nodes = Causal.length g and dropped = Causal.dropped g in
-  let chained =
-    List.length
-      (List.filter
-         (fun (_, _, c) -> not (Causal.is_none c))
-         on_.Scenario.fib_provenance)
-  in
-  let fib_equal =
-    on_.Scenario.fib_fingerprint = off.Scenario.fib_fingerprint
-    && on_.Scenario.fib_fingerprint <> None
-  in
-  Format.fprintf fmt "%-10s %10s %14s %14s@." "causal" "wall(s)" "graph nodes"
-    "fib entries";
-  Format.fprintf fmt "%-10s %10.3f %14s %14d@." "off" off.Scenario.run_wall_s
-    "-"
-    (List.length off.Scenario.fib_provenance);
-  Format.fprintf fmt "%-10s %10.3f %14d %14d@." "on" on_.Scenario.run_wall_s
-    nodes
-    (List.length on_.Scenario.fib_provenance);
-  Format.fprintf fmt
-    "@.overhead %.1f%% wall (min of %d); %d/%d FIB entries carry a provenance \
-     chain; graph %d nodes (%d dropped); results %s@."
-    overhead_pct reps chained
-    (List.length on_.Scenario.fib_provenance)
-    nodes dropped
-    (if fib_equal then "IDENTICAL" else "DIVERGED");
-  let module Json = Horse_telemetry.Json in
-  let run_json (r : Scenario.result) =
-    Json.Obj
-      [
-        ("run_wall_s", Json.Float r.Scenario.run_wall_s);
-        ("events_executed", Json.Int r.Scenario.sched_stats.Sched.events_executed);
-        ( "fib_fingerprint",
-          match r.Scenario.fib_fingerprint with
-          | Some f -> Json.String f
-          | None -> Json.Null );
-      ]
-  in
-  let j =
-    Json.Obj
-      [
-        ("bench", Json.String "trace_overhead");
-        ("domains", Json.Int 1);
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("pods", Json.Int pods);
-        ("duration_s", Json.Float (Time.to_sec duration));
-        ("reps", Json.Int reps);
-        ("off", run_json off);
-        ("on", run_json on_);
-        ("overhead_pct", Json.Float overhead_pct);
-        ("causal_nodes", Json.Int nodes);
-        ("causal_dropped", Json.Int dropped);
-        ("causal_hash", Json.String (Causal.hash g));
-        ("fib_entries", Json.Int (List.length on_.Scenario.fib_provenance));
-        ("fib_entries_with_chain", Json.Int chained);
-        ("fib_equal", Json.Bool fib_equal);
-      ]
-  in
-  (try Unix.mkdir "results" 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = "results/BENCH_trace_overhead.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "artifact written to %s@." path;
-  Format.fprintf fmt
-    "@.shape check: <=10%% wall overhead with tracing on, identical results \
-     either way, and every BGP-learned FIB entry chains back to a cause@."
-
-(* ------------------------------------------------------------------ *)
 (* Microbenchmarks (Bechamel)                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* CLASSIFIER-STORM: the OpenFlow lookup hierarchy (microflow /       *)
-(* megaflow / classifier) against the preserved linear reference      *)
-(* scan, at 100k+ rules — with a flow_mod churn phase driving cache  *)
-(* invalidation.                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let classifier_storm ~full =
-  section
-    "CLASSIFIER-STORM — lookup hierarchy vs linear scan, 100k+ rules";
-  let module OF = Horse_openflow in
-  let module VTime = Horse_engine.Time in
-  let module Reg = Horse_telemetry.Registry in
-  let n_rules = if full then 250_000 else 100_000 in
-  let n_probes = if full then 400_000 else 200_000 in
-  let n_verify = 400 in
-  let n_ref_probes = 150 in
-  let n_churn = 2_000 in
-  (* Rule universe in disjoint address spaces so churn deletes are
-     surgical under loose-overlap semantics: exact 5-tuple rules move
-     traffic to 11.0.0.0/8, dst-prefix rules own 20.0.0.0/8, and
-     port/proto rules use ports >= 60000 (exact rules stay below). *)
-  let exact_key i =
-    Flow_key.make
-      ~src:(Ipv4.of_octets 10 ((i lsr 16) land 0xFF) ((i lsr 8) land 0xFF) (i land 0xFF))
-      ~dst:(Ipv4.of_octets 11 ((i lsr 16) land 0xFF) ((i lsr 8) land 0xFF) (i land 0xFF))
-      ~src_port:(1000 + (i mod 40000))
-      ~dst_port:(1000 + ((i * 7) mod 40000))
-      ()
-  in
-  let mk_fm ?(command = OF.Ofmsg.Add) ~cookie ~priority match_ =
-    {
-      OF.Ofmsg.match_;
-      cookie;
-      command;
-      idle_timeout_s = 0;
-      hard_timeout_s = 0;
-      priority;
-      actions = [ OF.Action.Output ((cookie mod 16) + 1) ];
-    }
-  in
-  let rule_fm i =
-    match i mod 10 with
-    | 8 ->
-        let j = i / 10 in
-        let len = if j mod 10 = 0 then 16 else 24 in
-        let dst =
-          Prefix.make
-            (Ipv4.of_octets 20 ((j lsr 8) land 0xFF) (j land 0xFF) 0)
-            len
-        in
-        mk_fm ~cookie:i ~priority:(40 + (j mod 20)) (OF.Ofmatch.to_dst dst)
-    | 9 ->
-        mk_fm ~cookie:i ~priority:30
-          {
-            OF.Ofmatch.any with
-            OF.Ofmatch.m_ip_proto = Some 17;
-            m_tp_dst = Some (60000 + (i / 10 mod 5000));
-          }
-    | _ -> mk_fm ~cookie:i ~priority:100 (OF.Ofmatch.exact_5tuple (exact_key i))
-  in
-  (* Deterministic probe streams: 85% a 256-flow hot set (microflow
-     territory), 10% the 20/8 prefix space (megaflow classes), 5%
-     guaranteed misses in 30/8. *)
-  let prng = Rng.create 1337 in
-  let fields_of key = OF.Ofmatch.fields_of_key ~in_port:1 key in
-  let hot =
-    Array.init 256 (fun j -> fields_of (exact_key ((j * 37 mod (n_rules / 10)) * 10)))
-  in
-  let warm =
-    Array.init 64 (fun j ->
-        fields_of
-          (Flow_key.make
-             ~src:(Ipv4.of_octets 10 9 9 (j land 0xFF))
-             ~dst:(Ipv4.of_octets 20 ((j * 13 mod 40) lsr 8 land 0xFF) (j * 13 mod 40 land 0xFF) 9)
-             ~src_port:5 ~dst_port:6 ()))
-  in
-  let cold =
-    Array.init 64 (fun j ->
-        fields_of
-          (Flow_key.make
-             ~src:(Ipv4.of_octets 30 0 0 1)
-             ~dst:(Ipv4.of_octets 30 1 (j land 0xFF) 2)
-             ~src_port:7 ~dst_port:8 ()))
-  in
-  let probes =
-    Array.init n_probes (fun _ ->
-        let r = Rng.int prng 100 in
-        if r < 85 then hot.(Rng.int prng 256)
-        else if r < 95 then
-          (* Same traffic class through a different ingress port: no
-             rule masks in_port, so these land in one megaflow region
-             but are distinct microflows. *)
-          let f = warm.(Rng.int prng 64) in
-          { f with OF.Ofmatch.in_port = 1 + Rng.int prng 16 }
-        else cold.(Rng.int prng 64))
-  in
-  let verify =
-    Array.init n_verify (fun _ ->
-        match Rng.int prng 4 with
-        | 0 -> hot.(Rng.int prng 256)
-        | 1 -> warm.(Rng.int prng 64)
-        | 2 -> cold.(Rng.int prng 64)
-        | _ -> fields_of (exact_key (Rng.int prng (2 * n_rules))))
-  in
-  let fingerprint lookup t =
-    let buf = Buffer.create (n_verify * 8) in
-    Array.iter
-      (fun flds ->
-        (match lookup t flds with
-        | Some (e : OF.Flow_table.entry) ->
-            Buffer.add_string buf (string_of_int e.OF.Flow_table.cookie)
-        | None -> Buffer.add_char buf '-');
-        Buffer.add_char buf ';')
-      verify;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
-  in
-  let median l = Summary.percentile l 0.5 in
-  let reg = Reg.create () in
-  let t = OF.Flow_table.create () in
-  let (), build_wall =
-    Wall.time (fun () ->
-        for i = 0 to n_rules - 1 do
-          OF.Flow_table.apply_flow_mod t ~now:VTime.zero (rule_fm i)
-        done)
-  in
-  (* Byte-identical forwarding decisions, hierarchy vs reference. *)
-  let fp_fast = fingerprint OF.Flow_table.lookup t in
-  let fp_ref = fingerprint OF.Flow_table.lookup_reference t in
-  if fp_fast <> fp_ref then
-    failwith "classifier-storm: decision fingerprints diverge";
-  (* Reference: per-probe wall medians (each probe is a full linear
-     scan, so individual timing is well above clock resolution). *)
-  let ref_times =
-    List.init n_ref_probes (fun k ->
-        let f = probes.(k * (n_probes / n_ref_probes)) in
-        let (), dt = Wall.time (fun () -> ignore (OF.Flow_table.lookup_reference t f)) in
-        dt)
-  in
-  let ref_median = median ref_times in
-  (* Hierarchy: batched medians over 1000-lookup chunks. *)
-  let chunk = 1000 in
-  let fast_times = ref [] in
-  let i = ref 0 in
-  while !i + chunk <= n_probes do
-    let lo = !i in
-    let (), dt =
-      Wall.time (fun () ->
-          for j = lo to lo + chunk - 1 do
-            ignore (OF.Flow_table.lookup t probes.(j))
-          done)
-    in
-    fast_times := (dt /. float_of_int chunk) :: !fast_times;
-    i := !i + chunk
-  done;
-  let fast_median = median !fast_times in
-  let st = OF.Flow_table.stats t in
-  let hit_ratio =
-    float_of_int (st.OF.Flow_table.micro_hits + st.OF.Flow_table.mega_hits)
-    /. float_of_int (max 1 st.OF.Flow_table.lookups)
-  in
-  (* Churn: interleaved precise deletes and fresh adds with traffic,
-     driving seq-tagged and overlap-driven cache invalidation; the
-     differential must still hold on the churned table. *)
-  let crng = Rng.create 4242 in
-  let inv0 = st.OF.Flow_table.invalidations in
-  for k = 0 to n_churn - 1 do
-    (if k mod 3 = 0 then
-       let i = Rng.int crng (n_rules / 10) * 10 in
-       OF.Flow_table.apply_flow_mod t ~now:VTime.zero
-         (mk_fm ~command:OF.Ofmsg.Delete ~cookie:0 ~priority:0
-            (OF.Ofmatch.exact_5tuple (exact_key i)))
-     else
-       OF.Flow_table.apply_flow_mod t ~now:VTime.zero
-         (mk_fm ~cookie:(n_rules + k) ~priority:100
-            (OF.Ofmatch.exact_5tuple (exact_key (n_rules + k)))));
-    if k mod 7 = 0 then
-      for _ = 1 to 10 do
-        ignore (OF.Flow_table.lookup t hot.(Rng.int crng 256))
-      done
-  done;
-  let churn_inv = st.OF.Flow_table.invalidations - inv0 in
-  let fp_fast' = fingerprint OF.Flow_table.lookup t in
-  let fp_ref' = fingerprint OF.Flow_table.lookup_reference t in
-  if fp_fast' <> fp_ref' then
-    failwith "classifier-storm: post-churn decision fingerprints diverge";
-  let speedup = ref_median /. fast_median in
-  Format.fprintf fmt
-    "build %.2fs | ref median %8.1f us | hierarchy median %7.1f ns | \
-     speedup %8.1fx@."
-    build_wall (ref_median *. 1e6) (fast_median *. 1e9) speedup;
-  Format.fprintf fmt
-    "hits micro/mega/slow %d/%d/%d  misses %d  hit-ratio %.3f  \
-     churn invalidations %d  fingerprints ok@."
-    st.OF.Flow_table.micro_hits st.OF.Flow_table.mega_hits
-    st.OF.Flow_table.slow_hits st.OF.Flow_table.misses hit_ratio churn_inv;
-  let g name v = Reg.Gauge.set (Reg.gauge reg ~subsystem:"classifier" name) v in
-  let c name v = Reg.Counter.add (Reg.counter reg ~subsystem:"classifier" name) v in
-  g "ref_median_seconds" ref_median;
-  g "hierarchy_median_seconds" fast_median;
-  g "speedup" speedup;
-  g "hit_ratio" hit_ratio;
-  g "build_seconds" build_wall;
-  c "rules_total" n_rules;
-  c "lookups_total" st.OF.Flow_table.lookups;
-  c "microflow_hits_total" st.OF.Flow_table.micro_hits;
-  c "megaflow_hits_total" st.OF.Flow_table.mega_hits;
-  c "slow_path_hits_total" st.OF.Flow_table.slow_hits;
-  c "misses_total" st.OF.Flow_table.misses;
-  c "churn_invalidations_total" churn_inv;
-  c "fingerprint_equal" 1;
-  if speedup < 10.0 then
-    Format.fprintf fmt
-      "WARNING: median speedup below the 10x acceptance budget@.";
-  write_snapshot "classifier_storm" reg
 
 let micro () =
   section "MICRO — component microbenchmarks (Bechamel)";
@@ -1522,35 +860,33 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
+(* In run order: a bare [main.exe] runs them all. *)
+let verbs =
+  [
+    ("fig1", fig1);
+    ("fig3", fig3);
+    ("te", te);
+    ("ablation-timeout", fun ~full:_ -> ablation_timeout ());
+    ("ablation-increment", fun ~full:_ -> ablation_increment ());
+    ("protocols", fun ~full:_ -> protocols ());
+    ("ablation-placer", fun ~full:_ -> ablation_placer ());
+    ("scaling", fun ~full:_ -> scaling ());
+    ("fct", fun ~full:_ -> fct ());
+    ("failure", fun ~full:_ -> failure ());
+    ("multicore", fun ~full:_ -> multicore_scaling ());
+    ("micro", fun ~full:_ -> micro ());
+  ]
+
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
   let full = List.mem "--full" args in
-  let known =
-    [ "fig1"; "fig3"; "te"; "ablation-timeout"; "ablation-increment";
-      "protocols"; "ablation-placer"; "scaling"; "fct"; "failure";
-      "failure-storm"; "trace-overhead";
-      "multicore"; "classifier-storm"; "megauser"; "micro" ]
-  in
-  let commands = List.filter (fun a -> List.mem a known) args in
-  let commands = if commands = [] then known else commands in
-  List.iter
-    (fun cmd ->
-      match cmd with
-      | "fig1" -> fig1 ~full
-      | "fig3" -> fig3 ~full
-      | "te" -> te ~full
-      | "ablation-timeout" -> ablation_timeout ()
-      | "ablation-increment" -> ablation_increment ()
-      | "protocols" -> protocols ()
-      | "ablation-placer" -> ablation_placer ()
-      | "scaling" -> scaling ()
-      | "fct" -> fct ()
-      | "failure" -> failure ()
-      | "failure-storm" -> failure_storm ~full
-      | "trace-overhead" -> trace_overhead ~full
-      | "multicore" -> multicore_scaling ()
-      | "classifier-storm" -> classifier_storm ~full
-      | "megauser" -> megauser ~full
-      | "micro" -> micro ()
-      | _ -> ())
-    commands
+  let names = List.filter (fun a -> a <> "--full") args in
+  (match List.filter (fun a -> not (List.mem_assoc a verbs)) names with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "main.exe: unknown verb %s; known verbs: %s\n"
+        (String.concat ", " unknown)
+        (String.concat " " (List.map fst verbs));
+      exit 2);
+  let names = if names = [] then List.map fst verbs else names in
+  List.iter (fun name -> (List.assoc name verbs) ~full) names

@@ -86,11 +86,6 @@ let sdn_fault_target fabric (topo : Topology.t) =
   let with2 a b f =
     match (id a, id b) with Some a, Some b -> f a b | _, _ -> false
   in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
   {
     Horse_faults.Injector.describe = "sdn-fabric";
     link_down = (fun ~a ~b -> with2 a b (fun a b -> Sdn_fabric.fail_link fabric ~a ~b));
@@ -99,18 +94,7 @@ let sdn_fault_target fabric (topo : Topology.t) =
     node_restart = (fun _ -> false);
     session_reset = (fun ~a:_ ~b:_ -> false);
     impair = (fun ~a:_ ~b:_ ~rng:_ _ -> false);
-    links =
-      (fun () ->
-        List.filter_map
-          (fun (l : Topology.link) ->
-            if l.Topology.link_id < l.Topology.peer then
-              let src = Topology.node topo l.Topology.src in
-              let dst = Topology.node topo l.Topology.dst in
-              if is_switch src && is_switch dst then
-                Some (src.Topology.name, dst.Topology.name)
-              else None
-            else None)
-          (Topology.links topo));
+    links = (fun () -> Topology.switch_links topo);
     converged = (fun () -> Sdn_fabric.pending_flows fabric = 0);
   }
 

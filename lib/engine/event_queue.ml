@@ -19,7 +19,8 @@
    covers. Same-timestamp ties across structures resolve by processing
    the coarser structure first, so after cascading, the (time, seq)
    order inside [due] reproduces the reference heap's pop order
-   exactly (Heap_queue, checked by the differential suite).
+   exactly (test/support's Heap_queue, checked by the differential
+   suite).
 
    Costs: schedule and cancel are O(1) (cancellation is lazy — a
    cancelled entry is dropped when its slot cascades or it surfaces in

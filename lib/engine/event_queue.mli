@@ -3,7 +3,8 @@
     a due-heap and backed by an overflow heap for the far future.
 
     The observable contract is unchanged from the binary-heap
-    original (kept as {!Heap_queue} for the differential suite): pops
+    original (kept as [Heap_queue] in the test support library, the
+    reference for [test_engine]'s differential suite): pops
     come in (timestamp, insertion sequence number) order, so two
     events at the same timestamp execute in insertion order and runs
     stay deterministic. Scheduling in the past is the caller's

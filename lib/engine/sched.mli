@@ -58,7 +58,8 @@ type config = {
           automatically through {!schedule_at}, {!defer} and {!every}.
           [false] makes every causal primitive a no-op (no nodes, no
           detail strings formatted, behaviour byte-identical — only
-          wall cost differs, A/B'd by [bench trace-overhead]). *)
+          wall cost differs, measured as [trace.overhead_pct] by
+          [bench/e2e] and gated by [@trace-smoke]). *)
   profile : bool;
       (** default [false]: record a per-poller wall-cost histogram
           ([horse_sched_poller_tick_seconds{poller=...}]) on every

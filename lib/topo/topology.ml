@@ -115,6 +115,17 @@ let out_links t id = t.adj.(id)
 let find_link t ~src ~dst =
   List.find_opt (fun l -> l.dst = dst) (out_links t src)
 
+let switch_links t =
+  let forwards id =
+    match (node t id).kind with Switch | Router -> true | Host -> false
+  in
+  List.filter_map
+    (fun l ->
+      if l.link_id < l.peer && forwards l.src && forwards l.dst then
+        Some ((node t l.src).name, (node t l.dst).name)
+      else None)
+    (links t)
+
 let filter_kind t kind = List.filter (fun n -> n.kind = kind) (nodes t)
 let hosts t = filter_kind t Host
 let switches t = filter_kind t Switch

@@ -72,6 +72,11 @@ val out_links : t -> int -> link list
 val find_link : t -> src:int -> dst:int -> link option
 (** The first directed link from [src] to [dst], if any. *)
 
+val switch_links : t -> (string * string) list
+(** One [(src, dst)] name pair per duplex link whose two ends are both
+    switches or routers, taken from the pair's lower-id direction, in
+    link-id order. Host links are left out. *)
+
 val hosts : t -> node list
 val switches : t -> node list
 val routers : t -> node list

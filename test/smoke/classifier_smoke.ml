@@ -11,6 +11,11 @@
    - determinism: two independent runs produce the same decision
      fingerprint and the same hit/miss counter values.
 
+   This smoke, the test_openflow differential and the 100k-rule lookup
+   in [bench/main.exe micro] are the classifier's standing
+   measurements; the 100k-rule A/B numbers it once had are kept in
+   results/history/BENCH_classifier_storm.json.
+
    Writes the first run's stats to the path given as argv(1). *)
 
 module OF = Horse_openflow
@@ -28,9 +33,9 @@ let n_churn = 500
 let speedup_budget = 5.0
 let hit_ratio_budget = 0.9
 
-(* Same disjoint address-space scheme as bench classifier-storm:
-   exact rules in 10/8 -> 11/8, prefix rules in 20/8, port rules on
-   ports >= 60000, so loose deletes stay surgical. *)
+(* Disjoint address spaces: exact rules in 10/8 -> 11/8, prefix rules
+   in 20/8, port rules on ports >= 60000, so loose deletes stay
+   surgical. *)
 let exact_key i =
   Flow_key.make
     ~src:(Ipv4.of_octets 10 ((i lsr 16) land 0xFF) ((i lsr 8) land 0xFF) (i land 0xFF))

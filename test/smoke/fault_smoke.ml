@@ -9,8 +9,6 @@
    path given as argv(1). *)
 
 module Time = Horse_engine.Time
-module Topology = Horse_topo.Topology
-module Fat_tree = Horse_topo.Fat_tree
 module Scenario = Horse_core.Scenario
 module Plan = Horse_faults.Plan
 module Injector = Horse_faults.Injector
@@ -21,43 +19,7 @@ module Json = Horse_telemetry.Json
    fault is a generous ceiling — blowing it means self-healing broke. *)
 let budget_s = 20.0
 
-(* Fault sites picked from the real topology so the plan's node names
-   are always adjacent pairs (every 9th inter-switch link). *)
-let plan =
-  let ft = Fat_tree.build ~k:4 () in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
-  let sites =
-    List.filteri
-      (fun i _ -> i mod 9 = 0)
-      (List.filter_map
-         (fun (l : Topology.link) ->
-           if l.Topology.link_id < l.Topology.peer then
-             let src = Topology.node ft.Fat_tree.topo l.Topology.src in
-             let dst = Topology.node ft.Fat_tree.topo l.Topology.dst in
-             if is_switch src && is_switch dst then
-               Some (src.Topology.name, dst.Topology.name)
-             else None
-           else None)
-         (Topology.links ft.Fat_tree.topo))
-  in
-  let victim = ft.Fat_tree.aggs.(2).(0).Topology.name in
-  let storm =
-    Plan.flap_storm ~seed:5 ~sites ~start:(Time.of_sec 5.0)
-      ~stop:(Time.of_sec 15.0) ~period:(Time.of_sec 4.0)
-      ~down_for:(Time.of_sec 1.0) ()
-  in
-  {
-    storm with
-    Plan.events =
-      [
-        { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash victim };
-        { Plan.at = Time.of_sec 12.0; action = Plan.Node_restart victim };
-      ];
-  }
+let plan = Horse_test_support.smoke_storm_plan ()
 
 let () =
   let out = Sys.argv.(1) in

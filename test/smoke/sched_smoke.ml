@@ -17,10 +17,7 @@
 
 module Time = Horse_engine.Time
 module Sched = Horse_engine.Sched
-module Topology = Horse_topo.Topology
-module Fat_tree = Horse_topo.Fat_tree
 module Scenario = Horse_core.Scenario
-module Plan = Horse_faults.Plan
 module Json = Horse_telemetry.Json
 
 let max_ticks_per_increment = 0.2
@@ -29,44 +26,10 @@ let min_skipped_share = 0.9
 (* [fib_fingerprint] of the converged, fault-free k=4 BGP fabric. *)
 let clean_k4_fib = "0a9e8e63eee7c80d79f89d0181f3255b"
 
-(* The fault_smoke plan: a deterministic flap storm plus a node
-   crash/restart, so the run alternates control-plane bursts with the
-   quiet FTI windows fast-forward exists for. *)
-let plan =
-  let ft = Fat_tree.build ~k:4 () in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
-  let sites =
-    List.filteri
-      (fun i _ -> i mod 9 = 0)
-      (List.filter_map
-         (fun (l : Topology.link) ->
-           if l.Topology.link_id < l.Topology.peer then
-             let src = Topology.node ft.Fat_tree.topo l.Topology.src in
-             let dst = Topology.node ft.Fat_tree.topo l.Topology.dst in
-             if is_switch src && is_switch dst then
-               Some (src.Topology.name, dst.Topology.name)
-             else None
-           else None)
-         (Topology.links ft.Fat_tree.topo))
-  in
-  let victim = ft.Fat_tree.aggs.(2).(0).Topology.name in
-  let storm =
-    Plan.flap_storm ~seed:5 ~sites ~start:(Time.of_sec 5.0)
-      ~stop:(Time.of_sec 15.0) ~period:(Time.of_sec 4.0)
-      ~down_for:(Time.of_sec 1.0) ()
-  in
-  {
-    storm with
-    Plan.events =
-      [
-        { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash victim };
-        { Plan.at = Time.of_sec 12.0; action = Plan.Node_restart victim };
-      ];
-  }
+(* The shared smoke storm: flaps plus a node crash/restart, so the run
+   alternates control-plane bursts with the quiet FTI windows
+   fast-forward exists for. *)
+let plan = Horse_test_support.smoke_storm_plan ()
 
 let run () =
   Scenario.run_fat_tree_te ~pods:4 ~te:Scenario.Bgp_ecmp ~faults:plan

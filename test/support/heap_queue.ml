@@ -5,6 +5,8 @@
    O(n) compaction sweep, and [reschedule] as cancel + fresh insert
    sharing the original action. *)
 
+open Horse_engine
+
 type entry = {
   time : Time.t;
   seq : int;

@@ -1,12 +1,16 @@
-(** Reference event queue: the binary min-heap {!Event_queue} used
-    before the timing wheel, kept for the differential test suite.
+(** Reference event queue: the binary min-heap
+    {!Horse_engine.Event_queue} used before the timing wheel, kept for
+    the differential test suite.
 
-    Semantics are contractually identical to {!Event_queue} — a pop
-    stream ordered by (timestamp, insertion sequence), lazy O(1)
-    cancellation, O(1) {!size}, and in-place {!reschedule} — so any
-    divergence between the two under the same operation sequence is a
-    bug in the wheel. Production code uses {!Event_queue}; nothing
-    outside the tests should depend on this module. *)
+    Semantics are contractually identical to
+    {!Horse_engine.Event_queue} — a pop stream ordered by (timestamp,
+    insertion sequence), lazy O(1) cancellation, O(1) {!size}, and
+    in-place {!reschedule} — so any divergence between the two under
+    the same operation sequence is a bug in the wheel. It lives in the
+    test support library so that no production code can depend on
+    it. *)
+
+open Horse_engine
 
 type t
 type handle

@@ -14,3 +14,30 @@ let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| seed |])
     (QCheck2.Test.make ~count ~name gen prop)
+
+module Heap_queue = Heap_queue
+
+let smoke_storm_plan () =
+  let module Time = Horse_engine.Time in
+  let module Fat_tree = Horse_topo.Fat_tree in
+  let module Plan = Horse_faults.Plan in
+  let ft = Fat_tree.build ~k:4 () in
+  let sites =
+    List.filteri
+      (fun i _ -> i mod 9 = 0)
+      (Horse_topo.Topology.switch_links ft.Fat_tree.topo)
+  in
+  let victim = ft.Fat_tree.aggs.(2).(0).Horse_topo.Topology.name in
+  let storm =
+    Plan.flap_storm ~seed:5 ~sites ~start:(Time.of_sec 5.0)
+      ~stop:(Time.of_sec 15.0) ~period:(Time.of_sec 4.0)
+      ~down_for:(Time.of_sec 1.0) ()
+  in
+  {
+    storm with
+    Plan.events =
+      [
+        { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash victim };
+        { Plan.at = Time.of_sec 12.0; action = Plan.Node_restart victim };
+      ];
+  }

@@ -10,3 +10,13 @@ val qtest :
     (default 200 draws). Every case seeds its own generator from
     [QCHECK_SEED] when that is set to an integer, and from a fixed
     default otherwise. *)
+
+module Heap_queue = Heap_queue
+(** The binary-heap reference for [Horse_engine.Event_queue]. *)
+
+val smoke_storm_plan : unit -> Horse_faults.Plan.t
+(** The k=4 fat-tree fault storm that the fault, scheduler and trace
+    smokes share: link flaps (seed 5, a 4 s period from 5 s to 15 s,
+    1 s down each) on every 9th inter-switch link of
+    {!Horse_topo.Topology.switch_links}, plus a crash of [agg-p2-0] at
+    6 s and its restart at 12 s. *)

@@ -103,24 +103,10 @@ let test_causal_off_is_noop () =
 let storm_plan =
   let module Plan = Horse_faults.Plan in
   let ft = Fat_tree.build ~k:4 () in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
   let sites =
     List.filteri
       (fun i _ -> i mod 9 = 0)
-      (List.filter_map
-         (fun (l : Topology.link) ->
-           if l.Topology.link_id < l.Topology.peer then
-             let src = Topology.node ft.Fat_tree.topo l.Topology.src in
-             let dst = Topology.node ft.Fat_tree.topo l.Topology.dst in
-             if is_switch src && is_switch dst then
-               Some (src.Topology.name, dst.Topology.name)
-             else None
-           else None)
-         (Topology.links ft.Fat_tree.topo))
+      (Topology.switch_links ft.Fat_tree.topo)
   in
   Plan.flap_storm ~seed:5 ~sites ~start:(Time.of_sec 2.0)
     ~stop:(Time.of_sec 6.0) ~period:(Time.of_sec 3.0)

@@ -6,6 +6,8 @@ open Horse_engine
 let check = Alcotest.check
 let qtest = Horse_test_support.qtest
 
+module Heap_queue = Horse_test_support.Heap_queue
+
 (* --- Time ------------------------------------------------------------ *)
 
 let test_time_conversions () =

@@ -270,18 +270,9 @@ let test_differential_clean () =
    aggregation-switch crash and restart mid-run. *)
 let storm_plan ft =
   let sites =
-    let sessions = ref [] in
-    List.iter
-      (fun (l : Topology.link) ->
-        if l.Topology.link_id < l.Topology.peer then
-          let s = Topology.node ft.Fat_tree.topo l.Topology.src in
-          let d = Topology.node ft.Fat_tree.topo l.Topology.dst in
-          match (s.Topology.kind, d.Topology.kind) with
-          | Topology.Switch, Topology.Switch ->
-              sessions := (s.Topology.name, d.Topology.name) :: !sessions
-          | _ -> ())
-      (Topology.links ft.Fat_tree.topo);
-    List.filteri (fun i _ -> i mod 7 = 0) (List.rev !sessions)
+    List.filteri
+      (fun i _ -> i mod 7 = 0)
+      (Topology.switch_links ft.Fat_tree.topo)
   in
   let plan =
     Horse_faults.Plan.flap_storm ~seed:7 ~sites ~start:(Time.of_sec 2.0)

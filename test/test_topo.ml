@@ -106,6 +106,31 @@ let test_fat_tree_addressing () =
   | Some n -> check Alcotest.string "reverse lookup" "h-p1-e0-0" n.Topology.name
   | None -> Alcotest.fail "host_of_ip failed"
 
+let test_fat_tree_switch_links () =
+  let ft = Fat_tree.build ~k:4 () in
+  let topo = ft.Fat_tree.topo in
+  let pairs = Topology.switch_links topo in
+  (* k^3/4 edge-agg + k^3/4 agg-core duplex links. *)
+  check Alcotest.int "pairs" 32 (List.length pairs);
+  let ids =
+    List.map
+      (fun (a, b) ->
+        let id name =
+          match Topology.node_by_name topo name with
+          | Some n ->
+              check Alcotest.bool "no host" true (n.Topology.kind <> Topology.Host);
+              n.Topology.id
+          | None -> Alcotest.fail ("unknown node " ^ name)
+        in
+        match Topology.find_link topo ~src:(id a) ~dst:(id b) with
+        | Some l -> l.Topology.link_id
+        | None -> Alcotest.fail ("not adjacent: " ^ a ^ " " ^ b))
+      pairs
+  in
+  check Alcotest.(list int) "link order" (List.sort_uniq compare ids) ids;
+  check Alcotest.bool "lower-id direction" true
+    (List.for_all (fun id -> id < (Topology.link topo id).Topology.peer) ids)
+
 let test_fat_tree_bad_k () =
   Alcotest.check_raises "odd k"
     (Invalid_argument "Fat_tree.build: k must be even and >= 2, got 3") (fun () ->
@@ -379,6 +404,7 @@ let () =
           Alcotest.test_case "structure k=8" `Quick test_fat_tree_k8;
           Alcotest.test_case "addressing" `Quick test_fat_tree_addressing;
           Alcotest.test_case "bad k rejected" `Quick test_fat_tree_bad_k;
+          Alcotest.test_case "switch links" `Quick test_fat_tree_switch_links;
         ] );
       ( "leaf_spine",
         [
