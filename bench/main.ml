@@ -805,7 +805,7 @@ let micro () =
          ~src_port:77 ~dst_port:77 ())
   in
   let test_of_lookup_100k =
-    Test.make ~name:"of-table lookup among 100k (hierarchy)"
+    Test.make ~name:"of-table lookup among 100k (tss)"
       (Staged.stage (fun () ->
            ignore (Horse_openflow.Flow_table.lookup big_table big_lookup_fields)))
   in

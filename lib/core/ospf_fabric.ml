@@ -258,10 +258,10 @@ let find_session t ~a ~b =
 
 let fail_link t ~a ~b =
   match find_session t ~a ~b with
-  | None -> false
-  | Some session ->
+  | Some session when Channel.is_open session.channel ->
       Channel.close session.channel;
       true
+  | Some _ | None -> false
 
 let restore_link t ~a ~b =
   match find_session t ~a ~b with

@@ -30,10 +30,18 @@ type 'a t = {
   mutable dirty : bool;
   mutable count : int;
   mutable next_id : int;
+  mutable probes : int;
 }
 
 let create () =
-  { tbl = Mtbl.create 64; ordered = [||]; dirty = false; count = 0; next_id = 0 }
+  {
+    tbl = Mtbl.create 64;
+    ordered = [||];
+    dirty = false;
+    count = 0;
+    next_id = 0;
+    probes = 0;
+  }
 
 let rec insert_sorted r = function
   | [] -> [ r ]
@@ -41,7 +49,7 @@ let rec insert_sorted r = function
   | r' :: rest -> r' :: insert_sorted r rest
 
 let length ts = ts.count
-let mask_count ts = Mtbl.length ts.tbl
+let probes ts = ts.probes
 
 let insert ts ~match_ ~priority ~seq value =
   let r = { r_match = match_; r_prio = priority; r_seq = seq; r_value = value } in
@@ -122,23 +130,17 @@ let ensure_ordered ts =
   end
 
 (* Probe buckets in descending max-priority order, short-circuiting
-   once no remaining bucket can beat the best rule found so far.  The
-   accumulated mask is the union of the masks of every bucket actually
-   probed: whether a bucket is probed depends only on table state and
-   on the best-so-far rule, which (by induction over the fixed bucket
-   order) is identical for any packet with an equal projection under
-   the accumulated mask — so the megaflow region it defines is sound. *)
+   once no remaining bucket can beat the best rule found so far. *)
 let lookup ts (fields : Ofmatch.fields) =
   ensure_ordered ts;
   let best = ref None in
-  let acc = ref Mask.empty in
   (try
      Array.iter
        (fun b ->
          (match !best with
          | Some br when b.b_max_prio < br.r_prio -> raise Exit
          | _ -> ());
-         acc := Mask.union !acc b.b_mask;
+         ts.probes <- ts.probes + 1;
          match Ftbl.find_opt b.b_rules (Mask.project b.b_mask fields) with
          | Some { contents = r :: _ } -> (
              match !best with
@@ -147,7 +149,7 @@ let lookup ts (fields : Ofmatch.fields) =
          | Some { contents = [] } | None -> ())
        ts.ordered
    with Exit -> ());
-  (!best, !acc)
+  !best
 
 let clear ts =
   Mtbl.reset ts.tbl;

@@ -1,16 +1,13 @@
-(** Tuple-space-search rule classifier — the slow path of the switch
-    lookup hierarchy.
+(** Tuple-space-search rule classifier — the lookup behind
+    {!Flow_table}.
 
     Rules are (match, priority, insertion-seq, value) with the OpenFlow
     match order: priority descending, then seq ascending.  A lookup
-    returns the same chosen rule as the linear reference scan, plus a
-    {e megaflow mask}: a wildcard mask such that any packet with an
-    equal {!Ofmatch.Mask.project}ion is guaranteed the identical
-    decision — what the megaflow cache above this layer stores.
+    returns the same chosen rule as a linear scan in that order.
 
-    One hash table per distinct wildcard mask, probed in descending
-    max-priority order with priority short-circuiting: O(masks)
-    lookup, O(1) updates. *)
+    One hash table (bucket) per distinct wildcard mask, probed in
+    descending max-priority order with priority short-circuiting:
+    O(masks) lookup, O(1) updates. *)
 
 type 'a rule = {
   r_match : Ofmatch.t;
@@ -26,8 +23,9 @@ val create : unit -> 'a t
 val length : 'a t -> int
 (** Live rules, O(1). *)
 
-val mask_count : 'a t -> int
-(** Distinct wildcard masks (TSS buckets). *)
+val probes : 'a t -> int
+(** Buckets probed by {!lookup} over the classifier's lifetime — the
+    work the priority short-circuit saves shows here. *)
 
 val insert : 'a t -> match_:Ofmatch.t -> priority:int -> seq:int -> 'a -> unit
 (** [seq] must be unique across the classifier's lifetime — it is the
@@ -37,8 +35,7 @@ val remove : 'a t -> match_:Ofmatch.t -> seq:int -> unit
 (** Precondition: a rule with this match and seq was inserted and not
     yet removed (the flow table tracks membership). *)
 
-val lookup : 'a t -> Ofmatch.fields -> 'a rule option * Ofmatch.Mask.t
-(** Highest-priority matching rule (oldest wins on ties) and the
-    megaflow mask covering this decision. *)
+val lookup : 'a t -> Ofmatch.fields -> 'a rule option
+(** Highest-priority matching rule (oldest wins on ties). *)
 
 val clear : 'a t -> unit

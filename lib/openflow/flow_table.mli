@@ -1,23 +1,15 @@
 (** An OpenFlow switch's flow table: priority-ordered entries with
-    idle/hard timeouts and traffic counters, served by a three-level
-    lookup hierarchy (OVS-style):
+    idle/hard timeouts and traffic counters, looked up by the
+    {!Classifier}'s tuple-space search.
 
-    + an exact-match {e microflow cache} keyed on the hashed packet
-      fields;
-    + a {e megaflow cache} of wildcarded cells whose masks un-wildcard
-      only the fields the slow path actually consulted, so one cell
-      covers a whole traffic class;
-    + the {!Classifier} slow path (tuple-space search).
+    The fluid data plane resolves a flow's path once, when the flow
+    starts or is re-steered, not once per packet, so there is no
+    per-packet cache in front of the classifier.
 
     Matching returns the highest-priority matching entry; among equal
-    priorities the oldest entry wins (stable, deterministic), and the
-    cached paths return the identical entry the slow path would —
-    {!lookup_reference} keeps the original linear scan as the oracle.
-
-    Invalidation: ADD drops exactly the cells the new rule overlaps
-    (cached misses included); DELETE / MODIFY / {!expire} drop the
-    cells produced by the touched rules (cells are tagged with their
-    source-rule seq; cached misses survive removals).  Expiry is
+    priorities the oldest entry wins (stable, deterministic).
+    {!entries} lists the same physical records in that match order, so
+    a linear scan over it is the test oracle for {!lookup}.  Expiry is
     driven explicitly by the owner via {!expire} — the switch agent
     calls it from a periodic virtual-time timer. *)
 
@@ -36,28 +28,22 @@ type entry = {
   mutable bytes : int;
 }
 
-(** Lookup-hierarchy counters, monotonic over the table's lifetime.
-    [lookups = micro_hits + mega_hits + slow_hits + misses];
-    [view_sorts] counts rebuilds of the lazy sorted view (only the
-    reference scan and entry iteration sort — the hot path never
-    does). *)
+(** Lookup counters, monotonic over the table's lifetime.
+    [hits + misses] is the number of lookups; [probes] counts the
+    classifier buckets probed ({!Classifier.probes}); [view_sorts]
+    counts rebuilds of the lazy sorted view (only entry iteration
+    sorts — {!lookup} never does). *)
 type stats = {
-  mutable micro_hits : int;
-  mutable mega_hits : int;
-  mutable slow_hits : int;
+  mutable hits : int;
   mutable misses : int;
-  mutable invalidations : int;
+  mutable probes : int;
   mutable view_sorts : int;
-  mutable lookups : int;
 }
 
 type t
 
 val create : unit -> t
 val stats : t -> stats
-
-val cache_sizes : t -> int * int
-(** [(microflow cells, megaflow cells)] currently cached. *)
 
 val apply_flow_mod : t -> now:Time.t -> Ofmsg.flow_mod -> unit
 (** ADD replaces an entry with the same match and priority; MODIFY
@@ -67,13 +53,9 @@ val apply_flow_mod : t -> now:Time.t -> Ofmsg.flow_mod -> unit
     table). *)
 
 val lookup : t -> Ofmatch.fields -> entry option
-(** The hierarchy (microflow, then megaflow, then slow path; misses
-    are cached too).  Does not touch counters — use {!account} when
-    traffic actually hits the entry. *)
-
-val lookup_reference : t -> Ofmatch.fields -> entry option
-(** The original linear scan over the sorted view — the oracle of the
-    differential suite, byte-identical decisions to {!lookup}. *)
+(** The highest-priority matching entry, by tuple-space search.  Does
+    not touch entry counters — use {!account} when traffic actually
+    hits the entry. *)
 
 val account : entry -> now:Time.t -> packets:int -> bytes:int -> unit
 (** Adds to the counters and refreshes the idle timestamp. *)
@@ -82,7 +64,8 @@ val expire : t -> now:Time.t -> entry list
 (** Removes and returns entries past an idle or hard deadline. *)
 
 val entries : t -> entry list
-(** Priority order (the match order). *)
+(** Priority order (the match order): the first entry whose match
+    admits a packet is the one {!lookup} returns. *)
 
 val matching_entries : t -> Ofmatch.t -> entry list
 (** Entries whose match overlaps the given one — the flow-stats

@@ -123,47 +123,10 @@ module Mask = struct
     k_tp_dst : bool;
   }
 
-  let empty =
-    {
-      k_in_port = false;
-      k_eth_src = false;
-      k_eth_dst = false;
-      k_eth_type = false;
-      k_ip_src = 0;
-      k_ip_dst = 0;
-      k_ip_proto = false;
-      k_tp_src = false;
-      k_tp_dst = false;
-    }
-
-  let union a b =
-    {
-      k_in_port = a.k_in_port || b.k_in_port;
-      k_eth_src = a.k_eth_src || b.k_eth_src;
-      k_eth_dst = a.k_eth_dst || b.k_eth_dst;
-      k_eth_type = a.k_eth_type || b.k_eth_type;
-      k_ip_src = Int.max a.k_ip_src b.k_ip_src;
-      k_ip_dst = Int.max a.k_ip_dst b.k_ip_dst;
-      k_ip_proto = a.k_ip_proto || b.k_ip_proto;
-      k_tp_src = a.k_tp_src || b.k_tp_src;
-      k_tp_dst = a.k_tp_dst || b.k_tp_dst;
-    }
-
   (* The record holds only immediates, so structural equality and the
      polymorphic hash are exact and allocation-free. *)
   let equal (a : t) (b : t) = a = b
   let hash (t : t) = Hashtbl.hash t
-
-  let subsumes a b =
-    (b.k_in_port <= a.k_in_port)
-    && (b.k_eth_src <= a.k_eth_src)
-    && (b.k_eth_dst <= a.k_eth_dst)
-    && (b.k_eth_type <= a.k_eth_type)
-    && b.k_ip_src <= a.k_ip_src
-    && b.k_ip_dst <= a.k_ip_dst
-    && (b.k_ip_proto <= a.k_ip_proto)
-    && (b.k_tp_src <= a.k_tp_src)
-    && (b.k_tp_dst <= a.k_tp_dst)
 
   let project m (f : fields) =
     {
@@ -231,42 +194,6 @@ module Match_key = struct
 end
 
 let match_key = Match_key.of_match
-
-(* Does [t] admit any packet inside the region {P | project mask P =
-   project mask rep}?  Fields outside [mask] are free in the region, so
-   only the masked part of each constraint can exclude it. *)
-let overlaps_region t (mask : Mask.t) (rep : fields) =
-  (match t.m_in_port with
-  | None -> true
-  | Some v -> (not mask.Mask.k_in_port) || v = rep.in_port)
-  && (match t.m_eth_src with
-     | None -> true
-     | Some m -> (not mask.Mask.k_eth_src) || Mac.equal m rep.eth_src)
-  && (match t.m_eth_dst with
-     | None -> true
-     | Some m -> (not mask.Mask.k_eth_dst) || Mac.equal m rep.eth_dst)
-  && (match t.m_eth_type with
-     | None -> true
-     | Some v -> (not mask.Mask.k_eth_type) || v = rep.eth_type)
-  && (match t.m_ip_src with
-     | None -> true
-     | Some p ->
-         let l = Int.min (Prefix.length p) mask.Mask.k_ip_src in
-         Ipv4.equal (trunc (Prefix.network p) l) (trunc rep.ip_src l))
-  && (match t.m_ip_dst with
-     | None -> true
-     | Some p ->
-         let l = Int.min (Prefix.length p) mask.Mask.k_ip_dst in
-         Ipv4.equal (trunc (Prefix.network p) l) (trunc rep.ip_dst l))
-  && (match t.m_ip_proto with
-     | None -> true
-     | Some v -> (not mask.Mask.k_ip_proto) || v = rep.ip_proto)
-  && (match t.m_tp_src with
-     | None -> true
-     | Some v -> (not mask.Mask.k_tp_src) || v = rep.tp_src)
-  && match t.m_tp_dst with
-     | None -> true
-     | Some v -> (not mask.Mask.k_tp_dst) || v = rep.tp_dst
 
 let check_opt v = function None -> true | Some expected -> expected = v
 

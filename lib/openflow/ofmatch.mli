@@ -50,11 +50,8 @@ val matches : t -> fields -> bool
 
 val fields_equal : fields -> fields -> bool
 
-val hash_fields : fields -> int
-(** Mixes all nine header fields (splitmix64-style), suitable for the
-    exact-match microflow cache. *)
-
-(** Hashtbl key module over concrete header fields. *)
+(** Hashtbl key module over concrete header fields (a splitmix64-style
+    mix of all nine). *)
 module Fields_key : sig
   type t = fields
 
@@ -62,9 +59,9 @@ module Fields_key : sig
   val hash : t -> int
 end
 
-(** A wildcard mask: which of the nine fields a match (or a megaflow
-    cache entry) actually consults. Network addresses carry a prefix
-    length (0 = fully wildcarded) instead of a bit. *)
+(** A wildcard mask: which of the nine fields a match actually
+    consults. Network addresses carry a prefix length (0 = fully
+    wildcarded) instead of a bit. *)
 module Mask : sig
   type t = {
     k_in_port : bool;
@@ -78,21 +75,11 @@ module Mask : sig
     k_tp_dst : bool;
   }
 
-  val empty : t
-  (** Consults nothing (matches everything). *)
-
-  val union : t -> t -> t
-  (** Field-wise or / prefix-length max — how a megaflow mask
-      accumulates over the tables consulted during a lookup. *)
-
-  val subsumes : t -> t -> bool
-  (** [subsumes a b]: [a] consults at least every bit [b] does. *)
-
   val project : t -> fields -> fields
   (** Canonicalise fields under the mask: wildcarded fields zeroed,
       addresses truncated to the consulted prefix. Packets with equal
-      projections are indistinguishable to any match whose mask is
-      subsumed by this one. *)
+      projections are indistinguishable to any match with this
+      mask. *)
 
   val equal : t -> t -> bool
   val hash : t -> int
@@ -117,11 +104,6 @@ module Match_key : sig
 end
 
 val match_key : t -> Match_key.t
-
-val overlaps_region : t -> Mask.t -> fields -> bool
-(** [overlaps_region m mask rep]: could [m] match some packet of the
-    megaflow region {P | project mask P = project mask rep}? Drives
-    cache invalidation on rule insertion. *)
 
 val is_exact_overlap : t -> t -> bool
 (** True when the two matches could both match some packet — used by

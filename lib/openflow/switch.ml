@@ -8,20 +8,15 @@ type metrics = {
   m_packet_ins : Counter.t;
   m_flow_mods : Counter.t;
   g_table : Gauge.t;
-  m_micro_hits : Counter.t;
-  m_mega_hits : Counter.t;
   m_tss_hits : Counter.t;
   m_lookup_misses : Counter.t;
-  m_invalidations : Counter.t;
-  g_micro : Gauge.t;
-  g_mega : Gauge.t;
 }
 
-(* Lookup counters and cache gauges carry a per-switch [dpid] label
-   plus the lookup stage as a [table] label, so one scheduler's worth
-   of switches no longer aggregates into a single opaque series;
-   summing over the labels recovers the old fleet-wide view.
-   PACKET_IN / FLOW_MOD totals stay unlabeled fleet aggregates. *)
+(* Lookup counters carry a per-switch [dpid] label, and hits also the
+   lookup stage as a [table] label, so one scheduler's worth of
+   switches does not aggregate into a single opaque series; summing
+   over the labels recovers the fleet-wide view.  PACKET_IN / FLOW_MOD
+   totals stay unlabeled fleet aggregates. *)
 let make_metrics ~dpid reg =
   let sw = [ ("dpid", string_of_int dpid) ] in
   let staged table = ("table", table) :: sw in
@@ -35,16 +30,6 @@ let make_metrics ~dpid reg =
     g_table =
       Registry.gauge reg ~subsystem:"openflow" ~labels:sw
         ~help:"Flow-table entries of one switch" "flow_table_entries";
-    m_micro_hits =
-      Registry.counter reg ~subsystem:"openflow"
-        ~labels:(staged "microflow")
-        ~help:"Lookups answered by the exact-match microflow cache"
-        "microflow_hits_total";
-    m_mega_hits =
-      Registry.counter reg ~subsystem:"openflow"
-        ~labels:(staged "megaflow")
-        ~help:"Lookups answered by the wildcarded megaflow cache"
-        "megaflow_hits_total";
     m_tss_hits =
       Registry.counter reg ~subsystem:"openflow"
         ~labels:(staged "classifier")
@@ -54,32 +39,12 @@ let make_metrics ~dpid reg =
       Registry.counter reg ~subsystem:"openflow" ~labels:sw
         ~help:"Lookups no flow entry matched (slow path included)"
         "lookup_misses_total";
-    m_invalidations =
-      Registry.counter reg ~subsystem:"openflow" ~labels:sw
-        ~help:"Microflow/megaflow cache cells dropped by flow_mod or expiry"
-        "cache_invalidations_total";
-    g_micro =
-      Registry.gauge reg ~subsystem:"openflow"
-        ~labels:(staged "microflow")
-        ~help:"Microflow cache cells of one switch" "microflow_cells";
-    g_mega =
-      Registry.gauge reg ~subsystem:"openflow"
-        ~labels:(staged "megaflow")
-        ~help:"Megaflow cache cells of one switch" "megaflow_cells";
   }
 
 (* Last published per-switch values: lookup stats are accumulated
    inside the flow table on the hot path and folded into the shared
    registry as deltas from the expiry timer and flow_mod handler. *)
-type snap = {
-  mutable p_micro : int;
-  mutable p_mega : int;
-  mutable p_slow : int;
-  mutable p_miss : int;
-  mutable p_inv : int;
-  mutable p_micro_cells : int;
-  mutable p_mega_cells : int;
-}
+type snap = { mutable p_hits : int; mutable p_miss : int }
 
 type t = {
   proc : Process.t;
@@ -104,22 +69,11 @@ type t = {
 
 let sync_lookup_metrics t =
   let st = Flow_table.stats t.table in
-  let micro_cells, mega_cells = Flow_table.cache_sizes t.table in
   let s = t.snap in
-  Counter.add t.m.m_micro_hits (st.Flow_table.micro_hits - s.p_micro);
-  Counter.add t.m.m_mega_hits (st.Flow_table.mega_hits - s.p_mega);
-  Counter.add t.m.m_tss_hits (st.Flow_table.slow_hits - s.p_slow);
+  Counter.add t.m.m_tss_hits (st.Flow_table.hits - s.p_hits);
   Counter.add t.m.m_lookup_misses (st.Flow_table.misses - s.p_miss);
-  Counter.add t.m.m_invalidations (st.Flow_table.invalidations - s.p_inv);
-  Gauge.add t.m.g_micro (float_of_int (micro_cells - s.p_micro_cells));
-  Gauge.add t.m.g_mega (float_of_int (mega_cells - s.p_mega_cells));
-  s.p_micro <- st.Flow_table.micro_hits;
-  s.p_mega <- st.Flow_table.mega_hits;
-  s.p_slow <- st.Flow_table.slow_hits;
-  s.p_miss <- st.Flow_table.misses;
-  s.p_inv <- st.Flow_table.invalidations;
-  s.p_micro_cells <- micro_cells;
-  s.p_mega_cells <- mega_cells
+  s.p_hits <- st.Flow_table.hits;
+  s.p_miss <- st.Flow_table.misses
 
 let now t = Sched.now (Process.scheduler t.proc)
 
@@ -237,16 +191,7 @@ let create ?trace proc ~dpid ~ports endpoint =
       started = false;
       down_ports = Hashtbl.create 4;
       rev_flow_prov = [];
-      snap =
-        {
-          p_micro = 0;
-          p_mega = 0;
-          p_slow = 0;
-          p_miss = 0;
-          p_inv = 0;
-          p_micro_cells = 0;
-          p_mega_cells = 0;
-        };
+      snap = { p_hits = 0; p_miss = 0 };
     }
   in
   Channel.set_receiver endpoint (fun bytes -> receive t bytes);

@@ -46,9 +46,8 @@ val set_port_up : t -> int -> unit
 val is_port_down : t -> int -> bool
 
 val lookup : t -> Ofmatch.fields -> Flow_table.entry option
-(** Table lookup through the microflow/megaflow/classifier hierarchy;
-    no externally visible side effects (cache fills and hit counters
-    only). *)
+(** {!Flow_table.lookup} on the switch's table; no externally visible
+    side effects (lookup counters only). *)
 
 val packet_in : t -> in_port:int -> ?reason:int -> Bytes.t -> unit
 (** Reports a table miss (or explicit to-controller action) upstream. *)

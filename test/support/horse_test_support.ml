@@ -41,3 +41,10 @@ let smoke_storm_plan () =
         { Plan.at = Time.of_sec 12.0; action = Plan.Node_restart victim };
       ];
   }
+
+let lookup_reference table fields =
+  let module Flow_table = Horse_openflow.Flow_table in
+  List.find_opt
+    (fun (e : Flow_table.entry) ->
+      Horse_openflow.Ofmatch.matches e.Flow_table.match_ fields)
+    (Flow_table.entries table)

@@ -20,3 +20,11 @@ val smoke_storm_plan : unit -> Horse_faults.Plan.t
     1 s down each) on every 9th inter-switch link of
     {!Horse_topo.Topology.switch_links}, plus a crash of [agg-p2-0] at
     6 s and its restart at 12 s. *)
+
+val lookup_reference :
+  Horse_openflow.Flow_table.t ->
+  Horse_openflow.Ofmatch.fields ->
+  Horse_openflow.Flow_table.entry option
+(** The linear-scan oracle for [Horse_openflow.Flow_table.lookup]: the
+    first of [Flow_table.entries] (match order) whose match admits the
+    packet. It returns the same physical record the classifier does. *)

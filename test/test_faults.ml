@@ -307,22 +307,22 @@ let test_unknown_site_is_skipped () =
   check Alcotest.int "both skipped" 2 (Injector.skipped inj);
   check Alcotest.int "none applied" 0 (Injector.injected inj)
 
-let test_overlapping_downs_skipped () =
-  (* The second down lands on a session that is already down: a no-op,
-     recorded as skipped. *)
+(* The second down lands on a session that is already down: a no-op,
+   recorded as skipped. *)
+let overlapping_downs_plan =
   let site = { Plan.a = "r0"; b = "r1" } in
-  let plan =
-    {
-      Plan.empty with
-      Plan.events =
-        [
-          { Plan.at = Time.of_sec 5.0; action = Plan.Link_down site };
-          { Plan.at = Time.of_sec 6.0; action = Plan.Link_down site };
-          { Plan.at = Time.of_sec 8.0; action = Plan.Link_up site };
-        ];
-    }
-  in
-  let inj, fabric = run_ring plan in
+  {
+    Plan.empty with
+    Plan.events =
+      [
+        { Plan.at = Time.of_sec 5.0; action = Plan.Link_down site };
+        { Plan.at = Time.of_sec 6.0; action = Plan.Link_down site };
+        { Plan.at = Time.of_sec 8.0; action = Plan.Link_up site };
+      ];
+  }
+
+let test_overlapping_downs_skipped () =
+  let inj, fabric = run_ring overlapping_downs_plan in
   check Alcotest.int "one skipped" 1 (Injector.skipped inj);
   check Alcotest.int "two applied" 2 (Injector.injected inj);
   check Alcotest.int "healed"
@@ -355,6 +355,28 @@ let test_ospf_fabric_restore_link () =
     (Ospf_fabric.adjacencies_full fabric);
   check Alcotest.bool "routing tables complete" true
     (Ospf_fabric.is_converged fabric)
+
+let test_ospf_overlapping_downs_skipped () =
+  let wan = Wan.ring 4 in
+  let exp = Experiment.create ~seed:1 wan.Wan.topo in
+  let fabric =
+    Ospf_fabric.build ~cm:(Experiment.cm exp)
+      ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
+      wan.Wan.topo
+  in
+  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  let inj =
+    Injector.arm
+      (Experiment.scheduler exp)
+      ~target:(Ospf_fabric.fault_target fabric)
+      overlapping_downs_plan
+  in
+  ignore (Experiment.run ~until:(Time.of_sec 70.0) exp);
+  check Alcotest.int "one skipped" 1 (Injector.skipped inj);
+  check Alcotest.int "two applied" 2 (Injector.injected inj);
+  check Alcotest.int "all adjacencies full again"
+    (Ospf_fabric.adjacencies_expected fabric)
+    (Ospf_fabric.adjacencies_full fabric)
 
 let () =
   Alcotest.run "horse_faults"
@@ -398,5 +420,7 @@ let () =
         [
           Alcotest.test_case "fail + restore link" `Quick
             test_ospf_fabric_restore_link;
+          Alcotest.test_case "overlapping downs skipped" `Quick
+            test_ospf_overlapping_downs_skipped;
         ] );
     ]

@@ -203,15 +203,6 @@ let prop_mask_projection_stable =
       let mask = Ofmatch.mask_of m in
       Ofmatch.matches m f = Ofmatch.matches m (Ofmatch.Mask.project mask f))
 
-let prop_mask_union_subsumes =
-  qtest "ofmatch: union subsumes both operands"
-    QCheck2.Gen.(pair gen_match gen_match)
-    (fun (a, b) ->
-      let ma = Ofmatch.mask_of a and mb = Ofmatch.mask_of b in
-      let u = Ofmatch.Mask.union ma mb in
-      Ofmatch.Mask.subsumes u ma && Ofmatch.Mask.subsumes u mb
-      && Ofmatch.Mask.subsumes ma Ofmatch.Mask.empty)
-
 (* --- Ofmsg codec --------------------------------------------------------- *)
 
 let gen_actions =
@@ -439,38 +430,9 @@ let test_table_equal_priority_fifo () =
   | Some e -> check Alcotest.int "older entry wins ties" 1 e.Flow_table.cookie
   | None -> Alcotest.fail "no match"
 
-(* --- Lookup hierarchy ------------------------------------------------------ *)
+(* --- Lookup after table changes ------------------------------------------ *)
 
-let test_hierarchy_counters () =
-  let t = Flow_table.create () in
-  let now = Time.zero in
-  Flow_table.apply_flow_mod t ~now
-    (flow_mod ~priority:5 (Ofmatch.to_dst (p "10.1.0.0/16")) [ Action.Output 1 ]);
-  let st = Flow_table.stats t in
-  (* First probe goes through the classifier and fills both caches. *)
-  check Alcotest.bool "slow path hit" true
-    (Flow_table.lookup t (fields key_ab) <> None);
-  check Alcotest.int "slow hits" 1 st.Flow_table.slow_hits;
-  (* Same packet again: microflow. *)
-  ignore (Flow_table.lookup t (fields key_ab));
-  check Alcotest.int "micro hits" 1 st.Flow_table.micro_hits;
-  (* Different packet, same /16 megaflow region: megaflow. *)
-  let other =
-    Flow_key.make ~src:(ip "10.3.0.9") ~dst:(ip "10.1.7.7") ~src_port:5
-      ~dst_port:6 ()
-  in
-  check Alcotest.bool "still a hit" true
-    (Flow_table.lookup t (fields ~in_port:2 other) <> None);
-  check Alcotest.int "mega hits" 1 st.Flow_table.mega_hits;
-  check Alcotest.int "one slow-path walk total" 1 st.Flow_table.slow_hits;
-  (* Cached misses count as cache hits on repeat. *)
-  let miss = { key_ab with Flow_key.dst = ip "11.0.0.1" } in
-  check Alcotest.bool "miss" true (Flow_table.lookup t (fields miss) = None);
-  check Alcotest.int "miss recorded" 1 st.Flow_table.misses;
-  check Alcotest.bool "miss cached" true (Flow_table.lookup t (fields miss) = None);
-  check Alcotest.int "cached miss is a micro hit" 2 st.Flow_table.micro_hits
-
-let test_add_invalidates_caches () =
+let test_add_new_rule_wins () =
   let t = Flow_table.create () in
   let now = Time.zero in
   Flow_table.apply_flow_mod t ~now
@@ -479,18 +441,15 @@ let test_add_invalidates_caches () =
   (match Flow_table.lookup t (fields key_ab) with
   | Some e -> check Alcotest.int "low-priority rule first" 1 e.Flow_table.cookie
   | None -> Alcotest.fail "expected hit");
-  (* A higher-priority rule covering the cached packet must take over
-     immediately — both the microflow and megaflow cells for it are
-     invalidated by the ADD. *)
+  (* A higher-priority rule covering the packet takes over
+     immediately. *)
   Flow_table.apply_flow_mod t ~now
     (flow_mod ~priority:9 ~cookie:2 (Ofmatch.exact_5tuple key_ab)
        [ Action.Output 2 ]);
   (match Flow_table.lookup t (fields key_ab) with
   | Some e -> check Alcotest.int "new rule wins" 2 e.Flow_table.cookie
   | None -> Alcotest.fail "expected hit");
-  check Alcotest.bool "invalidations counted" true
-    ((Flow_table.stats t).Flow_table.invalidations > 0);
-  (* A cached miss must be invalidated by an ADD that covers it. *)
+  (* A former miss hits once an ADD covers it. *)
   let missk = { key_ab with Flow_key.dst = ip "11.2.3.4" } in
   check Alcotest.bool "miss" true (Flow_table.lookup t (fields missk) = None);
   Flow_table.apply_flow_mod t ~now
@@ -498,9 +457,9 @@ let test_add_invalidates_caches () =
        [ Action.Output 3 ]);
   match Flow_table.lookup t (fields missk) with
   | Some e -> check Alcotest.int "former miss now hits" 7 e.Flow_table.cookie
-  | None -> Alcotest.fail "cached miss survived an overlapping ADD"
+  | None -> Alcotest.fail "miss survived an overlapping ADD"
 
-let test_remove_invalidates_caches () =
+let test_remove_falls_back () =
   let t = Flow_table.create () in
   let now = Time.zero in
   Flow_table.apply_flow_mod t ~now
@@ -515,7 +474,7 @@ let test_remove_invalidates_caches () =
   | None -> Alcotest.fail "expected hit");
   (* Loose delete on in_port=2 overlaps the exact rule (which leaves
      in_port wildcarded) but is provably disjoint from the in_port=1
-     fallback — only the winner goes, and its cache cells with it. *)
+     fallback — only the winner goes. *)
   Flow_table.apply_flow_mod t ~now
     (flow_mod ~command:Ofmsg.Delete
        { Ofmatch.any with Ofmatch.m_in_port = Some 2 }
@@ -523,17 +482,17 @@ let test_remove_invalidates_caches () =
   (match Flow_table.lookup t (fields key_ab) with
   | Some e -> check Alcotest.int "fallback after delete" 2 e.Flow_table.cookie
   | None -> Alcotest.fail "expected fallback hit");
-  (* Expiry-driven invalidation behaves like delete. *)
+  (* Expiry behaves like delete. *)
   let t2 = Flow_table.create () in
   Flow_table.apply_flow_mod t2 ~now:Time.zero
     (flow_mod ~hard:2 (Ofmatch.exact_5tuple key_ab) [ Action.Output 1 ]);
   check Alcotest.bool "hit before expiry" true
     (Flow_table.lookup t2 (fields key_ab) <> None);
   ignore (Flow_table.expire t2 ~now:(Time.of_sec 3.0));
-  check Alcotest.bool "expired entry not served from cache" true
+  check Alcotest.bool "expired entry not served" true
     (Flow_table.lookup t2 (fields key_ab) = None)
 
-let test_modify_invalidates_caches () =
+let test_modify_serves_new_actions () =
   let t = Flow_table.create () in
   let now = Time.zero in
   let m = Ofmatch.exact_5tuple key_ab in
@@ -543,7 +502,7 @@ let test_modify_invalidates_caches () =
     (flow_mod ~command:Ofmsg.Modify m [ Action.Output 7 ]);
   match Flow_table.lookup t (fields key_ab) with
   | Some e ->
-      check Alcotest.bool "cache serves rewritten actions" true
+      check Alcotest.bool "lookup serves rewritten actions" true
         (List.equal Action.equal [ Action.Output 7 ] e.Flow_table.actions)
   | None -> Alcotest.fail "missing"
 
@@ -561,17 +520,18 @@ let test_o1_size_no_resort () =
   check Alcotest.int "O(1) live count" 1000 (Flow_table.size t);
   let st = Flow_table.stats t in
   check Alcotest.int "hot path never sorts the table" 0 st.Flow_table.view_sorts;
-  (* Only the sorted iteration / reference paths pay for a sort. *)
+  (* Only the sorted iteration (and the reference scan over it) pays
+     for a sort. *)
   check Alcotest.int "entries sees all rules" 1000 (List.length (Flow_table.entries t));
   check Alcotest.bool "one lazy sort for the view" true (st.Flow_table.view_sorts >= 1);
   let sorts_before = st.Flow_table.view_sorts in
-  ignore (Flow_table.lookup_reference t probe);
+  ignore (Horse_test_support.lookup_reference t probe);
   check Alcotest.int "view cached across reads" sorts_before
     (Flow_table.stats t).Flow_table.view_sorts
 
 (* Differential suite: random flow_mod / traffic / expiry
-   interleavings; on every probe the hierarchy must return the
-   physically-same entry as the preserved linear scan. *)
+   interleavings; on every probe the tuple-space search must return
+   the physically-same entry as the linear scan over the entries. *)
 let gen_op =
   let open QCheck2.Gen in
   let gen_fm =
@@ -615,7 +575,7 @@ let run_differential ops =
           ignore (Flow_table.expire t ~now:!now);
           true
       | `Probe f -> (
-          match (Flow_table.lookup t f, Flow_table.lookup_reference t f) with
+          match (Flow_table.lookup t f, Horse_test_support.lookup_reference t f) with
           | Some a, Some b -> a == b
           | None, None -> true
           | _ -> false))
@@ -795,7 +755,6 @@ let () =
           prop_overlap_reflexive;
           prop_mask_canonical_key;
           prop_mask_projection_stable;
-          prop_mask_union_subsumes;
         ] );
       ( "codec",
         [
@@ -812,15 +771,14 @@ let () =
           Alcotest.test_case "timeouts" `Quick test_table_timeouts;
           Alcotest.test_case "equal priority fifo" `Quick
             test_table_equal_priority_fifo;
+          Alcotest.test_case "add: new rule wins" `Quick test_add_new_rule_wins;
+          Alcotest.test_case "delete/expire: fallback" `Quick
+            test_remove_falls_back;
+          Alcotest.test_case "modify: new actions served" `Quick
+            test_modify_serves_new_actions;
         ] );
       ( "hierarchy",
         [
-          Alcotest.test_case "hit counters" `Quick test_hierarchy_counters;
-          Alcotest.test_case "add invalidates" `Quick test_add_invalidates_caches;
-          Alcotest.test_case "remove invalidates" `Quick
-            test_remove_invalidates_caches;
-          Alcotest.test_case "modify invalidates" `Quick
-            test_modify_invalidates_caches;
           Alcotest.test_case "O(1) size, no resort" `Quick test_o1_size_no_resort;
           prop_differential;
         ] );
