@@ -1,123 +1,3 @@
-type flow_input = { demand : float; links : int list }
-
-(* ------------------------------------------------------------------ *)
-(* Reference implementation: textbook progressive filling.            *)
-(* Kept verbatim for differential testing of the production solver.   *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-link bookkeeping, maintained incrementally as flows freeze so
-   each progressive-filling round is O(#links + #flows). *)
-type link_state = {
-  cap : float;
-  mutable frozen_load : float;
-  mutable unfrozen : int;
-}
-
-let compute_reference ~capacity flows =
-  let n = Array.length flows in
-  let rates = Array.make n 0.0 in
-  let frozen = Array.make n false in
-  let links : (int, link_state) Hashtbl.t = Hashtbl.create 64 in
-  let link_state l =
-    match Hashtbl.find_opt links l with
-    | Some s -> s
-    | None ->
-        let cap = capacity l in
-        if cap <= 0.0 then
-          invalid_arg "Fair_share.compute: non-positive capacity";
-        let s = { cap; frozen_load = 0.0; unfrozen = 0 } in
-        Hashtbl.add links l s;
-        s
-  in
-  Array.iter
-    (fun f ->
-      if f.demand < 0.0 then invalid_arg "Fair_share.compute: negative demand";
-      List.iter (fun l -> (link_state l).unfrozen <- (link_state l).unfrozen + 1) f.links)
-    flows;
-  let n_unfrozen = ref n in
-  let freeze i rate =
-    rates.(i) <- rate;
-    frozen.(i) <- true;
-    decr n_unfrozen;
-    List.iter
-      (fun l ->
-        let s = link_state l in
-        s.frozen_load <- s.frozen_load +. rate;
-        s.unfrozen <- s.unfrozen - 1)
-      flows.(i).links
-  in
-  (* Zero-demand and pathless flows are trivially assigned. *)
-  Array.iteri
-    (fun i f ->
-      if f.demand = 0.0 then freeze i 0.0
-      else if f.links = [] then freeze i f.demand)
-    flows;
-  while !n_unfrozen > 0 do
-    let link_min = ref None in
-    Hashtbl.iter
-      (fun l s ->
-        if s.unfrozen > 0 then begin
-          let share =
-            Float.max 0.0 (s.cap -. s.frozen_load) /. float_of_int s.unfrozen
-          in
-          match !link_min with
-          | None -> link_min := Some (l, share)
-          | Some (_, best) -> if share < best then link_min := Some (l, share)
-        end)
-      links;
-    let demand_min = ref None in
-    Array.iteri
-      (fun i f ->
-        if not frozen.(i) then
-          match !demand_min with
-          | None -> demand_min := Some f.demand
-          | Some d -> if f.demand < d then demand_min := Some f.demand)
-      flows;
-    let freeze_at_demand d =
-      Array.iteri
-        (fun i f -> if (not frozen.(i)) && f.demand = d then freeze i d)
-        flows
-    in
-    match (!link_min, !demand_min) with
-    | None, None -> assert false (* n_unfrozen > 0 implies a min demand *)
-    | None, Some d -> freeze_at_demand d
-    | Some (_, s), Some d when d <= s -> freeze_at_demand d
-    | Some (bottleneck, s), _ ->
-        Array.iteri
-          (fun i f ->
-            if (not frozen.(i)) && List.memq bottleneck f.links then freeze i s)
-          flows
-  done;
-  rates
-
-(* Heapsort over [order.(0..n-1)] keyed by demand: demands repeat
-   heavily (uniform TE workloads), and an in-place sort keeps the
-   water fill's ordering step allocation-free. *)
-let sort_by_demand order n key =
-  let lt i j = key order.(i) < key order.(j) in
-  let swap i j =
-    let tmp = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- tmp
-  in
-  let rec sift_down i len =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let largest = ref i in
-    if l < len && lt !largest l then largest := l;
-    if r < len && lt !largest r then largest := r;
-    if !largest <> i then begin
-      swap i !largest;
-      sift_down !largest len
-    end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift_down i n
-  done;
-  for last = n - 1 downto 1 do
-    swap 0 last;
-    sift_down 0 last
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Delta solver: persistent bottleneck state, event-scoped resolves.  *)
 (* ------------------------------------------------------------------ *)
@@ -131,9 +11,14 @@ module Delta = struct
     mutable pending : bool;
         (* waiting in [seed_flows] for a solve: [rate] is stale and is
            not counted in the [lload] of the current [flinks] *)
+    mutable live : bool;  (* false once removed: a stale seed skips it *)
+    mutable scope : int;  (* = the flush epoch while in the solve scope *)
+    mutable clamped : int;  (* = the round stamp while clamped *)
+    mutable promoted : int;  (* = the round stamp once promoted *)
   }
 
   type dlink = {
+    lid : int;
     lcap : float;
     mutable level : float;
         (* water level at which the link last saturated as the selected
@@ -147,7 +32,11 @@ module Delta = struct
            ulp-level reassociation drift is harmless: it can only flip
            a marginal fast/slow decision, and the slow path is always
            correct. *)
-    lmembers : (int, dflow) Hashtbl.t;
+    mutable members : dflow array;  (* [0, n_members), ascending fid *)
+    mutable n_members : int;
+    mutable insolve : int;  (* = the flush epoch while in the solve *)
+    mutable dense_round : int;  (* round stamp for which [dense] holds *)
+    mutable dense : int;  (* index in the round's dense link numbering *)
   }
 
   type stats = {
@@ -159,11 +48,38 @@ module Delta = struct
     promotions : int;
   }
 
+  (* Flush workspace, grown on demand and reused across flushes. A
+     round's solve covers [n] flows ([sol]: scope first, then clamped)
+     over [nl] dense links; per-flow link lists and per-link member
+     lists are flat offset/index arrays. *)
+  type work = {
+    mutable sol : dflow array;
+    mutable insolve_links : dlink array;
+    mutable n_insolve : int;
+    mutable lid_of : dlink array;  (* dense link -> link *)
+    mutable nl : int;  (* dense links so far *)
+    mutable nfl : int;  (* entries of [fl] so far *)
+    mutable eff : float array;  (* effective demand per flow *)
+    mutable rates : float array;
+    mutable order : int array;  (* flows by ascending [eff] *)
+    mutable frozen : bool array;
+    mutable fl_off : int array;  (* flow i's links: fl.(fl_off.(i) ..) *)
+    mutable fl : int array;
+    mutable cap : float array;
+    mutable levels : float array;
+    mutable frozen_load : float array;
+    mutable unfrozen : int array;
+    mutable lm_off : int array;  (* link li's flows: lm.(lm_off.(li) ..) *)
+    mutable lm : int array;
+  }
+
+  module Itbl = Hashtbl.Make (Int)
+
   type t = {
     capacity : int -> float;
-    dflows : (int, dflow) Hashtbl.t;
-    dlinks : (int, dlink) Hashtbl.t;
-    mutable seed_flows : int list;  (* dirtied since the last flush *)
+    dflows : dflow Itbl.t;
+    mutable dlinks : dlink array;  (* by link id; [absent] when unused *)
+    mutable seed_flows : dflow list;  (* dirtied since the last flush *)
     mutable seed_links : int list;
     mutable fast_touched : int list;
         (* flows committed by the fast path since the last flush *)
@@ -172,6 +88,9 @@ module Delta = struct
         (* fast-path work, folded into the stats at the next flush so
            callers diffing stats around a solve see it *)
     mutable last_touched : int list;
+    mutable epoch : int;  (* flushes that ran a solve *)
+    mutable round : int;  (* solve rounds, over all flushes *)
+    ws : work;
     mutable s_solves : int;
     mutable s_events : int;
     mutable s_flows_touched : int;
@@ -180,17 +99,49 @@ module Delta = struct
     mutable s_promotions : int;
   }
 
+  (* Placeholders for unused array slots; never mutated. *)
+  let nobody =
+    { fid = min_int; demand = 0.0; flinks = []; rate = 0.0; pending = false;
+      live = false; scope = -1; clamped = -1; promoted = -1 }
+
+  let absent =
+    { lid = -1; lcap = 0.0; level = infinity; lload = 0.0; members = [||];
+      n_members = 0; insolve = -1; dense_round = -1; dense = 0 }
+
   let create ~capacity () =
     {
       capacity;
-      dflows = Hashtbl.create 1024;
-      dlinks = Hashtbl.create 256;
+      dflows = Itbl.create 1024;
+      dlinks = Array.make 256 absent;
       seed_flows = [];
       seed_links = [];
       fast_touched = [];
       pending_fast_flows = 0;
       pending_fast_links = 0;
       last_touched = [];
+      epoch = 0;
+      round = 0;
+      ws =
+        {
+          sol = [||];
+          insolve_links = [||];
+          n_insolve = 0;
+          lid_of = [||];
+          nl = 0;
+          nfl = 0;
+          eff = [||];
+          rates = [||];
+          order = [||];
+          frozen = [||];
+          fl_off = [||];
+          fl = [||];
+          cap = [||];
+          levels = [||];
+          frozen_load = [||];
+          unfrozen = [||];
+          lm_off = [||];
+          lm = [||];
+        };
       s_solves = 0;
       s_events = 0;
       s_flows_touched = 0;
@@ -199,19 +150,70 @@ module Delta = struct
       s_promotions = 0;
     }
 
+  (* [a] with room for [n] elements, keeping its contents. *)
+  let grow a n fill =
+    let len = Array.length a in
+    if n <= len then a
+    else begin
+      let b = Array.make (max n (2 * len)) fill in
+      Array.blit a 0 b 0 len;
+      b
+    end
+
+  (* --- link table and member vectors --- *)
+
+  let find_link t lid =
+    if lid >= 0 && lid < Array.length t.dlinks then t.dlinks.(lid) else absent
+
   let dlink t lid =
-    match Hashtbl.find_opt t.dlinks lid with
-    | Some l -> l
-    | None ->
-        let cap = t.capacity lid in
-        if cap <= 0.0 then
-          invalid_arg "Fair_share.Delta: non-positive capacity";
-        let l =
-          { lcap = cap; level = infinity; lload = 0.0;
-            lmembers = Hashtbl.create 8 }
-        in
-        Hashtbl.add t.dlinks lid l;
-        l
+    let l = find_link t lid in
+    if l != absent then l
+    else begin
+      if lid < 0 then invalid_arg "Fair_share.Delta: negative link id";
+      let cap = t.capacity lid in
+      if cap <= 0.0 then
+        invalid_arg "Fair_share.Delta: non-positive capacity";
+      t.dlinks <- grow t.dlinks (lid + 1) absent;
+      let l =
+        { lid; lcap = cap; level = infinity; lload = 0.0; members = [||];
+          n_members = 0; insolve = -1; dense_round = -1; dense = 0 }
+      in
+      t.dlinks.(lid) <- l;
+      l
+    end
+
+  let drop_link t l = t.dlinks.(l.lid) <- absent
+
+  (* Every link of [links] exists afterwards; raises before any flow
+     state changes when one has no valid capacity. *)
+  let validate_links t links = List.iter (fun lid -> ignore (dlink t lid)) links
+
+  (* First member position whose fid is >= [fid]. *)
+  let member_pos l fid =
+    let lo = ref 0 and hi = ref l.n_members in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if l.members.(mid).fid < fid then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let add_member l f =
+    let i = member_pos l f.fid in
+    if i < l.n_members && l.members.(i).fid = f.fid then l.members.(i) <- f
+    else begin
+      l.members <- grow l.members (max 4 (l.n_members + 1)) nobody;
+      Array.blit l.members i l.members (i + 1) (l.n_members - i);
+      l.members.(i) <- f;
+      l.n_members <- l.n_members + 1
+    end
+
+  let remove_member l fid =
+    let i = member_pos l fid in
+    if i < l.n_members && l.members.(i).fid = fid then begin
+      Array.blit l.members (i + 1) l.members i (l.n_members - i - 1);
+      l.n_members <- l.n_members - 1;
+      l.members.(l.n_members) <- nobody
+    end
 
   (* Fast paths: an event whose links all sit strictly below
      saturation (level = infinity, and any added load fits in the
@@ -230,16 +232,20 @@ module Delta = struct
   let add_flow t ~id ~demand ~links =
     if demand < 0.0 then
       invalid_arg "Fair_share.Delta.add_flow: negative demand";
-    if Hashtbl.mem t.dflows id then
+    if Itbl.mem t.dflows id then
       invalid_arg "Fair_share.Delta.add_flow: duplicate id";
-    let f = { fid = id; demand; flinks = links; rate = 0.0; pending = false } in
-    Hashtbl.add t.dflows id f;
-    List.iter (fun lid -> Hashtbl.replace (dlink t lid).lmembers id f) links;
+    validate_links t links;
+    let f =
+      { fid = id; demand; flinks = links; rate = 0.0; pending = false;
+        live = true; scope = -1; clamped = -1; promoted = -1 }
+    in
+    Itbl.add t.dflows id f;
+    List.iter (fun lid -> add_member t.dlinks.(lid) f) links;
     t.s_events <- t.s_events + 1;
     let absorbed =
       List.for_all
         (fun lid ->
-          let l = dlink t lid in
+          let l = t.dlinks.(lid) in
           l.level = infinity && l.lload +. demand <= l.lcap)
         links
     in
@@ -247,44 +253,39 @@ module Delta = struct
       f.rate <- demand;
       List.iter
         (fun lid ->
-          let l = dlink t lid in
+          let l = t.dlinks.(lid) in
           l.lload <- l.lload +. demand)
         links;
       fast_commit t ~id ~links
     end
     else begin
       f.pending <- true;
-      t.seed_flows <- id :: t.seed_flows
+      t.seed_flows <- f :: t.seed_flows
     end
 
+  let unsaturated t links =
+    List.for_all (fun lid -> (find_link t lid).level = infinity) links
+
   let remove_flow t ~id =
-    match Hashtbl.find_opt t.dflows id with
+    match Itbl.find_opt t.dflows id with
     | None -> ()
     | Some f ->
-        Hashtbl.remove t.dflows id;
+        Itbl.remove t.dflows id;
+        f.live <- false;
         (* A pending flow never entered a committed solution: dropping
            it moves no one's rate, and its stale rate was never added
            to its links' load. *)
-        let unsaturated =
-          f.pending
-          || List.for_all
-               (fun lid ->
-                 match Hashtbl.find_opt t.dlinks lid with
-                 | None -> true
-                 | Some l -> l.level = infinity)
-               f.flinks
-        in
+        let unsaturated = f.pending || unsaturated t f.flinks in
         List.iter
           (fun lid ->
-            match Hashtbl.find_opt t.dlinks lid with
-            | None -> ()
-            | Some l ->
-                Hashtbl.remove l.lmembers id;
-                if unsaturated then begin
-                  if not f.pending then l.lload <- l.lload -. f.rate;
-                  if Hashtbl.length l.lmembers = 0 then
-                    Hashtbl.remove t.dlinks lid
-                end)
+            let l = find_link t lid in
+            if l != absent then begin
+              remove_member l id;
+              if unsaturated then begin
+                if not f.pending then l.lload <- l.lload -. f.rate;
+                if l.n_members = 0 then drop_link t l
+              end
+            end)
           f.flinks;
         t.s_events <- t.s_events + 1;
         if unsaturated then
@@ -294,49 +295,42 @@ module Delta = struct
         else t.seed_links <- List.rev_append f.flinks t.seed_links
 
   let set_links t ~id ~links =
-    match Hashtbl.find_opt t.dflows id with
+    match Itbl.find_opt t.dflows id with
     | None -> invalid_arg "Fair_share.Delta.set_links: unknown flow"
     | Some f ->
+        validate_links t links;
         let old_links = f.flinks in
         let old_unsaturated =
-          (not f.pending) && f.rate = f.demand
-          && List.for_all
-               (fun lid ->
-                 match Hashtbl.find_opt t.dlinks lid with
-                 | None -> true
-                 | Some l -> l.level = infinity)
-               old_links
+          (not f.pending) && f.rate = f.demand && unsaturated t old_links
         in
         List.iter
           (fun lid ->
-            match Hashtbl.find_opt t.dlinks lid with
-            | None -> ()
-            | Some l -> Hashtbl.remove l.lmembers id)
+            let l = find_link t lid in
+            if l != absent then remove_member l id)
           old_links;
         f.flinks <- links;
-        List.iter (fun lid -> Hashtbl.replace (dlink t lid).lmembers id f) links;
+        List.iter (fun lid -> add_member t.dlinks.(lid) f) links;
         t.s_events <- t.s_events + 1;
         let absorbed =
           old_unsaturated
           && List.for_all
                (fun lid ->
-                 let l = dlink t lid in
+                 let l = t.dlinks.(lid) in
                  l.level = infinity && l.lload +. f.rate <= l.lcap)
                links
         in
         if absorbed then begin
           List.iter
             (fun lid ->
-              match Hashtbl.find_opt t.dlinks lid with
-              | None -> ()
-              | Some l ->
-                  l.lload <- l.lload -. f.rate;
-                  if Hashtbl.length l.lmembers = 0 then
-                    Hashtbl.remove t.dlinks lid)
+              let l = find_link t lid in
+              if l != absent then begin
+                l.lload <- l.lload -. f.rate;
+                if l.n_members = 0 then drop_link t l
+              end)
             old_links;
           List.iter
             (fun lid ->
-              let l = dlink t lid in
+              let l = t.dlinks.(lid) in
               l.lload <- l.lload +. f.rate)
             links;
           fast_commit t ~id ~links
@@ -344,14 +338,14 @@ module Delta = struct
         else begin
           f.pending <- true;
           t.seed_links <- List.rev_append old_links t.seed_links;
-          t.seed_flows <- id :: t.seed_flows
+          t.seed_flows <- f :: t.seed_flows
         end
 
   let rate t ~id =
-    match Hashtbl.find_opt t.dflows id with Some f -> f.rate | None -> 0.0
+    match Itbl.find_opt t.dflows id with Some f -> f.rate | None -> 0.0
 
   let touched t = t.last_touched
-  let flow_count t = Hashtbl.length t.dflows
+  let flow_count t = Itbl.length t.dflows
 
   let stats t =
     {
@@ -363,48 +357,114 @@ module Delta = struct
       promotions = t.s_promotions;
     }
 
-  (* One scoped water-fill over [n] flows with effective demands [eff]
-     and dense link lists [fl]. Returns rates and per-dense-link
-     saturation levels ([infinity] = never selected as bottleneck).
+  (* --- the scoped water fill --- *)
+
+  (* In-place heapsorts: [a.(lo .. lo+n-1)] by fid (fids are unique),
+     and [order.(0 .. n-1)] by [eff] (any order among equal demands is
+     fine: freezes of equal value commute). *)
+  let sort_by_fid (a : dflow array) lo n =
+    let swap i j =
+      let tmp = a.(lo + i) in
+      a.(lo + i) <- a.(lo + j);
+      a.(lo + j) <- tmp
+    in
+    let rec sift_down i len =
+      let l = (2 * i) + 1 in
+      if l < len then begin
+        let c =
+          if l + 1 < len && a.(lo + l).fid < a.(lo + l + 1).fid then l + 1
+          else l
+        in
+        if a.(lo + i).fid < a.(lo + c).fid then begin
+          swap i c;
+          sift_down c len
+        end
+      end
+    in
+    for i = (n / 2) - 1 downto 0 do
+      sift_down i n
+    done;
+    for last = n - 1 downto 1 do
+      swap 0 last;
+      sift_down 0 last
+    done
+
+  let sort_by_eff (order : int array) n (eff : float array) =
+    let swap i j =
+      let tmp = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- tmp
+    in
+    let rec sift_down i len =
+      let l = (2 * i) + 1 in
+      if l < len then begin
+        let c =
+          if l + 1 < len && eff.(order.(l)) < eff.(order.(l + 1)) then l + 1
+          else l
+        in
+        if eff.(order.(i)) < eff.(order.(c)) then begin
+          swap i c;
+          sift_down c len
+        end
+      end
+    in
+    for i = (n / 2) - 1 downto 0 do
+      sift_down i n
+    done;
+    for last = n - 1 downto 1 do
+      swap 0 last;
+      sift_down 0 last
+    done
+
+  (* One scoped water-fill over the [n] flows and [nl] dense links laid
+     out in [w]. Fills [w.rates] and the per-dense-link saturation
+     levels [w.levels] ([infinity] = never selected as bottleneck).
      Sorted-demand water filling with a demand-wins tie rule: each
      round either saturates one bottleneck link or retires the whole
      batch of demand-limited flows below the current water level, so
      the round count is bounded by [#links + #distinct-demand-batches]
      rather than [#flows]. Every freeze happens in ascending rate
-     order, so a
-     link's frozen load is a canonical ascending-order sum of its
-     members' rates — which is what makes levels comparable across
-     scoped and full solves. *)
-  let waterfill n eff fl n_links cap lmem =
-    let rates = Array.make n 0.0 in
-    let levels = Array.make (max 1 n_links) infinity in
-    let frozen = Array.make n false in
-    let frozen_load = Array.make (max 1 n_links) 0.0 in
-    let unfrozen = Array.make (max 1 n_links) 0 in
-    Array.iter
-      (Array.iter (fun li -> unfrozen.(li) <- unfrozen.(li) + 1))
-      fl;
+     order, so a link's frozen load is a canonical ascending-order sum
+     of its members' rates — which is what makes levels comparable
+     across scoped and full solves. *)
+  let waterfill w n nl =
+    let eff = w.eff and rates = w.rates and frozen = w.frozen in
+    let fl = w.fl and fl_off = w.fl_off and order = w.order in
+    let levels = w.levels and frozen_load = w.frozen_load in
+    let unfrozen = w.unfrozen and cap = w.cap in
+    for li = 0 to nl - 1 do
+      levels.(li) <- infinity;
+      frozen_load.(li) <- 0.0;
+      unfrozen.(li) <- 0
+    done;
+    for k = 0 to fl_off.(n) - 1 do
+      unfrozen.(fl.(k)) <- unfrozen.(fl.(k)) + 1
+    done;
     let n_unfrozen = ref n in
     let freeze i r =
       rates.(i) <- r;
       frozen.(i) <- true;
       decr n_unfrozen;
-      Array.iter
-        (fun li ->
-          frozen_load.(li) <- frozen_load.(li) +. r;
-          unfrozen.(li) <- unfrozen.(li) - 1)
-        fl.(i)
+      for k = fl_off.(i) to fl_off.(i + 1) - 1 do
+        let li = fl.(k) in
+        frozen_load.(li) <- frozen_load.(li) +. r;
+        unfrozen.(li) <- unfrozen.(li) - 1
+      done
     in
     for i = 0 to n - 1 do
-      if eff.(i) = 0.0 then freeze i 0.0
-      else if Array.length fl.(i) = 0 then freeze i eff.(i)
+      rates.(i) <- 0.0;
+      frozen.(i) <- false;
+      order.(i) <- i
     done;
-    let order = Array.init n (fun i -> i) in
-    sort_by_demand order n (fun i -> eff.(i));
+    for i = 0 to n - 1 do
+      if eff.(i) = 0.0 then freeze i 0.0
+      else if fl_off.(i + 1) = fl_off.(i) then freeze i eff.(i)
+    done;
+    sort_by_eff order n eff;
     let ptr = ref 0 in
     while !n_unfrozen > 0 do
       let level = ref infinity and bott = ref (-1) in
-      for li = 0 to n_links - 1 do
+      for li = 0 to nl - 1 do
         if unfrozen.(li) > 0 then begin
           let share =
             Float.max 0.0 (cap.(li) -. frozen_load.(li))
@@ -434,10 +494,176 @@ module Delta = struct
       else begin
         let b = !bott in
         levels.(b) <- !level;
-        List.iter (fun i -> if not frozen.(i) then freeze i !level) lmem.(b)
+        for k = w.lm_off.(b) to w.lm_off.(b + 1) - 1 do
+          let i = w.lm.(k) in
+          if not frozen.(i) then freeze i !level
+        done
       end
+    done
+
+  let add_insolve t (l : dlink) =
+    if l.insolve <> t.epoch then begin
+      let w = t.ws in
+      l.insolve <- t.epoch;
+      w.insolve_links <- grow w.insolve_links (w.n_insolve + 1) absent;
+      w.insolve_links.(w.n_insolve) <- l;
+      w.n_insolve <- w.n_insolve + 1
+    end
+
+  let rec add_insolve_all t = function
+    | [] -> ()
+    | lid :: rest ->
+        add_insolve t t.dlinks.(lid);
+        add_insolve_all t rest
+
+  (* Marks [f] in scope; its links join the in-solve set. *)
+  let enter_scope t (f : dflow) =
+    f.scope <- t.epoch;
+    add_insolve_all t f.flinks
+
+  (* Appends flow [f]'s dense links to [w.fl], numbering links on first
+     reference. A clamped flow ([scoped] false) keeps only its in-solve
+     links. *)
+  let rec lay_links t w ~scoped = function
+    | [] -> ()
+    | lid :: rest ->
+        let l = t.dlinks.(lid) in
+        if scoped || l.insolve = t.epoch then begin
+          if l.dense_round <> t.round then begin
+            l.dense_round <- t.round;
+            l.dense <- w.nl;
+            w.lid_of <- grow w.lid_of (w.nl + 1) absent;
+            w.lid_of.(w.nl) <- l;
+            w.nl <- w.nl + 1
+          end;
+          w.fl <- grow w.fl (w.nfl + 1) 0;
+          w.fl.(w.nfl) <- l.dense;
+          w.nfl <- w.nfl + 1
+        end;
+        lay_links t w ~scoped rest
+
+  (* Lays out one round over the scope [sol.(0 .. ns-1)]: appends the
+     clamped flows, numbers the dense links and fills the flat link
+     and member lists. Returns [(n, nl)]. *)
+  let layout t ns =
+    let w = t.ws and epoch = t.epoch and round = t.round in
+    sort_by_fid w.sol 0 ns;
+    (* Every other member of an in-solve link is clamped at its
+       previous rate. *)
+    let n = ref ns in
+    for k = 0 to w.n_insolve - 1 do
+      let l = w.insolve_links.(k) in
+      for j = 0 to l.n_members - 1 do
+        let f = l.members.(j) in
+        if f.scope <> epoch && f.clamped <> round then begin
+          f.clamped <- round;
+          w.sol <- grow w.sol (!n + 1) nobody;
+          w.sol.(!n) <- f;
+          incr n
+        end
+      done
     done;
-    (rates, levels)
+    let n = !n in
+    (* Canonical flow order: scope first, then clamped, both by fid. *)
+    sort_by_fid w.sol ns (n - ns);
+    w.eff <- grow w.eff n 0.0;
+    w.rates <- grow w.rates n 0.0;
+    w.order <- grow w.order n 0;
+    w.frozen <- grow w.frozen n false;
+    w.fl_off <- grow w.fl_off (n + 1) 0;
+    (* Dense link ids in first-reference order over the flows. Clamped
+       flows keep only their in-solve links: at a fixpoint their rate
+       is preserved, so their load on out-of-solve links is
+       unchanged. *)
+    w.nl <- 0;
+    w.nfl <- 0;
+    for i = 0 to n - 1 do
+      let f = w.sol.(i) in
+      let scoped = i < ns in
+      w.eff.(i) <- (if scoped then f.demand else f.rate);
+      w.fl_off.(i) <- w.nfl;
+      lay_links t w ~scoped f.flinks
+    done;
+    let nl = w.nl and nfl = w.nfl in
+    w.fl_off.(n) <- nfl;
+    w.cap <- grow w.cap nl 0.0;
+    w.levels <- grow w.levels nl 0.0;
+    w.frozen_load <- grow w.frozen_load nl 0.0;
+    w.unfrozen <- grow w.unfrozen nl 0;
+    w.lm_off <- grow w.lm_off (nl + 1) 0;
+    w.lm <- grow w.lm nfl 0;
+    (* Member lists by counting sort: count into [lm_off], turn counts
+       into range ends, then fill each range from the back. *)
+    for li = 0 to nl - 1 do
+      w.cap.(li) <- w.lid_of.(li).lcap;
+      w.lm_off.(li) <- 0
+    done;
+    for k = 0 to nfl - 1 do
+      w.lm_off.(w.fl.(k)) <- w.lm_off.(w.fl.(k)) + 1
+    done;
+    for li = 1 to nl - 1 do
+      w.lm_off.(li) <- w.lm_off.(li) + w.lm_off.(li - 1)
+    done;
+    for i = n - 1 downto 0 do
+      for k = w.fl_off.(i) to w.fl_off.(i + 1) - 1 do
+        let li = w.fl.(k) in
+        w.lm_off.(li) <- w.lm_off.(li) - 1;
+        w.lm.(w.lm_off.(li)) <- i
+      done
+    done;
+    w.lm_off.(nl) <- nfl;
+    (n, nl)
+
+  (* Fixpoint checks: a clamped flow must reproduce its previous rate
+     exactly, and no in-solve link's saturation level may change while
+     it still has clamped members — either breach means the bottleneck
+     structure shifted, so the breached flows are marked promoted.
+     Returns how many were. *)
+  let mark_promotions t ns n nl =
+    let w = t.ws and epoch = t.epoch and round = t.round in
+    let count = ref 0 in
+    let promote (f : dflow) =
+      if f.promoted <> round then begin
+        f.promoted <- round;
+        incr count
+      end
+    in
+    for i = ns to n - 1 do
+      if w.rates.(i) <> w.sol.(i).rate then promote w.sol.(i)
+    done;
+    for li = 0 to nl - 1 do
+      let l = w.lid_of.(li) in
+      if w.levels.(li) <> l.level then
+        for j = 0 to l.n_members - 1 do
+          let f = l.members.(j) in
+          if f.scope <> epoch then promote f
+        done
+    done;
+    !count
+
+  let commit t ns =
+    let w = t.ws and round = t.round in
+    for i = 0 to ns - 1 do
+      let f = w.sol.(i) in
+      f.rate <- w.rates.(i);
+      f.pending <- false
+    done;
+    for k = 0 to w.n_insolve - 1 do
+      let l = w.insolve_links.(k) in
+      l.level <-
+        (if l.dense_round = round then w.levels.(l.dense) else infinity);
+      if l.n_members = 0 then drop_link t l
+      else begin
+        (* exact member-rate sum in ascending fid order — the canonical
+           order every solver freezes in — so the fast path's residual
+           checks start from a reproducible baseline *)
+        let sum = ref 0.0 in
+        for j = 0 to l.n_members - 1 do
+          sum := !sum +. l.members.(j).rate
+        done;
+        l.lload <- !sum
+      end
+    done
 
   let flush t =
     let fast = t.fast_touched in
@@ -452,21 +678,24 @@ module Delta = struct
          in-solve set); every other member of an in-solve link is
          clamped at its previous rate, behaving exactly like a
          demand-limited flow whose external bottleneck is untouched. *)
-      let scope : (int, dflow) Hashtbl.t = Hashtbl.create 64 in
-      let insolve : (int, dlink) Hashtbl.t = Hashtbl.create 64 in
-      let rec add_scope (f : dflow) =
-        if not (Hashtbl.mem scope f.fid) then begin
-          Hashtbl.add scope f.fid f;
-          List.iter add_insolve f.flinks
-        end
-      and add_insolve lid =
-        if not (Hashtbl.mem insolve lid) then
-          Hashtbl.add insolve lid (dlink t lid)
-      in
+      let w = t.ws in
+      t.epoch <- t.epoch + 1;
+      w.n_insolve <- 0;
+      let ns = ref 0 in
       List.iter
-        (fun fid -> Option.iter add_scope (Hashtbl.find_opt t.dflows fid))
+        (fun (f : dflow) ->
+          if f.live && f.scope <> t.epoch then begin
+            enter_scope t f;
+            w.sol <- grow w.sol (!ns + 1) nobody;
+            w.sol.(!ns) <- f;
+            incr ns
+          end)
         t.seed_flows;
-      List.iter add_insolve t.seed_links;
+      List.iter
+        (fun lid ->
+          let l = find_link t lid in
+          if l != absent then add_insolve t l)
+        t.seed_links;
       t.seed_flows <- [];
       t.seed_links <- [];
       let stable = ref false in
@@ -474,147 +703,35 @@ module Delta = struct
       while not !stable do
         if not !first then t.s_expansions <- t.s_expansions + 1;
         first := false;
-        let clamped : (int, dflow) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun _ (l : dlink) ->
-            Hashtbl.iter
-              (fun fid f ->
-                if not (Hashtbl.mem scope fid) then
-                  Hashtbl.replace clamped fid f)
-              l.lmembers)
-          insolve;
-        (* Canonical flow order (scope first, then clamped, both by id)
-           keeps the solve deterministic regardless of hash order. *)
-        let sorted tbl =
-          let a = Array.make (Hashtbl.length tbl) None in
-          let i = ref 0 in
-          Hashtbl.iter
-            (fun _ f ->
-              a.(!i) <- Some f;
-              incr i)
-            tbl;
-          let a = Array.map Option.get a in
-          Array.sort (fun (a : dflow) b -> Int.compare a.fid b.fid) a;
-          a
-        in
-        let sf = sorted scope and cf = sorted clamped in
-        let ns = Array.length sf in
-        let n = ns + Array.length cf in
-        let flows =
-          Array.init n (fun i -> if i < ns then sf.(i) else cf.(i - ns))
-        in
-        let eff =
-          Array.init n (fun i ->
-              if i < ns then flows.(i).demand else flows.(i).rate)
-        in
-        (* Dense link ids over the in-solve set, in canonical
-           first-reference order. Clamped flows keep only their
-           in-solve links: at a fixpoint their rate is preserved, so
-           their load on out-of-solve links is unchanged. *)
-        let lidx : (int, int) Hashtbl.t = Hashtbl.create 64 in
-        let lids = ref [] and n_links = ref 0 in
-        let dense lid =
-          match Hashtbl.find_opt lidx lid with
-          | Some li -> li
-          | None ->
-              let li = !n_links in
-              incr n_links;
-              lids := lid :: !lids;
-              Hashtbl.add lidx lid li;
-              li
-        in
-        let fl =
-          Array.mapi
-            (fun i (f : dflow) ->
-              let ls =
-                if i < ns then f.flinks
-                else List.filter (Hashtbl.mem insolve) f.flinks
-              in
-              Array.of_list (List.map dense ls))
-            flows
-        in
-        let n_links = !n_links in
-        let lid_of = Array.make (max 1 n_links) 0 in
-        List.iteri (fun i lid -> lid_of.(n_links - 1 - i) <- lid) !lids;
-        let cap = Array.map (fun lid -> (dlink t lid).lcap) lid_of in
-        let lmem = Array.make (max 1 n_links) [] in
-        Array.iteri
-          (fun i links ->
-            Array.iter (fun li -> lmem.(li) <- i :: lmem.(li)) links)
-          fl;
+        t.round <- t.round + 1;
+        let n, nl = layout t !ns in
         t.s_flows_touched <- t.s_flows_touched + n;
-        t.s_links_touched <- t.s_links_touched + n_links;
-        let rates, levels = waterfill n eff fl n_links cap lmem in
-        (* Fixpoint checks: a clamped flow must reproduce its previous
-           rate exactly, and no in-solve link's saturation level may
-           change while it still has clamped members — either breach
-           means the bottleneck structure shifted, so the breached
-           flows join the scope and the solve expands. *)
-        let promote : (int, dflow) Hashtbl.t = Hashtbl.create 8 in
-        for i = ns to n - 1 do
-          if rates.(i) <> flows.(i).rate then
-            Hashtbl.replace promote flows.(i).fid flows.(i)
-        done;
-        for li = 0 to n_links - 1 do
-          let l = Hashtbl.find insolve lid_of.(li) in
-          if levels.(li) <> l.level then
-            Hashtbl.iter
-              (fun fid f ->
-                if not (Hashtbl.mem scope fid) then
-                  Hashtbl.replace promote fid f)
-              l.lmembers
-        done;
-        if Hashtbl.length promote = 0 then begin
-          for i = 0 to ns - 1 do
-            sf.(i).rate <- rates.(i);
-            sf.(i).pending <- false
+        t.s_links_touched <- t.s_links_touched + nl;
+        waterfill w n nl;
+        let promoted = mark_promotions t !ns n nl in
+        if promoted = 0 then begin
+          commit t !ns;
+          let scope = ref [] in
+          for i = !ns - 1 downto 0 do
+            scope := w.sol.(i).fid :: !scope
           done;
-          Hashtbl.iter
-            (fun lid (l : dlink) ->
-              (l.level <-
-                 (match Hashtbl.find_opt lidx lid with
-                 | Some li -> levels.(li)
-                 | None -> infinity));
-              if Hashtbl.length l.lmembers = 0 then Hashtbl.remove t.dlinks lid
-              else begin
-                (* exact member-rate sum in ascending fid order — the
-                   canonical order every solver freezes in — so the
-                   fast path's residual checks start from a
-                   reproducible baseline *)
-                let fids =
-                  Hashtbl.fold (fun fid _ acc -> fid :: acc) l.lmembers []
-                  |> List.sort Int.compare
-                in
-                l.lload <-
-                  List.fold_left
-                    (fun acc fid ->
-                      acc +. (Hashtbl.find l.lmembers fid).rate)
-                    0.0 fids
-              end)
-            insolve;
-          t.last_touched <-
-            List.rev_append fast
-              (Array.to_list (Array.map (fun f -> f.fid) sf));
+          t.last_touched <- List.rev_append fast !scope;
           t.s_solves <- t.s_solves + 1;
           stable := true
         end
         else begin
-          t.s_promotions <- t.s_promotions + Hashtbl.length promote;
-          Hashtbl.iter (fun _ f -> add_scope f) promote
+          t.s_promotions <- t.s_promotions + promoted;
+          (* Promoted flows are all clamped: move them, in order, from
+             the clamped tail into the scope. *)
+          for i = !ns to n - 1 do
+            let f = w.sol.(i) in
+            if f.promoted = t.round then begin
+              enter_scope t f;
+              w.sol.(!ns) <- f;
+              incr ns
+            end
+          done
         end
       done
     end
 end
-
-let link_loads flows rates =
-  let tbl = Hashtbl.create 16 in
-  Array.iteri
-    (fun i f ->
-      List.iter
-        (fun l ->
-          let cur = Option.value (Hashtbl.find_opt tbl l) ~default:0.0 in
-          Hashtbl.replace tbl l (cur +. rates.(i)))
-        f.links)
-    flows;
-  Hashtbl.fold (fun l v acc -> (l, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

@@ -7,30 +7,9 @@
     smaller rate — the classic max-min fairness criterion that a
     network of fair queues converges to.
 
-    Two implementations share the semantics: {!Delta} is the
-    production incremental solver (the fluid hot path), and
-    {!compute_reference} is the textbook progressive-filling loop kept
-    as the oracle for differential testing. *)
-
-type flow_input = {
-  demand : float;  (** offered rate, bps; must be >= 0 *)
-  links : int list;  (** directed link ids along the path; [] = unconstrained *)
-}
-
-val compute_reference :
-  capacity:(int -> float) -> flow_input array -> float array
-(** [compute_reference ~capacity flows] returns the max-min rate of
-    each flow, positionally. [capacity] gives the bps capacity of a
-    link id and must be positive for every referenced link. This is
-    the O(rounds × (flows + links)) progressive-filling loop: the
-    testing oracle that a from-scratch {!Delta} solve must match
-    (asserted by the differential property suite).
-
-    @raise Invalid_argument on a negative demand or non-positive
-    capacity. *)
-
-val link_loads : flow_input array -> float array -> (int * float) list
-(** Total allocated rate per link id, for checking feasibility. *)
+    {!Delta} is the one production solver (the fluid hot path). The
+    textbook progressive-filling loop it is tested against lives in
+    the test support library ([Horse_test_support.Fair_share_reference]). *)
 
 (** Incremental max-min solver with persistent bottleneck state.
 
@@ -59,7 +38,29 @@ val link_loads : flow_input array -> float array -> (int * float) list
     links run below capacity.
 
     Flows outside the final scope are never written: their rates are
-    physically the same floats as before the flush. *)
+    physically the same floats as before the flush.
+
+    {b Data layout.} A flush allocates no hash table. Links sit in an
+    array indexed by link id; each keeps its members in a vector
+    sorted by ascending flow id (binary-search insert and remove). The
+    per-flush sets — scope, in-solve links, clamped and promoted flows,
+    dense link numbering — are epoch/round stamps on the flow and link
+    records, and the water fill runs on flat work arrays reused across
+    flushes.
+
+    {b Orderings.} Float sums depend on their order, so the solver
+    fixes three orders, and its rates and timers depend on them bit
+    for bit:
+    - a round solves the scope flows by ascending id, then the clamped
+      flows by ascending id;
+    - dense link numbers follow first reference over that flow order,
+      and break ties between equal bottleneck shares;
+    - {!Delta.touched} lists fast-path flows in event order, then the
+      scope by ascending id ([Fluid] arms completion timers in that
+      order).
+
+    Freezes of equal value commute, so the demand sort may order ties
+    freely. *)
 module Delta : sig
   type t
 
@@ -76,17 +77,24 @@ module Delta : sig
 
   val create : capacity:(int -> float) -> unit -> t
   (** [capacity] gives the bps capacity of a link id; it is consulted
-      once per link on first reference and must be positive. *)
+      when a link gains its first member and must be positive. Link ids
+      must be non-negative; the link table is an array indexed by
+      them. *)
 
   val add_flow : t -> id:int -> demand:float -> links:int list -> unit
-  (** @raise Invalid_argument on a negative demand or duplicate id. *)
+  (** Any int is a valid id, in any arrival order.
+      @raise Invalid_argument on a negative demand, a duplicate id, or
+      a link with a negative id or non-positive capacity. It raises
+      before changing any state. *)
 
   val remove_flow : t -> id:int -> unit
   (** Idempotent. *)
 
   val set_links : t -> id:int -> links:int list -> unit
   (** Reroute: move the flow onto a new path.
-      @raise Invalid_argument on an unknown id. *)
+      @raise Invalid_argument on an unknown id, or a link with a
+      negative id or non-positive capacity. It raises before changing
+      any state. *)
 
   val flush : t -> unit
   (** Process all pending events with one delta solve (no-op when

@@ -16,6 +16,7 @@ let qtest ?(count = 200) name gen prop =
     (QCheck2.Test.make ~count ~name gen prop)
 
 module Heap_queue = Heap_queue
+module Fair_share_reference = Fair_share_reference
 
 let smoke_storm_plan () =
   let module Time = Horse_engine.Time in

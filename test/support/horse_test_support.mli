@@ -14,6 +14,10 @@ val qtest :
 module Heap_queue = Heap_queue
 (** The binary-heap reference for [Horse_engine.Event_queue]. *)
 
+module Fair_share_reference = Fair_share_reference
+(** The progressive-filling reference for
+    [Horse_dataplane.Fair_share.Delta]. *)
+
 val smoke_storm_plan : unit -> Horse_faults.Plan.t
 (** The k=4 fat-tree fault storm that the fault, scheduler and trace
     smokes share: link flaps (seed 5, a 4 s period from 5 s to 15 s,

@@ -9,6 +9,8 @@ open Horse_dataplane
 let check = Alcotest.check
 let qtest = Horse_test_support.qtest
 
+module Fair_share_reference = Horse_test_support.Fair_share_reference
+
 (* --- Fwd (longest prefix match) ---------------------------------------- *)
 
 let test_fwd_lpm_order () =
@@ -102,9 +104,9 @@ let capacity_all c _ = c
 let delta_solve ~capacity flows =
   let d = Fair_share.Delta.create ~capacity () in
   Array.iteri
-    (fun id (f : Fair_share.flow_input) ->
-      Fair_share.Delta.add_flow d ~id ~demand:f.Fair_share.demand
-        ~links:f.Fair_share.links)
+    (fun id (f : Fair_share_reference.flow_input) ->
+      Fair_share.Delta.add_flow d ~id ~demand:f.Fair_share_reference.demand
+        ~links:f.Fair_share_reference.links)
     flows;
   Fair_share.Delta.flush d;
   Array.mapi (fun id _ -> Fair_share.Delta.rate d ~id) flows
@@ -112,7 +114,7 @@ let delta_solve ~capacity flows =
 let test_fair_share_single_bottleneck () =
   (* Three flows share one 9 Gbps link: 3 Gbps each. *)
   let flows =
-    Array.make 3 { Fair_share.demand = 10e9; links = [ 0 ] }
+    Array.make 3 { Fair_share_reference.demand = 10e9; links = [ 0 ] }
   in
   let rates = delta_solve ~capacity:(capacity_all 9e9) flows in
   Array.iter (fun r -> check (Alcotest.float 1.0) "equal share" 3e9 r) rates
@@ -121,9 +123,9 @@ let test_fair_share_demand_limited () =
   (* One small flow keeps its demand; the rest split the remainder. *)
   let flows =
     [|
-      { Fair_share.demand = 1e9; links = [ 0 ] };
-      { Fair_share.demand = 10e9; links = [ 0 ] };
-      { Fair_share.demand = 10e9; links = [ 0 ] };
+      { Fair_share_reference.demand = 1e9; links = [ 0 ] };
+      { Fair_share_reference.demand = 10e9; links = [ 0 ] };
+      { Fair_share_reference.demand = 10e9; links = [ 0 ] };
     |]
   in
   let rates = delta_solve ~capacity:(capacity_all 9e9) flows in
@@ -137,8 +139,8 @@ let test_fair_share_two_bottlenecks () =
      there. *)
   let flows =
     [|
-      { Fair_share.demand = 10.0; links = [ 0 ] };
-      { Fair_share.demand = 10.0; links = [ 0; 1 ] };
+      { Fair_share_reference.demand = 10.0; links = [ 0 ] };
+      { Fair_share_reference.demand = 10.0; links = [ 0; 1 ] };
     |]
   in
   let capacity = function 0 -> 1.0 | _ -> 10.0 in
@@ -153,9 +155,9 @@ let test_fair_share_cascade () =
      A = B = 0.5; C = 9.5 capped at demand 2 -> 2. *)
   let flows =
     [|
-      { Fair_share.demand = 10.0; links = [ 0 ] };
-      { Fair_share.demand = 10.0; links = [ 0; 1 ] };
-      { Fair_share.demand = 2.0; links = [ 1 ] };
+      { Fair_share_reference.demand = 10.0; links = [ 0 ] };
+      { Fair_share_reference.demand = 10.0; links = [ 0; 1 ] };
+      { Fair_share_reference.demand = 2.0; links = [ 1 ] };
     |]
   in
   let capacity = function 0 -> 1.0 | _ -> 10.0 in
@@ -165,12 +167,12 @@ let test_fair_share_cascade () =
   check (Alcotest.float 1e-9) "C demand-capped" 2.0 rates.(2)
 
 let test_fair_share_empty_path () =
-  let flows = [| { Fair_share.demand = 5.0; links = [] } |] in
+  let flows = [| { Fair_share_reference.demand = 5.0; links = [] } |] in
   let rates = delta_solve ~capacity:(capacity_all 1.0) flows in
   check (Alcotest.float 1e-9) "unconstrained = demand" 5.0 rates.(0)
 
 let test_fair_share_zero_demand () =
-  let flows = [| { Fair_share.demand = 0.0; links = [ 0 ] } |] in
+  let flows = [| { Fair_share_reference.demand = 0.0; links = [ 0 ] } |] in
   let rates = delta_solve ~capacity:(capacity_all 1.0) flows in
   check (Alcotest.float 1e-9) "zero demand" 0.0 rates.(0)
 
@@ -184,7 +186,11 @@ let gen_fair_share_case =
       (let* demand = float_range 0.1 5.0 in
        let* path_len = int_range 1 n_links in
        let* links = list_size (return path_len) (int_range 0 (n_links - 1)) in
-       return { Fair_share.demand; links = List.sort_uniq Int.compare links })
+       return
+         {
+           Fair_share_reference.demand;
+           links = List.sort_uniq Int.compare links;
+         })
   in
   return (caps, Array.of_list flows)
 
@@ -195,14 +201,14 @@ let prop_fair_share_feasible =
       let rates = delta_solve ~capacity flows in
       let demand_ok =
         Array.for_all2
-          (fun r (f : Fair_share.flow_input) ->
-            r >= -1e-9 && r <= f.Fair_share.demand +. 1e-9)
+          (fun r (f : Fair_share_reference.flow_input) ->
+            r >= -1e-9 && r <= f.Fair_share_reference.demand +. 1e-9)
           rates flows
       in
       let load_ok =
         List.for_all
           (fun (l, load) -> load <= caps.(l) +. 1e-6)
-          (Fair_share.link_loads flows rates)
+          (Fair_share_reference.link_loads flows rates)
       in
       demand_ok && load_ok)
 
@@ -213,22 +219,24 @@ let prop_fair_share_maxmin_bottleneck =
     gen_fair_share_case (fun (caps, flows) ->
       let capacity l = caps.(l) in
       let rates = delta_solve ~capacity flows in
-      let loads = Fair_share.link_loads flows rates in
+      let loads = Fair_share_reference.link_loads flows rates in
       let load l = List.assoc l loads in
       let ok = ref true in
       Array.iteri
-        (fun i (f : Fair_share.flow_input) ->
-          let demand_capped = rates.(i) >= f.Fair_share.demand -. 1e-6 in
+        (fun i (f : Fair_share_reference.flow_input) ->
+          let demand_capped =
+            rates.(i) >= f.Fair_share_reference.demand -. 1e-6
+          in
           let bottlenecked =
             List.exists
               (fun l ->
                 load l >= caps.(l) -. 1e-6
                 && Array.for_all2
-                     (fun r (g : Fair_share.flow_input) ->
-                       (not (List.mem l g.Fair_share.links))
+                     (fun r (g : Fair_share_reference.flow_input) ->
+                       (not (List.mem l g.Fair_share_reference.links))
                        || r <= rates.(i) +. 1e-6)
                      rates flows)
-              f.Fair_share.links
+              f.Fair_share_reference.links
           in
           if not (demand_capped || bottlenecked) then ok := false)
         flows;
@@ -257,7 +265,11 @@ let gen_differential_case =
        in
        let* path_len = int_range 0 n_links in
        let* links = list_size (return path_len) (int_range 0 (n_links - 1)) in
-       return { Fair_share.demand; links = List.sort_uniq Int.compare links })
+       return
+         {
+           Fair_share_reference.demand;
+           links = List.sort_uniq Int.compare links;
+         })
   in
   return (caps, Array.of_list flows)
 
@@ -266,7 +278,7 @@ let prop_fair_share_differential =
     gen_differential_case (fun (caps, flows) ->
       let capacity l = caps.(l) in
       let fast = delta_solve ~capacity flows in
-      let slow = Fair_share.compute_reference ~capacity flows in
+      let slow = Fair_share_reference.compute ~capacity flows in
       Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) fast slow)
 
 let prop_fair_share_differential_invariants =
@@ -278,14 +290,14 @@ let prop_fair_share_differential_invariants =
       let rates = delta_solve ~capacity flows in
       let demand_ok =
         Array.for_all2
-          (fun r (f : Fair_share.flow_input) ->
-            r >= -1e-9 && r <= f.Fair_share.demand +. 1e-9)
+          (fun r (f : Fair_share_reference.flow_input) ->
+            r >= -1e-9 && r <= f.Fair_share_reference.demand +. 1e-9)
           rates flows
       in
       let load_ok =
         List.for_all
           (fun (l, load) -> load <= caps.(l) +. 1e-6)
-          (Fair_share.link_loads flows rates)
+          (Fair_share_reference.link_loads flows rates)
       in
       demand_ok && load_ok)
 
@@ -341,10 +353,12 @@ let gen_delta_schedule =
    bit-identical rates — the untouched region is physically unchanged
    — and (b) the full alive state matches the progressive-filling
    oracle. *)
-let run_delta_schedule (caps, events) =
+let run_delta_schedule ?ids (caps, events) =
   let capacity l = caps.(l) in
   let delta = Fair_share.Delta.create ~capacity () in
-  let alive : (int, Fair_share.flow_input) Hashtbl.t = Hashtbl.create 16 in
+  let alive : (int, Fair_share_reference.flow_input) Hashtbl.t =
+    Hashtbl.create 16
+  in
   let next = ref 0 in
   let ok = ref true in
   let pick k =
@@ -373,7 +387,7 @@ let run_delta_schedule (caps, events) =
       List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) alive [])
     in
     let flows = Array.of_list (List.map (Hashtbl.find alive) ids) in
-    let want = Fair_share.compute_reference ~capacity flows in
+    let want = Fair_share_reference.compute ~capacity flows in
     List.iteri
       (fun i id ->
         if Float.abs (Fair_share.Delta.rate delta ~id -. want.(i)) > 1e-9 then
@@ -384,9 +398,9 @@ let run_delta_schedule (caps, events) =
     (fun ev ->
       match ev with
       | Ev_add (demand, links) ->
-          let id = !next in
+          let id = match ids with Some ids -> ids.(!next) | None -> !next in
           incr next;
-          Hashtbl.replace alive id { Fair_share.demand; links };
+          Hashtbl.replace alive id { Fair_share_reference.demand; links };
           Fair_share.Delta.add_flow delta ~id ~demand ~links
       | Ev_remove k -> (
           match pick k with
@@ -399,7 +413,7 @@ let run_delta_schedule (caps, events) =
           | None -> ()
           | Some id ->
               let f = Hashtbl.find alive id in
-              Hashtbl.replace alive id { f with Fair_share.links };
+              Hashtbl.replace alive id { f with Fair_share_reference.links };
               Fair_share.Delta.set_links delta ~id ~links)
       | Ev_flush -> flush ())
     events;
@@ -410,6 +424,72 @@ let prop_fair_share_delta_schedule =
   qtest ~count:500
     "fair share: delta solves track the reference over random schedules"
     gen_delta_schedule run_delta_schedule
+
+(* The same schedules with ids arriving out of order, as the API
+   allows: the k-th arrival takes the k-th id of a shuffled pool of
+   sparse (some negative) ids, so member vectors take inserts in the
+   middle, not only appends. *)
+let with_shuffled_ids gen =
+  let open QCheck2.Gen in
+  let* caps, events = gen in
+  let n_adds =
+    List.length (List.filter (function Ev_add _ -> true | _ -> false) events)
+  in
+  let* ids = shuffle_l (List.init n_adds (fun i -> (7 * i) - 20)) in
+  return (Array.of_list ids, (caps, events))
+
+let prop_fair_share_delta_shuffled_ids =
+  qtest ~count:300 "fair share: out-of-order ids in delta schedules"
+    (with_shuffled_ids gen_delta_schedule) (fun (ids, schedule) ->
+      run_delta_schedule ~ids schedule)
+
+(* Crowded links: 70 arrivals through link 0 first, then a long
+   add-heavy schedule over at most three links. More than 64 flows
+   share link 0, so member vectors grow through several capacities
+   and departures and reroutes remove from the middle. *)
+let gen_delta_schedule_crowded =
+  let open QCheck2.Gen in
+  let* n_links = int_range 1 3 in
+  let* caps = array_size (return n_links) (float_range 5.0 40.0) in
+  let* demand_pool = array_size (return 3) (float_range 0.0 2.0) in
+  let gen_links =
+    let* extra = list_size (int_range 0 2) (int_range 0 (n_links - 1)) in
+    return (List.sort_uniq Int.compare (0 :: extra))
+  in
+  let gen_add =
+    let* d =
+      oneof
+        [
+          (let* i = int_range 0 2 in
+           return demand_pool.(i));
+          float_range 0.0 2.0;
+        ]
+    in
+    let* ls = gen_links in
+    return (Ev_add (d, ls))
+  in
+  let* prefix = list_size (return 70) gen_add in
+  let* rest =
+    list_size (int_range 50 200)
+      (frequency
+         [
+           (7, gen_add);
+           ( 2,
+             let* k = int_range 0 1000 in
+             return (Ev_remove k) );
+           ( 2,
+             let* k = int_range 0 1000 in
+             let* ls = gen_links in
+             return (Ev_reroute (k, ls)) );
+           (1, return Ev_flush);
+         ])
+  in
+  return (caps, prefix @ (Ev_flush :: rest))
+
+let prop_fair_share_delta_crowded =
+  qtest ~count:40 "fair share: crowded links (>64 flows) in delta schedules"
+    (with_shuffled_ids gen_delta_schedule_crowded) (fun (ids, schedule) ->
+      run_delta_schedule ~ids schedule)
 
 let test_delta_scoped_arrival () =
   (* Two disjoint bottlenecks; an arrival on one must not touch the
@@ -463,6 +543,133 @@ let test_delta_departure_propagates () =
   check (Alcotest.float 1e-9) "f1 rises" 1.5 (Fair_share.Delta.rate d ~id:1);
   check (Alcotest.float 1e-9) "f2 rises" 1.5 (Fair_share.Delta.rate d ~id:2);
   check (Alcotest.float 1e-9) "f0 gone" 0.0 (Fair_share.Delta.rate d ~id:0)
+
+(* Link 9 has no valid capacity: any call naming it must raise before
+   it changes any state. *)
+let capacity_bad_9 = function 9 -> 0.0 | _ -> 1.0
+
+let test_delta_add_flow_exception_safe () =
+  let d = Fair_share.Delta.create ~capacity:capacity_bad_9 () in
+  Alcotest.check_raises "bad link"
+    (Invalid_argument "Fair_share.Delta: non-positive capacity") (fun () ->
+      Fair_share.Delta.add_flow d ~id:0 ~demand:2.0 ~links:[ 0; 9 ]);
+  check Alcotest.int "no flow added" 0 (Fair_share.Delta.flow_count d);
+  check Alcotest.int "no event counted" 0
+    (Fair_share.Delta.stats d).Fair_share.Delta.events;
+  Fair_share.Delta.add_flow d ~id:0 ~demand:2.0 ~links:[ 0 ];
+  Fair_share.Delta.add_flow d ~id:1 ~demand:2.0 ~links:[ 0 ];
+  Fair_share.Delta.flush d;
+  check (Alcotest.float 1e-9) "f0 shares link 0" 0.5
+    (Fair_share.Delta.rate d ~id:0);
+  check (Alcotest.float 1e-9) "f1 shares link 0" 0.5
+    (Fair_share.Delta.rate d ~id:1)
+
+let test_delta_set_links_exception_safe () =
+  let d = Fair_share.Delta.create ~capacity:capacity_bad_9 () in
+  Fair_share.Delta.add_flow d ~id:0 ~demand:2.0 ~links:[ 0 ];
+  Fair_share.Delta.add_flow d ~id:1 ~demand:2.0 ~links:[ 0 ];
+  Fair_share.Delta.flush d;
+  let before = Fair_share.Delta.stats d in
+  Alcotest.check_raises "bad link"
+    (Invalid_argument "Fair_share.Delta: non-positive capacity") (fun () ->
+      Fair_share.Delta.set_links d ~id:0 ~links:[ 1; 9 ]);
+  check Alcotest.int "no event counted" before.Fair_share.Delta.events
+    (Fair_share.Delta.stats d).Fair_share.Delta.events;
+  (* f0 must still be a member of link 0: when f1 leaves, f0 takes the
+     whole link. *)
+  Fair_share.Delta.remove_flow d ~id:1;
+  Fair_share.Delta.flush d;
+  check (Alcotest.float 1e-9) "f0 takes link 0" 1.0
+    (Fair_share.Delta.rate d ~id:0)
+
+(* Bit-identity pin: a fixed, seeded schedule of a few hundred flows on
+   a few saturated links (plus one roomy link for the fast path), with
+   ids arriving out of order. Every flush appends its [touched] list,
+   the exact bits of every live rate (ascending id) and the stats to a
+   digest. Any change to the solver's float order, scope order or
+   counters moves the digest; a rewrite that keeps it is bit-identical
+   on this schedule. *)
+let delta_pin_digest () =
+  let caps = [| 40.0; 25.0; 60.0; 30.0; 45.0; 1e6 |] in
+  let n_links = Array.length caps in
+  let capacity l = caps.(l) in
+  let d = Fair_share.Delta.create ~capacity () in
+  let rng = Random.State.make [| 18; 2307 |] in
+  let pool = Array.init 1000 (fun i -> i) in
+  for i = Array.length pool - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let tmp = pool.(i) in
+    pool.(i) <- pool.(j);
+    pool.(j) <- tmp
+  done;
+  let next = ref 0 in
+  let alive = Array.make (Array.length pool) 0 and n_alive = ref 0 in
+  let demands = [| 0.5; 1.0; 1.0; 2.0; 0.0 |] in
+  let random_links () =
+    let len = 1 + Random.State.int rng 3 in
+    List.sort_uniq Int.compare
+      (List.init len (fun _ -> Random.State.int rng n_links))
+  in
+  let buf = Buffer.create 65536 in
+  let flush () =
+    Fair_share.Delta.flush d;
+    List.iter
+      (fun id -> Buffer.add_string buf (string_of_int id ^ ","))
+      (Fair_share.Delta.touched d);
+    Buffer.add_char buf '|';
+    let ids =
+      List.sort Int.compare (Array.to_list (Array.sub alive 0 !n_alive))
+    in
+    List.iter
+      (fun id ->
+        Buffer.add_string buf
+          (Int64.to_string
+             (Int64.bits_of_float (Fair_share.Delta.rate d ~id)) ^ ","))
+      ids;
+    let s = Fair_share.Delta.stats d in
+    Buffer.add_string buf
+      (Printf.sprintf "|%d %d %d %d %d %d\n" s.Fair_share.Delta.solves
+         s.events s.flows_touched s.links_touched s.expansions s.promotions)
+  in
+  let add () =
+    if !next < Array.length pool then begin
+      let id = pool.(!next) in
+      incr next;
+      let demand =
+        if Random.State.bool rng then
+          demands.(Random.State.int rng (Array.length demands))
+        else Random.State.float rng 3.0
+      in
+      Fair_share.Delta.add_flow d ~id ~demand ~links:(random_links ());
+      alive.(!n_alive) <- id;
+      incr n_alive
+    end
+  in
+  let pick () = Random.State.int rng !n_alive in
+  for i = 1 to 300 do
+    add ();
+    if i mod 25 = 0 then flush ()
+  done;
+  for _ = 1 to 600 do
+    (match Random.State.int rng 10 with
+    | 0 | 1 | 2 -> add ()
+    | 3 | 4 | 5 when !n_alive > 0 ->
+        let k = pick () in
+        Fair_share.Delta.remove_flow d ~id:alive.(k);
+        decr n_alive;
+        alive.(k) <- alive.(!n_alive)
+    | 6 | 7 when !n_alive > 0 ->
+        Fair_share.Delta.set_links d ~id:alive.(pick ())
+          ~links:(random_links ())
+    | _ -> flush ());
+    if Random.State.int rng 4 = 0 then flush ()
+  done;
+  flush ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_delta_bit_identity_pin () =
+  check Alcotest.string "schedule digest"
+    "e647e3247dc2ba7c770a91d3b8564d0c" (delta_pin_digest ())
 
 (* --- Fluid engine -------------------------------------------------------- *)
 
@@ -681,11 +888,14 @@ let test_fluid_coalescing () =
   check Alcotest.int "one solve for the burst" 1 (Fluid.recompute_count fluid);
   let active = Array.of_list (Fluid.active_flows fluid) in
   let want =
-    Fair_share.compute_reference
+    Fair_share_reference.compute
       ~capacity:(fun l -> (Topology.link topo l).Topology.capacity)
       (Array.map
          (fun (f : Flow.t) ->
-           { Fair_share.demand = f.Flow.demand; links = Flow.link_ids f })
+           {
+             Fair_share_reference.demand = f.Flow.demand;
+             links = Flow.link_ids f;
+           })
          active)
   in
   Array.iteri
@@ -932,12 +1142,20 @@ let () =
           prop_fair_share_differential;
           prop_fair_share_differential_invariants;
           prop_fair_share_delta_schedule;
+          prop_fair_share_delta_shuffled_ids;
+          prop_fair_share_delta_crowded;
           Alcotest.test_case "delta: scoped arrival" `Quick
             test_delta_scoped_arrival;
           Alcotest.test_case "delta: departure propagates" `Quick
             test_delta_departure_propagates;
           Alcotest.test_case "delta: pending flow removal" `Quick
             test_delta_pending_removal;
+          Alcotest.test_case "delta: bit-identity pin" `Quick
+            test_delta_bit_identity_pin;
+          Alcotest.test_case "delta: add_flow is exception-safe" `Quick
+            test_delta_add_flow_exception_safe;
+          Alcotest.test_case "delta: set_links is exception-safe" `Quick
+            test_delta_set_links_exception_safe;
         ] );
       ( "fluid",
         [
