@@ -2,7 +2,7 @@
     over a {!Horse_topo.Partition} and driven in deterministic
     lockstep by {!Horse_engine.Barrier}.
 
-    Each shard owns a private scheduler (timing wheel, pollers,
+    Each shard owns a private scheduler (event queue, pollers,
     telemetry registry, causal graph) and a Connection Manager;
     {!Routed_fabric.build_sharded} places the speakers, processes and
     FIB writes of each node on its shard. This module creates the

@@ -1,22 +1,17 @@
-(** The simulator's pending-event set: a hierarchical timing wheel
-    (3 levels x 256 slots at 2^10/2^18/2^26 us granularity) fronted by
-    a due-heap and backed by an overflow heap for the far future.
+(** The simulator's pending-event set: a binary min-heap.
 
-    The observable contract is unchanged from the binary-heap
-    original (kept as [Heap_queue] in the test support library, the
-    reference for [test_engine]'s differential suite): pops
-    come in (timestamp, insertion sequence number) order, so two
+    Pops come in (timestamp, insertion sequence number) order, so two
     events at the same timestamp execute in insertion order and runs
     stay deterministic. Scheduling in the past is the caller's
     responsibility: the queue itself is time-agnostic and will happily
     return such an event first.
 
-    Cancellation is O(1) lazy: a cancelled event stays bucketed but is
-    dropped when its slot cascades or it surfaces in a heap, and live
-    counts are maintained at cancel time so {!size} is O(1). Insertion
-    is O(1) (no sift), and {!reschedule} re-aims a timer in place —
-    the cancel + reinsert that keepalive/hold/MRAI re-arming used to
-    pay on the heap becomes two O(1) bucket operations. *)
+    Cancellation is lazy: a cancelled event stays in the heap until it
+    surfaces at the top or a compaction sweep (run once cancelled
+    entries outnumber live ones) drops it, and the live count is
+    maintained at cancel time so {!size} is O(1). {!reschedule}
+    re-aims a timer on the same handle, so keepalive/hold/MRAI
+    re-arming needs no fresh handle per period. *)
 
 type t
 (** A mutable event queue. *)
@@ -58,14 +53,3 @@ val pop_until : t -> Time.t -> (Time.t * (unit -> unit) * int) option
     the given time. *)
 
 val clear : t -> unit
-
-type occupancy = {
-  occ_due : int;  (** live events in the due heap (before [base]) *)
-  occ_levels : int array;  (** live timers per wheel level, finest first *)
-  occ_overflow : int;  (** live timers beyond the wheel horizon *)
-}
-
-val occupancy : t -> occupancy
-(** A point-in-time census of where live events sit — the source for
-    the [horse_sched_wheel_occupancy{level}] and
-    [horse_sched_overflow_heap_size] gauges. O(levels). *)

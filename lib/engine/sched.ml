@@ -10,7 +10,6 @@ let pp_mode fmt m = Format.pp_print_string fmt (mode_to_string m)
 type config = {
   fti_increment : Time.t;
   quiet_timeout : Time.t;
-  start_in_fti : bool;
   fti_pacing : float;
   max_wall_s : float;
   causal : bool;
@@ -21,7 +20,6 @@ let default_config =
   {
     fti_increment = Time.of_ms 1;
     quiet_timeout = Time.of_sec 1.0;
-    start_in_fti = false;
     fti_pacing = 0.0;
     max_wall_s = 0.0;
     causal = true;
@@ -174,15 +172,14 @@ let create ?(config = default_config) ?registry () =
     match registry with Some reg -> reg | None -> Registry.create ()
   in
   let m = make_metrics reg in
-  let cur_mode = if config.start_in_fti then Fti else Des in
-  Gauge.set m.g_mode (gauge_of_mode cur_mode);
+  Gauge.set m.g_mode (gauge_of_mode Des);
   {
     cfg = config;
     queue = Event_queue.create ();
     reg;
     m;
     clock = Time.zero;
-    cur_mode;
+    cur_mode = Des;
     last_activity = Time.zero;
     running = false;
     stop_requested = false;
@@ -287,7 +284,7 @@ let flush_deferred t =
   done
 
 (* The ambient cause rides in the entry itself rather than in a
-   wrapping closure: closures stored in the timing wheel survive until
+   wrapping closure: closures stored in the event queue survive until
    fire time, so they get promoted out of the minor heap — measurably
    the dominant cost of tracing on storm runs. The pop sites restore
    the cause before running the action. *)
@@ -306,9 +303,8 @@ type recurring = {
   mutable pending : Event_queue.handle option;
 }
 
-(* One event handle per recurring timer, re-aimed in place after each
-   firing — the wheel makes that O(1), where cancel + reinsert on the
-   old heap cost two O(log n) sifts per period. *)
+(* One event handle per recurring timer, re-aimed after each firing,
+   so a periodic timer never allocates a fresh handle. *)
 let every t ?start_after period f =
   if Time.(period <= Time.zero) then
     invalid_arg "Sched.every: period must be positive";
@@ -460,25 +456,10 @@ let aborted t = t.abort_flag
 
 let snapshot t =
   Gauge.set t.m.g_end_time_s (Time.to_sec t.clock);
-  (* Timing-wheel internals, exported for the Prometheus scrape. *)
-  let occ = Event_queue.occupancy t.queue in
-  Array.iteri
-    (fun i n ->
-      Gauge.set
-        (Registry.gauge t.reg ~subsystem:"sched"
-           ~help:"Live timers per timing-wheel level"
-           ~labels:[ ("level", string_of_int i) ]
-           "wheel_occupancy")
-        (float_of_int n))
-    occ.Event_queue.occ_levels;
   Gauge.set
     (Registry.gauge t.reg ~subsystem:"sched"
-       ~help:"Live timers in the wheel overflow heap" "overflow_heap_size")
-    (float_of_int occ.Event_queue.occ_overflow);
-  Gauge.set
-    (Registry.gauge t.reg ~subsystem:"sched"
-       ~help:"Live events in the due heap" "wheel_due_size")
-    (float_of_int occ.Event_queue.occ_due);
+       ~help:"Live events in the scheduler's event queue" "pending_events")
+    (float_of_int (Event_queue.size t.queue));
   {
     events_executed = Counter.value t.m.m_events;
     fti_increments = Counter.value t.m.m_fti_increments;

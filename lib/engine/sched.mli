@@ -38,9 +38,6 @@ type config = {
           slower. *)
   quiet_timeout : Time.t;
       (** control-plane silence needed to return to DES; default 1 s *)
-  start_in_fti : bool;
-      (** begin the run in FTI mode (a control plane that boots at
-          t=0 will trigger FTI immediately anyway); default [false] *)
   fti_pacing : float;
       (** 0 (default) runs FTI as fast as possible; [x > 0] sleeps so
           FTI virtual time advances at [x]× wall speed — only useful
@@ -182,7 +179,7 @@ val cancel : Event_queue.handle -> unit
 
 val reschedule : t -> Event_queue.handle -> Time.t -> unit
 (** Re-aims a scheduled event at a new absolute time (clamped to
-    [now]), reusing its action — O(1) on the timing wheel. An event
+    [now]), reusing its action, on the same handle. An event
     that already fired or was cancelled is re-armed, which is exactly
     what a deadline timer wants: one handle per deadline, re-aimed on
     every refresh. *)

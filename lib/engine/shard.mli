@@ -1,7 +1,7 @@
 (** One shard of a partitioned experiment.
 
-    A shard owns a private {!Sched} instance — and with it a timing
-    wheel, poller set, telemetry registry and causal graph — plus a
+    A shard owns a private {!Sched} instance — and with it an event
+    queue, poller set, telemetry registry and causal graph — plus a
     keyed RNG stream derived from the experiment seed and the shard
     name (so the stream is a function of the partition, not of how
     many domains execute it). Everything a shard owns is touched by

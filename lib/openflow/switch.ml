@@ -33,11 +33,11 @@ let make_metrics ~dpid reg =
     m_tss_hits =
       Registry.counter reg ~subsystem:"openflow"
         ~labels:(staged "classifier")
-        ~help:"Lookups that fell through to the slow-path classifier and hit"
+        ~help:"Lookups the tuple-space search classifier answered with a match"
         "tss_hits_total";
     m_lookup_misses =
       Registry.counter reg ~subsystem:"openflow" ~labels:sw
-        ~help:"Lookups no flow entry matched (slow path included)"
+        ~help:"Lookups no flow entry matched in the tuple-space search"
         "lookup_misses_total";
   }
 

@@ -139,8 +139,8 @@ let cardinality t = Hashtbl.length t.tbl
 
 (* Per-shard registries collapse into one run report: counters are
    totals so they sum; gauges are levels/water-marks so the max is the
-   honest aggregate (a per-shard convergence time, wheel occupancy or
-   end-of-run clock reported globally is its worst shard); histograms
+   honest aggregate (a per-shard convergence time, pending-event count
+   or end-of-run clock reported globally is its worst shard); histograms
    merge bucket-exact. Spans are not merged — they stay with the shard
    that recorded them. *)
 let merge_into dst src =

@@ -15,7 +15,6 @@ let qtest ?(count = 200) name gen prop =
     ~rand:(Random.State.make [| seed |])
     (QCheck2.Test.make ~count ~name gen prop)
 
-module Heap_queue = Heap_queue
 module Fair_share_reference = Fair_share_reference
 
 let smoke_storm_plan () =

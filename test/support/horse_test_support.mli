@@ -11,9 +11,6 @@ val qtest :
     [QCHECK_SEED] when that is set to an integer, and from a fixed
     default otherwise. *)
 
-module Heap_queue = Heap_queue
-(** The binary-heap reference for [Horse_engine.Event_queue]. *)
-
 module Fair_share_reference = Fair_share_reference
 (** The progressive-filling reference for
     [Horse_dataplane.Fair_share.Delta]. *)

@@ -6,8 +6,6 @@ open Horse_engine
 let check = Alcotest.check
 let qtest = Horse_test_support.qtest
 
-module Heap_queue = Horse_test_support.Heap_queue
-
 (* --- Time ------------------------------------------------------------ *)
 
 let test_time_conversions () =
@@ -231,25 +229,29 @@ let test_queue_reschedule () =
   check (Alcotest.list Alcotest.int) "order follows the re-aimed times"
     [ 3; 2; 1; 3 ] (List.rev !out)
 
-let prop_wheel_matches_heap =
-  (* Differential suite: the timing wheel against the retired binary
-     heap under random schedule / cancel / reschedule / pop /
-     pop_until interleavings, with deadlines drawn across every wheel
-     level and the overflow heap. Any divergence in pop order,
-     executed actions, or sizes is a wheel bug. *)
-  qtest ~count:300 "event queue: wheel matches heap reference"
+(* The ordering contract as a list model: the live entries, oldest
+   first, so a stable sort by time yields the (time, seq) pop order. *)
+type model_handle = {
+  qh : Event_queue.handle;
+  id : int;
+  mutable mseq : int;  (* sequence number of the current incarnation *)
+  mutable mcancelled : bool;
+}
+
+let prop_queue_matches_model =
+  qtest ~count:300 "event queue: matches sorted-list model"
     QCheck2.Gen.(
       list_size (int_range 0 150)
         (triple (int_bound 9) (int_bound 3) (int_bound 0x3FFFFFFF)))
     (fun ops ->
-      let wheel = Event_queue.create () in
-      let heap = Heap_queue.create () in
-      let w_out = ref [] and h_out = ref [] in
+      let q = Event_queue.create () in
+      let model = ref [] (* (us, seq, id), oldest first *) in
+      let next_seq = ref 0 and fired = ref (-1) in
       let handles = ref [] and n_handles = ref 0 in
-      let now = ref 0 and next_id = ref 0 in
+      let now = ref 0 in
       let ok = ref true in
-      (* Deadlines land in wheel level [band] (or the overflow heap
-         when band = 3) relative to the popped-up-to time. *)
+      (* Deadlines spread over spans from milliseconds to ~18 minutes
+         past the popped-up-to time. *)
       let time_of band off =
         let span =
           match band with
@@ -258,33 +260,49 @@ let prop_wheel_matches_heap =
           | 2 -> 1 lsl 26
           | _ -> 1 lsl 30
         in
-        Time.of_us (!now + (off mod span))
+        !now + (off mod span)
       in
-      let add at =
-        let id = !next_id in
-        incr next_id;
-        let wh = Event_queue.schedule wheel at (fun () -> w_out := id :: !w_out) in
-        let hh = Heap_queue.schedule heap at (fun () -> h_out := id :: !h_out) in
-        handles := (wh, hh) :: !handles;
+      let append mh us =
+        mh.mseq <- !next_seq;
+        incr next_seq;
+        model := !model @ [ (us, mh.mseq, mh.id) ]
+      in
+      let drop seq = model := List.filter (fun (_, s, _) -> s <> seq) !model in
+      let add us =
+        let id = !n_handles in
+        let qh =
+          Event_queue.schedule q (Time.of_us us) (fun () -> fired := id)
+        in
+        let mh = { qh; id; mseq = 0; mcancelled = false } in
+        append mh us;
+        handles := mh :: !handles;
         incr n_handles
       in
       let pick k = List.nth !handles (k mod !n_handles) in
+      let model_head () =
+        match
+          List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) !model
+        with
+        | [] -> None
+        | head :: _ -> Some head
+      in
       let pop_both until =
-        let w =
-          match until with
-          | None -> Event_queue.pop wheel
-          | Some u -> Event_queue.pop_until wheel u
-        and h =
-          match until with
-          | None -> Heap_queue.pop heap
-          | Some u -> Heap_queue.pop_until heap u
+        let expected =
+          match (model_head (), until) with
+          | Some (us, _, _), Some u when us > u -> None
+          | head, _ -> head
         in
-        match (w, h) with
-        | Some (tw, aw, _), Some (th, ah) ->
-            if not (Time.equal tw th) then ok := false;
-            aw ();
-            ah ();
-            now := max !now (Time.to_us tw)
+        let got =
+          match until with
+          | None -> Event_queue.pop q
+          | Some u -> Event_queue.pop_until q (Time.of_us u)
+        in
+        match (got, expected) with
+        | Some (at, action, _), Some (us, seq, id) ->
+            action ();
+            if Time.to_us at <> us || !fired <> id then ok := false;
+            drop seq;
+            now := max !now us
         | None, None -> ()
         | Some _, None | None, Some _ -> ok := false
       in
@@ -294,45 +312,86 @@ let prop_wheel_matches_heap =
           | 0 | 1 | 2 | 3 -> add (time_of band off)
           | 4 ->
               (* In the past: the queue is time-agnostic. *)
-              add (Time.of_us (max 0 (!now - (off mod 4096))))
+              add (max 0 (!now - (off mod 4096)))
           | 5 ->
               if !n_handles > 0 then begin
-                let wh, hh = pick off in
-                Event_queue.cancel wh;
-                Heap_queue.cancel hh;
-                if Event_queue.is_cancelled wh <> Heap_queue.is_cancelled hh
-                then ok := false
+                let mh = pick off in
+                Event_queue.cancel mh.qh;
+                drop mh.mseq;
+                mh.mcancelled <- true
               end
           | 6 ->
               if !n_handles > 0 then begin
-                let wh, hh = pick off in
-                let at = time_of band (off / 7) in
-                Event_queue.reschedule wh at;
-                Heap_queue.reschedule hh at
+                let mh = pick off in
+                let us = time_of band (off / 7) in
+                Event_queue.reschedule mh.qh (Time.of_us us);
+                drop mh.mseq;
+                mh.mcancelled <- false;
+                append mh us
               end
           | 7 | 8 -> pop_both None
           | _ -> pop_both (Some (time_of band off)));
-          if Event_queue.size wheel <> Heap_queue.size heap then ok := false;
-          (match (Event_queue.next_time wheel, Heap_queue.next_time heap) with
-          | Some a, Some b -> if not (Time.equal a b) then ok := false
-          | None, None -> ()
-          | Some _, None | None, Some _ -> ok := false))
+          if Event_queue.size q <> List.length !model then ok := false;
+          let next = Option.map (fun (us, _, _) -> us) (model_head ()) in
+          if Option.map Time.to_us (Event_queue.next_time q) <> next then
+            ok := false;
+          List.iter
+            (fun mh ->
+              if Event_queue.is_cancelled mh.qh <> mh.mcancelled then
+                ok := false)
+            !handles)
         ops;
-      (* Drain both to the end and compare the executed-action order.
-         Fuel bounds the loop so a pop-loses-events bug fails instead
-         of hanging. *)
+      (* Drain to the end. Fuel bounds the loop so a pop-loses-events
+         bug fails instead of hanging. *)
       let rec drain fuel =
         if fuel = 0 then ok := false
-        else if not (Event_queue.is_empty wheel && Heap_queue.is_empty heap)
-        then begin
+        else if not (Event_queue.is_empty q && !model = []) then begin
           pop_both None;
           drain (fuel - 1)
         end
       in
       drain 1000;
-      !ok && !w_out = !h_out
-      && Event_queue.is_empty wheel
-      && Heap_queue.is_empty heap)
+      !ok && Event_queue.is_empty q && Event_queue.next_time q = None)
+
+let test_queue_reaim_churn () =
+  (* Hold-timer churn: every handle re-aimed many times leaves a trail
+     of cancelled entries for the compaction sweep. [size] must stay
+     exact throughout, and the drain must follow each handle's final
+     (time, seq): ties go to the handle re-aimed last. *)
+  let n = 100 and rounds = 1_000 in
+  let q = Event_queue.create () in
+  let rng = Rng.create 42 in
+  let fired = ref (-1) in
+  let at = Array.init n (fun _ -> Rng.int rng 50) in
+  let hs =
+    Array.init n (fun i ->
+        Event_queue.schedule q (Time.of_ms at.(i)) (fun () -> fired := i))
+  in
+  for _ = 1 to rounds do
+    for i = 0 to n - 1 do
+      at.(i) <- Rng.int rng 50;
+      Event_queue.reschedule hs.(i) (Time.of_ms at.(i));
+      if Event_queue.size q <> n then
+        Alcotest.failf "size %d after a re-aim, expected %d"
+          (Event_queue.size q) n
+    done
+  done;
+  let order =
+    List.stable_sort
+      (fun i j -> compare at.(i) at.(j))
+      (List.init n (fun i -> i))
+  in
+  List.iteri
+    (fun k i ->
+      (match Event_queue.pop q with
+      | Some (t, action, _) ->
+          action ();
+          check Alcotest.int "pop time" at.(i) (Time.to_us t / 1000);
+          check Alcotest.int "pop order" i !fired
+      | None -> Alcotest.fail "queue drained early");
+      check Alcotest.int "size while draining" (n - k - 1) (Event_queue.size q))
+    order;
+  check Alcotest.bool "drained" true (Event_queue.pop q = None)
 
 (* --- Hybrid scheduler -------------------------------------------------- *)
 
@@ -523,46 +582,52 @@ let test_stop () =
   check Alcotest.int "stopped after first event" 1 !executed
 
 let test_start_in_fti () =
+  (* Control activity before the run starts it in FTI. *)
   let config =
-    {
-      Sched.default_config with
-      Sched.start_in_fti = true;
-      quiet_timeout = Time.of_ms 10;
-    }
+    { Sched.default_config with Sched.quiet_timeout = Time.of_ms 10 }
   in
   let sched = Sched.create ~config () in
+  Sched.control_activity sched;
   let stats = Sched.run ~until:(Time.of_ms 100) sched in
-  check Alcotest.int "one transition to DES" 1
-    (List.length stats.Sched.transitions);
+  check
+    (Alcotest.list Alcotest.string)
+    "into FTI at t=0, back to DES after the quiet timeout"
+    [ "0s DES -> FTI"; "10ms FTI -> DES" ]
+    (List.map
+       (fun (tr : Sched.transition) ->
+         Format.asprintf "%a %a -> %a" Time.pp tr.at Sched.pp_mode
+           tr.from_mode Sched.pp_mode tr.to_mode)
+       stats.Sched.transitions);
   check Alcotest.bool "some increments" true (stats.Sched.fti_increments >= 10)
 
-let test_fti_wall_cost_exceeds_des () =
+let test_fti_work_exceeds_des () =
   (* The paper's core claim in miniature: the same quiet virtual hour
-     costs far less wall time in DES than in FTI. An always-runnable
-     poller pins FTI to stepping every increment — fast-forward exists
-     precisely to erase this cost. *)
-  let run ~start_in_fti ~quiet_timeout =
+     costs far less work in DES than in FTI. An always-runnable poller
+     pins FTI to stepping every increment and ticking the poller each
+     time — fast-forward exists precisely to erase this cost. *)
+  let run ~fti ~quiet_timeout =
     let config =
       {
         Sched.default_config with
-        Sched.start_in_fti;
-        quiet_timeout;
+        Sched.quiet_timeout;
         fti_increment = Time.of_ms 1;
       }
     in
     let sched = Sched.create ~config () in
+    if fti then Sched.control_activity sched;
     ignore (Sched.add_poller sched (fun () -> Sched.Always));
     Sched.run ~until:(Time.of_sec 3600.0) sched
   in
-  let des = run ~start_in_fti:false ~quiet_timeout:(Time.of_sec 1.0) in
-  let fti = run ~start_in_fti:true ~quiet_timeout:(Time.of_sec 7200.0) in
+  let des = run ~fti:false ~quiet_timeout:(Time.of_sec 1.0) in
+  let fti = run ~fti:true ~quiet_timeout:(Time.of_sec 7200.0) in
   check Alcotest.int "DES: no increments" 0 des.Sched.fti_increments;
   check Alcotest.int "FTI: one increment per millisecond" 3_600_000
     fti.Sched.fti_increments;
   check Alcotest.int "FTI: every increment stepped" 0
     fti.Sched.fti_increments_skipped;
-  check Alcotest.bool "FTI costs more wall time" true
-    (fti.Sched.wall_total > des.Sched.wall_total)
+  check Alcotest.int "FTI: one poller tick per increment" 3_600_000
+    fti.Sched.poller_ticks;
+  check Alcotest.int "DES: no poller ticks" 0 des.Sched.poller_ticks
 
 let test_fast_forward_skips_idle_fti () =
   (* The same quiet virtual hour again, fast path on: the increment
@@ -571,12 +636,12 @@ let test_fast_forward_skips_idle_fti () =
   let config =
     {
       Sched.default_config with
-      Sched.start_in_fti = true;
-      quiet_timeout = Time.of_sec 7200.0;
+      Sched.quiet_timeout = Time.of_sec 7200.0;
       fti_increment = Time.of_ms 1;
     }
   in
   let sched = Sched.create ~config () in
+  Sched.control_activity sched;
   let stats = Sched.run ~until:(Time.of_sec 3600.0) sched in
   check Alcotest.int "FTI: one increment per millisecond" 3_600_000
     stats.Sched.fti_increments;
@@ -592,12 +657,12 @@ let test_fast_forward_respects_events_and_pollers () =
   let config =
     {
       Sched.default_config with
-      Sched.start_in_fti = true;
-      quiet_timeout = Time.of_sec 60.0;
+      Sched.quiet_timeout = Time.of_sec 60.0;
       fti_increment = Time.of_ms 1;
     }
   in
   let sched = Sched.create ~config () in
+  Sched.control_activity sched;
   let fired = ref (-1.0) in
   ignore
     (Sched.schedule_at sched (Time.of_sec 5.0) (fun () ->
@@ -768,7 +833,8 @@ let () =
           Alcotest.test_case "reschedule re-aims in place" `Quick
             test_queue_reschedule;
           prop_queue_sorted;
-          prop_wheel_matches_heap;
+          prop_queue_matches_model;
+          Alcotest.test_case "re-aim churn" `Quick test_queue_reaim_churn;
         ] );
       ( "hybrid_sched",
         [
@@ -791,8 +857,8 @@ let () =
             test_defer_chains_drain_in_instant;
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "start in FTI" `Quick test_start_in_fti;
-          Alcotest.test_case "FTI wall cost exceeds DES" `Slow
-            test_fti_wall_cost_exceeds_des;
+          Alcotest.test_case "FTI work exceeds DES" `Slow
+            test_fti_work_exceeds_des;
           Alcotest.test_case "fast-forward skips idle FTI" `Quick
             test_fast_forward_skips_idle_fti;
           Alcotest.test_case "fast-forward respects events and pollers" `Quick
