@@ -8,7 +8,7 @@
    With no verb it runs every verb below, in this order; --full selects
    paper-scale parameters (slower) where a verb has them. Verbs:
      fig1 fig3 te ablation-timeout ablation-increment protocols
-     ablation-placer scaling fct failure multicore micro
+     ablation-placer scaling fct failure micro
    An unknown verb exits 2 and runs nothing.
 *)
 
@@ -380,98 +380,6 @@ let ablation_placer () =
 (* SCALING: Horse-only wall time vs topology size                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The multicore A/B: the same 12-pod sharded BGP experiment executed
-   by 1, 2 and 4 domains. Whatever the hardware, the determinism
-   oracle must hold (byte-identical fingerprint, causal hash, mode
-   timelines, fault traces across domain counts); the wall speedup is
-   reported against the recorded core count — on a single-core host
-   the pool can only add overhead, and the artefact says so. *)
-let multicore_scaling () =
-  section "MULTICORE — sharded BGP fat-tree across domains (lockstep barriers)";
-  let pods = 12 in
-  let duration = Time.of_sec 20.0 in
-  let cores = Domain.recommended_domain_count () in
-  let runs =
-    List.map
-      (fun domains ->
-        (domains, Multicore.run_fat_tree ~pods ~domains ~duration ()))
-      [ 1; 2; 4 ]
-  in
-  let base = List.assoc 1 runs in
-  Format.fprintf fmt "%d cores available; pods=%d shards=%d sessions=%d@.@."
-    cores pods base.Multicore.shards base.Multicore.sessions_total;
-  Format.fprintf fmt "%-8s %10s %10s %8s %8s %12s %8s@." "domains" "wall(s)"
-    "speedup" "epochs" "jumps" "cross-msgs" "match";
-  let deterministic = ref true in
-  List.iter
-    (fun (domains, (r : Multicore.result)) ->
-      let same =
-        r.Multicore.fib_fingerprint = base.Multicore.fib_fingerprint
-        && r.Multicore.causal_hash = base.Multicore.causal_hash
-        && r.Multicore.timelines = base.Multicore.timelines
-        && r.Multicore.fault_trace = base.Multicore.fault_trace
-      in
-      if not same then deterministic := false;
-      Format.fprintf fmt "%-8d %10.3f %10.2f %8d %8d %12d %8s@." domains
-        r.Multicore.run_wall_s
-        (base.Multicore.run_wall_s /. Float.max 1e-9 r.Multicore.run_wall_s)
-        r.Multicore.epochs r.Multicore.jumps r.Multicore.cross_messages
-        (if same then "OK" else "DIVERGED"))
-    runs;
-  let module Json = Horse_telemetry.Json in
-  let run_json (domains, (r : Multicore.result)) =
-    Json.Obj
-      [
-        ("domains", Json.Int domains);
-        ("run_wall_s", Json.Float r.Multicore.run_wall_s);
-        ("setup_wall_s", Json.Float r.Multicore.setup_wall_s);
-        ( "speedup_vs_domains1",
-          Json.Float
-            (base.Multicore.run_wall_s /. Float.max 1e-9 r.Multicore.run_wall_s)
-        );
-        ("epochs", Json.Int r.Multicore.epochs);
-        ("jumps", Json.Int r.Multicore.jumps);
-        ("cross_messages", Json.Int r.Multicore.cross_messages);
-        ( "converged_s",
-          match r.Multicore.converged_at with
-          | Some t -> Json.Float (Time.to_sec t)
-          | None -> Json.Null );
-        ("fib_fingerprint", Json.String r.Multicore.fib_fingerprint);
-        ("causal_hash", Json.String r.Multicore.causal_hash);
-      ]
-  in
-  let j =
-    Json.Obj
-      [
-        ("bench", Json.String "multicore");
-        ("cores", Json.Int cores);
-        ("pods", Json.Int pods);
-        ("shards", Json.Int base.Multicore.shards);
-        ("partition", Json.String base.Multicore.partition_name);
-        ("duration_s", Json.Float (Time.to_sec duration));
-        ("sessions", Json.Int base.Multicore.sessions_total);
-        ("control_messages", Json.Int base.Multicore.control_messages);
-        ("determinism_ok", Json.Bool !deterministic);
-        ("runs", Json.List (List.map run_json runs));
-      ]
-  in
-  (try Unix.mkdir "results" 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = "results/BENCH_multicore.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "artifact written to %s@." path;
-  if not !deterministic then begin
-    Format.fprintf fmt "multicore determinism check FAILED@.";
-    exit 1
-  end;
-  Format.fprintf fmt
-    "@.shape check: every domain count reproduces the domains=1 run \
-     byte-for-byte; wall speedup tracks the recorded core count (%d here)@."
-    cores
-
 let scaling () =
   section "SCALING — Horse wall time vs fat-tree size (no FTI pacing)";
   Format.fprintf fmt "%-6s %8s %10s %12s %14s@." "pods" "hosts" "flows"
@@ -489,8 +397,7 @@ let scaling () =
     [ 4; 6; 8; 10; 12 ];
   Format.fprintf fmt
     "@.shape check: wall time grows polynomially with size but stays seconds \
-     at 432 hosts — the scalability headroom emulators lack@.";
-  multicore_scaling ()
+     at 432 hosts — the scalability headroom emulators lack@."
 
 (* ------------------------------------------------------------------ *)
 (* FAILURE: traffic during a control-plane fault and repair            *)
@@ -873,7 +780,6 @@ let verbs =
     ("scaling", fun ~full:_ -> scaling ());
     ("fct", fun ~full:_ -> fct ());
     ("failure", fun ~full:_ -> failure ());
-    ("multicore", fun ~full:_ -> multicore_scaling ());
     ("micro", fun ~full:_ -> micro ());
   ]
 

@@ -9,9 +9,27 @@ open Horse_core
 
 (* --- shared arguments -------------------------------------------------- *)
 
+(* [conv] restricted to values satisfying [ok]: anything else is a
+   one-line usage error at parse time, not an exception from inside
+   the run. *)
+let checked conv ~expect ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expect s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let non_negative = checked Arg.float ~expect:"a value >= 0" (fun v -> v >= 0.0)
+
 let pods_arg =
   let doc = "Fat-Tree pods (even, >= 2)." in
-  Arg.(value & opt int 4 & info [ "p"; "pods" ] ~docv:"PODS" ~doc)
+  let pods =
+    checked Arg.int ~expect:"an even number >= 2" (fun k ->
+        k >= 2 && k mod 2 = 0)
+  in
+  Arg.(value & opt pods 4 & info [ "p"; "pods" ] ~docv:"PODS" ~doc)
 
 let duration_arg =
   let doc = "Virtual experiment duration in seconds." in
@@ -23,18 +41,27 @@ let seed_arg =
 
 let quiet_timeout_arg =
   let doc = "Control-plane quiet timeout before returning to DES, seconds." in
-  Arg.(value & opt float 1.0 & info [ "quiet-timeout" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value & opt non_negative 1.0
+    & info [ "quiet-timeout" ] ~docv:"SECONDS" ~doc)
+
+(* The scheduler counts in whole microseconds. *)
+let increment_of_ms ms = Time.of_sec (ms /. 1000.0)
 
 let increment_arg =
-  let doc = "FTI increment, milliseconds." in
-  Arg.(value & opt float 1.0 & info [ "fti-increment" ] ~docv:"MS" ~doc)
+  let doc = "FTI increment, milliseconds (at least 0.001, one microsecond)." in
+  let increment =
+    checked Arg.float ~expect:"at least 0.001 (1 us)" (fun ms ->
+        Time.to_us (increment_of_ms ms) >= 1)
+  in
+  Arg.(value & opt increment 1.0 & info [ "fti-increment" ] ~docv:"MS" ~doc)
 
 let max_wall_arg =
   let doc =
     "Watchdog: abort the run after $(docv) wall-clock seconds (0 = off), \
      flushing telemetry so a partial report survives."
   in
-  Arg.(value & opt float 0.0 & info [ "max-wall" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt non_negative 0.0 & info [ "max-wall" ] ~docv:"SECONDS" ~doc)
 
 let no_causal_arg =
   let doc =
@@ -53,7 +80,7 @@ let sched_config quiet_timeout increment_ms max_wall no_causal profile =
   {
     Sched.default_config with
     Sched.quiet_timeout = Time.of_sec quiet_timeout;
-    fti_increment = Time.of_sec (increment_ms /. 1000.0);
+    fti_increment = increment_of_ms increment_ms;
     max_wall_s = max_wall;
     causal = not no_causal;
     profile;
@@ -227,97 +254,6 @@ let te_cmd =
       $ quiet_timeout_arg $ increment_arg $ max_wall_arg $ no_causal_arg
       $ profile_arg $ faults_arg $ csv_arg $ explain_arg
       $ metrics_out_arg $ trace_out_arg $ report_arg)
-
-(* --- multicore ----------------------------------------------------------- *)
-
-let multicore_cmd =
-  let domains_arg =
-    let doc =
-      "OCaml domains executing the shards (1 = sequential reference \
-       vehicle; results are byte-identical for any value)."
-    in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-  in
-  let shards_arg =
-    let doc = "Shard count (default: one per pod; must not exceed pods)." in
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let check_arg =
-    let doc =
-      "Also run the domains=1 oracle and verify the FIB fingerprint, causal \
-       hash and mode timelines match byte-for-byte."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let pp_mc_result fmt (r : Multicore.result) =
-    Format.fprintf fmt
-      "@[<v>multicore pods=%d shards=%d (%s) domains=%d@,\
-       setup %.3fs wall, run %.3fs wall; %d epochs (%d jumped), %d \
-       cross-shard deliveries@,\
-       converged at %s; %d/%d sessions; %d control msgs (%d bytes); %d FIB \
-       writes@,\
-       faults: %d injected, %d skipped@,\
-       fib fingerprint %s@,\
-       causal hash     %s@]"
-      r.Multicore.pods r.Multicore.shards r.Multicore.partition_name
-      r.Multicore.domains r.Multicore.setup_wall_s r.Multicore.run_wall_s
-      r.Multicore.epochs r.Multicore.jumps r.Multicore.cross_messages
-      (match r.Multicore.converged_at with
-      | Some at -> Format.asprintf "%a" Time.pp at
-      | None -> "never")
-      r.Multicore.sessions_up r.Multicore.sessions_total
-      r.Multicore.control_messages r.Multicore.control_bytes
-      r.Multicore.fib_writes r.Multicore.faults_injected
-      r.Multicore.faults_skipped r.Multicore.fib_fingerprint
-      r.Multicore.causal_hash
-  in
-  let run pods domains shards duration seed quiet_timeout increment max_wall
-      no_causal profile faults check metrics_out trace_out report =
-    let config =
-      sched_config quiet_timeout increment max_wall no_causal profile
-    in
-    let faults = load_faults faults in
-    let go domains =
-      Multicore.run_fat_tree ~seed ~sched_config:config ?shards ~domains
-        ?faults ~pods
-        ~duration:(Time.of_sec duration)
-        ()
-    in
-    let r = go domains in
-    Format.printf "%a@." pp_mc_result r;
-    if check && domains <> 1 then begin
-      let oracle = go 1 in
-      let same =
-        r.Multicore.fib_fingerprint = oracle.Multicore.fib_fingerprint
-        && r.Multicore.causal_hash = oracle.Multicore.causal_hash
-        && r.Multicore.timelines = oracle.Multicore.timelines
-        && r.Multicore.fault_trace = oracle.Multicore.fault_trace
-      in
-      if same then
-        Format.printf
-          "@.check: domains=%d matches the domains=1 oracle byte-for-byte \
-           (%.3fs vs %.3fs wall)@."
-          domains r.Multicore.run_wall_s oracle.Multicore.run_wall_s
-      else begin
-        Format.eprintf
-          "@.check FAILED: domains=%d diverged from the domains=1 oracle@."
-          domains;
-        exit 1
-      end
-    end;
-    emit_telemetry ~metrics_out ~trace_out ~report r.Multicore.registry
-  in
-  let doc =
-    "Run the sharded BGP fat-tree experiment across OCaml domains with \
-     deterministic barriers."
-  in
-  Cmd.v
-    (Cmd.info "multicore" ~doc)
-    Term.(
-      const run $ pods_arg $ domains_arg $ shards_arg $ duration_arg $ seed_arg
-      $ quiet_timeout_arg $ increment_arg $ max_wall_arg $ no_causal_arg
-      $ profile_arg $ faults_arg $ check_arg $ metrics_out_arg $ trace_out_arg
-      $ report_arg)
 
 (* --- fig1 ---------------------------------------------------------------- *)
 
@@ -683,6 +619,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            te_cmd; multicore_cmd; fig1_cmd; baseline_cmd; wan_cmd;
+            te_cmd; fig1_cmd; baseline_cmd; wan_cmd;
             megauser_cmd; topo_cmd;
           ]))

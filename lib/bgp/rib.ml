@@ -197,17 +197,8 @@ let decide ~multipath t prefix =
       if multipath then survivors
       else (match survivors with [] -> [] | winner :: _ -> [ winner ])
 
-(* --- reference decision process (differential testing) ------------- *)
-
-let keep_best_by f routes =
-  match routes with
-  | [] | [ _ ] -> routes
-  | _ ->
-      let best =
-        List.fold_left (fun acc r -> Stdlib.min acc (f r)) max_int routes
-      in
-      List.filter (fun r -> f r = best) routes
-
+(* The decision process's raw input, read from the tables themselves
+   rather than from [cands]. *)
 let candidates t prefix =
   let from_peers =
     Hashtbl.fold
@@ -220,26 +211,6 @@ let candidates t prefix =
   match Prefix_tbl.find_opt t.local prefix with
   | Some r -> r :: from_peers
   | None -> from_peers
-
-(* The pre-incremental implementation: full candidate rebuild and a
-   chain of lexicographic filters. Kept as the oracle for the QCheck
-   differential suite. *)
-let decide_reference ~multipath t prefix =
-  let survivors = candidates t prefix in
-  let survivors = keep_best_by (fun r -> -local_pref r) survivors in
-  let survivors = keep_best_by as_path_len survivors in
-  let survivors =
-    keep_best_by (fun r -> Msg.origin_to_int r.attrs.Msg.origin) survivors
-  in
-  let survivors = med_filter survivors in
-  let tiebreak a b =
-    match Ipv4.compare a.peer_bgp_id b.peer_bgp_id with
-    | 0 -> Int.compare a.peer b.peer
-    | c -> c
-  in
-  let sorted = List.sort tiebreak survivors in
-  if multipath then sorted
-  else match sorted with [] -> [] | winner :: _ -> [ winner ]
 
 type refresh_outcome = Unchanged | Changed of route list
 

@@ -78,9 +78,11 @@ val refresh : ?multipath:bool -> t -> Prefix.t -> refresh_outcome
 val decide : multipath:bool -> t -> Prefix.t -> route list
 (** The incremental decision process, without touching the Loc-RIB. *)
 
-val decide_reference : multipath:bool -> t -> Prefix.t -> route list
-(** The pre-incremental full-rebuild implementation, kept as the
-    oracle for the differential test suite. *)
+val candidates : t -> Prefix.t -> route list
+(** Every route held for the prefix: the local one and each peer's
+    Adj-RIB-In entry, in no particular order. It reads the tables, not
+    the incremental candidate lists {!decide} uses, so a decision
+    recomputed from it checks those lists. *)
 
 val best : t -> Prefix.t -> route list
 (** Current Loc-RIB entry ([[]] if none). *)

@@ -59,42 +59,6 @@ let control_channel ?latency ?(name = "control") ?owner_a ?owner_b t =
   | None -> ());
   channel
 
-(* One side of a split channel, wired to one shard's CM: counters,
-   observer, control activity and wake all on that shard. Must run on
-   the domain owning the endpoint's side — the sharded fabric calls it
-   for the local side directly and ships the remote side's call
-   through a barrier mailbox. *)
-let wire_endpoint ?(name = "control") ?owner t ep =
-  Counter.incr t.m_channels;
-  Trace.addf t.cm_trace ~at:(Sched.now t.sched) ~label:"cm"
-    "channel %d created (%s, cross-shard)" (Counter.value t.m_channels) name;
-  Channel.set_endpoint_observer ep (fun _dir msg ->
-      Counter.incr t.m_messages;
-      Counter.add t.m_bytes (Bytes.length msg);
-      t.last_activity <- Sched.now t.sched;
-      Gauge.set t.g_last_activity (Time.to_sec t.last_activity);
-      Sched.control_activity ~reason:name t.sched);
-  match owner with
-  | Some p -> Channel.set_wake ep (fun () -> Process.wake p)
-  | None -> ()
-
-(* The cross-shard variant of [control_channel]: each side has its own
-   CM (the owning shard's), which observes only the traffic sent from
-   that side. The two CMs' counters therefore partition the channel's
-   traffic, and merging shard registries recovers the totals a single
-   CM would have seen. Setup-time only (single-threaded): it wires
-   both sides at once. *)
-let cross_channel ?latency ?(name = "control") ~cm_a ~cm_b ~post_to_b
-    ~post_to_a ?owner_a ?owner_b () =
-  let channel =
-    Channel.create_split ~sched_a:cm_a.sched ~sched_b:cm_b.sched ~post_to_b
-      ~post_to_a ?latency ()
-  in
-  let ep_a, ep_b = Channel.endpoints channel in
-  wire_endpoint ~name ?owner:owner_a cm_a ep_a;
-  wire_endpoint ~name ?owner:owner_b cm_b ep_b;
-  channel
-
 let channels_created t = Counter.value t.m_channels
 let messages_observed t = Counter.value t.m_messages
 let bytes_observed t = Counter.value t.m_bytes

@@ -33,35 +33,6 @@ val control_channel :
     scheduler fast path get their poll quantum back the moment input
     arrives for them. *)
 
-val wire_endpoint :
-  ?name:string -> ?owner:Process.t -> t -> Channel.endpoint -> unit
-(** Wires one side of a split channel to this CM: bumps the channel
-    counter, installs the per-endpoint observer (counters + control
-    activity on this CM's scheduler) and, when the owner is known, the
-    wake hook. Must be called on the domain owning the endpoint's side
-    — the restore path of a sharded fabric wires the local side
-    directly and posts the remote side's wiring through the
-    barrier. *)
-
-val cross_channel :
-  ?latency:Time.t ->
-  ?name:string ->
-  cm_a:t ->
-  cm_b:t ->
-  post_to_b:(at:Time.t -> (unit -> unit) -> unit) ->
-  post_to_a:(at:Time.t -> (unit -> unit) -> unit) ->
-  ?owner_a:Process.t ->
-  ?owner_b:Process.t ->
-  unit ->
-  Channel.t
-(** A split channel whose sides live on two shards: side a on [cm_a]'s
-    scheduler, side b on [cm_b]'s. Each CM observes (and reports
-    control activity for) only the traffic sent from its own side, so
-    the per-shard counters partition the channel's traffic; the post
-    functions carry deliveries through the barrier mailboxes (see
-    {!Horse_emulation.Channel.create_split} for the latency >= quantum
-    requirement). *)
-
 val channels_created : t -> int
 val messages_observed : t -> int
 val bytes_observed : t -> int

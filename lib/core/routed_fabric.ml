@@ -6,7 +6,7 @@ open Horse_emulation
 open Horse_bgp
 
 type session = {
-  node_a : int;  (* its shard applies the session's faults *)
+  node_a : int;  (* the end a one-sided reset comes from *)
   node_b : int;
   peer_at_a : int;
   peer_at_b : int;
@@ -14,27 +14,18 @@ type session = {
   session_name : string;
 }
 
-(* One shard's slice of the fabric: everything here is touched only by
-   the domain running the shard's scheduler (the CM's). *)
-type shard = {
+type t = {
+  fabric_topo : Topology.t;
   cm : Connection_manager.t;
-  mutable members : (int * Speaker.t) list;  (* the speakers it owns *)
+  speakers : (int, Speaker.t) Hashtbl.t;  (* node id -> speaker *)
+  processes : (int, Process.t) Hashtbl.t;
+  tables : Fwd.t array;  (* per node id *)
   mutable fib_writes : int;
   fib_prov : (int * Prefix.t, Causal.id) Hashtbl.t;
-  mutable peer_slots : int;  (* peers added across [members] *)
   mutable converged_fired : bool;
   mutable converged_hooks : (unit -> unit) list;  (* reversed *)
   mutable checker_armed : bool;
-}
-
-type t = {
-  fabric_topo : Topology.t;
-  shards : shard array;
-  owner : int array;  (* node id -> shard index *)
-  barrier : Barrier.t option;  (* present iff more than one shard *)
-  speakers : (int, Speaker.t) Hashtbl.t;  (* node id -> speaker *)
-  processes : (int, Process.t) Hashtbl.t;
-  tables : Fwd.t array;  (* per node id; each written only by its owner *)
+  mutable speaker_nodes : int list;  (* newest first *)
   originated : (int, Prefix.t list) Hashtbl.t;
   mutable prefixes : Prefix.t list;
   fib_hooks : (int -> Prefix.t -> unit) Hooks.t;
@@ -50,29 +41,23 @@ let is_speaker_node (n : Topology.node) =
   | Topology.Host -> false
 
 let node_name t id = (Topology.node t.fabric_topo id).Topology.name
-let shard_of t node = t.shards.(t.owner.(node))
-let sched_of sh = Connection_manager.scheduler sh.cm
+let sched t = Connection_manager.scheduler t.cm
 let pair a b = if a <= b then (a, b) else (b, a)
 
-(* Cross-shard work rides the barrier mailboxes. Only a session that
-   straddles the cut posts, so an unsharded fabric never gets here. *)
-let post t ~src ~dst = Barrier.post (Option.get t.barrier) ~src ~dst
-
-let record_fib_write t sh node prefix =
-  sh.fib_writes <- sh.fib_writes + 1;
+let record_fib_write t node prefix =
+  t.fib_writes <- t.fib_writes + 1;
   (* Terminal provenance: the FIB entry remembers the decision chain
      that last wrote it. *)
   let cause =
-    Sched.cause_point (sched_of sh) ~kind:"fib:write" (fun () ->
+    Sched.cause_point (sched t) ~kind:"fib:write" (fun () ->
         Printf.sprintf "%s %s" (node_name t node) (Prefix.to_string prefix))
   in
-  Hashtbl.replace sh.fib_prov (node, prefix) cause
+  Hashtbl.replace t.fib_prov (node, prefix) cause
 
 (* Loc-RIB -> FIB: translate each best route's source peer into the
    out-link its session runs over; multipath routes become one ECMP
-   group. Locally originated prefixes keep their static routes. Runs
-   on the owner shard's scheduler. *)
-let install_fib t sh node peer_links prefix (routes : Rib.route list) =
+   group. Locally originated prefixes keep their static routes. *)
+let install_fib t node peer_links prefix (routes : Rib.route list) =
   let next_hops =
     List.filter_map
       (fun (r : Rib.route) ->
@@ -81,41 +66,32 @@ let install_fib t sh node peer_links prefix (routes : Rib.route list) =
       routes
   in
   let table = t.tables.(node) in
-  Sched.protect_cause (sched_of sh) (fun () ->
+  Sched.protect_cause (sched t) (fun () ->
       (match (routes, next_hops) with
       | [], _ ->
           Fwd.remove_route table prefix;
-          record_fib_write t sh node prefix
+          record_fib_write t node prefix
       | _ :: _, [] -> () (* purely local: static routes already cover it *)
       | _ :: _, _ :: _ ->
           Fwd.set_route table prefix ~next_hops;
-          record_fib_write t sh node prefix);
+          record_fib_write t node prefix);
       Hooks.iter (fun f -> f node prefix) t.fib_hooks)
 
-let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
-    ?(mrai = Time.zero) ~cms ~barrier ~owner ~originate topo =
+let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
+    ?(mrai = Time.zero) ~cm ~originate topo =
   let t =
     {
       fabric_topo = topo;
-      shards =
-        Array.map
-          (fun cm ->
-            {
-              cm;
-              members = [];
-              fib_writes = 0;
-              fib_prov = Hashtbl.create 256;
-              peer_slots = 0;
-              converged_fired = false;
-              converged_hooks = [];
-              checker_armed = false;
-            })
-          cms;
-      owner = Array.init (Topology.n_nodes topo) owner;
-      barrier;
+      cm;
       speakers = Hashtbl.create 64;
       processes = Hashtbl.create 64;
       tables = Array.init (Topology.n_nodes topo) (fun _ -> Fwd.create ());
+      fib_writes = 0;
+      fib_prov = Hashtbl.create 256;
+      converged_fired = false;
+      converged_hooks = [];
+      checker_armed = false;
+      speaker_nodes = [];
       originated = Hashtbl.create 64;
       prefixes = [];
       fib_hooks = Hooks.create ();
@@ -123,11 +99,9 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
       sessions = [];
     }
   in
-  (* Speakers, each on its owner shard's scheduler. *)
   List.iter
     (fun (n : Topology.node) ->
       if is_speaker_node n then begin
-        let sh = shard_of t n.Topology.id in
         let networks = originate n.Topology.id in
         Hashtbl.replace t.originated n.Topology.id networks;
         t.prefixes <- networks @ t.prefixes;
@@ -136,9 +110,7 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
           | Some ip -> ip
           | None -> synth_router_id n.Topology.id
         in
-        let proc =
-          Process.create (sched_of sh) ~name:("bgp-" ^ n.Topology.name)
-        in
+        let proc = Process.create (sched t) ~name:("bgp-" ^ n.Topology.name) in
         let config =
           {
             (Speaker.default_config ~asn:(asn_base + n.Topology.id) ~router_id) with
@@ -148,17 +120,16 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
           }
         in
         let speaker =
-          Speaker.create ~trace:(Connection_manager.trace sh.cm) proc config
+          Speaker.create ~trace:(Connection_manager.trace cm) proc config
         in
         Hashtbl.replace t.speakers n.Topology.id speaker;
         Hashtbl.replace t.processes n.Topology.id proc;
-        sh.members <- (n.Topology.id, speaker) :: sh.members
+        t.speaker_nodes <- n.Topology.id :: t.speaker_nodes
       end)
     (Topology.nodes topo);
   t.prefixes <- List.sort_uniq Prefix.compare t.prefixes;
-  (* Sessions over inter-speaker links, one per duplex pair. Same-shard
-     pairs get an ordinary CM channel; pairs straddling the cut get a
-     split channel whose deliveries ride the barrier mailboxes. *)
+  (* Sessions over inter-speaker links, one per duplex pair, each on a
+     CM-observed channel. *)
   let peer_links : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
   let peer_links_of node =
     match Hashtbl.find_opt peer_links node with
@@ -177,7 +148,6 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
             Hashtbl.find_opt t.speakers l.Topology.dst )
         with
         | Some speaker_a, Some speaker_b ->
-            let sa = t.owner.(l.Topology.src) and sb = t.owner.(l.Topology.dst) in
             let name =
               Printf.sprintf "bgp %s<->%s"
                 (node_name t l.Topology.src)
@@ -186,15 +156,7 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
             let owner_a = Hashtbl.find t.processes l.Topology.src in
             let owner_b = Hashtbl.find t.processes l.Topology.dst in
             let channel =
-              if sa = sb then
-                Connection_manager.control_channel ~name ~owner_a ~owner_b
-                  t.shards.(sa).cm
-              else
-                Connection_manager.cross_channel ~name ~cm_a:t.shards.(sa).cm
-                  ~cm_b:t.shards.(sb).cm
-                  ~post_to_b:(post t ~src:sa ~dst:sb)
-                  ~post_to_a:(post t ~src:sb ~dst:sa)
-                  ~owner_a ~owner_b ()
+              Connection_manager.control_channel ~name ~owner_a ~owner_b cm
             in
             let ep_a, ep_b = Channel.endpoints channel in
             let peer_at_a =
@@ -203,8 +165,6 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
             let peer_at_b =
               Speaker.add_peer speaker_b ~remote_asn:(Speaker.asn speaker_a) ep_b
             in
-            t.shards.(sa).peer_slots <- t.shards.(sa).peer_slots + 1;
-            t.shards.(sb).peer_slots <- t.shards.(sb).peer_slots + 1;
             Hashtbl.replace (peer_links_of l.Topology.src) peer_at_a
               l.Topology.link_id;
             Hashtbl.replace (peer_links_of l.Topology.dst) peer_at_b
@@ -228,10 +188,9 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
   (* FIB wiring. *)
   Hashtbl.iter
     (fun node speaker ->
-      let sh = shard_of t node in
       let links = peer_links_of node in
       Speaker.on_loc_rib_change speaker (fun prefix routes ->
-          install_fib t sh node links prefix routes))
+          install_fib t node links prefix routes))
     t.speakers;
   (* Static routes: hosts default up; edge switches reach their hosts
      on connected /32s. *)
@@ -253,20 +212,7 @@ let assemble ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
     (Topology.nodes topo);
   t
 
-let build ?asn_base ?hold_time ?mrai ~cm ~originate topo =
-  assemble ?asn_base ?hold_time ?mrai ~cms:[| cm |] ~barrier:None
-    ~owner:(fun _ -> 0)
-    ~originate topo
-
-let build_sharded ~cms ~barrier ~owner ~originate topo =
-  assemble ~cms
-    ~barrier:(if Array.length cms > 1 then Some barrier else None)
-    ~owner ~originate topo
-
-let start ?(shard = 0) t =
-  Hashtbl.iter
-    (fun node speaker -> if t.owner.(node) = shard then Speaker.start speaker)
-    t.speakers
+let start t = Hashtbl.iter (fun _node speaker -> Speaker.start speaker) t.speakers
 
 let topo t = t.fabric_topo
 
@@ -278,46 +224,34 @@ let speaker t node = Hashtbl.find_opt t.speakers node
 let table t node = t.tables.(node)
 let all_prefixes t = t.prefixes
 
-let fib_routes_installed t =
-  Array.fold_left (fun acc sh -> acc + sh.fib_writes) 0 t.shards
+let fib_routes_installed t = t.fib_writes
 
 let on_fib_change t f = Hooks.add t.fib_hooks f
 let own_prefixes t node = Option.value (Hashtbl.find_opt t.originated node) ~default:[]
 
-(* A shard's FIBs are complete when every speaker it owns resolves
-   every prefix it does not originate itself — shard-local state only,
-   so each shard can check its own on its own scheduler. *)
-let fibs_complete t sh =
+(* Every speaker resolves every prefix it does not originate itself. *)
+let is_converged t =
   List.for_all
-    (fun (node, _speaker) ->
+    (fun node ->
       let own = own_prefixes t node in
       List.for_all
         (fun prefix ->
           List.exists (Prefix.equal prefix) own
           || Option.is_some (Fwd.lookup t.tables.(node) (Prefix.network prefix)))
         t.prefixes)
-    sh.members
+    t.speaker_nodes
 
-let sessions_up sh =
-  List.fold_left
-    (fun acc (_, speaker) -> acc + Speaker.established_count speaker)
-    0 sh.members
-  = sh.peer_slots
-
-let is_converged t = Array.for_all (fibs_complete t) t.shards
-
-let when_converged ?(check_every = Time.of_ms 50) ?(shard = 0) t k =
-  let sh = t.shards.(shard) in
-  if sh.converged_fired then k ()
+let when_converged ?(check_every = Time.of_ms 50) t k =
+  if t.converged_fired then k ()
   else begin
-    sh.converged_hooks <- k :: sh.converged_hooks;
-    if not sh.checker_armed then begin
-      sh.checker_armed <- true;
-      let sched = sched_of sh in
+    t.converged_hooks <- k :: t.converged_hooks;
+    if not t.checker_armed then begin
+      t.checker_armed <- true;
+      let sched = sched t in
       let recurring = ref None in
       let check () =
-        if (not sh.converged_fired) && fibs_complete t sh then begin
-          sh.converged_fired <- true;
+        if (not t.converged_fired) && is_converged t then begin
+          t.converged_fired <- true;
           Horse_telemetry.Registry.Gauge.set
             (Horse_telemetry.Registry.gauge (Sched.registry sched)
                ~subsystem:"bgp"
@@ -325,8 +259,8 @@ let when_converged ?(check_every = Time.of_ms 50) ?(shard = 0) t k =
                "convergence_seconds")
             (Time.to_sec (Sched.now sched));
           Option.iter Sched.cancel_recurring !recurring;
-          List.iter (fun k -> k ()) (List.rev sh.converged_hooks);
-          sh.converged_hooks <- []
+          List.iter (fun k -> k ()) (List.rev t.converged_hooks);
+          t.converged_hooks <- []
         end
       in
       recurring := Some (Sched.every sched check_every check)
@@ -347,89 +281,39 @@ let path_for ?hash t key =
 
 (* --- fault-injection surface ---------------------------------------- *)
 
-(* Every fault on a session is applied on node_a's shard; effects on
-   the far side of a cut travel through the barrier like any other
-   cross-shard event. *)
-
 let find_session t ~a ~b = Hashtbl.find_opt t.session_table (pair a b)
-let owner_side session = fst (Channel.endpoints session.channel)
 
 let fail_session session =
-  let ep = owner_side session in
-  if Channel.endpoint_open ep then begin
-    Channel.close_endpoint ep;
+  if Channel.is_open session.channel then begin
+    Channel.close session.channel;
     true
   end
   else false
 
 let restore_session t session =
-  if Channel.endpoint_open (owner_side session) then false
+  if Channel.is_open session.channel then false
   else begin
     let speaker_a = Hashtbl.find t.speakers session.node_a in
     let speaker_b = Hashtbl.find t.speakers session.node_b in
-    let owner_a = Hashtbl.find t.processes session.node_a in
-    let owner_b = Hashtbl.find t.processes session.node_b in
-    let sa = t.owner.(session.node_a) and sb = t.owner.(session.node_b) in
-    let sh_a = t.shards.(sa) and sh_b = t.shards.(sb) in
-    if not (Channel.is_split session.channel) then begin
-      let channel =
-        Connection_manager.control_channel ~name:session.session_name ~owner_a
-          ~owner_b sh_a.cm
-      in
-      let ep_a, ep_b = Channel.endpoints channel in
-      Speaker.replace_peer_endpoint speaker_a session.peer_at_a ep_a;
-      Speaker.replace_peer_endpoint speaker_b session.peer_at_b ep_b;
-      session.channel <- channel;
-      Speaker.start_peer speaker_a session.peer_at_a;
-      Speaker.start_peer speaker_b session.peer_at_b
-    end
-    else begin
-      (* Runs on shard a's domain: wire our side now, ship the peer
-         side's wiring through the barrier. The peer comes up one epoch
-         later — deterministically — and any OPEN sent from this side
-         arrives after the peer's wiring, because delivery takes >= one
-         quantum and the wiring thunk is drained at the very next
-         barrier. *)
-      let channel =
-        Channel.create_split ~sched_a:(sched_of sh_a) ~sched_b:(sched_of sh_b)
-          ~post_to_b:(post t ~src:sa ~dst:sb)
-          ~post_to_a:(post t ~src:sb ~dst:sa)
-          ()
-      in
-      let ep_a, ep_b = Channel.endpoints channel in
-      Connection_manager.wire_endpoint ~name:session.session_name ~owner:owner_a
-        sh_a.cm ep_a;
-      Speaker.replace_peer_endpoint speaker_a session.peer_at_a ep_a;
-      session.channel <- channel;
-      Speaker.start_peer speaker_a session.peer_at_a;
-      post t ~src:sa ~dst:sb ~at:(Sched.now (sched_of sh_a)) (fun () ->
-          Sched.control_activity ~reason:"cross-shard link-up" (sched_of sh_b);
-          Connection_manager.wire_endpoint ~name:session.session_name
-            ~owner:owner_b sh_b.cm ep_b;
-          Speaker.replace_peer_endpoint speaker_b session.peer_at_b ep_b;
-          Speaker.start_peer speaker_b session.peer_at_b)
-    end;
+    let channel =
+      Connection_manager.control_channel ~name:session.session_name
+        ~owner_a:(Hashtbl.find t.processes session.node_a)
+        ~owner_b:(Hashtbl.find t.processes session.node_b)
+        t.cm
+    in
+    let ep_a, ep_b = Channel.endpoints channel in
+    Speaker.replace_peer_endpoint speaker_a session.peer_at_a ep_a;
+    Speaker.replace_peer_endpoint speaker_b session.peer_at_b ep_b;
+    session.channel <- channel;
+    Speaker.start_peer speaker_a session.peer_at_a;
+    Speaker.start_peer speaker_b session.peer_at_b;
     true
   end
 
-let impair_session t session ~rng imp =
-  (if not (Channel.is_split session.channel) then
-     match imp with
-     | Some imp -> Channel.set_impairment session.channel ~rng imp
-     | None -> Channel.clear_impairment session.channel
-   else begin
-     let ep_a, ep_b = Channel.endpoints session.channel in
-     (* Our direction draws from the site stream; the peer direction
-        gets a sub-stream derived once, here, on our domain — the Rng
-        value crosses the barrier exactly once and is owned by the peer
-        afterwards. *)
-     let remote_rng = Rng.split_key rng "peer-direction" in
-     let sa = t.owner.(session.node_a) in
-     Channel.set_endpoint_impairment ep_a ~rng imp;
-     post t ~src:sa ~dst:t.owner.(session.node_b)
-       ~at:(Sched.now (sched_of t.shards.(sa)))
-       (fun () -> Channel.set_endpoint_impairment ep_b ~rng:remote_rng imp)
-   end);
+let impair_session ~rng imp session =
+  (match imp with
+  | Some imp -> Channel.set_impairment session.channel ~rng imp
+  | None -> Channel.clear_impairment session.channel);
   true
 
 let reset t session =
@@ -447,8 +331,7 @@ let fail_link t ~a ~b = on_session t ~a ~b fail_session
 let restore_link t ~a ~b = on_session t ~a ~b (restore_session t)
 let reset_session t ~a ~b = on_session t ~a ~b (reset t)
 
-let impair_link t ~a ~b ~rng imp =
-  on_session t ~a ~b (fun session -> impair_session t session ~rng imp)
+let impair_link t ~a ~b ~rng imp = on_session t ~a ~b (impair_session ~rng imp)
 
 let crash_node t node =
   match Hashtbl.find_opt t.processes node with
@@ -469,23 +352,15 @@ let node_id t name =
     (fun (n : Topology.node) -> n.Topology.id)
     (Topology.node_by_name t.fabric_topo name)
 
-(* Shard [shard]'s view: only sessions whose node_a it owns and nodes
-   living on it apply; anything else reports false, as an unknown site
-   does. With one shard that is the whole fabric. *)
-let fault_target ?(shard = 0) t =
-  let mine id = t.owner.(id) = shard in
+let fault_target t =
   let with_node name f =
-    match node_id t name with Some id when mine id -> f id | Some _ | None -> false
+    match node_id t name with Some id -> f id | None -> false
   in
   let with_session a b f =
     match (node_id t a, node_id t b) with
-    | Some a, Some b -> (
-        match find_session t ~a ~b with
-        | Some session when mine session.node_a -> f session
-        | Some _ | None -> false)
+    | Some a, Some b -> on_session t ~a ~b f
     | _, _ -> false
   in
-  let sh = t.shards.(shard) in
   {
     Horse_faults.Injector.describe = "routed-fabric";
     link_down = (fun ~a ~b -> with_session a b fail_session);
@@ -493,17 +368,14 @@ let fault_target ?(shard = 0) t =
     node_crash = (fun n -> with_node n (crash_node t));
     node_restart = (fun n -> with_node n (restart_node t));
     session_reset = (fun ~a ~b -> with_session a b (reset t));
-    impair =
-      (fun ~a ~b ~rng imp ->
-        with_session a b (fun session -> impair_session t session ~rng imp));
+    impair = (fun ~a ~b ~rng imp -> with_session a b (impair_session ~rng imp));
     links =
       (fun () ->
         List.fold_left
-          (fun acc s ->
-            if mine s.node_a then (node_name t s.node_a, node_name t s.node_b) :: acc
-            else acc)
+          (fun acc s -> (node_name t s.node_a, node_name t s.node_b) :: acc)
           [] t.sessions);
-    converged = (fun () -> sessions_up sh && fibs_complete t sh);
+    converged =
+      (fun () -> sessions_established t = sessions_expected t && is_converged t);
   }
 
 (* One entry per BGP-learned prefix currently resolvable in a
@@ -514,7 +386,6 @@ let fib_provenance t =
     Hashtbl.fold
       (fun node _speaker acc ->
         let own = own_prefixes t node in
-        let prov = (shard_of t node).fib_prov in
         List.fold_left
           (fun acc prefix ->
             if List.exists (Prefix.equal prefix) own then acc
@@ -524,7 +395,7 @@ let fib_provenance t =
             then
               let cause =
                 Option.value
-                  (Hashtbl.find_opt prov (node, prefix))
+                  (Hashtbl.find_opt t.fib_prov (node, prefix))
                   ~default:Causal.none
               in
               (node_name t node, prefix, cause) :: acc

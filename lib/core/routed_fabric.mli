@@ -7,16 +7,8 @@
     destination". Each device gets its own ASN (the RFC 7938
     BGP-in-the-data-centre design), multipath is on, and the data
     plane resolves flow paths by walking the FIBs with a configurable
-    ECMP hash.
-
-    The fabric runs on one shard ({!build}) or on several
-    ({!build_sharded}, which {!Multicore} drives through a barrier).
-    Each shard owns the speakers, processes, FIB writes and
-    convergence checker of its nodes. A session inside a shard is an
-    ordinary CM channel; a session across the cut is a split channel
-    whose deliveries ride the barrier mailboxes. Every function taking
-    [?shard] (default 0) acts on that shard alone; on an unsharded
-    fabric shard 0 is the whole fabric. *)
+    ECMP hash. Every speaker runs on the CM's scheduler, and every
+    session is a CM-observed channel. *)
 
 open Horse_net
 open Horse_engine
@@ -41,22 +33,9 @@ val build :
     real fabric's connected routes would be. Speakers are created but
     not started. Defaults: ASNs from 64512, hold time 9 s, MRAI 0. *)
 
-val build_sharded :
-  cms:Connection_manager.t array ->
-  barrier:Barrier.t ->
-  owner:(int -> int) ->
-  originate:(int -> Prefix.t list) ->
-  Topology.t ->
-  t
-(** The same fabric split over [Array.length cms] shards: node [n]
-    lives on shard [owner n], whose CM (and with it, scheduler and
-    trace) runs its speaker. Cross-shard sessions post through
-    [barrier]. With one CM this is {!build} with the defaults. *)
-
-val start : ?shard:int -> t -> unit
-(** Starts the shard's speakers at the current virtual time, in
-    speaker-table order (schedule this inside the experiment for a
-    t=0 boot). *)
+val start : t -> unit
+(** Starts every speaker at the current virtual time, in speaker-table
+    order (schedule this inside the experiment for a t=0 boot). *)
 
 val topo : t -> Topology.t
 val speakers : t -> (int * Speaker.t) list
@@ -74,12 +53,10 @@ val is_converged : t -> bool
 (** Every speaker has a FIB route for every originated prefix it does
     not itself originate. *)
 
-val when_converged :
-  ?check_every:Time.t -> ?shard:int -> t -> (unit -> unit) -> unit
-(** Polls the shard's FIBs on its own scheduler (default every 50 ms
+val when_converged : ?check_every:Time.t -> t -> (unit -> unit) -> unit
+(** Polls {!is_converged} on the CM's scheduler (default every 50 ms
     of virtual time) and fires the callback once, at the first instant
-    every speaker of the shard has a route for every prefix it does
-    not originate. Unsharded, that is {!is_converged}. *)
+    it holds. *)
 
 val path_for :
   ?hash:(Flow_key.t -> int) -> t -> Flow_key.t -> (Spf.path, string) result
@@ -127,13 +104,11 @@ val impair_link : t -> a:int -> b:int -> rng:Rng.t -> Channel.impairment option 
 (** Applies ([Some]) or clears ([None]) a channel impairment on the
     session between the nodes. *)
 
-val fault_target : ?shard:int -> t -> Horse_faults.Injector.target
-(** The shard as a fault-injection target (node names resolve via
-    the topology). It applies faults to the nodes it owns and to the
-    sessions whose first endpoint it owns; any other site reports
+val fault_target : t -> Horse_faults.Injector.target
+(** The fabric as a fault-injection target (node names resolve via
+    the topology). A site with no speaker or no session reports
     [false] and is recorded as skipped. [converged] means every
-    session of the shard's speakers established and their FIBs
-    complete. *)
+    session established and {!is_converged}. *)
 
 val fib_fingerprint : t -> string
 (** Hex digest over every node's full forwarding table (prefixes and
@@ -149,6 +124,4 @@ val fib_provenance : t -> (string * Prefix.t * Causal.id) list
     (node name, prefix, causal id of its last write), sorted by
     (name, prefix). The id is {!Causal.none} when tracing is off;
     otherwise its {!Causal.chain} runs back through the decision, the
-    UPDATE, the channel hops and (after a fault) the fault node. On a
-    sharded fabric the id belongs to the causal graph of the node's
-    shard. *)
+    UPDATE, the channel hops and (after a fault) the fault node. *)

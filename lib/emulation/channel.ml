@@ -12,72 +12,48 @@ type impairment = {
 let no_impairment =
   { loss = 0.0; extra_delay = Time.zero; jitter = Time.zero; duplicate = 0.0 }
 
-(* Every mutable field lives on a side, and each side is owned by
-   exactly one scheduler: for a plain channel both sides share one
-   scheduler, for a split (cross-shard) channel each side belongs to
-   its shard's scheduler and is only ever touched by that shard's
-   domain — sends mutate the sender's side, deliveries mutate the
-   receiver's side, and the only traffic between them is the immutable
-   (time, thunk) pairs carried through the barrier mailboxes
-   ([s_post]). That ownership rule is what makes the multicore run
-   data-race-free without a single lock on the send path. *)
+(* What one endpoint receives: its handler, the backlog queued before
+   a handler exists, and its own open flag (each side's teardown runs
+   its own close hook). *)
 type side = {
-  s_sched : Sched.t;
-  s_post : (at:Time.t -> (unit -> unit) -> unit) option;
-      (* when present, deliveries towards the peer side travel through
-         the barrier mailbox instead of the local event queue *)
   mutable receiver : (Bytes.t -> unit) option;
   mutable backlog : Bytes.t list;  (* reversed *)
   mutable on_close : (unit -> unit) option;
   mutable on_wake : (unit -> unit) option;
   mutable s_open : bool;
-  mutable s_messages : int;
-  mutable s_bytes : int;
-  mutable s_impair : (impairment * Rng.t) option;
-  mutable s_observer : (direction -> Bytes.t -> unit) option;
-  mutable s_dropped : int;
-  mutable s_duplicated : int;
 }
 
-type t = { latency : Time.t; a : side; b : side; split : bool }
+type t = {
+  sched : Sched.t;
+  latency : Time.t;
+  a : side;
+  b : side;
+  mutable messages : int;
+  mutable bytes : int;
+  mutable impair : (impairment * Rng.t) option;
+  mutable observer : (direction -> Bytes.t -> unit) option;
+  mutable dropped : int;
+  mutable duplicated : int;
+}
 
 type endpoint = { chan : t; mine : side; theirs : side; dir_out : direction }
 
-let new_side sched post =
-  {
-    s_sched = sched;
-    s_post = post;
-    receiver = None;
-    backlog = [];
-    on_close = None;
-    on_wake = None;
-    s_open = true;
-    s_messages = 0;
-    s_bytes = 0;
-    s_impair = None;
-    s_observer = None;
-    s_dropped = 0;
-    s_duplicated = 0;
-  }
+let new_side () =
+  { receiver = None; backlog = []; on_close = None; on_wake = None; s_open = true }
 
 let create sched ?(latency = Time.of_ms 1) () =
   {
+    sched;
     latency;
-    a = new_side sched None;
-    b = new_side sched None;
-    split = false;
+    a = new_side ();
+    b = new_side ();
+    messages = 0;
+    bytes = 0;
+    impair = None;
+    observer = None;
+    dropped = 0;
+    duplicated = 0;
   }
-
-let create_split ~sched_a ~sched_b ~post_to_b ~post_to_a
-    ?(latency = Time.of_ms 1) () =
-  {
-    latency;
-    a = new_side sched_a (Some post_to_b);
-    b = new_side sched_b (Some post_to_a);
-    split = true;
-  }
-
-let is_split t = t.split
 
 let endpoints t =
   ( { chan = t; mine = t.a; theirs = t.b; dir_out = A_to_b },
@@ -90,8 +66,6 @@ let peer e =
     theirs = e.mine;
     dir_out = (match e.dir_out with A_to_b -> B_to_a | B_to_a -> A_to_b);
   }
-
-let endpoint_sched e = e.mine.s_sched
 
 let deliver side msg =
   (match side.receiver with
@@ -110,29 +84,10 @@ let set_receiver e f =
   e.mine.backlog <- [];
   List.iter f queued
 
-(* Delivery of one message to [target], [delay] after the sender's
-   now. Local sides schedule straight into the shared event queue;
-   split sides hand the thunk to the barrier mailbox, stamped with the
-   exact delivery time — the destination shard executes it at that
-   virtual instant (latency >= barrier quantum guarantees the instant
-   is still in its future), and the delivery itself counts as control
-   activity there, since the sender's FTI transition happened on
-   another scheduler. *)
-let schedule_delivery sender target delay msg =
-  match sender.s_post with
-  | None ->
-      ignore
-        (Sched.schedule_after sender.s_sched delay (fun () ->
-             if target.s_open then deliver target msg))
-  | Some post ->
-      post
-        ~at:(Time.add (Sched.now sender.s_sched) delay)
-        (fun () ->
-          if target.s_open then begin
-            Sched.control_activity ~reason:"cross-shard delivery"
-              target.s_sched;
-            deliver target msg
-          end)
+let schedule_delivery t target delay msg =
+  ignore
+    (Sched.schedule_after t.sched delay (fun () ->
+         if target.s_open then deliver target msg))
 
 (* Impairments act at send time, on the sender's side of the pipe —
    like a lossy link, not a broken receiver. Per message the draw
@@ -140,9 +95,9 @@ let schedule_delivery sender target delay msg =
    draws are taken whenever the corresponding knob is enabled,
    regardless of earlier outcomes, so a given seed always consumes the
    stream identically for the same message sequence. *)
-let impaired_schedule t sender target msg =
-  match sender.s_impair with
-  | None -> schedule_delivery sender target t.latency msg
+let impaired_schedule t target msg =
+  match t.impair with
+  | None -> schedule_delivery t target t.latency msg
   | Some (imp, rng) ->
       let draw_jitter () =
         if Time.(imp.jitter > Time.zero) then
@@ -155,34 +110,29 @@ let impaired_schedule t sender target msg =
       let dup = imp.duplicate > 0.0 && Rng.float rng 1.0 < imp.duplicate in
       let dup_delay = Time.add base (draw_jitter ()) in
       if lost then begin
-        sender.s_dropped <- sender.s_dropped + 1;
+        t.dropped <- t.dropped + 1;
         (* Leaf node: the message's provenance ends at the lossy link. *)
-        ignore (Sched.cause_point sender.s_sched ~kind:"chan:drop" (fun () -> ""))
+        ignore (Sched.cause_point t.sched ~kind:"chan:drop" (fun () -> ""))
       end
       else begin
-        schedule_delivery sender target delay msg;
+        schedule_delivery t target delay msg;
         if dup then begin
-          sender.s_duplicated <- sender.s_duplicated + 1;
+          t.duplicated <- t.duplicated + 1;
           (* The copy gets its own node so downstream effects of the
              duplicate are distinguishable from the original's. *)
-          Sched.protect_cause sender.s_sched (fun () ->
-              ignore
-                (Sched.cause_point sender.s_sched ~kind:"chan:dup" (fun () ->
-                     ""));
-              schedule_delivery sender target dup_delay msg)
+          Sched.protect_cause t.sched (fun () ->
+              ignore (Sched.cause_point t.sched ~kind:"chan:dup" (fun () -> ""));
+              schedule_delivery t target dup_delay msg)
         end
       end
 
 (* chan:send detail thunks, shared per distinct message length: the
    graph stores one closure per size ever seen instead of one per
    message, so tracing a storm promotes a handful of closures, not
-   thousands. Domain-local, because concurrent shard domains all send
-   and an unsynchronised shared table would race. *)
-let len_details_key : (int, unit -> string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+   thousands. *)
+let len_details : (int, unit -> string) Hashtbl.t = Hashtbl.create 64
 
 let detail_of_len n =
-  let len_details = Domain.DLS.get len_details_key in
   match Hashtbl.find_opt len_details n with
   | Some f -> f
   | None ->
@@ -190,18 +140,22 @@ let detail_of_len n =
       Hashtbl.add len_details n f;
       f
 
+let count_sent e msg =
+  let t = e.chan in
+  t.messages <- t.messages + 1;
+  t.bytes <- t.bytes + Bytes.length msg;
+  match t.observer with Some obs -> obs e.dir_out msg | None -> ()
+
 let send e msg =
-  let mine = e.mine in
-  if mine.s_open then begin
-    mine.s_messages <- mine.s_messages + 1;
-    mine.s_bytes <- mine.s_bytes + Bytes.length msg;
-    (match mine.s_observer with Some obs -> obs e.dir_out msg | None -> ());
+  let t = e.chan in
+  if e.mine.s_open then begin
+    count_sent e msg;
     (* Bracketed so back-to-back sends are causal siblings, not a
        chain. *)
     let detail = detail_of_len (Bytes.length msg) in
-    Sched.protect_cause mine.s_sched (fun () ->
-        ignore (Sched.cause_point mine.s_sched ~kind:"chan:send" detail);
-        impaired_schedule e.chan mine e.theirs msg)
+    Sched.protect_cause t.sched (fun () ->
+        ignore (Sched.cause_point t.sched ~kind:"chan:send" detail);
+        impaired_schedule t e.theirs msg)
   end
 
 let send_many e msgs =
@@ -209,54 +163,32 @@ let send_many e msgs =
   | [] -> ()
   | [ msg ] -> send e msg
   | msgs ->
-      let mine = e.mine in
-      if mine.s_open then begin
-        List.iter
-          (fun msg ->
-            mine.s_messages <- mine.s_messages + 1;
-            mine.s_bytes <- mine.s_bytes + Bytes.length msg;
-            match mine.s_observer with
-            | Some obs -> obs e.dir_out msg
-            | None -> ())
-          msgs;
-        match mine.s_impair with
+      let t = e.chan in
+      if e.mine.s_open then begin
+        List.iter (count_sent e) msgs;
+        match t.impair with
         | Some _ ->
             (* Per-message fates (drop/duplicate/jitter) break the
                single-event batch; fall back to per-message delivery. *)
             List.iter
               (fun msg ->
                 let detail = detail_of_len (Bytes.length msg) in
-                Sched.protect_cause mine.s_sched (fun () ->
-                    ignore
-                      (Sched.cause_point mine.s_sched ~kind:"chan:send" detail);
-                    impaired_schedule e.chan mine e.theirs msg))
+                Sched.protect_cause t.sched (fun () ->
+                    ignore (Sched.cause_point t.sched ~kind:"chan:send" detail);
+                    impaired_schedule t e.theirs msg))
               msgs
         | None ->
             let target = e.theirs in
-            (* One scheduler event (or one mailbox item) delivers the
-               whole batch in order. *)
+            (* One scheduler event delivers the whole batch in order. *)
             let detail =
               let n = List.length msgs in
               fun () -> "batch n=" ^ string_of_int n
             in
-            Sched.protect_cause mine.s_sched (fun () ->
+            Sched.protect_cause t.sched (fun () ->
+                ignore (Sched.cause_point t.sched ~kind:"chan:send" detail);
                 ignore
-                  (Sched.cause_point mine.s_sched ~kind:"chan:send" detail);
-                match mine.s_post with
-                | None ->
-                    ignore
-                      (Sched.schedule_after mine.s_sched e.chan.latency
-                         (fun () ->
-                           if target.s_open then List.iter (deliver target) msgs))
-                | Some post ->
-                    post
-                      ~at:(Time.add (Sched.now mine.s_sched) e.chan.latency)
-                      (fun () ->
-                        if target.s_open then begin
-                          Sched.control_activity
-                            ~reason:"cross-shard delivery" target.s_sched;
-                          List.iter (deliver target) msgs
-                        end))
+                  (Sched.schedule_after t.sched t.latency (fun () ->
+                       if target.s_open then List.iter (deliver target) msgs)))
       end
 
 let set_impairment t ~rng imp =
@@ -266,91 +198,36 @@ let set_impairment t ~rng imp =
     invalid_arg "Channel.set_impairment: duplicate must be in [0, 1]";
   if Time.(imp.extra_delay < Time.zero) || Time.(imp.jitter < Time.zero) then
     invalid_arg "Channel.set_impairment: delays must be non-negative";
-  if t.split then
-    invalid_arg
-      "Channel.set_impairment: split channel — impair each endpoint with \
-       set_endpoint_impairment";
   (* Both directions share the (impairment, rng) pair, so the draw
-     stream interleaves across directions in global send order —
-     unchanged from the single-sided implementation. *)
-  t.a.s_impair <- Some (imp, rng);
-  t.b.s_impair <- Some (imp, rng)
+     stream interleaves across directions in global send order. *)
+  t.impair <- Some (imp, rng)
 
-let clear_impairment t =
-  t.a.s_impair <- None;
-  t.b.s_impair <- None
-
-let set_endpoint_impairment e ~rng imp =
-  (match imp with
-  | Some imp ->
-      if imp.loss < 0.0 || imp.loss > 1.0 then
-        invalid_arg "Channel.set_endpoint_impairment: loss must be in [0, 1]";
-      if imp.duplicate < 0.0 || imp.duplicate > 1.0 then
-        invalid_arg
-          "Channel.set_endpoint_impairment: duplicate must be in [0, 1]";
-      if Time.(imp.extra_delay < Time.zero) || Time.(imp.jitter < Time.zero)
-      then
-        invalid_arg
-          "Channel.set_endpoint_impairment: delays must be non-negative"
-  | None -> ());
-  e.mine.s_impair <- Option.map (fun i -> (i, rng)) imp
-
-let impairment t = Option.map fst t.a.s_impair
-let impaired_dropped t = t.a.s_dropped + t.b.s_dropped
-let impaired_duplicated t = t.a.s_duplicated + t.b.s_duplicated
-
-let set_observer t obs =
-  t.a.s_observer <- Some obs;
-  t.b.s_observer <- Some obs
-
-let set_endpoint_observer e obs = e.mine.s_observer <- Some obs
-
+let clear_impairment t = t.impair <- None
+let impairment t = Option.map fst t.impair
+let impaired_dropped t = t.dropped
+let impaired_duplicated t = t.duplicated
+let set_observer t obs = t.observer <- Some obs
 let set_on_close e f = e.mine.on_close <- Some f
 
-let close_side side =
+let close_side t side =
   if side.s_open then begin
     side.s_open <- false;
     (match side.on_close with
-    | Some f -> Sched.protect_cause side.s_sched f
+    | Some f -> Sched.protect_cause t.sched f
     | None -> ());
     match side.on_wake with Some w -> w () | None -> ()
   end
 
 let close t =
-  if t.split then
-    invalid_arg "Channel.close: split channel — use close_endpoint";
   if t.a.s_open || t.b.s_open then begin
     (* Each side's teardown is a causal sibling of the other's — both
        children of whatever closed the channel. A close is input too:
        dozing owners must get a tick to react (tear sessions down,
        start reconnecting). *)
-    close_side t.a;
-    close_side t.b
-  end
-
-(* One-sided close, from the domain that owns [e.mine]: the local side
-   tears down now; the peer side learns at the next barrier, on its
-   own scheduler — a deterministic instant, like a RST crossing the
-   link. In-flight deliveries towards either side check that side's
-   open flag at execution, so nothing lands after the teardown. *)
-let close_endpoint e =
-  if not e.chan.split then close e.chan
-  else begin
-    close_side e.mine;
-    match e.mine.s_post with
-    | None -> assert false (* split channels always post *)
-    | Some post ->
-        let theirs = e.theirs in
-        post
-          ~at:(Sched.now e.mine.s_sched)
-          (fun () ->
-            if theirs.s_open then begin
-              Sched.control_activity ~reason:"cross-shard close" theirs.s_sched;
-              close_side theirs
-            end)
+    close_side t t.a;
+    close_side t t.b
   end
 
 let is_open t = t.a.s_open && t.b.s_open
-let endpoint_open e = e.mine.s_open
-let messages_sent t = t.a.s_messages + t.b.s_messages
-let bytes_sent t = t.a.s_bytes + t.b.s_bytes
+let messages_sent t = t.messages
+let bytes_sent t = t.bytes

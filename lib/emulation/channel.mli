@@ -36,39 +36,10 @@ val no_impairment : impairment
 val create : Sched.t -> ?latency:Time.t -> unit -> t
 (** Default latency 1 ms (a LAN-ish control RTT of 2 ms). *)
 
-val create_split :
-  sched_a:Sched.t ->
-  sched_b:Sched.t ->
-  post_to_b:(at:Time.t -> (unit -> unit) -> unit) ->
-  post_to_a:(at:Time.t -> (unit -> unit) -> unit) ->
-  ?latency:Time.t ->
-  unit ->
-  t
-(** A channel whose two sides live on different shards. Each side is
-    owned by its shard's scheduler and only ever mutated by that
-    shard's domain; traffic towards the peer is handed to the given
-    post function (a {!Horse_engine.Barrier} mailbox), stamped with
-    its exact virtual delivery time, and executed on the destination
-    scheduler after the next barrier. For that to be causally safe the
-    latency must be at least the barrier quantum — the sharded fabric
-    constructor enforces this. Deliveries and the posted close count
-    as control activity on the destination scheduler.
-
-    Split channels are one-sided everywhere: use {!close_endpoint},
-    {!set_endpoint_observer} and {!set_endpoint_impairment} instead of
-    the whole-channel operations ({!close} / {!set_impairment} raise
-    on a split channel). *)
-
-val is_split : t -> bool
-
 val endpoints : t -> endpoint * endpoint
 (** The (a, b) sides. *)
 
 val peer : endpoint -> endpoint
-
-val endpoint_sched : endpoint -> Sched.t
-(** The scheduler owning this side (both sides' scheduler on a plain
-    channel). *)
 
 val set_receiver : endpoint -> (Bytes.t -> unit) -> unit
 (** Installs the message handler for traffic {e arriving at} this
@@ -91,11 +62,6 @@ val set_observer : t -> (direction -> Bytes.t -> unit) -> unit
 (** At most one observer; it sees every message at send time, before
     latency. *)
 
-val set_endpoint_observer : endpoint -> (direction -> Bytes.t -> unit) -> unit
-(** Observer for messages {e sent from} this endpoint only — the form
-    split channels need, where each shard's Connection Manager can
-    observe only the side it owns. *)
-
 val set_on_close : endpoint -> (unit -> unit) -> unit
 (** Runs when the channel closes (either side), once. *)
 
@@ -108,21 +74,11 @@ val set_wake : endpoint -> (unit -> unit) -> unit
 
 val close : t -> unit
 (** Closes both directions; undelivered messages are dropped.
-    Idempotent.
-    @raise Invalid_argument on a split channel (use
-    {!close_endpoint}). *)
-
-val close_endpoint : endpoint -> unit
-(** One-sided close from the domain owning this endpoint. On a plain
-    channel this is {!close}. On a split channel the local side closes
-    immediately; the peer side closes on its own scheduler after the
-    next barrier — a deterministic instant, like a RST crossing the
-    link. Idempotent. *)
+    Idempotent. *)
 
 val is_open : t -> bool
 (** Both sides still open. *)
 
-val endpoint_open : endpoint -> bool
 val messages_sent : t -> int
 val bytes_sent : t -> int
 
@@ -133,17 +89,7 @@ val set_impairment : t -> rng:Rng.t -> impairment -> unit
     the observer still see every message at send time (the sender did
     send it; the link ate it).
     @raise Invalid_argument on probabilities outside [0, 1] or
-    negative delays, or on a split channel (use
-    {!set_endpoint_impairment}). *)
-
-val set_endpoint_impairment :
-  endpoint -> rng:Rng.t -> impairment option -> unit
-(** Impairs (or clears, with [None]) the traffic {e sent from} this
-    endpoint only, with draws from [rng] — the per-side form split
-    channels need; each shard impairs the direction it owns from its
-    own RNG stream.
-    @raise Invalid_argument on out-of-range probabilities or negative
-    delays. *)
+    negative delays. *)
 
 val clear_impairment : t -> unit
 

@@ -168,6 +168,14 @@ and poller = {
 let gauge_of_mode = function Des -> 0.0 | Fti -> 1.0
 
 let create ?(config = default_config) ?registry () =
+  if Time.to_us config.fti_increment < 1 then
+    invalid_arg "Sched.create: fti_increment must be at least 1 us";
+  if Time.(config.quiet_timeout < Time.zero) then
+    invalid_arg "Sched.create: quiet_timeout must be non-negative";
+  if not (config.fti_pacing >= 0.0) then
+    invalid_arg "Sched.create: fti_pacing must be non-negative";
+  if not (config.max_wall_s >= 0.0) then
+    invalid_arg "Sched.create: max_wall_s must be non-negative";
   let reg =
     match registry with Some reg -> reg | None -> Registry.create ()
   in
@@ -428,27 +436,6 @@ let control_activity ?(reason = "control-plane activity") t =
   match t.cur_mode with
   | Fti -> ()
   | Des -> record_transition t Fti reason
-
-(* The barrier driver's lookahead probe: the earliest virtual time at
-   which this scheduler could possibly do anything (and therefore emit
-   a cross-shard message). Conservative by construction — deferred
-   work and runnable pollers mean "now"; an idle FTI scheduler is
-   still bounded by its quiet-timeout transition, which the epoch loop
-   must not jump over. [None] means fully idle: no event will ever
-   fire without outside input. *)
-let next_activity t =
-  if has_deferred t then Some t.clock
-  else
-    match t.cur_mode with
-    | Des -> Event_queue.next_time t.queue
-    | Fti ->
-        if t.runnable_pollers > 0 then Some t.clock
-        else
-          let quiet = Time.add t.last_activity t.cfg.quiet_timeout in
-          Some
-            (match Event_queue.next_time t.queue with
-            | Some te -> Time.min te quiet
-            | None -> quiet)
 
 let stop t = t.stop_requested <- true
 let on_abort t f = t.rev_abort_hooks <- f :: t.rev_abort_hooks

@@ -111,7 +111,9 @@ val create :
 (** Without [?registry], the scheduler creates a private registry so
     concurrent experiments in one process never share counters. Pass
     one explicitly (e.g. [Horse_telemetry.Registry.default ()]) to
-    aggregate across schedulers. *)
+    aggregate across schedulers.
+    @raise Invalid_argument if [fti_increment] is under 1 us or
+    [quiet_timeout], [fti_pacing] or [max_wall_s] is negative. *)
 
 val config : t -> config
 val now : t -> Time.t
@@ -232,16 +234,6 @@ val wake_poller : poller -> unit
     (idempotent). Input delivery calls this so a [Wake_on_input]
     poller reacts on the increment after its message arrives — the
     same latency it would have if it polled every increment. *)
-
-val next_activity : t -> Time.t option
-(** The earliest virtual time at which this scheduler could do
-    anything on its own: pending deferred work or a runnable poller in
-    FTI mode means "now"; otherwise the earlier of the next queued
-    event and (in FTI mode) the quiet-timeout boundary. [None] means
-    fully idle — nothing will ever fire without outside input. The
-    multicore barrier driver uses this as its lookahead probe to jump
-    globally idle epochs, mirroring what {!run}'s internal
-    fast-forward does within one scheduler. *)
 
 val control_activity : ?reason:string -> t -> unit
 (** Report control-plane activity at the current instant: switches to

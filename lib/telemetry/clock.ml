@@ -1,13 +1,8 @@
-(* An [Atomic.t] rather than a [ref]: wall readings come from every
-   shard domain of a multicore run, and a plain ref read racing a
-   [set_source] from a test harness is undefined behaviour under the
-   OCaml 5 memory model. *)
-let source = Atomic.make Unix.gettimeofday
-
-let now () = (Atomic.get source) ()
-
-let set_source f = Atomic.set source f
+let source = ref Unix.gettimeofday
+let now () = !source ()
+let set_source f = source := f
 
 let with_source src f =
-  let prev = Atomic.exchange source src in
-  Fun.protect ~finally:(fun () -> Atomic.set source prev) f
+  let prev = !source in
+  source := src;
+  Fun.protect ~finally:(fun () -> source := prev) f

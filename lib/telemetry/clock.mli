@@ -11,9 +11,7 @@ val now : unit -> float
     the default source. *)
 
 val set_source : (unit -> float) -> unit
-(** Replace the clock source globally (for tests / replay). The source
-    cell is an [Atomic.t], so readers on other domains always see a
-    fully-published function. *)
+(** Replace the clock source globally (for tests / replay). *)
 
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a
 (** [with_source src f] runs [f] with [src] installed, restoring the

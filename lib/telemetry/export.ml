@@ -52,11 +52,8 @@ let render_entry fmt (e : Registry.entry) =
         (Histogram.count h)
 
 (* Entries grouped by metric name, first-seen order preserved — all
-   label sets of a name render under one HELP/TYPE header. This
-   replaces the per-callsite seen-header hashtable and is what
-   guarantees a merged multi-shard registry (where one name's label
-   sets arrive interleaved across shards) still renders each header
-   exactly once. *)
+   label sets of a name render under one HELP/TYPE header, even when
+   they were registered interleaved with other names. *)
 let group_by_name entries =
   let tbl = Hashtbl.create 16 in
   let rev_names = ref [] in

@@ -35,33 +35,6 @@ let add t v =
 
 let add_list t vs = List.iter (add t) vs
 
-let empty_like t =
-  {
-    lo = t.lo;
-    ratio = t.ratio;
-    counts = Array.make (Array.length t.counts) 0;
-    under = 0;
-    over = 0;
-    total = 0;
-    sum = 0.0;
-  }
-
-let same_shape a b =
-  a.lo = b.lo && a.ratio = b.ratio
-  && Array.length a.counts = Array.length b.counts
-
-(* Exact merge: per-shard histograms are created from identical
-   registrations, so shapes always match; anything else is a caller
-   bug, not something to paper over with resampling. *)
-let merge_into dst src =
-  if not (same_shape dst src) then
-    invalid_arg "Histogram.merge_into: incompatible bucket layouts";
-  Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
-  dst.under <- dst.under + src.under;
-  dst.over <- dst.over + src.over;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum
-
 let count t = t.total
 let underflow t = t.under
 let overflow t = t.over

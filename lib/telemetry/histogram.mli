@@ -15,14 +15,6 @@ val create_log : ?buckets_per_decade:int -> lo:float -> hi:float -> unit -> t
 val add : t -> float -> unit
 val add_list : t -> float list -> unit
 
-val empty_like : t -> t
-(** A fresh, zeroed histogram with the same bucket layout. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into dst src] adds [src]'s samples (buckets, under/overflow,
-    count and sum) into [dst].
-    @raise Invalid_argument when the bucket layouts differ. *)
-
 val count : t -> int
 val underflow : t -> int
 val overflow : t -> int

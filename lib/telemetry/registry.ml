@@ -137,35 +137,3 @@ let find_histogram t ?labels name =
 
 let cardinality t = Hashtbl.length t.tbl
 
-(* Per-shard registries collapse into one run report: counters are
-   totals so they sum; gauges are levels/water-marks so the max is the
-   honest aggregate (a per-shard convergence time, pending-event count
-   or end-of-run clock reported globally is its worst shard); histograms
-   merge bucket-exact. Spans are not merged — they stay with the shard
-   that recorded them. *)
-let merge_into dst src =
-  List.iter
-    (fun e ->
-      match e.metric with
-      | M_counter c -> (
-          match
-            get_or_register dst ~name:e.name ~labels:e.labels ~help:e.help
-              (fun () -> M_counter (Counter.make ()))
-          with
-          | M_counter d -> Counter.add d (Counter.value c)
-          | m -> kind_error e.name ~want:"counter" m)
-      | M_gauge g -> (
-          match
-            get_or_register dst ~name:e.name ~labels:e.labels ~help:e.help
-              (fun () -> M_gauge (Gauge.make ()))
-          with
-          | M_gauge d -> Gauge.set d (Float.max (Gauge.value d) (Gauge.value g))
-          | m -> kind_error e.name ~want:"gauge" m)
-      | M_histogram h -> (
-          match
-            get_or_register dst ~name:e.name ~labels:e.labels ~help:e.help
-              (fun () -> M_histogram (Histogram.empty_like h))
-          with
-          | M_histogram d -> Histogram.merge_into d h
-          | m -> kind_error e.name ~want:"histogram" m))
-    (to_list src)

@@ -84,11 +84,3 @@ val find_histogram :
 val cardinality : t -> int
 (** Number of registered metrics (not counting spans). *)
 
-val merge_into : t -> t -> unit
-(** [merge_into dst src] folds [src]'s metrics into [dst]: counters
-    sum, gauges take the max, histograms merge buckets exactly. Metrics
-    missing from [dst] are registered (in [src] order, after [dst]'s
-    existing entries); spans are not merged. This is how per-shard
-    registries collapse into one run report.
-    @raise Invalid_argument if a metric exists in both registries under
-    different kinds, or a histogram's bucket layout differs. *)

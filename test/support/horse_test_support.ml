@@ -48,3 +48,55 @@ let lookup_reference table fields =
     (fun (e : Flow_table.entry) ->
       Horse_openflow.Ofmatch.matches e.Flow_table.match_ fields)
     (Flow_table.entries table)
+
+(* Lexicographic filters over the full candidate list: no sorted
+   candidate set, no class prefix. *)
+let decide_reference ~multipath rib prefix =
+  let module Rib = Horse_bgp.Rib in
+  let module Msg = Horse_bgp.Msg in
+  let local_pref (r : Rib.route) =
+    Option.value r.Rib.attrs.Msg.local_pref ~default:100
+  in
+  let med (r : Rib.route) = Option.value r.Rib.attrs.Msg.med ~default:0 in
+  let neighbor_as (r : Rib.route) =
+    match r.Rib.attrs.Msg.as_path with [] -> None | asn :: _ -> Some asn
+  in
+  let keep_best_by f routes =
+    match routes with
+    | [] | [ _ ] -> routes
+    | _ ->
+        let best =
+          List.fold_left (fun acc r -> Stdlib.min acc (f r)) max_int routes
+        in
+        List.filter (fun r -> f r = best) routes
+  in
+  let survivors = Rib.candidates rib prefix in
+  let survivors = keep_best_by (fun r -> -local_pref r) survivors in
+  let survivors =
+    keep_best_by
+      (fun (r : Rib.route) -> List.length r.Rib.attrs.Msg.as_path)
+      survivors
+  in
+  let survivors =
+    keep_best_by
+      (fun (r : Rib.route) -> Msg.origin_to_int r.Rib.attrs.Msg.origin)
+      survivors
+  in
+  (* MED only compares routes from the same neighbour AS. *)
+  let survivors =
+    List.filter
+      (fun r ->
+        not
+          (List.exists
+             (fun r' -> neighbor_as r' = neighbor_as r && med r' < med r)
+             survivors))
+      survivors
+  in
+  let tiebreak (a : Rib.route) (b : Rib.route) =
+    match Horse_net.Ipv4.compare a.Rib.peer_bgp_id b.Rib.peer_bgp_id with
+    | 0 -> Int.compare a.Rib.peer b.Rib.peer
+    | c -> c
+  in
+  let sorted = List.sort tiebreak survivors in
+  if multipath then sorted
+  else match sorted with [] -> [] | winner :: _ -> [ winner ]

@@ -29,3 +29,13 @@ val lookup_reference :
 (** The linear-scan oracle for [Horse_openflow.Flow_table.lookup]: the
     first of [Flow_table.entries] (match order) whose match admits the
     packet. It returns the same physical record the classifier does. *)
+
+val decide_reference :
+  multipath:bool ->
+  Horse_bgp.Rib.t ->
+  Horse_net.Prefix.t ->
+  Horse_bgp.Rib.route list
+(** The oracle for [Horse_bgp.Rib.decide]: the RFC 4271 steps as a
+    chain of filters over [Rib.candidates], then the BGP-id and
+    peer-id tiebreak. It never reads the sorted candidate lists that
+    [decide] keeps incrementally. *)

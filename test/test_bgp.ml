@@ -793,7 +793,8 @@ let prop_decide_matches_reference =
       let agree () =
         sigs_equal
           (route_sig (Rib.decide ~multipath rib pfx))
-          (route_sig (Rib.decide_reference ~multipath rib pfx))
+          (route_sig
+             (Horse_test_support.decide_reference ~multipath rib pfx))
       in
       let ok1 = agree () in
       (* Mutate: withdraw a third of the peers, re-add one, and check

@@ -412,6 +412,35 @@ let test_des_jumps () =
   check (Alcotest.float 1e-6) "finished exactly at until" 1000.0
     (Time.to_sec stats.Sched.end_time)
 
+(* A zero increment (or one that truncates to 0 us) would divide by
+   zero in fast-forward; the scheduler refuses it up front, as it does
+   negative durations. *)
+let test_config_rejected () =
+  let rejects what msg config =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Sched.create ~config ()))
+  in
+  let d = Sched.default_config in
+  let increment = "Sched.create: fti_increment must be at least 1 us" in
+  rejects "zero increment" increment { d with Sched.fti_increment = Time.zero };
+  rejects "sub-microsecond increment" increment
+    { d with Sched.fti_increment = Time.of_sec 1e-7 };
+  rejects "negative increment" increment
+    { d with Sched.fti_increment = Time.of_us (-1) };
+  rejects "negative quiet timeout"
+    "Sched.create: quiet_timeout must be non-negative"
+    { d with Sched.quiet_timeout = Time.of_us (-1) };
+  rejects "negative pacing" "Sched.create: fti_pacing must be non-negative"
+    { d with Sched.fti_pacing = -1.0 };
+  rejects "negative watchdog" "Sched.create: max_wall_s must be non-negative"
+    { d with Sched.max_wall_s = -1.0 };
+  let one_us =
+    Sched.create ~config:{ d with Sched.fti_increment = Time.of_us 1 } ()
+  in
+  Sched.control_activity one_us;
+  let stats = Sched.run ~until:(Time.of_ms 2) one_us in
+  check Alcotest.int "1 us increments step" 2000 stats.Sched.fti_increments
+
 let test_fti_transition_and_return () =
   let config =
     {
@@ -838,6 +867,7 @@ let () =
         ] );
       ( "hybrid_sched",
         [
+          Alcotest.test_case "config rejected" `Quick test_config_rejected;
           Alcotest.test_case "DES jumps" `Quick test_des_jumps;
           Alcotest.test_case "FTI transition and return" `Quick
             test_fti_transition_and_return;

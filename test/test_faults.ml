@@ -378,6 +378,106 @@ let test_ospf_overlapping_downs_skipped () =
     (Ospf_fabric.adjacencies_expected fabric)
     (Ospf_fabric.adjacencies_full fabric)
 
+(* --- the k=4 BGP fat-tree's work, pinned ------------------------------ *)
+
+(* Flaps on every 7th inter-switch session plus an aggregation-switch
+   crash and restart mid-run. *)
+let fat_tree_storm_plan ft =
+  let sites =
+    List.filteri
+      (fun i _ -> i mod 7 = 0)
+      (Topology.switch_links ft.Fat_tree.topo)
+  in
+  let plan =
+    Plan.flap_storm ~seed:7 ~sites ~start:(Time.of_sec 2.0)
+      ~stop:(Time.of_sec 15.0) ~rate:0.3 ~down_for:(Time.of_sec 1.5) ()
+  in
+  let crash = ft.Fat_tree.aggs.(0).(0).Topology.name in
+  {
+    plan with
+    Plan.events =
+      [
+        { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash crash };
+        { Plan.at = Time.of_sec 14.0; action = Plan.Node_restart crash };
+      ];
+  }
+
+(* [fat_tree_storm_plan]'s injections, in order. *)
+let storm_trace =
+  [
+    "2213998 link_down agg-p0-0<->edge-p0-0";
+    "3713998 link_up agg-p0-0<->edge-p0-0";
+    "4296324 link_down agg-p3-0<->core-1-1";
+    "5796324 link_up agg-p3-0<->core-1-1";
+    "5945813 link_down agg-p3-0<->core-1-1";
+    "6000000 node_crash agg-p0-0";
+    "6297741 link_down agg-p1-0<->core-1-2";
+    "6728498 link_down agg-p3-0<->edge-p3-1";
+    "7445813 link_up agg-p3-0<->core-1-1";
+    "7797741 link_up agg-p1-0<->core-1-2";
+    "8228498 link_up agg-p3-0<->edge-p3-1";
+    "8257214 link_down agg-p1-1<->edge-p1-1";
+    "8408745 link_down agg-p1-0<->core-1-2";
+    "8872211 link_down agg-p3-0<->core-1-1";
+    "9088574 link_down agg-p3-0<->edge-p3-1";
+    "9546236 link_down agg-p0-0<->edge-p0-0";
+    "9757214 link_up agg-p1-1<->edge-p1-1";
+    "9908745 link_up agg-p1-0<->core-1-2";
+    "10372211 link_up agg-p3-0<->core-1-1";
+    "10588574 link_up agg-p3-0<->edge-p3-1";
+    "11046236 link_up agg-p0-0<->edge-p0-0";
+    "12667015 link_down agg-p0-0<->edge-p0-0";
+    "12749610 link_down agg-p3-0<->core-1-1";
+    "12905295 link_down agg-p1-0<->core-1-2";
+    "13184064 link_down agg-p3-0<->edge-p3-1";
+    "14000000 node_restart agg-p0-0";
+    "14167015 link_up agg-p0-0<->edge-p0-0";
+    "14249610 link_up agg-p3-0<->core-1-1";
+    "14405295 link_up agg-p1-0<->core-1-2";
+    "14684064 link_up agg-p3-0<->edge-p3-1";
+  ]
+
+(* The BGP fat-tree (k=4, no flows) run for 25 s: the final FIBs, the
+   CM message and FIB-write counts, the convergence instant and the
+   fault trace are pinned, so any change to what the control
+   plane does shows up here. *)
+let fat_tree_work ~storm ~messages ~fib_writes ~faults () =
+  let ft = Fat_tree.build ~k:4 () in
+  let exp = Experiment.create ft.Fat_tree.topo in
+  let sched = Experiment.scheduler exp in
+  let fabric =
+    Routed_fabric.build ~cm:(Experiment.cm exp)
+      ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
+  in
+  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
+  let converged = ref None in
+  Routed_fabric.when_converged fabric (fun () ->
+      converged := Some (Time.to_us (Sched.now sched)));
+  let inj =
+    if storm then
+      Some
+        (Injector.arm sched
+           ~target:(Routed_fabric.fault_target fabric)
+           (fat_tree_storm_plan ft))
+    else None
+  in
+  ignore (Experiment.run ~until:(Time.of_sec 25.0) exp);
+  check Alcotest.string "fib fingerprint" "0a9e8e63eee7c80d79f89d0181f3255b"
+    (Routed_fabric.fib_fingerprint fabric);
+  check Alcotest.int "control messages" messages
+    (Connection_manager.messages_observed (Experiment.cm exp));
+  check Alcotest.int "fib writes" fib_writes
+    (Routed_fabric.fib_routes_installed fabric);
+  check
+    (Alcotest.option Alcotest.int)
+    "convergence instant" (Some 50_000) !converged;
+  let trace =
+    match inj with
+    | Some inj -> Injector.trace_labels inj
+    | None -> []
+  in
+  check (Alcotest.list Alcotest.string) "fault trace" faults trace
+
 let () =
   Alcotest.run "horse_faults"
     [
@@ -415,6 +515,15 @@ let () =
             test_unknown_site_is_skipped;
           Alcotest.test_case "overlapping downs skipped" `Quick
             test_overlapping_downs_skipped;
+        ] );
+      ( "bgp-fat-tree",
+        [
+          Alcotest.test_case "clean k=4 work" `Quick
+            (fat_tree_work ~storm:false ~messages:1_248 ~fib_writes:352
+               ~faults:[]);
+          Alcotest.test_case "failure storm k=4 work" `Quick
+            (fat_tree_work ~storm:true ~messages:2_798 ~fib_writes:1_240
+               ~faults:storm_trace);
         ] );
       ( "ospf-fabric",
         [
