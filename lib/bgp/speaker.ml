@@ -15,6 +15,36 @@ let pp_peer_state fmt s =
     | OpenConfirm -> "OpenConfirm"
     | Established -> "Established")
 
+(* --- causal kinds ------------------------------------------------------- *)
+
+(* An UPDATE's payload: the sender's ASN above two 15-bit counts.
+   Counts stay far below 2^15 (a 4,096-byte UPDATE holds at most
+   4,096 one-byte prefixes) and a 4-byte ASN fits in 32 bits. *)
+let count_bits = 15
+let count_max = (1 lsl count_bits) - 1
+
+let pack_update ~asn ~wd ~nlri =
+  if asn < 0 || asn > 0xFFFF_FFFF || wd < 0 || wd > count_max || nlri < 0
+     || nlri > count_max
+  then
+    invalid_arg
+      (Printf.sprintf "Speaker.pack_update: AS%d wd=%d nlri=%d" asn wd nlri);
+  (asn lsl (2 * count_bits)) lor (wd lsl count_bits) lor nlri
+
+let update_kind =
+  Causal.kind "bgp:update" (fun a ->
+      Printf.sprintf "from AS%d wd=%d nlri=%d" (a lsr (2 * count_bits))
+        ((a lsr count_bits) land count_max)
+        (a land count_max))
+
+let decide_kind =
+  Causal.kind "bgp:decide" (fun a -> Prefix.to_string (Prefix.of_bits a))
+
+let established_kind =
+  Causal.kind "bgp:session" (fun asn -> Printf.sprintf "established AS%d" asn)
+
+let session_down_kind = Causal.text_kind "bgp:session"
+
 type config = {
   asn : int;
   router_id : Ipv4.t;
@@ -559,8 +589,7 @@ let refresh_and_propagate t prefix =
          the triggering message. *)
       Sched.protect_cause (sched t) (fun () ->
           ignore
-            (Sched.cause_point (sched t) ~kind:"bgp:decide" (fun () ->
-                 Prefix.to_string prefix));
+            (Sched.cause_point (sched t) decide_kind (Prefix.to_bits prefix));
           notify_rib_change t prefix routes;
           enqueue_prefix t prefix)
 
@@ -573,9 +602,7 @@ let start_keepalive t peer =
     Some (Process.every t.proc interval (fun () -> send_msg t peer Msg.Keepalive))
 
 let session_established t peer =
-  ignore
-    (Sched.cause_point (sched t) ~kind:"bgp:session" (fun () ->
-         Printf.sprintf "established AS%d" peer.remote_asn));
+  ignore (Sched.cause_point (sched t) established_kind peer.remote_asn);
   peer.state <- Established;
   t.established <- t.established + 1;
   peer.group.up_members <- peer.group.up_members + 1;
@@ -594,8 +621,9 @@ let session_established t peer =
 let session_down t peer ~reason =
   if peer.state <> Idle then begin
     ignore
-      (Sched.cause_point (sched t) ~kind:"bgp:session" (fun () ->
-           Printf.sprintf "down AS%d (%s)" peer.remote_asn reason));
+      (Sched.cause_point (sched t) session_down_kind
+         (Sched.text (sched t)
+            (Printf.sprintf "down AS%d (%s)" peer.remote_asn reason)));
     tracef t "session to AS%d down (%s)" peer.remote_asn reason;
     if peer.state = Established then begin
       Gauge.add t.m.g_established (-1.0);
@@ -687,16 +715,14 @@ let handle_open t peer (o : Msg.open_msg) =
 let handle_update t peer (u : Msg.update) =
   t.updates_received <- t.updates_received + 1;
   Counter.incr t.m.rx_update;
-  (* Counts are hoisted so the stored thunk pins three ints, not the
-     whole decoded UPDATE. *)
-  let asn = peer.remote_asn
-  and n_wd = List.length u.Msg.withdrawn
-  and n_nlri =
-    match u.Msg.reach with None -> 0 | Some (_, nlri) -> List.length nlri
-  in
   ignore
-    (Sched.cause_point (sched t) ~kind:"bgp:update" (fun () ->
-         Printf.sprintf "from AS%d wd=%d nlri=%d" asn n_wd n_nlri));
+    (Sched.cause_point (sched t) update_kind
+       (pack_update ~asn:peer.remote_asn
+          ~wd:(List.length u.Msg.withdrawn)
+          ~nlri:
+            (match u.Msg.reach with
+            | None -> 0
+            | Some (_, nlri) -> List.length nlri)));
   let affected = ref Prefix_set.empty in
   List.iter
     (fun prefix ->

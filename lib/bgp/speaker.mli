@@ -143,3 +143,24 @@ type counters = {
 }
 
 val counters : t -> counters
+
+(** {2 Causal nodes}
+
+    The kinds a speaker records, each an int payload formatted on
+    read. A session going down is a {!Causal.text_kind} node
+    (["down AS<n> (<reason>)"]). *)
+
+val update_kind : Causal.kind
+(** ["bgp:update"], printed ["from AS<asn> wd=<n> nlri=<n>"]; payload
+    from {!pack_update}. *)
+
+val pack_update : asn:int -> wd:int -> nlri:int -> int
+(** @raise Invalid_argument unless [0 <= asn < 2^32] and both counts
+    are in [0, 2^15). *)
+
+val decide_kind : Causal.kind
+(** ["bgp:decide"]; payload: the prefix's {!Prefix.to_bits}. *)
+
+val established_kind : Causal.kind
+(** ["bgp:session"], printed ["established AS<asn>"]; payload: the
+    peer's ASN. *)

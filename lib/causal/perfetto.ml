@@ -118,42 +118,41 @@ let emit_causal w graph max_events =
         meta w ~pid ~tid ~name:"thread_name" ("causal:" ^ track);
         tid
   in
-  Causal.iter graph (fun id info ->
-      if id >= lo then begin
-        let tid = tid_of info.Causal.kind in
-        let ts = Time.to_us info.Causal.at in
-        let name =
-          if info.Causal.detail = "" then info.Causal.kind
-          else info.Causal.kind ^ " " ^ info.Causal.detail
-        in
-        slice w ~tid ~name ~cat:"causal" ~ts ~dur:1
-          [ ("args", Printf.sprintf "{\"id\":%d,\"parent\":%d}" id info.Causal.parent) ];
-        let parent = info.Causal.parent in
-        if parent >= lo && not (Causal.is_none parent) then
-          match Causal.info graph parent with
-          | None -> ()
-          | Some p ->
-              let ptid = tid_of p.Causal.kind in
-              let pts = Time.to_us p.Causal.at in
-              let common =
-                [
-                  ("pid", string_of_int pid);
-                  ("cat", str "causal-flow");
-                  ("name", str "cause");
-                  ("id", string_of_int id);
-                ]
-              in
-              event w
-                (( "ph", str "s")
-                :: ("tid", string_of_int ptid)
-                :: ("ts", string_of_int pts)
-                :: common);
-              event w
-                (("ph", str "f") :: ("bp", str "e")
-                :: ("tid", string_of_int tid)
-                :: ("ts", string_of_int ts)
-                :: common)
-      end);
+  (* Only the emitted window is formatted. *)
+  Causal.iter ~from:lo graph (fun id info ->
+      let tid = tid_of info.Causal.kind in
+      let ts = Time.to_us info.Causal.at in
+      let name =
+        if info.Causal.detail = "" then info.Causal.kind
+        else info.Causal.kind ^ " " ^ info.Causal.detail
+      in
+      slice w ~tid ~name ~cat:"causal" ~ts ~dur:1
+        [ ("args", Printf.sprintf "{\"id\":%d,\"parent\":%d}" id info.Causal.parent) ];
+      let parent = info.Causal.parent in
+      if parent >= lo && not (Causal.is_none parent) then
+        match Causal.info graph parent with
+        | None -> ()
+        | Some p ->
+            let ptid = tid_of p.Causal.kind in
+            let pts = Time.to_us p.Causal.at in
+            let common =
+              [
+                ("pid", string_of_int pid);
+                ("cat", str "causal-flow");
+                ("name", str "cause");
+                ("id", string_of_int id);
+              ]
+            in
+            event w
+              (( "ph", str "s")
+              :: ("tid", string_of_int ptid)
+              :: ("ts", string_of_int pts)
+              :: common);
+            event w
+              (("ph", str "f") :: ("bp", str "e")
+              :: ("tid", string_of_int tid)
+              :: ("ts", string_of_int ts)
+              :: common));
   if lo > 0 then
     event w
       [

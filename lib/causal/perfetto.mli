@@ -16,7 +16,8 @@
 
     Only the newest [max_causal_events] causal nodes are exported
     (default 50_000) so a storm run cannot produce a file the UI
-    chokes on; arrows into the dropped prefix are omitted. *)
+    chokes on; arrows into the dropped prefix are omitted, and the
+    dropped prefix is never formatted. *)
 
 val write :
   path:string ->

@@ -5,6 +5,8 @@ module Registry = Horse_telemetry.Registry
 module Counter = Registry.Counter
 module Gauge = Registry.Gauge
 
+let packet_in_kind = Causal.kind "ctrl:packet_in" Switch.dpid_port_detail
+
 type pending = Flow_stats of (Ofmsg.flow_stats list -> unit)
              | Port_stats of (Ofmsg.port_stats list -> unit)
              | Barrier of (unit -> unit)
@@ -91,9 +93,8 @@ let handle t sw msg xid =
       Counter.incr t.m_packet_ins;
       Sched.protect_cause (Process.scheduler t.proc) (fun () ->
           ignore
-            (Sched.cause_point (Process.scheduler t.proc) ~kind:"ctrl:packet_in"
-               (fun () -> Printf.sprintf "dpid=%d port=%d" sw.sw_dpid
-                    pi.Ofmsg.in_port));
+            (Sched.cause_point (Process.scheduler t.proc) packet_in_kind
+               (Causal.pair sw.sw_dpid pi.Ofmsg.in_port));
           List.iter (fun f -> f sw pi) t.packet_in_hooks)
   | Ofmsg.Port_status ps -> List.iter (fun f -> f sw ps) t.port_status_hooks
   | Ofmsg.Stats_reply reply -> (

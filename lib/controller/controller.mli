@@ -52,3 +52,8 @@ val barrier : t -> sw -> (unit -> unit) -> unit
 
 val flow_mods_sent : t -> int
 val packet_ins_received : t -> int
+
+val packet_in_kind : Causal.kind
+(** The ["ctrl:packet_in"] causal node, printed by
+    {!Horse_openflow.Switch.dpid_port_detail}; payload:
+    [Causal.pair dpid in_port]. *)

@@ -24,6 +24,7 @@ type t = {
   iface_links : (int, (int, int) Hashtbl.t) Hashtbl.t;
       (* node -> iface id -> out-link id *)
   ospf_installed : (int, Prefix.t list ref) Hashtbl.t;  (* per node *)
+  fib_kind : Causal.kind;
   originated : (int, Prefix.t list) Hashtbl.t;
   mutable prefixes : Prefix.t list;
   mutable sessions : session list;
@@ -38,6 +39,14 @@ let is_daemon_node (n : Topology.node) =
   match n.Topology.kind with
   | Topology.Switch | Topology.Router -> true
   | Topology.Host -> false
+
+(* A routing-table install's payload: [Causal.pair node route_count].
+   Its printer names the node through the topology, so the kind is
+   registered on the run's graph, not program-wide. *)
+let fib_write_detail topo a =
+  Printf.sprintf "%s (%d routes)"
+    (Topology.node topo (Causal.pair_hi a)).Topology.name
+    (Causal.pair_lo a)
 
 (* Replace a node's OSPF-learned routes with a fresh table, leaving
    the static host routes alone. *)
@@ -55,10 +64,8 @@ let install_routes t node (routes : Lsdb.route list) =
   let table = t.tables.(node) in
   Sched.protect_cause t.sched (fun () ->
       ignore
-        (Sched.cause_point t.sched ~kind:"fib:write" (fun () ->
-             Printf.sprintf "%s (%d routes)"
-               (Topology.node t.fabric_topo node).Topology.name
-               (List.length routes)));
+        (Sched.cause_point t.sched t.fib_kind
+           (Causal.pair node (List.length routes)));
       List.iter (fun prefix -> Fwd.remove_route table prefix) !installed;
       installed := [];
       List.iter
@@ -91,6 +98,7 @@ let build ?(hello_interval = Time.of_sec 2.0) ?(dead_interval = Time.of_sec 8.0)
       tables = Array.init (Topology.n_nodes topo) (fun _ -> Fwd.create ());
       iface_links = Hashtbl.create 64;
       ospf_installed = Hashtbl.create 64;
+      fib_kind = Sched.local_kind sched "fib:write" (fib_write_detail topo);
       originated = Hashtbl.create 64;
       prefixes = [];
       sessions = [];

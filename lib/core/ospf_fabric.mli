@@ -83,3 +83,8 @@ val fault_target : t -> Horse_faults.Injector.target
     no administrative reset here) and reports the fault as skipped;
     [converged] means every adjacency Full and every routing table
     complete. *)
+
+val fib_write_detail : Topology.t -> int -> string
+(** The printer of the fabric's ["fib:write"] causal nodes, registered
+    on the run's graph at {!build}: ["<node name> (<n> routes)"] from
+    a [Causal.pair node n] payload. *)

@@ -22,6 +22,7 @@ type t = {
   tables : Fwd.t array;  (* per node id *)
   mutable fib_writes : int;
   fib_prov : (int * Prefix.t, Causal.id) Hashtbl.t;
+  fib_kind : Causal.kind;
   mutable converged_fired : bool;
   mutable converged_hooks : (unit -> unit) list;  (* reversed *)
   mutable checker_armed : bool;
@@ -44,13 +45,27 @@ let node_name t id = (Topology.node t.fabric_topo id).Topology.name
 let sched t = Connection_manager.scheduler t.cm
 let pair a b = if a <= b then (a, b) else (b, a)
 
+(* A FIB write's payload: the node id above the prefix's 38 bits. Its
+   printer names the node through the topology, so the kind is
+   registered on the run's graph, not program-wide. *)
+let prefix_bits = 38
+
+let pack_fib_write ~node prefix =
+  if node < 0 || node lsr 24 <> 0 then
+    invalid_arg (Printf.sprintf "Routed_fabric.pack_fib_write: node %d" node);
+  (node lsl prefix_bits) lor Prefix.to_bits prefix
+
+let fib_write_detail topo a =
+  Printf.sprintf "%s %s"
+    (Topology.node topo (a lsr prefix_bits)).Topology.name
+    (Prefix.to_string (Prefix.of_bits (a land ((1 lsl prefix_bits) - 1))))
+
 let record_fib_write t node prefix =
   t.fib_writes <- t.fib_writes + 1;
   (* Terminal provenance: the FIB entry remembers the decision chain
      that last wrote it. *)
   let cause =
-    Sched.cause_point (sched t) ~kind:"fib:write" (fun () ->
-        Printf.sprintf "%s %s" (node_name t node) (Prefix.to_string prefix))
+    Sched.cause_point (sched t) t.fib_kind (pack_fib_write ~node prefix)
   in
   Hashtbl.replace t.fib_prov (node, prefix) cause
 
@@ -88,6 +103,10 @@ let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
       tables = Array.init (Topology.n_nodes topo) (fun _ -> Fwd.create ());
       fib_writes = 0;
       fib_prov = Hashtbl.create 256;
+      fib_kind =
+        Sched.local_kind
+          (Connection_manager.scheduler cm)
+          "fib:write" (fib_write_detail topo);
       converged_fired = false;
       converged_hooks = [];
       checker_armed = false;

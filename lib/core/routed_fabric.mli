@@ -125,3 +125,17 @@ val fib_provenance : t -> (string * Prefix.t * Causal.id) list
     (name, prefix). The id is {!Causal.none} when tracing is off;
     otherwise its {!Causal.chain} runs back through the decision, the
     UPDATE, the channel hops and (after a fault) the fault node. *)
+
+(** {2 Causal nodes}
+
+    Every FIB write records a ["fib:write"] node whose printer names
+    the node through the topology; {!build} registers that kind on the
+    run's graph ({!Horse_engine.Sched.local_kind}), so it is released
+    with the graph. *)
+
+val pack_fib_write : node:int -> Prefix.t -> int
+(** The payload: the node id above the prefix's {!Prefix.to_bits}.
+    @raise Invalid_argument unless [0 <= node < 2^24]. *)
+
+val fib_write_detail : Topology.t -> int -> string
+(** The printer: ["<node name> <prefix>"]. *)

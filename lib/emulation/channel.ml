@@ -89,6 +89,16 @@ let schedule_delivery t target delay msg =
     (Sched.schedule_after t.sched delay (fun () ->
          if target.s_open then deliver target msg))
 
+(* Causal kinds; a send's payload is its message length in bytes, a
+   batch's its message count. *)
+let send_kind = Causal.kind "chan:send" (fun n -> string_of_int n ^ "B")
+
+let batch_kind =
+  Causal.kind "chan:send" (fun n -> "batch n=" ^ string_of_int n)
+
+let drop_kind = Causal.kind "chan:drop" (fun _ -> "")
+let dup_kind = Causal.kind "chan:dup" (fun _ -> "")
+
 (* Impairments act at send time, on the sender's side of the pipe —
    like a lossy link, not a broken receiver. Per message the draw
    order is fixed (loss, jitter, duplicate, duplicate's jitter) and
@@ -112,7 +122,7 @@ let impaired_schedule t target msg =
       if lost then begin
         t.dropped <- t.dropped + 1;
         (* Leaf node: the message's provenance ends at the lossy link. *)
-        ignore (Sched.cause_point t.sched ~kind:"chan:drop" (fun () -> ""))
+        ignore (Sched.cause_point t.sched drop_kind 0)
       end
       else begin
         schedule_delivery t target delay msg;
@@ -121,24 +131,10 @@ let impaired_schedule t target msg =
           (* The copy gets its own node so downstream effects of the
              duplicate are distinguishable from the original's. *)
           Sched.protect_cause t.sched (fun () ->
-              ignore (Sched.cause_point t.sched ~kind:"chan:dup" (fun () -> ""));
+              ignore (Sched.cause_point t.sched dup_kind 0);
               schedule_delivery t target dup_delay msg)
         end
       end
-
-(* chan:send detail thunks, shared per distinct message length: the
-   graph stores one closure per size ever seen instead of one per
-   message, so tracing a storm promotes a handful of closures, not
-   thousands. *)
-let len_details : (int, unit -> string) Hashtbl.t = Hashtbl.create 64
-
-let detail_of_len n =
-  match Hashtbl.find_opt len_details n with
-  | Some f -> f
-  | None ->
-      let f () = string_of_int n ^ "B" in
-      Hashtbl.add len_details n f;
-      f
 
 let count_sent e msg =
   let t = e.chan in
@@ -152,9 +148,8 @@ let send e msg =
     count_sent e msg;
     (* Bracketed so back-to-back sends are causal siblings, not a
        chain. *)
-    let detail = detail_of_len (Bytes.length msg) in
     Sched.protect_cause t.sched (fun () ->
-        ignore (Sched.cause_point t.sched ~kind:"chan:send" detail);
+        ignore (Sched.cause_point t.sched send_kind (Bytes.length msg));
         impaired_schedule t e.theirs msg)
   end
 
@@ -172,20 +167,17 @@ let send_many e msgs =
                single-event batch; fall back to per-message delivery. *)
             List.iter
               (fun msg ->
-                let detail = detail_of_len (Bytes.length msg) in
                 Sched.protect_cause t.sched (fun () ->
-                    ignore (Sched.cause_point t.sched ~kind:"chan:send" detail);
+                    ignore
+                      (Sched.cause_point t.sched send_kind (Bytes.length msg));
                     impaired_schedule t e.theirs msg))
               msgs
         | None ->
             let target = e.theirs in
             (* One scheduler event delivers the whole batch in order. *)
-            let detail =
-              let n = List.length msgs in
-              fun () -> "batch n=" ^ string_of_int n
-            in
             Sched.protect_cause t.sched (fun () ->
-                ignore (Sched.cause_point t.sched ~kind:"chan:send" detail);
+                ignore
+                  (Sched.cause_point t.sched batch_kind (List.length msgs));
                 ignore
                   (Sched.schedule_after t.sched t.latency (fun () ->
                        if target.s_open then List.iter (deliver target) msgs)))

@@ -58,6 +58,14 @@ val send_many : endpoint -> Bytes.t list -> unit
     costs one event instead of k. Counters and the observer still see
     every message. *)
 
+val send_kind : Causal.kind
+(** The ["chan:send"] causal node of one message; payload: its length,
+    printed ["<len>B"]. *)
+
+val batch_kind : Causal.kind
+(** The ["chan:send"] node of a {!send_many} batch; payload: the
+    message count, printed ["batch n=<count>"]. *)
+
 val set_observer : t -> (direction -> Bytes.t -> unit) -> unit
 (** At most one observer; it sees every message at send time, before
     latency. *)

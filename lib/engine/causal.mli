@@ -39,38 +39,83 @@ type info = {
   parent : id;
 }
 
+(** {2 Kinds}
+
+    A node stores no string and no closure: only its kind and one int
+    payload. The kind names a (name, printer) pair registered once,
+    and the printer turns the payload back into the detail string when
+    the node is read. Three unboxed words per node are all the graph
+    retains. *)
+
+type kind
+
+val kind : string -> (int -> string) -> kind
+(** [kind name print] registers a program-wide kind, typically at
+    module initialisation. [print] must be a pure function of its
+    argument: it is held for the life of the program, so it must not
+    close over run state (a fabric, a topology) — that would keep
+    every finished run alive. Use {!local_kind} for those.
+    @raise Invalid_argument past 128 program-wide kinds. *)
+
+val text_kind : string -> kind
+(** A program-wide kind for rare free-text details (fault labels,
+    session-down reasons): the payload is an index returned by
+    {!text}, and the detail is that string, verbatim. *)
+
+val local_kind : t -> string -> (int -> string) -> kind
+(** [local_kind g name print] registers a kind on graph [g] only.
+    [print] may close over the run (e.g. name nodes through a
+    topology); it is released with [g]. Record it in [g] only: ids of
+    local kinds are per graph.
+    @raise Invalid_argument past 128 kinds on one graph. *)
+
+val text : t -> string -> int
+(** [text g s] stores [s] in [g]'s side table and returns its index,
+    the payload for a {!text_kind} node. Stores nothing (and returns
+    0) once [g] is full, since the node will be dropped anyway. *)
+
+val pair : int -> int -> int
+(** [pair hi lo] packs two fields into one payload, for printers that
+    take them apart with {!pair_hi} and {!pair_lo}.
+    @raise Invalid_argument unless [0 <= hi < 2^30] and
+    [0 <= lo < 2^32]. *)
+
+val pair_hi : int -> int
+val pair_lo : int -> int
+
+(** {2 Recording and reading} *)
+
 val create : ?max_nodes:int -> unit -> t
 (** Default cap: 4_000_000 nodes.
     @raise Invalid_argument if [max_nodes <= 0]. *)
 
-val node :
-  t -> at:Time.t -> kind:string -> detail:(unit -> string) -> parent:id -> id
-(** Appends a node; returns {!none} (and counts a drop) once full.
-
-    [detail] is {e not} called here: it is stored and forced on first
-    read ({!info}, {!chain}, {!iter}, {!hash}), keeping string
-    formatting off the scheduler's hot path. It must be pure — capture
-    only immutable data frozen at the call site (ints, names, prefix
-    values), never state that later mutates — or same-seed {!hash}
-    determinism breaks. *)
+val node : t -> at:Time.t -> kind:kind -> arg:int -> parent:id -> id
+(** Appends a node with payload [arg]; returns {!none} (and counts a
+    drop) once full. Allocates nothing on the minor heap: the detail
+    is formatted on read ({!info}, {!chain}, {!iter}, {!hash}) by the
+    kind's printer. *)
 
 val length : t -> int
 val dropped : t -> int
 
 val info : t -> id -> info option
-(** [None] for {!none} or an out-of-range id. *)
+(** [None] for {!none} or an out-of-range id.
+    @raise Invalid_argument if the node's kind was never registered on
+    this graph. *)
 
 val chain : t -> id -> info list
 (** Provenance chain of a node, root first, ending with the node
     itself; [[]] for {!none}. *)
 
-val iter : t -> (id -> info -> unit) -> unit
-(** All nodes in id (= creation) order. *)
+val iter : ?from:id -> t -> (id -> info -> unit) -> unit
+(** Nodes [from] (default 0) to the last, in id (= creation) order;
+    nodes before [from] are not formatted. *)
 
 val hash : t -> string
 (** Hex digest over every node's (at, kind, detail, parent) in id
-    order — identical across runs iff the causal graphs are
-    identical. Wall time never enters. *)
+    order, with the detail in its formatted form — identical across
+    runs iff the causal graphs are identical, whatever the payload
+    encoding. Wall time never enters. *)
 
 val pp_chain : Format.formatter -> info list -> unit
 (** One hop per line with the virtual latency from the previous hop:

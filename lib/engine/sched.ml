@@ -73,6 +73,8 @@ type metrics = {
   m_watchdog_aborts : Counter.t;
   h_fti_wall : Horse_telemetry.Histogram.t;
   m_ff_us : Counter.t;
+  m_causal_nodes : Counter.t;
+  m_causal_dropped : Counter.t;
 }
 
 let make_metrics reg =
@@ -131,6 +133,12 @@ let make_metrics reg =
         ~help:"Virtual microseconds covered by FTI fast-forward (wall saved \
                in proportion)"
         "fast_forwarded_us_total";
+    m_causal_nodes =
+      Registry.counter reg ~subsystem:"causal"
+        ~help:"Nodes recorded in the causal graph" "nodes_total";
+    m_causal_dropped =
+      Registry.counter reg ~subsystem:"causal"
+        ~help:"Causal nodes dropped at the graph's node cap" "dropped_total";
   }
 
 type wake_hint = Wake_at of Time.t | Wake_on_input | Always
@@ -228,16 +236,24 @@ let wrap_cause t action =
         action ();
         t.cur_cause <- saved
 
-let cause_point t ~kind detail =
+let cause_point t kind arg =
   match t.causal_g with
   | None -> Causal.none
   | Some g ->
-      let id =
-        Causal.node g ~at:t.clock ~kind ~detail
-          ~parent:t.cur_cause
-      in
+      let id = Causal.node g ~at:t.clock ~kind ~arg ~parent:t.cur_cause in
       t.cur_cause <- id;
       id
+
+let text t s = match t.causal_g with None -> 0 | Some g -> Causal.text g s
+
+(* Stands in for a graph-local kind when tracing is off; no node is
+   ever recorded under it. *)
+let untraced_kind = Causal.kind "untraced" (fun _ -> "")
+
+let local_kind t name print =
+  match t.causal_g with
+  | None -> untraced_kind
+  | Some g -> Causal.local_kind g name print
 
 (* Hand-rolled save/restore rather than [Fun.protect]: these brackets
    wrap every channel send and routing decision, and Fun.protect's
@@ -447,6 +463,12 @@ let snapshot t =
     (Registry.gauge t.reg ~subsystem:"sched"
        ~help:"Live events in the scheduler's event queue" "pending_events")
     (float_of_int (Event_queue.size t.queue));
+  (match t.causal_g with
+  | Some g ->
+      let catch_up c v = Counter.add c (v - Counter.value c) in
+      catch_up t.m.m_causal_nodes (Causal.length g);
+      catch_up t.m.m_causal_dropped (Causal.dropped g)
+  | None -> ());
   {
     events_executed = Counter.value t.m.m_events;
     fti_increments = Counter.value t.m.m_fti_increments;

@@ -135,7 +135,10 @@ val registry : t -> Horse_telemetry.Registry.t
     fires, so provenance follows timers, delayed deliveries and
     coalesced recomputes for free. Poller ticks reset the ambient
     cause — poller-driven activity roots fresh chains. With tracing
-    off, every primitive here is a no-op returning {!Causal.none}. *)
+    off, every primitive here is a no-op returning {!Causal.none}.
+    {!snapshot} copies the graph's {!Causal.length} and
+    {!Causal.dropped} into [horse_causal_nodes_total] and
+    [horse_causal_dropped_total] (both 0 with tracing off). *)
 
 val causal : t -> Causal.t option
 (** The causal graph, when tracing is enabled. *)
@@ -144,13 +147,25 @@ val current_cause : t -> Causal.id
 (** The ambient cause ({!Causal.none} when tracing is off or nothing
     interesting is on the stack). *)
 
-val cause_point : t -> kind:string -> (unit -> string) -> Causal.id
-(** [cause_point t ~kind detail] records an occurrence at the current
-    virtual time under the ambient cause and makes it the new ambient
-    cause. [detail] is a thunk so the string is never built with
-    tracing off. Callers creating {e sibling} points in a loop must
-    wrap each iteration in {!protect_cause}, or the siblings chain
-    under one another. *)
+val cause_point : t -> Causal.kind -> int -> Causal.id
+(** [cause_point t kind arg] records an occurrence of [kind] with
+    payload [arg] at the current virtual time under the ambient cause
+    and makes it the new ambient cause. Nothing is formatted or
+    allocated: the kind's printer turns [arg] into the detail string
+    when the graph is read. Callers creating {e sibling} points in a
+    loop must wrap each iteration in {!protect_cause}, or the siblings
+    chain under one another. *)
+
+val text : t -> string -> int
+(** The payload for a {!Causal.text_kind} node: stores the string in
+    the graph's side table ({!Causal.text}); 0, storing nothing, with
+    tracing off. For rare free-text details only. *)
+
+val local_kind : t -> string -> (int -> string) -> Causal.kind
+(** Registers a kind on this run's graph ({!Causal.local_kind}), for
+    printers that need run state such as a topology; a fabric calls
+    it when it is built. With tracing off nothing is registered and
+    the returned kind is never recorded. *)
 
 val with_cause : t -> Causal.id -> (unit -> 'a) -> 'a
 (** Runs [f] with the given ambient cause, restoring the previous one

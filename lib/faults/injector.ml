@@ -102,6 +102,18 @@ let apply t (action : Plan.action) =
         (fun any (a, b) -> tgt.link_up ~a ~b || any)
         false (crossing_links t group)
 
+(* One text kind per fault action ("fault:link_down", ...); the node's
+   detail is the action's label, verbatim. *)
+let fault_kinds : (string, Causal.kind) Hashtbl.t = Hashtbl.create 16
+
+let fault_kind kind =
+  match Hashtbl.find_opt fault_kinds kind with
+  | Some k -> k
+  | None ->
+      let k = Causal.text_kind ("fault:" ^ kind) in
+      Hashtbl.add fault_kinds kind k;
+      k
+
 let fire t (action : Plan.action) =
   let kind = Plan.action_kind action in
   let label = Plan.action_label action in
@@ -113,7 +125,7 @@ let fire t (action : Plan.action) =
   let applied =
     Sched.protect_cause t.sched (fun () ->
         cause :=
-          Sched.cause_point t.sched ~kind:("fault:" ^ kind) (fun () -> label);
+          Sched.cause_point t.sched (fault_kind kind) (Sched.text t.sched label);
         Sched.with_span t.sched
           ~name:("fault:" ^ kind)
           (fun () -> apply t action))

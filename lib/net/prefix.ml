@@ -32,6 +32,20 @@ let of_string_exn s =
   | None -> invalid_arg (Printf.sprintf "Prefix.of_string_exn: %S" s)
 
 let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.net) p.len
+(* The address is masked to 32 bits: [Int32.to_int] sign-extends
+   addresses from 128.0.0.0 up. *)
+let to_bits p =
+  ((Int32.to_int (Ipv4.to_int32 p.net) land 0xFFFF_FFFF) lsl 6) lor p.len
+
+let of_bits b =
+  let p =
+    if b < 0 || b lsr 38 <> 0 || b land 63 > 32 then None
+    else Some (make (Ipv4.of_int32 (Int32.of_int (b lsr 6))) (b land 63))
+  in
+  match p with
+  | Some p when to_bits p = b -> p
+  | Some _ | None -> invalid_arg (Printf.sprintf "Prefix.of_bits: %#x" b)
+
 let network p = p.net
 let length p = p.len
 let netmask p = Ipv4.of_int32 (mask_of_len p.len)

@@ -22,6 +22,16 @@ val of_string_exn : string -> t
 val to_string : t -> string
 (** ["10.1.0.0/16"] notation (always includes the length). *)
 
+val to_bits : t -> int
+(** The prefix in 38 bits of a non-negative int: the address (as an
+    unsigned 32-bit value) shifted left by 6, or'd with the length.
+    Injective, so a prefix can ride in an int payload. *)
+
+val of_bits : int -> t
+(** Inverse of {!to_bits}.
+    @raise Invalid_argument on any int {!to_bits} does not produce
+    (out of range, length above 32, host bits set). *)
+
 val network : t -> Ipv4.t
 (** First address of the prefix (the canonical address itself). *)
 

@@ -4,6 +4,13 @@ module Registry = Horse_telemetry.Registry
 module Counter = Registry.Counter
 module Gauge = Registry.Gauge
 
+(* Causal kinds. A PACKET_IN's payload is [Causal.pair dpid port]. *)
+let dpid_port_detail a =
+  Printf.sprintf "dpid=%d port=%d" (Causal.pair_hi a) (Causal.pair_lo a)
+
+let flow_mod_kind = Causal.kind "of:flow_mod" (Printf.sprintf "dpid=%d")
+let packet_in_kind = Causal.kind "of:packet_in" dpid_port_detail
+
 type metrics = {
   m_packet_ins : Counter.t;
   m_flow_mods : Counter.t;
@@ -100,8 +107,7 @@ let handle t msg xid =
       Counter.incr t.m.m_flow_mods;
       Sched.protect_cause (Process.scheduler t.proc) (fun () ->
           let cause =
-            Sched.cause_point (Process.scheduler t.proc) ~kind:"of:flow_mod"
-              (fun () -> Printf.sprintf "dpid=%d" t.dpid)
+            Sched.cause_point (Process.scheduler t.proc) flow_mod_kind t.dpid
           in
           t.rev_flow_prov <- (fm, cause) :: t.rev_flow_prov;
           let before = Flow_table.size t.table in
@@ -248,8 +254,8 @@ let packet_in t ~in_port ?(reason = 0) data =
   Counter.incr t.m.m_packet_ins;
   Sched.protect_cause (Process.scheduler t.proc) (fun () ->
       ignore
-        (Sched.cause_point (Process.scheduler t.proc) ~kind:"of:packet_in"
-           (fun () -> Printf.sprintf "dpid=%d port=%d" t.dpid in_port));
+        (Sched.cause_point (Process.scheduler t.proc) packet_in_kind
+           (Causal.pair t.dpid in_port));
       send t
         (Ofmsg.Packet_in
            {

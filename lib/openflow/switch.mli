@@ -75,3 +75,16 @@ val flow_provenance : t -> (Ofmsg.flow_mod * Causal.id) list
 (** Every FLOW_MOD applied, oldest first, paired with its causal node
     — walk the chain to recover the PACKET_IN (or fault) that produced
     it. Ids are {!Causal.none} when tracing is off. *)
+
+(** {2 Causal nodes} *)
+
+val flow_mod_kind : Causal.kind
+(** ["of:flow_mod"], printed ["dpid=<dpid>"]; payload: the dpid. *)
+
+val packet_in_kind : Causal.kind
+(** ["of:packet_in"], printed by {!dpid_port_detail}; payload:
+    [Causal.pair dpid in_port]. *)
+
+val dpid_port_detail : int -> string
+(** ["dpid=<dpid> port=<port>"] from a [Causal.pair dpid port]
+    payload. *)

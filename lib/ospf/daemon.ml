@@ -27,6 +27,30 @@ let pp_neighbor_state fmt s =
   Format.pp_print_string fmt
     (match s with Down -> "Down" | Init -> "Init" | Full -> "Full")
 
+(* Causal kinds. An adjacency change's payload comes from [pack_adj];
+   an LSU's is [Causal.pair lsa_count iface_id]. *)
+let state_code = function Down -> 0 | Init -> 1 | Full -> 2
+
+let state_of_code = function
+  | 0 -> Down
+  | 1 -> Init
+  | 2 -> Full
+  | c -> invalid_arg (Printf.sprintf "Daemon.state_of_code: %d" c)
+
+let pack_adj ~iface state = Causal.pair iface (state_code state)
+
+let spf_kind = Causal.kind "ospf:spf" (Printf.sprintf "%d routes")
+
+let adj_kind =
+  Causal.kind "ospf:adj" (fun a ->
+      Format.asprintf "iface %d -> %a" (Causal.pair_hi a) pp_neighbor_state
+        (state_of_code (Causal.pair_lo a)))
+
+let lsa_kind =
+  Causal.kind "ospf:lsa" (fun a ->
+      Printf.sprintf "%d LSAs via iface %d" (Causal.pair_hi a)
+        (Causal.pair_lo a))
+
 type iface = {
   iface_id : int;
   mutable endpoint : Channel.endpoint;
@@ -207,8 +231,8 @@ let run_spf t =
     tracef t "routing table changed: %d routes" (List.length fresh);
     Sched.protect_cause (Process.scheduler t.proc) (fun () ->
         ignore
-          (Sched.cause_point (Process.scheduler t.proc) ~kind:"ospf:spf"
-             (fun () -> Printf.sprintf "%d routes" (List.length fresh)));
+          (Sched.cause_point (Process.scheduler t.proc) spf_kind
+             (List.length fresh));
         List.iter (fun f -> f fresh) t.route_hooks)
   end
 
@@ -250,10 +274,8 @@ let originate t =
 let set_neighbor_state t iface state =
   if iface.nbr_state <> state then begin
     ignore
-      (Sched.cause_point (Process.scheduler t.proc) ~kind:"ospf:adj"
-         (fun () ->
-           Format.asprintf "iface %d -> %a" iface.iface_id pp_neighbor_state
-             state));
+      (Sched.cause_point (Process.scheduler t.proc) adj_kind
+         (pack_adj ~iface:iface.iface_id state));
     tracef t "interface %d neighbor %s -> %a" iface.iface_id
       (match iface.nbr_id with Some r -> Ipv4.to_string r | None -> "?")
       pp_neighbor_state state;
@@ -310,9 +332,8 @@ let handle_update t iface lsas =
   t.updates_received <- t.updates_received + 1;
   Counter.incr t.m.rx_update;
   ignore
-    (Sched.cause_point (Process.scheduler t.proc) ~kind:"ospf:lsa" (fun () ->
-         Printf.sprintf "%d LSAs via iface %d" (List.length lsas)
-           iface.iface_id));
+    (Sched.cause_point (Process.scheduler t.proc) lsa_kind
+       (Causal.pair (List.length lsas) iface.iface_id));
   let to_ack = ref [] in
   List.iter
     (fun (lsa : Ospf_msg.lsa) ->

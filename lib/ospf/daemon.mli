@@ -93,3 +93,19 @@ type counters = {
 }
 
 val counters : t -> counters
+
+(** {2 Causal nodes} *)
+
+val spf_kind : Causal.kind
+(** ["ospf:spf"], printed ["<n> routes"]; payload: the route count. *)
+
+val adj_kind : Causal.kind
+(** ["ospf:adj"], printed ["iface <id> -> <state>"]; payload from
+    {!pack_adj}. *)
+
+val pack_adj : iface:int -> neighbor_state -> int
+(** @raise Invalid_argument unless [0 <= iface < 2^30]. *)
+
+val lsa_kind : Causal.kind
+(** ["ospf:lsa"], printed ["<n> LSAs via iface <id>"]; payload:
+    [Causal.pair n iface]. *)

@@ -60,11 +60,12 @@ let pp fmt reg =
   let spans = Span.records (Registry.spans reg) in
   if spans <> [] then
     Format.fprintf fmt "@\nspans:@\n%a@\n" Span.pp (Registry.spans reg);
-  (match Registry.find_counter reg "horse_trace_dropped_total" with
+  (match Registry.find_counter reg "horse_causal_dropped_total" with
   | Some c when Registry.Counter.value c > 0 ->
       Format.fprintf fmt
-        "@\nWARNING: trace ring buffer dropped %d entries \
-         (horse_trace_dropped_total) — oldest entries evicted; raise the \
-         trace capacity to keep them@\n"
+        "@\nWARNING: causal graph dropped %d nodes \
+         (horse_causal_dropped_total) — it reached its node cap; later \
+         occurrences root fresh chains, so provenance and --explain are \
+         incomplete@\n"
         (Registry.Counter.value c)
   | Some _ | None -> ())

@@ -3,7 +3,8 @@
     Renders, in order: counters as a horizontal bar chart (scaled to
     the busiest counter), gauges as an aligned table, each histogram
     through {!Histogram.pp}, and the span tree indented by depth with
-    both virtual and wall durations. This is what [horse ... --report]
-    prints after a run. *)
+    both virtual and wall durations, then a warning when the causal
+    graph dropped nodes ([horse_causal_dropped_total] > 0). This is
+    what [horse ... --report] prints after a run. *)
 
 val pp : Format.formatter -> Horse_telemetry.Registry.t -> unit

@@ -1,10 +1,13 @@
-(* Tests for horse_stats: series, summaries, CSV, ASCII rendering. *)
+(* Tests for horse_stats: series, summaries, CSV, ASCII rendering and
+   the run report's causal-drop warning. *)
 
 open Horse_engine
 open Horse_stats
 
 let check = Alcotest.check
 let qtest = Horse_test_support.qtest
+
+module Registry = Horse_telemetry.Registry
 
 let series_of samples =
   let s = Series.create () in
@@ -104,18 +107,16 @@ let test_sparkline () =
   (* constant series should not crash (zero range) *)
   ignore (Ascii.sparkline [ 5.0; 5.0; 5.0 ])
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let test_plot_and_bars_render () =
   let s = series_of [ (0, 0.0); (1000, 5.0); (2000, 2.5) ] in
   let out = Format.asprintf "%t" (fun fmt -> Ascii.plot fmt [ ("demo", s) ]) in
   check Alcotest.bool "plot mentions legend" true
-    (String.length out > 100
-    &&
-    let contains_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    contains_sub out "demo");
+    (String.length out > 100 && contains out "demo");
   let bars =
     Format.asprintf "%t" (fun fmt ->
         Ascii.bar_chart fmt [ ("horse", 10.0); ("mininet", 50.0) ])
@@ -149,6 +150,19 @@ let prop_histogram_conserves =
       bucketed + Histogram.underflow h + Histogram.overflow h = Histogram.count h
       && Histogram.count h = List.length vs)
 
+let test_report_causal_drops () =
+  let sched = Sched.create () in
+  ignore (Sched.snapshot sched);
+  let reg = Sched.registry sched in
+  let report () = Format.asprintf "%a" Report.pp reg in
+  check Alcotest.bool "no drops, no warning" false
+    (contains (report ()) "WARNING");
+  (match Registry.find_counter reg "horse_causal_dropped_total" with
+  | Some c -> Registry.Counter.add c 3
+  | None -> Alcotest.fail "horse_causal_dropped_total not exported");
+  check Alcotest.bool "drops warn" true
+    (contains (report ()) "WARNING: causal graph dropped 3 nodes")
+
 let () =
   Alcotest.run "horse_stats"
     [
@@ -180,5 +194,10 @@ let () =
         [
           Alcotest.test_case "sparkline" `Quick test_sparkline;
           Alcotest.test_case "plot and bars" `Quick test_plot_and_bars_render;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "causal drops warn" `Quick
+            test_report_causal_drops;
         ] );
     ]
