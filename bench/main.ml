@@ -424,9 +424,13 @@ let failure () =
      pod 0 through DIFFERENT aggregation switches. Before the fault
      they are disjoint end to end (2 Gbps combined); during the fault
      both must squeeze through the single surviving downlink
-     (1 Gbps). *)
+     (1 Gbps). The ports are chosen 1 s after convergence: the FIBs
+     resolve every subnet before every ECMP group holds all its
+     members, and a disjoint pair needs the full groups. *)
   let flows : (Flow_key.t * Horse_dataplane.Flow.t) list ref = ref [] in
+  let sched = Experiment.scheduler exp in
   Routed_fabric.when_converged fabric (fun () ->
+    Experiment.at exp (Time.add (Sched.now sched) (Time.of_sec 1.0)) (fun () ->
       let dst0 = Fat_tree.host_ip ft 0 and dst1 = Fat_tree.host_ip ft 1 in
       let src0 = Fat_tree.host_ip ft (2 * pods * pods / 4) in
       let src1 = Fat_tree.host_ip ft (3 * pods * pods / 4) in
@@ -458,7 +462,7 @@ let failure () =
         [
           (key0, Horse_dataplane.Fluid.start_flow fluid ~key:key0 ~path:path0);
           (key1, Horse_dataplane.Fluid.start_flow fluid ~key:key1 ~path:path1);
-        ]);
+        ]));
   (* Re-path the probes when the FIBs change, throttled to one sweep
      per 100 ms of virtual time. *)
   let dirty = ref false in

@@ -11,18 +11,17 @@ type sw = {
 
 type t = {
   fabric_topo : Topology.t;
-  sched : Sched.t;
   ctrl_proc : Process.t;
   switches : (int, sw) Hashtbl.t;  (* node id -> switch *)
   pending : (int, int -> unit) Hashtbl.t;  (* xid -> counter callback *)
   mutable next_xid : int;
-  mutable sent : int;
-  mutable acks : int;
+  sent : int ref;
+  acks : int ref;
   mutable nacks : int;
-  mutable programmed_fired : bool;
-  mutable programmed_hooks : (unit -> unit) list;  (* reversed *)
-  mutable checker_armed : bool;
+  programmed : Latch.t;  (* every insert acknowledged *)
 }
+
+let all_acked ~sent ~acks = !sent > 0 && !acks = !sent
 
 let fresh_xid t =
   let xid = t.next_xid in
@@ -34,7 +33,9 @@ let on_response t bytes =
   | Error _ -> ()
   | Ok (xid, resp) -> (
       match resp with
-      | Runtime.Ack -> t.acks <- t.acks + 1
+      | Runtime.Ack ->
+          incr t.acks;
+          Latch.poke t.programmed
       | Runtime.Nack _ -> t.nacks <- t.nacks + 1
       | Runtime.Counter_value (_, v) -> (
           match Hashtbl.find_opt t.pending xid with
@@ -48,22 +49,20 @@ let build ?(program = Prog.ecmp_router) ~cm topo =
   | Error _ as e -> e
   | Ok () ->
       let sched = Connection_manager.scheduler cm in
+      let sent = ref 0 and acks = ref 0 in
       let trace = Connection_manager.trace cm in
       let ctrl_proc = Process.create sched ~name:"p4-controller" in
       let t =
         {
           fabric_topo = topo;
-          sched;
           ctrl_proc;
           switches = Hashtbl.create 64;
           pending = Hashtbl.create 64;
           next_xid = 1;
-          sent = 0;
-          acks = 0;
+          sent;
+          acks;
           nacks = 0;
-          programmed_fired = false;
-          programmed_hooks = [];
-          checker_armed = false;
+          programmed = Latch.create sched (fun () -> all_acked ~sent ~acks);
         }
       in
       let build_error = ref None in
@@ -97,7 +96,7 @@ let agent t node =
   Option.map (fun sw -> sw.agent) (Hashtbl.find_opt t.switches node)
 
 let send_insert t sw entry =
-  t.sent <- t.sent + 1;
+  incr t.sent;
   Channel.send sw.ctrl_end
     (Runtime.encode_request ~xid:(fresh_xid t) (Runtime.Insert entry))
 
@@ -169,29 +168,11 @@ let program_routes t =
       | (Topology.Host | Topology.Switch | Topology.Router), _ -> ())
     (Topology.nodes topo)
 
-let entries_sent t = t.sent
-let acks_received t = t.acks
+let entries_sent t = !(t.sent)
+let acks_received t = !(t.acks)
 let nacks_received t = t.nacks
-let programmed t = t.sent > 0 && t.acks = t.sent
-
-let when_programmed ?(check_every = Time.of_ms 10) t k =
-  if t.programmed_fired then k ()
-  else begin
-    t.programmed_hooks <- k :: t.programmed_hooks;
-    if not t.checker_armed then begin
-      t.checker_armed <- true;
-      let recurring = ref None in
-      let check () =
-        if (not t.programmed_fired) && programmed t then begin
-          t.programmed_fired <- true;
-          Option.iter Sched.cancel_recurring !recurring;
-          List.iter (fun k -> k ()) (List.rev t.programmed_hooks);
-          t.programmed_hooks <- []
-        end
-      in
-      recurring := Some (Sched.every t.sched check_every check)
-    end
-  end
+let programmed t = all_acked ~sent:t.sent ~acks:t.acks
+let when_programmed t k = Latch.on t.programmed k
 
 let fields_of_key (key : Flow_key.t) =
   [

@@ -9,7 +9,6 @@
     paths by running each switch's pipeline interpreter. *)
 
 open Horse_net
-open Horse_engine
 open Horse_topo
 open Horse_p4
 
@@ -40,7 +39,9 @@ val nacks_received : t -> int
 val programmed : t -> bool
 (** All inserts acknowledged. *)
 
-val when_programmed : ?check_every:Time.t -> t -> (unit -> unit) -> unit
+val when_programmed : t -> (unit -> unit) -> unit
+(** Runs the callback once, at the end of the instant whose Ack makes
+    {!programmed} hold (now, if it already fired). *)
 
 val path_for :
   ?hash:(Flow_key.t -> int) -> t -> Flow_key.t -> (Spf.path, string) result

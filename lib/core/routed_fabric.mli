@@ -8,7 +8,10 @@
     BGP-in-the-data-centre design), multipath is on, and the data
     plane resolves flow paths by walking the FIBs with a configurable
     ECMP hash. Every speaker runs on the CM's scheduler, and every
-    session is a CM-observed channel. *)
+    session is a CM-observed channel.
+
+    The fabric is {!Routed_core} with speakers as its daemons: a
+    Loc-RIB change at a node becomes one FIB write per prefix. *)
 
 open Horse_net
 open Horse_engine
@@ -37,94 +40,46 @@ val start : t -> unit
 (** Starts every speaker at the current virtual time, in speaker-table
     order (schedule this inside the experiment for a t=0 boot). *)
 
-val topo : t -> Topology.t
 val speakers : t -> (int * Speaker.t) list
 val speaker : t -> int -> Speaker.t option
+
+(** {2 The routed-fabric surface}
+
+    Shared with {!Ospf_fabric} and documented in {!Routed_core}. Here
+    a session is an eBGP session, a fault that closes one makes both
+    speakers retract the peer's routes and propagate withdrawals, a
+    crashed speaker's peers find out via their hold timers, a
+    restarted one's ConnectRetry re-initiates every session, and
+    {!reset_session} sends a Cease NOTIFICATION from [a]'s end, after
+    which both ConnectRetry timers re-establish the session. *)
+
+val topo : t -> Topology.t
 val table : t -> int -> Fwd.t
 val all_prefixes : t -> Prefix.t list
-(** Union of everything originated, sorted. *)
-
+val node_name : t -> int -> string
 val fib_routes_installed : t -> int
-(** Cumulative count of FIB writes (route adds/changes/removals). *)
-
 val on_fib_change : t -> (int -> Prefix.t -> unit) -> unit
-
 val is_converged : t -> bool
-(** Every speaker has a FIB route for every originated prefix it does
-    not itself originate. *)
-
-val when_converged : ?check_every:Time.t -> t -> (unit -> unit) -> unit
-(** Polls {!is_converged} on the CM's scheduler (default every 50 ms
-    of virtual time) and fires the callback once, at the first instant
-    it holds. *)
+val when_converged : t -> (unit -> unit) -> unit
 
 val path_for :
   ?hash:(Flow_key.t -> int) -> t -> Flow_key.t -> (Spf.path, string) result
-(** Resolves the flow's data-plane path by walking the FIBs from the
-    source host, selecting among ECMP groups with [hash] (default
-    {!Flow_key.hash_src_dst} — the BGP scenario's hash). Fails when a
-    hop has no route (not yet converged) or the walk exceeds 64
-    hops. *)
+(** Default hash: {!Flow_key.hash_src_dst}, the BGP scenario's. *)
 
 val sessions_expected : t -> int
-(** Number of eBGP sessions configured (one per inter-switch duplex
-    link). *)
-
 val sessions_established : t -> int
-
 val fail_link : t -> a:int -> b:int -> bool
-(** Cuts the control channel between two adjacent speakers (both
-    sessions observe the closure immediately, retract the peer's
-    routes and propagate withdrawals). Returns [false] when no
-    session exists between the nodes or it is already down. The
-    simulated data-plane link
-    itself stays up — this is a control-plane fault, the classic
-    "BGP session reset" experiment. *)
-
 val restore_link : t -> a:int -> b:int -> bool
-(** Re-establishes a previously failed session over a fresh
-    CM-observed channel and restarts both ends. Returns [false] if
-    the session does not exist or was never failed. *)
-
-val crash_node : t -> int -> bool
-(** Kills the node's speaker process — silent on the wire; peers find
-    out via their hold timers. [false] if the node has no speaker or
-    is already dead. *)
-
-val restart_node : t -> int -> bool
-(** Respawns a crashed speaker: its ConnectRetry re-initiates every
-    session and peers re-send their tables. [false] unless the node
-    is currently crashed. *)
-
 val reset_session : t -> a:int -> b:int -> bool
-(** One-sided administrative session reset (Cease NOTIFICATION from
-    [a]'s end); both ConnectRetry timers then re-establish it. *)
-
 val impair_link : t -> a:int -> b:int -> rng:Rng.t -> Channel.impairment option -> bool
-(** Applies ([Some]) or clears ([None]) a channel impairment on the
-    session between the nodes. *)
+val crash_node : t -> int -> bool
+val restart_node : t -> int -> bool
 
 val fault_target : t -> Horse_faults.Injector.target
-(** The fabric as a fault-injection target (node names resolve via
-    the topology). A site with no speaker or no session reports
-    [false] and is recorded as skipped. [converged] means every
-    session established and {!is_converged}. *)
+(** Described as ["routed-fabric"]. *)
 
 val fib_fingerprint : t -> string
-(** Hex digest over every node's full forwarding table (prefixes and
-    next-hop link ids, in {!Horse_dataplane.Fwd.routes} order). Two
-    runs that converge to identical FIBs produce identical
-    fingerprints — the fault-plane determinism check. *)
-
-val node_name : t -> int -> string
-(** The topology name of a node id. *)
-
 val fib_provenance : t -> (string * Prefix.t * Causal.id) list
-(** Every BGP-learned, currently-resolvable FIB entry as
-    (node name, prefix, causal id of its last write), sorted by
-    (name, prefix). The id is {!Causal.none} when tracing is off;
-    otherwise its {!Causal.chain} runs back through the decision, the
-    UPDATE, the channel hops and (after a fault) the fault node. *)
 
 (** {2 Causal nodes}
 

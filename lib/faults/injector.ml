@@ -193,7 +193,10 @@ let expand_generator seed (g : Plan.generator) =
 
 (* --- arming --------------------------------------------------------- *)
 
-let arm ?(check_every = Time.of_ms 50) sched ~target (plan : Plan.t) =
+(* The reconvergence sampling period. *)
+let check_every = Time.of_ms 50
+
+let arm sched ~target (plan : Plan.t) =
   let reg = Sched.registry sched in
   let m_injected kind =
     Registry.counter reg ~subsystem:"faults"

@@ -52,10 +52,10 @@ type record = {
 
 type t
 
-val arm : ?check_every:Time.t -> Sched.t -> target:target -> Plan.t -> t
-(** Expands and schedules the whole plan now. [check_every] (default
-    50 ms virtual) is the reconvergence sampling period — recorded
-    reconvergence times are upper bounds quantized by it. *)
+val arm : Sched.t -> target:target -> Plan.t -> t
+(** Expands and schedules the whole plan now. The target's [converged]
+    is sampled every 50 ms of virtual time, so recorded reconvergence
+    times are upper bounds quantized by that period. *)
 
 val injected : t -> int
 (** Faults applied so far. *)

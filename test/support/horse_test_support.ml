@@ -100,3 +100,19 @@ let decide_reference ~multipath rib prefix =
   let sorted = List.sort tiebreak survivors in
   if multipath then sorted
   else match sorted with [] -> [] | winner :: _ -> [ winner ]
+
+let converged_reference ~table ~originate nodes =
+  let prefixes =
+    List.sort_uniq Horse_net.Prefix.compare (List.concat_map originate nodes)
+  in
+  List.for_all
+    (fun node ->
+      let own = originate node in
+      List.for_all
+        (fun prefix ->
+          List.exists (Horse_net.Prefix.equal prefix) own
+          || Option.is_some
+               (Horse_dataplane.Fwd.lookup (table node)
+                  (Horse_net.Prefix.network prefix)))
+        prefixes)
+    nodes

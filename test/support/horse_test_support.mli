@@ -39,3 +39,13 @@ val decide_reference :
     chain of filters over [Rib.candidates], then the BGP-id and
     peer-id tiebreak. It never reads the sorted candidate lists that
     [decide] keeps incrementally. *)
+
+val converged_reference :
+  table:(int -> Horse_dataplane.Fwd.t) ->
+  originate:(int -> Horse_net.Prefix.t list) ->
+  int list ->
+  bool
+(** The full-scan oracle for the routed fabrics' convergence latch
+    ([Horse_core.Routed_core.is_converged]): every node of the list
+    resolves, by [Fwd.lookup] on the network address, every prefix
+    that some node of the list originates and it does not. *)

@@ -502,9 +502,9 @@ let () =
             test_bgp_fabric_link_failure_withdraw;
           Alcotest.test_case "session flap (fail+restore)" `Quick
             test_bgp_fabric_session_flap;
+          Alcotest.test_case "fail twice" `Quick test_bgp_fabric_fail_twice;
           Alcotest.test_case "random WANs converge loop-free" `Slow
             test_bgp_random_wans_converge;
-          Alcotest.test_case "fail twice" `Quick test_bgp_fabric_fail_twice;
         ] );
       ( "sdn_fabric",
         [

@@ -599,6 +599,35 @@ let test_defer_chains_drain_in_instant () =
   ignore (Sched.run sched);
   check Alcotest.int "all chained callbacks ran" 4 !ran
 
+let test_latch_fires_once_at_end_of_instant () =
+  (* The condition flips true at 1 ms and back within the instant (no
+     fire), then true at 3 ms, where the latch fires once, after the
+     instant's last event; a late registration runs at once. *)
+  let sched = Sched.create () in
+  let level = ref 0 in
+  let latch = Latch.create sched (fun () -> !level = 0) in
+  let trace = ref [] in
+  let note label () = trace := (label, Time.to_ms (Sched.now sched)) :: !trace in
+  let set v () =
+    level := v;
+    Latch.poke latch
+  in
+  level := 1;
+  Latch.on latch (note "first");
+  Latch.on latch (note "second");
+  List.iter
+    (fun (ms, f) -> ignore (Sched.schedule_at sched (Time.of_ms ms) f))
+    [
+      (1, set 0); (1, set 1); (3, set 0); (3, note "event@3"); (4, set 1); (5, set 0);
+    ];
+  ignore (Sched.run sched);
+  Latch.on latch (note "late");
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
+    "fires once, at the end of the first instant that holds"
+    [ ("event@3", 3.0); ("first", 3.0); ("second", 3.0); ("late", 5.0) ]
+    (List.rev !trace)
+
 let test_stop () =
   let sched = Sched.create () in
   let executed = ref 0 in
@@ -885,6 +914,8 @@ let () =
             test_defer_runs_before_clock_advances;
           Alcotest.test_case "defer chains drain in instant" `Quick
             test_defer_chains_drain_in_instant;
+          Alcotest.test_case "latch fires once at end of instant" `Quick
+            test_latch_fires_once_at_end_of_instant;
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "start in FTI" `Quick test_start_in_fti;
           Alcotest.test_case "FTI work exceeds DES" `Slow

@@ -351,8 +351,8 @@ let test_ospf_fabric_restore_link () =
   check Alcotest.bool "link failed" true !failed;
   check Alcotest.bool "link restored" true !restored;
   check Alcotest.int "all adjacencies full again"
-    (Ospf_fabric.adjacencies_expected fabric)
-    (Ospf_fabric.adjacencies_full fabric);
+    (Ospf_fabric.sessions_expected fabric)
+    (Ospf_fabric.sessions_established fabric);
   check Alcotest.bool "routing tables complete" true
     (Ospf_fabric.is_converged fabric)
 
@@ -375,8 +375,8 @@ let test_ospf_overlapping_downs_skipped () =
   check Alcotest.int "one skipped" 1 (Injector.skipped inj);
   check Alcotest.int "two applied" 2 (Injector.injected inj);
   check Alcotest.int "all adjacencies full again"
-    (Ospf_fabric.adjacencies_expected fabric)
-    (Ospf_fabric.adjacencies_full fabric)
+    (Ospf_fabric.sessions_expected fabric)
+    (Ospf_fabric.sessions_established fabric)
 
 (* --- the k=4 BGP fat-tree's work, pinned ------------------------------ *)
 
@@ -470,13 +470,185 @@ let fat_tree_work ~storm ~messages ~fib_writes ~faults () =
     (Routed_fabric.fib_routes_installed fabric);
   check
     (Alcotest.option Alcotest.int)
-    "convergence instant" (Some 50_000) !converged;
+    "convergence instant" (Some 7_900) !converged;
   let trace =
     match inj with
     | Some inj -> Injector.trace_labels inj
     | None -> []
   in
   check (Alcotest.list Alcotest.string) "fault trace" faults trace
+
+(* --- the routed core: one fault surface, one convergence latch ---------- *)
+
+(* Both routed fabrics on a 4-router ring, run until converged. *)
+let ring_target ~ospf =
+  let wan = Wan.ring 4 in
+  let exp = Experiment.create wan.Wan.topo in
+  let cm = Experiment.cm exp in
+  let prefix = Wan.router_prefix wan in
+  let start, target =
+    if ospf then
+      let f = Ospf_fabric.build ~cm ~originate:(fun n -> [ (prefix n, 0) ]) wan.Wan.topo in
+      ((fun () -> Ospf_fabric.start f), Ospf_fabric.fault_target f)
+    else
+      let f = Routed_fabric.build ~cm ~originate:(fun n -> [ prefix n ]) wan.Wan.topo in
+      ((fun () -> Routed_fabric.start f), Routed_fabric.fault_target f)
+  in
+  Experiment.at exp Time.zero start;
+  ignore (Experiment.run ~until:(Time.of_sec 10.0) exp);
+  target
+
+(* A fault on an unknown site, or on a session or process already in
+   the target state, is a no-op reported as [false], so the injector
+   records it as skipped. *)
+let test_fault_surface_contract () =
+  List.iter
+    (fun (ospf, reset_applies) ->
+      let t = ring_target ~ospf in
+      let expect label want got =
+        check Alcotest.bool (t.Injector.describe ^ ": " ^ label) want got
+      in
+      expect "converged" true (t.Injector.converged ());
+      expect "unknown node" false (t.Injector.node_crash "nonexistent");
+      expect "unknown link end" false (t.Injector.link_down ~a:"r0" ~b:"nonexistent");
+      expect "non-adjacent pair" false (t.Injector.link_down ~a:"r0" ~b:"r2");
+      expect "restore a live link" false (t.Injector.link_up ~a:"r0" ~b:"r1");
+      expect "first fail" true (t.Injector.link_down ~a:"r0" ~b:"r1");
+      expect "second fail" false (t.Injector.link_down ~a:"r0" ~b:"r1");
+      expect "restore the failed link" true (t.Injector.link_up ~a:"r1" ~b:"r0");
+      expect "restart a live node" false (t.Injector.node_restart "r2");
+      expect "first crash" true (t.Injector.node_crash "r2");
+      expect "second crash" false (t.Injector.node_crash "r2");
+      expect "restart the crashed node" true (t.Injector.node_restart "r2");
+      expect "session reset" reset_applies (t.Injector.session_reset ~a:"r0" ~b:"r3"))
+    [ (false, true); (true, false) ]
+
+(* Runs [run] with a probe on every FIB change: after each one the
+   latch equals the full-scan oracle, and the convergence callback
+   fires at the first end of an instant at which the oracle holds.
+   The run must also reopen the latch (a tracked pair lost again) so
+   both directions of the count are exercised. *)
+let check_latch ~sched ~on_fib_change ~is_converged ~when_converged ~oracle run =
+  let now () = Time.to_us (Sched.now sched) in
+  let changes = ref 0 and reopened = ref false and queued = ref false in
+  let first_held = ref None and fired_at = ref None in
+  on_fib_change (fun _ _ ->
+      incr changes;
+      let latch = is_converged () and scan = oracle () in
+      if latch <> scan then
+        Alcotest.failf "at %d us: latch says %b, the scan %b" (now ()) latch scan;
+      if !first_held <> None && not latch then reopened := true;
+      if not !queued then begin
+        queued := true;
+        Sched.defer sched (fun () ->
+            queued := false;
+            if !first_held = None && oracle () then first_held := Some (now ()))
+      end);
+  when_converged (fun () -> fired_at := Some (now ()));
+  run ();
+  check Alcotest.bool "fib changes seen" true (!changes > 0);
+  check Alcotest.bool "latch reopened" true !reopened;
+  check Alcotest.bool "converged" true (!first_held <> None);
+  check
+    (Alcotest.option Alcotest.int)
+    "fired at the first converged end of instant" !first_held !fired_at
+
+let check_bgp_latch ~exp ~originate fabric =
+  let sched = Experiment.scheduler exp in
+  let nodes = List.map fst (Routed_fabric.speakers fabric) in
+  check_latch ~sched
+    ~on_fib_change:(Routed_fabric.on_fib_change fabric)
+    ~is_converged:(fun () -> Routed_fabric.is_converged fabric)
+    ~when_converged:(Routed_fabric.when_converged fabric)
+    ~oracle:(fun () ->
+      Horse_test_support.converged_reference
+        ~table:(Routed_fabric.table fabric) ~originate nodes)
+
+let test_latch_bgp_storm () =
+  let ft = Fat_tree.build ~k:4 () in
+  let exp = Experiment.create ft.Fat_tree.topo in
+  let originate = Fat_tree.edge_subnets ft in
+  let fabric =
+    Routed_fabric.build ~cm:(Experiment.cm exp) ~originate ft.Fat_tree.topo
+  in
+  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
+  ignore
+    (Injector.arm (Experiment.scheduler exp)
+       ~target:(Routed_fabric.fault_target fabric)
+       (fat_tree_storm_plan ft));
+  check_bgp_latch ~exp ~originate fabric (fun () ->
+      ignore (Experiment.run ~until:(Time.of_sec 25.0) exp))
+
+let test_latch_ospf_ring () =
+  let wan = Wan.ring 4 in
+  let exp = Experiment.create wan.Wan.topo in
+  let originate node = [ Wan.router_prefix wan node ] in
+  let fabric =
+    Ospf_fabric.build ~cm:(Experiment.cm exp)
+      ~originate:(fun node -> List.map (fun p -> (p, 0)) (originate node))
+      wan.Wan.topo
+  in
+  let nodes = List.map fst (Ospf_fabric.daemons fabric) in
+  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  Experiment.at exp (Time.of_sec 15.0) (fun () ->
+      ignore (Ospf_fabric.fail_link fabric ~a:0 ~b:1));
+  Experiment.at exp (Time.of_sec 25.0) (fun () ->
+      ignore (Ospf_fabric.restore_link fabric ~a:0 ~b:1));
+  check_latch
+    ~sched:(Experiment.scheduler exp)
+    ~on_fib_change:(Ospf_fabric.on_fib_change fabric)
+    ~is_converged:(fun () -> Ospf_fabric.is_converged fabric)
+    ~when_converged:(Ospf_fabric.when_converged fabric)
+    ~oracle:(fun () ->
+      Horse_test_support.converged_reference
+        ~table:(Ospf_fabric.table fabric) ~originate nodes)
+    (fun () -> ignore (Experiment.run ~until:(Time.of_sec 40.0) exp))
+
+(* A /8, a /16 inside it and a /24 inside that, on three routers of a
+   ring: a write to the /8 moves the other two wherever they resolve
+   through it, and crashing its originator withdraws it. *)
+let test_latch_overlapping () =
+  let wan = Wan.ring 5 in
+  let exp = Experiment.create wan.Wan.topo in
+  let originate = function
+    | 0 -> [ Horse_net.Prefix.of_string_exn "10.0.0.0/8" ]
+    | 1 -> [ Horse_net.Prefix.of_string_exn "10.1.0.0/16" ]
+    | 2 -> [ Horse_net.Prefix.of_string_exn "10.1.2.0/24" ]
+    | _ -> []
+  in
+  let fabric = Routed_fabric.build ~cm:(Experiment.cm exp) ~originate wan.Wan.topo in
+  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
+  Experiment.at exp (Time.of_sec 5.0) (fun () ->
+      ignore (Routed_fabric.crash_node fabric 0));
+  Experiment.at exp (Time.of_sec 25.0) (fun () ->
+      ignore (Routed_fabric.restart_node fabric 0));
+  Experiment.at exp (Time.of_sec 30.0) (fun () ->
+      ignore (Routed_fabric.fail_link fabric ~a:1 ~b:2));
+  check_bgp_latch ~exp ~originate fabric (fun () ->
+      ignore (Experiment.run ~until:(Time.of_sec 60.0) exp));
+  check Alcotest.bool "healed" true (Routed_fabric.is_converged fabric)
+
+(* OSPF on the k=4 fat tree converges to the same FIBs as BGP (the
+   fingerprint pinned in [fat_tree_work]), at an exact instant. *)
+let test_ospf_fat_tree_fibs () =
+  let ft = Fat_tree.build ~k:4 () in
+  let exp = Experiment.create ft.Fat_tree.topo in
+  let sched = Experiment.scheduler exp in
+  let fabric =
+    Ospf_fabric.build ~cm:(Experiment.cm exp)
+      ~originate:(fun node -> List.map (fun p -> (p, 0)) (Fat_tree.edge_subnets ft node))
+      ft.Fat_tree.topo
+  in
+  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  let converged = ref None in
+  Ospf_fabric.when_converged fabric (fun () ->
+      converged := Some (Time.to_us (Sched.now sched)));
+  ignore (Experiment.run ~until:(Time.of_sec 10.0) exp);
+  check
+    (Alcotest.option Alcotest.int)
+    "convergence instant" (Some 2_011_050) !converged;
+  check Alcotest.string "fib fingerprint" "0a9e8e63eee7c80d79f89d0181f3255b"
+    (Ospf_fabric.fib_fingerprint fabric)
 
 let () =
   Alcotest.run "horse_faults"
@@ -531,5 +703,18 @@ let () =
             test_ospf_fabric_restore_link;
           Alcotest.test_case "overlapping downs skipped" `Quick
             test_ospf_overlapping_downs_skipped;
+        ] );
+      ( "routed-core",
+        [
+          Alcotest.test_case "fault surface contract" `Quick
+            test_fault_surface_contract;
+          Alcotest.test_case "latch = oracle, bgp storm k=4" `Quick
+            test_latch_bgp_storm;
+          Alcotest.test_case "latch = oracle, ospf ring flaps" `Quick
+            test_latch_ospf_ring;
+          Alcotest.test_case "latch = oracle, overlapping prefixes" `Quick
+            test_latch_overlapping;
+          Alcotest.test_case "ospf k=4 converges to the bgp fibs" `Quick
+            test_ospf_fat_tree_fibs;
         ] );
     ]

@@ -276,7 +276,7 @@ let test_ospf_fabric_wan () =
       ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
       wan.Wan.topo
   in
-  check Alcotest.int "adjacency per link" 15 (Ospf_fabric.adjacencies_expected fabric);
+  check Alcotest.int "adjacency per link" 15 (Ospf_fabric.sessions_expected fabric);
   let converged_at = ref None in
   Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
   Ospf_fabric.when_converged fabric (fun () ->
@@ -284,7 +284,7 @@ let test_ospf_fabric_wan () =
   let stats = Experiment.run ~until:(Time.of_sec 30.0) exp in
   check Alcotest.bool "converged" true (Ospf_fabric.is_converged fabric);
   check Alcotest.bool "reported" true (!converged_at <> None);
-  check Alcotest.int "all adjacencies full" 15 (Ospf_fabric.adjacencies_full fabric);
+  check Alcotest.int "all adjacencies full" 15 (Ospf_fabric.sessions_established fabric);
   check Alcotest.bool "hellos kept the engine busy" true
     (stats.Sched.fti_increments > 0);
   (* Routing correctness: hop distances via the FIBs match SPF over
