@@ -98,24 +98,6 @@ let write_prefix buf off p =
   done;
   off + 1 + nbytes
 
-let read_prefix buf off limit =
-  let* len = u8 buf off in
-  if len > 32 then Error (Printf.sprintf "bgp: prefix length %d > 32" len)
-  else
-    let nbytes = (len + 7) / 8 in
-    if off + 1 + nbytes > limit then Error "bgp: truncated prefix"
-    else begin
-      let addr = ref 0l in
-      let rec go i acc =
-        if i = nbytes then Ok acc
-        else
-          let* b = u8 buf (off + 1 + i) in
-          go (i + 1) (Int32.logor acc (Int32.shift_left (Int32.of_int b) (24 - (8 * i))))
-      in
-      let* a = go 0 !addr in
-      Ok (Prefix.make (Ipv4.of_int32 a) len, off + 1 + nbytes)
-    end
-
 let attr_flags_transitive = 0x40
 let attr_flags_optional = 0x80
 
@@ -229,166 +211,179 @@ let encode t =
 
 (* --- decoding ------------------------------------------------------ *)
 
-let read_prefixes buf off limit =
-  let rec go off acc =
-    if off > limit then Error "bgp: prefix list overruns its length field"
-    else if off = limit then Ok (List.rev acc)
+(* The decoder reads the buffer in place and raises [Malformed] at the
+   first bad field; only [decode] builds a [result]. Each read checks
+   its bounds first, and a short read names the same byte range, in
+   the same order, as a field-by-field [Wire] reader. *)
+exception Malformed of string
+
+let malformed msg = raise_notrace (Malformed msg)
+
+let short buf off n =
+  malformed
+    (Printf.sprintf "short buffer: need [%d,%d) but length is %d" off (off + n)
+       (Bytes.length buf))
+
+let get_u8 buf off =
+  if off + 1 > Bytes.length buf then short buf off 1
+  else Bytes.get_uint8 buf off
+
+let get_u16 buf off =
+  if off + 2 > Bytes.length buf then short buf off 2
+  else Bytes.get_uint16_be buf off
+
+let get_u32 buf off =
+  if off + 4 > Bytes.length buf then short buf off 4
+  else Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFF_FFFF
+
+let read_prefix buf off limit =
+  let len = get_u8 buf off in
+  if len > 32 then malformed (Printf.sprintf "bgp: prefix length %d > 32" len);
+  let nbytes = (len + 7) / 8 in
+  if off + 1 + nbytes > limit then malformed "bgp: truncated prefix";
+  (* [off] is in the buffer, so the first byte missing is its end. *)
+  if off + 1 + nbytes > Bytes.length buf then short buf (Bytes.length buf) 1;
+  let addr = ref 0 in
+  for i = 0 to nbytes - 1 do
+    addr := !addr lor (Bytes.get_uint8 buf (off + 1 + i) lsl (24 - (8 * i)))
+  done;
+  Prefix.make (Ipv4.of_int32 (Int32.of_int !addr)) len
+
+let[@tail_mod_cons] rec read_prefixes buf off limit =
+  if off > limit then
+    raise_notrace (Malformed "bgp: prefix list overruns its length field")
+  else if off = limit then []
+  else
+    let p = read_prefix buf off limit in
+    p :: read_prefixes buf (off + prefix_wire_size p) limit
+
+(* [count] big-endian fields of [width] (2 or 4) bytes from [off]. A
+   short buffer fails at the first field that does not fit; the list is
+   then built back to front without a reversal. *)
+let read_fields buf off count width =
+  let n = Bytes.length buf in
+  if count > 0 && off + (count * width) > n then
+    short buf (off + (max 0 ((n - off) / width) * width)) width;
+  let rec go i acc =
+    if i < 0 then acc
     else
-      let* p, off' = read_prefix buf off limit in
-      go off' (p :: acc)
+      let o = off + (i * width) in
+      let v =
+        if width = 2 then Bytes.get_uint16_be buf o
+        else Int32.to_int (Bytes.get_int32_be buf o) land 0xFFFF_FFFF
+      in
+      go (i - 1) (v :: acc)
   in
-  go off []
-
-type partial_attrs = {
-  p_origin : origin option;
-  p_as_path : int list option;
-  p_next_hop : Ipv4.t option;
-  p_med : int option;
-  p_local_pref : int option;
-  p_communities : int list;
-}
-
-let empty_partial =
-  {
-    p_origin = None;
-    p_as_path = None;
-    p_next_hop = None;
-    p_med = None;
-    p_local_pref = None;
-    p_communities = [];
-  }
+  go (count - 1) []
 
 let read_as_path buf off len =
-  if len = 0 then Ok []
-  else
-    let* seg_type = u8 buf off in
-    if seg_type <> 2 then Error "bgp: only AS_SEQUENCE segments supported"
-    else
-      let* count = u8 buf (off + 1) in
-      if 2 + (2 * count) <> len then Error "bgp: AS_PATH segment length mismatch"
-      else
-        let rec go i acc =
-          if i = count then Ok (List.rev acc)
-          else
-            let* asn = u16 buf (off + 2 + (2 * i)) in
-            go (i + 1) (asn :: acc)
-        in
-        go 0 []
+  if len = 0 then []
+  else begin
+    if get_u8 buf off <> 2 then
+      malformed "bgp: only AS_SEQUENCE segments supported";
+    let count = get_u8 buf (off + 1) in
+    if 2 + (2 * count) <> len then malformed "bgp: AS_PATH segment length mismatch";
+    read_fields buf (off + 2) count 2
+  end
 
+(* Each attribute lands in a local slot (a repeated one overwrites the
+   earlier value) and the record is built once, at the end. The u32
+   slots hold -1 while absent. [origin_of_int]'s [Ok] values are
+   constants, so reading ORIGIN allocates nothing. *)
 let read_attrs buf off limit =
-  let rec go off acc =
-    if off > limit then Error "bgp: attributes overrun their length field"
-    else if off = limit then Ok acc
-    else
-      let* flags = u8 buf off in
-      let* type_ = u8 buf (off + 1) in
-      let extended = flags land 0x10 <> 0 in
-      let* len, val_off =
-        if extended then
-          let* l = u16 buf (off + 2) in
-          Ok (l, off + 4)
-        else
-          let* l = u8 buf (off + 2) in
-          Ok (l, off + 3)
+  let origin = ref Igp and has_origin = ref false in
+  let as_path = ref [] and has_path = ref false in
+  let next_hop = ref (-1) and med = ref (-1) and local_pref = ref (-1) in
+  let communities = ref [] in
+  let off = ref off in
+  while !off < limit do
+    let o = !off in
+    let flags = get_u8 buf o in
+    let type_ = get_u8 buf (o + 1) in
+    let extended = flags land 0x10 <> 0 in
+    let len = if extended then get_u16 buf (o + 2) else get_u8 buf (o + 2) in
+    let v = if extended then o + 4 else o + 3 in
+    if v + len > limit then malformed "bgp: truncated attribute";
+    (match type_ with
+    | 1 -> (
+        match origin_of_int (get_u8 buf v) with
+        | Ok o ->
+            origin := o;
+            has_origin := true
+        | Error e -> malformed e)
+    | 2 ->
+        as_path := read_as_path buf v len;
+        has_path := true
+    | 3 -> next_hop := get_u32 buf v
+    | 4 -> med := get_u32 buf v
+    | 5 -> local_pref := get_u32 buf v
+    | 8 ->
+        if len mod 4 <> 0 then malformed "bgp: COMMUNITIES length not 4n";
+        communities := read_fields buf v (len / 4) 4
+    | _ -> (* Unknown attribute: skip (we never set partial bit). *) ());
+    off := v + len
+  done;
+  if !off > limit then malformed "bgp: attributes overrun their length field";
+  match (!has_origin, !has_path, !next_hop >= 0) with
+  | true, true, true ->
+      let opt v = if v < 0 then None else Some v in
+      Some
+        {
+          origin = !origin;
+          as_path = !as_path;
+          next_hop = Ipv4.of_int32 (Int32.of_int !next_hop);
+          med = opt !med;
+          local_pref = opt !local_pref;
+          communities = !communities;
+        }
+  | false, false, false -> None
+  | _, _, _ -> malformed "bgp: missing mandatory attribute"
+
+let decode_exn buf =
+  let n = Bytes.length buf in
+  if n < header_size then short buf 0 header_size;
+  for i = 0 to 15 do
+    if Bytes.get buf i <> '\xff' then malformed "bgp: bad marker"
+  done;
+  let len = Bytes.get_uint16_be buf 16 in
+  if len <> n then malformed "bgp: length field mismatch";
+  let off = header_size in
+  match Bytes.get_uint8 buf 18 with
+  | 4 ->
+      if len = header_size then Keepalive
+      else malformed "bgp: keepalive with body"
+  | 3 ->
+      let code = get_u8 buf off in
+      let subcode = get_u8 buf (off + 1) in
+      Notification { code; subcode }
+  | 1 ->
+      let version = get_u8 buf off in
+      if version <> 4 then malformed (Printf.sprintf "bgp: version %d" version);
+      let asn = get_u16 buf (off + 1) in
+      let hold_time_s = get_u16 buf (off + 3) in
+      let bgp_id = Ipv4.of_int32 (Int32.of_int (get_u32 buf (off + 5))) in
+      if get_u8 buf (off + 9) <> 0 then
+        malformed "bgp: optional parameters unsupported";
+      Open { asn; hold_time_s; bgp_id }
+  | 2 ->
+      let wlen = get_u16 buf off in
+      let wstart = off + 2 in
+      let withdrawn = read_prefixes buf wstart (wstart + wlen) in
+      let alen = get_u16 buf (wstart + wlen) in
+      let astart = wstart + wlen + 2 in
+      let attrs = read_attrs buf astart (astart + alen) in
+      let nlri = read_prefixes buf (astart + alen) len in
+      let reach =
+        match (attrs, nlri) with
+        | Some a, _ -> Some (a, nlri)
+        | None, [] -> None
+        | None, _ :: _ -> malformed "bgp: NLRI without attributes"
       in
-      if val_off + len > limit then Error "bgp: truncated attribute"
-      else
-        let* acc =
-          match type_ with
-          | 1 ->
-              let* o = u8 buf val_off in
-              let* origin = origin_of_int o in
-              Ok { acc with p_origin = Some origin }
-          | 2 ->
-              let* path = read_as_path buf val_off len in
-              Ok { acc with p_as_path = Some path }
-          | 3 ->
-              let* nh = ipv4 buf val_off in
-              Ok { acc with p_next_hop = Some nh }
-          | 4 ->
-              let* m = u32_int buf val_off in
-              Ok { acc with p_med = Some m }
-          | 5 ->
-              let* l = u32_int buf val_off in
-              Ok { acc with p_local_pref = Some l }
-          | 8 ->
-              if len mod 4 <> 0 then Error "bgp: COMMUNITIES length not 4n"
-              else
-                let rec go i acc' =
-                  if i = len / 4 then Ok (List.rev acc')
-                  else
-                    let* c = u32_int buf (val_off + (4 * i)) in
-                    go (i + 1) (c :: acc')
-                in
-                let* cs = go 0 [] in
-                Ok { acc with p_communities = cs }
-          | _ ->
-              (* Unknown attribute: skip (we never set partial bit). *)
-              Ok acc
-        in
-        go (val_off + len) acc
-  in
-  let* partial = go off empty_partial in
-  match (partial.p_origin, partial.p_as_path, partial.p_next_hop) with
-  | Some origin, Some as_path, Some next_hop ->
-      Ok
-        (Some
-           {
-             origin;
-             as_path;
-             next_hop;
-             med = partial.p_med;
-             local_pref = partial.p_local_pref;
-             communities = partial.p_communities;
-           })
-  | None, None, None -> Ok None
-  | _, _, _ -> Error "bgp: missing mandatory attribute"
+      Update { withdrawn; reach }
+  | t -> malformed (Printf.sprintf "bgp: unknown message type %d" t)
 
 let decode buf =
-  let* () = check buf 0 header_size in
-  let marker_ok = ref true in
-  for i = 0 to 15 do
-    if Bytes.get buf i <> '\xff' then marker_ok := false
-  done;
-  if not !marker_ok then Error "bgp: bad marker"
-  else
-    let* len = u16 buf 16 in
-    if len <> Bytes.length buf then Error "bgp: length field mismatch"
-    else
-      let* type_ = u8 buf 18 in
-      let off = header_size in
-      match type_ with
-      | 4 -> if len = header_size then Ok Keepalive else Error "bgp: keepalive with body"
-      | 3 ->
-          let* code = u8 buf off in
-          let* subcode = u8 buf (off + 1) in
-          Ok (Notification { code; subcode })
-      | 1 ->
-          let* version = u8 buf off in
-          if version <> 4 then Error (Printf.sprintf "bgp: version %d" version)
-          else
-            let* asn = u16 buf (off + 1) in
-            let* hold_time_s = u16 buf (off + 3) in
-            let* bgp_id = ipv4 buf (off + 5) in
-            let* opt_len = u8 buf (off + 9) in
-            if opt_len <> 0 then Error "bgp: optional parameters unsupported"
-            else Ok (Open { asn; hold_time_s; bgp_id })
-      | 2 ->
-          let* wlen = u16 buf off in
-          let wstart = off + 2 in
-          let* withdrawn = read_prefixes buf wstart (wstart + wlen) in
-          let* alen = u16 buf (wstart + wlen) in
-          let astart = wstart + wlen + 2 in
-          let* attrs = read_attrs buf astart (astart + alen) in
-          let* nlri = read_prefixes buf (astart + alen) len in
-          let* reach =
-            match (attrs, nlri) with
-            | Some a, _ -> Ok (Some (a, nlri))
-            | None, [] -> Ok None
-            | None, _ :: _ -> Error "bgp: NLRI without attributes"
-          in
-          Ok (Update { withdrawn; reach })
-      | n -> Error (Printf.sprintf "bgp: unknown message type %d" n)
+  match decode_exn buf with m -> Ok m | exception Malformed e -> Error e
 
 (* --- packed encoding ----------------------------------------------- *)
 

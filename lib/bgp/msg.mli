@@ -61,7 +61,12 @@ val encode : t -> Bytes.t
 
 val decode : Bytes.t -> (t, string) result
 (** Parses one whole message; verifies the marker, the length field
-    and attribute well-formedness. *)
+    and attribute well-formedness. Never raises. It reads the buffer in
+    place: the only allocation is the message itself (its prefixes,
+    lists and attribute record) and the [result] around it. The first
+    bad field decides the [Error]; a read past the end reports
+    ["short buffer: need [a,b) but length is n"] for the first such
+    field. *)
 
 val header_size : int
 (** 19 bytes. *)

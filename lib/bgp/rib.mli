@@ -22,7 +22,22 @@
     class), so a refresh after a single-peer change is a bounded
     update of one sorted list rather than a scan over every peer's
     Adj-RIB-In. Attributes are hash-consed through {!Attr_intern}:
-    AS-path length is cached and attribute comparison is O(1). *)
+    AS-path length is cached and attribute comparison is O(1).
+
+    {2 Costs}
+
+    A RIB gives each prefix a dense {e id} the first time it sees it
+    (one hash lookup, {!id}); the id never changes or gets reused, so a
+    caller withdrawing a prefix it got from the wire looks it up with
+    {!find_id} rather than giving it an id.
+    Every per-prefix table is an array indexed by id: the Adj-RIB-In
+    (one row per peer), the candidate lists and the Loc-RIB. The
+    [_id] functions therefore do no hashing at all: {!set_in_id} is
+    one intern plus one pass over the prefix's candidate list,
+    {!refresh_id} one decision over it, {!best_id} and
+    {!loc_rib_size} an array read. The prefix-taking functions are
+    wrappers that add one lookup. Memory is one slot per id for each
+    peer that sent a route since its last {!drop_peer}. *)
 
 open Horse_net
 open Horse_engine
@@ -50,22 +65,53 @@ val create : ?intern:Attr_intern.t -> unit -> t
 
 val intern_table : t -> Attr_intern.t
 
+(** {2 Prefix ids} *)
+
+val id : t -> Prefix.t -> int
+(** The prefix's id, assigned on first sight: ids are dense from 0 in
+    order of first sight. *)
+
+val find_id : t -> Prefix.t -> int
+(** The prefix's id, or [-1] if the RIB has never seen it; assigns
+    nothing. *)
+
+val prefix_of_id : t -> int -> Prefix.t
+
+val compare_ids : t -> int -> int -> int
+(** Orders two ids as {!Horse_net.Prefix.compare} orders their
+    prefixes. *)
+
+(** {2 Adj-RIB-In} *)
+
 val set_in :
   t -> peer:int -> peer_bgp_id:Ipv4.t -> at:Time.t -> Prefix.t -> Msg.attrs -> unit
 (** Installs/replaces the peer's route in the Adj-RIB-In (implicit
     withdraw semantics). Does {e not} recompute the Loc-RIB — call
-    {!refresh}. *)
+    {!refresh}. Peer ids must be [>= -1]; a RIB keeps one row for
+    every peer id up to the largest it has seen.
+    @raise Invalid_argument on a peer id below [-1]. *)
+
+val set_in_id :
+  t -> peer:int -> peer_bgp_id:Ipv4.t -> at:Time.t -> int -> Msg.attrs -> unit
+(** {!set_in} on an id from {!id}. *)
 
 val withdraw_in : t -> peer:int -> Prefix.t -> unit
 (** Idempotent. *)
 
+val withdraw_in_id : t -> peer:int -> int -> unit
+
 val drop_peer : t -> peer:int -> Prefix.t list
 (** Removes every route learned from the peer (session failure);
-    returns the affected prefixes so the caller can {!refresh}
-    them. *)
+    returns the affected prefixes, in {!Horse_net.Prefix.compare}
+    order, so the caller can {!refresh} them in that order. *)
+
+val drop_peer_ids : t -> peer:int -> int list
+(** {!drop_peer}, returning the ids (same order). *)
 
 val add_local : t -> at:Time.t -> Prefix.t -> Msg.attrs -> unit
 val remove_local : t -> Prefix.t -> unit
+
+(** {2 Decision process and Loc-RIB} *)
 
 type refresh_outcome =
   | Unchanged
@@ -74,6 +120,8 @@ type refresh_outcome =
 val refresh : ?multipath:bool -> t -> Prefix.t -> refresh_outcome
 (** Recomputes the best set for one prefix and updates the Loc-RIB.
     [multipath] defaults to [true]. *)
+
+val refresh_id : multipath:bool -> t -> int -> refresh_outcome
 
 val decide : multipath:bool -> t -> Prefix.t -> route list
 (** The incremental decision process, without touching the Loc-RIB. *)
@@ -87,10 +135,16 @@ val candidates : t -> Prefix.t -> route list
 val best : t -> Prefix.t -> route list
 (** Current Loc-RIB entry ([[]] if none). *)
 
+val best_id : t -> int -> route list
+
 val loc_rib : t -> (Prefix.t * route list) list
 (** Sorted by prefix. *)
 
+val loc_rib_ids : t -> int list
+(** The ids of the Loc-RIB's prefixes, sorted by prefix. *)
+
 val loc_rib_size : t -> int
+(** O(1): a counter kept by {!refresh}. *)
 
 val adj_in : t -> peer:int -> (Prefix.t * Msg.attrs) list
 (** Sorted by prefix; for inspection and tests. *)

@@ -78,11 +78,50 @@ type counters = {
   decode_errors : int;
 }
 
-module Prefix_set = Set.Make (struct
-  type t = Prefix.t
+module Uid_tbl = Hashtbl.Make (Int)
 
-  let compare = Prefix.compare
-end)
+(* A growable vector of prefix ids. *)
+module Ids = struct
+  type t = { mutable ids : int array; mutable len : int }
+
+  let create () = { ids = Array.make 16 0; len = 0 }
+
+  let push v id =
+    if v.len = Array.length v.ids then begin
+      let ids = Array.make (2 * v.len) 0 in
+      Array.blit v.ids 0 ids 0 v.len;
+      v.ids <- ids
+    end;
+    v.ids.(v.len) <- id;
+    v.len <- v.len + 1
+
+  (* Empties [v] and returns what it held, sorted by [cmp]. *)
+  let take_sorted cmp v =
+    let ids = Array.sub v.ids 0 v.len in
+    v.len <- 0;
+    Array.sort cmp ids;
+    ids
+end
+
+(* Per-id flag bytes, grown on demand; bytes past the end read 0. *)
+let flag b id = if id < Bytes.length b then Bytes.get_uint8 b id else 0
+
+let with_flag b id v =
+  let b =
+    if id < Bytes.length b then b
+    else begin
+      let b' = Bytes.make (max (id + 1) (2 * Bytes.length b)) '\000' in
+      Bytes.blit b 0 b' 0 (Bytes.length b);
+      b'
+    end
+  in
+  Bytes.set_uint8 b id v;
+  b
+
+(* A group's pending state for one id; the last write wins. *)
+let state_none = 0
+let state_announce = 1
+let state_withdraw = 2
 
 (* Peers sharing an [equal] export policy form one update group: the
    Adj-RIB-Out computation (split horizon aside), the export-policy
@@ -103,10 +142,11 @@ type peer = {
   mutable keepalive_timer : Sched.recurring option;
   mutable hold_ev : Event_queue.handle option;
       (* per-peer hold deadline, re-aimed in place on every RX *)
-  mutable pending_announce : Prefix_set.t;
-      (* initial table transfer, sent by [flush_peer] *)
+  mutable pending_announce : int list;
+      (* initial table transfer, ids in prefix order, sent by
+         [flush_peer] *)
   mutable mrai_armed : bool;
-  mutable advertised : Prefix_set.t;
+  mutable advertised : Bytes.t;  (* per id: 1 once announced to this peer *)
   mutable admin_down : bool;
 }
 
@@ -116,10 +156,10 @@ and group = {
   g_prefix_independent : bool;
   mutable members : peer list;  (* reversed insertion order *)
   mutable up_members : int;
-  mutable g_pending_announce : Prefix_set.t;
-  mutable g_pending_withdraw : Prefix_set.t;
+  g_pending : Ids.t;  (* ids with a pending state, unsorted *)
+  mutable g_state : Bytes.t;  (* per id: a [state_*] value *)
   mutable g_mrai_armed : bool;
-  export_memo : (int, Attr_intern.interned option) Hashtbl.t;
+  export_memo : Attr_intern.interned option Uid_tbl.t;
       (* Loc-RIB attrs uid -> post-policy interned attrs; only
          consulted when the export policy is prefix-independent *)
   packer : Msg.Packer.t;
@@ -212,9 +252,8 @@ type t = {
   rib : Rib.t;
   trace : Trace.t option;
   m : metrics;
-  mutable peers : peer list;  (* reversed insertion order *)
+  mutable peers : peer array;  (* by id, which is insertion order *)
   mutable groups : group list;
-  mutable next_peer_id : int;
   rib_hooks : (Prefix.t -> Rib.route list -> unit) Hooks.t;
   established_hooks : (int -> unit) Hooks.t;
   down_hooks : (int -> unit) Hooks.t;
@@ -229,6 +268,9 @@ type t = {
   mutable decode_errors : int;
   inbox : (peer * Bytes.t * Causal.id) Queue.t;
   mutable busy : bool;
+  affected : Ids.t;  (* ids an UPDATE touched *)
+  mutable marks : int array;  (* per id: the last [stamp] that touched it *)
+  mutable stamp : int;
 }
 
 let sched t = Process.scheduler t.proc
@@ -256,9 +298,8 @@ let create ?trace proc cfg =
     rib = Rib.create ~intern ();
     trace;
     m;
-    peers = [];
+    peers = [||];
     groups = [];
-    next_peer_id = 0;
     rib_hooks = Hooks.create ();
     established_hooks = Hooks.create ();
     down_hooks = Hooks.create ();
@@ -273,20 +314,29 @@ let create ?trace proc cfg =
     decode_errors = 0;
     inbox = Queue.create ();
     busy = false;
+    affected = Ids.create ();
+    marks = [||];
+    stamp = 0;
   }
 
 let process t = t.proc
 let asn t = t.cfg.asn
 let router_id t = t.cfg.router_id
-let peer_list t = List.rev t.peers
+let rib t = t.rib
 
 let find_peer t id =
-  match List.find_opt (fun p -> p.id = id) t.peers with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Speaker: unknown peer %d" id)
+  if id >= 0 && id < Array.length t.peers then t.peers.(id)
+  else invalid_arg (Printf.sprintf "Speaker: unknown peer %d" id)
+
+(* Newest peer first: the order that session teardown, retries and
+   shutdown walk the peers in. *)
+let iter_peers_newest_first f t =
+  for id = Array.length t.peers - 1 downto 0 do
+    f t.peers.(id)
+  done
 
 let peer_state t id = (find_peer t id).state
-let peer_ids t = List.rev_map (fun p -> p.id) t.peers
+let peer_ids t = List.init (Array.length t.peers) Fun.id
 
 (* O(1): maintained on FSM transitions, not recounted. *)
 let established_count t = t.established
@@ -377,17 +427,51 @@ let export_for t group prefix (first : Rib.route) =
   in
   if group.g_prefix_independent then begin
     let key = first.Rib.iattrs.Attr_intern.uid in
-    match Hashtbl.find_opt group.export_memo key with
-    | Some cached -> cached
-    | None ->
+    match Uid_tbl.find group.export_memo key with
+    | cached -> cached
+    | exception Not_found ->
         let r = eval () in
-        Hashtbl.add group.export_memo key r;
+        Uid_tbl.add group.export_memo key r;
         r
   end
   else eval ()
 
-let advertise_all set prefixes =
-  List.fold_left (fun s p -> Prefix_set.add p s) set prefixes
+let advertised peer id = flag peer.advertised id = 1
+let advertise peer id = peer.advertised <- with_flag peer.advertised id 1
+
+let unadvertise peer id =
+  if id < Bytes.length peer.advertised then Bytes.set_uint8 peer.advertised id 0
+let prefixes t ids = List.map (Rib.prefix_of_id t.rib) ids
+
+(* The NLRI of one flush that share exported attributes and, in a group
+   flush, the set of members split horizon excludes. *)
+type bucket = {
+  b_attrs : Msg.attrs;
+  b_excluded : int list;  (* sorted member ids *)
+  mutable b_ids : int list;  (* reversed *)
+}
+
+let rec find_bucket excluded = function
+  | [] -> raise_notrace Not_found
+  | b :: rest ->
+      if List.equal Int.equal b.b_excluded excluded then b
+      else find_bucket excluded rest
+
+(* Adds [id] to the bucket of ([ia], [excluded]), creating it (and
+   prepending it to [order]) on first use. *)
+let add_to_bucket buckets order (ia : Attr_intern.interned) excluded id =
+  let uid = ia.Attr_intern.uid in
+  let same_uid =
+    match Uid_tbl.find buckets uid with l -> l | exception Not_found -> []
+  in
+  match find_bucket excluded same_uid with
+  | b -> b.b_ids <- id :: b.b_ids
+  | exception Not_found ->
+      let b =
+        { b_attrs = ia.Attr_intern.attrs; b_excluded = excluded; b_ids = [ id ] }
+      in
+      Uid_tbl.replace buckets uid (b :: same_uid);
+      order := b :: !order
 
 (* Flush one peer's initial table transfer after its session comes
    up. NLRI sharing identical exported attributes group together — by
@@ -397,51 +481,44 @@ let flush_peer t peer =
   if Process.is_alive t.proc && peer.state = Established then begin
     Counter.incr t.m.m_peer_flushes;
     let announces = peer.pending_announce in
-    peer.pending_announce <- Prefix_set.empty;
+    peer.pending_announce <- [];
     (* Re-read the loc-rib at flush time (MRAI coalescing). *)
-    let grouped : (int, Msg.attrs * Prefix.t list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    let buckets = Uid_tbl.create 16 in
     let order = ref [] in
-    let withdraws = ref Prefix_set.empty in
-    Prefix_set.iter
-      (fun prefix ->
-        match Rib.best t.rib prefix with
-        | [] -> withdraws := Prefix_set.add prefix !withdraws
-        | (first :: _ : Rib.route list) as bests ->
-            (* Split horizon: never advertise back to a source peer. *)
-            let from_this_peer =
-              List.exists (fun (r : Rib.route) -> r.Rib.peer = peer.id) bests
-            in
-            if from_this_peer then
-              withdraws := Prefix_set.add prefix !withdraws
-            else (
-              match export_for t peer.group prefix first with
-              | None -> withdraws := Prefix_set.add prefix !withdraws
-              | Some ia -> (
-                  let uid = ia.Attr_intern.uid in
-                  match Hashtbl.find_opt grouped uid with
-                  | Some (_, nlri) -> nlri := prefix :: !nlri
-                  | None ->
-                      Hashtbl.add grouped uid
-                        (ia.Attr_intern.attrs, ref [ prefix ]);
-                      order := uid :: !order)))
-      announces;
-    let withdraws =
-      Prefix_set.filter (fun p -> Prefix_set.mem p peer.advertised) !withdraws
-    in
-    let withdraw_list = Prefix_set.elements withdraws in
-    let groups = List.rev_map (fun uid -> Hashtbl.find grouped uid) !order in
-    peer.advertised <- Prefix_set.diff peer.advertised withdraws;
-    let msgs = ref [] in
-    if withdraw_list <> [] then
-      msgs := Msg.Packer.pack peer.group.packer ~withdrawn:withdraw_list ();
+    let withdraws = ref [] in
     List.iter
-      (fun (attrs, nlri) ->
-        let nlri = List.rev !nlri in
-        msgs := !msgs @ Msg.Packer.pack peer.group.packer ~reach:(attrs, nlri) ();
-        peer.advertised <- advertise_all peer.advertised nlri)
-      groups;
+      (fun id ->
+        match Rib.best_id t.rib id with
+        | [] -> withdraws := id :: !withdraws
+        | (first :: _ : Rib.route list) as bests -> (
+            (* Split horizon: never advertise back to a source peer. *)
+            if List.exists (fun (r : Rib.route) -> r.Rib.peer = peer.id) bests
+            then withdraws := id :: !withdraws
+            else
+              match
+                export_for t peer.group (Rib.prefix_of_id t.rib id) first
+              with
+              | None -> withdraws := id :: !withdraws
+              | Some ia -> add_to_bucket buckets order ia [] id))
+      announces;
+    (* [announces] is in prefix order, so each list below is too. *)
+    let withdraws =
+      List.rev (List.filter (fun id -> advertised peer id) !withdraws)
+    in
+    List.iter (fun id -> unadvertise peer id) withdraws;
+    let msgs = ref [] in
+    if withdraws <> [] then
+      msgs :=
+        Msg.Packer.pack peer.group.packer ~withdrawn:(prefixes t withdraws) ();
+    List.iter
+      (fun b ->
+        let ids = List.rev b.b_ids in
+        msgs :=
+          !msgs
+          @ Msg.Packer.pack peer.group.packer
+              ~reach:(b.b_attrs, prefixes t ids) ();
+        List.iter (fun id -> advertise peer id) ids)
+      (List.rev !order);
     send_packed t peer !msgs
   end
 
@@ -450,90 +527,87 @@ let flush_peer t peer =
    Established member receives the shared buffers. Split horizon is
    the only per-peer part — prefixes whose best route was learned
    from a member are diverted into that member's private withdraw
-   set. *)
+   set. The pending ids are sorted once, so every list built below is
+   in prefix order. *)
 let flush_group t group =
   group.g_mrai_armed <- false;
   if Process.is_alive t.proc && group.up_members > 0 then begin
     Counter.incr t.m.m_group_flushes;
-    let announces = group.g_pending_announce in
-    let withdraws = group.g_pending_withdraw in
-    group.g_pending_announce <- Prefix_set.empty;
-    group.g_pending_withdraw <- Prefix_set.empty;
+    let pending = Ids.take_sorted (Rib.compare_ids t.rib) group.g_pending in
     let members =
       List.filter (fun p -> p.state = Established) group.members
     in
     (* Buckets keyed by (exported attrs uid, excluded member ids):
        almost always the excluded set is empty or one peer. *)
-    let buckets :
-        (int * int list, Msg.attrs * Prefix.t list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    let buckets = Uid_tbl.create 16 in
     let order = ref [] in
-    let shared_withdraw = ref withdraws in
-    Prefix_set.iter
-      (fun prefix ->
-        match Rib.best t.rib prefix with
-        | [] -> shared_withdraw := Prefix_set.add prefix !shared_withdraw
-        | (first :: _ : Rib.route list) as bests -> (
-            let excluded =
-              List.filter_map
-                (fun (r : Rib.route) ->
-                  if r.Rib.peer = Rib.local_peer then None
-                  else if List.exists (fun m -> m.id = r.Rib.peer) members
-                  then Some r.Rib.peer
-                  else None)
-                bests
-              |> List.sort_uniq Int.compare
-            in
-            match export_for t group prefix first with
-            | None ->
-                shared_withdraw := Prefix_set.add prefix !shared_withdraw
-            | Some ia -> (
-                let key = (ia.Attr_intern.uid, excluded) in
-                match Hashtbl.find_opt buckets key with
-                | Some (_, nlri) -> nlri := prefix :: !nlri
-                | None ->
-                    Hashtbl.add buckets key (ia.Attr_intern.attrs, ref [ prefix ]);
-                    order := key :: !order)))
-      announces;
-    let withdraw_list = Prefix_set.elements !shared_withdraw in
+    let withdraws = ref [] in
+    Array.iter
+      (fun id ->
+        let state = flag group.g_state id in
+        Bytes.set_uint8 group.g_state id state_none;
+        if state = state_withdraw then withdraws := id :: !withdraws
+        else
+          match Rib.best_id t.rib id with
+          | [] -> withdraws := id :: !withdraws
+          | (first :: _ : Rib.route list) as bests -> (
+              let excluded =
+                List.fold_left
+                  (fun acc (r : Rib.route) ->
+                    if r.Rib.peer = Rib.local_peer then acc
+                    else
+                      let p = t.peers.(r.Rib.peer) in
+                      if p.group == group && p.state = Established then
+                        r.Rib.peer :: acc
+                      else acc)
+                  [] bests
+                |> List.sort_uniq Int.compare
+              in
+              match export_for t group (Rib.prefix_of_id t.rib id) first with
+              | None -> withdraws := id :: !withdraws
+              | Some ia -> add_to_bucket buckets order ia excluded id))
+      pending;
+    let withdraws = List.rev !withdraws in
     (* Serialize once per bucket (and once for the withdraw set). *)
     let withdraw_msgs =
-      if withdraw_list = [] then []
-      else Msg.Packer.pack group.packer ~withdrawn:withdraw_list ()
+      if withdraws = [] then []
+      else Msg.Packer.pack group.packer ~withdrawn:(prefixes t withdraws) ()
     in
     let packed_buckets =
       List.rev_map
-        (fun ((_, excluded) as key) ->
-          let attrs, nlri = Hashtbl.find buckets key in
-          let nlri = List.rev !nlri in
-          (excluded, nlri, Msg.Packer.pack group.packer ~reach:(attrs, nlri) ()))
+        (fun b ->
+          let ids = List.rev b.b_ids in
+          ( b.b_excluded,
+            ids,
+            Msg.Packer.pack group.packer ~reach:(b.b_attrs, prefixes t ids) () ))
         !order
     in
     List.iter
       (fun member ->
         let msgs = ref withdraw_msgs in
-        member.advertised <- Prefix_set.diff member.advertised !shared_withdraw;
+        List.iter (fun id -> unadvertise member id) withdraws;
         let horizon = ref [] in
         List.iter
-          (fun (excluded, nlri, packed) ->
+          (fun (excluded, ids, packed) ->
             if List.mem member.id excluded then
               (* Split horizon: this member sourced the best route;
                  retract anything it was previously advertised. *)
               List.iter
-                (fun p ->
-                  if Prefix_set.mem p member.advertised then begin
-                    horizon := p :: !horizon;
-                    member.advertised <- Prefix_set.remove p member.advertised
+                (fun id ->
+                  if advertised member id then begin
+                    horizon := id :: !horizon;
+                    unadvertise member id
                   end)
-                nlri
+                ids
             else begin
               msgs := !msgs @ packed;
-              member.advertised <- advertise_all member.advertised nlri
+              List.iter (fun id -> advertise member id) ids
             end)
           packed_buckets;
         if !horizon <> [] then
-          msgs := !msgs @ Msg.Packer.pack group.packer ~withdrawn:!horizon ();
+          msgs :=
+            !msgs
+            @ Msg.Packer.pack group.packer ~withdrawn:(prefixes t !horizon) ();
         send_packed t member !msgs)
       members
   end
@@ -557,21 +631,17 @@ let schedule_flush t peer =
   end
 
 (* Dirty-track one Loc-RIB change: O(update groups). *)
-let enqueue_prefix t prefix =
+let enqueue_prefix t id =
+  let state =
+    match Rib.best_id t.rib id with
+    | [] -> state_withdraw
+    | _ :: _ -> state_announce
+  in
   List.iter
     (fun group ->
       if group.up_members > 0 then begin
-        (match Rib.best t.rib prefix with
-        | [] ->
-            group.g_pending_withdraw <-
-              Prefix_set.add prefix group.g_pending_withdraw;
-            group.g_pending_announce <-
-              Prefix_set.remove prefix group.g_pending_announce
-        | _ :: _ ->
-            group.g_pending_announce <-
-              Prefix_set.add prefix group.g_pending_announce;
-            group.g_pending_withdraw <-
-              Prefix_set.remove prefix group.g_pending_withdraw);
+        if flag group.g_state id = state_none then Ids.push group.g_pending id;
+        group.g_state <- with_flag group.g_state id state;
         schedule_group_flush t group
       end)
     t.groups
@@ -579,11 +649,12 @@ let enqueue_prefix t prefix =
 let notify_rib_change t prefix routes =
   Hooks.iter (fun f -> f prefix routes) t.rib_hooks
 
-let refresh_and_propagate t prefix =
-  match Rib.refresh ~multipath:t.cfg.multipath t.rib prefix with
+let refresh_and_propagate t id =
+  match Rib.refresh_id ~multipath:t.cfg.multipath t.rib id with
   | Rib.Unchanged -> ()
   | Rib.Changed routes ->
       Gauge.set t.m.g_rib (float_of_int (Rib.loc_rib_size t.rib));
+      let prefix = Rib.prefix_of_id t.rib id in
       (* Each changed prefix is an independent decision: FIB writes and
          the UPDATEs it queues chain under this node, siblings under
          the triggering message. *)
@@ -591,7 +662,7 @@ let refresh_and_propagate t prefix =
           ignore
             (Sched.cause_point (sched t) decide_kind (Prefix.to_bits prefix));
           notify_rib_change t prefix routes;
-          enqueue_prefix t prefix)
+          enqueue_prefix t id)
 
 (* --- session management -------------------------------------------- *)
 
@@ -612,10 +683,7 @@ let session_established t peer =
   Hooks.iter (fun f -> f peer.id) t.established_hooks;
   (* Initial table transfer: everything in the Loc-RIB, through the
      per-peer path (group flushes only carry deltas). *)
-  List.iter
-    (fun (prefix, _) ->
-      peer.pending_announce <- Prefix_set.add prefix peer.pending_announce)
-    (Rib.loc_rib t.rib);
+  peer.pending_announce <- Rib.loc_rib_ids t.rib;
   schedule_flush t peer
 
 let session_down t peer ~reason =
@@ -635,10 +703,9 @@ let session_down t peer ~reason =
     peer.keepalive_timer <- None;
     (* The handle stays: the next send_open re-arms it in place. *)
     Option.iter Sched.cancel peer.hold_ev;
-    peer.pending_announce <- Prefix_set.empty;
-    peer.advertised <- Prefix_set.empty;
-    let affected = Rib.drop_peer t.rib ~peer:peer.id in
-    List.iter (refresh_and_propagate t) affected;
+    peer.pending_announce <- [];
+    Bytes.fill peer.advertised 0 (Bytes.length peer.advertised) '\000';
+    List.iter (refresh_and_propagate t) (Rib.drop_peer_ids t.rib ~peer:peer.id);
     Hooks.iter (fun f -> f peer.id) t.down_hooks
   end
 
@@ -712,6 +779,29 @@ let handle_open t peer (o : Msg.open_msg) =
     peer.state <- OpenConfirm
   end
 
+(* Adds [id] to [t.affected] once per UPDATE: [t.stamp] moves on for
+   every UPDATE, so no per-UPDATE clearing is needed. *)
+let mark_affected t id =
+  if id >= Array.length t.marks then begin
+    let marks = Array.make (max (id + 1) (2 * Array.length t.marks)) 0 in
+    Array.blit t.marks 0 marks 0 (Array.length t.marks);
+    t.marks <- marks
+  end;
+  if t.marks.(id) <> t.stamp then begin
+    t.marks.(id) <- t.stamp;
+    Ids.push t.affected id
+  end
+
+(* A prefix the RIB has never seen has nothing to withdraw and nothing
+   to decide, and gets no id: ids are never reclaimed, so withdrawals
+   from the wire must not create them. *)
+let withdraw_in t peer prefix =
+  let id = Rib.find_id t.rib prefix in
+  if id >= 0 then begin
+    Rib.withdraw_in_id t.rib ~peer:peer.id id;
+    mark_affected t id
+  end
+
 let handle_update t peer (u : Msg.update) =
   t.updates_received <- t.updates_received + 1;
   Counter.incr t.m.rx_update;
@@ -723,12 +813,8 @@ let handle_update t peer (u : Msg.update) =
             (match u.Msg.reach with
             | None -> 0
             | Some (_, nlri) -> List.length nlri)));
-  let affected = ref Prefix_set.empty in
-  List.iter
-    (fun prefix ->
-      Rib.withdraw_in t.rib ~peer:peer.id prefix;
-      affected := Prefix_set.add prefix !affected)
-    u.Msg.withdrawn;
+  t.stamp <- t.stamp + 1;
+  List.iter (withdraw_in t peer) u.Msg.withdrawn;
   (match u.Msg.reach with
   | None -> ()
   | Some (attrs, nlri) ->
@@ -737,15 +823,16 @@ let handle_update t peer (u : Msg.update) =
         List.iter
           (fun prefix ->
             match Policy.eval peer.import prefix attrs with
-            | None ->
-                Rib.withdraw_in t.rib ~peer:peer.id prefix;
-                affected := Prefix_set.add prefix !affected
+            | None -> withdraw_in t peer prefix
             | Some attrs ->
-                Rib.set_in t.rib ~peer:peer.id ~peer_bgp_id:peer.remote_id
-                  ~at:(now t) prefix attrs;
-                affected := Prefix_set.add prefix !affected)
+                let id = Rib.id t.rib prefix in
+                Rib.set_in_id t.rib ~peer:peer.id ~peer_bgp_id:peer.remote_id
+                  ~at:(now t) id attrs;
+                mark_affected t id)
           nlri);
-  Prefix_set.iter (refresh_and_propagate t) !affected
+  (* One decision per touched prefix, in prefix order. *)
+  Array.iter (refresh_and_propagate t)
+    (Ids.take_sorted (Rib.compare_ids t.rib) t.affected)
 
 let handle_message t peer msg =
   peer.last_rx <- now t;
@@ -826,10 +913,10 @@ let find_group t export =
           g_prefix_independent = Policy.prefix_independent export;
           members = [];
           up_members = 0;
-          g_pending_announce = Prefix_set.empty;
-          g_pending_withdraw = Prefix_set.empty;
+          g_pending = Ids.create ();
+          g_state = Bytes.empty;
           g_mrai_armed = false;
-          export_memo = Hashtbl.create 32;
+          export_memo = Uid_tbl.create 32;
           packer = Msg.Packer.create ();
         }
       in
@@ -841,7 +928,7 @@ let add_peer ?(import = Policy.accept_all) ?(export = Policy.accept_all) t
   let group = find_group t export in
   let peer =
     {
-      id = t.next_peer_id;
+      id = Array.length t.peers;
       remote_asn;
       endpoint;
       import;
@@ -853,14 +940,13 @@ let add_peer ?(import = Policy.accept_all) ?(export = Policy.accept_all) t
       last_rx = Time.zero;
       keepalive_timer = None;
       hold_ev = None;
-      pending_announce = Prefix_set.empty;
+      pending_announce = [];
       mrai_armed = false;
-      advertised = Prefix_set.empty;
+      advertised = Bytes.empty;
       admin_down = false;
     }
   in
-  t.next_peer_id <- t.next_peer_id + 1;
-  t.peers <- peer :: t.peers;
+  t.peers <- Array.append t.peers [| peer |];
   group.members <- peer :: group.members;
   bind_endpoint t peer endpoint;
   peer.id
@@ -871,10 +957,10 @@ let add_peer ?(import = Policy.accept_all) ?(export = Policy.accept_all) t
    peer answers again. (Hold supervision is per-peer deadline events —
    see [arm_hold]; there is no periodic sweep left.) *)
 let retry_idle t =
-  List.iter
+  iter_peers_newest_first
     (fun peer ->
       if peer.state = Idle && not peer.admin_down then send_open t peer)
-    t.peers
+    t
 
 let arm_timers t =
   if Time.(t.cfg.connect_retry > Time.zero) then
@@ -886,7 +972,9 @@ let arm_timers t =
 let crash_cleanup t =
   Queue.clear t.inbox;
   t.busy <- false;
-  List.iter (fun peer -> session_down t peer ~reason:"process killed") t.peers
+  iter_peers_newest_first
+    (fun peer -> session_down t peer ~reason:"process killed")
+    t
 
 (* A restart re-arms the timers (the old ones died with the process)
    and re-initiates every non-admin-down session; peers still probing
@@ -910,11 +998,14 @@ let local_attrs t =
 
 let announce t prefix =
   Rib.add_local t.rib ~at:(now t) prefix (local_attrs t);
-  refresh_and_propagate t prefix
+  refresh_and_propagate t (Rib.id t.rib prefix)
 
 let withdraw_network t prefix =
-  Rib.remove_local t.rib prefix;
-  refresh_and_propagate t prefix
+  let id = Rib.find_id t.rib prefix in
+  if id >= 0 then begin
+    Rib.withdraw_in_id t.rib ~peer:Rib.local_peer id;
+    refresh_and_propagate t id
+  end
 
 let start t =
   if not t.started then begin
@@ -929,13 +1020,14 @@ let start t =
     Process.on_kill t.proc (fun () -> crash_cleanup t);
     Process.on_restart t.proc (fun () -> revive t);
     List.iter (fun prefix -> announce t prefix) t.cfg.networks;
-    List.iter (fun peer -> send_open t peer) (peer_list t);
+    Array.iter (fun peer -> send_open t peer) t.peers;
     arm_timers t;
-    tracef t "speaker AS%d started with %d peers" t.cfg.asn (List.length t.peers)
+    tracef t "speaker AS%d started with %d peers" t.cfg.asn
+      (Array.length t.peers)
   end
 
 let shutdown t =
-  List.iter
+  iter_peers_newest_first
     (fun peer ->
       peer.admin_down <- true;
       if peer.state <> Idle then begin
@@ -943,7 +1035,7 @@ let shutdown t =
           send_msg t peer (Msg.Notification { code = 6; subcode = 0 });
         session_down t peer ~reason:"administrative shutdown"
       end)
-    t.peers
+    t
 
 let start_peer t peer_id =
   let peer = find_peer t peer_id in

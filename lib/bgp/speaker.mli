@@ -64,6 +64,9 @@ val process : t -> Process.t
 val asn : t -> int
 val router_id : t -> Ipv4.t
 
+val rib : t -> Rib.t
+(** The speaker's RIB, for inspection and tests. *)
+
 val add_peer :
   ?import:Policy.t -> ?export:Policy.t -> t -> remote_asn:int -> Channel.endpoint -> int
 (** Configures a session over the given channel endpoint and returns

@@ -3,7 +3,10 @@
    update groups, packed UPDATEs and end-of-instant flush coalescing,
    the prefixes-per-UPDATE packing ratio must stay high; if flushes
    degrade back toward one prefix per message this exits non-zero and
-   fails @bench-smoke (and @runtest with it).
+   fails @bench-smoke (and @runtest with it). A second budget caps the
+   minor-heap words the run allocates per announced prefix, so a
+   receive, decision or flush path that starts boxing or hashing per
+   prefix again fails too. Both budgets count work, not wall time.
 
    Writes the run's full telemetry snapshot to the path given as
    argv(1), in the same JSON shape as results/BENCH_*.json. *)
@@ -17,6 +20,12 @@ module Registry = Horse_telemetry.Registry
 let leaves = 6
 let spines = 2
 let prefixes_per_leaf = 100
+
+(* Minor-heap words allocated inside [Sched.run] per prefix announced
+   in a sent UPDATE. The UPDATE path measured 471.7 with result-boxed
+   decoding and hashed RIB tables, and 157.1 with the direct decoder
+   and the id-indexed RIB. *)
+let words_per_prefix_budget = 250.0
 
 let leaf_prefix l j =
   (* Distinct /24s from 10.0.0.0, indexed densely. *)
@@ -59,7 +68,9 @@ let () =
     (Sched.schedule_at sched Time.zero (fun () ->
          Array.iter Speaker.start spine_arr;
          Array.iter Speaker.start leaf_arr));
+  let words_before = Gc.minor_words () in
   ignore (Sched.run ~until:(Time.of_sec 60.0) sched);
+  let run_words = Gc.minor_words () -. words_before in
   let total = leaves * prefixes_per_leaf in
   Array.iteri
     (fun l leaf ->
@@ -92,10 +103,11 @@ let () =
   output_char oc '\n';
   close_out oc;
   let ratio = float_of_int prefixes /. float_of_int (max 1 updates) in
+  let words_per_prefix = run_words /. float_of_int (max 1 prefixes) in
   Printf.printf
     "bgp-smoke: %d prefixes announced in %d UPDATEs (%.1f per message), %d \
-     intern hits\n"
-    prefixes updates ratio intern_hits;
+     intern hits, %.1f minor words per prefix (budget %.0f)\n"
+    prefixes updates ratio intern_hits words_per_prefix words_per_prefix_budget;
   if updates = 0 || prefixes < total then begin
     Printf.eprintf "bgp-smoke: implausible counters (updates=%d, prefixes=%d)\n"
       updates prefixes;
@@ -114,5 +126,12 @@ let () =
      (every leaf's block shares one) resolve to existing entries. *)
   if intern_hits = 0 then begin
     Printf.eprintf "bgp-smoke: attribute interning saw no hits\n";
+    exit 1
+  end;
+  if words_per_prefix > words_per_prefix_budget then begin
+    Printf.eprintf
+      "bgp-smoke: allocation budget exceeded: %.1f minor words per announced \
+       prefix (budget %.0f)\n"
+      words_per_prefix words_per_prefix_budget;
     exit 1
   end

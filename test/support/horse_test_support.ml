@@ -17,6 +17,8 @@ let qtest ?(count = 200) name gen prop =
 
 module Fair_share_reference = Fair_share_reference
 
+let bgp_decode_reference = Bgp_decode_reference.decode
+
 let smoke_storm_plan () =
   let module Time = Horse_engine.Time in
   let module Fat_tree = Horse_topo.Fat_tree in

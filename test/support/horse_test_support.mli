@@ -40,6 +40,12 @@ val decide_reference :
     peer-id tiebreak. It never reads the sorted candidate lists that
     [decide] keeps incrementally. *)
 
+val bgp_decode_reference : Bytes.t -> (Horse_bgp.Msg.t, string) result
+(** The oracle for [Horse_bgp.Msg.decode]: the decoder it replaced,
+    which reads every field through a [Horse_net.Wire] reader that
+    returns a [result]. On any input the two must agree: equal messages
+    under [Msg.equal], or byte-equal error strings. *)
+
 val converged_reference :
   table:(int -> Horse_dataplane.Fwd.t) ->
   originate:(int -> Horse_net.Prefix.t list) ->

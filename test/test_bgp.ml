@@ -74,6 +74,49 @@ let prop_msg_decode_total_mutated =
         Bytes.set_uint8 buf (pos mod Bytes.length buf) v;
       match Msg.decode buf with Ok _ | Error _ -> true)
 
+(* The direct decoder against the Result-monad decoder it replaced:
+   well-formed messages, messages with 1-5 bytes overwritten anywhere
+   or only past the header, truncations whose length field is rewritten
+   to match (so they get past the header checks), and junk. Both must
+   build equal messages or fail with byte-equal errors. *)
+let gen_decoder_input =
+  let open QCheck2.Gen in
+  let overwrite ~from buf edits =
+    let n = Bytes.length buf in
+    if n > from then
+      List.iter
+        (fun (pos, v) -> Bytes.set_uint8 buf (from + (pos mod (n - from))) v)
+        edits;
+    buf
+  in
+  (* Small byte values half the time: lengths, counts, type codes and
+     ORIGIN values just past their valid range. *)
+  let byte = frequency [ (1, int_bound 255); (1, int_bound 8) ] in
+  let edits = list_size (int_range 1 5) (pair (int_bound 4095) byte) in
+  let truncate buf cut =
+    let len = cut mod (Bytes.length buf + 1) in
+    let buf = Bytes.sub buf 0 len in
+    if len >= 18 then Bytes.set_uint16_be buf 16 len;
+    buf
+  in
+  let encoded = map Msg.encode gen_msg in
+  oneof
+    [
+      encoded;
+      map2 (overwrite ~from:0) encoded edits;
+      map2 (overwrite ~from:Msg.header_size) encoded edits;
+      map2 truncate encoded (int_bound 4095);
+      map Bytes.of_string (string_size (int_range 0 100));
+    ]
+
+let prop_msg_decode_matches_reference =
+  qtest ~count:3000 "bgp msg: decoder == reference decoder (values and errors)"
+    gen_decoder_input (fun buf ->
+      match (Msg.decode buf, Horse_test_support.bgp_decode_reference buf) with
+      | Ok m, Ok m' -> Msg.equal m m'
+      | Error e, Error e' -> String.equal e e'
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 let test_msg_header_layout () =
   let buf = Msg.encode Msg.Keepalive in
   check Alcotest.int "keepalive is 19 bytes" 19 (Bytes.length buf);
@@ -425,6 +468,31 @@ let test_runtime_announce_and_withdraw () =
   | [] -> ()
   | _ -> Alcotest.fail "withdraw not propagated"
 
+(* A withdrawal of a prefix the RIB never held changes nothing and
+   gives the prefix no id (ids are never reclaimed). *)
+let test_withdraw_unknown_prefix () =
+  let sched, chan, a, b, _, _, _, _ = two_routers () in
+  ignore
+    (Sched.schedule_at sched Time.zero (fun () ->
+         Speaker.start a;
+         Speaker.start b));
+  ignore (Sched.run ~until:(Time.of_sec 5.0) sched);
+  let unknown = p "192.0.2.0/24" in
+  let routes = Speaker.routes a in
+  let received = (Speaker.counters a).Speaker.updates_received in
+  let _, ep_b = Channel.endpoints chan in
+  ignore
+    (Sched.schedule_at sched (Time.of_sec 6.0) (fun () ->
+         Channel.send ep_b
+           (Msg.encode
+              (Msg.Update { withdrawn = [ unknown ]; reach = None }))));
+  ignore (Sched.run ~until:(Time.of_sec 8.0) sched);
+  check Alcotest.int "no id for the unknown prefix" (-1)
+    (Rib.find_id (Speaker.rib a) unknown);
+  check Alcotest.int "update received" (received + 1)
+    (Speaker.counters a).Speaker.updates_received;
+  check Alcotest.bool "Loc-RIB unchanged" true (Speaker.routes a = routes)
+
 let test_hold_timer_expiry_on_kill () =
   let sched, _, a, b, proc_a, _, _, peer_ba = two_routers () in
   ignore
@@ -624,7 +692,9 @@ let test_import_policy_blocks () =
          Speaker.start a;
          Speaker.start b));
   ignore (Sched.run ~until:(Time.of_sec 5.0) sched);
-  check Alcotest.bool "import filtered" true (Speaker.best b (p "10.1.0.0/16") = [])
+  check Alcotest.bool "import filtered" true (Speaker.best b (p "10.1.0.0/16") = []);
+  check Alcotest.int "filtered prefix gets no id" (-1)
+    (Rib.find_id (Speaker.rib b) (p "10.1.0.0/16"))
 
 let test_linear_convergence_many_prefixes () =
   (* r0 - r1 - r2 - r3, r0 originates 20 prefixes; all must reach r3
@@ -763,12 +833,65 @@ let test_packer_empty () =
 
 (* --- incremental decision process vs reference oracle ---------------------- *)
 
-let gen_candidate =
+(* Operations on a RIB over a pool of prefixes. Peers 0-9 first show up
+   whenever the sequence first names them, often after many prefixes
+   already have ids, and the pool of up to 40 prefixes grows the id
+   arrays past their initial capacity. *)
+type rib_op =
+  | Set_in of int * int * Ipv4.t * Msg.attrs  (* prefix index, peer *)
+  | Withdraw_in of int * int
+  | Drop_peer of int
+  | Add_local of int * Msg.attrs
+  | Remove_local of int
+
+(* Half the draws come from a small attribute space, so that decision
+   steps tie often and the MED and BGP-id steps decide; the other half
+   from the whole of [gen_attrs], with random BGP ids (high-bit ones
+   included, which the unsigned id comparison must order). *)
+let gen_tie_attrs =
   let open QCheck2.Gen in
-  let* peer = int_range 0 7 in
-  let* bgp_id = map Ipv4.of_int32 int32 in
-  let* a = gen_attrs in
-  return (peer, bgp_id, a)
+  let* origin = oneofl [ Msg.Igp; Msg.Egp; Msg.Incomplete ] in
+  let* as_path = list_size (int_range 0 3) (int_range 1 3) in
+  let* med = option (int_range 0 2) in
+  let* local_pref = option (oneofl [ 100; 200 ]) in
+  return
+    {
+      Msg.origin;
+      as_path;
+      next_hop = ip "10.0.0.1";
+      med;
+      local_pref;
+      communities = [];
+    }
+
+let gen_rib_ops =
+  let open QCheck2.Gen in
+  let* pool = list_size (int_range 1 40) gen_prefix in
+  let pool = Array.of_list (List.sort_uniq Prefix.compare pool) in
+  let* multipath = bool in
+  let rib_attrs = oneof [ gen_tie_attrs; gen_attrs ] in
+  let op =
+    let* i = int_bound (Array.length pool - 1) in
+    let* peer = int_range 0 9 in
+    frequency
+      [
+        ( 6,
+          let* id =
+            oneof
+              [
+                oneofl [ ip "1.1.1.1"; ip "2.2.2.2"; ip "3.3.3.3" ];
+                map Ipv4.of_int32 int32;
+              ]
+          in
+          map (fun a -> Set_in (i, peer, id, a)) rib_attrs );
+        (3, return (Withdraw_in (i, peer)));
+        (1, return (Drop_peer peer));
+        (1, map (fun a -> Add_local (i, a)) rib_attrs);
+        (1, return (Remove_local i));
+      ]
+  in
+  let* ops = list_size (int_range 1 150) op in
+  return (pool, multipath, ops)
 
 let route_sig (routes : Rib.route list) =
   List.map (fun (r : Rib.route) -> (r.Rib.peer, r.Rib.attrs)) routes
@@ -780,34 +903,67 @@ let sigs_equal a b =
        (fun (p1, a1) (p2, a2) -> p1 = p2 && Msg.attrs_equal a1 a2)
        a b
 
+(* After every operation and its refreshes: each prefix's incremental
+   decision equals the oracle's and is what the Loc-RIB holds, the
+   Loc-RIB size counts the non-empty best sets, and [drop_peer]
+   returns exactly the prefixes a plain model says the peer held, in
+   prefix order. *)
 let prop_decide_matches_reference =
   qtest ~count:500 "rib: incremental decide == reference decision process"
-    QCheck2.Gen.(pair (list_size (int_range 0 12) gen_candidate) bool)
-    (fun (cands, multipath) ->
+    gen_rib_ops (fun (pool, multipath, ops) ->
       let rib = Rib.create () in
-      let pfx = p "10.0.0.0/8" in
-      List.iter
-        (fun (peer, id, a) ->
-          Rib.set_in rib ~peer ~peer_bgp_id:id ~at:Time.zero pfx a)
-        cands;
-      let agree () =
-        sigs_equal
-          (route_sig (Rib.decide ~multipath rib pfx))
-          (route_sig
-             (Horse_test_support.decide_reference ~multipath rib pfx))
+      let held = Hashtbl.create 64 in
+      let refresh p = ignore (Rib.refresh ~multipath rib p) in
+      let consistent () =
+        Array.for_all
+          (fun p ->
+            let d = route_sig (Rib.decide ~multipath rib p) in
+            sigs_equal d
+              (route_sig
+                 (Horse_test_support.decide_reference ~multipath rib p))
+            && sigs_equal d (route_sig (Rib.best rib p)))
+          pool
+        && Rib.loc_rib_size rib
+           = Array.fold_left
+               (fun n p -> if Rib.best rib p = [] then n else n + 1)
+               0 pool
       in
-      let ok1 = agree () in
-      (* Mutate: withdraw a third of the peers, re-add one, and check
-         the incremental candidate lists still track the oracle. *)
-      List.iter
-        (fun (peer, _, _) -> if peer mod 3 = 0 then Rib.withdraw_in rib ~peer pfx)
-        cands;
-      let ok2 = agree () in
-      (match cands with
-      | (peer, id, a) :: _ ->
-          Rib.set_in rib ~peer ~peer_bgp_id:id ~at:Time.zero pfx a
-      | [] -> ());
-      ok1 && ok2 && agree ())
+      List.for_all
+        (fun op ->
+          let dropped_ok =
+            match op with
+            | Set_in (i, peer, id, a) ->
+                Rib.set_in rib ~peer ~peer_bgp_id:id ~at:Time.zero pool.(i) a;
+                Hashtbl.replace held (peer, pool.(i)) ();
+                refresh pool.(i);
+                true
+            | Withdraw_in (i, peer) ->
+                Rib.withdraw_in rib ~peer pool.(i);
+                Hashtbl.remove held (peer, pool.(i));
+                refresh pool.(i);
+                true
+            | Add_local (i, a) ->
+                Rib.add_local rib ~at:Time.zero pool.(i) a;
+                Hashtbl.replace held (Rib.local_peer, pool.(i)) ();
+                refresh pool.(i);
+                true
+            | Remove_local i ->
+                Rib.remove_local rib pool.(i);
+                Hashtbl.remove held (Rib.local_peer, pool.(i));
+                refresh pool.(i);
+                true
+            | Drop_peer peer ->
+                let expected =
+                  Array.to_list pool
+                  |> List.filter (fun p -> Hashtbl.mem held (peer, p))
+                in
+                List.iter (fun p -> Hashtbl.remove held (peer, p)) expected;
+                let dropped = Rib.drop_peer rib ~peer in
+                List.iter refresh dropped;
+                List.equal Prefix.equal expected dropped
+          in
+          dropped_ok && consistent ())
+        ops)
 
 let test_attr_intern_dedup () =
   let tbl = Attr_intern.create () in
@@ -824,7 +980,22 @@ let test_attr_intern_dedup () =
   let i3 = Attr_intern.intern tbl (attrs ~path:[ 9 ] "10.0.0.2") in
   check Alcotest.bool "distinct attrs distinct uid" false
     (Attr_intern.equal i1 i3);
-  check Alcotest.int "two records" 2 (Attr_intern.size tbl)
+  check Alcotest.int "two records" 2 (Attr_intern.size tbl);
+  (* Enough records to grow the table several times: uids follow first
+     sight, and every record is found again afterwards. *)
+  let many = List.init 1000 (fun i -> attrs ~path:[ i; i / 7 ] "10.0.0.3") in
+  let first = List.map (Attr_intern.intern tbl) many in
+  List.iteri
+    (fun i (h : Attr_intern.interned) ->
+      check Alcotest.int "uid in order of first sight" (i + 2) h.Attr_intern.uid)
+    first;
+  List.iter2
+    (fun a h ->
+      check Alcotest.bool "found again after growth" true
+        (Attr_intern.intern tbl a == h))
+    many first;
+  check Alcotest.int "1002 records" 1002 (Attr_intern.size tbl);
+  check Alcotest.int "1001 hits" 1001 (Attr_intern.hits tbl)
 
 (* --- update groups + ring geometry oracle ------------------------------------ *)
 
@@ -960,6 +1131,7 @@ let () =
           prop_msg_roundtrip;
           prop_msg_decode_total;
           prop_msg_decode_total_mutated;
+          prop_msg_decode_matches_reference;
           prop_packer_roundtrip;
           Alcotest.test_case "packer splits at 4096" `Quick
             test_packer_split_over_4096;
@@ -990,6 +1162,8 @@ let () =
             test_session_establishment_and_exchange;
           Alcotest.test_case "runtime announce/withdraw" `Quick
             test_runtime_announce_and_withdraw;
+          Alcotest.test_case "withdrawal of an unknown prefix" `Quick
+            test_withdraw_unknown_prefix;
           Alcotest.test_case "hold timer on crash" `Quick
             test_hold_timer_expiry_on_kill;
           Alcotest.test_case "connect-retry heals kill/restart" `Quick
