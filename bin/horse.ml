@@ -33,7 +33,11 @@ let pods_arg =
 
 let duration_arg =
   let doc = "Virtual experiment duration in seconds." in
-  Arg.(value & opt float 30.0 & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc)
+  let duration =
+    checked Arg.float ~expect:"a finite value > 0" (fun v ->
+        Float.is_finite v && v > 0.0)
+  in
+  Arg.(value & opt duration 30.0 & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc)
 
 let seed_arg =
   let doc = "Random seed (traffic permutation etc.)." in
@@ -70,20 +74,13 @@ let no_causal_arg =
   in
   Arg.(value & flag & info [ "no-causal" ] ~doc)
 
-let profile_arg =
-  let doc =
-    "Enable the scheduler self-profiler (per-poller tick-cost histograms)."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
-let sched_config quiet_timeout increment_ms max_wall no_causal profile =
+let sched_config quiet_timeout increment_ms max_wall no_causal =
   {
     Sched.default_config with
     Sched.quiet_timeout = Time.of_sec quiet_timeout;
     fti_increment = increment_of_ms increment_ms;
     max_wall_s = max_wall;
     causal = not no_causal;
-    profile;
   }
 
 let warn_aborted (stats : Sched.stats) =
@@ -203,10 +200,10 @@ let te_cmd =
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
   let run pods te duration seed quiet_timeout increment max_wall no_causal
-      profile faults csv explain metrics_out trace_out report =
+      faults csv explain metrics_out trace_out report =
     let result =
       Scenario.run_fat_tree_te ~seed
-        ~config:(sched_config quiet_timeout increment max_wall no_causal profile)
+        ~config:(sched_config quiet_timeout increment max_wall no_causal)
         ?faults:(load_faults faults) ~pods ~te
         ~duration:(Time.of_sec duration)
         ()
@@ -252,7 +249,7 @@ let te_cmd =
     Term.(
       const run $ pods_arg $ te_arg $ duration_arg $ seed_arg
       $ quiet_timeout_arg $ increment_arg $ max_wall_arg $ no_causal_arg
-      $ profile_arg $ faults_arg $ csv_arg $ explain_arg
+      $ faults_arg $ csv_arg $ explain_arg
       $ metrics_out_arg $ trace_out_arg $ report_arg)
 
 (* --- fig1 ---------------------------------------------------------------- *)
@@ -262,12 +259,12 @@ let fig1_cmd =
     let doc = "Prefixes originated by each router." in
     Arg.(value & opt int 10 & info [ "prefixes" ] ~docv:"N" ~doc)
   in
-  let run duration quiet_timeout increment max_wall no_causal profile faults
-      prefixes metrics_out trace_out report =
+  let run duration quiet_timeout increment max_wall no_causal faults prefixes
+      metrics_out trace_out report =
     let wan = Wan.linear 2 in
     let exp =
       Experiment.create
-        ~config:(sched_config quiet_timeout increment max_wall no_causal profile)
+        ~config:(sched_config quiet_timeout increment max_wall no_causal)
         wan.Wan.topo
     in
     let originate node =
@@ -306,7 +303,7 @@ let fig1_cmd =
     (Cmd.info "fig1" ~doc)
     Term.(
       const run $ duration_arg $ quiet_timeout_arg $ increment_arg
-      $ max_wall_arg $ no_causal_arg $ profile_arg $ faults_arg $ prefixes_arg
+      $ max_wall_arg $ no_causal_arg $ faults_arg $ prefixes_arg
       $ metrics_out_arg $ trace_out_arg $ report_arg)
 
 (* --- baseline ------------------------------------------------------------- *)
@@ -375,18 +372,34 @@ let wan_cmd =
     in
     Arg.(value & opt (some int) None & info [ "kill" ] ~docv:"ROUTER" ~doc)
   in
-  let run wan_kind duration seed quiet_timeout increment max_wall no_causal
-      profile faults kill metrics_out trace_out report =
-    let wan =
-      match wan_kind with
-      | `Abilene -> Wan.abilene ()
-      | `Ring n -> Wan.ring n
-      | `Random n -> Wan.random_gnp ~seed ~n ~p:0.3 ()
+  (* The victim's range depends on the topology, so [--kill] is checked
+     against the built WAN, still before the run starts. *)
+  let wan_and_victim =
+    let build wan_kind seed kill =
+      let wan =
+        match wan_kind with
+        | `Abilene -> Wan.abilene ()
+        | `Ring n -> Wan.ring n
+        | `Random n -> Wan.random_gnp ~seed ~n ~p:0.3 ()
+      in
+      let n = Array.length wan.Wan.routers in
+      match kill with
+      | Some v when v < 0 || v >= n ->
+          `Error
+            ( true,
+              Printf.sprintf
+                "option '--kill': expected a router index in 0..%d, got %d"
+                (n - 1) v )
+      | _ -> `Ok (wan, kill)
     in
+    Term.(ret (const build $ topo_arg $ seed_arg $ fail_arg))
+  in
+  let run (wan, kill) duration seed quiet_timeout increment max_wall no_causal
+      faults metrics_out trace_out report =
     let hosts = Wan.attach_hosts wan in
     let exp =
       Experiment.create ~seed
-        ~config:(sched_config quiet_timeout increment max_wall no_causal profile)
+        ~config:(sched_config quiet_timeout increment max_wall no_causal)
         wan.Wan.topo
     in
     (* Each router originates its PoP prefix (its host lives in it). *)
@@ -506,9 +519,9 @@ let wan_cmd =
   Cmd.v
     (Cmd.info "wan" ~doc)
     Term.(
-      const run $ topo_arg $ duration_arg $ seed_arg $ quiet_timeout_arg
-      $ increment_arg $ max_wall_arg $ no_causal_arg $ profile_arg $ faults_arg
-      $ fail_arg $ metrics_out_arg $ trace_out_arg $ report_arg)
+      const run $ wan_and_victim $ duration_arg $ seed_arg $ quiet_timeout_arg
+      $ increment_arg $ max_wall_arg $ no_causal_arg $ faults_arg
+      $ metrics_out_arg $ trace_out_arg $ report_arg)
 
 (* --- megauser -------------------------------------------------------------- *)
 

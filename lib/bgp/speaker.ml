@@ -897,7 +897,6 @@ let receive t peer bytes =
 let bind_endpoint t peer endpoint =
   peer.endpoint <- endpoint;
   Channel.set_receiver endpoint (fun bytes -> receive t peer bytes);
-  Channel.set_wake endpoint (fun () -> Process.wake t.proc);
   Channel.set_on_close endpoint (fun () ->
       if Process.is_alive t.proc then
         session_down t peer ~reason:"channel closed")
@@ -1010,13 +1009,6 @@ let withdraw_network t prefix =
 let start t =
   if not t.started then begin
     t.started <- true;
-    (* The daemon's FTI scheduling quantum (paper §2): polled every
-       increment while runnable. All protocol work here is
-       event-driven, so the quantum dozes whenever no message is
-       queued or being processed; channel delivery wakes it. *)
-    Process.tick t.proc (fun () ->
-        if t.busy || not (Queue.is_empty t.inbox) then Sched.Always
-        else Sched.Wake_on_input);
     Process.on_kill t.proc (fun () -> crash_cleanup t);
     Process.on_restart t.proc (fun () -> revive t);
     List.iter (fun prefix -> announce t prefix) t.cfg.networks;

@@ -35,7 +35,7 @@ let create sched trace =
 let scheduler t = t.sched
 let trace t = t.cm_trace
 
-let control_channel ?latency ?(name = "control") ?owner_a ?owner_b t =
+let control_channel ?latency ?(name = "control") t =
   let channel = Channel.create t.sched ?latency () in
   Counter.incr t.m_channels;
   Trace.addf t.cm_trace ~at:(Sched.now t.sched) ~label:"cm"
@@ -46,17 +46,6 @@ let control_channel ?latency ?(name = "control") ?owner_a ?owner_b t =
       t.last_activity <- Sched.now t.sched;
       Gauge.set t.g_last_activity (Time.to_sec t.last_activity);
       Sched.control_activity ~reason:name t.sched);
-  (* The CM sits between emulation and simulation, so it is also the
-     component that wires demand into the scheduler's fast path:
-     delivery on either side wakes the owning process's dozing
-     pollers. *)
-  let ep_a, ep_b = Channel.endpoints channel in
-  (match owner_a with
-  | Some p -> Channel.set_wake ep_a (fun () -> Process.wake p)
-  | None -> ());
-  (match owner_b with
-  | Some p -> Channel.set_wake ep_b (fun () -> Process.wake p)
-  | None -> ());
   channel
 
 let channels_created t = Counter.value t.m_channels

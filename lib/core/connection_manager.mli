@@ -22,16 +22,10 @@ val trace : t -> Trace.t
 val control_channel :
   ?latency:Time.t ->
   ?name:string ->
-  ?owner_a:Process.t ->
-  ?owner_b:Process.t ->
   t ->
   Channel.t
 (** A duplex channel whose traffic is observed by the CM. The name
-    appears in the FTI-transition reasons and in the trace. When the
-    owning processes are known, pass them: the CM then wires each
-    side's delivery to [Process.wake], so processes dozing under the
-    scheduler fast path get their poll quantum back the moment input
-    arrives for them. *)
+    appears in the FTI-transition reasons and in the trace. *)
 
 val channels_created : t -> int
 val messages_observed : t -> int

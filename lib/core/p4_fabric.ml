@@ -72,8 +72,7 @@ let build ?(program = Prog.ecmp_router) ~cm topo =
             let proc = Process.create sched ~name:("p4-" ^ n.Topology.name) in
             let channel =
               Connection_manager.control_channel
-                ~name:("p4runtime " ^ n.Topology.name)
-                ~owner_a:proc cm
+                ~name:("p4runtime " ^ n.Topology.name) cm
             in
             let sw_end, ctrl_end = Channel.endpoints channel in
             let ports =

@@ -200,10 +200,7 @@ let build ~cm proto topo =
               Printf.sprintf "%s %s<->%s" proto.name (node_name t a) (node_name t b)
             in
             let channel =
-              Connection_manager.control_channel ~name
-                ~owner_a:(Hashtbl.find processes a)
-                ~owner_b:(Hashtbl.find processes b)
-                cm
+              Connection_manager.control_channel ~name cm
             in
             let ep_a, ep_b = Channel.endpoints channel in
             let end_a = proto.attach daemon_a ~remote:daemon_b ep_a in
@@ -308,10 +305,7 @@ let restore_session t session =
     let daemon_a = Hashtbl.find t.daemons session.node_a in
     let daemon_b = Hashtbl.find t.daemons session.node_b in
     let channel =
-      Connection_manager.control_channel ~name:session.session_name
-        ~owner_a:(Hashtbl.find t.processes session.node_a)
-        ~owner_b:(Hashtbl.find t.processes session.node_b)
-        t.cm
+      Connection_manager.control_channel ~name:session.session_name t.cm
     in
     let ep_a, ep_b = Channel.endpoints channel in
     t.proto.rebind daemon_a session.end_a ep_a;

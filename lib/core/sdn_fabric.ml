@@ -183,8 +183,7 @@ let build ?(channel_latency = Time.of_ms 1) ~cm ~fluid topo =
         let proc = Process.create sched ~name:("of-" ^ n.Topology.name) in
         let channel =
           Connection_manager.control_channel ~latency:channel_latency
-            ~name:("openflow " ^ n.Topology.name)
-            ~owner_a:proc cm
+            ~name:("openflow " ^ n.Topology.name) cm
         in
         let switch_end, ctrl_end = Channel.endpoints channel in
         let ports =

@@ -19,7 +19,6 @@ type side = {
   mutable receiver : (Bytes.t -> unit) option;
   mutable backlog : Bytes.t list;  (* reversed *)
   mutable on_close : (unit -> unit) option;
-  mutable on_wake : (unit -> unit) option;
   mutable s_open : bool;
 }
 
@@ -39,7 +38,7 @@ type t = {
 type endpoint = { chan : t; mine : side; theirs : side; dir_out : direction }
 
 let new_side () =
-  { receiver = None; backlog = []; on_close = None; on_wake = None; s_open = true }
+  { receiver = None; backlog = []; on_close = None; s_open = true }
 
 let create sched ?(latency = Time.of_ms 1) () =
   {
@@ -68,15 +67,9 @@ let peer e =
   }
 
 let deliver side msg =
-  (match side.receiver with
+  match side.receiver with
   | Some f -> f msg
-  | None -> side.backlog <- msg :: side.backlog);
-  (* Input arrived: let the owning process's dozing pollers run.
-     After the receiver, so a poller woken by this message never
-     observes the channel state from before it. *)
-  match side.on_wake with Some w -> w () | None -> ()
-
-let set_wake e f = e.mine.on_wake <- Some f
+  | None -> side.backlog <- msg :: side.backlog
 
 let set_receiver e f =
   e.mine.receiver <- Some f;
@@ -204,18 +197,15 @@ let set_on_close e f = e.mine.on_close <- Some f
 let close_side t side =
   if side.s_open then begin
     side.s_open <- false;
-    (match side.on_close with
+    match side.on_close with
     | Some f -> Sched.protect_cause t.sched f
-    | None -> ());
-    match side.on_wake with Some w -> w () | None -> ()
+    | None -> ()
   end
 
 let close t =
   if t.a.s_open || t.b.s_open then begin
     (* Each side's teardown is a causal sibling of the other's — both
-       children of whatever closed the channel. A close is input too:
-       dozing owners must get a tick to react (tear sessions down,
-       start reconnecting). *)
+       children of whatever closed the channel. *)
     close_side t t.a;
     close_side t t.b
   end

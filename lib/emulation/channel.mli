@@ -73,13 +73,6 @@ val set_observer : t -> (direction -> Bytes.t -> unit) -> unit
 val set_on_close : endpoint -> (unit -> unit) -> unit
 (** Runs when the channel closes (either side), once. *)
 
-val set_wake : endpoint -> (unit -> unit) -> unit
-(** Installs the wake hook for traffic {e arriving at} this endpoint:
-    it runs after every delivery (and on close), wiring channel input
-    to the owning process's dozing pollers (see [Process.wake]). At
-    most one hook; the Connection Manager installs it when it knows
-    the endpoint's owner. *)
-
 val close : t -> unit
 (** Closes both directions; undelivered messages are dropped.
     Idempotent. *)

@@ -5,7 +5,6 @@ type t = {
   sched : Sched.t;
   mutable alive : bool;
   mutable recurrings : Sched.recurring list;
-  mutable pollers : Sched.poller list;  (* persistent across restarts *)
   mutable kill_hooks : (unit -> unit) list;  (* reversed; persistent *)
   mutable restart_hooks : (unit -> unit) list;  (* reversed; persistent *)
 }
@@ -29,7 +28,6 @@ let create sched ~name =
     sched;
     alive = true;
     recurrings = [];
-    pollers = [];
     kill_hooks = [];
     restart_hooks = [];
   }
@@ -46,32 +44,6 @@ let every t ?start_after period f =
   let r = Sched.every t.sched ?start_after period (fun () -> if t.alive then f ()) in
   t.recurrings <- r :: t.recurrings;
   r
-
-let tick t f =
-  let m_ticks =
-    Horse_telemetry.Registry.counter
-      (Sched.registry t.sched)
-      ~subsystem:"emulation" ~help:"FTI poller invocations across processes"
-      "poll_ticks_total"
-  in
-  let p =
-    Sched.add_poller ~name:t.proc_name t.sched (fun () ->
-        if t.alive then begin
-          Horse_telemetry.Registry.Counter.incr m_ticks;
-          f ()
-        end
-        else
-          (* A dead process has nothing to poll for until some input —
-             a restart, or a message queued for its revival — shows
-             up. *)
-          Sched.Wake_on_input)
-  in
-  t.pollers <- p :: t.pollers
-
-(* Input arrived (or the process respawned): give its pollers their
-   quantum again. Idempotent and cheap, so delivery paths call it
-   unconditionally. *)
-let wake t = List.iter Sched.wake_poller t.pollers
 
 let on_kill t f = t.kill_hooks <- f :: t.kill_hooks
 let on_restart t f = t.restart_hooks <- f :: t.restart_hooks
@@ -92,6 +64,5 @@ let restart t =
     t.alive <- true;
     Horse_telemetry.Registry.Gauge.add (alive_gauge t.sched) 1.0;
     Horse_telemetry.Registry.Counter.incr (restarts_counter t.sched);
-    wake t;
     List.iter (fun f -> f ()) (List.rev t.restart_hooks)
   end

@@ -25,27 +25,13 @@ val every : t -> ?start_after:Time.t -> Time.t -> (unit -> unit) -> Sched.recurr
 (** Recurring timer owned by the process. The handle allows early
     cancellation; {!kill} cancels it too. *)
 
-val tick : t -> (unit -> Sched.wake_hint) -> unit
-(** Registers a per-FTI-increment callback for this process (the
-    "scheduling quantum" a daemon gets while the experiment tracks
-    real time). The callback's wake hint drives the scheduler's
-    fast path: [Always] keeps the old every-increment behaviour,
-    [Wake_on_input] dozes until {!wake} (wired to channel delivery),
-    [Wake_at] dozes until a deadline. Suppressed after {!kill} — a
-    dead process's poller dozes until woken. *)
-
-val wake : t -> unit
-(** Wakes the process's dozing pollers (idempotent): input arrived.
-    {!Channel} delivery calls this through the wake hook, and
-    {!restart} calls it so a respawned process polls again. *)
-
 val kill : t -> unit
-(** Stops the process: every pending and future timer and tick is
-    suppressed. Idempotent. *)
+(** Stops the process: every pending and future timer is suppressed.
+    Idempotent. *)
 
 val restart : t -> unit
 (** Respawns a killed process: it becomes alive again (timers armed
-    from now on fire; ticks resume) and the {!on_restart} hooks run so
+    from now on fire) and the {!on_restart} hooks run so
     the owning daemon can re-arm its timers and re-initiate sessions.
     No-op on a live process. *)
 

@@ -6,7 +6,7 @@
     — registers a {e node}: (virtual time, kind, detail) plus one
     parent edge pointing at the occurrence that caused it. The result
     is a forest rooted at spontaneous activity (timers armed at setup,
-    poller-driven sends) whose paths are provenance chains: walking a
+    periodic sends) whose paths are provenance chains: walking a
     FIB entry's node back to its root yields the exact
     fault → session event → UPDATE → decision → write sequence with
     per-hop virtual latencies.

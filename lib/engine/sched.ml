@@ -13,7 +13,6 @@ type config = {
   fti_pacing : float;
   max_wall_s : float;
   causal : bool;
-  profile : bool;
 }
 
 let default_config =
@@ -23,7 +22,6 @@ let default_config =
     fti_pacing = 0.0;
     max_wall_s = 0.0;
     causal = true;
-    profile = false;
   }
 
 type transition = {
@@ -39,7 +37,6 @@ type stats = {
   fti_increments : int;
   fti_increments_skipped : int;
   poller_ticks : int;
-  poller_ticks_saved : int;
   transitions : transition list;
   virtual_in_fti : Time.t;
   virtual_in_des : Time.t;
@@ -58,8 +55,6 @@ type metrics = {
   m_events : Counter.t;
   m_fti_increments : Counter.t;
   m_fti_skipped : Counter.t;
-  m_poller_ticks : Counter.t;
-  m_poller_saved : Counter.t;
   m_transitions : Counter.t;
   m_virt_des_us : Counter.t;
   m_virt_fti_us : Counter.t;
@@ -90,12 +85,6 @@ let make_metrics reg =
       counter
         ~help:"FTI increments covered by fast-forward instead of stepping"
         "fti_increments_skipped_total";
-    m_poller_ticks =
-      counter ~help:"Poller invocations across FTI increments"
-        "poller_ticks_total";
-    m_poller_saved =
-      counter ~help:"Poller invocations avoided by dozing and fast-forward"
-        "poller_ticks_saved_total";
     m_transitions =
       counter ~help:"DES<->FTI mode transitions" "transitions_total";
     m_virt_des_us =
@@ -141,8 +130,6 @@ let make_metrics reg =
         ~help:"Causal nodes dropped at the graph's node cap" "dropped_total";
   }
 
-type wake_hint = Wake_at of Time.t | Wake_on_input | Always
-
 type t = {
   cfg : config;
   queue : Event_queue.t;
@@ -153,8 +140,6 @@ type t = {
   mutable last_activity : Time.t;
   mutable running : bool;
   mutable stop_requested : bool;
-  pollers : poller Hooks.t;
-  mutable runnable_pollers : int;
   mutable rev_transitions : transition list;
   mutable run_start_wall : float;
   mutable abort_flag : bool;
@@ -162,15 +147,6 @@ type t = {
   deferred : (unit -> unit) Queue.t;
   causal_g : Causal.t option;
   mutable cur_cause : Causal.id;
-}
-
-and poller = {
-  pfn : unit -> wake_hint;
-  owner : t;
-  pname : string;
-  phist : Horse_telemetry.Histogram.t option;
-  mutable runnable : bool;
-  mutable wake_ev : Event_queue.handle option;
 }
 
 let gauge_of_mode = function Des -> 0.0 | Fti -> 1.0
@@ -199,8 +175,6 @@ let create ?(config = default_config) ?registry () =
     last_activity = Time.zero;
     running = false;
     stop_requested = false;
-    pollers = Hooks.create ();
-    runnable_pollers = 0;
     rev_transitions = [];
     run_start_wall = Wall.now ();
     abort_flag = false;
@@ -353,91 +327,6 @@ let cancel_recurring r =
   r.cancelled <- true;
   Option.iter Event_queue.cancel r.pending
 
-(* --- demand-driven pollers -------------------------------------------- *)
-
-let add_poller ?name t f =
-  let pname =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "poller-%d" (Hooks.length t.pollers)
-  in
-  let phist =
-    if t.cfg.profile then
-      Some
-        (Registry.histogram t.reg ~subsystem:"sched"
-           ~help:"Wall-clock cost of one poller tick, seconds"
-           ~labels:[ ("poller", pname) ] ~lo:1e-8 ~hi:1.0
-           "poller_tick_seconds")
-    else None
-  in
-  let p = { pfn = f; owner = t; pname; phist; runnable = true; wake_ev = None } in
-  Hooks.add t.pollers p;
-  t.runnable_pollers <- t.runnable_pollers + 1;
-  p
-
-let wake_poller p =
-  if not p.runnable then begin
-    p.runnable <- true;
-    p.owner.runnable_pollers <- p.owner.runnable_pollers + 1
-  end
-
-let doze p =
-  if p.runnable then begin
-    p.runnable <- false;
-    p.owner.runnable_pollers <- p.owner.runnable_pollers - 1
-  end
-
-let apply_hint t p hint =
-  match hint with
-  | Always -> ()
-  | Wake_on_input ->
-      doze p;
-      (* A stale timed wake-up would tick the poller for nothing. *)
-      (match p.wake_ev with Some h -> Event_queue.cancel h | None -> ())
-  | Wake_at at ->
-      if Time.(at <= t.clock) then () (* due now: stay runnable *)
-      else begin
-        doze p;
-        match p.wake_ev with
-        | Some h -> Event_queue.reschedule h at
-        | None ->
-            p.wake_ev <-
-              Some (Event_queue.schedule t.queue at (fun () -> wake_poller p))
-      end
-
-(* One FTI increment's poller pass ticks only runnable pollers — in
-   registration order, so waking a subset never reorders work — and
-   skips the whole walk when none are runnable. *)
-let tick_one t p =
-  (* A poller tick is spontaneous activity: whatever it causes roots a
-     fresh chain, never the previous event's. *)
-  if t.causal_g <> None then t.cur_cause <- Causal.none;
-  match p.phist with
-  | None -> p.pfn ()
-  | Some h ->
-      let w0 = Wall.now () in
-      let hint = p.pfn () in
-      Horse_telemetry.Histogram.add h (Wall.now () -. w0);
-      hint
-
-let tick_pollers t =
-  let n = Hooks.length t.pollers in
-  if n > 0 then begin
-    if t.runnable_pollers = 0 then Counter.add t.m.m_poller_saved n
-    else begin
-      let ticked = ref 0 in
-      Hooks.iter
-        (fun p ->
-          if p.runnable then begin
-            incr ticked;
-            Counter.incr t.m.m_poller_ticks;
-            apply_hint t p (tick_one t p)
-          end)
-        t.pollers;
-      Counter.add t.m.m_poller_saved (n - !ticked)
-    end
-  end
-
 let record_transition t to_mode reason =
   let wall = if t.running then Wall.now () -. t.run_start_wall else 0.0 in
   t.rev_transitions <-
@@ -473,8 +362,7 @@ let snapshot t =
     events_executed = Counter.value t.m.m_events;
     fti_increments = Counter.value t.m.m_fti_increments;
     fti_increments_skipped = Counter.value t.m.m_fti_skipped;
-    poller_ticks = Counter.value t.m.m_poller_ticks;
-    poller_ticks_saved = Counter.value t.m.m_poller_saved;
+    poller_ticks = 0;
     transitions = List.rev t.rev_transitions;
     virtual_in_fti = Time.of_us (Counter.value t.m.m_virt_fti_us);
     virtual_in_des = Time.of_us (Counter.value t.m.m_virt_des_us);
@@ -544,17 +432,16 @@ let des_step t until =
   account t Des wall0 clock0;
   continue
 
-(* Fast-forward: with no runnable poller, the increments up to the
-   next pending event are pure clock advances — and the quiet-timeout
+(* Fast-forward: no process polls, so the increments up to the next
+   pending event are pure clock advances — and the quiet-timeout
    boundary caps the skip, so the DES transition fires at exactly the
    boundary that stepping every increment would pick. Skipped
    increments still count in [fti_increments_total] (and the
    virtual-residency counters), so stats and the mode timeline match a
-   stepped run; only the loop iterations and poller walks disappear. *)
+   stepped run; only the loop iterations disappear. Pacing steps every
+   increment, since each one is meant to take wall time. *)
 let fast_forward t until =
-  if
-    t.cfg.fti_pacing <= 0.0 && t.runnable_pollers = 0 && not (has_deferred t)
-  then begin
+  if t.cfg.fti_pacing <= 0.0 then begin
     let inc = Time.to_us t.cfg.fti_increment in
     let clock = Time.to_us t.clock in
     (* Increments we may skip before reaching [bound]: boundaries
@@ -577,15 +464,14 @@ let fast_forward t until =
       t.clock <- Time.of_us (clock + (k * inc));
       Counter.add t.m.m_fti_increments k;
       Counter.add t.m.m_fti_skipped k;
-      Counter.add t.m.m_ff_us (k * inc);
-      Counter.add t.m.m_poller_saved (k * Hooks.length t.pollers)
+      Counter.add t.m.m_ff_us (k * inc)
     end
   end
 
-(* One FTI increment: run every event due within the increment, give
-   each runnable poller its tick, advance the clock by exactly one
-   increment (clipped to the horizon), fast-forward over a provably
-   idle window, then apply the quiet-timeout rule. *)
+(* One FTI increment: run every event due within the increment,
+   advance the clock by exactly one increment (clipped to the horizon),
+   fast-forward over a provably idle window, then apply the
+   quiet-timeout rule. *)
 let fti_step t until =
   let wall0 = Wall.now () and clock0 = t.clock in
   let target =
@@ -613,7 +499,6 @@ let fti_step t until =
       | None -> ()
   in
   drain ();
-  tick_pollers t;
   flush_deferred t;
   t.clock <- Time.max t.clock target;
   Counter.incr t.m.m_fti_increments;
@@ -669,12 +554,10 @@ let pp_stats fmt (s : stats) =
   Format.fprintf fmt
     "@[<v>events executed : %d@,\
      fti increments  : %d (%d fast-forwarded)@,\
-     poller ticks    : %d (%d saved)@,\
      transitions     : %d@,\
      virtual time    : %a (FTI %a / DES %a)@,\
      wall time       : %.3fs (FTI %.3fs / DES %.3fs)@]"
-    s.events_executed s.fti_increments s.fti_increments_skipped s.poller_ticks
-    s.poller_ticks_saved
+    s.events_executed s.fti_increments s.fti_increments_skipped
     (List.length s.transitions)
     Time.pp s.end_time Time.pp s.virtual_in_fti Time.pp s.virtual_in_des
     s.wall_total s.wall_in_fti s.wall_in_des

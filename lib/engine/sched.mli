@@ -7,10 +7,21 @@
       the timestamp of the next event. This is the fast mode used when
       only (fluid) data-plane traffic is active.
     - {b FTI} (Fixed Time Increment): the clock advances in small
-      fixed increments, and every registered poller (an emulated
-      control-plane process) gets a tick per increment. This
-      reproduces the real-time interleaving that real routing daemons
-      experience.
+      fixed increments, and every event is delivered inside the
+      increment that contains its timestamp. This reproduces the
+      real-time interleaving that real routing daemons experience.
+
+    In the paper each emulated process also gets a tick per increment,
+    because its daemons are real processes running in wall time. Here
+    every daemon is in-process and event-driven: it acts only when a
+    message arrives or one of its timers fires, so a per-increment tick
+    has nothing to do and no process polls. An increment with no event
+    due is therefore a pure clock advance, and FTI fast-forwards over
+    such runs of increments unless [fti_pacing] asks for wall-time
+    steps. Measured on the four [bench/e2e] workloads at seed 42,
+    per-process ticks changed no FIB fingerprint, fault trace, message
+    count, causal-node count or scheduler count other than their own
+    tick counter.
 
     The transition rules are exactly the paper's: any control-plane
     activity (reported by the Connection Manager via
@@ -57,12 +68,6 @@ type config = {
           detail strings formatted, behaviour byte-identical — only
           wall cost differs, measured as [trace.overhead_pct] by
           [bench/e2e] and gated by [@trace-smoke]). *)
-  profile : bool;
-      (** default [false]: record a per-poller wall-cost histogram
-          ([horse_sched_poller_tick_seconds{poller=...}]) on every
-          tick — the scheduler self-profiler. Off by default because
-          two [Wall.now] calls per tick are measurable on storm
-          workloads. *)
 }
 
 val default_config : config
@@ -83,9 +88,9 @@ type stats = {
   fti_increments_skipped : int;
       (** of {!field-fti_increments}, how many fast-forward covered in
           one step instead of looping *)
-  poller_ticks : int;  (** poller invocations actually made *)
-  poller_ticks_saved : int;
-      (** poller invocations avoided by dozing and fast-forward *)
+  poller_ticks : int;
+      (** always 0: no process polls. Kept because benchmark reports
+          still read it. *)
   transitions : transition list;  (** chronological *)
   virtual_in_fti : Time.t;
   virtual_in_des : Time.t;
@@ -133,12 +138,11 @@ val registry : t -> Horse_telemetry.Registry.t
     {!schedule_at}, {!schedule_after}, {!every} and {!defer} capture
     the ambient cause at registration and restore it when the action
     fires, so provenance follows timers, delayed deliveries and
-    coalesced recomputes for free. Poller ticks reset the ambient
-    cause — poller-driven activity roots fresh chains. With tracing
-    off, every primitive here is a no-op returning {!Causal.none}.
-    {!snapshot} copies the graph's {!Causal.length} and
-    {!Causal.dropped} into [horse_causal_nodes_total] and
-    [horse_causal_dropped_total] (both 0 with tracing off). *)
+    coalesced recomputes for free. With tracing off, every primitive
+    here is a no-op returning {!Causal.none}. {!snapshot} copies the
+    graph's {!Causal.length} and {!Causal.dropped} into
+    [horse_causal_nodes_total] and [horse_causal_dropped_total] (both 0
+    with tracing off). *)
 
 val causal : t -> Causal.t option
 (** The causal graph, when tracing is enabled. *)
@@ -221,34 +225,6 @@ val every : t -> ?start_after:Time.t -> Time.t -> (unit -> unit) -> recurring
     @raise Invalid_argument if the period is not positive. *)
 
 val cancel_recurring : recurring -> unit
-
-type wake_hint =
-  | Wake_at of Time.t
-      (** doze until the given virtual time (a time at or before [now]
-          keeps the poller runnable) *)
-  | Wake_on_input
-      (** doze until {!wake_poller} — typically wired to message
-          delivery via [Process]/[Channel] *)
-  | Always  (** stay runnable: tick again next increment *)
-
-type poller
-(** A registered poller: runnable or dozing. *)
-
-val add_poller : ?name:string -> t -> (unit -> wake_hint) -> poller
-(** Registers a per-FTI-increment tick callback. [?name] labels the
-    poller in the self-profiler's histograms (default
-    ["poller-<index>"]). Pollers model the
-    scheduling quantum an emulated process receives; they run only in
-    FTI mode, once per increment, in registration order. Each tick
-    returns a wake hint: the scheduler skips dozing pollers, and
-    fast-forwards over whole increments when none is runnable.
-    Pollers start runnable. *)
-
-val wake_poller : poller -> unit
-(** Makes a dozing poller runnable again from the next increment on
-    (idempotent). Input delivery calls this so a [Wake_on_input]
-    poller reacts on the increment after its message arrives — the
-    same latency it would have if it polled every increment. *)
 
 val control_activity : ?reason:string -> t -> unit
 (** Report control-plane activity at the current instant: switches to

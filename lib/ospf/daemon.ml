@@ -396,7 +396,6 @@ let create ?trace proc cfg =
 let bind_iface t iface endpoint =
   iface.endpoint <- endpoint;
   Channel.set_receiver endpoint (fun bytes -> receive t iface bytes);
-  Channel.set_wake endpoint (fun () -> Process.wake t.proc);
   Channel.set_on_close endpoint (fun () ->
       if Process.is_alive t.proc && iface.nbr_state <> Down then begin
         let was_full = iface.nbr_state = Full in
@@ -465,11 +464,6 @@ let revive t =
 let start t =
   if not t.started then begin
     t.started <- true;
-    (* The daemon's FTI scheduling quantum (paper §2). All protocol
-       work is event-driven (hellos and SPF run off timers, messages
-       off channel deliveries), so the quantum dozes until input
-       arrives and channel delivery wakes it. *)
-    Process.tick t.proc (fun () -> Sched.Wake_on_input);
     Process.on_kill t.proc (fun () -> crash_cleanup t);
     Process.on_restart t.proc (fun () -> revive t);
     originate t (* stub-only LSA until adjacencies form *);

@@ -2,8 +2,8 @@
    tracing on vs off.
 
    Gates, failing @trace-smoke (and @runtest with it):
-   - tracing does no extra scheduler work: identical events executed,
-     poller ticks and fast-forwarded FTI increments either way;
+   - tracing does no extra scheduler work: identical events executed
+     and fast-forwarded FTI increments either way;
    - tracing allocates at most [words_per_node_budget] extra minor-heap
      words per causal node recorded (a detail string formatted eagerly,
      or a per-node closure on the hot path, blows it);
@@ -81,9 +81,7 @@ let () =
   let retained_per_node = per_node (float_of_int (on_live - off_live)) in
   let work (r : Scenario.result) =
     let st = r.Scenario.sched_stats in
-    ( st.Sched.events_executed,
-      st.Sched.poller_ticks,
-      st.Sched.fti_increments_skipped )
+    (st.Sched.events_executed, st.Sched.fti_increments_skipped)
   in
   let oc = open_out out in
   output_string oc
@@ -94,10 +92,6 @@ let () =
               Json.Int off.Scenario.sched_stats.Sched.events_executed );
             ( "on_events",
               Json.Int traced.Scenario.sched_stats.Sched.events_executed );
-            ( "off_ticks",
-              Json.Int off.Scenario.sched_stats.Sched.poller_ticks );
-            ( "on_ticks",
-              Json.Int traced.Scenario.sched_stats.Sched.poller_ticks );
             ( "off_ffwd",
               Json.Int off.Scenario.sched_stats.Sched.fti_increments_skipped );
             ( "on_ffwd",
@@ -115,19 +109,19 @@ let () =
           ]));
   output_char oc '\n';
   close_out oc;
-  let events, ticks, skipped = work traced in
+  let events, skipped = work traced in
   Printf.printf
     "trace-smoke: %d causal nodes, %.1f extra minor words per node (budget \
      %.0f), %.2f extra retained words per node (budget %.0f), %d events, %d \
-     poller ticks, %d increments skipped, %d FIB entries with provenance\n"
+     increments skipped, %d FIB entries with provenance\n"
     (Causal.length g) words_per_node words_per_node_budget retained_per_node
-    retained_per_node_budget events ticks skipped (List.length prov);
+    retained_per_node_budget events skipped (List.length prov);
   if work off <> work traced then begin
-    let e, t, k = work off in
+    let e, k = work off in
     Printf.eprintf
       "trace-smoke: tracing changed the scheduler's work: events %d -> %d, \
-       poller ticks %d -> %d, increments skipped %d -> %d\n"
-      e events t ticks k skipped;
+       increments skipped %d -> %d\n"
+      e events k skipped;
     exit 1
   end;
   if words_per_node > words_per_node_budget then begin

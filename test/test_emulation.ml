@@ -140,27 +140,6 @@ let test_process_kill_suppresses_timers () =
   Process.kill proc;
   check Alcotest.int "cleanup not re-run" 1 !cleanup
 
-let test_process_tick_in_fti () =
-  let config =
-    { Sched.default_config with Sched.quiet_timeout = Time.of_ms 50 }
-  in
-  let sched = Sched.create ~config () in
-  let proc = Process.create sched ~name:"daemon" in
-  let ticks = ref 0 in
-  Process.tick proc (fun () ->
-      incr ticks;
-      Sched.Always);
-  ignore
-    (Sched.schedule_at sched (Time.of_ms 10) (fun () -> Sched.control_activity sched));
-  ignore (Sched.run ~until:(Time.of_ms 200) sched);
-  let after_fti = !ticks in
-  check Alcotest.bool "ticked during FTI" true (after_fti >= 40);
-  Process.kill proc;
-  ignore
-    (Sched.schedule_at sched (Time.of_ms 300) (fun () -> Sched.control_activity sched));
-  ignore (Sched.run ~until:(Time.of_ms 500) sched);
-  check Alcotest.int "no ticks after kill" after_fti !ticks
-
 let () =
   Alcotest.run "horse_emulation"
     [
@@ -180,6 +159,5 @@ let () =
           Alcotest.test_case "timers" `Quick test_process_timers;
           Alcotest.test_case "kill suppresses timers" `Quick
             test_process_kill_suppresses_timers;
-          Alcotest.test_case "tick in FTI" `Quick test_process_tick_in_fti;
         ] );
     ]

@@ -491,25 +491,6 @@ let test_activity_refreshes_quiet_timer () =
         (Time.to_sec exit_t.Sched.at)
   | [] -> Alcotest.fail "no transitions"
 
-let test_pollers_only_in_fti () =
-  let config =
-    { Sched.default_config with Sched.quiet_timeout = Time.of_ms 20 }
-  in
-  let sched = Sched.create ~config () in
-  let polls = ref 0 in
-  ignore
-    (Sched.add_poller sched (fun () ->
-         incr polls;
-         Sched.Always));
-  ignore (Sched.schedule_at sched (Time.of_ms 500) (fun () -> ()));
-  ignore (Sched.run ~until:(Time.of_sec 1.0) sched);
-  check Alcotest.int "no polls in pure DES run" 0 !polls;
-  ignore
-    (Sched.schedule_at sched (Time.of_sec 1.1) (fun () ->
-         Sched.control_activity sched));
-  ignore (Sched.run ~until:(Time.of_sec 2.0) sched);
-  check Alcotest.bool "pollers ticked during FTI" true (!polls >= 20)
-
 let test_events_during_fti_execute () =
   let config =
     { Sched.default_config with Sched.quiet_timeout = Time.of_ms 30 }
@@ -658,39 +639,90 @@ let test_start_in_fti () =
        stats.Sched.transitions);
   check Alcotest.bool "some increments" true (stats.Sched.fti_increments >= 10)
 
-let test_fti_work_exceeds_des () =
-  (* The paper's core claim in miniature: the same quiet virtual hour
-     costs far less work in DES than in FTI. An always-runnable poller
-     pins FTI to stepping every increment and ticking the poller each
-     time — fast-forward exists precisely to erase this cost. *)
-  let run ~fti ~quiet_timeout =
+(* Fast-forward is an optimisation, not a behaviour: pacing steps
+   every increment (each one is meant to take wall time), so a paced
+   run is the stepped reference. [paced_differential ()] runs the same
+   events and control activity three times: in DES (no control
+   activity), in FTI with fast-forward, and in paced FTI. Pacing is
+   huge so the sleeps are negligible. *)
+let paced_due_us = [ 5_000; 35_500; 120_000; 210_250; 400_000 ]
+
+let paced_differential () =
+  let run ~pacing ~control =
     let config =
       {
         Sched.default_config with
-        Sched.quiet_timeout;
+        Sched.quiet_timeout = Time.of_ms 50;
         fti_increment = Time.of_ms 1;
+        fti_pacing = pacing;
       }
     in
     let sched = Sched.create ~config () in
-    if fti then Sched.control_activity sched;
-    ignore (Sched.add_poller sched (fun () -> Sched.Always));
-    Sched.run ~until:(Time.of_sec 3600.0) sched
+    let fired = ref [] in
+    List.iter
+      (fun us ->
+        ignore
+          (Sched.schedule_at sched (Time.of_us us) (fun () ->
+               fired := Time.to_us (Sched.now sched) :: !fired)))
+      paced_due_us;
+    if control then begin
+      Sched.control_activity sched;
+      List.iter
+        (fun ms ->
+          ignore
+            (Sched.schedule_at sched (Time.of_ms ms) (fun () ->
+                 Sched.control_activity ~reason:"probe" sched)))
+        [ 20; 200 ]
+    end;
+    let stats = Sched.run ~until:(Time.of_ms 500) sched in
+    (stats, List.rev !fired)
   in
-  let des = run ~fti:false ~quiet_timeout:(Time.of_sec 1.0) in
-  let fti = run ~fti:true ~quiet_timeout:(Time.of_sec 7200.0) in
+  ( run ~pacing:0.0 ~control:false,
+    run ~pacing:0.0 ~control:true,
+    run ~pacing:1e6 ~control:true )
+
+let test_fti_work_exceeds_des () =
+  (* The paper's core claim in miniature: the same run costs FTI one
+     increment per millisecond of control activity and DES none. The
+     paced run steps every one of them; fast-forward skips the idle
+     ones without changing the count. *)
+  let (des, _), (fast, _), (paced, _) = paced_differential () in
   check Alcotest.int "DES: no increments" 0 des.Sched.fti_increments;
-  check Alcotest.int "FTI: one increment per millisecond" 3_600_000
-    fti.Sched.fti_increments;
-  check Alcotest.int "FTI: every increment stepped" 0
-    fti.Sched.fti_increments_skipped;
-  check Alcotest.int "FTI: one poller tick per increment" 3_600_000
-    fti.Sched.poller_ticks;
-  check Alcotest.int "DES: no poller ticks" 0 des.Sched.poller_ticks
+  (* FTI from 0 to 70 ms and from 200 to 250 ms. *)
+  check Alcotest.int "FTI: one increment per millisecond" 120
+    fast.Sched.fti_increments;
+  check Alcotest.int "same increments" fast.Sched.fti_increments
+    paced.Sched.fti_increments;
+  check Alcotest.int "paced: every increment stepped" 0
+    paced.Sched.fti_increments_skipped;
+  check Alcotest.bool "unpaced: idle increments fast-forwarded" true
+    (fast.Sched.fti_increments_skipped > 0)
+
+let test_fast_forward_respects_events_and_quiet_timeout () =
+  (* Fast-forward must stop at event deadlines and at the quiet
+     timeout: with it on, events fire and modes change exactly when
+     they do in the stepped (paced) run. *)
+  let _, (fast, fast_fired), (paced, paced_fired) = paced_differential () in
+  let transitions (s : Sched.stats) =
+    List.map
+      (fun (tr : Sched.transition) ->
+        Printf.sprintf "%dus %s -> %s (%s)" (Time.to_us tr.at)
+          (Sched.mode_to_string tr.from_mode)
+          (Sched.mode_to_string tr.to_mode)
+          tr.reason)
+      s.Sched.transitions
+  in
+  check (Alcotest.list Alcotest.int) "event fired on time" paced_due_us
+    fast_fired;
+  check
+    (Alcotest.list Alcotest.string)
+    "same transitions" (transitions fast) (transitions paced);
+  check (Alcotest.list Alcotest.int) "same fire times" fast_fired paced_fired
 
 let test_fast_forward_skips_idle_fti () =
-  (* The same quiet virtual hour again, fast path on: the increment
-     count the experiment observes is unchanged, but almost all of the
-     boundaries are fast-forwarded in O(1) jumps rather than stepped. *)
+  (* A quiet virtual hour in FTI: the experiment still observes one
+     increment per millisecond, but almost all of the boundaries are
+     fast-forwarded in O(1) jumps rather than stepped. *)
   let config =
     {
       Sched.default_config with
@@ -707,38 +739,6 @@ let test_fast_forward_skips_idle_fti () =
     (stats.Sched.fti_increments_skipped > 3_599_000);
   check (Alcotest.float 1e-6) "virtual hour still elapses" 3600.0
     (Time.to_sec stats.Sched.end_time)
-
-let test_fast_forward_respects_events_and_pollers () =
-  (* Fast-forward must stop at event deadlines, and a runnable poller
-     (hint [Always]) pins the scheduler to eager stepping; a dozing
-     one ([Wake_at]) is woken exactly at its deadline. *)
-  let config =
-    {
-      Sched.default_config with
-      Sched.quiet_timeout = Time.of_sec 60.0;
-      fti_increment = Time.of_ms 1;
-    }
-  in
-  let sched = Sched.create ~config () in
-  Sched.control_activity sched;
-  let fired = ref (-1.0) in
-  ignore
-    (Sched.schedule_at sched (Time.of_sec 5.0) (fun () ->
-         fired := Time.to_sec (Sched.now sched)));
-  let wakes = ref [] in
-  ignore
-    (Sched.add_poller sched (fun () ->
-         wakes := Time.to_sec (Sched.now sched) :: !wakes;
-         Sched.Wake_at (Time.add (Sched.now sched) (Time.of_sec 2.0))));
-  ignore (Sched.run ~until:(Time.of_sec 10.0) sched);
-  check (Alcotest.float 1e-6) "event fired on time" 5.0 !fired;
-  (* Woken every 2 s from the first increment: 0, 2, ..., 10. *)
-  check Alcotest.int "poller woken at its deadlines only" 6
-    (List.length !wakes);
-  List.iteri
-    (fun i at ->
-      check (Alcotest.float 1e-6) "wake cadence" (float_of_int (5 - i) *. 2.0) at)
-    !wakes
 
 let test_rerun_continues () =
   let sched = Sched.create () in
@@ -902,7 +902,6 @@ let () =
             test_fti_transition_and_return;
           Alcotest.test_case "activity refreshes quiet timer" `Quick
             test_activity_refreshes_quiet_timer;
-          Alcotest.test_case "pollers only in FTI" `Quick test_pollers_only_in_fti;
           Alcotest.test_case "events during FTI" `Quick
             test_events_during_fti_execute;
           Alcotest.test_case "recurring + cancel" `Quick test_recurring_and_cancel;
@@ -918,12 +917,13 @@ let () =
             test_latch_fires_once_at_end_of_instant;
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "start in FTI" `Quick test_start_in_fti;
-          Alcotest.test_case "FTI work exceeds DES" `Slow
+          Alcotest.test_case "FTI work exceeds DES" `Quick
             test_fti_work_exceeds_des;
+          Alcotest.test_case
+            "fast-forward respects events and post-activity quiet timeout"
+            `Quick test_fast_forward_respects_events_and_quiet_timeout;
           Alcotest.test_case "fast-forward skips idle FTI" `Quick
             test_fast_forward_skips_idle_fti;
-          Alcotest.test_case "fast-forward respects events and pollers" `Quick
-            test_fast_forward_respects_events_and_pollers;
           Alcotest.test_case "re-run continues" `Quick test_rerun_continues;
           prop_sched_matches_reference;
           Alcotest.test_case "metrics agree with stats" `Quick
