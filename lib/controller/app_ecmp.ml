@@ -19,12 +19,7 @@ let hash_of_mode = function
   | Five_tuple -> Flow_key.hash_5tuple
   | Src_dst -> Flow_key.hash_src_dst
 
-let select_path mode key candidates =
-  match candidates with
-  | [] -> None
-  | _ :: _ ->
-      let hash = hash_of_mode mode key in
-      Some (List.nth candidates (Flow_key.select ~hash (List.length candidates)))
+let path_index mode key n = Flow_key.select ~hash:(hash_of_mode mode key) n
 
 let match_of_mode mode key =
   match mode with
@@ -49,8 +44,7 @@ let handle_packet_in t sw (pi : Ofmsg.packet_in) =
               Env.host_of_ip t.env key.Flow_key.dst )
           with
           | Some src, Some dst -> (
-              let candidates = Env.ecmp_paths t.env ~src ~dst in
-              match select_path t.mode key candidates with
+              match Env.ecmp_pick t.env ~src ~dst (path_index t.mode key) with
               | None -> ()
               | Some path ->
                   Install.install_path t.ctrl t.env
@@ -111,8 +105,9 @@ let handle_port_status t sw (ps : Ofmsg.port_status) =
                   Env.host_of_ip t.env key.Flow_key.dst )
               with
               | Some src, Some dst -> (
-                  let candidates = Env.ecmp_paths t.env ~src ~dst in
-                  match select_path t.mode key candidates with
+                  match
+                    Env.ecmp_pick t.env ~src ~dst (path_index t.mode key)
+                  with
                   | None -> ()
                   | Some path ->
                       Install.install_path t.ctrl t.env

@@ -2,12 +2,13 @@
     "SDN 5-tuple ECMP", with the (i)-style source/destination hash as
     an alternative mode.
 
-    On each PACKET_IN the application parses the frame, enumerates the
-    equal-cost shortest paths between the two hosts, picks one by
-    hashing the flow key, installs exact-match entries along the path,
-    and releases the packet with PACKET_OUT. All control-plane
-    activity is therefore concentrated at flow arrival — exactly the
-    pattern the paper uses to showcase the DES/FTI transition. *)
+    On each PACKET_IN the application parses the frame, hashes the
+    flow key to an index among the equal-cost shortest paths between
+    the two hosts, builds only that path ({!Env.ecmp_pick}), installs
+    exact-match entries along it, and releases the packet with
+    PACKET_OUT. All control-plane activity is therefore concentrated
+    at flow arrival — exactly the pattern the paper uses to showcase
+    the DES/FTI transition. *)
 
 open Horse_net
 open Horse_topo
@@ -43,6 +44,8 @@ val path_of : t -> Flow_key.t -> Spf.path option
 
 val routed_flows : t -> (Flow_key.t * Spf.path) list
 
-val select_path : mode -> Flow_key.t -> Spf.path list -> Spf.path option
-(** The pure path-choice function (hash then index), exposed for
-    property tests; [None] on an empty candidate list. *)
+val path_index : mode -> Flow_key.t -> int -> int
+(** [path_index mode key n] is the index, below [n], of the path a
+    flow takes among [n] equal-cost candidates: the flow key's hash
+    under [mode], reduced by {!Flow_key.select}. Pure; exposed for
+    tests. *)

@@ -52,6 +52,9 @@ let set_link_usable t link_id usable = t.down.(link_id) <- not usable
 let ecmp_paths t ~src ~dst =
   Spf.ecmp_between ~usable:t.usable t.ws t.env_topo ~src ~dst
 
+let ecmp_pick t ~src ~dst index =
+  Spf.ecmp_pick ~usable:t.usable t.ws t.env_topo ~src ~dst index
+
 let edge_switch_of_host t host =
   List.find_map
     (fun (l : Topology.link) ->

@@ -36,7 +36,15 @@ val ecmp_paths : t -> src:int -> dst:int -> Spf.path list
 (** All equal-cost shortest paths between two nodes over usable links,
     in {!Spf.ecmp_paths} order (at most 64). Each call is one
     {!Spf.ecmp_between} search; nothing is cached, since a reactive
-    controller rarely asks twice from the same source. *)
+    controller rarely asks twice from the same source. Hedera scores
+    the whole list; an application that keeps one path uses
+    {!ecmp_pick}. *)
+
+val ecmp_pick : t -> src:int -> dst:int -> (int -> int) -> Spf.path option
+(** [ecmp_pick t ~src ~dst index] is path [index n] of the [n] that
+    {!ecmp_paths} would return ([1 <= n <= 64]), built alone by
+    {!Spf.ecmp_pick}: same order, same cap, no list of candidates.
+    [None], without calling [index], when there is no path. *)
 
 val edge_switch_of_host : t -> int -> int option
 (** The switch adjacent to a host node. *)
@@ -46,7 +54,7 @@ val edge_dpids : t -> int list
 
 val set_link_usable : t -> int -> bool -> unit
 (** Administratively marks a directed link up/down; down links are
-    excluded from {!ecmp_paths}. The applications call this from
-    PORT_STATUS notifications. *)
+    excluded from {!ecmp_paths} and {!ecmp_pick}. The applications
+    call this from PORT_STATUS notifications. *)
 
 val link_usable : t -> int -> bool

@@ -21,6 +21,15 @@ type stats = {
 }
 
 module MKtbl = Hashtbl.Make (Ofmatch.Match_key)
+module Seqs = Map.Make (Int)
+
+(* Timed entries ordered by (deadline, seq). *)
+module Deadlines = Set.Make (struct
+  type t = Time.t * int
+
+  let compare (da, sa) (db, sb) =
+    match Time.compare da db with 0 -> Int.compare sa sb | c -> c
+end)
 
 type t = {
   cls : entry Classifier.t;
@@ -31,6 +40,12 @@ type t = {
   (* Lazy (seq, entry) list sorted in match order — only entries/stats
      iteration and pp pay for sorting. *)
   mutable view : (int * entry) list option;
+  (* Only entries with a timeout are filed here, under the deadline
+     they had when filed; [filed] maps their seq to that deadline.
+     [account] moves an idle deadline later without refiling, so a
+     filed deadline is never later than the entry's real one. *)
+  mutable deadlines : Deadlines.t;
+  mutable filed : Time.t Seqs.t;
   stats : stats;
 }
 
@@ -42,6 +57,8 @@ let create () =
     count = 0;
     next_seq = 0;
     view = None;
+    deadlines = Deadlines.empty;
+    filed = Seqs.empty;
     stats = { hits = 0; misses = 0; probes = 0; view_sorts = 0 };
   }
 
@@ -63,6 +80,35 @@ let view t =
       t.stats.view_sorts <- t.stats.view_sorts + 1;
       t.view <- Some v;
       v
+
+(* ---- deadlines -------------------------------------------------- *)
+
+let deadline e =
+  match (e.hard_timeout, e.idle_timeout) with
+  | None, None -> None
+  | Some hard, None -> Some (Time.add e.installed_at hard)
+  | None, Some idle -> Some (Time.add e.last_used idle)
+  | Some hard, Some idle ->
+      Some (Time.min (Time.add e.installed_at hard) (Time.add e.last_used idle))
+
+let file t seq e =
+  match deadline e with
+  | None -> ()
+  | Some d ->
+      t.deadlines <- Deadlines.add (d, seq) t.deadlines;
+      t.filed <- Seqs.add seq d t.filed
+
+let unfile t seq =
+  match Seqs.find_opt seq t.filed with
+  | None -> ()
+  | Some d ->
+      t.deadlines <- Deadlines.remove (d, seq) t.deadlines;
+      t.filed <- Seqs.remove seq t.filed
+
+let next_deadline t =
+  match Deadlines.min_elt_opt t.deadlines with
+  | Some (d, _) -> Some d
+  | None -> None
 
 (* ---- master rule set ------------------------------------------- *)
 
@@ -98,6 +144,7 @@ let add_rule t ~now (fm : Ofmsg.flow_mod) =
   | Some cell -> cell := seq :: !cell
   | None -> MKtbl.add t.by_match key (ref [ seq ]));
   Classifier.insert t.cls ~match_:fm.Ofmsg.match_ ~priority:fm.Ofmsg.priority ~seq entry;
+  file t seq entry;
   t.count <- t.count + 1;
   t.view <- None
 
@@ -114,6 +161,7 @@ let remove_seq t seq =
           | kept -> cell := kept)
       | None -> ());
       Classifier.remove t.cls ~match_:e.match_ ~seq;
+      unfile t seq;
       t.count <- t.count - 1;
       t.view <- None;
       Some e
@@ -174,24 +222,24 @@ let account entry ~now ~packets ~bytes =
   entry.bytes <- entry.bytes + bytes;
   entry.last_used <- now
 
-let expired_at now e =
-  let hard_hit =
-    match e.hard_timeout with
-    | Some dt -> Time.(Time.sub now e.installed_at >= dt)
-    | None -> false
-  in
-  let idle_hit =
-    match e.idle_timeout with
-    | Some dt -> Time.(Time.sub now e.last_used >= dt)
-    | None -> false
-  in
-  hard_hit || idle_hit
-
+(* Pops every filed deadline up to [now]. An entry whose idle deadline
+   has moved past [now] since it was filed is refiled, not expired. *)
 let expire t ~now =
-  let doomed =
-    Hashtbl.fold (fun s e acc -> if expired_at now e then s :: acc else acc) t.by_seq []
+  let rec sweep gone =
+    match Deadlines.min_elt_opt t.deadlines with
+    | Some ((d, seq) as key) when Time.(d <= now) -> (
+        t.deadlines <- Deadlines.remove key t.deadlines;
+        t.filed <- Seqs.remove seq t.filed;
+        let e = Hashtbl.find t.by_seq seq in
+        match deadline e with
+        | Some d' when Time.(d' > now) ->
+            file t seq e;
+            sweep gone
+        | Some _ | None -> sweep ((seq, e) :: gone))
+    | Some _ | None -> gone
   in
-  let gone = remove_seqs t (List.sort Int.compare doomed) in
+  let gone = sweep [] in
+  List.iter (fun (seq, _) -> ignore (remove_seq t seq : entry option)) gone;
   List.map snd (List.sort order gone)
 
 let entries t = List.map snd (view t)
@@ -205,6 +253,8 @@ let clear t =
   Hashtbl.reset t.by_seq;
   MKtbl.reset t.by_match;
   Classifier.clear t.cls;
+  t.deadlines <- Deadlines.empty;
+  t.filed <- Seqs.empty;
   t.count <- 0;
   t.view <- None
 

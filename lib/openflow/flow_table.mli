@@ -9,9 +9,12 @@
     Matching returns the highest-priority matching entry; among equal
     priorities the oldest entry wins (stable, deterministic).
     {!entries} lists the same physical records in that match order, so
-    a linear scan over it is the test oracle for {!lookup}.  Expiry is
-    driven explicitly by the owner via {!expire} — the switch agent
-    calls it from a periodic virtual-time timer. *)
+    a linear scan over it is the test oracle for {!lookup}.
+
+    Expiry is driven by the owner via {!expire}. The table files only
+    the entries that have an idle or hard timeout, in a deadline set of
+    their own, so a table without timed entries pays nothing for
+    expiry. The switch agent aims one event at {!next_deadline}. *)
 
 open Horse_engine
 
@@ -58,10 +61,20 @@ val lookup : t -> Ofmatch.fields -> entry option
     hits the entry. *)
 
 val account : entry -> now:Time.t -> packets:int -> bytes:int -> unit
-(** Adds to the counters and refreshes the idle timestamp. *)
+(** Adds to the counters and refreshes the idle timestamp. The entry's
+    filed deadline is not moved: {!expire} refiles it lazily. *)
+
+val next_deadline : t -> Time.t option
+(** The earliest filed deadline, [None] when no entry has a timeout.
+    An idle deadline that {!account} has since moved is reported as
+    filed, so this is never later than the first real expiry. *)
 
 val expire : t -> now:Time.t -> entry list
-(** Removes and returns entries past an idle or hard deadline. *)
+(** Removes and returns, in match order, the entries past an idle or
+    hard deadline. It pops only the filed deadlines at or before
+    [now], refiling an entry whose idle deadline has moved past
+    [now]: O((k + r) log m) for k expired and r refiled entries out
+    of m timed ones, independent of the untimed entries. *)
 
 val entries : t -> entry list
 (** Priority order (the match order): the first entry whose match

@@ -48,11 +48,6 @@ let make_metrics ~dpid reg =
         "lookup_misses_total";
   }
 
-(* Last published per-switch values: lookup stats are accumulated
-   inside the flow table on the hot path and folded into the shared
-   registry as deltas from the expiry timer and flow_mod handler. *)
-type snap = { mutable p_hits : int; mutable p_miss : int }
-
 type t = {
   proc : Process.t;
   dpid : int;
@@ -71,23 +66,36 @@ type t = {
   mutable started : bool;
   down_ports : (int, unit) Hashtbl.t;
   mutable rev_flow_prov : (Ofmsg.flow_mod * Causal.id) list;
-  snap : snap;
+  mutable expiry : Event_queue.handle option;
 }
 
-let sync_lookup_metrics t =
-  let st = Flow_table.stats t.table in
-  let s = t.snap in
-  Counter.add t.m.m_tss_hits (st.Flow_table.hits - s.p_hits);
-  Counter.add t.m.m_lookup_misses (st.Flow_table.misses - s.p_miss);
-  s.p_hits <- st.Flow_table.hits;
-  s.p_miss <- st.Flow_table.misses
-
-let now t = Sched.now (Process.scheduler t.proc)
+let sched t = Process.scheduler t.proc
+let now t = Sched.now (sched t)
 
 let tracef t fmt =
   match t.trace with
   | Some trace -> Trace.addf trace ~at:(now t) ~label:"ofswitch" fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+
+(* One expiry event per table, aimed at its earliest filed deadline
+   and re-aimed in place; cancelled while no entry has a timeout. *)
+let rec aim_expiry t =
+  match (Flow_table.next_deadline t.table, t.expiry) with
+  | Some d, Some h -> Sched.reschedule (sched t) h d
+  | Some d, None ->
+      t.expiry <- Some (Sched.schedule_at (sched t) d (fun () -> expire t))
+  | None, Some h -> Sched.cancel h
+  | None, None -> ()
+
+(* A dead switch expires nothing; its restart hook re-aims. *)
+and expire t =
+  if Process.is_alive t.proc then begin
+    let gone = Flow_table.expire t.table ~now:(now t) in
+    if gone <> [] then
+      Gauge.add t.m.g_table (-.float_of_int (List.length gone));
+    List.iter (fun e -> List.iter (fun f -> f e) t.expired_hooks) gone;
+    aim_expiry t
+  end
 
 let send t msg = Channel.send t.endpoint (Ofmsg.encode msg)
 let send_xid t xid msg = Channel.send t.endpoint (Ofmsg.encode ~xid msg)
@@ -114,7 +122,7 @@ let handle t msg xid =
           Flow_table.apply_flow_mod t.table ~now:(now t) fm;
           Gauge.add t.m.g_table
             (float_of_int (Flow_table.size t.table - before));
-          sync_lookup_metrics t;
+          aim_expiry t;
           tracef t "flow_mod applied (table size %d)" (Flow_table.size t.table);
           List.iter (fun f -> f fm) t.flow_mod_hooks)
   | Ofmsg.Packet_out po -> List.iter (fun f -> f po) t.packet_out_hooks
@@ -197,25 +205,17 @@ let create ?trace proc ~dpid ~ports endpoint =
       started = false;
       down_ports = Hashtbl.create 4;
       rev_flow_prov = [];
-      snap = { p_hits = 0; p_miss = 0 };
+      expiry = None;
     }
   in
   Channel.set_receiver endpoint (fun bytes -> receive t bytes);
+  Process.on_restart proc (fun () -> aim_expiry t);
   t
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    send t Ofmsg.Hello;
-    ignore
-      (Process.every t.proc (Time.of_sec 1.0) (fun () ->
-           let gone = Flow_table.expire t.table ~now:(now t) in
-           if gone <> [] then
-             Gauge.add t.m.g_table (-.float_of_int (List.length gone));
-           sync_lookup_metrics t;
-           List.iter
-             (fun e -> List.iter (fun f -> f e) t.expired_hooks)
-             gone))
+    send t Ofmsg.Hello
   end
 
 let dpid t = t.dpid
@@ -247,7 +247,14 @@ let port_of_link t link =
     (fun (p, l) -> if l = link then Some p else None)
     t.port_to_link
 
-let lookup t fields = Flow_table.lookup t.table fields
+let lookup t fields =
+  match Flow_table.lookup t.table fields with
+  | Some _ as hit ->
+      Counter.incr t.m.m_tss_hits;
+      hit
+  | None ->
+      Counter.incr t.m.m_lookup_misses;
+      None
 
 let packet_in t ~in_port ?(reason = 0) data =
   t.packet_ins <- t.packet_ins + 1;

@@ -25,7 +25,10 @@ val create :
     @raise Invalid_argument on duplicate port numbers. *)
 
 val start : t -> unit
-(** Sends HELLO and arms the expiry timer (1 s cadence). *)
+(** Sends HELLO. Timeouts need no start: each FLOW_MOD re-aims the
+    switch's one expiry event at {!Flow_table.next_deadline}, so a
+    timed entry expires at its exact deadline and a table without
+    timed entries has no pending event. *)
 
 val dpid : t -> int
 val table : t -> Flow_table.t
@@ -47,7 +50,8 @@ val is_port_down : t -> int -> bool
 
 val lookup : t -> Ofmatch.fields -> Flow_table.entry option
 (** {!Flow_table.lookup} on the switch's table; no externally visible
-    side effects (lookup counters only). *)
+    side effects. Each call bumps [horse_openflow_tss_hits_total] or
+    [horse_openflow_lookup_misses_total] for this dpid. *)
 
 val packet_in : t -> in_port:int -> ?reason:int -> Bytes.t -> unit
 (** Reports a table miss (or explicit to-controller action) upstream. *)
@@ -58,7 +62,8 @@ val on_flow_mod : t -> (Ofmsg.flow_mod -> unit) -> unit
 val on_packet_out : t -> (Ofmsg.packet_out -> unit) -> unit
 
 val on_expired : t -> (Flow_table.entry -> unit) -> unit
-(** Fired for each entry removed by idle/hard timeout. *)
+(** Fired for each entry removed by idle/hard timeout, at its
+    deadline. An entry removed by a FLOW_MOD DELETE fires nothing. *)
 
 val set_flow_stats_provider : t -> (Flow_table.entry -> int * int) -> unit
 (** Overrides the (packets, bytes) reported for an entry in flow

@@ -13,12 +13,22 @@ type workspace = {
   mutable dist : int array;
   mutable stamp : int array;
   mutable queue : int array;
+  mutable count : int array;
+  mutable counted : int array;
   mutable epoch : int;
   mutable expanded : int;
 }
 
 let workspace () =
-  { dist = [||]; stamp = [||]; queue = [||]; epoch = 0; expanded = 0 }
+  {
+    dist = [||];
+    stamp = [||];
+    queue = [||];
+    count = [||];
+    counted = [||];
+    epoch = 0;
+    expanded = 0;
+  }
 
 let expanded ws = ws.expanded
 
@@ -36,6 +46,8 @@ let bfs ws ~usable topo ~src ~stop =
     ws.dist <- Array.make n 0;
     ws.stamp <- Array.make n 0;
     ws.queue <- Array.make n 0;
+    ws.count <- Array.make n 0;
+    ws.counted <- Array.make n 0;
     ws.epoch <- 0
   end;
   let epoch = ws.epoch + 1 in
@@ -117,6 +129,65 @@ let ecmp_between ~usable ws topo ~src ~dst =
     else
       enumerate ~max_paths:default_max_paths ~src ~dst
         (iter_preds ~usable topo (hops ws))
+  end
+
+(* Shortest paths from [src] to [v] over the last search, saturating at
+   [default_max_paths]: at most that many are ever enumerated, and an
+   index below the cap descends the same way whether or not a count is
+   saturated. Memoised in [count] while [counted] holds the epoch. *)
+let rec paths_to ws ~usable topo ~src v =
+  if v = src then 1
+  else if ws.counted.(v) = ws.epoch then ws.count.(v)
+  else begin
+    let d = hops ws v - 1 in
+    let rec sum acc = function
+      | [] -> acc
+      | (out : Topology.link) :: rest ->
+          let l = Topology.link topo out.Topology.peer in
+          if hops ws l.Topology.src = d && usable l then
+            let acc =
+              min default_max_paths
+                (acc + paths_to ws ~usable topo ~src l.Topology.src)
+            in
+            if acc = default_max_paths then acc else sum acc rest
+          else sum acc rest
+    in
+    let c = sum 0 (Topology.out_links topo v) in
+    ws.counted.(v) <- ws.epoch;
+    ws.count.(v) <- c;
+    c
+  end
+
+(* Path [i] of the backward enumeration from [v]: the in-links are
+   tried in ascending id, as [iter_preds] yields them, and each one
+   covers as many indices as there are paths to its source. *)
+let rec nth_path ws ~usable topo ~src v i suffix =
+  if v = src then suffix
+  else
+    let d = hops ws v - 1 in
+    let rec choose i = function
+      | [] -> invalid_arg "Spf.ecmp_pick: index beyond the path count"
+      | (out : Topology.link) :: rest ->
+          let l = Topology.link topo out.Topology.peer in
+          if hops ws l.Topology.src = d && usable l then
+            let c = paths_to ws ~usable topo ~src l.Topology.src in
+            if i >= c then choose (i - c) rest
+            else nth_path ws ~usable topo ~src l.Topology.src i (l :: suffix)
+          else choose i rest
+    in
+    choose i (Topology.out_links topo v)
+
+let ecmp_pick ~usable ws topo ~src ~dst index =
+  ws.expanded <- 0;
+  if src = dst || dst < 0 || dst >= Topology.n_nodes topo then None
+  else begin
+    bfs ws ~usable topo ~src ~stop:dst;
+    if hops ws dst = max_int then None
+    else
+      let n = paths_to ws ~usable topo ~src dst in
+      let i = index n in
+      if i < 0 || i >= n then invalid_arg "Spf.ecmp_pick: index out of range";
+      Some (nth_path ws ~usable topo ~src dst i [])
   end
 
 let distance (tree : tree) v =

@@ -41,11 +41,13 @@ val ecmp_paths : ?max_paths:int -> tree -> Topology.t -> dst:int -> path list
     A controller asks for the paths of one (src, dst) pair at a time and
     rarely asks twice from the same source, so a full tree per query
     wastes most of its work. {!ecmp_between} searches only as far as
-    [dst] on a reusable workspace. *)
+    [dst] on a reusable workspace, and {!ecmp_pick} also builds only
+    the one path the caller keeps. *)
 
 type workspace
-(** Scratch arrays for {!ecmp_between}, grown to the topology's node
-    count on first use and reset in O(1) between queries. *)
+(** Scratch arrays for {!ecmp_between} and {!ecmp_pick}, grown to
+    the topology's node count on first use and reset in O(1) between
+    queries. *)
 
 val workspace : unit -> workspace
 
@@ -62,9 +64,28 @@ val ecmp_between :
     Needs every link to come from {!Topology.add_duplex}, which is the
     only link constructor. *)
 
+val ecmp_pick :
+  usable:(Topology.link -> bool) ->
+  workspace ->
+  Topology.t ->
+  src:int ->
+  dst:int ->
+  (int -> int) ->
+  path option
+(** [ecmp_pick ~usable ws topo ~src ~dst index] is
+    [Some (List.nth paths (index (List.length paths)))] for
+    [paths = ecmp_between ~usable ws topo ~src ~dst], without building
+    the list: the same search, then a count of the shortest paths to
+    each node on the way back from [dst] (saturating at the 64-path
+    cap), then only the chosen path. [index] receives the count,
+    between 1 and 64, and must return an index below it. [None],
+    without calling [index], when [ecmp_between] would return [].
+    @raise Invalid_argument if [index] returns an index out of
+    range. *)
+
 val expanded : workspace -> int
-(** Nodes whose out-links the last {!ecmp_between} scanned (0 for
-    [src = dst]); a work counter for tests. *)
+(** Nodes whose out-links the last {!ecmp_between} or {!ecmp_pick}
+    scanned (0 for [src = dst]); a work counter for tests. *)
 
 val all_pairs_hops : Topology.t -> int array array
 (** Floyd–Warshall hop-count matrix ([max_int] = unreachable); an

@@ -280,24 +280,20 @@ let test_annealing_finds_spread () =
 
 (* --- App_ecmp ---------------------------------------------------------------- *)
 
-let test_select_path_pure () =
-  let _, path_up, path_down = diamond_paths () in
+let test_path_index_pure () =
   let key =
     Flow_key.make ~src:(ip "10.0.0.2") ~dst:(ip "10.1.0.2") ~src_port:1 ~dst_port:2 ()
   in
-  check Alcotest.bool "none on empty" true
-    (App_ecmp.select_path App_ecmp.Five_tuple key [] = None);
-  let candidates = [ path_up; path_down ] in
-  let chosen = App_ecmp.select_path App_ecmp.Five_tuple key candidates in
-  check Alcotest.bool "chooses a candidate" true
-    (match chosen with Some c -> List.memq c candidates | None -> false);
-  check Alcotest.bool "deterministic" true
-    (App_ecmp.select_path App_ecmp.Five_tuple key candidates = chosen);
+  check Alcotest.int "one candidate" 0 (App_ecmp.path_index App_ecmp.Five_tuple key 1);
+  let chosen = App_ecmp.path_index App_ecmp.Five_tuple key 64 in
+  check Alcotest.bool "below the count" true (0 <= chosen && chosen < 64);
+  check Alcotest.int "deterministic" chosen
+    (App_ecmp.path_index App_ecmp.Five_tuple key 64);
   (* src/dst mode must ignore port changes. *)
   let key' = { key with Flow_key.src_port = 999 } in
-  check Alcotest.bool "src_dst ignores ports" true
-    (App_ecmp.select_path App_ecmp.Src_dst key candidates
-    = App_ecmp.select_path App_ecmp.Src_dst key' candidates)
+  check Alcotest.int "src_dst ignores ports"
+    (App_ecmp.path_index App_ecmp.Src_dst key 64)
+    (App_ecmp.path_index App_ecmp.Src_dst key' 64)
 
 (* Single-switch environment: h0 - s0 - h1. *)
 let mini_env_rig () =
@@ -437,9 +433,30 @@ let reference_hops topo ~down ~src ~dst =
   done;
   dist.(dst)
 
+(* [Env.ecmp_pick] is told the number of [paths] and builds path [i]
+   for each index [i] below it; with no path it returns [None] without
+   asking for an index. *)
+let pick_agrees env paths ~src ~dst =
+  let n = List.length paths in
+  let told = ref 0 in
+  let pick i =
+    Env.ecmp_pick env ~src ~dst (fun count ->
+        told := count;
+        i)
+  in
+  if n = 0 then pick 0 = None && !told = 0
+  else
+    List.for_all
+      (fun i ->
+        match pick i with
+        | Some p -> !told = n && link_ids [ p ] = link_ids [ List.nth paths i ]
+        | None -> false)
+      (List.init n Fun.id)
+
 (* Equal to the tree's paths, and consistent with the reference BFS:
    no path when src = dst or dst is cut off, otherwise at least one,
-   each of the shortest length and over up links only. *)
+   each of the shortest length and over up links only. The pick agrees
+   with the enumeration index by index. *)
 let same_paths env ~down ~src ~dst =
   let topo = Env.topo env in
   let paths = Env.ecmp_paths env ~src ~dst in
@@ -453,6 +470,7 @@ let same_paths env ~down ~src ~dst =
               (fun (l : Topology.link) -> not (Hashtbl.mem down l.Topology.link_id))
               p)
        paths
+  && pick_agrees env paths ~src ~dst
 
 (* Marks a link down or up in both the Env and the oracle's model. *)
 let set_link env down id up =
@@ -556,7 +574,7 @@ let () =
         ] );
       ( "apps",
         [
-          Alcotest.test_case "select_path pure" `Quick test_select_path_pure;
+          Alcotest.test_case "path_index pure" `Quick test_path_index_pure;
           Alcotest.test_case "env helpers" `Quick test_env_helpers;
           Alcotest.test_case "ecmp reactive" `Quick test_app_ecmp_reactive;
           Alcotest.test_case "learning switch" `Quick test_app_learning;

@@ -531,7 +531,8 @@ let test_o1_size_no_resort () =
 
 (* Differential suite: random flow_mod / traffic / expiry
    interleavings; on every probe the tuple-space search must return
-   the physically-same entry as the linear scan over the entries. *)
+   the physically-same entry as the linear scan over the entries, and
+   on every tick the deadline set must agree with a scan. *)
 let gen_op =
   let open QCheck2.Gen in
   let gen_fm =
@@ -561,6 +562,37 @@ let gen_op =
       (1, return `Tick);
     ]
 
+(* An entry's real deadline, read off its timeouts and timestamps. *)
+let entry_deadline (e : Flow_table.entry) =
+  let after start = Option.map (Time.add start) in
+  match
+    (after e.Flow_table.installed_at e.Flow_table.hard_timeout,
+     after e.Flow_table.last_used e.Flow_table.idle_timeout)
+  with
+  | None, None -> None
+  | Some d, None | None, Some d -> Some d
+  | Some h, Some i -> Some (Time.min h i)
+
+(* The deadline set against a scan of every entry: [next_deadline] is
+   [None] exactly when no entry has a timeout and is never later than
+   the earliest real deadline, and [expire] removes exactly the
+   entries past theirs, in match order. *)
+let expire_matches_scan t ~now =
+  let deadlines = List.filter_map entry_deadline (Flow_table.entries t) in
+  let next_ok =
+    match (Flow_table.next_deadline t, deadlines) with
+    | None, [] -> true
+    | Some d, _ :: _ -> List.for_all (fun d' -> Time.(d <= d')) deadlines
+    | None, _ :: _ | Some _, [] -> false
+  in
+  let due =
+    List.filter
+      (fun e ->
+        match entry_deadline e with Some d -> Time.(d <= now) | None -> false)
+      (Flow_table.entries t)
+  in
+  next_ok && List.equal ( == ) due (Flow_table.expire t ~now)
+
 let run_differential ops =
   let t = Flow_table.create () in
   let now = ref Time.zero in
@@ -571,12 +603,14 @@ let run_differential ops =
           Flow_table.apply_flow_mod t ~now:!now fm;
           true
       | `Tick ->
-          now := Time.add !now (Time.of_sec 1.0);
-          ignore (Flow_table.expire t ~now:!now);
-          true
+          now := Time.add !now (Time.of_ms 500);
+          expire_matches_scan t ~now:!now
       | `Probe f -> (
           match (Flow_table.lookup t f, Horse_test_support.lookup_reference t f) with
-          | Some a, Some b -> a == b
+          | Some a, Some b ->
+              (* Traffic on the hit moves its idle deadline. *)
+              Flow_table.account a ~now:!now ~packets:1 ~bytes:64;
+              a == b
           | None, None -> true
           | _ -> false))
     ops
@@ -641,7 +675,22 @@ let test_switch_flow_mod_and_lookup () =
   check (Alcotest.option Alcotest.int) "port->link" (Some 200)
     (Switch.link_of_port agent 2);
   check (Alcotest.option Alcotest.int) "link->port" (Some 1)
-    (Switch.port_of_link agent 100)
+    (Switch.port_of_link agent 100);
+  (* Each lookup counts itself, labelled with the dpid. *)
+  ignore (Switch.lookup agent (fields key_ab));
+  ignore (Switch.lookup agent (fields { key_ab with Flow_key.src_port = 1 }));
+  let counter labels name =
+    match
+      Horse_telemetry.Registry.find_counter
+        (Sched.registry sched) ~labels ("horse_openflow_" ^ name)
+    with
+    | Some c -> Horse_telemetry.Registry.Counter.value c
+    | None -> Alcotest.failf "counter horse_openflow_%s not registered" name
+  in
+  check Alcotest.int "hits counted" 2
+    (counter [ ("dpid", "42"); ("table", "classifier") ] "tss_hits_total");
+  check Alcotest.int "miss counted" 1
+    (counter [ ("dpid", "42") ] "lookup_misses_total")
 
 let test_switch_packet_in_and_stats () =
   let sched, agent, ctrl_end, inbox = switch_rig () in
@@ -681,20 +730,87 @@ let test_switch_packet_in_and_stats () =
   in
   check Alcotest.bool "stats served by provider" true stats_ok
 
+(* Each case runs on a fresh [switch_rig] (1 ms channel); [send_at]
+   hands a FLOW_MOD to the channel, so it is applied 1 ms later. *)
 let test_switch_expiry_hook () =
-  let sched, agent, ctrl_end, _ = switch_rig () in
-  let expired = ref [] in
-  Switch.on_expired agent (fun e -> expired := e :: !expired);
-  Switch.start agent;
-  ignore
-    (Sched.schedule_at sched Time.zero (fun () ->
-         Channel.send ctrl_end
-           (Ofmsg.encode
-              (Ofmsg.Flow_mod
-                 (flow_mod ~hard:2 (Ofmatch.exact_5tuple key_ab) [ Action.Output 1 ])))));
+  let module Registry = Horse_telemetry.Registry in
+  let case () =
+    let sched, agent, ctrl_end, _ = switch_rig () in
+    let expired = ref [] in
+    Switch.on_expired agent (fun e -> expired := (Sched.now sched, e) :: !expired);
+    Switch.start agent;
+    let send_at at fm =
+      ignore
+        (Sched.schedule_at sched at (fun () ->
+             Channel.send ctrl_end (Ofmsg.encode (Ofmsg.Flow_mod fm))))
+    in
+    (sched, agent, expired, send_at)
+  in
+  let fired_at expired = List.map (fun (at, _) -> Time.to_us at) !expired in
+  let pending sched =
+    ignore (Sched.snapshot sched);
+    match
+      Registry.find_gauge (Sched.registry sched) "horse_sched_pending_events"
+    with
+    | Some g -> int_of_float (Registry.Gauge.value g)
+    | None -> Alcotest.fail "gauge horse_sched_pending_events not registered"
+  in
+  let m = Ofmatch.exact_5tuple key_ab in
+  (* A hard timeout fires at its deadline, not at a whole second. *)
+  let sched, agent, expired, send_at = case () in
+  send_at (Time.of_ms 499) (flow_mod ~hard:1 m [ Action.Output 1 ]);
   run sched (Time.of_sec 5.0);
-  check Alcotest.int "expired exactly once" 1 (List.length !expired);
-  check Alcotest.int "table empty" 0 (Flow_table.size (Switch.table agent))
+  check (Alcotest.list Alcotest.int) "hard 1 s installed at 0.5 s fires at 1.5 s"
+    [ 1_500_000 ] (fired_at expired);
+  check Alcotest.int "table empty" 0 (Flow_table.size (Switch.table agent));
+  check Alcotest.int "no expiry event left" 0 (pending sched);
+  (* Traffic moves an idle deadline; the expiry event follows it. *)
+  let sched, agent, expired, send_at = case () in
+  send_at (Time.of_ms 999) (flow_mod ~idle:5 m [ Action.Output 1 ]);
+  ignore
+    (Sched.schedule_at sched (Time.of_sec 3.0) (fun () ->
+         match Switch.lookup agent (fields key_ab) with
+         | Some e -> Flow_table.account e ~now:(Sched.now sched) ~packets:1 ~bytes:100
+         | None -> Alcotest.fail "idle entry missing at 3 s"));
+  run sched (Time.of_sec 7.999);
+  check Alcotest.int "alive until 8 s" 0 (List.length !expired);
+  run sched (Time.of_sec 10.0);
+  check (Alcotest.list Alcotest.int) "idle 5 s used at 3 s fires at 8 s"
+    [ 8_000_000 ] (fired_at expired);
+  check Alcotest.int "idle table empty" 0 (Flow_table.size (Switch.table agent));
+  (* A DELETE removes a timed entry without an expiry. *)
+  let sched, agent, expired, send_at = case () in
+  send_at Time.zero (flow_mod ~hard:2 m [ Action.Output 1 ]);
+  send_at (Time.of_sec 1.0) (flow_mod ~command:Ofmsg.Delete m []);
+  run sched (Time.of_sec 5.0);
+  check Alcotest.int "delete fires no hook" 0 (List.length !expired);
+  check Alcotest.int "deleted" 0 (Flow_table.size (Switch.table agent));
+  check Alcotest.int "delete cancels the expiry event" 0 (pending sched);
+  (* Untimed entries arm nothing. *)
+  let sched, agent, expired, send_at = case () in
+  send_at Time.zero (flow_mod m [ Action.Output 1 ]);
+  send_at Time.zero (flow_mod ~priority:20 Ofmatch.any [ Action.Output 2 ]);
+  run sched (Time.of_sec 5.0);
+  check Alcotest.int "untimed entries stay" 2 (Flow_table.size (Switch.table agent));
+  check Alcotest.int "untimed: no hook" 0 (List.length !expired);
+  check Alcotest.int "untimed: no pending event" 0 (pending sched);
+  (* Like every timer of a killed process, expiry waits for the
+     restart, which re-aims it. *)
+  let sched = Sched.create () in
+  let proc = Process.create sched ~name:"sw" in
+  let sw_end, ctrl_end =
+    Channel.endpoints (Channel.create sched ~latency:(Time.of_ms 1) ())
+  in
+  let agent = Switch.create proc ~dpid:42 ~ports:[ (1, 100) ] sw_end in
+  let expired = ref [] in
+  Switch.on_expired agent (fun e -> expired := (Sched.now sched, e) :: !expired);
+  Channel.send ctrl_end
+    (Ofmsg.encode (Ofmsg.Flow_mod (flow_mod ~hard:1 m [ Action.Output 1 ])));
+  ignore (Sched.schedule_at sched (Time.of_ms 500) (fun () -> Process.kill proc));
+  ignore (Sched.schedule_at sched (Time.of_sec 3.0) (fun () -> Process.restart proc));
+  run sched (Time.of_sec 5.0);
+  check (Alcotest.list Alcotest.int) "dead at 1.001 s, expired at the 3 s restart"
+    [ 3_000_000 ] (fired_at expired)
 
 let test_switch_port_down () =
   let sched, agent, _ctrl_end, inbox = switch_rig () in

@@ -240,7 +240,14 @@ let test_ecmp_between_work () =
   check Alcotest.int "same-edge paths" 1 (List.length paths);
   check Alcotest.bool "same-edge expands <= 2" true (Spf.expanded ws <= 2);
   ignore (Spf.ecmp_between ~usable ws topo ~src ~dst:src);
-  check Alcotest.int "src = dst expands nothing" 0 (Spf.expanded ws)
+  check Alcotest.int "src = dst expands nothing" 0 (Spf.expanded ws);
+  (* The pick runs the same search. *)
+  ignore
+    (Spf.ecmp_pick ~usable ws topo ~src ~dst:ft.Fat_tree.hosts.(1).Topology.id
+       (fun _ -> 0));
+  check Alcotest.bool "pick: same-edge expands <= 2" true (Spf.expanded ws <= 2);
+  ignore (Spf.ecmp_pick ~usable ws topo ~src ~dst:src (fun _ -> 0));
+  check Alcotest.int "pick: src = dst expands nothing" 0 (Spf.expanded ws)
 
 let test_ecmp_paths_distinct_and_valid () =
   let ft = Fat_tree.build ~k:4 () in
