@@ -121,7 +121,8 @@ let fig3 ~full =
   (* Horse runs with FTI pacing 1.0: during control-plane activity the
      clock tracks the real wall clock, exactly as the authors' system
      must (its control plane is real daemons). This is what makes the
-     measured Horse wall time meaningful. *)
+     measured Horse wall time meaningful: its exec column is the pacing
+     deadline of each FTI episode plus the DES work. *)
   let horse_config = { Sched.default_config with Sched.fti_pacing = 1.0 } in
   (* The baseline executes the per-packet engine over a truncated
      window to measure per-packet cost and fidelity; its wall time for
@@ -281,7 +282,7 @@ let ablation_timeout () =
         (List.length o.stats.Sched.transitions))
     [ 0.1; 0.5; 1.0; 2.0; 5.0 ];
   Format.fprintf fmt
-    "@.shape check: larger timeout => more FTI time => more wall time, same \
+    "@.shape check: larger timeout => more FTI time and increments, same \
      result@."
 
 let ablation_increment () =
@@ -297,8 +298,8 @@ let ablation_increment () =
         o.stats.Sched.fti_increments o.messages)
     [ 100; 1_000; 10_000; 100_000 ];
   Format.fprintf fmt
-    "@.shape check: smaller increments cost proportionally more wall time for \
-     the same exchange@."
+    "@.shape check: the increment changes only the counted increments and the \
+     transition grid; the exchange is the same@."
 
 (* ------------------------------------------------------------------ *)
 (* PROTO: BGP vs OSPF control-plane rhythm on a WAN                    *)

@@ -147,19 +147,15 @@ let next_time t =
   drop_cancelled t;
   if t.len = 0 then None else Some t.heap.(0).time
 
-let take_top t =
-  let e = t.heap.(0) in
-  remove_top t;
-  t.live <- t.live - 1;
-  Some (e.time, e.action, e.cause)
-
 let pop t =
   drop_cancelled t;
-  if t.len = 0 then None else take_top t
-
-let pop_until t limit =
-  drop_cancelled t;
-  if t.len = 0 || Time.(t.heap.(0).time > limit) then None else take_top t
+  if t.len = 0 then None
+  else begin
+    let e = t.heap.(0) in
+    remove_top t;
+    t.live <- t.live - 1;
+    Some (e.time, e.action, e.cause)
+  end
 
 let clear t =
   for i = 0 to t.len - 1 do

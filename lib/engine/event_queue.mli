@@ -48,8 +48,4 @@ val next_time : t -> Time.t option
 val pop : t -> (Time.t * (unit -> unit) * int) option
 (** Removes and returns the earliest live event. *)
 
-val pop_until : t -> Time.t -> (Time.t * (unit -> unit) * int) option
-(** Like {!pop} but only if the earliest live event is at or before
-    the given time. *)
-
 val clear : t -> unit

@@ -66,8 +66,6 @@ type metrics = {
   g_mode : Gauge.t;
   g_end_time_s : Gauge.t;
   m_watchdog_aborts : Counter.t;
-  h_fti_wall : Horse_telemetry.Histogram.t;
-  m_ff_us : Counter.t;
   m_causal_nodes : Counter.t;
   m_causal_dropped : Counter.t;
 }
@@ -79,11 +77,12 @@ let make_metrics reg =
     m_events =
       counter ~help:"Events executed by the hybrid scheduler" "events_total";
     m_fti_increments =
-      counter ~help:"Fixed-time increments stepped (including fast-forwarded)"
+      counter ~help:"Fixed-time increments the FTI clock advanced by"
         "fti_increments_total";
     m_fti_skipped =
       counter
-        ~help:"FTI increments covered by fast-forward instead of stepping"
+        ~help:"FTI increments holding no event, other than each episode's \
+               first and last"
         "fti_increments_skipped_total";
     m_transitions =
       counter ~help:"DES<->FTI mode transitions" "transitions_total";
@@ -113,15 +112,6 @@ let make_metrics reg =
     m_watchdog_aborts =
       counter ~help:"Runs aborted by the wall-clock watchdog"
         "watchdog_aborts_total";
-    h_fti_wall =
-      Registry.histogram reg ~subsystem:"sched"
-        ~help:"Wall-clock cost of one FTI increment, seconds" ~lo:1e-7 ~hi:1.0
-        "fti_increment_wall_seconds";
-    m_ff_us =
-      counter
-        ~help:"Virtual microseconds covered by FTI fast-forward (wall saved \
-               in proportion)"
-        "fast_forwarded_us_total";
     m_causal_nodes =
       Registry.counter reg ~subsystem:"causal"
         ~help:"Nodes recorded in the causal graph" "nodes_total";
@@ -129,6 +119,13 @@ let make_metrics reg =
       Registry.counter reg ~subsystem:"causal"
         ~help:"Causal nodes dropped at the graph's node cap" "dropped_total";
   }
+
+(* The accounting of one mode segment: the stretch of a run since its
+   start or the last transition. An FTI segment is one episode's
+   increment grid, anchored at the segment's start. *)
+type totals = { virt_us : int; wall : float; increments : int; skipped : int }
+
+let no_totals = { virt_us = 0; wall = 0.0; increments = 0; skipped = 0 }
 
 type t = {
   cfg : config;
@@ -139,7 +136,6 @@ type t = {
   mutable cur_mode : mode;
   mutable last_activity : Time.t;
   mutable running : bool;
-  mutable stop_requested : bool;
   mutable rev_transitions : transition list;
   mutable run_start_wall : float;
   mutable abort_flag : bool;
@@ -147,6 +143,14 @@ type t = {
   deferred : (unit -> unit) Queue.t;
   causal_g : Causal.t option;
   mutable cur_cause : Causal.id;
+  mutable seg_virt0 : Time.t;
+  mutable seg_wall0 : float;
+  mutable seg_stepped : int;
+      (* the segment's first increment and each later one that holds
+         an executed event: the increments a stepping loop could not
+         have skipped, short of the last *)
+  mutable seg_stepped_end : Time.t;  (* end of the latest such increment *)
+  mutable seg_published : totals;  (* already added to the registry *)
 }
 
 let gauge_of_mode = function Des -> 0.0 | Fti -> 1.0
@@ -174,7 +178,6 @@ let create ?(config = default_config) ?registry () =
     cur_mode = Des;
     last_activity = Time.zero;
     running = false;
-    stop_requested = false;
     rev_transitions = [];
     run_start_wall = Wall.now ();
     abort_flag = false;
@@ -182,6 +185,11 @@ let create ?(config = default_config) ?registry () =
     deferred = Queue.create ();
     causal_g = (if config.causal then Some (Causal.create ()) else None);
     cur_cause = Causal.none;
+    seg_virt0 = Time.zero;
+    seg_wall0 = 0.0;
+    seg_stepped = 1;
+    seg_stepped_end = config.fti_increment;
+    seg_published = no_totals;
   }
 
 let config t = t.cfg
@@ -327,7 +335,71 @@ let cancel_recurring r =
   r.cancelled <- true;
   Option.iter Event_queue.cancel r.pending
 
+(* --- mode accounting ------------------------------------------------- *)
+
+(* Adds the open segment's growth since it was last published to the
+   registry, so it can run at any point. An FTI segment's increments
+   are the grid cells from its start to the clock, the last one
+   clipped; a loop stepping every increment would step the first, each
+   holding an event, and the last, and could skip the rest. *)
+let publish t =
+  let virt_us = Time.to_us (Time.sub t.clock t.seg_virt0) in
+  let wall = if t.running then Wall.now () -. t.seg_wall0 else 0.0 in
+  let inc = Time.to_us t.cfg.fti_increment in
+  let increments =
+    match t.cur_mode with Fti -> (virt_us + inc - 1) / inc | Des -> 0
+  in
+  let stepped =
+    if increments = 0 then 0
+    else if Time.(t.clock > t.seg_stepped_end) then t.seg_stepped + 1
+    else t.seg_stepped
+  in
+  let was = t.seg_published in
+  t.seg_published <-
+    { virt_us; wall; increments; skipped = increments - stepped };
+  let virt_c, wall_g =
+    match t.cur_mode with
+    | Des -> (t.m.m_virt_des_us, t.m.g_wall_des_s)
+    | Fti -> (t.m.m_virt_fti_us, t.m.g_wall_fti_s)
+  in
+  Counter.add virt_c (virt_us - was.virt_us);
+  Gauge.add wall_g (wall -. was.wall);
+  Counter.add t.m.m_fti_increments (increments - was.increments);
+  Counter.add t.m.m_fti_skipped (increments - stepped - was.skipped);
+  (* Mirror the exact microsecond counters into the exported
+     float-second gauges. *)
+  Gauge.set t.m.g_virt_des_s
+    (float_of_int (Counter.value t.m.m_virt_des_us) /. 1e6);
+  Gauge.set t.m.g_virt_fti_s
+    (float_of_int (Counter.value t.m.m_virt_fti_us) /. 1e6)
+
+let open_segment t =
+  t.seg_virt0 <- t.clock;
+  t.seg_wall0 <- Wall.now ();
+  t.seg_stepped <- 1;
+  t.seg_stepped_end <- Time.add t.clock t.cfg.fti_increment;
+  t.seg_published <- no_totals
+
+(* Paced FTI runs virtual time at [fti_pacing]x wall speed: sleep until
+   the wall instant the clock is due at, counted from the segment's
+   start, so handler cost is absorbed rather than added. *)
+let pace t =
+  if t.cfg.fti_pacing > 0.0 && t.cur_mode = Fti then begin
+    let due =
+      t.seg_wall0
+      +. (Time.to_sec (Time.sub t.clock t.seg_virt0) /. t.cfg.fti_pacing)
+    in
+    let ahead = due -. Wall.now () in
+    if ahead > 0.0 then Unix.sleepf ahead
+  end
+
+let close_segment t =
+  pace t;
+  publish t;
+  open_segment t
+
 let record_transition t to_mode reason =
+  close_segment t;
   let wall = if t.running then Wall.now () -. t.run_start_wall else 0.0 in
   t.rev_transitions <-
     { at = t.clock; wall; from_mode = t.cur_mode; to_mode; reason }
@@ -342,11 +414,11 @@ let control_activity ?(reason = "control-plane activity") t =
   | Fti -> ()
   | Des -> record_transition t Fti reason
 
-let stop t = t.stop_requested <- true
 let on_abort t f = t.rev_abort_hooks <- f :: t.rev_abort_hooks
 let aborted t = t.abort_flag
 
 let snapshot t =
+  publish t;
   Gauge.set t.m.g_end_time_s (Time.to_sec t.clock);
   Gauge.set
     (Registry.gauge t.reg ~subsystem:"sched"
@@ -373,150 +445,40 @@ let snapshot t =
     aborted = t.abort_flag;
   }
 
-let account t mode0 wall0 clock0 =
-  let dw = Wall.now () -. wall0 in
-  let dv_us = Time.to_us (Time.sub t.clock clock0) in
-  (match mode0 with
-  | Des ->
-      Gauge.add t.m.g_wall_des_s dw;
-      Counter.add t.m.m_virt_des_us dv_us
-  | Fti ->
-      Gauge.add t.m.g_wall_fti_s dw;
-      Counter.add t.m.m_virt_fti_us dv_us);
-  (* Mirror the exact microsecond counters into the exported
-     float-second gauges. *)
-  Gauge.set t.m.g_virt_des_s
-    (float_of_int (Counter.value t.m.m_virt_des_us) /. 1e6);
-  Gauge.set t.m.g_virt_fti_s
-    (float_of_int (Counter.value t.m.m_virt_fti_us) /. 1e6)
-
-(* One DES step: execute the next event (jumping the clock), or jump
-   to the horizon when nothing is left before it. Returns [false] when
-   the run is over. *)
-let des_step t until =
-  let wall0 = Wall.now () and clock0 = t.clock in
-  let rec exec () =
-    let next = Event_queue.next_time t.queue in
-    (* Drain deferred work before the clock can leave the instant that
-       registered it. *)
-    let advancing =
-      match next with Some nt -> Time.(nt > t.clock) | None -> true
-    in
-    if advancing && has_deferred t then begin
-      flush_deferred t;
-      exec ()
-    end
-    else
-      let beyond_horizon =
-        match (next, until) with
-        | None, _ -> true
-        | Some nt, Some u -> Time.(nt > u)
-        | Some _, None -> false
-      in
-      if beyond_horizon then begin
-        (match until with Some u -> t.clock <- Time.max t.clock u | None -> ());
-        false
-      end
-      else
-        match Event_queue.pop t.queue with
-        | None -> false
-        | Some (time, action, cause) ->
-            t.clock <- Time.max t.clock time;
-            t.cur_cause <- cause;
-            Counter.incr t.m.m_events;
-            action ();
-            t.cur_cause <- Causal.none;
-            true
-  in
-  let continue = exec () in
-  account t Des wall0 clock0;
-  continue
-
-(* Fast-forward: no process polls, so the increments up to the next
-   pending event are pure clock advances — and the quiet-timeout
-   boundary caps the skip, so the DES transition fires at exactly the
-   boundary that stepping every increment would pick. Skipped
-   increments still count in [fti_increments_total] (and the
-   virtual-residency counters), so stats and the mode timeline match a
-   stepped run; only the loop iterations disappear. Pacing steps every
-   increment, since each one is meant to take wall time. *)
-let fast_forward t until =
-  if t.cfg.fti_pacing <= 0.0 then begin
-    let inc = Time.to_us t.cfg.fti_increment in
-    let clock = Time.to_us t.clock in
-    (* Increments we may skip before reaching [bound]: boundaries
-       strictly below it, so the step that lands on (or past) the
-       bound runs through the normal loop. *)
-    let gap_to bound = if bound > clock then (bound - clock - 1) / inc else 0 in
-    let k_ev =
-      match Event_queue.next_time t.queue with
-      | Some te -> gap_to (Time.to_us te)
-      | None -> max_int
-    in
-    let k_quiet =
-      gap_to (Time.to_us (Time.add t.last_activity t.cfg.quiet_timeout))
-    in
-    let k_until =
-      match until with Some u -> gap_to (Time.to_us u) | None -> max_int
-    in
-    let k = min k_ev (min k_quiet k_until) in
-    if k > 0 then begin
-      t.clock <- Time.of_us (clock + (k * inc));
-      Counter.add t.m.m_fti_increments k;
-      Counter.add t.m.m_fti_skipped k;
-      Counter.add t.m.m_ff_us (k * inc)
+(* The paper's quiet-timeout rule, on the episode's increment grid:
+   FTI returns to DES at the first boundary [a + j*inc], [j >= 1], at
+   or after [last_activity + quiet_timeout]. [limit] is where the clock
+   goes next: an event's time, or with [horizon] the end of the run
+   (the maximum time when there is none). An event at or before the
+   boundary still runs in FTI and may refresh the timer; a horizon
+   between the deadline and the boundary clips the last increment. *)
+let quiet_exit t ~limit ~horizon =
+  (* In integer microseconds: this runs before every FTI event, and a
+     [Time.t] computed here would be boxed. *)
+  let limit = Time.to_us limit in
+  let deadline = Time.to_us t.last_activity + Time.to_us t.cfg.quiet_timeout in
+  if limit > deadline || (horizon && limit >= deadline) then begin
+    let a = Time.to_us t.seg_virt0 and inc = Time.to_us t.cfg.fti_increment in
+    let boundary = a + (max 1 ((deadline - a + inc - 1) / inc) * inc) in
+    if horizon || limit > boundary then begin
+      t.clock <- Time.max t.clock (Time.of_us (min boundary limit));
+      record_transition t Des "quiet timeout"
     end
   end
 
-(* One FTI increment: run every event due within the increment,
-   advance the clock by exactly one increment (clipped to the horizon),
-   fast-forward over a provably idle window, then apply the
-   quiet-timeout rule. *)
-let fti_step t until =
-  let wall0 = Wall.now () and clock0 = t.clock in
-  let target =
-    let target = Time.add t.clock t.cfg.fti_increment in
-    match until with Some u -> Time.min target u | None -> target
-  in
-  let rec drain () =
-    let next = Event_queue.next_time t.queue in
-    let advancing =
-      match next with Some nt -> Time.(nt > t.clock) | None -> true
-    in
-    if advancing && has_deferred t then begin
-      flush_deferred t;
-      drain ()
-    end
-    else
-      match Event_queue.pop_until t.queue target with
-      | Some (time, action, cause) ->
-          t.clock <- Time.max t.clock time;
-          t.cur_cause <- cause;
-          Counter.incr t.m.m_events;
-          action ();
-          t.cur_cause <- Causal.none;
-          drain ()
-      | None -> ()
-  in
-  drain ();
-  flush_deferred t;
-  t.clock <- Time.max t.clock target;
-  Counter.incr t.m.m_fti_increments;
-  fast_forward t until;
-  if t.cfg.fti_pacing > 0.0 then
-    Unix.sleepf (Time.to_sec t.cfg.fti_increment /. t.cfg.fti_pacing);
-  Horse_telemetry.Histogram.add t.m.h_fti_wall (Wall.now () -. wall0);
-  account t Fti wall0 clock0;
-  if
-    t.cur_mode = Fti
-    && Time.(Time.sub t.clock t.last_activity >= t.cfg.quiet_timeout)
-  then record_transition t Des "quiet timeout";
-  match until with Some u -> Time.(t.clock < u) | None -> true
+(* Counts the increment holding an FTI event at the clock as stepped. *)
+let note_fti_event t =
+  if Time.(t.clock > t.seg_stepped_end) then begin
+    let inc = Time.to_us t.cfg.fti_increment in
+    let cells = (Time.to_us (Time.sub t.clock t.seg_virt0) + inc - 1) / inc in
+    t.seg_stepped <- t.seg_stepped + 1;
+    t.seg_stepped_end <- Time.add t.seg_virt0 (Time.of_us (cells * inc))
+  end
 
 (* Wall-clock watchdog: with [max_wall_s > 0], a run that outlives its
-   wall budget is aborted between steps — [run] still returns normally
-   so callers flush exporters and emit a partial report instead of
-   spinning forever. *)
+   wall budget is aborted after the event in progress — [run] still
+   returns normally so callers flush exporters and emit a partial
+   report instead of spinning forever. *)
 let watchdog_expired t =
   t.cfg.max_wall_s > 0.0
   && Wall.now () -. t.run_start_wall > t.cfg.max_wall_s
@@ -526,26 +488,59 @@ let fire_abort t =
   Counter.incr t.m.m_watchdog_aborts;
   List.iter (fun f -> f ()) (List.rev t.rev_abort_hooks)
 
+(* One loop for both modes: events run at their exact timestamps, and
+   FTI only adds the quiet-timeout exit, increment accounting and
+   pacing on top. *)
 let run ?until t =
   if t.running then invalid_arg "Sched.run: already running";
   t.running <- true;
-  t.stop_requested <- false;
   t.abort_flag <- false;
   t.run_start_wall <- Wall.now ();
+  (* Each run re-anchors an FTI episode's grid at its start. *)
+  open_segment t;
+  let until_t = Option.value until ~default:(Time.of_us max_int) in
   let rec loop () =
-    if t.stop_requested then ()
-    else if watchdog_expired t then fire_abort t
+    if watchdog_expired t then fire_abort t
     else
-      let continue =
-        match t.cur_mode with
-        | Des -> des_step t until
-        | Fti -> fti_step t until
+      let next = Event_queue.next_time t.queue in
+      (* Drain deferred work before the clock can leave the instant
+         that registered it. *)
+      let advancing =
+        match next with Some nt -> Time.(nt > t.clock) | None -> true
       in
-      if continue then loop ()
+      if advancing && has_deferred t then begin
+        flush_deferred t;
+        loop ()
+      end
+      else
+        let horizon =
+          match next with None -> true | Some nt -> Time.(nt > until_t)
+        in
+        if t.cur_mode = Fti then
+          quiet_exit t ~horizon
+            ~limit:
+              (match next with Some nt when not horizon -> nt | _ -> until_t);
+        if horizon then
+          Option.iter (fun u -> t.clock <- Time.max t.clock u) until
+        else
+          match Event_queue.pop t.queue with
+          | None -> ()
+          | Some (time, action, cause) ->
+              t.clock <- Time.max t.clock time;
+              if t.cur_mode = Fti then begin
+                note_fti_event t;
+                pace t
+              end;
+              t.cur_cause <- cause;
+              Counter.incr t.m.m_events;
+              action ();
+              t.cur_cause <- Causal.none;
+              loop ()
   in
   loop ();
-  (* A stop request can leave end-of-instant work pending. *)
+  (* An abort can leave end-of-instant work pending. *)
   flush_deferred t;
+  close_segment t;
   Gauge.add t.m.g_wall_total_s (Wall.now () -. t.run_start_wall);
   t.running <- false;
   snapshot t

@@ -11,24 +11,29 @@
       increment that contains its timestamp. This reproduces the
       real-time interleaving that real routing daemons experience.
 
-    In the paper each emulated process also gets a tick per increment,
-    because its daemons are real processes running in wall time. Here
-    every daemon is in-process and event-driven: it acts only when a
-    message arrives or one of its timers fires, so a per-increment tick
-    has nothing to do and no process polls. An increment with no event
-    due is therefore a pure clock advance, and FTI fast-forwards over
-    such runs of increments unless [fti_pacing] asks for wall-time
-    steps. Measured on the four [bench/e2e] workloads at seed 42,
-    per-process ticks changed no FIB fingerprint, fault trace, message
-    count, causal-node count or scheduler count other than their own
-    tick counter.
+    In the paper FTI steps every increment, because its daemons are
+    real processes running in wall time. Here every daemon is
+    in-process and event-driven: it acts only when a message arrives
+    or one of its timers fires, so an increment with no event due does
+    nothing. Both modes therefore run through one event loop, events
+    fire at their exact timestamps, and FTI is accounting on top of
+    it: {!run} counts each episode's increments in closed form, places
+    the return to DES on the episode's increment grid and, with
+    [fti_pacing], sleeps so that virtual time keeps pace with wall
+    time. Measured on the four [bench/e2e] workloads at seed 42,
+    running FTI through the DES step changed no FIB fingerprint, fault
+    trace, message count or causal-node count.
 
     The transition rules are exactly the paper's: any control-plane
     activity (reported by the Connection Manager via
     {!control_activity}) forces FTI mode and refreshes a quiet timer;
     after a user-defined timeout with no control activity the
-    scheduler falls back to DES. All transitions are recorded and
-    returned in {!stats} (this drives the Figure 1 reproduction).
+    scheduler falls back to DES, at the first boundary of the FTI
+    episode's increment grid at or after the timeout (the grid is
+    anchored where the episode starts: the switch to FTI, or the start
+    of {!run} when the scheduler is already in FTI). All transitions
+    are recorded and returned in {!stats} (this drives the Figure 1
+    reproduction).
 
     Every scheduler owns (or is given) a telemetry registry and keeps
     its counters there — [horse_sched_events_total],
@@ -45,20 +50,23 @@ val mode_to_string : mode -> string
 
 type config = {
   fti_increment : Time.t;
-      (** FTI step, default 1 ms. Smaller is more faithful and
-          slower. *)
+      (** FTI step, default 1 ms: the grid an episode's increments are
+          counted on and its return to DES falls on. It costs no event
+          loop work. *)
   quiet_timeout : Time.t;
       (** control-plane silence needed to return to DES; default 1 s *)
   fti_pacing : float;
-      (** 0 (default) runs FTI as fast as possible; [x > 0] sleeps so
-          FTI virtual time advances at [x]× wall speed — only useful
-          for interactive demonstrations. *)
+      (** 0 (default) runs FTI as fast as possible; [x > 0] sleeps
+          before each FTI event and at each episode's end until its
+          due wall time, so FTI advances at [x]× wall speed — only
+          useful for interactive demonstrations. *)
   max_wall_s : float;
       (** Wall-clock watchdog: a {!run} that exceeds this many wall
-          seconds is aborted gracefully between steps — {!run} returns
-          a snapshot with [aborted = true] and registered {!on_abort}
-          hooks fire first, so callers can still flush telemetry and
-          print a partial report. [0.0] (default) disables it. *)
+          seconds is aborted gracefully after the event in progress —
+          {!run} returns a snapshot with [aborted = true] and
+          registered {!on_abort} hooks fire first, so callers can
+          still flush telemetry and print a partial report. [0.0]
+          (default) disables it. *)
   causal : bool;
       (** default [true]: record the causal graph — every interesting
           occurrence ({!cause_point}) becomes a node whose parent is
@@ -83,11 +91,13 @@ type transition = {
 type stats = {
   events_executed : int;
   fti_increments : int;
-      (** increments the virtual clock advanced by, including
-          fast-forwarded ones *)
+      (** increments the virtual clock advanced by in FTI: per episode
+          (split at each {!run}'s start), its length in increments,
+          the last one clipped at the horizon *)
   fti_increments_skipped : int;
-      (** of {!field-fti_increments}, how many fast-forward covered in
-          one step instead of looping *)
+      (** of {!field-fti_increments}, those holding no event that are
+          neither their episode's first nor its last: the ones a loop
+          stepping every increment could skip *)
   poller_ticks : int;
       (** always 0: no process polls. Kept because benchmark reports
           still read it. *)
@@ -208,13 +218,13 @@ val reschedule : t -> Event_queue.handle -> Time.t -> unit
 val defer : t -> (unit -> unit) -> unit
 (** Registers end-of-instant work: [f] runs before the virtual clock
     advances past the current instant — after every event scheduled at
-    the current timestamp has executed, and before {!run} returns or
-    an FTI increment closes. Callbacks run in registration order and
-    may defer again; everything drains before time moves. This is the
-    coalescing hook: a subsystem asked to recompute k times inside one
-    event batch defers once and pays for one recomputation. Work
-    deferred while the scheduler is idle runs when the next {!run}
-    starts (before its first event). *)
+    the current timestamp has executed, and before {!run} returns.
+    Callbacks run in registration order and may defer again;
+    everything drains before time moves. This is the coalescing hook:
+    a subsystem asked to recompute k times inside one event batch
+    defers once and pays for one recomputation. Work deferred while
+    the scheduler is idle runs when the next {!run} starts (before
+    its first event). *)
 
 type recurring
 (** A repeating event; lives until cancelled or the run ends. *)
@@ -231,9 +241,6 @@ val control_activity : ?reason:string -> t -> unit
     FTI if in DES (recording a transition) and refreshes the quiet
     timer. Called by the Connection Manager, never by data-plane
     code. *)
-
-val stop : t -> unit
-(** Makes the current {!run} return after the event in progress. *)
 
 val on_abort : t -> (unit -> unit) -> unit
 (** Registers a hook run (in registration order) when the [max_wall_s]

@@ -3,7 +3,7 @@
 
    Gates, failing @trace-smoke (and @runtest with it):
    - tracing does no extra scheduler work: identical events executed
-     and fast-forwarded FTI increments either way;
+     and skipped FTI increments either way;
    - tracing allocates at most [words_per_node_budget] extra minor-heap
      words per causal node recorded (a detail string formatted eagerly,
      or a per-node closure on the hot path, blows it);

@@ -16,6 +16,7 @@ let qtest ?(count = 200) name gen prop =
     (QCheck2.Test.make ~count ~name gen prop)
 
 module Fair_share_reference = Fair_share_reference
+module Fti_reference = Fti_reference
 
 let bgp_decode_reference = Bgp_decode_reference.decode
 

@@ -15,6 +15,10 @@ module Fair_share_reference = Fair_share_reference
 (** The progressive-filling reference for
     [Horse_dataplane.Fair_share.Delta]. *)
 
+module Fti_reference = Fti_reference
+(** FTI stepped one increment at a time: the oracle for
+    [Horse_engine.Sched]'s closed-form increment accounting. *)
+
 val smoke_storm_plan : unit -> Horse_faults.Plan.t
 (** The k=4 fat-tree fault storm that the fault, scheduler and trace
     smokes share: link flaps (seed 5, a 4 s period from 5 s to 15 s,

@@ -124,14 +124,6 @@ let test_queue_cancel () =
   drain_all q;
   check Alcotest.bool "cancelled never ran" false !fired
 
-let test_queue_pop_until () =
-  let q = Event_queue.create () in
-  ignore (Event_queue.schedule q (Time.of_ms 10) (fun () -> ()));
-  check Alcotest.bool "nothing before 5ms" true
-    (Event_queue.pop_until q (Time.of_ms 5) = None);
-  check Alcotest.bool "available at 10ms" true
-    (Event_queue.pop_until q (Time.of_ms 10) <> None)
-
 let prop_queue_sorted =
   qtest "event queue: pops in non-decreasing time order"
     QCheck2.Gen.(list_size (int_range 0 200) (int_bound 10_000))
@@ -286,18 +278,8 @@ let prop_queue_matches_model =
         | [] -> None
         | head :: _ -> Some head
       in
-      let pop_both until =
-        let expected =
-          match (model_head (), until) with
-          | Some (us, _, _), Some u when us > u -> None
-          | head, _ -> head
-        in
-        let got =
-          match until with
-          | None -> Event_queue.pop q
-          | Some u -> Event_queue.pop_until q (Time.of_us u)
-        in
-        match (got, expected) with
+      let pop_both () =
+        match (Event_queue.pop q, model_head ()) with
         | Some (at, action, _), Some (us, seq, id) ->
             action ();
             if Time.to_us at <> us || !fired <> id then ok := false;
@@ -329,8 +311,7 @@ let prop_queue_matches_model =
                 mh.mcancelled <- false;
                 append mh us
               end
-          | 7 | 8 -> pop_both None
-          | _ -> pop_both (Some (time_of band off)));
+          | _ -> pop_both ());
           if Event_queue.size q <> List.length !model then ok := false;
           let next = Option.map (fun (us, _, _) -> us) (model_head ()) in
           if Option.map Time.to_us (Event_queue.next_time q) <> next then
@@ -346,7 +327,7 @@ let prop_queue_matches_model =
       let rec drain fuel =
         if fuel = 0 then ok := false
         else if not (Event_queue.is_empty q && !model = []) then begin
-          pop_both None;
+          pop_both ();
           drain (fuel - 1)
         end
       in
@@ -413,8 +394,8 @@ let test_des_jumps () =
     (Time.to_sec stats.Sched.end_time)
 
 (* A zero increment (or one that truncates to 0 us) would divide by
-   zero in fast-forward; the scheduler refuses it up front, as it does
-   negative durations. *)
+   zero in the increment accounting; the scheduler refuses it up front,
+   as it does negative durations. *)
 let test_config_rejected () =
   let rejects what msg config =
     Alcotest.check_raises what (Invalid_argument msg) (fun () ->
@@ -609,17 +590,6 @@ let test_latch_fires_once_at_end_of_instant () =
     [ ("event@3", 3.0); ("first", 3.0); ("second", 3.0); ("late", 5.0) ]
     (List.rev !trace)
 
-let test_stop () =
-  let sched = Sched.create () in
-  let executed = ref 0 in
-  ignore
-    (Sched.schedule_at sched (Time.of_ms 1) (fun () ->
-         incr executed;
-         Sched.stop sched));
-  ignore (Sched.schedule_at sched (Time.of_ms 2) (fun () -> incr executed));
-  ignore (Sched.run ~until:(Time.of_sec 1.0) sched);
-  check Alcotest.int "stopped after first event" 1 !executed
-
 let test_start_in_fti () =
   (* Control activity before the run starts it in FTI. *)
   let config =
@@ -639,12 +609,10 @@ let test_start_in_fti () =
        stats.Sched.transitions);
   check Alcotest.bool "some increments" true (stats.Sched.fti_increments >= 10)
 
-(* Fast-forward is an optimisation, not a behaviour: pacing steps
-   every increment (each one is meant to take wall time), so a paced
-   run is the stepped reference. [paced_differential ()] runs the same
-   events and control activity three times: in DES (no control
-   activity), in FTI with fast-forward, and in paced FTI. Pacing is
-   huge so the sleeps are negligible. *)
+(* Pacing only sleeps: it must change no event, transition or count.
+   [paced_differential ()] runs the same events and control activity
+   three times: in DES (no control activity), in unpaced FTI, and in
+   paced FTI. Pacing is huge so the sleeps are negligible. *)
 let paced_due_us = [ 5_000; 35_500; 120_000; 210_250; 400_000 ]
 
 let paced_differential () =
@@ -683,9 +651,8 @@ let paced_differential () =
 
 let test_fti_work_exceeds_des () =
   (* The paper's core claim in miniature: the same run costs FTI one
-     increment per millisecond of control activity and DES none. The
-     paced run steps every one of them; fast-forward skips the idle
-     ones without changing the count. *)
+     increment per millisecond of control activity and DES none, paced
+     or not. *)
   let (des, _), (fast, _), (paced, _) = paced_differential () in
   check Alcotest.int "DES: no increments" 0 des.Sched.fti_increments;
   (* FTI from 0 to 70 ms and from 200 to 250 ms. *)
@@ -693,15 +660,14 @@ let test_fti_work_exceeds_des () =
     fast.Sched.fti_increments;
   check Alcotest.int "same increments" fast.Sched.fti_increments
     paced.Sched.fti_increments;
-  check Alcotest.int "paced: every increment stepped" 0
-    paced.Sched.fti_increments_skipped;
-  check Alcotest.bool "unpaced: idle increments fast-forwarded" true
+  check Alcotest.int "paced and unpaced report the same skipped count"
+    fast.Sched.fti_increments_skipped paced.Sched.fti_increments_skipped;
+  check Alcotest.bool "unpaced: idle increments skipped" true
     (fast.Sched.fti_increments_skipped > 0)
 
 let test_fast_forward_respects_events_and_quiet_timeout () =
-  (* Fast-forward must stop at event deadlines and at the quiet
-     timeout: with it on, events fire and modes change exactly when
-     they do in the stepped (paced) run. *)
+  (* Events fire and modes change at the same instants whether or not
+     FTI is paced. *)
   let _, (fast, fast_fired), (paced, paced_fired) = paced_differential () in
   let transitions (s : Sched.stats) =
     List.map
@@ -721,8 +687,8 @@ let test_fast_forward_respects_events_and_quiet_timeout () =
 
 let test_fast_forward_skips_idle_fti () =
   (* A quiet virtual hour in FTI: the experiment still observes one
-     increment per millisecond, but almost all of the boundaries are
-     fast-forwarded in O(1) jumps rather than stepped. *)
+     increment per millisecond, all counted in closed form, and all but
+     the first and last are skipped. *)
   let config =
     {
       Sched.default_config with
@@ -735,10 +701,112 @@ let test_fast_forward_skips_idle_fti () =
   let stats = Sched.run ~until:(Time.of_sec 3600.0) sched in
   check Alcotest.int "FTI: one increment per millisecond" 3_600_000
     stats.Sched.fti_increments;
-  check Alcotest.bool "almost all increments fast-forwarded" true
-    (stats.Sched.fti_increments_skipped > 3_599_000);
+  check Alcotest.int "every increment but the first and last skipped"
+    3_599_998 stats.Sched.fti_increments_skipped;
   check (Alcotest.float 1e-6) "virtual hour still elapses" 3600.0
     (Time.to_sec stats.Sched.end_time)
+
+(* Deferred end-of-instant work may switch to FTI too: the episode
+   starts at that instant, not at the next event (here 0.4 ms later),
+   so its first increment and its virtual time count as FTI. *)
+let test_deferred_switch_anchors_grid () =
+  let config =
+    {
+      Sched.default_config with
+      Sched.fti_increment = Time.of_ms 1;
+      quiet_timeout = Time.of_us 2_300;
+    }
+  in
+  let sched = Sched.create ~config () in
+  ignore
+    (Sched.schedule_at sched (Time.of_ms 5) (fun () ->
+         Sched.defer sched (fun () -> Sched.control_activity sched)));
+  ignore (Sched.schedule_at sched (Time.of_us 5_400) (fun () -> ()));
+  let stats = Sched.run ~until:(Time.of_ms 20) sched in
+  check
+    (Alcotest.list Alcotest.int)
+    "into FTI at 5 ms, out at the grid's first boundary past 7.3 ms"
+    [ 5_000; 8_000 ]
+    (List.map (fun (tr : Sched.transition) -> Time.to_us tr.at)
+       stats.Sched.transitions);
+  check Alcotest.int "increments from 5 ms" 3 stats.Sched.fti_increments;
+  check Alcotest.int "virtual time in FTI" 3_000
+    (Time.to_us stats.Sched.virtual_in_fti);
+  check Alcotest.int "virtual time in DES" 17_000
+    (Time.to_us stats.Sched.virtual_in_des)
+
+(* Random static schedules against the literal stepping model: the
+   closed-form accounting must report the transitions, counts,
+   residency and fire times of a loop that steps every increment. *)
+let prop_fti_matches_stepping_model =
+  let module Ref = Horse_test_support.Fti_reference in
+  let gen =
+    QCheck2.Gen.(
+      let* increment = int_range 1 7 in
+      let* quiet = int_bound (20 * increment) in
+      let* start_in_fti = bool in
+      let* events =
+        list_size (int_bound 25)
+          (pair (int_bound 200)
+             (oneofl [ Ref.Plain; Ref.Activity; Ref.Deferred_activity ]))
+      in
+      let* horizons = list_size (int_range 1 3) (int_range 0 300) in
+      let horizons = List.sort compare horizons in
+      return (increment, quiet, start_in_fti, events, horizons))
+  in
+  qtest ~count:500 "sched: FTI accounting matches the stepping model" gen
+    (fun (increment, quiet, start_in_fti, events, horizons) ->
+      let config =
+        {
+          Sched.default_config with
+          Sched.fti_increment = Time.of_us increment;
+          quiet_timeout = Time.of_us quiet;
+        }
+      in
+      let sched = Sched.create ~config () in
+      let fired = ref [] in
+      let activity () = Sched.control_activity ~reason:"activity" sched in
+      List.iteri
+        (fun i (us, action) ->
+          ignore
+            (Sched.schedule_at sched (Time.of_us us) (fun () ->
+                 fired := (i, Time.to_us (Sched.now sched)) :: !fired;
+                 match action with
+                 | Ref.Plain -> ()
+                 | Ref.Activity -> activity ()
+                 | Ref.Deferred_activity -> Sched.defer sched activity)))
+        events;
+      if start_in_fti then activity ();
+      let stats =
+        List.fold_left
+          (fun _ u -> Sched.run ~until:(Time.of_us u) sched)
+          (Sched.snapshot sched) horizons
+      in
+      let want = Ref.run ~increment ~quiet ~start_in_fti events horizons in
+      let transitions =
+        List.map
+          (fun (tr : Sched.transition) ->
+            (Time.to_us tr.at, tr.to_mode = Sched.Fti, tr.reason))
+          stats.Sched.transitions
+      in
+      (* FTI residency read off the timeline alone. *)
+      let rec fti_spans = function
+        | (x, true, _) :: (y, false, _) :: rest -> (y - x) + fti_spans rest
+        | [ (x, true, _) ] -> Time.to_us stats.Sched.end_time - x
+        | _ :: rest -> fti_spans rest
+        | [] -> 0
+      in
+      transitions = want.Ref.transitions
+      && List.for_all2
+           (fun (_, to_fti, _) (tr : Sched.transition) ->
+             to_fti <> (tr.from_mode = Sched.Fti))
+           transitions stats.Sched.transitions
+      && stats.Sched.fti_increments = want.Ref.increments
+      && stats.Sched.fti_increments_skipped = want.Ref.skipped
+      && Time.to_us stats.Sched.virtual_in_fti = want.Ref.virtual_in_fti
+      && Time.to_us stats.Sched.virtual_in_des = want.Ref.virtual_in_des
+      && Time.to_us stats.Sched.virtual_in_fti = fti_spans transitions
+      && List.rev !fired = want.Ref.fired)
 
 let test_rerun_continues () =
   let sched = Sched.create () in
@@ -883,7 +951,6 @@ let () =
           Alcotest.test_case "time order" `Quick test_queue_order;
           Alcotest.test_case "fifo at same time" `Quick test_queue_fifo_same_time;
           Alcotest.test_case "cancel" `Quick test_queue_cancel;
-          Alcotest.test_case "pop_until" `Quick test_queue_pop_until;
           Alcotest.test_case "size after cancel" `Quick
             test_queue_size_after_cancel;
           Alcotest.test_case "compaction preserves order" `Quick
@@ -915,7 +982,6 @@ let () =
             test_defer_chains_drain_in_instant;
           Alcotest.test_case "latch fires once at end of instant" `Quick
             test_latch_fires_once_at_end_of_instant;
-          Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "start in FTI" `Quick test_start_in_fti;
           Alcotest.test_case "FTI work exceeds DES" `Quick
             test_fti_work_exceeds_des;
@@ -924,6 +990,9 @@ let () =
             `Quick test_fast_forward_respects_events_and_quiet_timeout;
           Alcotest.test_case "fast-forward skips idle FTI" `Quick
             test_fast_forward_skips_idle_fti;
+          Alcotest.test_case "deferred switch anchors the FTI grid" `Quick
+            test_deferred_switch_anchors_grid;
+          prop_fti_matches_stepping_model;
           Alcotest.test_case "re-run continues" `Quick test_rerun_continues;
           prop_sched_matches_reference;
           Alcotest.test_case "metrics agree with stats" `Quick
