@@ -548,7 +548,7 @@ let run ?until t =
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt
     "@[<v>events executed : %d@,\
-     fti increments  : %d (%d fast-forwarded)@,\
+     fti increments  : %d (%d skipped)@,\
      transitions     : %d@,\
      virtual time    : %a (FTI %a / DES %a)@,\
      wall time       : %.3fs (FTI %.3fs / DES %.3fs)@]"
