@@ -151,6 +151,9 @@ type t = {
          have skipped, short of the last *)
   mutable seg_stepped_end : Time.t;  (* end of the latest such increment *)
   mutable seg_published : totals;  (* already added to the registry *)
+  mutable causal_published : int * int;
+      (* causal nodes and drops already added to the registry: a
+         registry shared between schedulers sums their growth *)
 }
 
 let gauge_of_mode = function Des -> 0.0 | Fti -> 1.0
@@ -190,6 +193,7 @@ let create ?(config = default_config) ?registry () =
     seg_stepped = 1;
     seg_stepped_end = config.fti_increment;
     seg_published = no_totals;
+    causal_published = (0, 0);
   }
 
 let config t = t.cfg
@@ -426,9 +430,10 @@ let snapshot t =
     (float_of_int (Event_queue.size t.queue));
   (match t.causal_g with
   | Some g ->
-      let catch_up c v = Counter.add c (v - Counter.value c) in
-      catch_up t.m.m_causal_nodes (Causal.length g);
-      catch_up t.m.m_causal_dropped (Causal.dropped g)
+      let nodes, dropped = t.causal_published in
+      Counter.add t.m.m_causal_nodes (Causal.length g - nodes);
+      Counter.add t.m.m_causal_dropped (Causal.dropped g - dropped);
+      t.causal_published <- (Causal.length g, Causal.dropped g)
   | None -> ());
   {
     events_executed = Counter.value t.m.m_events;

@@ -889,6 +889,31 @@ let test_sched_metrics_agree_with_stats () =
   check Alcotest.int "snapshot events" stats.Sched.events_executed
     snap.Sched.events_executed
 
+(* Two schedulers may share one registry: each adds only its own
+   growth to the shared causal counters, however often it snapshots. *)
+let test_shared_registry_causal_counts () =
+  let module Registry = Horse_telemetry.Registry in
+  let reg = Registry.create () in
+  let kind = Causal.kind "test:shared" (fun _ -> "") in
+  let points sched n =
+    ignore
+      (Sched.schedule_at sched (Time.of_ms 1) (fun () ->
+           for i = 1 to n do
+             ignore (Sched.cause_point sched kind i)
+           done))
+  in
+  let a = Sched.create ~registry:reg () in
+  let b = Sched.create ~registry:reg () in
+  points a 5;
+  points b 1;
+  ignore (Sched.run ~until:(Time.of_ms 2) a);
+  ignore (Sched.run ~until:(Time.of_ms 2) b);
+  ignore (Sched.snapshot a);
+  ignore (Sched.snapshot b);
+  match Registry.find_counter reg "horse_causal_nodes_total" with
+  | Some c -> check Alcotest.int "nodes of both runs" 6 (Registry.Counter.value c)
+  | None -> Alcotest.fail "counter horse_causal_nodes_total not registered"
+
 (* --- Trace ------------------------------------------------------------ *)
 
 let test_trace () =
@@ -997,6 +1022,8 @@ let () =
           prop_sched_matches_reference;
           Alcotest.test_case "metrics agree with stats" `Quick
             test_sched_metrics_agree_with_stats;
+          Alcotest.test_case "shared registry sums causal counts" `Quick
+            test_shared_registry_causal_counts;
         ] );
       ( "trace",
         [
