@@ -341,18 +341,22 @@ let cancel_recurring r =
 
 (* --- mode accounting ------------------------------------------------- *)
 
+(* The increments of the FTI grid it takes to cover [span], rounded
+   up. *)
+let cells t span =
+  let inc = Time.to_us t.cfg.fti_increment in
+  (Time.to_us span + inc - 1) / inc
+
 (* Adds the open segment's growth since it was last published to the
    registry, so it can run at any point. An FTI segment's increments
    are the grid cells from its start to the clock, the last one
    clipped; a loop stepping every increment would step the first, each
    holding an event, and the last, and could skip the rest. *)
 let publish t =
-  let virt_us = Time.to_us (Time.sub t.clock t.seg_virt0) in
+  let span = Time.sub t.clock t.seg_virt0 in
+  let virt_us = Time.to_us span in
   let wall = if t.running then Wall.now () -. t.seg_wall0 else 0.0 in
-  let inc = Time.to_us t.cfg.fti_increment in
-  let increments =
-    match t.cur_mode with Fti -> (virt_us + inc - 1) / inc | Des -> 0
-  in
+  let increments = match t.cur_mode with Fti -> cells t span | Des -> 0 in
   let stepped =
     if increments = 0 then 0
     else if Time.(t.clock > t.seg_stepped_end) then t.seg_stepped + 1
@@ -458,15 +462,15 @@ let snapshot t =
    boundary still runs in FTI and may refresh the timer; a horizon
    between the deadline and the boundary clips the last increment. *)
 let quiet_exit t ~limit ~horizon =
-  (* In integer microseconds: this runs before every FTI event, and a
-     [Time.t] computed here would be boxed. *)
-  let limit = Time.to_us limit in
-  let deadline = Time.to_us t.last_activity + Time.to_us t.cfg.quiet_timeout in
-  if limit > deadline || (horizon && limit >= deadline) then begin
-    let a = Time.to_us t.seg_virt0 and inc = Time.to_us t.cfg.fti_increment in
-    let boundary = a + (max 1 ((deadline - a + inc - 1) / inc) * inc) in
-    if horizon || limit > boundary then begin
-      t.clock <- Time.max t.clock (Time.of_us (min boundary limit));
+  let deadline = Time.add t.last_activity t.cfg.quiet_timeout in
+  if Time.(limit > deadline) || (horizon && Time.(limit >= deadline)) then begin
+    let boundary =
+      Time.add t.seg_virt0
+        (Time.mul t.cfg.fti_increment
+           (max 1 (cells t (Time.sub deadline t.seg_virt0))))
+    in
+    if horizon || Time.(limit > boundary) then begin
+      t.clock <- Time.max t.clock (Time.min boundary limit);
       record_transition t Des "quiet timeout"
     end
   end
@@ -474,10 +478,10 @@ let quiet_exit t ~limit ~horizon =
 (* Counts the increment holding an FTI event at the clock as stepped. *)
 let note_fti_event t =
   if Time.(t.clock > t.seg_stepped_end) then begin
-    let inc = Time.to_us t.cfg.fti_increment in
-    let cells = (Time.to_us (Time.sub t.clock t.seg_virt0) + inc - 1) / inc in
     t.seg_stepped <- t.seg_stepped + 1;
-    t.seg_stepped_end <- Time.add t.seg_virt0 (Time.of_us (cells * inc))
+    t.seg_stepped_end <-
+      Time.add t.seg_virt0
+        (Time.mul t.cfg.fti_increment (cells t (Time.sub t.clock t.seg_virt0)))
   end
 
 (* Wall-clock watchdog: with [max_wall_s > 0], a run that outlives its

@@ -1,7 +1,7 @@
 (** Virtual (simulated) time.
 
     Time is a count of microseconds since the start of the experiment,
-    held in an [int64]. All experiment-facing APIs accept and return
+    held in an immediate [int], so computing one allocates nothing. All experiment-facing APIs accept and return
     this type; wall-clock time (the thing Horse saves) is measured
     separately by {!Wall}. *)
 
