@@ -74,30 +74,6 @@ let mark_converged rt =
 
 (* --- BGP + ECMP (src/dst hash) ------------------------------------- *)
 
-(* SDN fabrics expose link up/down only; expose that subset as a
-   fault-injection target so flap plans still apply (crashes and
-   impairments are recorded as skipped). *)
-let sdn_fault_target fabric (topo : Topology.t) =
-  let id name =
-    Option.map
-      (fun (n : Topology.node) -> n.Topology.id)
-      (Topology.node_by_name topo name)
-  in
-  let with2 a b f =
-    match (id a, id b) with Some a, Some b -> f a b | _, _ -> false
-  in
-  {
-    Horse_faults.Injector.describe = "sdn-fabric";
-    link_down = (fun ~a ~b -> with2 a b (fun a b -> Sdn_fabric.fail_link fabric ~a ~b));
-    link_up = (fun ~a ~b -> with2 a b (fun a b -> Sdn_fabric.restore_link fabric ~a ~b));
-    node_crash = (fun _ -> false);
-    node_restart = (fun _ -> false);
-    session_reset = (fun ~a:_ ~b:_ -> false);
-    impair = (fun ~a:_ ~b:_ ~rng:_ _ -> false);
-    links = (fun () -> Topology.switch_links topo);
-    converged = (fun () -> Sdn_fabric.pending_flows fabric = 0);
-  }
-
 let setup_bgp rt (ft : Fat_tree.t) =
   let fabric =
     Routed_fabric.build ~cm:(Experiment.cm rt.exp)
@@ -164,7 +140,7 @@ let setup_sdn rt (ft : Fat_tree.t) te =
               start_flow rt key path;
               if Flow_key.Table.length rt.started = n then mark_converged rt))
         rt.keys);
-  (Some (sdn_fault_target fabric ft.Fat_tree.topo), None, None)
+  (Some (Sdn_fabric.fault_target fabric), None, None)
 
 (* --- P4 (programmable pipelines) ------------------------------------- *)
 

@@ -290,3 +290,26 @@ let set_link t ~a ~b ~up =
 
 let fail_link t ~a ~b = set_link t ~a ~b ~up:false
 let restore_link t ~a ~b = set_link t ~a ~b ~up:true
+
+(* Link up/down is the whole fault surface: crashes, session resets
+   and impairments report [false] and are recorded as skipped. *)
+let fault_target t =
+  let id name =
+    Option.map
+      (fun (n : Topology.node) -> n.Topology.id)
+      (Topology.node_by_name t.fabric_topo name)
+  in
+  let with2 a b f =
+    match (id a, id b) with Some a, Some b -> f a b | _, _ -> false
+  in
+  {
+    Horse_faults.Injector.describe = "sdn-fabric";
+    link_down = (fun ~a ~b -> with2 a b (fun a b -> fail_link t ~a ~b));
+    link_up = (fun ~a ~b -> with2 a b (fun a b -> restore_link t ~a ~b));
+    node_crash = (fun _ -> false);
+    node_restart = (fun _ -> false);
+    session_reset = (fun ~a:_ ~b:_ -> false);
+    impair = (fun ~a:_ ~b:_ ~rng:_ _ -> false);
+    links = (fun () -> Topology.switch_links t.fabric_topo);
+    converged = (fun () -> pending_flows t = 0);
+  }

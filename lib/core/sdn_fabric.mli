@@ -63,3 +63,9 @@ val fail_link : t -> a:int -> b:int -> bool
     switches. *)
 
 val restore_link : t -> a:int -> b:int -> bool
+
+val fault_target : t -> Horse_faults.Injector.target
+(** Described as ["sdn-fabric"]: link up/down only, through
+    {!fail_link} and {!restore_link}. Crashes, session resets and
+    impairments report [false] and are recorded as skipped.
+    [converged] means no flow is waiting for a path. *)
