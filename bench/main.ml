@@ -51,62 +51,37 @@ let write_snapshot name reg =
 (* FIG1: DES/FTI mode transitions for two BGP routers (paper Fig. 1)  *)
 (* ------------------------------------------------------------------ *)
 
-type fig1_outcome = {
-  stats : Sched.stats;
-  messages : int;
-  bytes : int;
-  registry : Horse_telemetry.Registry.t;
-}
-
 let run_fig1 ?(quiet_timeout = Time.of_sec 1.0) ?(fti_increment = Time.of_ms 1)
-    ?(prefixes_per_router = 10) ?(duration = Time.of_sec 30.0)
-    ?(hold_time = Time.of_sec 90.0) () =
-  let wan = Wan.linear 2 in
+    ?(duration = Time.of_sec 30.0) () =
   let config = { Sched.default_config with Sched.quiet_timeout; fti_increment } in
-  let exp = Experiment.create ~config wan.Wan.topo in
-  let originate node =
-    List.init prefixes_per_router (fun i ->
-        Prefix.make (Ipv4.of_octets 20 node i 0) 24)
-  in
-  let fabric =
-    Routed_fabric.build ~cm:(Experiment.cm exp) ~hold_time ~originate
-      wan.Wan.topo
-  in
-  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
-  let stats = Experiment.run ~until:duration exp in
-  {
-    stats;
-    messages = Connection_manager.messages_observed (Experiment.cm exp);
-    bytes = Connection_manager.bytes_observed (Experiment.cm exp);
-    registry = Experiment.registry exp;
-  }
+  Scenario.run
+    (Spec.make ~traffic:Spec.No_traffic ~config ~hold_time:(Time.of_sec 90.0)
+       ~duration
+       (Spec.Linear { routers = 2; prefixes = 10 })
+       Spec.Bgp_ecmp)
 
 let fig1 ~full =
   section "FIG1 — execution-mode transitions, two BGP routers (paper Figure 1)";
   let duration = if full then Time.of_sec 120.0 else Time.of_sec 30.0 in
   let o = run_fig1 ~duration () in
+  let stats = o.Scenario.sched_stats in
   Format.fprintf fmt "scenario: R1 -- R2, eBGP, 10 prefixes each, 90s hold, %a virtual@.@."
     Time.pp duration;
   Format.fprintf fmt "mode timeline:@.";
   Format.fprintf fmt "  [%a] start in DES@." Time.pp Time.zero;
-  List.iter
-    (fun (tr : Sched.transition) ->
-      Format.fprintf fmt "  [%a] %a -> %a (%s)@." Time.pp tr.Sched.at
-        Sched.pp_mode tr.Sched.from_mode Sched.pp_mode tr.Sched.to_mode
-        tr.Sched.reason)
-    o.stats.Sched.transitions;
-  Format.fprintf fmt "@.%a@." Sched.pp_stats o.stats;
+  List.iter (Format.fprintf fmt "  %a@." Sched.pp_transition) stats.Sched.transitions;
+  Format.fprintf fmt "@.%a@." Sched.pp_stats stats;
   Format.fprintf fmt
-    "control plane: %d BGP messages (%d bytes) observed by the CM@." o.messages
-    o.bytes;
-  let v_fti = Time.to_sec o.stats.Sched.virtual_in_fti in
-  let v_des = Time.to_sec o.stats.Sched.virtual_in_des in
-  let w_fti = o.stats.Sched.wall_in_fti and w_des = o.stats.Sched.wall_in_des in
+    "control plane: %d BGP messages (%d bytes) observed by the CM@."
+    o.Scenario.control_messages o.Scenario.control_bytes;
+  let v_fti = Time.to_sec stats.Sched.virtual_in_fti in
+  let v_des = Time.to_sec stats.Sched.virtual_in_des in
+  let w_fti = stats.Sched.wall_in_fti and w_des = stats.Sched.wall_in_des in
   Format.fprintf fmt
     "@.shape check: FTI covers %.1f%% of virtual time but %.1f%% of wall time@."
     (100.0 *. v_fti /. Float.max 1e-9 (v_fti +. v_des))
     (100.0 *. w_fti /. Float.max 1e-9 (w_fti +. w_des));
-  write_snapshot "fig1" o.registry
+  write_snapshot "fig1" o.Scenario.registry
 
 (* ------------------------------------------------------------------ *)
 (* FIG3: execution time, Horse vs Mininet-like baseline (paper Fig.3) *)
@@ -142,7 +117,8 @@ let fig3 ~full =
       let horse_results =
         List.map
           (fun te ->
-            Scenario.run_fat_tree_te ~config:horse_config ~pods ~te ~duration ())
+            Scenario.run
+              (Spec.make ~config:horse_config ~duration (Spec.Fat_tree pods) te))
           Scenario.all_te
       in
       let horse_create =
@@ -214,7 +190,8 @@ let te ~full =
   let sample_every = Time.of_sec 1.0 in
   let results =
     List.map
-      (fun te -> (te, Scenario.run_fat_tree_te ~pods ~te ~duration ~sample_every ()))
+      (fun te ->
+        (te, Scenario.run (Spec.make ~sample_every ~duration (Spec.Fat_tree pods) te)))
       (Scenario.all_te @ [ Scenario.P4_ecmp ])
   in
   let n_hosts = (List.hd results |> snd).Scenario.n_hosts in
@@ -273,13 +250,15 @@ let ablation_timeout () =
     "fti incr" "virt FTI(s)" "transitions";
   List.iter
     (fun timeout_s ->
-      let o = run_fig1 ~quiet_timeout:(Time.of_sec timeout_s) () in
+      let stats =
+        (run_fig1 ~quiet_timeout:(Time.of_sec timeout_s) ()).Scenario.sched_stats
+      in
       Format.fprintf fmt "%-12s %12.1f %14d %14.2f %12d@."
         (Printf.sprintf "%.1fs" timeout_s)
-        (o.stats.Sched.wall_total *. 1e3)
-        o.stats.Sched.fti_increments
-        (Time.to_sec o.stats.Sched.virtual_in_fti)
-        (List.length o.stats.Sched.transitions))
+        (stats.Sched.wall_total *. 1e3)
+        stats.Sched.fti_increments
+        (Time.to_sec stats.Sched.virtual_in_fti)
+        (List.length stats.Sched.transitions))
     [ 0.1; 0.5; 1.0; 2.0; 5.0 ];
   Format.fprintf fmt
     "@.shape check: larger timeout => more FTI time and increments, same \
@@ -294,8 +273,8 @@ let ablation_increment () =
       let o = run_fig1 ~fti_increment:(Time.of_us incr_us) () in
       Format.fprintf fmt "%-12s %12.1f %14d %12d@."
         (Format.asprintf "%a" Time.pp (Time.of_us incr_us))
-        (o.stats.Sched.wall_total *. 1e3)
-        o.stats.Sched.fti_increments o.messages)
+        (o.Scenario.sched_stats.Sched.wall_total *. 1e3)
+        o.Scenario.sched_stats.Sched.fti_increments o.Scenario.control_messages)
     [ 100; 1_000; 10_000; 100_000 ];
   Format.fprintf fmt
     "@.shape check: the increment changes only the counted increments and the \
@@ -309,20 +288,18 @@ let protocols () =
   section
     "PROTO — BGP vs OSPF on the Abilene WAN: the two control-plane rhythms \
      Horse distinguishes";
-  let duration = Time.of_sec 60.0 in
-  let run_one name build_and_start =
-    let wan = Wan.abilene () in
-    let exp = Experiment.create wan.Wan.topo in
-    let converged = ref None in
-    build_and_start wan exp converged;
-    let stats = Experiment.run ~until:duration exp in
-    let cm = Experiment.cm exp in
+  let run_one name control =
+    let r =
+      Scenario.run
+        (Spec.make ~traffic:Spec.No_traffic ~hold_time:(Time.of_sec 90.0)
+           ~duration:(Time.of_sec 60.0) Spec.Abilene control)
+    in
+    let stats = r.Scenario.sched_stats in
     Format.fprintf fmt "%-6s %12s %10d %10d %12d %10.1f%%@." name
-      (match !converged with
+      (match r.Scenario.converged_at with
       | Some at -> Format.asprintf "%a" Time.pp at
       | None -> "never")
-      (Connection_manager.messages_observed cm)
-      (Connection_manager.bytes_observed cm)
+      r.Scenario.control_messages r.Scenario.control_bytes
       (List.length stats.Sched.transitions)
       (100.0
       *. Time.to_sec stats.Sched.virtual_in_fti
@@ -330,25 +307,8 @@ let protocols () =
   in
   Format.fprintf fmt "%-6s %12s %10s %10s %12s %11s@." "proto" "converged"
     "msgs" "bytes" "transitions" "FTI share";
-  run_one "bgp" (fun wan exp converged ->
-      let fabric =
-        Routed_fabric.build ~cm:(Experiment.cm exp)
-          ~hold_time:(Time.of_sec 90.0)
-          ~originate:(fun node -> [ Wan.router_prefix wan node ])
-          wan.Wan.topo
-      in
-      Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
-      Routed_fabric.when_converged fabric (fun () ->
-          converged := Some (Sched.now (Experiment.scheduler exp))));
-  run_one "ospf" (fun wan exp converged ->
-      let fabric =
-        Ospf_fabric.build ~cm:(Experiment.cm exp)
-          ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
-          wan.Wan.topo
-      in
-      Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
-      Ospf_fabric.when_converged fabric (fun () ->
-          converged := Some (Sched.now (Experiment.scheduler exp))));
+  run_one "bgp" Spec.Bgp_ecmp;
+  run_one "ospf" Spec.Ospf;
   Format.fprintf fmt
     "@.shape check: BGP (90s hold) goes quiet after convergence; OSPF's \
      periodic hellos keep re-entering FTI forever@."
@@ -366,7 +326,8 @@ let ablation_placer () =
       List.iter
         (fun (name, te) ->
           let r =
-            Scenario.run_fat_tree_te ~pods ~te ~duration:(Time.of_sec 30.0) ()
+            Scenario.run
+              (Spec.make ~duration:(Time.of_sec 30.0) (Spec.Fat_tree pods) te)
           in
           Format.fprintf fmt "%-12d %-12s %14.2f %14.1f@." pods name
             (Series.mean r.Scenario.aggregate /. 1e9)
@@ -388,8 +349,9 @@ let scaling () =
   List.iter
     (fun pods ->
       let r =
-        Scenario.run_fat_tree_te ~pods ~te:Scenario.Sdn_ecmp
-          ~duration:(Time.of_sec 30.0) ()
+        Scenario.run
+          (Spec.make ~duration:(Time.of_sec 30.0) (Spec.Fat_tree pods)
+             Spec.Sdn_ecmp)
       in
       Format.fprintf fmt "%-6d %8d %10d %12.3f %14d@." pods
         r.Scenario.n_hosts r.Scenario.flows_started

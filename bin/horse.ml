@@ -202,11 +202,12 @@ let te_cmd =
   let run pods te duration seed quiet_timeout increment max_wall no_causal
       faults csv explain metrics_out trace_out report =
     let result =
-      Scenario.run_fat_tree_te ~seed
-        ~config:(sched_config quiet_timeout increment max_wall no_causal)
-        ?faults:(load_faults faults) ~pods ~te
-        ~duration:(Time.of_sec duration)
-        ()
+      Scenario.run
+        (Spec.make ~seed
+           ~config:(sched_config quiet_timeout increment max_wall no_causal)
+           ?faults:(load_faults faults)
+           ~duration:(Time.of_sec duration)
+           (Spec.Fat_tree pods) te)
     in
     Format.printf "%a@." Scenario.pp_result result;
     Format.printf "@.%a@." Sched.pp_stats result.Scenario.sched_stats;
@@ -261,42 +262,23 @@ let fig1_cmd =
   in
   let run duration quiet_timeout increment max_wall no_causal faults prefixes
       metrics_out trace_out report =
-    let wan = Wan.linear 2 in
-    let exp =
-      Experiment.create
-        ~config:(sched_config quiet_timeout increment max_wall no_causal)
-        wan.Wan.topo
+    let r =
+      Scenario.run
+        (Spec.make ~traffic:Spec.No_traffic
+           ~config:(sched_config quiet_timeout increment max_wall no_causal)
+           ?faults:(load_faults faults) ~hold_time:(Time.of_sec 90.0)
+           ~duration:(Time.of_sec duration)
+           (Spec.Linear { routers = 2; prefixes })
+           Spec.Bgp_ecmp)
     in
-    let originate node =
-      List.init prefixes (fun i ->
-          Horse_net.Prefix.make (Horse_net.Ipv4.of_octets 20 node i 0) 24)
-    in
-    let fabric =
-      Routed_fabric.build ~cm:(Experiment.cm exp)
-        ~hold_time:(Time.of_sec 90.0) ~originate wan.Wan.topo
-    in
-    Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
-    let injector =
-      Option.map
-        (fun plan ->
-          Horse_faults.Injector.arm (Experiment.scheduler exp)
-            ~target:(Routed_fabric.fault_target fabric)
-            plan)
-        (load_faults faults)
-    in
-    let stats = Experiment.run ~until:(Time.of_sec duration) exp in
+    let stats = r.Scenario.sched_stats in
     warn_aborted stats;
-    Option.iter (pp_fault_summary Format.std_formatter) injector;
+    Option.iter (pp_fault_summary Format.std_formatter) r.Scenario.injector;
     Format.printf "mode timeline:@.";
-    List.iter
-      (fun (tr : Sched.transition) ->
-        Format.printf "  [%a] %a -> %a (%s)@." Time.pp tr.Sched.at Sched.pp_mode
-          tr.Sched.from_mode Sched.pp_mode tr.Sched.to_mode tr.Sched.reason)
-      stats.Sched.transitions;
+    List.iter (Format.printf "  %a@." Sched.pp_transition) stats.Sched.transitions;
     Format.printf "@.%a@." Sched.pp_stats stats;
-    emit_telemetry ~stats
-      ?causal:(Sched.causal (Experiment.scheduler exp))
-      ~metrics_out ~trace_out ~report (Experiment.registry exp)
+    emit_telemetry ~stats ?causal:r.Scenario.causal ~metrics_out ~trace_out
+      ~report r.Scenario.registry
   in
   let doc = "Two-router BGP mode-transition demo (the paper's Figure 1)." in
   Cmd.v
@@ -343,27 +325,22 @@ let wan_cmd =
   let topo_conv =
     let parse s =
       match String.split_on_char ':' s with
-      | [ "abilene" ] -> Ok `Abilene
+      | [ "abilene" ] -> Ok Spec.Abilene
       | [ "ring"; n ] -> (
           match int_of_string_opt n with
-          | Some n when n >= 3 -> Ok (`Ring n)
+          | Some n when n >= 3 -> Ok (Spec.Ring n)
           | Some _ | None -> Error (`Msg "ring needs n >= 3"))
       | [ "random"; n ] -> (
           match int_of_string_opt n with
-          | Some n when n >= 2 -> Ok (`Random n)
+          | Some n when n >= 2 -> Ok (Spec.Gnp n)
           | Some _ | None -> Error (`Msg "random needs n >= 2"))
       | _ -> Error (`Msg "expected abilene, ring:N or random:N")
     in
-    let print fmt = function
-      | `Abilene -> Format.pp_print_string fmt "abilene"
-      | `Ring n -> Format.fprintf fmt "ring:%d" n
-      | `Random n -> Format.fprintf fmt "random:%d" n
-    in
-    Arg.conv (parse, print)
+    Arg.conv (parse, Scenario.pp_topology)
   in
   let topo_arg =
     let doc = "WAN topology: abilene, ring:N or random:N." in
-    Arg.(value & opt topo_conv `Abilene & info [ "w"; "wan" ] ~docv:"TOPO" ~doc)
+    Arg.(value & opt topo_conv Spec.Abilene & info [ "w"; "wan" ] ~docv:"TOPO" ~doc)
   in
   let fail_arg =
     let doc =
@@ -373,16 +350,14 @@ let wan_cmd =
     Arg.(value & opt (some int) None & info [ "kill" ] ~docv:"ROUTER" ~doc)
   in
   (* The victim's range depends on the topology, so [--kill] is checked
-     against the built WAN, still before the run starts. *)
-  let wan_and_victim =
-    let build wan_kind seed kill =
-      let wan =
-        match wan_kind with
-        | `Abilene -> Wan.abilene ()
-        | `Ring n -> Wan.ring n
-        | `Random n -> Wan.random_gnp ~seed ~n ~p:0.3 ()
+     against the router count, still before the run starts. *)
+  let topo_and_victim =
+    let check topology kill =
+      let n =
+        match topology with
+        | Spec.Ring n | Spec.Gnp n -> n
+        | _ -> Array.length (Wan.abilene ()).Wan.routers
       in
-      let n = Array.length wan.Wan.routers in
       match kill with
       | Some v when v < 0 || v >= n ->
           `Error
@@ -390,136 +365,59 @@ let wan_cmd =
               Printf.sprintf
                 "option '--kill': expected a router index in 0..%d, got %d"
                 (n - 1) v )
-      | _ -> `Ok (wan, kill)
+      | _ -> `Ok (topology, kill)
     in
-    Term.(ret (const build $ topo_arg $ seed_arg $ fail_arg))
+    Term.(ret (const check $ topo_arg $ fail_arg))
   in
-  let run (wan, kill) duration seed quiet_timeout increment max_wall no_causal
-      faults metrics_out trace_out report =
-    let hosts = Wan.attach_hosts wan in
-    let exp =
-      Experiment.create ~seed
-        ~config:(sched_config quiet_timeout increment max_wall no_causal)
-        wan.Wan.topo
+  let run (topology, kill) duration seed quiet_timeout increment max_wall
+      no_causal faults metrics_out trace_out report =
+    (* The kill is one more fault-plan event; router i is named r<i>. *)
+    let faults =
+      let module Plan = Horse_faults.Plan in
+      match (load_faults faults, kill) with
+      | plan, None -> plan
+      | plan, Some victim ->
+          let plan = Option.value plan ~default:Plan.empty in
+          let at = Time.of_sec (duration /. 3.0) in
+          let crash = Plan.Node_crash (Printf.sprintf "r%d" victim) in
+          Some { plan with Plan.events = plan.Plan.events @ [ { Plan.at; action = crash } ] }
     in
-    (* Each router originates its PoP prefix (its host lives in it). *)
-    let router_index = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (r : Horse_topo.Topology.node) ->
-        Hashtbl.replace router_index r.Horse_topo.Topology.id i)
-      wan.Wan.routers;
-    let fabric =
-      Routed_fabric.build ~cm:(Experiment.cm exp)
-        ~hold_time:(Time.of_sec 30.0)
-        ~originate:(fun node ->
-          match Hashtbl.find_opt router_index node with
-          | Some i -> [ Wan.router_prefix wan i ]
-          | None -> [])
-        wan.Wan.topo
+    let r =
+      Scenario.run
+        (Spec.make ~seed
+           ~config:(sched_config quiet_timeout increment max_wall no_causal)
+           ?faults ~hold_time:(Time.of_sec 30.0)
+           ~sample_every:(Time.of_sec 1.0)
+           ~duration:(Time.of_sec duration)
+           topology Spec.Bgp_ecmp)
     in
-    Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
-    let fluid = Experiment.fluid exp in
-    Horse_dataplane.Fluid.start_sampling fluid ~every:(Time.of_sec 1.0);
-    (* Track flows so FIB changes re-path them (or stop them when the
-       destination becomes unreachable). *)
-    let flows :
-        (Horse_net.Flow_key.t * Horse_dataplane.Flow.t * int ref) list ref =
-      ref []
-    in
-    let dirty = ref true in
-    Routed_fabric.on_fib_change fabric (fun _ _ -> dirty := true);
-    (* Re-path flows when the FIBs change. Transient unreachability
-       during reconvergence is tolerated; a flow is stopped only after
-       its destination has stayed unroutable for 10 consecutive sweeps
-       (2 s). *)
-    ignore
-      (Sched.every (Experiment.scheduler exp) (Time.of_ms 200) (fun () ->
-           let retry_all = !dirty in
-           dirty := false;
-           List.iter
-             (fun (key, flow, misses) ->
-               if
-                 flow.Horse_dataplane.Flow.active && (retry_all || !misses > 0)
-               then
-                 match Routed_fabric.path_for fabric key with
-                 | Ok path ->
-                     misses := 0;
-                     Horse_dataplane.Fluid.set_path fluid flow path
-                 | Error _ ->
-                     incr misses;
-                     if !misses >= 10 then begin
-                       Format.printf
-                         "[%a] flow %a unroutable for 2s; stopping@." Time.pp
-                         (Sched.now (Experiment.scheduler exp))
-                         Horse_net.Flow_key.pp key;
-                       Horse_dataplane.Fluid.stop_flow fluid flow
-                     end)
-             !flows));
-    Routed_fabric.when_converged fabric (fun () ->
-        Format.printf "[%a] converged; starting permutation traffic@." Time.pp
-          (Sched.now (Experiment.scheduler exp));
-        let n = Array.length hosts in
-        let rng = Rng.create seed in
-        let dsts = Rng.derangement rng n in
-        Array.iteri
-          (fun i (h : Horse_topo.Topology.node) ->
-            let key =
-              Horse_net.Flow_key.make
-                ~src:(Option.get h.Horse_topo.Topology.ip)
-                ~dst:(Option.get hosts.(dsts.(i)).Horse_topo.Topology.ip)
-                ~src_port:(7000 + i) ~dst_port:(8000 + i) ()
-            in
-            match Routed_fabric.path_for fabric key with
-            | Ok path ->
-                flows :=
-                  ( key,
-                    Horse_dataplane.Fluid.start_flow ~demand:1e9 fluid ~key ~path,
-                    ref 0 )
-                  :: !flows
-            | Error msg -> Format.printf "unroutable: %s@." msg)
-          hosts);
     Option.iter
-      (fun victim ->
-        Experiment.at exp
-          (Time.of_sec (duration /. 3.0))
-          (fun () ->
-            Format.printf "[%a] *** killing r%d ***@." Time.pp
-              (Sched.now (Experiment.scheduler exp))
-              victim;
-            match Routed_fabric.speaker fabric wan.Wan.routers.(victim).Horse_topo.Topology.id with
-            | Some speaker ->
-                Horse_emulation.Process.kill (Horse_bgp.Speaker.process speaker)
-            | None -> ()))
-      kill;
-    let injector =
-      Option.map
-        (fun plan ->
-          Horse_faults.Injector.arm (Experiment.scheduler exp)
-            ~target:(Routed_fabric.fault_target fabric)
-            plan)
-        (load_faults faults)
-    in
-    let stats = Experiment.run ~until:(Time.of_sec duration) exp in
+      (Format.printf "[%a] converged; starting permutation traffic@." Time.pp)
+      r.Scenario.converged_at;
+    List.iter (fun (_, msg) -> Format.printf "unroutable: %s@." msg) r.Scenario.unroutable;
+    List.iter
+      (fun (at, key) ->
+        Format.printf "[%a] flow %a unroutable for 2s; stopping@." Time.pp at
+          Horse_net.Flow_key.pp key)
+      r.Scenario.stopped;
+    let stats = r.Scenario.sched_stats in
     warn_aborted stats;
-    Option.iter (pp_fault_summary Format.std_formatter) injector;
+    Option.iter (pp_fault_summary Format.std_formatter) r.Scenario.injector;
     Format.printf "@.%a@.@.%a@." Sched.pp_timeline stats Sched.pp_stats stats;
     Format.printf "@.aggregate rate (Gbps):@.";
     Horse_stats.Ascii.plot ~height:10 Format.std_formatter
       [
         ( "aggregate",
-          Horse_stats.Series.map
-            (Horse_dataplane.Fluid.aggregate_series fluid)
-            ~f:(fun v -> v /. 1e9) );
+          Horse_stats.Series.map r.Scenario.aggregate ~f:(fun v -> v /. 1e9) );
       ];
-    emit_telemetry ~stats
-      ?causal:(Sched.causal (Experiment.scheduler exp))
-      ~metrics_out ~trace_out ~report (Experiment.registry exp)
+    emit_telemetry ~stats ?causal:r.Scenario.causal ~metrics_out ~trace_out
+      ~report r.Scenario.registry
   in
   let doc = "Run BGP + fluid traffic on a WAN topology (optionally kill a router)." in
   Cmd.v
     (Cmd.info "wan" ~doc)
     Term.(
-      const run $ wan_and_victim $ duration_arg $ seed_arg $ quiet_timeout_arg
+      const run $ topo_and_victim $ duration_arg $ seed_arg $ quiet_timeout_arg
       $ increment_arg $ max_wall_arg $ no_causal_arg $ faults_arg
       $ metrics_out_arg $ trace_out_arg $ report_arg)
 

@@ -22,8 +22,8 @@ let () =
     List.map
       (fun te ->
         let r =
-          Scenario.run_fat_tree_te ~pods ~te ~duration
-            ~sample_every:(Time.of_sec 1.0) ()
+          Scenario.run
+            (Spec.make ~sample_every:(Time.of_sec 1.0) ~duration (Spec.Fat_tree pods) te)
         in
         Format.printf "%a@.@." Scenario.pp_result r;
         (te, r))

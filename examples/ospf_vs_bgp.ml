@@ -10,24 +10,23 @@
    Run with:  dune exec examples/ospf_vs_bgp.exe *)
 
 open Horse_engine
-open Horse_topo
 open Horse_core
 
-let run_wan name build =
-  let wan = Wan.abilene () in
-  let exp = Experiment.create wan.Wan.topo in
-  let converged = ref None in
-  build wan exp converged;
-  let stats = Experiment.run ~until:(Time.of_sec 60.0) exp in
-  let cm = Experiment.cm exp in
+let run_wan name control =
+  let r =
+    Scenario.run
+      (Spec.make ~traffic:Spec.No_traffic ~hold_time:(Time.of_sec 90.0)
+         ~duration:(Time.of_sec 60.0) Spec.Abilene control)
+  in
+  let stats = r.Scenario.sched_stats in
   Format.printf
     "%-5s: converged %-8s  %5d msgs  %3d transitions  FTI %4.1f%% of virtual \
      time@."
     name
-    (match !converged with
+    (match r.Scenario.converged_at with
     | Some at -> Format.asprintf "%a" Time.pp at
     | None -> "never")
-    (Connection_manager.messages_observed cm)
+    r.Scenario.control_messages
     (List.length stats.Sched.transitions)
     (100.0
     *. Time.to_sec stats.Sched.virtual_in_fti
@@ -36,29 +35,8 @@ let run_wan name build =
 
 let () =
   Format.printf "Abilene (11 routers), one /24 per router, 60s virtual@.@.";
-  let bgp_stats =
-    run_wan "bgp" (fun wan exp converged ->
-        let fabric =
-          Routed_fabric.build ~cm:(Experiment.cm exp)
-            ~hold_time:(Time.of_sec 90.0)
-            ~originate:(fun node -> [ Wan.router_prefix wan node ])
-            wan.Wan.topo
-        in
-        Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
-        Routed_fabric.when_converged fabric (fun () ->
-            converged := Some (Sched.now (Experiment.scheduler exp))))
-  in
-  let ospf_stats =
-    run_wan "ospf" (fun wan exp converged ->
-        let fabric =
-          Ospf_fabric.build ~cm:(Experiment.cm exp)
-            ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
-            wan.Wan.topo
-        in
-        Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
-        Ospf_fabric.when_converged fabric (fun () ->
-            converged := Some (Sched.now (Experiment.scheduler exp))))
-  in
+  let bgp_stats = run_wan "bgp" Spec.Bgp_ecmp in
+  let ospf_stats = run_wan "ospf" Spec.Ospf in
   Format.printf
     "@.OSPF spent %.1fx as much virtual time in FTI as BGP — hello chatter is@."
     (Time.to_sec ospf_stats.Sched.virtual_in_fti

@@ -11,8 +11,8 @@ open Horse_core
 
 let () =
   let result =
-    Scenario.run_fat_tree_te ~pods:2 ~te:Scenario.Sdn_ecmp
-      ~duration:(Time.of_sec 10.0) ()
+    Scenario.run
+      (Spec.make ~duration:(Time.of_sec 10.0) (Spec.Fat_tree 2) Spec.Sdn_ecmp)
   in
   Format.printf "--- result ---------------------------------------@.";
   Format.printf "%a@.@." Scenario.pp_result result;

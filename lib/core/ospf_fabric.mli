@@ -18,7 +18,7 @@ open Horse_dataplane
 open Horse_emulation
 open Horse_ospf
 
-type t
+type t = Daemon.t Routed_core.fabric
 
 val build :
   ?hello_interval:Time.t ->

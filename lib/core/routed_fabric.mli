@@ -20,7 +20,7 @@ open Horse_dataplane
 open Horse_emulation
 open Horse_bgp
 
-type t
+type t = Speaker.t Routed_core.fabric
 
 val build :
   ?asn_base:int ->

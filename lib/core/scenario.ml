@@ -5,10 +5,12 @@ open Horse_dataplane
 open Horse_controller
 open Horse_stats
 
-type te = Bgp_ecmp | Sdn_ecmp | Hedera_gff | Hedera_annealing | P4_ecmp
+type te = Spec.control =
+  | Bgp_ecmp | Ospf | Sdn_ecmp | Hedera_gff | Hedera_annealing | P4_ecmp
 
 let te_name = function
   | Bgp_ecmp -> "bgp-ecmp"
+  | Ospf -> "ospf"
   | Sdn_ecmp -> "sdn-ecmp"
   | Hedera_gff -> "hedera-gff"
   | Hedera_annealing -> "hedera-sa"
@@ -17,8 +19,7 @@ let te_name = function
 let all_te = [ Bgp_ecmp; Hedera_gff; Sdn_ecmp ]
 
 type result = {
-  te : te;
-  pods : int;
+  spec : Spec.t;
   n_hosts : int;
   setup_wall_s : float;
   run_wall_s : float;
@@ -30,6 +31,8 @@ type result = {
   control_messages : int;
   control_bytes : int;
   flows_started : int;
+  unroutable : (Flow_key.t * string) list;
+  stopped : (Time.t * Flow_key.t) list;
   registry : Horse_telemetry.Registry.t;
   injector : Horse_faults.Injector.t option;
   fib_fingerprint : string option;
@@ -37,70 +40,149 @@ type result = {
   fib_provenance : (string * Prefix.t * Causal.id) list;
 }
 
-(* The demonstration's flow set: one UDP flow per server towards a
-   distinct server, distinct ports so 5-tuple hashing has entropy. *)
-let demo_keys exp (ft : Fat_tree.t) =
-  let pairs = Experiment.permutation_pairs exp ft.Fat_tree.hosts in
+let flow_rate = 1e9
+
+(* A spec's network: its graph, the hosts that carry the permutation
+   (none without traffic), what each node originates, and whether it is
+   a WAN. A WAN gets one host per router only when it carries traffic;
+   router [i] is node [i] and originates the PoP prefix its host lives
+   in. *)
+type site = {
+  topo : Topology.t;
+  hosts : Topology.node array;
+  originate : int -> Prefix.t list;
+  wan : bool;
+}
+
+let site (spec : Spec.t) =
+  let traffic = spec.Spec.traffic = Spec.Permutation in
+  let wan (w : Wan.t) =
+    let routers = Array.length w.Wan.routers in
+    {
+      topo = w.Wan.topo;
+      hosts = (if traffic then Wan.attach_hosts w else [||]);
+      originate = (fun node -> if node < routers then [ Wan.router_prefix w node ] else []);
+      wan = true;
+    }
+  in
+  match spec.Spec.topology with
+  | Spec.Fat_tree k ->
+      let ft = Fat_tree.build ~k () in
+      let originate = Fat_tree.edge_subnets ft in
+      let hosts = if traffic then ft.Fat_tree.hosts else [||] in
+      { topo = ft.Fat_tree.topo; hosts; originate; wan = false }
+  | Spec.Linear { routers; prefixes } ->
+      if traffic then invalid_arg "Scenario.run: a linear topology has no hosts";
+      let originate node =
+        List.init prefixes (fun i -> Prefix.make (Ipv4.of_octets 20 node i 0) 24)
+      in
+      { (wan (Wan.linear routers)) with originate }
+  | Spec.Ring n -> wan (Wan.ring n)
+  | Spec.Gnp n -> wan (Wan.random_gnp ~seed:spec.Spec.seed ~n ~p:0.3 ())
+  | Spec.Abilene -> wan (Wan.abilene ())
+
+(* One flow per host towards a distinct host (seeded derangement), with
+   distinct ports so 5-tuple hashing has entropy. *)
+let permutation exp site =
+  let src_port, dst_port = if site.wan then (7000, 8000) else (10000, 20000) in
   Array.mapi
     (fun i ((src : Topology.node), (dst : Topology.node)) ->
-      match (src.Topology.ip, dst.Topology.ip) with
-      | Some s, Some d ->
-          Flow_key.make ~src:s ~dst:d
-            ~src_port:(10000 + (i mod 50000))
-            ~dst_port:(20000 + (i mod 40000))
-            ()
-      | None, _ | _, None -> assert false (* fat-tree hosts have IPs *))
-    pairs
+      Flow_key.make ~src:(Option.get src.Topology.ip) ~dst:(Option.get dst.Topology.ip)
+        ~src_port:(src_port + (i mod 50000))
+        ~dst_port:(dst_port + (i mod 40000))
+        ())
+    (Experiment.permutation_pairs exp site.hosts)
 
 type runtime = {
   exp : Experiment.t;
   keys : Flow_key.t array;
-  flow_rate : float;
   started : Flow.t Flow_key.Table.t;
+  mutable steered : (Flow_key.t * Flow.t * int ref) list;  (* newest first *)
   mutable converged_at : Time.t option;
+  mutable unroutable : (Flow_key.t * string) list;  (* newest first *)
+  mutable stopped : (Time.t * Flow_key.t) list;  (* newest first *)
 }
+
+let now rt = Sched.now (Experiment.scheduler rt.exp)
 
 let start_flow rt key path =
   if not (Flow_key.Table.mem rt.started key) then begin
-    let flow =
-      Fluid.start_flow ~demand:rt.flow_rate (Experiment.fluid rt.exp) ~key ~path
-    in
-    Flow_key.Table.replace rt.started key flow
+    let flow = Fluid.start_flow ~demand:flow_rate (Experiment.fluid rt.exp) ~key ~path in
+    Flow_key.Table.replace rt.started key flow;
+    rt.steered <- (key, flow, ref 0) :: rt.steered
   end
 
 let mark_converged rt =
-  if rt.converged_at = None then
-    rt.converged_at <- Some (Sched.now (Experiment.scheduler rt.exp))
+  if rt.converged_at = None then rt.converged_at <- Some (now rt)
 
-(* --- BGP + ECMP (src/dst hash) ------------------------------------- *)
+(* Starts every flow on its path of the instant the tables completed. *)
+let start_all rt path_for () =
+  mark_converged rt;
+  Array.iter
+    (fun key ->
+      match path_for key with
+      | Ok path -> start_flow rt key path
+      | Error msg -> rt.unroutable <- (key, msg) :: rt.unroutable)
+    rt.keys
 
-let setup_bgp rt (ft : Fat_tree.t) =
-  let fabric =
-    Routed_fabric.build ~cm:(Experiment.cm rt.exp)
-      ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
-  in
-  Experiment.at rt.exp Time.zero (fun () -> Routed_fabric.start fabric);
-  Routed_fabric.when_converged fabric (fun () ->
-      mark_converged rt;
-      Array.iter
-        (fun key ->
-          match Routed_fabric.path_for fabric key with
-          | Ok path -> start_flow rt key path
-          | Error msg ->
-              Trace.addf (Experiment.trace rt.exp)
-                ~at:(Sched.now (Experiment.scheduler rt.exp))
-                ~label:"scenario" "flow %a unroutable: %s" Flow_key.pp key msg)
-        rt.keys);
-  ( Some (Routed_fabric.fault_target fabric),
-    Some (fun () -> Routed_fabric.fib_fingerprint fabric),
-    Some (fun () -> Routed_fabric.fib_provenance fabric) )
+(* A WAN's flows follow the FIBs: after a FIB change a sweep every
+   200 ms re-paths them. Transient unreachability during reconvergence
+   is tolerated; a flow is stopped only after its destination has
+   stayed unroutable for 10 consecutive sweeps (2 s). *)
+let resteer rt fabric =
+  let fluid = Experiment.fluid rt.exp in
+  let dirty = ref true in
+  Routed_core.on_fib_change fabric (fun _ _ -> dirty := true);
+  ignore
+    (Sched.every (Experiment.scheduler rt.exp) (Time.of_ms 200) (fun () ->
+         let retry_all = !dirty in
+         dirty := false;
+         List.iter
+           (fun (key, (flow : Flow.t), misses) ->
+             if flow.Flow.active && (retry_all || !misses > 0) then
+               match Routed_core.path_for fabric key with
+               | Ok path ->
+                   misses := 0;
+                   Fluid.set_path fluid flow path
+               | Error _ ->
+                   incr misses;
+                   if !misses >= 10 then begin
+                     rt.stopped <- (now rt, key) :: rt.stopped;
+                     Fluid.stop_flow fluid flow
+                   end)
+           rt.steered))
 
-(* --- SDN (reactive controller) -------------------------------------- *)
+(* Each control plane's setup returns its fault surface, the FIB digest
+   and the FIB entries' provenance.
 
-let setup_sdn rt (ft : Fat_tree.t) te =
+   BGP and OSPF: boot at t = 0, start the traffic once the FIBs are
+   complete. *)
+let setup_routed rt site fabric =
+  Experiment.at rt.exp Time.zero (fun () -> Routed_core.start fabric);
+  Routed_core.when_converged fabric
+    (start_all rt (fun key -> Routed_core.path_for fabric key));
+  if site.wan && rt.keys <> [||] then resteer rt fabric;
+  ( Some (Routed_core.fault_target fabric),
+    (fun () -> Some (Routed_core.fib_fingerprint fabric)),
+    fun () -> Routed_core.fib_provenance fabric )
+
+(* P4: program the tables at t = 0, start the traffic once every insert
+   is acknowledged. *)
+let setup_p4 rt site =
+  match P4_fabric.build ~cm:(Experiment.cm rt.exp) site.topo with
+  | Error msg -> invalid_arg ("Scenario.run: " ^ msg)
+  | Ok fabric ->
+      Experiment.at rt.exp Time.zero (fun () -> P4_fabric.program_routes fabric);
+      P4_fabric.when_programmed fabric
+        (start_all rt (fun key -> P4_fabric.path_for fabric key));
+      (None, (fun () -> None), fun () -> [])
+
+(* SDN (reactive controller): each flow resolves its own path through
+   PACKET_IN round trips. *)
+let setup_sdn rt site placer =
   let fabric =
     Sdn_fabric.build ~cm:(Experiment.cm rt.exp)
-      ~fluid:(Experiment.fluid rt.exp) ft.Fat_tree.topo
+      ~fluid:(Experiment.fluid rt.exp) site.topo
   in
   let ctrl = Sdn_fabric.controller fabric in
   let env = Sdn_fabric.env fabric in
@@ -108,28 +190,20 @@ let setup_sdn rt (ft : Fat_tree.t) te =
     match Flow_key.Table.find_opt rt.started key with
     | None -> ()
     | Some flow ->
-        let sched = Experiment.scheduler rt.exp in
         ignore
-          (Sched.schedule_after sched (Time.of_ms 2) (fun () ->
-               if flow.Flow.active then
-                 Fluid.set_path (Experiment.fluid rt.exp) flow path))
+          (Sched.schedule_after (Experiment.scheduler rt.exp) (Time.of_ms 2) (fun () ->
+               if flow.Flow.active then Fluid.set_path (Experiment.fluid rt.exp) flow path))
   in
-  (match te with
-  | Sdn_ecmp ->
+  (match placer with
+  | None ->
       let app = App_ecmp.install ~mode:App_ecmp.Five_tuple ctrl env in
       App_ecmp.on_reroute app on_app_reroute
-  | Hedera_gff | Hedera_annealing ->
-      let placer =
-        match te with
-        | Hedera_annealing -> App_hedera.Annealing
-        | Hedera_gff | Sdn_ecmp | Bgp_ecmp | P4_ecmp -> App_hedera.Gff
-      in
+  | Some placer ->
       let app = App_hedera.install ~placer ctrl env in
       (* The scheduler's FLOW_MODs take one channel latency to land in
          the tables; move the fluid flow onto the new path once they
          have. *)
-      App_hedera.on_reroute app on_app_reroute
-  | Bgp_ecmp | P4_ecmp -> invalid_arg "setup_sdn: not an OpenFlow scenario");
+      App_hedera.on_reroute app on_app_reroute);
   (* Give the OpenFlow handshake a head start, then launch all flows;
      each resolves via PACKET_IN round trips. *)
   let n = Array.length rt.keys in
@@ -140,98 +214,93 @@ let setup_sdn rt (ft : Fat_tree.t) te =
               start_flow rt key path;
               if Flow_key.Table.length rt.started = n then mark_converged rt))
         rt.keys);
-  (Some (Sdn_fabric.fault_target fabric), None, None)
+  (Some (Sdn_fabric.fault_target fabric), (fun () -> None), fun () -> [])
 
-(* --- P4 (programmable pipelines) ------------------------------------- *)
+let setup (spec : Spec.t) rt site =
+  let cm = Experiment.cm rt.exp in
+  match (spec.Spec.control, site.wan) with
+  | Bgp_ecmp, _ ->
+      setup_routed rt site
+        (Routed_fabric.build ~cm ~hold_time:spec.Spec.hold_time
+           ~originate:site.originate site.topo)
+  | Ospf, _ ->
+      setup_routed rt site
+        (Ospf_fabric.build ~cm
+           ~originate:(fun node -> List.map (fun p -> (p, 0)) (site.originate node))
+           site.topo)
+  | P4_ecmp, false -> setup_p4 rt site
+  | Sdn_ecmp, false -> setup_sdn rt site None
+  | Hedera_gff, false -> setup_sdn rt site (Some App_hedera.Gff)
+  | Hedera_annealing, false -> setup_sdn rt site (Some App_hedera.Annealing)
+  | (P4_ecmp | Sdn_ecmp | Hedera_gff | Hedera_annealing), true ->
+      invalid_arg
+        (Printf.sprintf "Scenario.run: %s runs on a fat-tree only"
+           (te_name spec.Spec.control))
 
-let setup_p4 rt (ft : Fat_tree.t) =
-  let fabric =
-    match P4_fabric.build ~cm:(Experiment.cm rt.exp) ft.Fat_tree.topo with
-    | Ok fabric -> fabric
-    | Error msg -> invalid_arg ("setup_p4: " ^ msg)
-  in
-  Experiment.at rt.exp Time.zero (fun () -> P4_fabric.program_routes fabric);
-  P4_fabric.when_programmed fabric (fun () ->
-      mark_converged rt;
-      Array.iter
-        (fun key ->
-          match P4_fabric.path_for fabric key with
-          | Ok path -> start_flow rt key path
-          | Error msg ->
-              Trace.addf (Experiment.trace rt.exp)
-                ~at:(Sched.now (Experiment.scheduler rt.exp))
-                ~label:"scenario" "flow %a unroutable: %s" Flow_key.pp key msg)
-        rt.keys);
-  (None, None, None)
-
-(* --- entry point ----------------------------------------------------- *)
-
-let run_fat_tree_te ?(seed = 42) ?(sample_every = Time.of_ms 500) ?config
-    ?(flow_rate = 1e9) ?faults ~pods ~te ~duration () =
+let run (spec : Spec.t) =
   let (rt, injector, fingerprint, provenance), setup_wall_s =
     Wall.time (fun () ->
-        let ft = Fat_tree.build ~k:pods () in
-        let exp = Experiment.create ?config ~seed ft.Fat_tree.topo in
+        let site = site spec in
+        let exp =
+          Experiment.create ~config:spec.Spec.config ~seed:spec.Spec.seed site.topo
+        in
         let rt =
           {
             exp;
-            keys = demo_keys exp ft;
-            flow_rate;
+            keys = permutation exp site;
             started = Flow_key.Table.create 256;
+            steered = [];
             converged_at = None;
+            unroutable = [];
+            stopped = [];
           }
         in
+        let sched = Experiment.scheduler exp in
         let target, fingerprint, provenance =
-          Sched.with_span (Experiment.scheduler exp) ~name:"setup" (fun () ->
-              match te with
-              | Bgp_ecmp -> setup_bgp rt ft
-              | P4_ecmp -> setup_p4 rt ft
-              | Sdn_ecmp | Hedera_gff | Hedera_annealing ->
-                  setup_sdn rt ft te)
+          Sched.with_span sched ~name:"setup" (fun () -> setup spec rt site)
         in
         let injector =
-          match (faults, target) with
+          match (spec.Spec.faults, target) with
           | None, _ -> None
-          | Some plan, Some target ->
-              Some
-                (Horse_faults.Injector.arm
-                   (Experiment.scheduler exp)
-                   ~target plan)
+          | Some plan, Some target -> Some (Horse_faults.Injector.arm sched ~target plan)
           | Some _, None ->
               invalid_arg
-                (Printf.sprintf "run_fat_tree_te: %s has no fault target"
-                   (te_name te))
+                (Printf.sprintf "Scenario.run: %s has no fault target"
+                   (te_name spec.Spec.control))
         in
-        Fluid.start_sampling (Experiment.fluid exp) ~every:sample_every;
+        if rt.keys <> [||] then
+          Fluid.start_sampling (Experiment.fluid exp) ~every:spec.Spec.sample_every;
         (rt, injector, fingerprint, provenance))
   in
   let sched_stats, run_wall_s =
-    Wall.time (fun () -> Experiment.run ~until:duration rt.exp)
+    Wall.time (fun () -> Experiment.run ~until:spec.Spec.duration rt.exp)
   in
-  let fluid = Experiment.fluid rt.exp in
-  let delivered_bits = Fluid.total_delivered_bits fluid in
+  let fluid = Experiment.fluid rt.exp and cm = Experiment.cm rt.exp in
   let n_hosts = Array.length rt.keys in
   {
-    te;
-    pods;
+    spec;
     n_hosts;
     setup_wall_s;
     run_wall_s;
     sched_stats;
     aggregate = Fluid.aggregate_series fluid;
-    delivered_bits;
-    offered_bits = float_of_int n_hosts *. flow_rate *. Time.to_sec duration;
+    delivered_bits = Fluid.total_delivered_bits fluid;
+    offered_bits = float_of_int n_hosts *. flow_rate *. Time.to_sec spec.Spec.duration;
     converged_at = rt.converged_at;
-    control_messages = Connection_manager.messages_observed (Experiment.cm rt.exp);
-    control_bytes = Connection_manager.bytes_observed (Experiment.cm rt.exp);
+    control_messages = Connection_manager.messages_observed cm;
+    control_bytes = Connection_manager.bytes_observed cm;
     flows_started = Flow_key.Table.length rt.started;
+    unroutable = List.rev rt.unroutable;
+    stopped = List.rev rt.stopped;
     registry = Experiment.registry rt.exp;
     injector;
-    fib_fingerprint = Option.map (fun f -> f ()) fingerprint;
+    fib_fingerprint = fingerprint ();
     causal = Sched.causal (Experiment.scheduler rt.exp);
-    fib_provenance =
-      (match provenance with Some f -> f () | None -> []);
+    fib_provenance = provenance ();
   }
+
+let run_fat_tree_te ?seed ?sample_every ?config ?faults ~pods ~te ~duration () =
+  run (Spec.make ?seed ?sample_every ?config ?faults ~duration (Spec.Fat_tree pods) te)
 
 (* --- Million-user CDN/anycast workload on the WAN -------------------- *)
 
@@ -554,15 +623,22 @@ let pp_megauser_result fmt r =
     r.mu_setup_wall_s r.mu_run_wall_s r.mu_delivered_bits
     (Series.mean r.mu_aggregate /. 1e9)
 
+let pp_topology fmt = function
+  | Spec.Fat_tree k -> Format.fprintf fmt "pods=%d" k
+  | Spec.Linear { routers; _ } -> Format.fprintf fmt "linear:%d" routers
+  | Spec.Ring n -> Format.fprintf fmt "ring:%d" n
+  | Spec.Gnp n -> Format.fprintf fmt "random:%d" n
+  | Spec.Abilene -> Format.pp_print_string fmt "abilene"
+
 let pp_result fmt r =
   Format.fprintf fmt
-    "@[<v>%s pods=%d hosts=%d@,\
+    "@[<v>%s %a hosts=%d@,\
      setup %.3fs wall, run %.3fs wall for %a virtual@,\
      converged at %s; %d/%d flows; %d control msgs (%d bytes)@,\
      delivered %.4g bits (%.1f%% of offered)@,\
      mean aggregate rate %.3f Gbps@]"
-    (te_name r.te) r.pods r.n_hosts r.setup_wall_s r.run_wall_s Time.pp
-    r.sched_stats.Sched.end_time
+    (te_name r.spec.Spec.control) pp_topology r.spec.Spec.topology r.n_hosts
+    r.setup_wall_s r.run_wall_s Time.pp r.sched_stats.Sched.end_time
     (match r.converged_at with
     | Some at -> Format.asprintf "%a" Time.pp at
     | None -> "never")

@@ -1,36 +1,33 @@
-(** The paper's demonstration, packaged: Fat-Tree data-centre traffic
-    engineering with three control planes.
+(** The interpreter of {!Spec}: builds and runs one experiment.
 
-    One scenario run builds a [pods]-pod Fat-Tree (1 Gbps links),
-    boots the chosen control plane at t = 0, starts one 1 Gbps UDP
-    flow from every server to a distinct other server (seeded
-    derangement), samples the aggregate rate arriving at the hosts,
-    and runs the hybrid engine for the requested virtual duration.
+    From the topology it derives the hosts (a fat-tree's servers; one
+    host per WAN router, attached only when the spec carries traffic),
+    the originate policy (edge switches their host subnets, WAN routers
+    their PoP prefix, a linear chain the spec's [prefixes] /24s), the
+    permutation's ports (10000/20000 upwards on the fat-tree, 7000/8000
+    on a WAN) and whether flows follow FIB changes (on a WAN a sweep
+    every 200 ms re-paths them and stops a flow left unroutable for
+    2 s; fat-tree flows keep the paths of the convergence instant).
 
-    Used by the FIG3 and DEMO-TE benchmarks and the
-    [datacenter_te] example. *)
+    It boots the control plane at t = 0 (SDN launches its flows at
+    10 ms, after the OpenFlow handshake), starts the traffic when the
+    control plane has converged, arms the fault plan, samples the
+    aggregate host rate and runs for the spec's duration. *)
 
 open Horse_net
 open Horse_engine
 open Horse_stats
 
-type te =
-  | Bgp_ecmp  (** (i) BGP + ECMP hashing source and destination IP *)
-  | Sdn_ecmp  (** (iii) SDN 5-tuple ECMP, reactive *)
-  | Hedera_gff  (** (ii) Hedera with Global First Fit, 5 s polling *)
-  | Hedera_annealing  (** Hedera variant with Simulated Annealing *)
-  | P4_ecmp
-      (** the future-work item realised: P4 pipelines programmed over
-          runtime channels, in-switch hash-based ECMP *)
+type te = Spec.control =
+  | Bgp_ecmp | Ospf | Sdn_ecmp | Hedera_gff | Hedera_annealing | P4_ecmp
 
 val te_name : te -> string
 val all_te : te list
 (** The demonstration's three approaches (GFF for Hedera). *)
 
 type result = {
-  te : te;
-  pods : int;
-  n_hosts : int;
+  spec : Spec.t;
+  n_hosts : int;  (** hosts sending, one flow each *)
   setup_wall_s : float;  (** building topology + control plane *)
   run_wall_s : float;  (** executing the experiment *)
   sched_stats : Sched.stats;
@@ -38,43 +35,53 @@ type result = {
   delivered_bits : float;
   offered_bits : float;
   converged_at : Time.t option;
-      (** BGP: FIBs complete; SDN: all flows routed *)
+      (** routed fabrics: FIBs complete; P4: tables programmed; SDN:
+          all flows routed *)
   control_messages : int;
   control_bytes : int;
   flows_started : int;
+  unroutable : (Flow_key.t * string) list;
+      (** flows with no path when the traffic started, never started *)
+  stopped : (Time.t * Flow_key.t) list;
+      (** WAN flows stopped after 2 s without a route, in order *)
   registry : Horse_telemetry.Registry.t;
       (** the experiment's telemetry registry, for exporters *)
   injector : Horse_faults.Injector.t option;
       (** present when a fault plan was armed: injection trace and
           per-fault reconvergence *)
   fib_fingerprint : string option;
-      (** BGP scenario only: digest of every final FIB, for
+      (** routed fabrics only: digest of every final FIB, for
           determinism checks *)
   causal : Causal.t option;
       (** the run's causal graph when [config.causal] (the default) *)
   fib_provenance : (string * Prefix.t * Causal.id) list;
-      (** BGP scenario only: (node, prefix, causal id) for every
-          BGP-learned FIB entry — the input to the convergence
-          explainer *)
+      (** routed fabrics only: (node, prefix, causal id) for every
+          learned FIB entry — the input to the convergence explainer *)
 }
+
+val run : Spec.t -> result
+(** A fault plan applies in full to the routed fabrics and as link
+    faults only to the SDN ones.
+    @raise Invalid_argument for a fault plan on {!P4_ecmp}, which has
+    no fault surface, for traffic on a linear chain, or for an OpenFlow
+    or P4 control plane on a WAN. *)
 
 val run_fat_tree_te :
   ?seed:int ->
   ?sample_every:Time.t ->
   ?config:Sched.config ->
-  ?flow_rate:float ->
   ?faults:Horse_faults.Plan.t ->
   pods:int ->
   te:te ->
   duration:Time.t ->
   unit ->
   result
-(** Defaults: seed 42, sampling every 500 ms, 1 Gbps flows, scheduler
-    defaults (1 ms increment, 1 s quiet timeout). [faults] arms a
-    fault-injection plan against the chosen control plane before the
-    run ({!Bgp_ecmp}: full target; SDN variants: link faults only;
-    raises [Invalid_argument] for {!P4_ecmp}, which has no fault
-    surface yet). *)
+(** [run] on [Spec.make ~duration (Fat_tree pods) te] with the
+    permutation and {!Spec.make}'s defaults. *)
+
+val pp_topology : Format.formatter -> Spec.topology -> unit
+(** ["pods=<k>"], ["linear:<n>"], ["ring:<n>"], ["random:<n>"] or
+    ["abilene"]; the last three are the [wan] verb's spellings. *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -410,6 +410,51 @@ let test_scenario_te_ordering () =
   check Alcotest.bool "hedera >= bgp" true
     (hedera.Scenario.delivered_bits >= bgp.Scenario.delivered_bits *. 0.95)
 
+(* --- Spec + Scenario.run: the other topologies and control planes ---------- *)
+
+let test_spec_ospf_fat_tree () =
+  let r =
+    Scenario.run
+      (Spec.make ~sample_every:(Time.of_sec 1.0) ~duration (Spec.Fat_tree 4)
+         Spec.Ospf)
+  in
+  check_result_sanity r;
+  check Alcotest.bool "fingerprint" true (r.Scenario.fib_fingerprint <> None)
+
+(* The WAN kill as a one-event plan: flows through the dead router lose
+   their route at once and are stopped after 2 s of sweeps; the one
+   whose path the reconverged FIBs also lose follows when the hold
+   timers expire. *)
+let test_spec_wan_kill () =
+  let module Plan = Horse_faults.Plan in
+  let crash = { Plan.at = Time.of_sec 20.0; action = Plan.Node_crash "r2" } in
+  let r =
+    Scenario.run
+      (Spec.make ~hold_time:(Time.of_sec 30.0) ~sample_every:(Time.of_sec 1.0)
+         ~faults:{ Plan.empty with Plan.events = [ crash ] }
+         ~duration:(Time.of_sec 60.0) Spec.Abilene Spec.Bgp_ecmp)
+  in
+  check Alcotest.int "one flow per router" 11 r.Scenario.flows_started;
+  check Alcotest.int "no unroutable start" 0 (List.length r.Scenario.unroutable);
+  check (Alcotest.list Alcotest.int) "stops, in order"
+    [ 21_800_000; 21_800_000; 21_800_000; 42_000_000 ]
+    (List.map (fun (at, _) -> Time.to_us at) r.Scenario.stopped);
+  check Alcotest.int "crash injected" 1
+    (Horse_faults.Injector.injected (Option.get r.Scenario.injector))
+
+let test_spec_rejected () =
+  let rejects name spec =
+    match Scenario.run spec with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let duration = Time.of_sec 1.0 in
+  rejects "traffic on a linear chain"
+    (Spec.make ~duration (Spec.Linear { routers = 2; prefixes = 1 }) Spec.Bgp_ecmp);
+  rejects "sdn on a wan" (Spec.make ~duration Spec.Abilene Spec.Sdn_ecmp);
+  rejects "faults on p4"
+    (Spec.make ~faults:Horse_faults.Plan.empty ~duration (Spec.Fat_tree 2) Spec.P4_ecmp)
+
 (* --- Traffic generator (Poisson + FCT) -------------------------------------- *)
 
 let test_traffic_size_distributions () =
@@ -528,5 +573,10 @@ let () =
           Alcotest.test_case "p4" `Slow test_scenario_p4;
           Alcotest.test_case "determinism" `Slow test_scenario_determinism;
           Alcotest.test_case "te ordering" `Slow test_scenario_te_ordering;
+          Alcotest.test_case "spec: ospf on a fat-tree" `Slow
+            test_spec_ospf_fat_tree;
+          Alcotest.test_case "spec: wan kill as a plan" `Quick test_spec_wan_kill;
+          Alcotest.test_case "spec: rejected combinations" `Quick
+            test_spec_rejected;
         ] );
     ]
