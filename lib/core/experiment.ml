@@ -11,8 +11,8 @@ type t = {
   exp_rng : Rng.t;
 }
 
-let create ?config ?registry ?(seed = 42) topo =
-  let sched = Sched.create ?config ?registry () in
+let create ?config ?(seed = 42) topo =
+  let sched = Sched.create ?config () in
   let trace = Trace.create () in
   Trace.bind_registry trace (Sched.registry sched);
   {
@@ -30,7 +30,6 @@ let topology t = t.exp_topo
 let cm t = t.exp_cm
 let fluid t = t.exp_fluid
 let trace t = t.exp_trace
-let rng t = t.exp_rng
 
 let at t time f = ignore (Sched.schedule_at t.sched time (fun () -> f ()))
 

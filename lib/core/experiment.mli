@@ -16,13 +16,11 @@ type t
 
 val create :
   ?config:Sched.config ->
-  ?registry:Horse_telemetry.Registry.t ->
   ?seed:int ->
   Topology.t ->
   t
 (** Default scheduler config: 1 ms FTI increment, 1 s quiet timeout.
-    Default seed 42. A fresh telemetry registry is created unless one
-    is supplied. *)
+    Default seed 42. *)
 
 val scheduler : t -> Sched.t
 
@@ -34,7 +32,6 @@ val topology : t -> Topology.t
 val cm : t -> Connection_manager.t
 val fluid : t -> Fluid.t
 val trace : t -> Trace.t
-val rng : t -> Rng.t
 
 val at : t -> Time.t -> (unit -> unit) -> unit
 (** Schedule setup work at an absolute virtual time (e.g. boot the

@@ -33,7 +33,6 @@ val build :
 
 val start : t -> unit
 val daemons : t -> (int * Daemon.t) list
-val daemon : t -> int -> Daemon.t option
 
 (** {2 The routed-fabric surface}
 
@@ -46,7 +45,6 @@ val daemon : t -> int -> Daemon.t option
     and resumes hellos. OSPF has no administrative session reset: the
     fault target's [session_reset] reports [false]. *)
 
-val topo : t -> Topology.t
 val table : t -> int -> Fwd.t
 val all_prefixes : t -> Prefix.t list
 val on_fib_change : t -> (int -> Prefix.t -> unit) -> unit

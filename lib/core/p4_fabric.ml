@@ -89,7 +89,6 @@ let build ?(program = Prog.ecmp_router) ~cm topo =
         (Topology.nodes topo);
       (match !build_error with Some msg -> Error msg | None -> Ok t)
 
-let topo t = t.fabric_topo
 
 let agent t node =
   Option.map (fun sw -> sw.agent) (Hashtbl.find_opt t.switches node)
@@ -168,7 +167,6 @@ let program_routes t =
     (Topology.nodes topo)
 
 let entries_sent t = !(t.sent)
-let acks_received t = !(t.acks)
 let nacks_received t = t.nacks
 let programmed t = all_acked ~sent:t.sent ~acks:t.acks
 let when_programmed t k = Latch.on t.programmed k

@@ -29,11 +29,9 @@ val program_routes : t -> unit
     Call from inside the experiment (e.g. [Experiment.at exp
     Time.zero]). *)
 
-val topo : t -> Topology.t
 val agent : t -> int -> Agent.t option
 
 val entries_sent : t -> int
-val acks_received : t -> int
 val nacks_received : t -> int
 
 val programmed : t -> bool

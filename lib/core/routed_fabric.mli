@@ -53,10 +53,8 @@ val speaker : t -> int -> Speaker.t option
     {!reset_session} sends a Cease NOTIFICATION from [a]'s end, after
     which both ConnectRetry timers re-establish the session. *)
 
-val topo : t -> Topology.t
 val table : t -> int -> Fwd.t
 val all_prefixes : t -> Prefix.t list
-val node_name : t -> int -> string
 val fib_routes_installed : t -> int
 val on_fib_change : t -> (int -> Prefix.t -> unit) -> unit
 val is_converged : t -> bool

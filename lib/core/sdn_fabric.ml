@@ -241,7 +241,6 @@ let build ?(channel_latency = Time.of_ms 1) ~cm ~fluid topo =
 
 let controller t = t.ctrl
 let env t = t.fabric_env
-let agent t node = Hashtbl.find_opt t.agents node
 
 let route_flow t key ~on_ready =
   let asked = Hashtbl.create 4 in
@@ -294,18 +293,15 @@ let restore_link t ~a ~b = set_link t ~a ~b ~up:true
 (* Link up/down is the whole fault surface: crashes, session resets
    and impairments report [false] and are recorded as skipped. *)
 let fault_target t =
-  let id name =
-    Option.map
-      (fun (n : Topology.node) -> n.Topology.id)
-      (Topology.node_by_name t.fabric_topo name)
-  in
-  let with2 a b f =
-    match (id a, id b) with Some a, Some b -> f a b | _, _ -> false
+  let link f ~a ~b =
+    match (Topology.node_by_name t.fabric_topo a, Topology.node_by_name t.fabric_topo b) with
+    | Some a, Some b -> f t ~a:a.Topology.id ~b:b.Topology.id
+    | None, _ | _, None -> false
   in
   {
     Horse_faults.Injector.describe = "sdn-fabric";
-    link_down = (fun ~a ~b -> with2 a b (fun a b -> fail_link t ~a ~b));
-    link_up = (fun ~a ~b -> with2 a b (fun a b -> restore_link t ~a ~b));
+    link_down = link fail_link;
+    link_up = link restore_link;
     node_crash = (fun _ -> false);
     node_restart = (fun _ -> false);
     session_reset = (fun ~a:_ ~b:_ -> false);

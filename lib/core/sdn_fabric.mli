@@ -16,7 +16,6 @@ open Horse_net
 open Horse_engine
 open Horse_topo
 open Horse_dataplane
-open Horse_openflow
 open Horse_controller
 
 type t
@@ -34,8 +33,6 @@ val build :
 
 val controller : t -> Controller.t
 val env : t -> Env.t
-val agent : t -> int -> Switch.t option
-(** The switch agent on a node. *)
 
 val route_flow : t -> Flow_key.t -> on_ready:(Spf.path -> unit) -> unit
 (** Resolves the path for a new flow as described above. [on_ready]
@@ -65,7 +62,5 @@ val fail_link : t -> a:int -> b:int -> bool
 val restore_link : t -> a:int -> b:int -> bool
 
 val fault_target : t -> Horse_faults.Injector.target
-(** Described as ["sdn-fabric"]: link up/down only, through
-    {!fail_link} and {!restore_link}. Crashes, session resets and
-    impairments report [false] and are recorded as skipped.
-    [converged] means no flow is waiting for a path. *)
+(** Described as ["sdn-fabric"]: {!fail_link} and {!restore_link} only;
+    [converged] holds when no flow waits for a path. *)
