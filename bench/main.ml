@@ -9,7 +9,8 @@
    paper-scale parameters (slower) where a verb has them. Verbs:
      fig1 fig3 te ablation-timeout ablation-increment protocols
      ablation-placer scaling fct failure micro
-   An unknown verb exits 2 and runs nothing.
+   An unknown verb exits 2 and runs nothing. Each experiment verb is a
+   Spec run by Scenario.run; fct and failure wire their fabrics by hand.
 *)
 
 open Horse_net

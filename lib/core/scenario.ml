@@ -97,7 +97,8 @@ type runtime = {
   exp : Experiment.t;
   keys : Flow_key.t array;
   started : Flow.t Flow_key.Table.t;
-  mutable steered : (Flow_key.t * Flow.t * int ref) list;  (* newest first *)
+  mutable steered : (Flow_key.t * Flow.t * int ref) list;
+      (* started flows, newest first, each with its unroutable-sweep count *)
   mutable converged_at : Time.t option;
   mutable unroutable : (Flow_key.t * string) list;  (* newest first *)
   mutable stopped : (Time.t * Flow_key.t) list;  (* newest first *)
