@@ -56,7 +56,7 @@ type site = {
 
 let site (spec : Spec.t) =
   let traffic = spec.Spec.traffic = Spec.Permutation in
-  let wan (w : Wan.t) =
+  let of_wan (w : Wan.t) =
     let routers = Array.length w.Wan.routers in
     {
       topo = w.Wan.topo;
@@ -76,10 +76,10 @@ let site (spec : Spec.t) =
       let originate node =
         List.init prefixes (fun i -> Prefix.make (Ipv4.of_octets 20 node i 0) 24)
       in
-      { (wan (Wan.linear routers)) with originate }
-  | Spec.Ring n -> wan (Wan.ring n)
-  | Spec.Gnp n -> wan (Wan.random_gnp ~seed:spec.Spec.seed ~n ~p:0.3 ())
-  | Spec.Abilene -> wan (Wan.abilene ())
+      { (of_wan (Wan.linear routers)) with originate }
+  | Spec.Ring n -> of_wan (Wan.ring n)
+  | Spec.Gnp n -> of_wan (Wan.random_gnp ~seed:spec.Spec.seed ~n ~p:0.3 ())
+  | Spec.Abilene -> of_wan (Wan.abilene ())
 
 (* One flow per host towards a distinct host (seeded derangement), with
    distinct ports so 5-tuple hashing has entropy. *)
