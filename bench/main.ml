@@ -391,7 +391,6 @@ let failure () =
      (1 Gbps). The ports are chosen 1 s after convergence: the FIBs
      resolve every subnet before every ECMP group holds all its
      members, and a disjoint pair needs the full groups. *)
-  let flows : (Flow_key.t * Horse_dataplane.Flow.t) list ref = ref [] in
   let sched = Experiment.scheduler exp in
   Routed_fabric.when_converged fabric (fun () ->
     Experiment.at exp (Time.add (Sched.now sched) (Time.of_sec 1.0)) (fun () ->
@@ -422,27 +421,12 @@ let failure () =
           | Ok _ | Error _ -> pick (port + 1)
       in
       let key1, path1 = pick 10001 in
-      flows :=
+      (* The probes follow the FIBs through the fault and the repair. *)
+      Routed_core.follow ~hash:Flow_key.hash_5tuple fabric fluid
         [
-          (key0, Horse_dataplane.Fluid.start_flow fluid ~key:key0 ~path:path0);
-          (key1, Horse_dataplane.Fluid.start_flow fluid ~key:key1 ~path:path1);
+          Horse_dataplane.Fluid.start_flow fluid ~key:key0 ~path:path0;
+          Horse_dataplane.Fluid.start_flow fluid ~key:key1 ~path:path1;
         ]));
-  (* Re-path the probes when the FIBs change, throttled to one sweep
-     per 100 ms of virtual time. *)
-  let dirty = ref false in
-  Routed_fabric.on_fib_change fabric (fun _ _ -> dirty := true);
-  ignore
-    (Sched.every (Experiment.scheduler exp) (Time.of_ms 100) (fun () ->
-         if !dirty then begin
-           dirty := false;
-           List.iter
-             (fun ((key : Flow_key.t), flow) ->
-               if flow.Horse_dataplane.Flow.active then
-                 match Routed_fabric.path_for ~hash:Flow_key.hash_5tuple fabric key with
-                 | Ok path -> Horse_dataplane.Fluid.set_path fluid flow path
-                 | Error _ -> ())
-             !flows
-         end));
   Horse_dataplane.Fluid.start_sampling fluid ~every:(Time.of_sec 1.0);
   Experiment.at exp (Time.of_sec 20.0) (fun () ->
       ignore (Routed_fabric.fail_link fabric ~a:edge.Topology.id ~b:agg.Topology.id));
@@ -522,10 +506,10 @@ let fct () =
     "done" "p50(ms)" "p99(ms)" "slow-p50" "slow-p99";
   ignore (run "src-dst" Flow_key.hash_src_dst);
   let fcts5 = run "5-tuple" Flow_key.hash_5tuple in
-  let hist = Horse_stats.Histogram.create_log ~lo:1e-4 ~hi:100.0 () in
-  Horse_stats.Histogram.add_list hist fcts5;
+  let hist = Horse_telemetry.Histogram.create_log ~lo:1e-4 ~hi:100.0 () in
+  Horse_telemetry.Histogram.add_list hist fcts5;
   Format.fprintf fmt "@.FCT distribution, 5-tuple hashing (seconds):@.%a"
-    Horse_stats.Histogram.pp hist;
+    Horse_telemetry.Histogram.pp hist;
   Format.fprintf fmt
     "@.shape check: 5-tuple hashing reduces tail FCT inflation versus \
      src/dst hashing (fewer persistent collisions)@."

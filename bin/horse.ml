@@ -199,8 +199,18 @@ let te_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run pods te duration seed quiet_timeout increment max_wall no_causal
-      faults csv explain metrics_out trace_out report =
+  (* P4 has no fault surface: a plan for it is refused before the run. *)
+  let te_and_faults =
+    let check te faults =
+      match (te, faults) with
+      | Scenario.P4_ecmp, Some _ ->
+          `Error (true, "option '--faults': p4-ecmp has no fault target")
+      | _ -> `Ok (te, faults)
+    in
+    Term.(ret (const check $ te_arg $ faults_arg))
+  in
+  let run pods (te, faults) duration seed quiet_timeout increment max_wall
+      no_causal csv explain metrics_out trace_out report =
     let result =
       Scenario.run
         (Spec.make ~seed
@@ -248,9 +258,9 @@ let te_cmd =
   Cmd.v
     (Cmd.info "te" ~doc)
     Term.(
-      const run $ pods_arg $ te_arg $ duration_arg $ seed_arg
+      const run $ pods_arg $ te_and_faults $ duration_arg $ seed_arg
       $ quiet_timeout_arg $ increment_arg $ max_wall_arg $ no_causal_arg
-      $ faults_arg $ csv_arg $ explain_arg
+      $ csv_arg $ explain_arg
       $ metrics_out_arg $ trace_out_arg $ report_arg)
 
 (* --- fig1 ---------------------------------------------------------------- *)

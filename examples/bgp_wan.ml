@@ -12,8 +12,6 @@
 open Horse_net
 open Horse_engine
 open Horse_topo
-open Horse_emulation
-open Horse_bgp
 open Horse_dataplane
 open Horse_core
 
@@ -55,9 +53,7 @@ let () =
   Experiment.at exp (Time.of_sec 20.0) (fun () ->
       Format.printf "[%a] *** killing %s ***@." Time.pp (Time.of_sec 20.0)
         (city 2);
-      match Routed_fabric.speaker fabric denver.Topology.id with
-      | Some speaker -> Process.kill (Speaker.process speaker)
-      | None -> assert false);
+      ignore (Routed_fabric.crash_node fabric denver.Topology.id));
 
   (* Watch Seattle's route towards Kansas City's prefix: initially the
      short way through Denver, afterwards around it. *)

@@ -255,8 +255,6 @@ type t = {
   mutable peers : peer array;  (* by id, which is insertion order *)
   mutable groups : group list;
   rib_hooks : (Prefix.t -> Rib.route list -> unit) Hooks.t;
-  established_hooks : (int -> unit) Hooks.t;
-  down_hooks : (int -> unit) Hooks.t;
   mutable started : bool;
   mutable established : int;  (* |peers in Established| *)
   mutable opens_sent : int;
@@ -301,8 +299,6 @@ let create ?trace proc cfg =
     peers = [||];
     groups = [];
     rib_hooks = Hooks.create ();
-    established_hooks = Hooks.create ();
-    down_hooks = Hooks.create ();
     started = false;
     established = 0;
     opens_sent = 0;
@@ -347,8 +343,6 @@ let routes t = Rib.loc_rib t.rib
 let loc_rib_size t = Rib.loc_rib_size t.rib
 
 let on_loc_rib_change t f = Hooks.add t.rib_hooks f
-let on_established t f = Hooks.add t.established_hooks f
-let on_session_down t f = Hooks.add t.down_hooks f
 
 let counters t =
   {
@@ -680,7 +674,6 @@ let session_established t peer =
   Gauge.add t.m.g_established 1.0;
   tracef t "session to AS%d established" peer.remote_asn;
   start_keepalive t peer;
-  Hooks.iter (fun f -> f peer.id) t.established_hooks;
   (* Initial table transfer: everything in the Loc-RIB, through the
      per-peer path (group flushes only carry deltas). *)
   peer.pending_announce <- Rib.loc_rib_ids t.rib;
@@ -705,8 +698,7 @@ let session_down t peer ~reason =
     Option.iter Sched.cancel peer.hold_ev;
     peer.pending_announce <- [];
     Bytes.fill peer.advertised 0 (Bytes.length peer.advertised) '\000';
-    List.iter (refresh_and_propagate t) (Rib.drop_peer_ids t.rib ~peer:peer.id);
-    Hooks.iter (fun f -> f peer.id) t.down_hooks
+    List.iter (refresh_and_propagate t) (Rib.drop_peer_ids t.rib ~peer:peer.id)
   end
 
 (* Hold-timer supervision: one deadline event per peer at

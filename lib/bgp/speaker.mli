@@ -130,11 +130,6 @@ val on_loc_rib_change : t -> (Prefix.t -> Rib.route list -> unit) -> unit
     Connection Manager installs routes into the simulated data
     plane. *)
 
-val on_established : t -> (int -> unit) -> unit
-(** Fired with the peer id when a session reaches Established. *)
-
-val on_session_down : t -> (int -> unit) -> unit
-
 type counters = {
   opens_sent : int;
   updates_sent : int;

@@ -290,6 +290,42 @@ let path_for ?(hash = Flow_key.hash_src_dst) t (key : Flow_key.t) =
       in
       walk src.Topology.id [] 0
 
+(* A flow left without a route keeps its path for this long before it
+   is stopped; a re-walk that finds a route in between keeps it. *)
+let unroutable_for = Time.of_sec 2.0
+
+let follow ?hash t fluid flows =
+  let sched = sched t in
+  let same_link (a : Topology.link) (b : Topology.link) =
+    a.Topology.link_id = b.Topology.link_id
+  in
+  let rewalk ((flow : Flow.t), stop) =
+    if flow.Flow.active then
+      match path_for ?hash t flow.Flow.key with
+      | Ok path ->
+          Option.iter Sched.cancel !stop;
+          stop := None;
+          if not (List.equal same_link path flow.Flow.path) then
+            Fluid.set_path fluid flow path
+      | Error _ ->
+          if Option.is_none !stop then
+            stop :=
+              Some
+                (Sched.schedule_after sched unroutable_for (fun () ->
+                     Fluid.stop_flow fluid flow))
+  in
+  let followed = List.map (fun flow -> (flow, ref None)) flows in
+  (* One re-walk per instant, after every write of that instant. *)
+  let queued = ref false in
+  if flows <> [] then
+    on_fib_change t (fun _node _prefix ->
+        if not !queued then begin
+          queued := true;
+          Sched.defer sched (fun () ->
+              queued := false;
+              List.iter rewalk followed)
+        end)
+
 (* --- fault-injection surface ---------------------------------------- *)
 
 let fail_session session =

@@ -127,6 +127,15 @@ val path_for :
     {!Flow_key.hash_src_dst}). Fails on an unknown source address, a
     hop with no route, or a walk beyond 64 hops. *)
 
+val follow :
+  ?hash:(Flow_key.t -> int) -> 'd fabric -> Fluid.t -> Flow.t list -> unit
+(** Makes the flows follow the FIBs: at the end of each instant with a
+    {!write}, every active flow is walked again with {!path_for} and
+    moved by {!Fluid.set_path} if its path changed. A flow with no
+    route keeps its path and is stopped 2 s after it lost the route,
+    unless a later walk finds one. Nothing polls, and an empty list
+    registers no hook. *)
+
 val sessions_expected : 'd fabric -> int
 (** One per inter-daemon duplex link. *)
 

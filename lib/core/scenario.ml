@@ -97,24 +97,18 @@ type runtime = {
   exp : Experiment.t;
   keys : Flow_key.t array;
   started : Flow.t Flow_key.Table.t;
-  mutable steered : (Flow_key.t * Flow.t * int ref) list;
-      (* started flows, newest first, each with its unroutable-sweep count *)
   mutable converged_at : Time.t option;
   mutable unroutable : (Flow_key.t * string) list;  (* newest first *)
-  mutable stopped : (Time.t * Flow_key.t) list;  (* newest first *)
 }
 
-let now rt = Sched.now (Experiment.scheduler rt.exp)
-
 let start_flow rt key path =
-  if not (Flow_key.Table.mem rt.started key) then begin
-    let flow = Fluid.start_flow ~demand:flow_rate (Experiment.fluid rt.exp) ~key ~path in
-    Flow_key.Table.replace rt.started key flow;
-    rt.steered <- (key, flow, ref 0) :: rt.steered
-  end
+  if not (Flow_key.Table.mem rt.started key) then
+    Flow_key.Table.replace rt.started key
+      (Fluid.start_flow ~demand:flow_rate (Experiment.fluid rt.exp) ~key ~path)
 
 let mark_converged rt =
-  if rt.converged_at = None then rt.converged_at <- Some (now rt)
+  if rt.converged_at = None then
+    rt.converged_at <- Some (Sched.now (Experiment.scheduler rt.exp))
 
 (* Starts every flow on its path of the instant the tables completed. *)
 let start_all rt path_for () =
@@ -126,43 +120,19 @@ let start_all rt path_for () =
       | Error msg -> rt.unroutable <- (key, msg) :: rt.unroutable)
     rt.keys
 
-(* A WAN's flows follow the FIBs: after a FIB change a sweep every
-   200 ms re-paths them. Transient unreachability during reconvergence
-   is tolerated; a flow is stopped only after its destination has
-   stayed unroutable for 10 consecutive sweeps (2 s). *)
-let resteer rt fabric =
-  let fluid = Experiment.fluid rt.exp in
-  let dirty = ref true in
-  Routed_core.on_fib_change fabric (fun _ _ -> dirty := true);
-  ignore
-    (Sched.every (Experiment.scheduler rt.exp) (Time.of_ms 200) (fun () ->
-         let retry_all = !dirty in
-         dirty := false;
-         List.iter
-           (fun (key, (flow : Flow.t), misses) ->
-             if flow.Flow.active && (retry_all || !misses > 0) then
-               match Routed_core.path_for fabric key with
-               | Ok path ->
-                   misses := 0;
-                   Fluid.set_path fluid flow path
-               | Error _ ->
-                   incr misses;
-                   if !misses >= 10 then begin
-                     rt.stopped <- (now rt, key) :: rt.stopped;
-                     Fluid.stop_flow fluid flow
-                   end)
-           rt.steered))
-
 (* Each control plane's setup returns its fault surface, the FIB digest
    and the FIB entries' provenance.
 
    BGP and OSPF: boot at t = 0, start the traffic once the FIBs are
-   complete. *)
+   complete. A WAN's flows then follow the FIBs. *)
 let setup_routed rt site fabric =
   Experiment.at rt.exp Time.zero (fun () -> Routed_core.start fabric);
-  Routed_core.when_converged fabric
-    (start_all rt (fun key -> Routed_core.path_for fabric key));
-  if site.wan && rt.keys <> [||] then resteer rt fabric;
+  Routed_core.when_converged fabric (fun () ->
+      start_all rt (fun key -> Routed_core.path_for fabric key) ();
+      if site.wan then
+        Routed_core.follow fabric (Experiment.fluid rt.exp)
+          (List.filter_map (Flow_key.Table.find_opt rt.started)
+             (Array.to_list rt.keys)));
   ( Some (Routed_core.fault_target fabric),
     (fun () -> Some (Routed_core.fib_fingerprint fabric)),
     fun () -> Routed_core.fib_provenance fabric )
@@ -250,10 +220,8 @@ let run (spec : Spec.t) =
             exp;
             keys = permutation exp site;
             started = Flow_key.Table.create 256;
-            steered = [];
             converged_at = None;
             unroutable = [];
-            stopped = [];
           }
         in
         let sched = Experiment.scheduler exp in
@@ -292,7 +260,15 @@ let run (spec : Spec.t) =
     control_bytes = Connection_manager.bytes_observed cm;
     flows_started = Flow_key.Table.length rt.started;
     unroutable = List.rev rt.unroutable;
-    stopped = List.rev rt.stopped;
+    stopped =
+      Flow_key.Table.fold
+        (fun key (f : Flow.t) acc ->
+          match f.Flow.stopped_at with
+          | Some at -> ((at, f.Flow.id), key) :: acc
+          | None -> acc)
+        rt.started []
+      |> List.sort compare
+      |> List.map (fun ((at, _), key) -> (at, key));
     registry = Experiment.registry rt.exp;
     injector;
     fib_fingerprint = fingerprint ();

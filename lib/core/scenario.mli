@@ -5,9 +5,9 @@
     the originate policy (edge switches their host subnets, WAN routers
     their PoP prefix, a linear chain the spec's [prefixes] /24s), the
     permutation's ports (10000/20000 upwards on the fat-tree, 7000/8000
-    on a WAN) and whether flows follow FIB changes (on a WAN a sweep
-    every 200 ms re-paths them and stops a flow left unroutable for
-    2 s; fat-tree flows keep the paths of the convergence instant).
+    on a WAN) and whether flows follow FIB changes (a WAN's flows do,
+    through {!Routed_core.follow}, from the convergence instant on;
+    fat-tree flows keep the paths of the convergence instant).
 
     It boots the control plane at t = 0 (SDN launches its flows at
     10 ms, after the OpenFlow handshake), starts the traffic when the
@@ -43,7 +43,9 @@ type result = {
   unroutable : (Flow_key.t * string) list;
       (** flows with no path when the traffic started, never started *)
   stopped : (Time.t * Flow_key.t) list;
-      (** WAN flows stopped after 2 s without a route, in order *)
+      (** started flows that were stopped, with the instant: WAN flows
+          left without a route for 2 s ({!Routed_core.follow}), in
+          time order, ties in start order *)
   registry : Horse_telemetry.Registry.t;
       (** the experiment's telemetry registry, for exporters *)
   injector : Horse_faults.Injector.t option;

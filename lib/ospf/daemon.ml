@@ -126,7 +126,6 @@ type t = {
   mutable spf_pending : bool;
   mutable route_cache : Lsdb.route list;
   mutable route_hooks : (Lsdb.route list -> unit) list;
-  mutable nbr_hooks : (int -> neighbor_state -> unit) list;
   mutable hellos_sent : int;
   mutable hellos_received : int;
   mutable updates_sent : int;
@@ -167,7 +166,6 @@ let interface_of_neighbor t rid =
 
 let routes t = t.route_cache
 let on_routes_change t f = t.route_hooks <- t.route_hooks @ [ f ]
-let on_neighbor_change t f = t.nbr_hooks <- t.nbr_hooks @ [ f ]
 
 let counters t =
   {
@@ -281,8 +279,7 @@ let set_neighbor_state t iface state =
       pp_neighbor_state state;
     if iface.nbr_state = Full then Gauge.add t.m.g_full (-1.0)
     else if state = Full then Gauge.add t.m.g_full 1.0;
-    iface.nbr_state <- state;
-    List.iter (fun f -> f iface.iface_id state) t.nbr_hooks
+    iface.nbr_state <- state
   end
 
 (* Neighbour liveness: one deadline event per interface at
@@ -383,7 +380,6 @@ let create ?trace proc cfg =
     spf_pending = false;
     route_cache = [];
     route_hooks = [];
-    nbr_hooks = [];
     hellos_sent = 0;
     hellos_received = 0;
     updates_sent = 0;

@@ -80,7 +80,6 @@ val interface_of_neighbor : t -> Ipv4.t -> int option
 (** The interface a Full neighbour was learned on. *)
 
 val on_routes_change : t -> (Lsdb.route list -> unit) -> unit
-val on_neighbor_change : t -> (int -> neighbor_state -> unit) -> unit
 
 type counters = {
   hellos_sent : int;

@@ -1,5 +1,6 @@
 module Registry = Horse_telemetry.Registry
 module Span = Horse_telemetry.Span
+module Histogram = Horse_telemetry.Histogram
 
 let label_suffix = function
   | [] -> ""

@@ -2,7 +2,7 @@
 
     Renders, in order: counters as a horizontal bar chart (scaled to
     the busiest counter), gauges as an aligned table, each histogram
-    through {!Histogram.pp}, and the span tree indented by depth with
+    through {!Horse_telemetry.Histogram.pp}, and the span tree indented by depth with
     both virtual and wall durations, then a warning when the causal
     graph dropped nodes ([horse_causal_dropped_total] > 0). This is
     what [horse ... --report] prints after a run. *)

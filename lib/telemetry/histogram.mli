@@ -2,8 +2,7 @@
     rendering, for latency/FCT distributions.
 
     This module lives at the bottom of the dependency stack so the
-    telemetry registry can use it; [Horse_stats.Histogram] re-exports
-    it unchanged for existing callers. *)
+    telemetry registry can use it. *)
 
 type t
 

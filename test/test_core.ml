@@ -225,6 +225,68 @@ let test_bgp_random_wans_converge () =
       done)
     [ 1; 2; 3; 4; 5 ]
 
+(* A followed flow on a BGP triangle, with r0's route to r1's prefix
+   rewritten by hand: a detour re-steers it, a removal leaves it on its
+   path, a restore within 2 s re-steers it back and keeps it, and a
+   removal for good stops it exactly 2 s later. *)
+let test_bgp_fabric_follow () =
+  let wan = Wan.ring 3 in
+  let hosts = Wan.attach_hosts wan in
+  let topo = wan.Wan.topo in
+  let exp = Experiment.create topo in
+  let fabric =
+    Routed_fabric.build ~cm:(Experiment.cm exp)
+      ~originate:(fun node -> if node < 3 then [ Wan.router_prefix wan node ] else [])
+      topo
+  in
+  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
+  ignore (Experiment.run ~until:(Time.of_sec 5.0) exp);
+  let r i = wan.Wan.routers.(i).Topology.id in
+  let link a b =
+    (Option.get (Topology.find_link topo ~src:(r a) ~dst:(r b))).Topology.link_id
+  in
+  let key =
+    Flow_key.make
+      ~src:(Option.get hosts.(0).Topology.ip)
+      ~dst:(Option.get hosts.(1).Topology.ip)
+      ()
+  in
+  let fluid = Experiment.fluid exp in
+  let flow =
+    Fluid.start_flow fluid ~key ~path:(Result.get_ok (Routed_fabric.path_for fabric key))
+  in
+  Routed_core.follow fabric fluid [ flow ];
+  let routers () =
+    List.filter_map
+      (fun (l : Topology.link) ->
+        if l.Topology.dst < 3 then Some (Topology.node topo l.Topology.dst).Topology.name
+        else None)
+      flow.Flow.path
+  in
+  let r1 = Wan.router_prefix wan 1 in
+  let write at next_hops =
+    Experiment.at exp (Time.of_sec at) (fun () ->
+        Routed_core.write fabric (r 0) r1 next_hops)
+  in
+  let expect at what path =
+    Experiment.at exp (Time.of_sec at) (fun () ->
+        check Alcotest.bool (what ^ ": active") true flow.Flow.active;
+        check (Alcotest.list Alcotest.string) (what ^ ": path") path (routers ()))
+  in
+  expect 9.0 "converged" [ "r0"; "r1" ];
+  write 10.0 [ link 0 2 ];
+  expect 10.5 "detour" [ "r0"; "r2"; "r1" ];
+  write 11.0 [];
+  expect 11.5 "no route" [ "r0"; "r2"; "r1" ];
+  write 12.0 [ link 0 1 ];
+  expect 12.5 "restored" [ "r0"; "r1" ];
+  expect 14.0 "past the first loss's 2 s" [ "r0"; "r1" ];
+  write 20.0 [];
+  ignore (Experiment.run ~until:(Time.of_sec 30.0) exp);
+  check Alcotest.bool "stopped" false flow.Flow.active;
+  check (Alcotest.option Alcotest.int) "stopped 2 s after the removal" (Some 22_000_000)
+    (Option.map Time.to_us flow.Flow.stopped_at)
+
 (* --- SDN fabric -------------------------------------------------------------- *)
 
 let test_sdn_fabric_reactive_routing () =
@@ -422,9 +484,9 @@ let test_spec_ospf_fat_tree () =
   check Alcotest.bool "fingerprint" true (r.Scenario.fib_fingerprint <> None)
 
 (* The WAN kill as a one-event plan: flows through the dead router lose
-   their route at once and are stopped after 2 s of sweeps; the one
-   whose path the reconverged FIBs also lose follows when the hold
-   timers expire. *)
+   their route at the crash and are stopped exactly 2 s later; the one
+   whose route the reconverged FIBs also lose (at 40.0036 s, when the
+   hold timers have expired) follows 2 s after that. *)
 let test_spec_wan_kill () =
   let module Plan = Horse_faults.Plan in
   let crash = { Plan.at = Time.of_sec 20.0; action = Plan.Node_crash "r2" } in
@@ -437,7 +499,7 @@ let test_spec_wan_kill () =
   check Alcotest.int "one flow per router" 11 r.Scenario.flows_started;
   check Alcotest.int "no unroutable start" 0 (List.length r.Scenario.unroutable);
   check (Alcotest.list Alcotest.int) "stops, in order"
-    [ 21_800_000; 21_800_000; 21_800_000; 42_000_000 ]
+    [ 22_000_000; 22_000_000; 22_000_000; 42_003_600 ]
     (List.map (fun (at, _) -> Time.to_us at) r.Scenario.stopped);
   check Alcotest.int "crash injected" 1
     (Horse_faults.Injector.injected (Option.get r.Scenario.injector))
@@ -550,6 +612,8 @@ let () =
           Alcotest.test_case "fail twice" `Quick test_bgp_fabric_fail_twice;
           Alcotest.test_case "random WANs converge loop-free" `Slow
             test_bgp_random_wans_converge;
+          Alcotest.test_case "follow: re-steer, grace, stop" `Quick
+            test_bgp_fabric_follow;
         ] );
       ( "sdn_fabric",
         [

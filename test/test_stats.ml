@@ -8,6 +8,7 @@ let check = Alcotest.check
 let qtest = Horse_test_support.qtest
 
 module Registry = Horse_telemetry.Registry
+module Histogram = Horse_telemetry.Histogram
 
 let series_of samples =
   let s = Series.create () in
