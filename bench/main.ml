@@ -531,10 +531,28 @@ let micro () =
              ignore
                (Event_queue.schedule q (VTime.of_us (i * 7 mod 997)) (fun () -> ()))
            done;
-           let rec drain () =
-             match Event_queue.pop q with Some _ -> drain () | None -> ()
-           in
-           drain ()))
+           while not (Event_queue.is_empty q) do
+             ignore (Event_queue.pop q)
+           done))
+  in
+  (* BGP hold-timer churn over 1k sessions: each step delivers one
+     message (a schedule and a pop) and re-arms its session's hold
+     timer to [now + hold], the way every received message does. *)
+  let test_event_queue_reaim =
+    let q = Event_queue.create () in
+    let hold = 1_000_000 in
+    let timers =
+      Array.init 1000 (fun i -> Event_queue.schedule q (VTime.of_us (hold + i)) ignore)
+    in
+    let now = ref 0 in
+    Test.make ~name:"event-queue 1k timers re-aim+pop"
+      (Staged.stage (fun () ->
+           Array.iter
+             (fun h ->
+               ignore (Event_queue.schedule q (VTime.of_us (!now + 100)) ignore);
+               now := VTime.to_us (Event_queue.time (Event_queue.pop q));
+               Event_queue.reschedule h (VTime.of_us (!now + hold)))
+             timers))
   in
   let ft8 = Fat_tree.build ~k:8 () in
   let permutation_paths =
@@ -684,6 +702,7 @@ let micro () =
     Test.make_grouped ~name:"horse"
       [
         test_event_queue;
+        test_event_queue_reaim;
         test_fair_share;
         test_fat_tree;
         test_bgp_codec;

@@ -703,8 +703,8 @@ let session_down t peer ~reason =
 
 (* Hold-timer supervision: one deadline event per peer at
    [last_rx + negotiated_hold], re-aimed in place on every received
-   message (one event-queue push) instead of the shared hold/3
-   sweep the speaker used to poll with — so a quiet Established
+   message (one O(log n) sift, no allocation) instead of the shared
+   hold/3 sweep the speaker used to poll with — so a quiet Established
    session keeps exactly one pending event and never wakes early. *)
 let rec send_open t peer =
   peer.state <- OpenSent;

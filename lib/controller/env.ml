@@ -46,7 +46,6 @@ let ip_index t =
 
 let host_of_ip t ip = Hashtbl.find_opt (ip_index t) ip
 
-let link_usable t link_id = not t.down.(link_id)
 let set_link_usable t link_id usable = t.down.(link_id) <- not usable
 
 let ecmp_paths t ~src ~dst =

@@ -56,5 +56,3 @@ val set_link_usable : t -> int -> bool -> unit
 (** Administratively marks a directed link up/down; down links are
     excluded from {!ecmp_paths} and {!ecmp_pick}. The applications
     call this from PORT_STATUS notifications. *)
-
-val link_usable : t -> int -> bool

@@ -15,7 +15,6 @@ open Horse_net
 open Horse_engine
 open Horse_topo
 open Horse_dataplane
-open Horse_emulation
 open Horse_ospf
 
 type t = Daemon.t Routed_core.fabric
@@ -58,7 +57,6 @@ val sessions_expected : t -> int
 val sessions_established : t -> int
 val fail_link : t -> a:int -> b:int -> bool
 val restore_link : t -> a:int -> b:int -> bool
-val impair_link : t -> a:int -> b:int -> rng:Rng.t -> Channel.impairment option -> bool
 val crash_node : t -> int -> bool
 val restart_node : t -> int -> bool
 

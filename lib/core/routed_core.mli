@@ -160,10 +160,6 @@ val reset_session : 'd fabric -> a:int -> b:int -> bool
 (** The protocol's one-sided reset from [a]'s end; [false] when the
     protocol has none. *)
 
-val impair_link :
-  'd fabric -> a:int -> b:int -> rng:Rng.t -> Channel.impairment option -> bool
-(** Applies ([Some]) or clears ([None]) a channel impairment. *)
-
 val crash_node : 'd fabric -> int -> bool
 (** Kills the node's daemon process, silently on the wire. *)
 

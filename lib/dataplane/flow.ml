@@ -15,9 +15,6 @@ type t = {
   mutable stopped_at : Time.t option;
 }
 
-let src_node t =
-  match t.path with [] -> None | l :: _ -> Some l.Horse_topo.Topology.src
-
 let dst_node t =
   match List.rev t.path with
   | [] -> None

@@ -26,9 +26,6 @@ type t = {
   mutable stopped_at : Time.t option;
 }
 
-val src_node : t -> int option
-(** First node of the path, [None] for an empty path. *)
-
 val dst_node : t -> int option
 (** Last node of the path. *)
 

@@ -456,10 +456,6 @@ let start_sampling t ~every =
   sample t;
   t.sampler <- Some (Sched.every t.sched every (fun () -> sample t))
 
-let stop_sampling t =
-  Option.iter Sched.cancel_recurring t.sampler;
-  t.sampler <- None
-
 let aggregate_series t = t.aggregate
 let host_series t node_id = Hashtbl.find_opt t.host_series node_id
 let recompute_count t = t.recomputes

@@ -124,8 +124,6 @@ val start_sampling : t -> every:Time.t -> unit
 (** Begin periodic sampling of the aggregate rx rate (and per-host
     rates) into the series below. Restarting moves the cadence. *)
 
-val stop_sampling : t -> unit
-
 val aggregate_series : t -> Horse_stats.Series.t
 
 val host_series : t -> int -> Horse_stats.Series.t option

@@ -1,48 +1,41 @@
-(* Binary min-heap over (timestamp, insertion sequence) with lazy
-   cancellation. Cancelling marks the entry and releases its share of
-   [live] at once, so [size] stays O(1); the entry itself is dropped
-   when it surfaces at the top, or by a compaction sweep once
-   cancelled entries outnumber live ones. [reschedule] retires the
-   handle's current entry and points the handle at a fresh one that
-   shares the action: a timer re-aimed on every received message costs
-   one O(log n) push and leaves one garbage entry until the next
-   sweep. *)
+(* Indexed binary min-heap over (timestamp, sequence number). Each
+   entry records its own heap position, so the entry is the handle:
+   [cancel] takes it out at once and [reschedule] re-keys it where it
+   stands. The heap never holds a cancelled entry, and re-aiming a
+   queued timer allocates nothing. *)
 
-type entry = {
-  time : Time.t;
-  us : int;  (* Time.to_us time, cached for unboxed comparisons *)
-  seq : int;
+type t = { mutable heap : handle array; mutable len : int; mutable next_seq : int }
+
+and handle = {
+  q : t;
+  mutable us : int;  (* Time.to_us of the due time *)
+  mutable seq : int;
   action : unit -> unit;
   cause : int;  (* opaque causal id carried to the pop site; -1 = none *)
-  mutable cancelled : bool;
-  mutable in_heap : bool;
+  mutable pos : int;  (* index in [q.heap], or a sentinel below *)
 }
 
-type t = {
-  mutable heap : entry array;
-  mutable len : int;
-  mutable next_seq : int;
-  mutable live : int;  (* non-cancelled entries in [heap] *)
-}
+let idle = -1 (* fired, or never queued *)
+let cancelled = -2
 
-(* A handle outlives any one incarnation of its event: [reschedule]
-   retires the current entry and points the handle at a fresh one. *)
-type handle = { q : t; mutable cur : entry }
-
+(* Fills the slots past [len], so a removed entry is not kept alive. *)
 let dummy =
   {
-    time = Time.zero;
+    q = { heap = [||]; len = 0; next_seq = 0 };
     us = 0;
     seq = -1;
-    action = (fun () -> ());
+    action = ignore;
     cause = -1;
-    cancelled = true;
-    in_heap = false;
+    pos = idle;
   }
 
-let create () = { heap = Array.make 64 dummy; len = 0; next_seq = 0; live = 0 }
+let create () = { heap = Array.make 64 dummy; len = 0; next_seq = 0 }
 
-let before a b = a.us < b.us || (a.us = b.us && a.seq < b.seq)
+let[@inline] before a b = a.us < b.us || (a.us = b.us && a.seq < b.seq)
+
+let[@inline] place h i e =
+  h.(i) <- e;
+  e.pos <- i
 
 (* Both sifts move a hole instead of swapping, writing [e] once. *)
 let sift_up t i =
@@ -51,10 +44,10 @@ let sift_up t i =
   let i = ref i in
   while !i > 0 && before e h.((!i - 1) / 2) do
     let parent = (!i - 1) / 2 in
-    h.(!i) <- h.(parent);
+    place h !i h.(parent);
     i := parent
   done;
-  h.(!i) <- e
+  place h !i e
 
 let sift_down t i =
   let h = t.heap and len = t.len in
@@ -66,101 +59,78 @@ let sift_down t i =
     else begin
       let c = if l + 1 < len && before h.(l + 1) h.(l) then l + 1 else l in
       if before h.(c) e then begin
-        h.(!i) <- h.(c);
+        place h !i h.(c);
         i := c
       end
       else moving := false
     end
   done;
-  h.(!i) <- e
+  place h !i e
 
-(* Lazy-deletion sweep: filter cancelled entries out in place and
-   re-heapify bottom-up. *)
-let compact t =
-  let j = ref 0 in
-  for i = 0 to t.len - 1 do
-    let e = t.heap.(i) in
-    if e.cancelled then e.in_heap <- false
-    else begin
-      t.heap.(!j) <- e;
-      incr j
-    end
-  done;
-  Array.fill t.heap !j (t.len - !j) dummy;
-  t.len <- !j;
-  for i = (t.len / 2) - 1 downto 0 do
-    sift_down t i
-  done
+(* Every (re)insertion takes a fresh sequence number, so a re-aimed
+   event runs after the events already due at its new time. *)
+let set_key t e us =
+  e.us <- us;
+  e.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1
 
-let push t time action cause =
-  if t.len >= 64 && t.len - t.live > t.len / 2 then compact t;
+let push t e =
   if t.len = Array.length t.heap then begin
     let heap = Array.make (2 * t.len) dummy in
     Array.blit t.heap 0 heap 0 t.len;
     t.heap <- heap
   end;
-  let us = Time.to_us time and seq = t.next_seq in
-  let e = { time; us; seq; action; cause; cancelled = false; in_heap = true } in
-  t.next_seq <- seq + 1;
-  t.heap.(t.len) <- e;
+  place t.heap t.len e;
   t.len <- t.len + 1;
-  t.live <- t.live + 1;
-  sift_up t (t.len - 1);
-  e
+  sift_up t (t.len - 1)
+
+(* The last entry fills the hole at [i]; it may belong above or below
+   that slot. *)
+let remove_at t i =
+  let h = t.heap in
+  h.(i).pos <- idle;
+  t.len <- t.len - 1;
+  let last = h.(t.len) in
+  h.(t.len) <- dummy;
+  if i < t.len then begin
+    place h i last;
+    if i > 0 && before last h.((i - 1) / 2) then sift_up t i else sift_down t i
+  end
 
 let schedule t ?(cause = -1) time action =
-  { q = t; cur = push t time action cause }
+  let e = { q = t; us = 0; seq = 0; action; cause; pos = idle } in
+  set_key t e (Time.to_us time);
+  push t e;
+  e
 
-let retire t e =
-  if not e.cancelled then begin
-    e.cancelled <- true;
-    (* Entries already popped (or cleared) no longer count. *)
-    if e.in_heap then t.live <- t.live - 1
-  end
+let cancel e =
+  if e.pos >= 0 then remove_at e.q e.pos;
+  e.pos <- cancelled
 
-let cancel h = retire h.q h.cur
-let is_cancelled h = h.cur.cancelled
+let is_cancelled e = e.pos = cancelled
 
-let reschedule h at =
-  retire h.q h.cur;
-  h.cur <- push h.q at h.cur.action h.cur.cause
+(* A queued entry is re-keyed where it stands. At an equal time the
+   fresh seq is larger, so it sifts down. *)
+let reschedule e at =
+  let t = e.q and old_us = e.us in
+  set_key t e (Time.to_us at);
+  if e.pos < 0 then push t e
+  else if e.us < old_us then sift_up t e.pos
+  else sift_down t e.pos
 
-let remove_top t =
-  t.heap.(0).in_heap <- false;
-  t.len <- t.len - 1;
-  t.heap.(0) <- t.heap.(t.len);
-  t.heap.(t.len) <- dummy;
-  if t.len > 0 then sift_down t 0
-
-(* Discard cancelled entries sitting at the top; their cancellation
-   already adjusted [live]. *)
-let rec drop_cancelled t =
-  if t.len > 0 && t.heap.(0).cancelled then begin
-    remove_top t;
-    drop_cancelled t
-  end
-
-let size t = t.live
-let is_empty t = t.live = 0
+let size t = t.len
+let is_empty t = t.len = 0
 
 let next_time t =
-  drop_cancelled t;
-  if t.len = 0 then None else Some t.heap.(0).time
+  if t.len = 0 then invalid_arg "Event_queue.next_time: empty queue";
+  Time.of_us t.heap.(0).us
 
 let pop t =
-  drop_cancelled t;
-  if t.len = 0 then None
-  else begin
-    let e = t.heap.(0) in
-    remove_top t;
-    t.live <- t.live - 1;
-    Some (e.time, e.action, e.cause)
-  end
+  if t.len = 0 then invalid_arg "Event_queue.pop: empty queue";
+  let e = t.heap.(0) in
+  remove_at t 0;
+  e
 
-let clear t =
-  for i = 0 to t.len - 1 do
-    t.heap.(i).in_heap <- false
-  done;
-  Array.fill t.heap 0 t.len dummy;
-  t.len <- 0;
-  t.live <- 0
+let time e = Time.of_us e.us
+let action e = e.action
+let cause e = e.cause

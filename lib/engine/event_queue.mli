@@ -1,4 +1,4 @@
-(** The simulator's pending-event set: a binary min-heap.
+(** The simulator's pending-event set: an indexed binary min-heap.
 
     Pops come in (timestamp, insertion sequence number) order, so two
     events at the same timestamp execute in insertion order and runs
@@ -6,18 +6,17 @@
     responsibility: the queue itself is time-agnostic and will happily
     return such an event first.
 
-    Cancellation is lazy: a cancelled event stays in the heap until it
-    surfaces at the top or a compaction sweep (run once cancelled
-    entries outnumber live ones) drops it, and the live count is
-    maintained at cancel time so {!size} is O(1). {!reschedule}
-    re-aims a timer on the same handle, so keepalive/hold/MRAI
-    re-arming needs no fresh handle per period. *)
+    Each queued event knows its heap position, so cancellation removes
+    it at once and the heap only ever holds live events. {!reschedule}
+    re-keys a timer where it stands, so keepalive/hold/MRAI re-arming
+    allocates nothing and leaves nothing behind. *)
 
 type t
 (** A mutable event queue. *)
 
 type handle
-(** Names one scheduled event, for cancellation and re-aiming. *)
+(** One scheduled event, for cancellation and re-aiming. {!pop}
+    returns it too. *)
 
 val create : unit -> t
 
@@ -26,26 +25,36 @@ val schedule : t -> ?cause:int -> Time.t -> (unit -> unit) -> handle
     [at]. *)
 
 val cancel : handle -> unit
-(** Idempotent. A cancelled event never runs. *)
+(** Removes the event from the queue. Idempotent. A cancelled event
+    never runs. *)
 
 val is_cancelled : handle -> bool
+(** [true] after {!cancel}, until a {!reschedule} re-arms the event.
+    An event that fired is not cancelled. *)
 
 val reschedule : handle -> Time.t -> unit
 (** [reschedule h at] re-aims [h]'s event at [at], reusing its action.
     Equivalent to cancel + schedule — the event takes a fresh sequence
     number, so among same-timestamp peers it runs after events already
-    scheduled there — but without growing the handle graph. An event
-    that already fired or was cancelled is re-armed. *)
+    scheduled there — but done in place: O(log n) and no allocation.
+    An event that already fired or was cancelled is re-armed. *)
 
 val size : t -> int
-(** Number of live (non-cancelled) events. O(1). *)
+(** Number of queued events; cancelled ones have already left. O(1). *)
 
 val is_empty : t -> bool
 
-val next_time : t -> Time.t option
-(** Timestamp of the earliest live event, without removing it. *)
+val next_time : t -> Time.t
+(** Timestamp of the earliest event, without removing it.
+    @raise Invalid_argument on an empty queue. *)
 
-val pop : t -> (Time.t * (unit -> unit) * int) option
-(** Removes and returns the earliest live event. *)
+val pop : t -> handle
+(** Removes and returns the earliest event. Allocates nothing.
+    @raise Invalid_argument on an empty queue. *)
 
-val clear : t -> unit
+val time : handle -> Time.t
+(** The time the event is, or last was, due. *)
+
+val action : handle -> unit -> unit
+val cause : handle -> int
+(** The causal id given to {!schedule}; [-1] for none. *)

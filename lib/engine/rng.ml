@@ -47,6 +47,7 @@ let float t bound =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
+(* In-place Fisher–Yates shuffle. *)
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -33,9 +33,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform random permutation of [0, n). *)
 

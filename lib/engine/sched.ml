@@ -313,8 +313,8 @@ type recurring = {
   mutable pending : Event_queue.handle option;
 }
 
-(* One event handle per recurring timer, re-aimed after each firing,
-   so a periodic timer never allocates a fresh handle. *)
+(* One event handle per recurring timer, re-aimed in place after each
+   firing, so a periodic timer allocates nothing per period. *)
 let every t ?start_after period f =
   if Time.(period <= Time.zero) then
     invalid_arg "Sched.every: period must be positive";
@@ -511,40 +511,35 @@ let run ?until t =
   let rec loop () =
     if watchdog_expired t then fire_abort t
     else
-      let next = Event_queue.next_time t.queue in
+      (* [next] means something only when the queue is not [empty];
+         building no option keeps the loop free of allocation. *)
+      let empty = Event_queue.is_empty t.queue in
+      let next = if empty then until_t else Event_queue.next_time t.queue in
       (* Drain deferred work before the clock can leave the instant
          that registered it. *)
-      let advancing =
-        match next with Some nt -> Time.(nt > t.clock) | None -> true
-      in
-      if advancing && has_deferred t then begin
+      if (empty || Time.(next > t.clock)) && has_deferred t then begin
         flush_deferred t;
         loop ()
       end
       else
-        let horizon =
-          match next with None -> true | Some nt -> Time.(nt > until_t)
-        in
+        let horizon = empty || Time.(next > until_t) in
         if t.cur_mode = Fti then
-          quiet_exit t ~horizon
-            ~limit:
-              (match next with Some nt when not horizon -> nt | _ -> until_t);
+          quiet_exit t ~horizon ~limit:(if horizon then until_t else next);
         if horizon then
           Option.iter (fun u -> t.clock <- Time.max t.clock u) until
-        else
-          match Event_queue.pop t.queue with
-          | None -> ()
-          | Some (time, action, cause) ->
-              t.clock <- Time.max t.clock time;
-              if t.cur_mode = Fti then begin
-                note_fti_event t;
-                pace t
-              end;
-              t.cur_cause <- cause;
-              Counter.incr t.m.m_events;
-              action ();
-              t.cur_cause <- Causal.none;
-              loop ()
+        else begin
+          let ev = Event_queue.pop t.queue in
+          t.clock <- Time.max t.clock next;
+          if t.cur_mode = Fti then begin
+            note_fti_event t;
+            pace t
+          end;
+          t.cur_cause <- Event_queue.cause ev;
+          Counter.incr t.m.m_events;
+          Event_queue.action ev ();
+          t.cur_cause <- Causal.none;
+          loop ()
+        end
   in
   loop ();
   (* An abort can leave end-of-instant work pending. *)

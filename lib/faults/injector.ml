@@ -49,7 +49,6 @@ type t = {
 let injected t = t.n_injected
 let skipped t = t.n_skipped
 let pending t = List.length t.outstanding
-let last_fault_at t = t.last_at
 let trace t = List.rev t.rev_trace
 
 let trace_labels t =

@@ -65,8 +65,6 @@ val skipped : t -> int
 val pending : t -> int
 (** Injections not yet matched by a converged observation. *)
 
-val last_fault_at : t -> Time.t option
-
 val trace : t -> record list
 (** Chronological injection trace; with equal seed + plan two runs
     produce identical traces (the determinism acceptance check). *)

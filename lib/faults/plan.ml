@@ -292,12 +292,6 @@ let of_string s =
   let* j = Json.parse s in
   of_json j
 
-let save_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t ^ "\n"))
-
 let load_file path =
   match
     let ic = open_in path in

@@ -103,5 +103,4 @@ val to_json : t -> Horse_telemetry.Json.t
 val of_json : Horse_telemetry.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val save_file : t -> string -> unit
 val load_file : string -> (t, string) result

@@ -108,15 +108,6 @@ let delete t ~table ~key =
       store := List.filter (fun s -> not (entry_key_equal s.entry.key key)) !store;
       List.length !store < before
 
-let table_entries t name =
-  match Hashtbl.find_opt t.tables name with
-  | None -> []
-  | Some store ->
-      List.map (fun s -> s.entry)
-        (List.sort (fun a b -> Int.compare a.seq b.seq) !store)
-
-let table_size t name = List.length (table_entries t name)
-
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some r -> !r

@@ -38,9 +38,6 @@ val insert : t -> entry -> (unit, string) result
 val delete : t -> table:string -> key:key_match list -> bool
 (** [true] if an entry was removed. *)
 
-val table_entries : t -> string -> entry list
-val table_size : t -> string -> int
-
 val counter : t -> string -> int
 (** @raise Invalid_argument on an unknown counter. *)
 

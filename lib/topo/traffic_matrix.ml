@@ -71,6 +71,8 @@ let diurnal_factor ?(trough = 0.2) ~period_s ~phase t_s =
      later. *)
   trough +. ((1.0 -. trough) *. 0.5 *. (1.0 +. Float.cos (two_pi *. cycle)))
 
+(* Scales every row by a per-source factor (>= 0): the building block
+   for diurnal modulation. *)
 let modulate_rows t factor =
   {
     n = t.n;

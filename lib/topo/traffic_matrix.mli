@@ -46,11 +46,6 @@ val diurnal_factor :
     @raise Invalid_argument on [period_s <= 0] or trough outside
     [0, 1]. *)
 
-val modulate_rows : t -> (int -> float) -> t
-(** Scale every row by a per-source factor (>= 0); the building block
-    for diurnal and failure-shift modulation.
-    @raise Invalid_argument on a negative factor. *)
-
 val diurnal :
   ?trough:float -> period_s:float -> phase_of:(int -> float) -> t ->
   at_s:float -> t

@@ -81,9 +81,19 @@ let prop_rng_float_bounds =
 
 (* --- Event queue ------------------------------------------------------ *)
 
+(* The earliest event as (time, action, cause); [None] when empty. *)
+let pop_opt q =
+  if Event_queue.is_empty q then None
+  else
+    let h = Event_queue.pop q in
+    Some (Event_queue.time h, Event_queue.action h, Event_queue.cause h)
+
+let next_time_opt q =
+  if Event_queue.is_empty q then None else Some (Event_queue.next_time q)
+
 let drain_all q =
   let rec go () =
-    match Event_queue.pop q with
+    match pop_opt q with
     | Some (_, action, _) ->
         action ();
         go ()
@@ -133,7 +143,7 @@ let prop_queue_sorted =
         (fun us -> ignore (Event_queue.schedule q (Time.of_us us) (fun () -> ())))
         times;
       let rec drain last =
-        match Event_queue.pop q with
+        match pop_opt q with
         | None -> true
         | Some (at, _, _) -> Time.(at >= last) && drain at
       in
@@ -155,7 +165,7 @@ let test_queue_size_after_cancel () =
      the live count of the remaining heap (the fluid engine cancels
      completion timers that may have fired). *)
   let h_popped = List.nth handles 1 in
-  (match Event_queue.pop q with
+  (match pop_opt q with
   | Some (at, _, _) ->
       check Alcotest.int "popped earliest live" 1 (Time.to_us at / 1000)
   | None -> Alcotest.fail "expected a live event");
@@ -165,9 +175,9 @@ let test_queue_size_after_cancel () =
   drain_all q;
   check Alcotest.int "drained" 0 (Event_queue.size q)
 
-let test_queue_compaction_preserves_order () =
-  (* Flood the heap with cancellations so the compaction sweep
-     triggers, then check ordering and FIFO-at-same-time survive. *)
+let test_queue_mass_cancel_preserves_order () =
+  (* Cancel three events in four, each leaving a hole the heap must
+     refill, then check ordering and FIFO-at-same-time survive. *)
   let q = Event_queue.create () in
   let doomed = ref [] in
   for i = 0 to 499 do
@@ -178,24 +188,23 @@ let test_queue_compaction_preserves_order () =
   done;
   List.iter Event_queue.cancel !doomed;
   check Alcotest.int "live after mass cancel" 125 (Event_queue.size q);
-  (* Next schedules run the compaction path. *)
   let out = ref [] in
   for i = 0 to 9 do
     ignore (Event_queue.schedule q (Time.of_us 25) (fun () -> out := i :: !out))
   done;
-  check Alcotest.int "live after compaction" 135 (Event_queue.size q);
+  check Alcotest.int "live after more schedules" 135 (Event_queue.size q);
   let rec drain last n =
-    match Event_queue.pop q with
+    match pop_opt q with
     | None -> n
     | Some (at, action, _) ->
-        check Alcotest.bool "non-decreasing after compaction" true
+        check Alcotest.bool "non-decreasing after mass cancel" true
           Time.(at >= last);
         action ();
         drain at (n + 1)
   in
   let popped = drain Time.zero 0 in
   check Alcotest.int "every live event pops exactly once" 135 popped;
-  check (Alcotest.list Alcotest.int) "fifo among equals survives compaction"
+  check (Alcotest.list Alcotest.int) "fifo among equals survives mass cancel"
     (List.init 10 (fun i -> i))
     (List.rev !out)
 
@@ -208,7 +217,7 @@ let test_queue_reschedule () =
   Event_queue.reschedule a (Time.of_ms 25);
   Event_queue.reschedule c (Time.of_ms 5);
   check Alcotest.int "reschedule keeps size" 3 (Event_queue.size q);
-  (match Event_queue.pop q with
+  (match pop_opt q with
   | Some (at, action, _) ->
       check Alcotest.int "earliest is re-aimed c" 5 (Time.to_us at / 1000);
       action ()
@@ -279,7 +288,7 @@ let prop_queue_matches_model =
         | head :: _ -> Some head
       in
       let pop_both () =
-        match (Event_queue.pop q, model_head ()) with
+        match (pop_opt q, model_head ()) with
         | Some (at, action, _), Some (us, seq, id) ->
             action ();
             if Time.to_us at <> us || !fired <> id then ok := false;
@@ -314,7 +323,7 @@ let prop_queue_matches_model =
           | _ -> pop_both ());
           if Event_queue.size q <> List.length !model then ok := false;
           let next = Option.map (fun (us, _, _) -> us) (model_head ()) in
-          if Option.map Time.to_us (Event_queue.next_time q) <> next then
+          if Option.map Time.to_us (next_time_opt q) <> next then
             ok := false;
           List.iter
             (fun mh ->
@@ -332,13 +341,13 @@ let prop_queue_matches_model =
         end
       in
       drain 1000;
-      !ok && Event_queue.is_empty q && Event_queue.next_time q = None)
+      !ok && Event_queue.is_empty q && next_time_opt q = None)
 
 let test_queue_reaim_churn () =
-  (* Hold-timer churn: every handle re-aimed many times leaves a trail
-     of cancelled entries for the compaction sweep. [size] must stay
-     exact throughout, and the drain must follow each handle's final
-     (time, seq): ties go to the handle re-aimed last. *)
+  (* Hold-timer churn: every handle is re-aimed many times in place,
+     each round in a fresh order. [size] must stay exact throughout,
+     and the drain must follow each handle's final (time, seq): ties
+     go to the handle re-aimed last. *)
   let n = 100 and rounds = 1_000 in
   let q = Event_queue.create () in
   let rng = Rng.create 42 in
@@ -348,23 +357,27 @@ let test_queue_reaim_churn () =
     Array.init n (fun i ->
         Event_queue.schedule q (Time.of_ms at.(i)) (fun () -> fired := i))
   in
+  let last_aim = Array.make n 0 and aims = ref 0 in
   for _ = 1 to rounds do
-    for i = 0 to n - 1 do
-      at.(i) <- Rng.int rng 50;
-      Event_queue.reschedule hs.(i) (Time.of_ms at.(i));
-      if Event_queue.size q <> n then
-        Alcotest.failf "size %d after a re-aim, expected %d"
-          (Event_queue.size q) n
-    done
+    Array.iter
+      (fun i ->
+        at.(i) <- Rng.int rng 50;
+        Event_queue.reschedule hs.(i) (Time.of_ms at.(i));
+        incr aims;
+        last_aim.(i) <- !aims;
+        if Event_queue.size q <> n then
+          Alcotest.failf "size %d after a re-aim, expected %d"
+            (Event_queue.size q) n)
+      (Rng.permutation rng n)
   done;
   let order =
-    List.stable_sort
-      (fun i j -> compare at.(i) at.(j))
+    List.sort
+      (fun i j -> compare (at.(i), last_aim.(i)) (at.(j), last_aim.(j)))
       (List.init n (fun i -> i))
   in
   List.iteri
     (fun k i ->
-      (match Event_queue.pop q with
+      (match pop_opt q with
       | Some (t, action, _) ->
           action ();
           check Alcotest.int "pop time" at.(i) (Time.to_us t / 1000);
@@ -372,7 +385,47 @@ let test_queue_reaim_churn () =
       | None -> Alcotest.fail "queue drained early");
       check Alcotest.int "size while draining" (n - k - 1) (Event_queue.size q))
     order;
-  check Alcotest.bool "drained" true (Event_queue.pop q = None)
+  check Alcotest.bool "drained" true (pop_opt q = None)
+
+(* Work-count gates: minor words counted by the runtime, never wall
+   time. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_queue_reaim_allocates_nothing () =
+  let q = Event_queue.create () in
+  let hs =
+    Array.init 1000 (fun i -> Event_queue.schedule q (Time.of_us i) ignore)
+  in
+  let words =
+    minor_words_of (fun () ->
+        for k = 1 to 100_000 do
+          Event_queue.reschedule hs.(k mod 1000) (Time.of_us (k * 7919 mod 50_000))
+        done)
+  in
+  check (Alcotest.float 0.0) "minor words for 100k re-aims" 0.0 words;
+  check Alcotest.int "no entry added" 1000 (Event_queue.size q)
+
+let test_queue_mass_cancel_leaves_live () =
+  let q = Event_queue.create () in
+  let hs =
+    Array.init 1000 (fun i ->
+        Event_queue.schedule q (Time.of_us (i * 37 mod 1000)) ignore)
+  in
+  Array.iteri (fun i h -> if i mod 10 <> 0 then Event_queue.cancel h) hs;
+  check Alcotest.int "size equals the live entries" 100 (Event_queue.size q);
+  let pops = ref 0 in
+  let words =
+    minor_words_of (fun () ->
+        while not (Event_queue.is_empty q) do
+          Event_queue.action (Event_queue.pop q) ();
+          incr pops
+        done)
+  in
+  check Alcotest.int "one pop per live entry" 100 !pops;
+  check (Alcotest.float 0.0) "minor words for the drain" 0.0 words
 
 (* --- Hybrid scheduler -------------------------------------------------- *)
 
@@ -914,6 +967,40 @@ let test_shared_registry_causal_counts () =
   | Some c -> check Alcotest.int "nodes of both runs" 6 (Registry.Counter.value c)
   | None -> Alcotest.fail "counter horse_causal_nodes_total not registered"
 
+(* Budget for one schedule -> pop -> fire cycle through [Sched.run]:
+   the 7-word queue entry, the 2-word option carrying its cause, and
+   one word of slack that covers the run's fixed cost (stats, snapshot)
+   spread over the cycles. The run loop itself allocates nothing per
+   event, and a recurring timer re-aims its one entry in place. *)
+let words_per_cycle = 10.0
+
+let test_sched_cycle_word_budget () =
+  let n = 10_000 in
+  let sched = Sched.create () in
+  let fired = ref 0 in
+  let rec tick () =
+    incr fired;
+    if !fired < n then ignore (Sched.schedule_after sched (Time.of_us 1) tick)
+  in
+  ignore (Sched.schedule_after sched (Time.of_us 1) tick);
+  let words = minor_words_of (fun () -> ignore (Sched.run sched)) in
+  check Alcotest.int "cycles" n !fired;
+  if words /. float_of_int n > words_per_cycle then
+    Alcotest.failf "%.2f minor words per cycle, budget %.0f"
+      (words /. float_of_int n) words_per_cycle;
+  let sched = Sched.create () in
+  let ticks = ref 0 in
+  let r = Sched.every sched (Time.of_us 1) (fun () -> incr ticks) in
+  let words =
+    minor_words_of (fun () -> ignore (Sched.run ~until:(Time.of_us n) sched))
+  in
+  Sched.cancel_recurring r;
+  check Alcotest.int "periods" n !ticks;
+  (* A run's fixed cost (stats, snapshot) is far below one word per
+     period. *)
+  if words >= float_of_int n then
+    Alcotest.failf "recurring timer: %.0f minor words over %d periods" words n
+
 (* --- Trace ------------------------------------------------------------ *)
 
 let test_trace () =
@@ -978,13 +1065,17 @@ let () =
           Alcotest.test_case "cancel" `Quick test_queue_cancel;
           Alcotest.test_case "size after cancel" `Quick
             test_queue_size_after_cancel;
-          Alcotest.test_case "compaction preserves order" `Quick
-            test_queue_compaction_preserves_order;
+          Alcotest.test_case "mass cancel preserves order" `Quick
+            test_queue_mass_cancel_preserves_order;
           Alcotest.test_case "reschedule re-aims in place" `Quick
             test_queue_reschedule;
           prop_queue_sorted;
           prop_queue_matches_model;
           Alcotest.test_case "re-aim churn" `Quick test_queue_reaim_churn;
+          Alcotest.test_case "in-place re-aim allocates nothing" `Quick
+            test_queue_reaim_allocates_nothing;
+          Alcotest.test_case "mass cancel leaves only live entries" `Quick
+            test_queue_mass_cancel_leaves_live;
         ] );
       ( "hybrid_sched",
         [
@@ -1024,6 +1115,8 @@ let () =
             test_sched_metrics_agree_with_stats;
           Alcotest.test_case "shared registry sums causal counts" `Quick
             test_shared_registry_causal_counts;
+          Alcotest.test_case "schedule-pop-fire word budget" `Quick
+            test_sched_cycle_word_budget;
         ] );
       ( "trace",
         [
