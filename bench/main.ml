@@ -529,7 +529,9 @@ let micro () =
            let q = Event_queue.create () in
            for i = 0 to 999 do
              ignore
-               (Event_queue.schedule q (VTime.of_us (i * 7 mod 997)) (fun () -> ()))
+               (Event_queue.schedule q ~cause:Causal.none
+                  (VTime.of_us (i * 7 mod 997))
+                  (fun () -> ()))
            done;
            while not (Event_queue.is_empty q) do
              ignore (Event_queue.pop q)
@@ -542,14 +544,18 @@ let micro () =
     let q = Event_queue.create () in
     let hold = 1_000_000 in
     let timers =
-      Array.init 1000 (fun i -> Event_queue.schedule q (VTime.of_us (hold + i)) ignore)
+      Array.init 1000 (fun i ->
+          Event_queue.schedule q ~cause:Causal.none (VTime.of_us (hold + i)) ignore)
     in
     let now = ref 0 in
     Test.make ~name:"event-queue 1k timers re-aim+pop"
       (Staged.stage (fun () ->
            Array.iter
              (fun h ->
-               ignore (Event_queue.schedule q (VTime.of_us (!now + 100)) ignore);
+               ignore
+                 (Event_queue.schedule q ~cause:Causal.none
+                    (VTime.of_us (!now + 100))
+                    ignore);
                now := VTime.to_us (Event_queue.time (Event_queue.pop q));
                Event_queue.reschedule h (VTime.of_us (!now + hold)))
              timers))

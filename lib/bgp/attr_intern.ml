@@ -3,34 +3,25 @@ type interned = {
   hash : int;
   path_len : int;
   uid : int;
+  mutable refs : int;
+  mutable next : interned option;
 }
 
-(* Chained buckets of the records themselves, indexed by the low bits
-   of the stored hash; the bucket count stays a power of two. *)
+(* Intrusive chains of the records themselves, indexed by the low bits
+   of the stored hash; the bucket count stays a power of two. A record
+   gets its one [Some] link when it is inserted; moving that link
+   around is how [grow] rehashes and [release] unlinks, so neither
+   allocates. [None] ends a chain, which keeps records acyclic for
+   structural equality and hashing. *)
 type t = {
-  mutable buckets : interned list array;
-  mutable size : int;
+  mutable buckets : interned option array;
+  mutable size : int;  (* live records *)
+  mutable next_uid : int;
   mutable hits : int;
   on_hit : unit -> unit;
   on_miss : unit -> unit;
+  mutable on_free : interned -> unit;
 }
-
-let nop () = ()
-
-let create ?(on_hit = nop) ?(on_miss = nop) () =
-  { buckets = Array.make 64 []; size = 0; hits = 0; on_hit; on_miss }
-
-let index buckets hash = hash land (Array.length buckets - 1)
-
-let grow t =
-  let old = t.buckets in
-  let buckets = Array.make (2 * Array.length old) [] in
-  Array.iter
-    (List.iter (fun i ->
-         let b = index buckets i.hash in
-         buckets.(b) <- i :: buckets.(b)))
-    old;
-  t.buckets <- buckets
 
 (* What [probe] returns on a miss, so a hit allocates nothing. *)
 let absent =
@@ -47,15 +38,47 @@ let absent =
     hash = -1;
     path_len = 0;
     uid = -1;
+    refs = 0;
+    next = None;
   }
+
+let nop () = ()
+
+let create ?(on_hit = nop) ?(on_miss = nop) () =
+  {
+    buckets = Array.make 64 None;
+    size = 0;
+    next_uid = 0;
+    hits = 0;
+    on_hit;
+    on_miss;
+    on_free = ignore;
+  }
+
+let set_on_free t f = t.on_free <- f
+let index buckets hash = hash land (Array.length buckets - 1)
+
+let rec relink buckets = function
+  | None -> ()
+  | Some i as link ->
+      let rest = i.next in
+      let b = index buckets i.hash in
+      i.next <- buckets.(b);
+      buckets.(b) <- link;
+      relink buckets rest
+
+let grow t =
+  let buckets = Array.make (2 * Array.length t.buckets) None in
+  Array.iter (relink buckets) t.buckets;
+  t.buckets <- buckets
 
 (* The stored hash screens out almost every unequal record before the
    structural comparison. *)
 let rec probe hash attrs = function
-  | [] -> absent
-  | i :: rest ->
+  | None -> absent
+  | Some i ->
       if i.hash = hash && Msg.attrs_equal i.attrs attrs then i
-      else probe hash attrs rest
+      else probe hash attrs i.next
 
 let intern t attrs =
   let hash = Msg.attrs_hash attrs in
@@ -68,13 +91,46 @@ let intern t attrs =
   end
   else
     let i =
-      { attrs; hash; path_len = List.length attrs.Msg.as_path; uid = t.size }
+      {
+        attrs;
+        hash;
+        path_len = List.length attrs.Msg.as_path;
+        uid = t.next_uid;
+        refs = 0;
+        next = t.buckets.(b);
+      }
     in
-    t.buckets.(b) <- i :: t.buckets.(b);
+    t.buckets.(b) <- Some i;
+    t.next_uid <- t.next_uid + 1;
     t.size <- t.size + 1;
     if t.size > 2 * Array.length t.buckets then grow t;
     t.on_miss ();
     i
+
+let retain i = i.refs <- i.refs + 1
+
+let not_linked () = invalid_arg "Attr_intern.release: record not in its table"
+
+(* [i] is in the chain after [prev]. *)
+let rec unlink_after prev i =
+  match prev.next with
+  | Some next when next == i -> prev.next <- i.next
+  | Some next -> unlink_after next i
+  | None -> not_linked ()
+
+let release t i =
+  if i.refs <= 0 then invalid_arg "Attr_intern.release: record not retained";
+  i.refs <- i.refs - 1;
+  if i.refs = 0 then begin
+    let b = index t.buckets i.hash in
+    (match t.buckets.(b) with
+    | Some head when head == i -> t.buckets.(b) <- i.next
+    | Some head -> unlink_after head i
+    | None -> not_linked ());
+    i.next <- None;
+    t.size <- t.size - 1;
+    t.on_free i
+  end
 
 let equal a b = a == b || a.uid = b.uid
 let size t = t.size

@@ -18,7 +18,6 @@ type t = { rules : rule list; default : action }
 let make ?(default = Accept) rules = { rules; default }
 
 let accept_all = { rules = []; default = Accept }
-let reject_all = { rules = []; default = Reject }
 
 let match_equal a b =
   match (a, b) with

@@ -35,7 +35,6 @@ val make : ?default:action -> rule list -> t
 (** Default action when no rule matches: [Accept]. *)
 
 val accept_all : t
-val reject_all : t
 
 val equal : t -> t -> bool
 (** Structural equality (fast-pathed on physical equality). Peers

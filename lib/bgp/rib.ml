@@ -190,13 +190,21 @@ let set_in_id t ~peer ~peer_bgp_id ~at id attrs =
       learned_at = at;
     }
   in
-  (row_for_write t peer).(id) <- r;
-  t.cands.(id) <- replace_sorted r t.cands.(id)
+  (* Retained before the old record goes, so an equal re-announcement
+     keeps its record (and uid) alive. *)
+  Attr_intern.retain iattrs;
+  let row = row_for_write t peer in
+  let old = row.(id) in
+  row.(id) <- r;
+  t.cands.(id) <- replace_sorted r t.cands.(id);
+  if old != no_route then Attr_intern.release t.intern old.iattrs
 
 let withdraw_in_id t ~peer id =
-  if slot t peer id != no_route then begin
+  let old = slot t peer id in
+  if old != no_route then begin
     t.rows.(peer + 1).(id) <- no_route;
-    t.cands.(id) <- remove_peer peer t.cands.(id)
+    t.cands.(id) <- remove_peer peer t.cands.(id);
+    Attr_intern.release t.intern old.iattrs
   end
 
 let set_in t ~peer ~peer_bgp_id ~at prefix attrs =
@@ -218,6 +226,7 @@ let drop_peer_ids t ~peer =
     for id = Array.length row - 1 downto 0 do
       if row.(id) != no_route then begin
         t.cands.(id) <- remove_peer peer t.cands.(id);
+        Attr_intern.release t.intern row.(id).iattrs;
         dropped := id :: !dropped
       end
     done;
@@ -294,6 +303,21 @@ let routes_equal a b =
       && Attr_intern.equal x.iattrs y.iattrs)
     a b
 
+let rec retain_all = function
+  | [] -> ()
+  | (r : route) :: rest ->
+      Attr_intern.retain r.iattrs;
+      retain_all rest
+
+let rec release_all intern = function
+  | [] -> ()
+  | (r : route) :: rest ->
+      Attr_intern.release intern r.iattrs;
+      release_all intern rest
+
+(* Every Loc-RIB route holds its record, so a prefix withdrawn and
+   re-announced with equal attributes inside one UPDATE finds the same
+   uid and stays [Unchanged]. *)
 let refresh_id ~multipath t id =
   let best = decide_id ~multipath t id in
   let old = t.loc.(id) in
@@ -303,6 +327,8 @@ let refresh_id ~multipath t id =
     | [], _ :: _ -> t.loc_size <- t.loc_size + 1
     | _ :: _, [] -> t.loc_size <- t.loc_size - 1
     | [], [] | _ :: _, _ :: _ -> ());
+    retain_all best;
+    release_all t.intern old;
     t.loc.(id) <- best;
     Changed best
   end

@@ -37,7 +37,15 @@
     {!refresh_id} one decision over it, {!best_id} and
     {!loc_rib_size} an array read. The prefix-taking functions are
     wrappers that add one lookup. Memory is one slot per id for each
-    peer that sent a route since its last {!drop_peer}. *)
+    peer that sent a route since its last {!drop_peer}.
+
+    Every Adj-RIB-In slot and every Loc-RIB route holds a reference to
+    its {!Attr_intern} record, so a record leaves the table once no
+    route carries it. That adds O(1) to {!set_in_id} and
+    {!withdraw_in_id} (one retain, one release), one release per route
+    to {!drop_peer_ids}, and one retain and one release per route of
+    the best sets a changed {!refresh_id} swaps; an unchanged refresh
+    touches no count. *)
 
 open Horse_net
 open Horse_engine
@@ -64,6 +72,7 @@ val create : ?intern:Attr_intern.t -> unit -> t
     table is created otherwise. *)
 
 val intern_table : t -> Attr_intern.t
+(** The attribute table the RIB's routes hold their records in. *)
 
 (** {2 Prefix ids} *)
 
@@ -93,7 +102,9 @@ val set_in :
 
 val set_in_id :
   t -> peer:int -> peer_bgp_id:Ipv4.t -> at:Time.t -> int -> Msg.attrs -> unit
-(** {!set_in} on an id from {!id}. *)
+(** {!set_in} on an id from {!id}. The new record is retained before
+    the slot's old one is released, so re-announcing equal attributes
+    keeps the record. *)
 
 val withdraw_in : t -> peer:int -> Prefix.t -> unit
 (** Idempotent. *)

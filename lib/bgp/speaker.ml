@@ -160,8 +160,9 @@ and group = {
   mutable g_state : Bytes.t;  (* per id: a [state_*] value *)
   mutable g_mrai_armed : bool;
   export_memo : Attr_intern.interned option Uid_tbl.t;
-      (* Loc-RIB attrs uid -> post-policy interned attrs; only
-         consulted when the export policy is prefix-independent *)
+      (* Loc-RIB attrs uid -> post-policy interned attrs, which the
+         entry holds; only consulted when the export policy is
+         prefix-independent, and purged when the input is freed *)
   packer : Msg.Packer.t;
 }
 
@@ -185,6 +186,7 @@ type metrics = {
   m_withdrawn_sent : Counter.t;
   m_intern_hits : Counter.t;
   m_interned : Counter.t;
+  g_attrs_live : Gauge.t;
   m_group_flushes : Counter.t;
   m_peer_flushes : Counter.t;
 }
@@ -233,8 +235,12 @@ let make_metrics reg ~router_id =
         "attr_intern_hits_total";
     m_interned =
       Registry.counter reg ~subsystem:"bgp"
-        ~help:"Distinct path-attribute records interned"
+        ~help:"Path-attribute records inserted into intern tables"
         "attrs_interned_total";
+    g_attrs_live =
+      Registry.gauge reg ~subsystem:"bgp"
+        ~help:"Path-attribute records held in intern tables"
+        "attrs_live";
     m_group_flushes =
       Registry.counter reg ~subsystem:"bgp"
         ~help:"Update-group flushes (shared Adj-RIB-Out computations)"
@@ -279,6 +285,25 @@ let tracef t fmt =
   | Some trace -> Trace.addf trace ~at:(now t) ~label:"bgp" fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
+(* A freed record's uid never comes back, so the memo entries keyed on
+   it can never hit again: each group drops its entry and lets go of
+   the entry's output. *)
+let rec purge_memos intern uid = function
+  | [] -> ()
+  | group :: rest ->
+      (match Uid_tbl.find group.export_memo uid with
+      | cached -> (
+          Uid_tbl.remove group.export_memo uid;
+          match cached with
+          | Some out -> Attr_intern.release intern out
+          | None -> ())
+      | exception Not_found -> ());
+      purge_memos intern uid rest
+
+let forget_attrs t (i : Attr_intern.interned) =
+  Gauge.add t.m.g_attrs_live (-1.0);
+  purge_memos t.intern i.Attr_intern.uid t.groups
+
 let create ?trace proc cfg =
   let m =
     make_metrics (Sched.registry (Process.scheduler proc)) ~router_id:cfg.router_id
@@ -286,34 +311,40 @@ let create ?trace proc cfg =
   let intern =
     Attr_intern.create
       ~on_hit:(fun () -> Counter.incr m.m_intern_hits)
-      ~on_miss:(fun () -> Counter.incr m.m_interned)
+      ~on_miss:(fun () ->
+        Counter.incr m.m_interned;
+        Gauge.add m.g_attrs_live 1.0)
       ()
   in
-  {
-    proc;
-    cfg;
-    intern;
-    rib = Rib.create ~intern ();
-    trace;
-    m;
-    peers = [||];
-    groups = [];
-    rib_hooks = Hooks.create ();
-    started = false;
-    established = 0;
-    opens_sent = 0;
-    updates_sent = 0;
-    updates_received = 0;
-    keepalives_sent = 0;
-    keepalives_received = 0;
-    notifications_sent = 0;
-    decode_errors = 0;
-    inbox = Queue.create ();
-    busy = false;
-    affected = Ids.create ();
-    marks = [||];
-    stamp = 0;
-  }
+  let t =
+    {
+      proc;
+      cfg;
+      intern;
+      rib = Rib.create ~intern ();
+      trace;
+      m;
+      peers = [||];
+      groups = [];
+      rib_hooks = Hooks.create ();
+      started = false;
+      established = 0;
+      opens_sent = 0;
+      updates_sent = 0;
+      updates_received = 0;
+      keepalives_sent = 0;
+      keepalives_received = 0;
+      notifications_sent = 0;
+      decode_errors = 0;
+      inbox = Queue.create ();
+      busy = false;
+      affected = Ids.create ();
+      marks = [||];
+      stamp = 0;
+    }
+  in
+  Attr_intern.set_on_free intern (forget_attrs t);
+  t
 
 let process t = t.proc
 let asn t = t.cfg.asn
@@ -332,7 +363,6 @@ let iter_peers_newest_first f t =
   done
 
 let peer_state t id = (find_peer t id).state
-let peer_ids t = List.init (Array.length t.peers) Fun.id
 
 (* O(1): maintained on FSM transitions, not recounted. *)
 let established_count t = t.established
@@ -412,7 +442,8 @@ let export_attrs t (route : Rib.route) =
 (* One export computation per (group, Loc-RIB attrs): the rewrite,
    the policy evaluation and the interning of the result are memoized
    on the interned input's uid whenever the policy cannot observe the
-   prefix. *)
+   prefix. A memo entry holds its output; otherwise the output's only
+   holder is the flush bucket it lands in. *)
 let export_for t group prefix (first : Rib.route) =
   let eval () =
     match Policy.eval group.g_export prefix (export_attrs t first) with
@@ -425,6 +456,7 @@ let export_for t group prefix (first : Rib.route) =
     | cached -> cached
     | exception Not_found ->
         let r = eval () in
+        (match r with Some out -> Attr_intern.retain out | None -> ());
         Uid_tbl.add group.export_memo key r;
         r
   end
@@ -438,9 +470,10 @@ let unadvertise peer id =
 let prefixes t ids = List.map (Rib.prefix_of_id t.rib) ids
 
 (* The NLRI of one flush that share exported attributes and, in a group
-   flush, the set of members split horizon excludes. *)
+   flush, the set of members split horizon excludes. A bucket holds its
+   record until the flush ends ([release_buckets]). *)
 type bucket = {
-  b_attrs : Msg.attrs;
+  b_iattrs : Attr_intern.interned;
   b_excluded : int list;  (* sorted member ids *)
   mutable b_ids : int list;  (* reversed *)
 }
@@ -461,11 +494,16 @@ let add_to_bucket buckets order (ia : Attr_intern.interned) excluded id =
   match find_bucket excluded same_uid with
   | b -> b.b_ids <- id :: b.b_ids
   | exception Not_found ->
-      let b =
-        { b_attrs = ia.Attr_intern.attrs; b_excluded = excluded; b_ids = [ id ] }
-      in
+      Attr_intern.retain ia;
+      let b = { b_iattrs = ia; b_excluded = excluded; b_ids = [ id ] } in
       Uid_tbl.replace buckets uid (b :: same_uid);
       order := b :: !order
+
+let rec release_buckets intern = function
+  | [] -> ()
+  | b :: rest ->
+      Attr_intern.release intern b.b_iattrs;
+      release_buckets intern rest
 
 (* Flush one peer's initial table transfer after its session comes
    up. NLRI sharing identical exported attributes group together — by
@@ -510,9 +548,10 @@ let flush_peer t peer =
         msgs :=
           !msgs
           @ Msg.Packer.pack peer.group.packer
-              ~reach:(b.b_attrs, prefixes t ids) ();
+              ~reach:(b.b_iattrs.Attr_intern.attrs, prefixes t ids) ();
         List.iter (fun id -> advertise peer id) ids)
       (List.rev !order);
+    release_buckets t.intern !order;
     send_packed t peer !msgs
   end
 
@@ -573,9 +612,11 @@ let flush_group t group =
           let ids = List.rev b.b_ids in
           ( b.b_excluded,
             ids,
-            Msg.Packer.pack group.packer ~reach:(b.b_attrs, prefixes t ids) () ))
+            Msg.Packer.pack group.packer
+              ~reach:(b.b_iattrs.Attr_intern.attrs, prefixes t ids) () ))
         !order
     in
+    release_buckets t.intern !order;
     List.iter
       (fun member ->
         let msgs = ref withdraw_msgs in

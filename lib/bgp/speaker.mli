@@ -110,7 +110,6 @@ val withdraw_network : t -> Prefix.t -> unit
 (** Stops originating a prefix. *)
 
 val peer_state : t -> int -> peer_state
-val peer_ids : t -> int list
 
 val established_count : t -> int
 (** O(1): maintained on FSM transitions. *)

@@ -97,7 +97,7 @@ let remove_at t i =
     if i > 0 && before last h.((i - 1) / 2) then sift_up t i else sift_down t i
   end
 
-let schedule t ?(cause = -1) time action =
+let schedule t ~cause time action =
   let e = { q = t; us = 0; seq = 0; action; cause; pos = idle } in
   set_key t e (Time.to_us time);
   push t e;

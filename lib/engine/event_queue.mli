@@ -20,9 +20,11 @@ type handle
 
 val create : unit -> t
 
-val schedule : t -> ?cause:int -> Time.t -> (unit -> unit) -> handle
-(** [schedule q at action] enqueues [action] to run at virtual time
-    [at]. *)
+val schedule : t -> cause:int -> Time.t -> (unit -> unit) -> handle
+(** [schedule q ~cause at action] enqueues [action] to run at virtual
+    time [at]. [cause] is an opaque causal id handed back by {!cause}
+    ({!Causal.none} for none); it is a required label so that a
+    scheduler passing its ambient cause boxes no option per event. *)
 
 val cancel : handle -> unit
 (** Removes the event from the queue. Idempotent. A cancelled event
@@ -57,4 +59,4 @@ val time : handle -> Time.t
 
 val action : handle -> unit -> unit
 val cause : handle -> int
-(** The causal id given to {!schedule}; [-1] for none. *)
+(** The causal id given to {!schedule}. *)

@@ -6,7 +6,10 @@
    fails @bench-smoke (and @runtest with it). A second budget caps the
    minor-heap words the run allocates per announced prefix, so a
    receive, decision or flush path that starts boxing or hashing per
-   prefix again fails too. Both budgets count work, not wall time.
+   prefix again fails too. A session reset then checks attribute
+   lifetimes: the live-record gauge must equal the speakers' intern
+   tables, and every live record must have a holder. The budgets count
+   work, not wall time.
 
    Writes the run's full telemetry snapshot to the path given as
    argv(1), in the same JSON shape as results/BENCH_*.json. *)
@@ -133,5 +136,72 @@ let () =
       "bgp-smoke: allocation budget exceeded: %.1f minor words per announced \
        prefix (budget %.0f)\n"
       words_per_prefix words_per_prefix_budget;
+    exit 1
+  end;
+  (* Attribute lifetimes. The aggregate live gauge must equal the sum
+     of the speakers' intern tables, and every live record must have a
+     holder: a RIB route, or an export-memo entry (one per update
+     group) keyed on a record a RIB route holds. A session reset makes
+     the fabric explore longer paths and then withdraw them again;
+     those records must be freed (and the ones the reset dropped
+     re-inserted) rather than kept. *)
+  let speakers = Array.append spine_arr leaf_arr in
+  let live () =
+    match Registry.find_gauge reg "horse_bgp_attrs_live" with
+    | Some g -> int_of_float (Registry.Gauge.value g)
+    | None -> failwith "bgp-smoke: gauge not registered: horse_bgp_attrs_live"
+  in
+  let rib_held s =
+    let rib = Speaker.rib s in
+    let uids = Hashtbl.create 16 in
+    for l = 0 to leaves - 1 do
+      for j = 0 to prefixes_per_leaf - 1 do
+        let prefix = leaf_prefix l j in
+        List.iter
+          (fun (r : Rib.route) ->
+            Hashtbl.replace uids r.Rib.iattrs.Attr_intern.uid ())
+          (Rib.candidates rib prefix @ Rib.best rib prefix)
+      done
+    done;
+    Hashtbl.length uids
+  in
+  let check_tables when_ =
+    let tables = ref 0 in
+    Array.iteri
+      (fun k s ->
+        let size = Attr_intern.size (Rib.intern_table (Speaker.rib s)) in
+        let bound = (1 + Speaker.update_group_count s) * rib_held s in
+        tables := !tables + size;
+        if size > bound then begin
+          Printf.eprintf
+            "bgp-smoke: %s: speaker %d keeps %d attribute records, at most \
+             %d have a holder\n"
+            when_ k size bound;
+          exit 1
+        end)
+      speakers;
+    if live () <> !tables then begin
+      Printf.eprintf
+        "bgp-smoke: %s: horse_bgp_attrs_live reads %d, the intern tables \
+         hold %d records\n"
+        when_ (live ()) !tables;
+      exit 1
+    end
+  in
+  check_tables "converged";
+  let converged_live = live () in
+  let inserted = counter "horse_bgp_attrs_interned_total" in
+  ignore
+    (Sched.schedule_at sched (Time.of_sec 61.0) (fun () ->
+         Speaker.reset_session leaf_arr.(0) 0));
+  ignore (Sched.run ~until:(Time.of_sec 90.0) sched);
+  check_tables "after the reset";
+  let reinserted = counter "horse_bgp_attrs_interned_total" - inserted in
+  Printf.printf
+    "bgp-smoke: %d path-attribute records live after convergence, %d after \
+     a session reset that inserted %d\n"
+    converged_live (live ()) reinserted;
+  if reinserted = 0 then begin
+    Printf.eprintf "bgp-smoke: the session reset inserted no attribute record\n";
     exit 1
   end

@@ -493,6 +493,101 @@ let test_withdraw_unknown_prefix () =
     (Speaker.counters a).Speaker.updates_received;
   check Alcotest.bool "Loc-RIB unchanged" true (Speaker.routes a = routes)
 
+(* Path exploration: one peer re-announces one prefix with 1,000
+   distinct AS paths. Each replaced record is freed together with the
+   export-memo entry keyed on it, so the speaker keeps a handful of
+   records rather than one per path it ever saw. *)
+let test_attr_records_freed_under_churn () =
+  let sched, chan, a, b, _, _, _, _ = two_routers () in
+  ignore
+    (Sched.schedule_at sched Time.zero (fun () ->
+         Speaker.start a;
+         Speaker.start b));
+  ignore (Sched.run ~until:(Time.of_sec 5.0) sched);
+  let _, ep_b = Channel.endpoints chan in
+  let prefix = p "10.9.0.0/16" in
+  let paths = 1000 in
+  for i = 1 to paths do
+    ignore
+      (Sched.schedule_at sched
+         (Time.of_us (6_000_000 + (i * 1000)))
+         (fun () ->
+           Channel.send ep_b
+             (Msg.encode
+                (Msg.Update
+                   {
+                     withdrawn = [];
+                     reach =
+                       Some (attrs ~path:[ 65002; 1000 + i ] "2.2.2.2", [ prefix ]);
+                   }))))
+  done;
+  ignore (Sched.run ~until:(Time.of_sec 8.0) sched);
+  (match Speaker.best a prefix with
+  | [ r ] ->
+      check (Alcotest.list Alcotest.int) "last path wins" [ 65002; 1000 + paths ]
+        r.Rib.attrs.Msg.as_path
+  | routes -> Alcotest.failf "a has %d routes" (List.length routes));
+  (* Three Loc-RIB records (the local route, b's own prefix, the last
+     path) and the export of each. *)
+  check Alcotest.int "records live" 6
+    (Attr_intern.size (Rib.intern_table (Speaker.rib a)))
+
+(* One UPDATE that withdraws a prefix and announces it again with equal
+   attributes changes nothing: the Loc-RIB route holds the record
+   through the withdrawal, so the announcement finds the same uid, the
+   decision reports no change and no UPDATE goes out. *)
+let test_withdraw_reannounce_one_update () =
+  let sched = Sched.create () in
+  let mk name asn networks =
+    Speaker.create
+      (Process.create sched ~name)
+      { (Speaker.default_config ~asn ~router_id:(ip name)) with Speaker.networks }
+  in
+  let a = mk "1.1.1.1" 65001 [] in
+  let b = mk "2.2.2.2" 65002 [ p "10.2.0.0/16" ] in
+  let c = mk "3.3.3.3" 65003 [] in
+  let connect x y =
+    let chan = Channel.create sched () in
+    let ex, ey = Channel.endpoints chan in
+    ignore (Speaker.add_peer x ~remote_asn:(Speaker.asn y) ex);
+    ignore (Speaker.add_peer y ~remote_asn:(Speaker.asn x) ey);
+    ey
+  in
+  let from_b = connect a b in
+  ignore (connect a c);
+  ignore
+    (Sched.schedule_at sched Time.zero (fun () ->
+         List.iter Speaker.start [ a; b; c ]));
+  ignore (Sched.run ~until:(Time.of_sec 5.0) sched);
+  let prefix = p "10.2.0.0/16" in
+  let uid_of s =
+    match Speaker.best s prefix with
+    | [ r ] -> r.Rib.iattrs.Attr_intern.uid
+    | routes -> Alcotest.failf "%d routes" (List.length routes)
+  in
+  let uid = uid_of a in
+  ignore (uid_of c);
+  let changes = ref 0 in
+  Speaker.on_loc_rib_change a (fun _ _ -> incr changes);
+  let before = Speaker.counters a in
+  ignore
+    (Sched.schedule_at sched (Time.of_sec 6.0) (fun () ->
+         Channel.send from_b
+           (Msg.encode
+              (Msg.Update
+                 {
+                   withdrawn = [ prefix ];
+                   reach = Some (attrs ~path:[ 65002 ] "2.2.2.2", [ prefix ]);
+                 }))));
+  ignore (Sched.run ~until:(Time.of_sec 8.0) sched);
+  let after = Speaker.counters a in
+  check Alcotest.int "update received" (before.Speaker.updates_received + 1)
+    after.Speaker.updates_received;
+  check Alcotest.int "no Loc-RIB change" 0 !changes;
+  check Alcotest.int "same record" uid (uid_of a);
+  check Alcotest.int "no UPDATE sent" before.Speaker.updates_sent
+    after.Speaker.updates_sent
+
 let test_hold_timer_expiry_on_kill () =
   let sched, _, a, b, proc_a, _, _, peer_ba = two_routers () in
   ignore
@@ -839,6 +934,8 @@ let test_packer_empty () =
    arrays past their initial capacity. *)
 type rib_op =
   | Set_in of int * int * Ipv4.t * Msg.attrs  (* prefix index, peer *)
+  | Reannounce of int * int
+      (* the peer's route again, with an equal copy of its attributes *)
   | Withdraw_in of int * int
   | Drop_peer of int
   | Add_local of int * Msg.attrs
@@ -884,6 +981,7 @@ let gen_rib_ops =
               ]
           in
           map (fun a -> Set_in (i, peer, id, a)) rib_attrs );
+        (2, return (Reannounce (i, peer)));
         (3, return (Withdraw_in (i, peer)));
         (1, return (Drop_peer peer));
         (1, map (fun a -> Add_local (i, a)) rib_attrs);
@@ -907,11 +1005,14 @@ let sigs_equal a b =
    decision equals the oracle's and is what the Loc-RIB holds, the
    Loc-RIB size counts the non-empty best sets, and [drop_peer]
    returns exactly the prefixes a plain model says the peer held, in
-   prefix order. *)
+   prefix order. The attribute table holds exactly the records that
+   Adj-RIB-In slots and Loc-RIB routes hold, each counting one
+   reference per holder. *)
 let prop_decide_matches_reference =
   qtest ~count:500 "rib: incremental decide == reference decision process"
     gen_rib_ops (fun (pool, multipath, ops) ->
-      let rib = Rib.create () in
+      let intern = Attr_intern.create () in
+      let rib = Rib.create ~intern () in
       let held = Hashtbl.create 64 in
       let refresh p = ignore (Rib.refresh ~multipath rib p) in
       let consistent () =
@@ -928,14 +1029,44 @@ let prop_decide_matches_reference =
                (fun n p -> if Rib.best rib p = [] then n else n + 1)
                0 pool
       in
+      let refcounts_hold () =
+        let holders = Hashtbl.create 64 in
+        let hold (r : Rib.route) =
+          let i = r.Rib.iattrs in
+          let n =
+            match Hashtbl.find_opt holders i.Attr_intern.uid with
+            | Some (n, _) -> n
+            | None -> 0
+          in
+          Hashtbl.replace holders i.Attr_intern.uid (n + 1, i)
+        in
+        Array.iter
+          (fun p ->
+            List.iter hold (Rib.candidates rib p);
+            List.iter hold (Rib.best rib p))
+          pool;
+        Attr_intern.size intern = Hashtbl.length holders
+        && Hashtbl.fold
+             (fun _ (n, (i : Attr_intern.interned)) ok ->
+               ok && i.Attr_intern.refs = n)
+             holders true
+      in
       List.for_all
         (fun op ->
           let dropped_ok =
             match op with
             | Set_in (i, peer, id, a) ->
                 Rib.set_in rib ~peer ~peer_bgp_id:id ~at:Time.zero pool.(i) a;
-                Hashtbl.replace held (peer, pool.(i)) ();
+                Hashtbl.replace held (peer, pool.(i)) (id, a);
                 refresh pool.(i);
+                true
+            | Reannounce (i, peer) ->
+                (match Hashtbl.find_opt held (peer, pool.(i)) with
+                | Some (id, a) ->
+                    Rib.set_in rib ~peer ~peer_bgp_id:id ~at:Time.zero pool.(i)
+                      { a with Msg.as_path = List.map Fun.id a.Msg.as_path };
+                    refresh pool.(i)
+                | None -> ());
                 true
             | Withdraw_in (i, peer) ->
                 Rib.withdraw_in rib ~peer pool.(i);
@@ -944,7 +1075,7 @@ let prop_decide_matches_reference =
                 true
             | Add_local (i, a) ->
                 Rib.add_local rib ~at:Time.zero pool.(i) a;
-                Hashtbl.replace held (Rib.local_peer, pool.(i)) ();
+                Hashtbl.replace held (Rib.local_peer, pool.(i)) (Ipv4.any, a);
                 refresh pool.(i);
                 true
             | Remove_local i ->
@@ -962,7 +1093,7 @@ let prop_decide_matches_reference =
                 List.iter refresh dropped;
                 List.equal Prefix.equal expected dropped
           in
-          dropped_ok && consistent ())
+          dropped_ok && consistent () && refcounts_hold ())
         ops)
 
 let test_attr_intern_dedup () =
@@ -996,6 +1127,42 @@ let test_attr_intern_dedup () =
     many first;
   check Alcotest.int "1002 records" 1002 (Attr_intern.size tbl);
   check Alcotest.int "1001 hits" 1001 (Attr_intern.hits tbl)
+
+(* A record lives while it has holders: the last release unlinks it
+   and reports it, and an equal record inserted later is a new record
+   under a new uid. *)
+let test_attr_intern_lifetime () =
+  let tbl = Attr_intern.create () in
+  let freed = ref [] in
+  Attr_intern.set_on_free tbl (fun i -> freed := i.Attr_intern.uid :: !freed);
+  (* Enough records to share buckets, so unlinking walks chains. *)
+  let all =
+    List.init 300 (fun i -> Attr_intern.intern tbl (attrs ~path:[ i ] "10.0.0.1"))
+  in
+  List.iter Attr_intern.retain all;
+  let i0 = List.hd all in
+  Attr_intern.retain i0;
+  Attr_intern.release tbl i0;
+  check Alcotest.int "still held once" 1 i0.Attr_intern.refs;
+  check (Alcotest.list Alcotest.int) "nothing freed yet" [] !freed;
+  List.iteri (fun k i -> if k mod 2 = 0 then Attr_intern.release tbl i) all;
+  check Alcotest.int "half left" 150 (Attr_intern.size tbl);
+  check Alcotest.int "freed in release order" 150 (List.length !freed);
+  check Alcotest.int "last freed" 298 (List.hd !freed);
+  List.iteri
+    (fun k i ->
+      let again = Attr_intern.intern tbl i.Attr_intern.attrs in
+      if k mod 2 = 0 then
+        check Alcotest.bool "a freed record comes back under a new uid" true
+          (again != i && again.Attr_intern.uid >= 300)
+      else check Alcotest.bool "a held record is found" true (again == i))
+    all;
+  check Alcotest.int "re-inserted" 300 (Attr_intern.size tbl);
+  (* [i0] was freed; its attributes now name a record nobody holds. *)
+  let unheld = Attr_intern.intern tbl i0.Attr_intern.attrs in
+  Alcotest.check_raises "release without a holder"
+    (Invalid_argument "Attr_intern.release: record not retained") (fun () ->
+      Attr_intern.release tbl unheld)
 
 (* --- update groups + ring geometry oracle ------------------------------------ *)
 
@@ -1148,6 +1315,7 @@ let () =
           Alcotest.test_case "refresh idempotent" `Quick test_rib_refresh_unchanged;
           prop_decide_matches_reference;
           Alcotest.test_case "attr interning" `Quick test_attr_intern_dedup;
+          Alcotest.test_case "attr lifetimes" `Quick test_attr_intern_lifetime;
         ] );
       ( "policy",
         [
@@ -1164,6 +1332,10 @@ let () =
             test_runtime_announce_and_withdraw;
           Alcotest.test_case "withdrawal of an unknown prefix" `Quick
             test_withdraw_unknown_prefix;
+          Alcotest.test_case "attr records freed under path churn" `Quick
+            test_attr_records_freed_under_churn;
+          Alcotest.test_case "withdraw + equal re-announce in one UPDATE" `Quick
+            test_withdraw_reannounce_one_update;
           Alcotest.test_case "hold timer on crash" `Quick
             test_hold_timer_expiry_on_kill;
           Alcotest.test_case "connect-retry heals kill/restart" `Quick
