@@ -95,7 +95,7 @@ let install_routes (ft : Fat_tree.t) (engine : Packet_engine.t) =
            (Topology.nodes topo)))
     ft.Fat_tree.edges
 
-let run_fat_tree ?(creation = default_creation_model) ?(pkt_bytes = 1500)
+let run_fat_tree ?(pkt_bytes = 1500)
     ?(rate = 1e9) ?(stack_work = true) ?(seed = 42) ?(contention = 1.2)
     ?realtime_duration ~pods ~duration () =
   let realtime_duration = Option.value realtime_duration ~default:duration in
@@ -133,7 +133,7 @@ let run_fat_tree ?(creation = default_creation_model) ?(pkt_bytes = 1500)
   {
     pods;
     creation_modeled_s =
-      creation_seconds creation
+      creation_seconds default_creation_model
         ~n_switches:(Fat_tree.n_switches ~k:pods)
         ~n_hosts ~n_links:(Topology.n_links ft.Fat_tree.topo);
     creation_real_s;

@@ -53,7 +53,6 @@ type result = {
 }
 
 val run_fat_tree :
-  ?creation:creation_model ->
   ?pkt_bytes:int ->
   ?rate:float ->
   ?stack_work:bool ->

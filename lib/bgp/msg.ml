@@ -11,10 +11,6 @@ let origin_of_int = function
   | 2 -> Ok Incomplete
   | n -> Error (Printf.sprintf "bgp: bad origin %d" n)
 
-let pp_origin fmt o =
-  Format.pp_print_string fmt
-    (match o with Igp -> "igp" | Egp -> "egp" | Incomplete -> "incomplete")
-
 type attrs = {
   origin : origin;
   as_path : int list;
@@ -28,24 +24,6 @@ let community ~asn v =
   if asn < 0 || asn > 0xFFFF || v < 0 || v > 0xFFFF then
     invalid_arg "Bgp.Msg.community: halves must fit 16 bits";
   (asn lsl 16) lor v
-
-let pp_community fmt c = Format.fprintf fmt "%d:%d" (c lsr 16) (c land 0xFFFF)
-
-let pp_attrs fmt a =
-  Format.fprintf fmt "origin=%a as-path=[%s] next-hop=%a%s%s%s" pp_origin
-    a.origin
-    (String.concat " " (List.map string_of_int a.as_path))
-    Ipv4.pp a.next_hop
-    (match a.med with Some m -> Printf.sprintf " med=%d" m | None -> "")
-    (match a.local_pref with
-    | Some l -> Printf.sprintf " local-pref=%d" l
-    | None -> "")
-    (match a.communities with
-    | [] -> ""
-    | cs ->
-        " communities="
-        ^ String.concat ","
-            (List.map (fun c -> Format.asprintf "%a" pp_community c) cs))
 
 let attrs_equal a b =
   a.origin = b.origin
@@ -484,24 +462,3 @@ let equal a b =
              attrs_equal aa ba && List.equal Prefix.equal an bn)
            x.reach y.reach
   | (Keepalive | Notification _ | Open _ | Update _), _ -> false
-
-let pp fmt = function
-  | Keepalive -> Format.pp_print_string fmt "KEEPALIVE"
-  | Notification { code; subcode } ->
-      Format.fprintf fmt "NOTIFICATION %d/%d" code subcode
-  | Open o ->
-      Format.fprintf fmt "OPEN as=%d hold=%ds id=%a" o.asn o.hold_time_s Ipv4.pp
-        o.bgp_id
-  | Update u ->
-      let pp_prefixes fmt ps =
-        Format.pp_print_list
-          ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-          Prefix.pp fmt ps
-      in
-      Format.fprintf fmt "UPDATE";
-      if u.withdrawn <> [] then
-        Format.fprintf fmt " withdraw[%a]" pp_prefixes u.withdrawn;
-      match u.reach with
-      | Some (attrs, nlri) ->
-          Format.fprintf fmt " announce[%a] %a" pp_prefixes nlri pp_attrs attrs
-      | None -> ()

@@ -13,7 +13,6 @@ type origin = Igp | Egp | Incomplete
 
 val origin_to_int : origin -> int
 val origin_of_int : int -> (origin, string) result
-val pp_origin : Format.formatter -> origin -> unit
 
 type attrs = {
   origin : origin;
@@ -30,10 +29,6 @@ val community : asn:int -> int -> int
 (** [community ~asn v] is the 32-bit community [asn:v].
     @raise Invalid_argument if either half exceeds 16 bits. *)
 
-val pp_community : Format.formatter -> int -> unit
-(** Renders ["65001:300"]. *)
-
-val pp_attrs : Format.formatter -> attrs -> unit
 val attrs_equal : attrs -> attrs -> bool
 
 val attrs_hash : attrs -> int
@@ -102,4 +97,3 @@ module Packer : sig
 end
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

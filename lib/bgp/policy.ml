@@ -13,11 +13,13 @@ and modifier =
 
 type rule = { match_ : match_; action : action }
 
-type t = { rules : rule list; default : action }
+type t = rule list
 
-let make ?(default = Accept) rules = { rules; default }
+(* The action when no rule matches. *)
+let no_match = Accept
 
-let accept_all = { rules = []; default = Accept }
+let make rules = rules
+let accept_all = []
 
 let match_equal a b =
   match (a, b) with
@@ -37,8 +39,7 @@ let action_equal a b =
 let rule_equal a b =
   match_equal a.match_ b.match_ && action_equal a.action b.action
 
-let equal a b =
-  a == b || (List.equal rule_equal a.rules b.rules && action_equal a.default b.default)
+let equal a b = a == b || List.equal rule_equal a b
 
 let prefix_independent t =
   List.for_all
@@ -46,7 +47,7 @@ let prefix_independent t =
       match r.match_ with
       | Any | Has_community _ -> true
       | Exact _ | Within _ -> false)
-    t.rules
+    t
 
 let matches m prefix (attrs : Msg.attrs) =
   match m with
@@ -80,27 +81,9 @@ let run_action action attrs =
 
 let eval t prefix attrs =
   let rec go = function
-    | [] -> run_action t.default attrs
+    | [] -> run_action no_match attrs
     | rule :: rest ->
         if matches rule.match_ prefix attrs then run_action rule.action attrs
         else go rest
   in
-  go t.rules
-
-let pp_match fmt = function
-  | Any -> Format.pp_print_string fmt "any"
-  | Exact p -> Format.fprintf fmt "exact %a" Prefix.pp p
-  | Within p -> Format.fprintf fmt "within %a" Prefix.pp p
-  | Has_community c -> Format.fprintf fmt "community %a" Msg.pp_community c
-
-let pp_action fmt = function
-  | Accept -> Format.pp_print_string fmt "accept"
-  | Reject -> Format.pp_print_string fmt "reject"
-  | Accept_with mods ->
-      Format.fprintf fmt "accept+%d-modifiers" (List.length mods)
-
-let pp fmt t =
-  List.iter
-    (fun r -> Format.fprintf fmt "%a -> %a; " pp_match r.match_ pp_action r.action)
-    t.rules;
-  Format.fprintf fmt "default %a" pp_action t.default
+  go t

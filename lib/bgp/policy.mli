@@ -31,8 +31,9 @@ type rule = { match_ : match_; action : action }
 
 type t
 
-val make : ?default:action -> rule list -> t
-(** Default action when no rule matches: [Accept]. *)
+val make : rule list -> t
+(** The first matching rule decides; a route no rule matches is
+    accepted unchanged. *)
 
 val accept_all : t
 
@@ -48,5 +49,3 @@ val prefix_independent : t -> bool
 val eval : t -> Prefix.t -> Msg.attrs -> Msg.attrs option
 (** [None] = rejected; [Some attrs] = accepted, with modifiers
     applied. Community sets stay sorted and duplicate-free. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,10 +12,6 @@ type route = {
   learned_at : Time.t;
 }
 
-let pp_route fmt r =
-  Format.fprintf fmt "%a via peer %d (%a)" Prefix.pp r.prefix r.peer
-    Msg.pp_attrs r.attrs
-
 module Prefix_tbl = Hashtbl.Make (struct
   type t = Prefix.t
 

@@ -62,8 +62,6 @@ type route = {
   learned_at : Time.t;
 }
 
-val pp_route : Format.formatter -> route -> unit
-
 type t
 
 val create : ?intern:Attr_intern.t -> unit -> t

@@ -7,13 +7,6 @@ module Gauge = Registry.Gauge
 
 type peer_state = Idle | OpenSent | OpenConfirm | Established
 
-let pp_peer_state fmt s =
-  Format.pp_print_string fmt
-    (match s with
-    | Idle -> "Idle"
-    | OpenSent -> "OpenSent"
-    | OpenConfirm -> "OpenConfirm"
-    | Established -> "Established")
 
 (* --- causal kinds ------------------------------------------------------- *)
 
@@ -346,9 +339,7 @@ let create ?trace proc cfg =
   Attr_intern.set_on_free intern (forget_attrs t);
   t
 
-let process t = t.proc
 let asn t = t.cfg.asn
-let router_id t = t.cfg.router_id
 let rib t = t.rib
 
 let find_peer t id =
@@ -370,7 +361,6 @@ let update_group_count t = List.length t.groups
 
 let best t prefix = Rib.best t.rib prefix
 let routes t = Rib.loc_rib t.rib
-let loc_rib_size t = Rib.loc_rib_size t.rib
 
 let on_loc_rib_change t f = Hooks.add t.rib_hooks f
 

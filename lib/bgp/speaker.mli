@@ -31,8 +31,6 @@ open Horse_emulation
 
 type peer_state = Idle | OpenSent | OpenConfirm | Established
 
-val pp_peer_state : Format.formatter -> peer_state -> unit
-
 type config = {
   asn : int;
   router_id : Ipv4.t;
@@ -60,9 +58,7 @@ val default_config : asn:int -> router_id:Ipv4.t -> config
 type t
 
 val create : ?trace:Trace.t -> Process.t -> config -> t
-val process : t -> Process.t
 val asn : t -> int
-val router_id : t -> Ipv4.t
 
 val rib : t -> Rib.t
 (** The speaker's RIB, for inspection and tests. *)
@@ -119,9 +115,6 @@ val update_group_count : t -> int
 
 val best : t -> Prefix.t -> Rib.route list
 val routes : t -> (Prefix.t * Rib.route list) list
-
-val loc_rib_size : t -> int
-(** O(1). *)
 
 val on_loc_rib_change : t -> (Prefix.t -> Rib.route list -> unit) -> unit
 (** Fired whenever the Loc-RIB entry for a prefix changes; an empty

@@ -40,10 +40,8 @@ val attribute :
     [(label, injected_at, reconverged_at)] samples. One attribution
     per sample, in sample order. *)
 
-val pp_attribution : Format.formatter -> attribution -> unit
-(** The fault header, the critical path one hop per line with per-hop
-    latencies, and the per-protocol breakdown. *)
-
 val pp_report : Format.formatter -> attribution list -> unit
-(** All attributions under a ["Convergence explanation"] heading;
-    prints a note instead when the list is empty. *)
+(** All attributions under a ["Convergence explanation"] heading, each
+    as the fault header, the critical path one hop per line with
+    per-hop latencies, and the per-protocol breakdown; prints a note
+    instead when the list is empty. *)

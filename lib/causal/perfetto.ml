@@ -165,8 +165,10 @@ let emit_causal w graph max_events =
         ("cat", str "causal");
       ]
 
-let write ~path ?graph ?(max_causal_events = 50_000) ~spans ~transitions
-    ~end_time () =
+(* The newest causal nodes exported; older ones are dropped. *)
+let max_causal_events = 50_000
+
+let write ~path ?graph ~spans ~transitions ~end_time () =
   let oc = open_out path in
   let w = { oc; first = true } in
   output_string oc "{\"traceEvents\":[\n";

@@ -14,15 +14,13 @@
       flow arrow ("s"/"f" pair) from its parent's slice — the arrows
       render the provenance chains across tracks.
 
-    Only the newest [max_causal_events] causal nodes are exported
-    (default 50_000) so a storm run cannot produce a file the UI
-    chokes on; arrows into the dropped prefix are omitted, and the
-    dropped prefix is never formatted. *)
+    Only the newest 50_000 causal nodes are exported so a storm run
+    cannot produce a file the UI chokes on; arrows into the dropped
+    prefix are omitted, and the dropped prefix is never formatted. *)
 
 val write :
   path:string ->
   ?graph:Horse_engine.Causal.t ->
-  ?max_causal_events:int ->
   spans:Horse_telemetry.Span.record list ->
   transitions:Horse_engine.Sched.transition list ->
   end_time:Horse_engine.Time.t ->

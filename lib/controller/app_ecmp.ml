@@ -9,7 +9,6 @@ type t = {
   env : Env.t;
   mode : mode;
   priority : int;
-  idle_timeout_s : int;
   routed : Spf.path Flow_key.Table.t;
   mutable reroute_hooks : (Flow_key.t -> Spf.path -> unit) list;
   mutable reroutes : int;
@@ -48,8 +47,7 @@ let handle_packet_in t sw (pi : Ofmsg.packet_in) =
               | None -> ()
               | Some path ->
                   Install.install_path t.ctrl t.env
-                    ~match_:(match_of_mode t.mode key) ~priority:t.priority
-                    ~idle_timeout_s:t.idle_timeout_s path;
+                    ~match_:(match_of_mode t.mode key) ~priority:t.priority path;
                   Flow_key.Table.replace t.routed key path;
                   (* Release the held packet at its ingress switch. *)
                   let release_port =
@@ -112,21 +110,20 @@ let handle_port_status t sw (ps : Ofmsg.port_status) =
                   | Some path ->
                       Install.install_path t.ctrl t.env
                         ~match_:(match_of_mode t.mode key) ~priority:t.priority
-                        ~idle_timeout_s:t.idle_timeout_s path;
+                        path;
                       Flow_key.Table.replace t.routed key path;
                       t.reroutes <- t.reroutes + 1;
                       List.iter (fun f -> f key path) t.reroute_hooks)
               | None, _ | _, None -> ())
             affected)
 
-let install ?(mode = Five_tuple) ?(priority = 10) ?(idle_timeout_s = 0) ctrl env =
+let install ?(mode = Five_tuple) ?(priority = 10) ctrl env =
   let t =
     {
       ctrl;
       env;
       mode;
       priority;
-      idle_timeout_s;
       routed = Flow_key.Table.create 64;
       reroute_hooks = [];
       reroutes = 0;
@@ -140,6 +137,3 @@ let flows_routed t = Flow_key.Table.length t.routed
 let reroutes t = t.reroutes
 let on_reroute t f = t.reroute_hooks <- t.reroute_hooks @ [ f ]
 let path_of t key = Flow_key.Table.find_opt t.routed key
-
-let routed_flows t =
-  Flow_key.Table.fold (fun key path acc -> (key, path) :: acc) t.routed []

@@ -19,15 +19,9 @@ type mode =
 
 type t
 
-val install :
-  ?mode:mode ->
-  ?priority:int ->
-  ?idle_timeout_s:int ->
-  Controller.t ->
-  Env.t ->
-  t
+val install : ?mode:mode -> ?priority:int -> Controller.t -> Env.t -> t
 (** Hooks the application into the controller. Defaults: [Five_tuple],
-    priority 10, no idle timeout. *)
+    priority 10. Entries have no timeout. *)
 
 val flows_routed : t -> int
 
@@ -41,8 +35,6 @@ val on_reroute : t -> (Flow_key.t -> Spf.path -> unit) -> unit
 val path_of : t -> Flow_key.t -> Spf.path option
 (** The path this application chose for a flow (for tests and for
     Hedera's bookkeeping). *)
-
-val routed_flows : t -> (Flow_key.t * Spf.path) list
 
 val path_index : mode -> Flow_key.t -> int -> int
 (** [path_index mode key n] is the index, below [n], of the path a

@@ -6,19 +6,20 @@ open Horse_openflow
 
 type placer_kind = Gff | Annealing
 
+(* The paper's settings: a 5 s poll, big flows at 10% of a 1 Gbps NIC,
+   and the annealing placer's seed. *)
+let poll_interval = Time.of_sec 5.0
+let threshold = 0.1
+let nic_bps = 1e9
+let seed = 42
+
 type t = {
   ctrl : Controller.t;
   env : Env.t;
   ecmp : App_ecmp.t;
-  poll_interval : Time.t;
-  threshold : float;
   placer : placer_kind;
-  nic_bps : float;
   rng : Rng.t;
   overrides : Spf.path Flow_key.Table.t;  (* scheduler-placed paths *)
-  mutable polls : int;
-  mutable reroute_count : int;
-  mutable last_big : int;
   mutable polling_started : bool;
   mutable reroute_hooks : (Flow_key.t -> Spf.path -> unit) list;
 }
@@ -70,14 +71,13 @@ let place t active_keys =
          arr)
   in
   let estimated = Demand.estimate flows in
-  let big = Demand.big_flows ~threshold:t.threshold estimated in
-  t.last_big <- List.length big;
+  let big = Demand.big_flows ~threshold estimated in
   let requests =
     List.map
       (fun ((f : Demand.flow), demand) ->
         {
           Placer.tag = f.Demand.tag;
-          demand_bps = demand *. t.nic_bps;
+          demand_bps = demand *. nic_bps;
           candidates = Env.ecmp_paths t.env ~src:f.Demand.src ~dst:f.Demand.dst;
         })
       big
@@ -108,7 +108,6 @@ let place t active_keys =
             Install.install_path t.ctrl t.env
               ~match_:(Ofmatch.exact_5tuple key) ~priority:20 path;
             Flow_key.Table.replace t.overrides key path;
-            t.reroute_count <- t.reroute_count + 1;
             List.iter (fun f -> f key path) t.reroute_hooks
           end)
     placements
@@ -133,32 +132,23 @@ let poll t =
             | None -> ())
           entries;
         incr received;
-        if !received = expected then begin
-          t.polls <- t.polls + 1;
+        if !received = expected then
           place t (Flow_key.Table.fold (fun k () acc -> k :: acc) seen [])
-        end
       in
       List.iter
         (fun sw -> Controller.request_flow_stats t.ctrl sw on_reply)
         edges
 
-let install ?(poll_interval = Time.of_sec 5.0) ?(threshold = 0.1) ?(placer = Gff)
-    ?(nic_bps = 1e9) ?(seed = 42) ctrl env =
+let install ?(placer = Gff) ctrl env =
   let ecmp = App_ecmp.install ~mode:App_ecmp.Five_tuple ~priority:10 ctrl env in
   let t =
     {
       ctrl;
       env;
       ecmp;
-      poll_interval;
-      threshold;
       placer;
-      nic_bps;
       rng = Rng.create seed;
       overrides = Flow_key.Table.create 64;
-      polls = 0;
-      reroute_count = 0;
-      last_big = 0;
       polling_started = false;
       reroute_hooks = [];
     }
@@ -167,12 +157,9 @@ let install ?(poll_interval = Time.of_sec 5.0) ?(threshold = 0.1) ?(placer = Gff
       if not t.polling_started then begin
         t.polling_started <- true;
         ignore
-          (Process.every (Controller.process ctrl) t.poll_interval (fun () ->
+          (Process.every (Controller.process ctrl) poll_interval (fun () ->
                poll t))
       end);
   t
 
-let polls_completed t = t.polls
-let reroutes t = t.reroute_count
-let last_big_flows t = t.last_big
 let on_reroute t f = t.reroute_hooks <- t.reroute_hooks @ [ f ]

@@ -2,8 +2,8 @@
     demonstration's TE approach (ii).
 
     New flows are first routed reactively by 5-tuple ECMP (embedded
-    {!App_ecmp}). Every polling interval — 5 seconds in the paper and
-    by default — the application:
+    {!App_ecmp}). Every polling interval — 5 seconds, as in the
+    paper — the application:
 
     + requests flow statistics from every edge switch (real
       STATS_REQUEST/REPLY round trips, so each poll pulls the hybrid
@@ -23,7 +23,6 @@
     wall time in FTI mode than the one-shot ECMP schemes in Figure 3's
     experiment. *)
 
-open Horse_engine
 open Horse_net
 open Horse_topo
 
@@ -31,29 +30,10 @@ type placer_kind = Gff | Annealing
 
 type t
 
-val install :
-  ?poll_interval:Time.t ->
-  ?threshold:float ->
-  ?placer:placer_kind ->
-  ?nic_bps:float ->
-  ?seed:int ->
-  Controller.t ->
-  Env.t ->
-  t
-(** Defaults: poll 5 s, threshold 0.1, GFF, 1 Gbps NICs, seed 42
-    (annealing only). Polling starts when the first switch
-    handshake completes. *)
-
-val polls_completed : t -> int
-val reroutes : t -> int
-(** Total big-flow placements that changed a path. *)
-
-val last_big_flows : t -> int
-(** Number of large flows detected in the most recent poll. *)
-
-val path_of : t -> Flow_key.t -> Spf.path option
-(** Current path (scheduler override if any, otherwise the ECMP
-    choice). *)
+val install : ?placer:placer_kind -> Controller.t -> Env.t -> t
+(** Default placer: GFF. The poll interval is 5 s, the threshold 0.1,
+    NICs 1 Gbps and the annealing seed 42. Polling starts when the
+    first switch handshake completes. *)
 
 val on_reroute : t -> (Flow_key.t -> Spf.path -> unit) -> unit
 (** Observe placement changes (the experiment scaffolding re-paths the

@@ -1,10 +1,12 @@
 open Horse_net
 open Horse_openflow
 
+(* Learned-MAC entries: priority 5, idle timeout 60 s. *)
+let priority = 5
+let idle_timeout_s = 60
+
 type t = {
   ctrl : Controller.t;
-  priority : int;
-  idle_timeout_s : int;
   learned : (int * Mac.t, int) Hashtbl.t;  (* (dpid, mac) -> port *)
   mutable floods : int;
   mutable unicasts : int;
@@ -32,9 +34,9 @@ let handle t sw (pi : Ofmsg.packet_in) =
                 { Ofmatch.any with Ofmatch.m_eth_dst = Some eth.Headers.Eth.dst };
               cookie = 0;
               command = Ofmsg.Add;
-              idle_timeout_s = t.idle_timeout_s;
+              idle_timeout_s;
               hard_timeout_s = 0;
-              priority = t.priority;
+              priority;
               actions = [ Action.Output port ];
             };
           Controller.send_packet_out t.ctrl sw
@@ -52,12 +54,10 @@ let handle t sw (pi : Ofmsg.packet_in) =
               po_data = pi.Ofmsg.data;
             })
 
-let install ?(priority = 5) ?(idle_timeout_s = 60) ctrl =
+let install ctrl =
   let t =
     {
       ctrl;
-      priority;
-      idle_timeout_s;
       learned = Hashtbl.create 64;
       floods = 0;
       unicasts = 0;

@@ -9,8 +9,8 @@ open Horse_net
 
 type t
 
-val install : ?priority:int -> ?idle_timeout_s:int -> Controller.t -> t
-(** Defaults: priority 5, idle timeout 60 s. *)
+val install : Controller.t -> t
+(** Learned entries have priority 5 and an idle timeout of 60 s. *)
 
 val lookup : t -> dpid:int -> Mac.t -> int option
 (** The port this app has learned for a MAC on a switch. *)

@@ -26,8 +26,6 @@ type t = {
   mutable up_hooks : (sw -> unit) list;
   mutable packet_in_hooks : (sw -> Ofmsg.packet_in -> unit) list;
   mutable port_status_hooks : (sw -> Ofmsg.port_status -> unit) list;
-  mutable flow_mods : int;
-  mutable packet_ins : int;
   m_flow_mods : Counter.t;
   m_packet_ins : Counter.t;
   g_switches : Gauge.t;
@@ -44,8 +42,6 @@ let create ?trace proc =
     up_hooks = [];
     packet_in_hooks = [];
     port_status_hooks = [];
-    flow_mods = 0;
-    packet_ins = 0;
     m_flow_mods =
       Registry.counter reg ~subsystem:"controller"
         ~help:"FLOW_MOD messages sent by the controller" "flow_mods_total";
@@ -89,7 +85,6 @@ let handle t sw msg xid =
         List.iter (fun f -> f sw) t.up_hooks
       end
   | Ofmsg.Packet_in pi ->
-      t.packet_ins <- t.packet_ins + 1;
       Counter.incr t.m_packet_ins;
       Sched.protect_cause (Process.scheduler t.proc) (fun () ->
           ignore
@@ -146,16 +141,15 @@ let on_packet_in t f = t.packet_in_hooks <- t.packet_in_hooks @ [ f ]
 let on_port_status t f = t.port_status_hooks <- t.port_status_hooks @ [ f ]
 
 let send_flow_mod t sw fm =
-  t.flow_mods <- t.flow_mods + 1;
   Counter.incr t.m_flow_mods;
   send_xid sw (fresh_xid t) (Ofmsg.Flow_mod fm)
 
 let send_packet_out t sw po = send_xid sw (fresh_xid t) (Ofmsg.Packet_out po)
 
-let request_flow_stats t sw ?(match_ = Ofmatch.any) k =
+let request_flow_stats t sw k =
   let xid = fresh_xid t in
   Hashtbl.replace t.pending xid (Flow_stats k);
-  send_xid sw xid (Ofmsg.Stats_request (Ofmsg.Flow_stats_req match_))
+  send_xid sw xid (Ofmsg.Stats_request (Ofmsg.Flow_stats_req Ofmatch.any))
 
 let request_port_stats t sw k =
   let xid = fresh_xid t in
@@ -167,5 +161,3 @@ let barrier t sw k =
   Hashtbl.replace t.pending xid (Barrier k);
   send_xid sw xid Ofmsg.Barrier_request
 
-let flow_mods_sent t = t.flow_mods
-let packet_ins_received t = t.packet_ins

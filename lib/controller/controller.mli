@@ -41,17 +41,13 @@ val on_port_status : t -> (sw -> Ofmsg.port_status -> unit) -> unit
 val send_flow_mod : t -> sw -> Ofmsg.flow_mod -> unit
 val send_packet_out : t -> sw -> Ofmsg.packet_out -> unit
 
-val request_flow_stats :
-  t -> sw -> ?match_:Ofmatch.t -> (Ofmsg.flow_stats list -> unit) -> unit
-(** Asynchronous; the callback runs when the reply arrives. The
-    default match is all-wildcards. *)
+val request_flow_stats : t -> sw -> (Ofmsg.flow_stats list -> unit) -> unit
+(** Statistics of every entry (an all-wildcards match). Asynchronous;
+    the callback runs when the reply arrives. *)
 
 val request_port_stats : t -> sw -> (Ofmsg.port_stats list -> unit) -> unit
 
 val barrier : t -> sw -> (unit -> unit) -> unit
-
-val flow_mods_sent : t -> int
-val packet_ins_received : t -> int
 
 val packet_in_kind : Causal.kind
 (** The ["ctrl:packet_in"] causal node, printed by

@@ -15,7 +15,10 @@ let group_by key flows =
     flows;
   tbl
 
-let estimate ?(max_iters = 100) flows =
+(* Bound on the fixpoint loop's rounds. *)
+let max_iters = 100
+
+let estimate flows =
   let cells =
     List.map (fun flow -> { flow; demand = 0.0; converged = false }) flows
   in

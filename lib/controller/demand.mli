@@ -15,10 +15,10 @@
 
 type flow = { src : int; dst : int; tag : int (** caller's identifier *) }
 
-val estimate : ?max_iters:int -> flow list -> (flow * float) list
-(** Returns each flow with its estimated demand, in input order.
-    [max_iters] (default 100) bounds the fixpoint loop; the algorithm
-    converges far earlier on realistic inputs. *)
+val estimate : flow list -> (flow * float) list
+(** Returns each flow with its estimated demand, in input order. The
+    fixpoint loop is bounded at 100 rounds; the algorithm converges far
+    earlier on realistic inputs. *)
 
 val big_flows : ?threshold:float -> (flow * float) list -> (flow * float) list
 (** Flows whose estimated demand is at least [threshold] (default 0.1,

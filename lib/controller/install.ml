@@ -1,6 +1,8 @@
 open Horse_topo
 open Horse_openflow
 
+(* [(dpid, out_port)] for every switch hop of the path, in order; hops
+   whose node has no dpid (hosts) are skipped. *)
 let path_hops env path =
   List.filter_map
     (fun (l : Topology.link) ->
@@ -9,8 +11,7 @@ let path_hops env path =
       | None, _ | _, None -> None)
     path
 
-let install_path ctrl env ~match_ ?(priority = 10) ?(idle_timeout_s = 0)
-    ?(hard_timeout_s = 0) ?(cookie = 0) path =
+let install_path ctrl env ~match_ ?(priority = 10) path =
   List.iter
     (fun (dpid, port) ->
       match Controller.switch_by_dpid ctrl dpid with
@@ -19,10 +20,10 @@ let install_path ctrl env ~match_ ?(priority = 10) ?(idle_timeout_s = 0)
           Controller.send_flow_mod ctrl sw
             {
               Ofmsg.match_;
-              cookie;
+              cookie = 0;
               command = Ofmsg.Add;
-              idle_timeout_s;
-              hard_timeout_s;
+              idle_timeout_s = 0;
+              hard_timeout_s = 0;
               priority;
               actions = [ Action.Output port ];
             })

@@ -6,22 +6,15 @@
 open Horse_topo
 open Horse_openflow
 
-val path_hops : Env.t -> Spf.path -> (int * int) list
-(** [(dpid, out_port)] for every switch hop of the path, in order.
-    Hops whose node has no dpid (hosts) are skipped. *)
-
 val install_path :
   Controller.t ->
   Env.t ->
   match_:Ofmatch.t ->
   ?priority:int ->
-  ?idle_timeout_s:int ->
-  ?hard_timeout_s:int ->
-  ?cookie:int ->
   Spf.path ->
   unit
-(** Sends one FLOW_MOD ADD per switch hop (default priority 10, no
-    timeouts). *)
+(** Sends one FLOW_MOD ADD per switch hop (default priority 10), with
+    no timeouts and cookie 0. *)
 
 val first_hop_port : Env.t -> Spf.path -> (int * int) option
 (** The (dpid, port) of the first switch hop — where a held packet

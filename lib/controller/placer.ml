@@ -38,8 +38,13 @@ let oversubscription ~capacity placements =
     (fun l load acc -> acc +. Float.max 0.0 (load -. capacity l))
     loads 0.0
 
-let annealing ~capacity ~rng ?(iters = 1000) ?(initial_temperature = 1e9)
-    ?(cooling = 0.995) requests =
+(* The annealing schedule: 1000 moves from T0 = 1 Gbps of excess,
+   cooled geometrically. *)
+let iters = 1000
+let initial_temperature = 1e9
+let cooling = 0.995
+
+let annealing ~capacity ~rng requests =
   let requests_arr = Array.of_list requests in
   let n = Array.length requests_arr in
   let movable =

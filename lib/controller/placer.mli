@@ -29,13 +29,10 @@ val global_first_fit :
 val annealing :
   capacity:(int -> float) ->
   rng:Horse_engine.Rng.t ->
-  ?iters:int ->
-  ?initial_temperature:float ->
-  ?cooling:float ->
   request list ->
   placement list
 (** Minimises total link over-subscription by simulated annealing over
-    the joint path assignment (defaults: 1000 iterations, T₀ = 1 Gbps
+    the joint path assignment (1000 iterations, T₀ = 1 Gbps
     equivalent, geometric cooling 0.995). Deterministic given the
     RNG. Flows without candidates get [path = None]. *)
 

@@ -33,8 +33,7 @@ let install_routes t node daemon installed (routes : Lsdb.route list) =
           end)
         routes)
 
-let build ?(hello_interval = Time.of_sec 2.0) ?(dead_interval = Time.of_sec 8.0)
-    ~cm ~originate topo =
+let build ~cm ~originate topo =
   let t =
     Routed_core.build ~cm
       {
@@ -46,12 +45,7 @@ let build ?(hello_interval = Time.of_sec 2.0) ?(dead_interval = Time.of_sec 8.0)
           (fun proc (n : Topology.node) ~router_id ->
             let stubs = originate n.Topology.id in
             let config =
-              {
-                (Daemon.default_config ~router_id) with
-                Daemon.hello_interval;
-                dead_interval;
-                stub_prefixes = stubs;
-              }
+              { (Daemon.default_config ~router_id) with Daemon.stub_prefixes = stubs }
             in
             ( Daemon.create ~trace:(Connection_manager.trace cm) proc config,
               List.map fst stubs ));

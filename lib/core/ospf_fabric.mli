@@ -12,7 +12,6 @@
     node. *)
 
 open Horse_net
-open Horse_engine
 open Horse_topo
 open Horse_dataplane
 open Horse_ospf
@@ -20,15 +19,10 @@ open Horse_ospf
 type t = Daemon.t Routed_core.fabric
 
 val build :
-  ?hello_interval:Time.t ->
-  ?dead_interval:Time.t ->
-  cm:Connection_manager.t ->
-  originate:(int -> (Prefix.t * int) list) ->
-  Topology.t ->
-  t
+  cm:Connection_manager.t -> originate:(int -> (Prefix.t * int) list) -> Topology.t -> t
 (** [originate node] lists (prefix, metric) stubs the daemon on that
-    node advertises. Defaults: hello 2 s, dead 8 s. Daemons are
-    created but not started. *)
+    node advertises. The daemons keep {!Daemon.default_config}'s
+    timers (hello 2 s, dead 8 s) and are created but not started. *)
 
 val start : t -> unit
 val daemons : t -> (int * Daemon.t) list
@@ -45,20 +39,14 @@ val daemons : t -> (int * Daemon.t) list
     fault target's [session_reset] reports [false]. *)
 
 val table : t -> int -> Fwd.t
-val all_prefixes : t -> Prefix.t list
 val on_fib_change : t -> (int -> Prefix.t -> unit) -> unit
 val is_converged : t -> bool
 val when_converged : t -> (unit -> unit) -> unit
-
-val path_for :
-  ?hash:(Flow_key.t -> int) -> t -> Flow_key.t -> (Spf.path, string) result
 
 val sessions_expected : t -> int
 val sessions_established : t -> int
 val fail_link : t -> a:int -> b:int -> bool
 val restore_link : t -> a:int -> b:int -> bool
-val crash_node : t -> int -> bool
-val restart_node : t -> int -> bool
 
 val fault_target : t -> Horse_faults.Injector.target
 (** Described as ["ospf-fabric"]. *)

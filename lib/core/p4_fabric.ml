@@ -44,7 +44,10 @@ let on_response t bytes =
               k v
           | None -> ()))
 
-let build ?(program = Prog.ecmp_router) ~cm topo =
+(* Every switch runs the ECMP router pipeline. *)
+let program = Prog.ecmp_router
+
+let build ~cm topo =
   match Prog.validate program with
   | Error _ as e -> e
   | Ok () ->
@@ -88,10 +91,6 @@ let build ?(program = Prog.ecmp_router) ~cm topo =
           end)
         (Topology.nodes topo);
       (match !build_error with Some msg -> Error msg | None -> Ok t)
-
-
-let agent t node =
-  Option.map (fun sw -> sw.agent) (Hashtbl.find_opt t.switches node)
 
 let send_insert t sw entry =
   incr t.sent;
@@ -180,8 +179,7 @@ let fields_of_key (key : Flow_key.t) =
     ("proto", Headers.Proto.to_int key.Flow_key.proto);
   ]
 
-let path_for ?hash t (key : Flow_key.t) =
-  ignore hash;
+let path_for t (key : Flow_key.t) =
   match Topology.node_by_ip t.fabric_topo key.Flow_key.src with
   | None -> Error "unknown source address"
   | Some src -> (

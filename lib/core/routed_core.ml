@@ -372,7 +372,6 @@ let on_session t ~a ~b f =
 
 let fail_link t ~a ~b = on_session t ~a ~b fail_session
 let restore_link t ~a ~b = on_session t ~a ~b (restore_session t)
-let reset_session t ~a ~b = on_session t ~a ~b (reset t)
 
 let crash_node t node =
   match Hashtbl.find_opt t.processes node with

@@ -100,9 +100,6 @@ val table : 'd fabric -> int -> Fwd.t
 val all_prefixes : 'd fabric -> Prefix.t list
 (** Union of everything originated, sorted. *)
 
-val node_name : 'd fabric -> int -> string
-(** The topology name of a node id. *)
-
 val fib_routes_installed : 'd fabric -> int
 (** Cumulative count of {!write}s. *)
 
@@ -156,10 +153,6 @@ val restore_link : 'd fabric -> a:int -> b:int -> bool
 (** Splices a fresh CM-observed channel into a failed session: rebinds
     both ends, then resumes both. *)
 
-val reset_session : 'd fabric -> a:int -> b:int -> bool
-(** The protocol's one-sided reset from [a]'s end; [false] when the
-    protocol has none. *)
-
 val crash_node : 'd fabric -> int -> bool
 (** Kills the node's daemon process, silently on the wire. *)
 
@@ -169,7 +162,8 @@ val restart_node : 'd fabric -> int -> bool
 val fault_target : 'd fabric -> Horse_faults.Injector.target
 (** The fabric as a fault-injection target (node names resolve via the
     topology). [converged] means {!is_converged} and every session
-    established. *)
+    established. Its [session_reset] is the protocol's one-sided reset
+    from [a]'s end, [false] when the protocol has none. *)
 
 (** {2 Determinism and provenance} *)
 

@@ -37,8 +37,10 @@ let install_fib t node prefix (routes : Rib.route list) =
       fib_update t (pack_fib_write ~node prefix) (fun () ->
           write t node prefix next_hops)
 
-let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
-    ?(mrai = Time.zero) ~cm ~originate topo =
+(* Node [n]'s speaker has ASN [asn_base + n], from the private range. *)
+let asn_base = 64512
+
+let build ?(hold_time = Time.of_sec 9.0) ~cm ~originate topo =
   let t =
     Routed_core.build ~cm
       {
@@ -53,7 +55,6 @@ let build ?(asn_base = 64512) ?(hold_time = Time.of_sec 9.0)
               {
                 (Speaker.default_config ~asn:(asn_base + n.Topology.id) ~router_id) with
                 Speaker.hold_time;
-                mrai;
                 networks;
               }
             in

@@ -22,9 +22,7 @@ open Horse_bgp
 type t = Speaker.t Routed_core.fabric
 
 val build :
-  ?asn_base:int ->
   ?hold_time:Time.t ->
-  ?mrai:Time.t ->
   cm:Connection_manager.t ->
   originate:(int -> Prefix.t list) ->
   Topology.t ->
@@ -33,7 +31,8 @@ val build :
     advertises (typically: edge switches advertise their host
     subnet). Host-facing /32 routes are installed statically, as a
     real fabric's connected routes would be. Speakers are created but
-    not started. Defaults: ASNs from 64512, hold time 9 s, MRAI 0. *)
+    not started. Default hold time 9 s. ASNs count up from 64512, and
+    the MRAI is {!Speaker.default_config}'s (0). *)
 
 val start : t -> unit
 (** Starts every speaker at the current virtual time, in speaker-table
@@ -48,9 +47,10 @@ val speaker : t -> int -> Speaker.t option
     a session is an eBGP session, a fault that closes one makes both
     speakers retract the peer's routes and propagate withdrawals, a
     crashed speaker's peers find out via their hold timers, a
-    restarted one's ConnectRetry re-initiates every session, and
-    {!reset_session} sends a Cease NOTIFICATION from [a]'s end, after
-    which both ConnectRetry timers re-establish the session. *)
+    restarted one's ConnectRetry re-initiates every session, and the
+    fault target's [session_reset] sends a Cease NOTIFICATION from
+    [a]'s end, after which both ConnectRetry timers re-establish the
+    session. *)
 
 val table : t -> int -> Fwd.t
 val all_prefixes : t -> Prefix.t list
@@ -67,7 +67,6 @@ val sessions_expected : t -> int
 val sessions_established : t -> int
 val fail_link : t -> a:int -> b:int -> bool
 val restore_link : t -> a:int -> b:int -> bool
-val reset_session : t -> a:int -> b:int -> bool
 val crash_node : t -> int -> bool
 val restart_node : t -> int -> bool
 
@@ -75,7 +74,6 @@ val fault_target : t -> Horse_faults.Injector.target
 (** Described as ["routed-fabric"]. *)
 
 val fib_fingerprint : t -> string
-val fib_provenance : t -> (string * Prefix.t * Causal.id) list
 
 (** {2 Causal nodes}
 

@@ -315,9 +315,12 @@ type mu_cell = {
   mutable mc_seq : int;
 }
 
-let run_wan_megauser ?(seed = 42) ?config ?wan ?(classes = 20_000) ?(users = 1_000_000)
+(* The megauser day samples the fluid state every 500 ms. *)
+let megauser_sample_every = Time.of_ms 500
+
+let run_wan_megauser ?(seed = 42) ?wan ?(classes = 20_000) ?(users = 1_000_000)
     ?(user_demand = 150e3) ?(headroom = 1.1) ?(sites = 3) ?(ticks = 48)
-    ?(sample_every = Time.of_ms 500) ?(duration = Time.of_sec 60.0) () =
+    ?(duration = Time.of_sec 60.0) () =
   let wan = match wan with Some w -> w | None -> Wan.abilene () in
   let n_cities = Array.length wan.Wan.routers in
   if sites < 1 || sites > n_cities then
@@ -328,7 +331,7 @@ let run_wan_megauser ?(seed = 42) ?config ?wan ?(classes = 20_000) ?(users = 1_0
     Wall.time (fun () ->
         let topo = wan.Wan.topo in
         let hosts = Wan.attach_hosts ~capacity:40e9 wan in
-        let sched = Sched.create ?config () in
+        let sched = Sched.create () in
         let fluid = Fluid.create sched topo in
         ignore seed;
         (* Anycast replicas: site cities spread across the index range
@@ -559,7 +562,7 @@ let run_wan_megauser ?(seed = 42) ?config ?wan ?(classes = 20_000) ?(users = 1_0
                 (Time.of_sec (duration_s *. 0.625))
                 (fun () -> restore ()))
          end);
-        Fluid.start_sampling fluid ~every:sample_every;
+        Fluid.start_sampling fluid ~every:megauser_sample_every;
         (sched, fluid, reroutes, classes_peak, users_peak))
   in
   let sched, fluid, reroutes, classes_peak, users_peak = state in

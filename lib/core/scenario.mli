@@ -121,7 +121,6 @@ type megauser_result = {
 
 val run_wan_megauser :
   ?seed:int ->
-  ?config:Sched.config ->
   ?wan:Horse_topo.Wan.t ->
   ?classes:int ->
   ?users:int ->
@@ -129,14 +128,14 @@ val run_wan_megauser :
   ?headroom:float ->
   ?sites:int ->
   ?ticks:int ->
-  ?sample_every:Time.t ->
   ?duration:Time.t ->
   unit ->
   megauser_result
 (** Defaults: Abilene WAN, 20 000 peak flow classes standing for
     1 000 000 users at 150 kbps each, 3 anycast sites, 48 diurnal
     ticks over a 60 s virtual day, the incremental delta solver with
-    coalesced recomputes. Links are capacity-planned for
+    coalesced recomputes, the default scheduler configuration and a
+    fluid sample every 500 ms. Links are capacity-planned for
     [headroom] (default 1.1) times their expected peak load, so the
     diurnal swing stays within plan — the solver's O(1) fast path —
     until the drain event concentrates load and saturates the

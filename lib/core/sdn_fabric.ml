@@ -126,7 +126,10 @@ let schedule_retry t =
     ignore (Sched.schedule_after t.sched Time.zero (fun () -> retry_pending t))
   end
 
-let build ?(channel_latency = Time.of_ms 1) ~cm ~fluid topo =
+(* Latency of every controller-switch channel. *)
+let channel_latency = Time.of_ms 1
+
+let build ~cm ~fluid topo =
   let sched = Connection_manager.scheduler cm in
   let trace = Connection_manager.trace cm in
   let ctrl_proc = Process.create sched ~name:"controller" in

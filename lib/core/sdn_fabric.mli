@@ -13,21 +13,15 @@
     the fluid engine's byte integrals, so Hedera polls real numbers. *)
 
 open Horse_net
-open Horse_engine
 open Horse_topo
 open Horse_dataplane
 open Horse_controller
 
 type t
 
-val build :
-  ?channel_latency:Time.t ->
-  cm:Connection_manager.t ->
-  fluid:Fluid.t ->
-  Topology.t ->
-  t
+val build : cm:Connection_manager.t -> fluid:Fluid.t -> Topology.t -> t
 (** Creates the controller and every switch agent, connects them
-    through CM-observed channels (default latency 1 ms), and performs
+    through CM-observed channels (latency 1 ms), and performs
     the handshake when the scheduler runs. Dpids equal node ids;
     port [i+1] of a switch is its [i]-th out-link. *)
 

@@ -43,21 +43,23 @@ type record = {
   fct : Time.t;
 }
 
+(* Every flow's peak rate (1 Gbps), and the seed of the generator's
+   own RNG, independent of the experiment's. *)
+let demand = 1e9
+let seed = 4242
+
 type t = {
-  demand : float;
   mutable n_arrivals : int;
   mutable n_unroutable : int;
   mutable rev_records : record list;
   mutable n_completed : int;
 }
 
-let poisson ?(demand = 1e9) ?(seed = 4242) ~exp ~hosts ~route ~arrival_rate
-    ~sizes ~until () =
+let poisson ~exp ~hosts ~route ~arrival_rate ~sizes ~until () =
   if arrival_rate <= 0.0 then invalid_arg "Traffic.poisson: rate <= 0";
   if Array.length hosts < 2 then invalid_arg "Traffic.poisson: need >= 2 hosts";
   let t =
     {
-      demand;
       n_arrivals = 0;
       n_unroutable = 0;
       rev_records = [];
@@ -89,7 +91,7 @@ let poisson ?(demand = 1e9) ?(seed = 4242) ~exp ~hosts ~route ~arrival_rate
         | Error _ -> t.n_unroutable <- t.n_unroutable + 1
         | Ok path ->
             ignore
-              (Fluid.start_finite_flow ~demand:t.demand fluid ~key ~path
+              (Fluid.start_finite_flow ~demand fluid ~key ~path
                  ~size_bits
                  ~on_complete:(fun (f : Flow.t) ->
                    let completed =
@@ -126,5 +128,5 @@ let fct_seconds t = List.rev_map (fun r -> Time.to_sec r.fct) t.rev_records
 
 let slowdowns t =
   List.rev_map
-    (fun r -> Time.to_sec r.fct /. (r.size_bits /. t.demand))
+    (fun r -> Time.to_sec r.fct /. (r.size_bits /. demand))
     t.rev_records

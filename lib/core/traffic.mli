@@ -40,8 +40,6 @@ type record = {
 type t
 
 val poisson :
-  ?demand:float ->
-  ?seed:int ->
   exp:Experiment.t ->
   hosts:Topology.node array ->
   route:(Flow_key.t -> (Spf.path, string) result) ->
@@ -54,9 +52,9 @@ val poisson :
     exponential inter-arrivals at [arrival_rate] flows/second in
     aggregate, uniformly random distinct (src, dst) host pairs, unique
     ports, sizes from [sizes]. Each flow is routed with [route] at its
-    arrival instant and completes through the fluid engine. Default
-    demand (peak rate) 1 Gbps; the generator's RNG is independent of
-    the experiment's (default seed 4242). *)
+    arrival instant and completes through the fluid engine at a peak
+    rate of 1 Gbps. The generator's RNG is independent of the
+    experiment's (seed 4242). *)
 
 val arrivals : t -> int
 val completions : t -> int

@@ -21,9 +21,3 @@ let dst_node t =
   | l :: _ -> Some l.Horse_topo.Topology.dst
 
 let link_ids t = List.map (fun l -> l.Horse_topo.Topology.link_id) t.path
-
-let pp fmt t =
-  Format.fprintf fmt "flow#%d %a demand=%.3gMbps rate=%.3gMbps hops=%d%s%s" t.id
-    Flow_key.pp t.key (t.demand /. 1e6) (t.rate /. 1e6) (List.length t.path)
-    (if t.users = 1 then "" else Printf.sprintf " users=%d" t.users)
-    (if t.active then "" else " (stopped)")

@@ -31,4 +31,3 @@ val dst_node : t -> int option
 
 val link_ids : t -> int list
 
-val pp : Format.formatter -> t -> unit

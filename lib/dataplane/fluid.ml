@@ -143,13 +143,11 @@ let create sched topo =
     dirty = false;
     flush_hooked = false;
     finite = Hashtbl.create 32;
-    aggregate = Horse_stats.Series.create ~name:"aggregate-rx-bps" ();
+    aggregate = Horse_stats.Series.create ();
     host_series = Hashtbl.create 32;
     sampler = None;
   }
 
-let topology t = t.topo
-let scheduler t = t.sched
 
 (* --- membership indexes ------------------------------------------- *)
 
@@ -364,10 +362,10 @@ let start_flow ?(demand = 1e9) ?(users = 1) t ~key ~path =
   request_recompute t;
   f
 
-let start_finite_flow ?demand ?users t ~key ~path ~size_bits ~on_complete =
+let start_finite_flow ?demand t ~key ~path ~size_bits ~on_complete =
   if size_bits <= 0.0 then
     invalid_arg "Fluid.start_finite_flow: size <= 0";
-  let f = start_flow ?demand ?users t ~key ~path in
+  let f = start_flow ?demand t ~key ~path in
   Hashtbl.replace t.finite f.Flow.id
     { size = size_bits; on_complete; timer = None };
   (* The rate is not assigned yet; the pending solve aims the
@@ -443,9 +441,7 @@ let sample t =
     (fun dst _ ->
       if not (Hashtbl.mem t.host_series dst) then
         Hashtbl.add t.host_series dst
-          (Horse_stats.Series.create
-             ~name:(Printf.sprintf "host-%d-rx-bps" dst)
-             ()))
+          (Horse_stats.Series.create ()))
     t.dst_index;
   Hashtbl.iter
     (fun dst series -> Horse_stats.Series.add series now (host_rx_rate t dst))

@@ -42,9 +42,6 @@ type t
 
 val create : Sched.t -> Topology.t -> t
 
-val topology : t -> Topology.t
-val scheduler : t -> Sched.t
-
 val start_flow :
   ?demand:float -> ?users:int -> t -> key:Flow_key.t -> path:Spf.path -> Flow.t
 (** Starts a flow at the current virtual time. Default demand 1 Gbps.
@@ -57,18 +54,17 @@ val start_flow :
 
 val start_finite_flow :
   ?demand:float ->
-  ?users:int ->
   t ->
   key:Flow_key.t ->
   path:Spf.path ->
   size_bits:float ->
   on_complete:(Flow.t -> unit) ->
   Flow.t
-(** Like {!start_flow}, but the flow carries a finite volume: once
-    [size_bits] have been delivered the engine stops the flow and
-    fires [on_complete]. Completion timing is exact under the fluid
-    model — the engine re-aims the completion event whenever a rate
-    reallocation changes the flow's ETA. Flow completion time is
+(** Like {!start_flow} for one user, but the flow carries a finite
+    volume: once [size_bits] have been delivered the engine stops the
+    flow and fires [on_complete]. Completion timing is exact under the
+    fluid model — the engine re-aims the completion event whenever a
+    rate reallocation changes the flow's ETA. Flow completion time is
     [stopped_at - started].
     @raise Invalid_argument on non-positive size. *)
 

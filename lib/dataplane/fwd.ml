@@ -57,17 +57,3 @@ let routes t =
   List.sort (fun (p, _) (q, _) -> Prefix.compare p q) !all
 
 let route_count t = t.count
-
-let clear t =
-  Array.iter Hashtbl.reset t.by_len;
-  t.count <- 0
-
-let pp fmt t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline
-    (fun fmt (p, group) ->
-      Format.fprintf fmt "%a -> links %a" Prefix.pp p
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-           Format.pp_print_int)
-        group)
-    fmt (routes t)

@@ -33,5 +33,3 @@ val routes : t -> (Prefix.t * int list) list
 (** Sorted by prefix (network, then length). *)
 
 val route_count : t -> int
-val clear : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -40,8 +40,8 @@ let after t delay f =
   ignore
     (Sched.schedule_after t.sched delay (fun () -> if t.alive then f ()))
 
-let every t ?start_after period f =
-  let r = Sched.every t.sched ?start_after period (fun () -> if t.alive then f ()) in
+let every t period f =
+  let r = Sched.every t.sched period (fun () -> if t.alive then f ()) in
   t.recurrings <- r :: t.recurrings;
   r
 

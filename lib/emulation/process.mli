@@ -21,9 +21,10 @@ val is_alive : t -> bool
 val after : t -> Time.t -> (unit -> unit) -> unit
 (** One-shot timer owned by the process; never fires after {!kill}. *)
 
-val every : t -> ?start_after:Time.t -> Time.t -> (unit -> unit) -> Sched.recurring
-(** Recurring timer owned by the process. The handle allows early
-    cancellation; {!kill} cancels it too. *)
+val every : t -> Time.t -> (unit -> unit) -> Sched.recurring
+(** Recurring timer owned by the process, first firing one period from
+    now. The handle allows early cancellation; {!kill} cancels it
+    too. *)
 
 val kill : t -> unit
 (** Stops the process: every pending and future timer is suppressed.

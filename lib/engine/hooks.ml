@@ -16,5 +16,3 @@ let iter f t =
     f t.items.(i)
   done
 
-let length t = t.len
-let is_empty t = t.len = 0

@@ -18,6 +18,3 @@ val add : 'f t -> 'f -> unit
 val iter : ('f -> unit) -> 'f t -> unit
 (** No allocation besides the caller's closure; hooks added during
     iteration are not visited in that pass. *)
-
-val length : 'f t -> int
-val is_empty : 'f t -> bool

@@ -13,8 +13,6 @@ let int64 t =
   t.state <- Int64.add t.state golden;
   mix t.state
 
-let split t = { state = mix (int64 t) }
-
 (* FNV-1a over the key bytes, folded into the parent's current state
    without advancing it: the derived stream depends only on (parent
    state, key), so sites keyed by distinct names get streams that do
@@ -45,7 +43,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. v /. 9007199254740992.0 (* 2^53 *)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
 
 (* In-place Fisher–Yates shuffle. *)
 let shuffle t a =

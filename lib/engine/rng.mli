@@ -10,10 +10,6 @@ val create : int -> t
 (** [create seed] is a fresh generator; equal seeds give equal
     streams. *)
 
-val split : t -> t
-(** A new generator whose stream is independent of (but determined by)
-    the parent's current state; advances the parent. *)
-
 val split_key : t -> string -> t
 (** [split_key t key] is a generator determined only by [t]'s current
     state and [key] — the parent is {e not} advanced, so derived
@@ -21,17 +17,12 @@ val split_key : t -> string -> t
     never perturbs another's draw sequence. Used for per-fault-site
     streams in {!Horse_faults}. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
-
-val bool : t -> bool
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform random permutation of [0, n). *)

@@ -198,7 +198,6 @@ let create ?(config = default_config) ?registry () =
 
 let config t = t.cfg
 let now t = t.clock
-let mode t = t.cur_mode
 let registry t = t.reg
 
 (* --- causal tracing ---------------------------------------------------- *)
@@ -315,12 +314,11 @@ type recurring = {
 
 (* One event handle per recurring timer, re-aimed in place after each
    firing, so a periodic timer allocates nothing per period. *)
-let every t ?start_after period f =
+let every t period f =
   if Time.(period <= Time.zero) then
     invalid_arg "Sched.every: period must be positive";
-  let first_delay = Option.value start_after ~default:period in
   let r = { cancelled = false; pending = None } in
-  let at = ref (Time.add t.clock first_delay) in
+  let at = ref (Time.add t.clock period) in
   let fire () =
     f ();
     if not r.cancelled then begin

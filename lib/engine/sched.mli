@@ -125,14 +125,13 @@ val create :
   ?config:config -> ?registry:Horse_telemetry.Registry.t -> unit -> t
 (** Without [?registry], the scheduler creates a private registry so
     concurrent experiments in one process never share counters. Pass
-    one explicitly (e.g. [Horse_telemetry.Registry.default ()]) to
+    one explicitly (the same [Horse_telemetry.Registry.t] to each) to
     aggregate across schedulers.
     @raise Invalid_argument if [fti_increment] is under 1 us or
     [quiet_timeout], [fti_pacing] or [max_wall_s] is negative. *)
 
 val config : t -> config
 val now : t -> Time.t
-val mode : t -> mode
 
 val registry : t -> Horse_telemetry.Registry.t
 (** The registry holding this scheduler's metrics; subsystems built on
@@ -229,9 +228,9 @@ val defer : t -> (unit -> unit) -> unit
 type recurring
 (** A repeating event; lives until cancelled or the run ends. *)
 
-val every : t -> ?start_after:Time.t -> Time.t -> (unit -> unit) -> recurring
-(** [every t ~start_after period f] runs [f] at [now + start_after]
-    (default: one period from now) and every [period] thereafter.
+val every : t -> Time.t -> (unit -> unit) -> recurring
+(** [every t period f] runs [f] one period from now and every [period]
+    thereafter.
     @raise Invalid_argument if the period is not positive. *)
 
 val cancel_recurring : recurring -> unit

@@ -83,9 +83,3 @@ let clear t =
   Queue.clear t.entries_q;
   t.total <- 0;
   t.dropped <- 0
-
-let pp_entry fmt e =
-  Format.fprintf fmt "[%a] %-6s %s" Time.pp e.at e.label e.detail
-
-let pp fmt t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_entry fmt (entries t)

@@ -2,9 +2,11 @@
 
     A lightweight append-only log of (virtual time, label, detail)
     records. The Connection Manager logs control-plane activity here
-    and the BGP/OpenFlow agents log protocol milestones; the FIG1
-    harness renders the result as the paper's mode-transition
-    timeline.
+    and the BGP, OSPF and OpenFlow agents log protocol milestones.
+    Nothing in the library or the CLI reads the log back; tests
+    inspect it. The FIG1 mode-transition timeline is
+    {!Sched.pp_timeline}, built from the scheduler's transitions, not
+    from a trace.
 
     By default the log grows without bound. Pass [~capacity] to
     {!create} for a ring buffer that retains only the newest entries
@@ -57,6 +59,3 @@ val capacity : t -> int option
 val clear : t -> unit
 (** Empties the trace and resets the {!total_added}/{!dropped}
     counters. *)
-
-val pp_entry : Format.formatter -> entry -> unit
-val pp : Format.formatter -> t -> unit

@@ -65,12 +65,10 @@ val skipped : t -> int
 val pending : t -> int
 (** Injections not yet matched by a converged observation. *)
 
-val trace : t -> record list
-(** Chronological injection trace; with equal seed + plan two runs
-    produce identical traces (the determinism acceptance check). *)
-
 val trace_labels : t -> string list
-(** ["<at_us> <label>"] lines — convenient for equality assertions. *)
+(** The chronological injection trace as ["<at_us> <label>"] lines;
+    with equal seed + plan two runs produce identical traces (the
+    determinism acceptance check). *)
 
 val reconvergence : t -> (string * Time.t * Time.t) list
 (** [(label, injected_at, reconverged_at)], chronological by

@@ -100,7 +100,6 @@ val action_kind : action -> string
     v} *)
 
 val to_json : t -> Horse_telemetry.Json.t
-val of_json : Horse_telemetry.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val load_file : string -> (t, string) result

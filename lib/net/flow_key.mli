@@ -42,7 +42,6 @@ val select : hash:int -> int -> int
 (** [select ~hash n] maps a hash onto a bucket in [0, n).
     @raise Invalid_argument if [n <= 0]. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

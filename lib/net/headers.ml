@@ -51,10 +51,6 @@ module Eth = struct
   let equal a b =
     Mac.equal a.dst b.dst && Mac.equal a.src b.src
     && ethertype_to_int a.ethertype = ethertype_to_int b.ethertype
-
-  let pp fmt t =
-    Format.fprintf fmt "eth{%a -> %a, 0x%04x}" Mac.pp t.src Mac.pp t.dst
-      (ethertype_to_int t.ethertype)
 end
 
 module Arp = struct
@@ -108,12 +104,6 @@ module Arp = struct
     && Ipv4.equal a.sender_ip b.sender_ip
     && Mac.equal a.target_mac b.target_mac
     && Ipv4.equal a.target_ip b.target_ip
-
-  let pp fmt t =
-    Format.fprintf fmt "arp{%s %a(%a) -> %a(%a)}"
-      (match t.op with Request -> "who-has" | Reply -> "is-at")
-      Ipv4.pp t.sender_ip Mac.pp t.sender_mac Ipv4.pp t.target_ip Mac.pp
-      t.target_mac
 end
 
 module Ip = struct
@@ -170,18 +160,6 @@ module Ip = struct
             dst;
             total_length;
           }
-
-  let equal a b =
-    a.dscp = b.dscp && a.ident = b.ident
-    && a.dont_fragment = b.dont_fragment
-    && a.ttl = b.ttl
-    && Proto.equal a.proto b.proto
-    && Ipv4.equal a.src b.src && Ipv4.equal a.dst b.dst
-    && a.total_length = b.total_length
-
-  let pp fmt t =
-    Format.fprintf fmt "ip{%a -> %a, %a, ttl=%d, len=%d}" Ipv4.pp t.src Ipv4.pp
-      t.dst Proto.pp t.proto t.ttl t.total_length
 end
 
 (* Ones'-complement sum of the RFC 768/793 pseudo-header. *)
@@ -219,12 +197,6 @@ module Udp = struct
     let* length = u16 buf (off + 4) in
     if length < size then Error "udp: length shorter than header"
     else Ok { src_port; dst_port; length }
-
-  let equal a b =
-    a.src_port = b.src_port && a.dst_port = b.dst_port && a.length = b.length
-
-  let pp fmt t =
-    Format.fprintf fmt "udp{%d -> %d, len=%d}" t.src_port t.dst_port t.length
 end
 
 module Tcp = struct
@@ -291,8 +263,4 @@ module Tcp = struct
     && a.ack_num = b.ack_num
     && flags_to_int a.flags = flags_to_int b.flags
     && a.window = b.window
-
-  let pp fmt t =
-    Format.fprintf fmt "tcp{%d -> %d, seq=%d, flags=0x%02x}" t.src_port
-      t.dst_port t.seq (flags_to_int t.flags)
 end

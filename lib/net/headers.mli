@@ -24,12 +24,9 @@ module Eth : sig
   val size : int
   (** 14 bytes. *)
 
-  val ethertype_to_int : ethertype -> int
-  val ethertype_of_int : int -> ethertype
   val write : Bytes.t -> int -> t -> unit
   val read : t Wire.reader
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 (** ARP for IPv4 over Ethernet. *)
@@ -54,7 +51,6 @@ module Arp : sig
       unknown opcodes. *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 (** IPv4 header, options unsupported (IHL is always 5). *)
@@ -78,9 +74,6 @@ module Ip : sig
 
   val read : t Wire.reader
   (** Fails on version <> 4, IHL <> 5, or bad header checksum. *)
-
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 val pseudo_header_sum :
@@ -103,8 +96,6 @@ module Udp : sig
       already be present at [payload_off]. *)
 
   val read : t Wire.reader
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 (** TCP header (no options; data offset always 5). *)
@@ -137,5 +128,4 @@ module Tcp : sig
 
   val read : t Wire.reader
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end

@@ -4,17 +4,6 @@ let mask48 = 0xFFFF_FFFF_FFFFL
 let of_int64 n = Int64.logand n mask48
 let to_int64 m = m
 
-let of_octets a b c d e f =
-  let check o =
-    if o < 0 || o > 255 then
-      invalid_arg (Printf.sprintf "Mac.of_octets: octet %d out of range" o)
-  in
-  List.iter check [ a; b; c; d; e; f ];
-  Int64.logor
-    (Int64.shift_left (Int64.of_int a) 40)
-    (Int64.of_int
-       ((b lsl 32) lor (c lsl 24) lor (d lsl 16) lor (e lsl 8) lor f))
-
 let hex_digit c =
   match c with
   | '0' .. '9' -> Some (Char.code c - Char.code '0')
@@ -58,19 +47,10 @@ let to_string m =
 
 let broadcast = mask48
 let zero = 0L
-let is_broadcast m = Int64.equal m mask48
 let is_multicast m = Int64.logand (Int64.shift_right_logical m 40) 1L = 1L
 
 let of_index i =
   (* 0x02 first octet: locally administered, unicast. *)
   Int64.logor 0x0200_0000_0000L (Int64.logand (Int64.of_int i) 0xFF_FFFF_FFFFL)
 
-let compare = Int64.compare
 let equal = Int64.equal
-
-let hash m =
-  let z = Int64.mul (Int64.logxor m (Int64.shift_right_logical m 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31)) land max_int
-
-let pp fmt m = Format.pp_print_string fmt (to_string m)

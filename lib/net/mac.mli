@@ -9,10 +9,6 @@ val of_int64 : int64 -> t
 val to_int64 : t -> int64
 (** The address as an integer in [0, 2^48). *)
 
-val of_octets : int -> int -> int -> int -> int -> int -> t
-(** [of_octets a b c d e f] is [a:b:c:d:e:f].
-    @raise Invalid_argument if an octet is outside [0, 255]. *)
-
 val of_string : string -> t option
 (** Parses colon-separated hex, e.g. ["00:1b:21:3c:9d:f8"]. Each field
     must be one or two hex digits. *)
@@ -29,8 +25,6 @@ val broadcast : t
 val zero : t
 (** [00:00:00:00:00:00]. *)
 
-val is_broadcast : t -> bool
-
 val is_multicast : t -> bool
 (** True iff the group bit (LSB of the first octet) is set; note the
     broadcast address is also multicast. *)
@@ -39,7 +33,4 @@ val of_index : int -> t
 (** [of_index i] is a deterministic locally-administered unicast
     address for node number [i]; distinct for all [i] in [0, 2^40). *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-val pp : Format.formatter -> t -> unit

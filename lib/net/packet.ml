@@ -110,36 +110,39 @@ let decode buf =
   in
   Ok { eth; body }
 
-let ip_header ?(ttl = 64) ~src ~dst proto =
+(* The IPv4 TTL of every packet built here. *)
+let default_ttl = 64
+
+let ip_header ~src ~dst proto =
   {
     Ip.dscp = 0;
     ident = 0;
     dont_fragment = true;
-    ttl;
+    ttl = default_ttl;
     proto;
     src;
     dst;
     total_length = 0 (* recomputed by encode *);
   }
 
-let udp ~src_mac ~dst_mac ~src ~dst ~src_port ~dst_port ?(ttl = 64) payload =
+let udp ~src_mac ~dst_mac ~src ~dst ~src_port ~dst_port payload =
   {
     eth = { Eth.dst = dst_mac; src = src_mac; ethertype = Eth.Ipv4_type };
     body =
       Ipv4
-        ( ip_header ~ttl ~src ~dst Proto.Udp,
+        ( ip_header ~src ~dst Proto.Udp,
           Udp ({ Udp.src_port; dst_port; length = 0 }, payload) );
   }
 
-let tcp ~src_mac ~dst_mac ~src ~dst ~src_port ~dst_port ?(ttl = 64)
-    ?(flags = Tcp.no_flags) ?(seq = 0) payload =
+let tcp ~src_mac ~dst_mac ~src ~dst ~src_port ~dst_port ?(seq = 0) payload =
   {
     eth = { Eth.dst = dst_mac; src = src_mac; ethertype = Eth.Ipv4_type };
     body =
       Ipv4
-        ( ip_header ~ttl ~src ~dst Proto.Tcp,
+        ( ip_header ~src ~dst Proto.Tcp,
           Tcp
-            ( { Tcp.src_port; dst_port; seq; ack_num = 0; flags; window = 65535 },
+            ( { Tcp.src_port; dst_port; seq; ack_num = 0; flags = Tcp.no_flags;
+                window = 65535 },
               payload ) );
   }
 
@@ -197,11 +200,3 @@ let body_equal a b =
   | (Arp _ | Ipv4 _ | Raw _), _ -> false
 
 let equal a b = Eth.equal a.eth b.eth && body_equal a.body b.body
-
-let pp fmt t =
-  match t.body with
-  | Arp a -> Arp.pp fmt a
-  | Ipv4 (ip, Udp (u, _)) -> Format.fprintf fmt "%a %a" Ip.pp ip Udp.pp u
-  | Ipv4 (ip, Tcp (tc, _)) -> Format.fprintf fmt "%a %a" Ip.pp ip Tcp.pp tc
-  | Ipv4 (ip, Raw_l4 _) -> Ip.pp fmt ip
-  | Raw p -> Format.fprintf fmt "raw{%d bytes}" (Bytes.length p)

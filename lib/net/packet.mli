@@ -32,8 +32,8 @@ val decode : Bytes.t -> (t, string) result
 val size : t -> int
 (** Encoded size in bytes, without encoding. *)
 
-(** Convenience constructors (consistent lengths, checksums computed
-    at {!encode} time). *)
+(** Convenience constructors (consistent lengths, TTL 64, no TCP
+    flags, checksums computed at {!encode} time). *)
 
 val udp :
   src_mac:Mac.t ->
@@ -42,7 +42,6 @@ val udp :
   dst:Ipv4.t ->
   src_port:int ->
   dst_port:int ->
-  ?ttl:int ->
   Bytes.t ->
   t
 
@@ -53,8 +52,6 @@ val tcp :
   dst:Ipv4.t ->
   src_port:int ->
   dst_port:int ->
-  ?ttl:int ->
-  ?flags:Headers.Tcp.flags ->
   ?seq:int ->
   Bytes.t ->
   t
@@ -66,4 +63,3 @@ val arp_reply :
   src_mac:Mac.t -> dst_mac:Mac.t -> src:Ipv4.t -> target:Ipv4.t -> t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

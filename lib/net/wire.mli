@@ -25,8 +25,6 @@ val mac : Mac.t reader
 
 val set_u8 : Bytes.t -> int -> int -> unit
 val set_u16 : Bytes.t -> int -> int -> unit
-val set_u32 : Bytes.t -> int -> int32 -> unit
-
 val set_u32_int : Bytes.t -> int -> int -> unit
 (** Writes the low 32 bits of the [int]. *)
 

@@ -5,7 +5,6 @@ type t = Output of int | Flood | To_controller of int
 let port_flood = 0xFFFB
 let port_controller = 0xFFFD
 
-let size _ = 8
 let list_size actions = 8 * List.length actions
 
 let write buf off a =
@@ -58,8 +57,3 @@ let equal a b =
   | Flood, Flood -> true
   | To_controller m, To_controller n -> m = n
   | (Output _ | Flood | To_controller _), _ -> false
-
-let pp fmt = function
-  | Output p -> Format.fprintf fmt "output:%d" p
-  | Flood -> Format.pp_print_string fmt "flood"
-  | To_controller n -> Format.fprintf fmt "controller:%d" n

@@ -5,25 +5,12 @@ type t =
   | Flood  (** all ports except the ingress *)
   | To_controller of int  (** send to controller, max_len bytes *)
 
-val size : t -> int
-(** Encoded size (8 bytes each). *)
-
-val write : Bytes.t -> int -> t -> int
-(** Writes one action, returns the offset past it. *)
-
-val read : Bytes.t -> int -> ((t * int, string) result)
-(** Reads one action, returns it and the offset past it. *)
-
 val write_list : Bytes.t -> int -> t list -> int
+(** Writes the actions (8 bytes each), returns the offset past them. *)
+
 val read_list : Bytes.t -> int -> limit:int -> (t list, string) result
+(** Reads actions up to [limit]. *)
 
 val list_size : t list -> int
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
-val port_flood : int
-(** The reserved OFPP_FLOOD port number (0xFFFB). *)
-
-val port_controller : int
-(** OFPP_CONTROLLER (0xFFFD). *)

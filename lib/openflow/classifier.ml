@@ -48,7 +48,6 @@ let rec insert_sorted r = function
   | r' :: _ as l when better r r' -> r :: l
   | r' :: rest -> r' :: insert_sorted r rest
 
-let length ts = ts.count
 let probes ts = ts.probes
 
 let insert ts ~match_ ~priority ~seq value =
@@ -150,9 +149,3 @@ let lookup ts (fields : Ofmatch.fields) =
        ts.ordered
    with Exit -> ());
   !best
-
-let clear ts =
-  Mtbl.reset ts.tbl;
-  ts.ordered <- [||];
-  ts.dirty <- false;
-  ts.count <- 0

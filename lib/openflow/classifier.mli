@@ -20,9 +20,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val length : 'a t -> int
-(** Live rules, O(1). *)
-
 val probes : 'a t -> int
 (** Buckets probed by {!lookup} over the classifier's lifetime — the
     work the priority short-circuit saves shows here. *)
@@ -37,5 +34,3 @@ val remove : 'a t -> match_:Ofmatch.t -> seq:int -> unit
 
 val lookup : 'a t -> Ofmatch.fields -> 'a rule option
 (** Highest-priority matching rule (oldest wins on ties). *)
-
-val clear : 'a t -> unit

@@ -248,23 +248,3 @@ let matching_entries t m =
   List.filter_map
     (fun (_, e) -> if Ofmatch.is_exact_overlap m e.match_ then Some e else None)
     (view t)
-
-let clear t =
-  Hashtbl.reset t.by_seq;
-  MKtbl.reset t.by_match;
-  Classifier.clear t.cls;
-  t.deadlines <- Deadlines.empty;
-  t.filed <- Seqs.empty;
-  t.count <- 0;
-  t.view <- None
-
-let pp fmt t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline
-    (fun fmt (e : entry) ->
-      Format.fprintf fmt "prio=%d %a -> [%a] pkts=%d bytes=%d" e.priority
-        Ofmatch.pp e.match_
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-           Action.pp)
-        e.actions e.packets e.bytes)
-    fmt (entries t)

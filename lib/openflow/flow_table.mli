@@ -87,5 +87,3 @@ val matching_entries : t -> Ofmatch.t -> entry list
 val size : t -> int
 (** O(1) live count. *)
 
-val clear : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -330,23 +330,3 @@ let equal a b =
   && a.m_ip_proto = b.m_ip_proto
   && a.m_tp_src = b.m_tp_src
   && a.m_tp_dst = b.m_tp_dst
-
-let pp fmt t =
-  let field name pp_v fmt_v =
-    match fmt_v with
-    | None -> ()
-    | Some v -> Format.fprintf fmt " %s=%a" name pp_v v
-  in
-  Format.pp_print_string fmt "match{";
-  field "in_port" Format.pp_print_int t.m_in_port;
-  field "eth_src" Mac.pp t.m_eth_src;
-  field "eth_dst" Mac.pp t.m_eth_dst;
-  field "eth_type"
-    (fun fmt v -> Format.fprintf fmt "0x%04x" v)
-    t.m_eth_type;
-  field "ip_src" Prefix.pp t.m_ip_src;
-  field "ip_dst" Prefix.pp t.m_ip_dst;
-  field "proto" Format.pp_print_int t.m_ip_proto;
-  field "tp_src" Format.pp_print_int t.m_tp_src;
-  field "tp_dst" Format.pp_print_int t.m_tp_dst;
-  Format.pp_print_string fmt " }"

@@ -119,4 +119,3 @@ val write : Bytes.t -> int -> t -> unit
 val read : t Wire.reader
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -380,40 +380,3 @@ let equal a b =
       | Stats_request _ | Stats_reply _ | Barrier_request | Barrier_reply ),
       _ ) ->
       false
-
-let pp fmt = function
-  | Hello -> Format.pp_print_string fmt "HELLO"
-  | Echo_request -> Format.pp_print_string fmt "ECHO_REQUEST"
-  | Echo_reply -> Format.pp_print_string fmt "ECHO_REPLY"
-  | Features_request -> Format.pp_print_string fmt "FEATURES_REQUEST"
-  | Features_reply { dpid; n_ports } ->
-      Format.fprintf fmt "FEATURES_REPLY dpid=%d ports=%d" dpid n_ports
-  | Packet_in pi ->
-      Format.fprintf fmt "PACKET_IN in_port=%d len=%d" pi.in_port
-        (Bytes.length pi.data)
-  | Packet_out po ->
-      Format.fprintf fmt "PACKET_OUT in_port=%d actions=[%a]" po.po_in_port
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-           Action.pp)
-        po.po_actions
-  | Flow_mod fm ->
-      Format.fprintf fmt "FLOW_MOD %s prio=%d %a actions=[%a]"
-        (match fm.command with Add -> "add" | Modify -> "mod" | Delete -> "del")
-        fm.priority Ofmatch.pp fm.match_
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-           Action.pp)
-        fm.actions
-  | Stats_request (Flow_stats_req _) -> Format.pp_print_string fmt "STATS_REQUEST flow"
-  | Stats_request (Port_stats_req p) ->
-      Format.fprintf fmt "STATS_REQUEST port=%d" p
-  | Stats_reply (Flow_stats_rep entries) ->
-      Format.fprintf fmt "STATS_REPLY flow n=%d" (List.length entries)
-  | Stats_reply (Port_stats_rep entries) ->
-      Format.fprintf fmt "STATS_REPLY port n=%d" (List.length entries)
-  | Port_status ps ->
-      Format.fprintf fmt "PORT_STATUS port=%d %s" ps.pst_port
-        (match ps.pst_reason with 0 -> "up" | 1 -> "down" | _ -> "modified")
-  | Barrier_request -> Format.pp_print_string fmt "BARRIER_REQUEST"
-  | Barrier_reply -> Format.pp_print_string fmt "BARRIER_REPLY"

@@ -76,4 +76,3 @@ val decode : Bytes.t -> (t * int, string) result
 (** Returns the message and its transaction id. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

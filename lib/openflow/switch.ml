@@ -65,7 +65,6 @@ type t = {
   mutable flow_mods : int;
   mutable started : bool;
   down_ports : (int, unit) Hashtbl.t;
-  mutable rev_flow_prov : (Ofmsg.flow_mod * Causal.id) list;
   mutable expiry : Event_queue.handle option;
 }
 
@@ -114,10 +113,7 @@ let handle t msg xid =
       t.flow_mods <- t.flow_mods + 1;
       Counter.incr t.m.m_flow_mods;
       Sched.protect_cause (Process.scheduler t.proc) (fun () ->
-          let cause =
-            Sched.cause_point (Process.scheduler t.proc) flow_mod_kind t.dpid
-          in
-          t.rev_flow_prov <- (fm, cause) :: t.rev_flow_prov;
+          ignore (Sched.cause_point (Process.scheduler t.proc) flow_mod_kind t.dpid);
           let before = Flow_table.size t.table in
           Flow_table.apply_flow_mod t.table ~now:(now t) fm;
           Gauge.add t.m.g_table
@@ -204,7 +200,6 @@ let create ?trace proc ~dpid ~ports endpoint =
       flow_mods = 0;
       started = false;
       down_ports = Hashtbl.create 4;
-      rev_flow_prov = [];
       expiry = None;
     }
   in
@@ -218,9 +213,7 @@ let start t =
     send t Ofmsg.Hello
   end
 
-let dpid t = t.dpid
 let table t = t.table
-let ports t = t.port_to_link
 
 let is_port_down t port = Hashtbl.mem t.down_ports port
 
@@ -256,7 +249,10 @@ let lookup t fields =
       Counter.incr t.m.m_lookup_misses;
       None
 
-let packet_in t ~in_port ?(reason = 0) data =
+(* OFPR_NO_MATCH: every PACKET_IN reports a table miss. *)
+let no_match_reason = 0
+
+let packet_in t ~in_port data =
   t.packet_ins <- t.packet_ins + 1;
   Counter.incr t.m.m_packet_ins;
   Sched.protect_cause (Process.scheduler t.proc) (fun () ->
@@ -269,7 +265,7 @@ let packet_in t ~in_port ?(reason = 0) data =
              buffer_id = 0xFFFFFFFF;
              total_len = Bytes.length data;
              in_port;
-             reason;
+             reason = no_match_reason;
              data;
            }))
 
@@ -280,4 +276,3 @@ let set_flow_stats_provider t f = t.flow_stats_provider <- Some f
 let set_port_stats_provider t f = t.port_stats_provider <- Some f
 let packet_ins_sent t = t.packet_ins
 let flow_mods_received t = t.flow_mods
-let flow_provenance t = List.rev t.rev_flow_prov

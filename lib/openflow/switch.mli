@@ -30,10 +30,8 @@ val start : t -> unit
     timed entry expires at its exact deadline and a table without
     timed entries has no pending event. *)
 
-val dpid : t -> int
 val table : t -> Flow_table.t
 
-val ports : t -> (int * int) list
 val link_of_port : t -> int -> int option
 (** [None] for unknown or administratively-down ports. *)
 
@@ -53,8 +51,8 @@ val lookup : t -> Ofmatch.fields -> Flow_table.entry option
     side effects. Each call bumps [horse_openflow_tss_hits_total] or
     [horse_openflow_lookup_misses_total] for this dpid. *)
 
-val packet_in : t -> in_port:int -> ?reason:int -> Bytes.t -> unit
-(** Reports a table miss (or explicit to-controller action) upstream. *)
+val packet_in : t -> in_port:int -> Bytes.t -> unit
+(** Reports a table miss upstream (reason OFPR_NO_MATCH). *)
 
 val on_flow_mod : t -> (Ofmsg.flow_mod -> unit) -> unit
 (** Fired after a FLOW_MOD has been applied to the table. *)
@@ -75,11 +73,6 @@ val set_port_stats_provider : t -> (int -> Ofmsg.port_stats) -> unit
 
 val packet_ins_sent : t -> int
 val flow_mods_received : t -> int
-
-val flow_provenance : t -> (Ofmsg.flow_mod * Causal.id) list
-(** Every FLOW_MOD applied, oldest first, paired with its causal node
-    — walk the chain to recover the PACKET_IN (or fault) that produced
-    it. Ids are {!Causal.none} when tracing is off. *)
 
 (** {2 Causal nodes} *)
 

@@ -54,7 +54,6 @@ let lsa_kind =
 type iface = {
   iface_id : int;
   mutable endpoint : Channel.endpoint;
-  metric : int;
   mutable nbr_id : Ipv4.t option;
   mutable nbr_state : neighbor_state;
   mutable last_hello : Time.t;
@@ -71,6 +70,9 @@ type counters = {
   spf_runs : int;
   lsa_originations : int;
 }
+
+(* Every point-to-point interface costs 1: SPF counts hops. *)
+let interface_metric = 1
 
 module Registry = Horse_telemetry.Registry
 module Counter = Registry.Counter
@@ -142,7 +144,6 @@ let tracef t fmt =
   | Some trace -> Trace.addf trace ~at:(now t) ~label:"ospf" fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
-let router_id t = t.cfg.router_id
 let lsdb t = t.db
 let iface_list t = List.rev t.ifaces
 
@@ -251,7 +252,7 @@ let originate t =
       (fun iface ->
         match (iface.nbr_state, iface.nbr_id) with
         | Full, Some neighbor ->
-            Some (Ospf_msg.Point_to_point { neighbor; metric = iface.metric })
+            Some (Ospf_msg.Point_to_point { neighbor; metric = interface_metric })
         | (Full | Init | Down), _ -> None)
       (iface_list t)
   in
@@ -399,12 +400,11 @@ let bind_iface t iface endpoint =
         if was_full then originate t
       end)
 
-let add_interface ?(metric = 1) t endpoint =
+let add_interface t endpoint =
   let iface =
     {
       iface_id = t.next_iface;
       endpoint;
-      metric;
       nbr_id = None;
       nbr_state = Down;
       last_hello = Time.zero;

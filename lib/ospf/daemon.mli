@@ -47,9 +47,9 @@ type t
 
 val create : ?trace:Trace.t -> Process.t -> config -> t
 
-val add_interface : ?metric:int -> t -> Channel.endpoint -> int
-(** Attaches a point-to-point interface (default metric 1) and returns
-    its id. Call before {!start}. *)
+val add_interface : t -> Channel.endpoint -> int
+(** Attaches a point-to-point interface (metric 1) and returns its id.
+    Call before {!start}. *)
 
 val rebind_interface : t -> int -> Channel.endpoint -> unit
 (** Rebinds an existing interface to a fresh channel endpoint after a
@@ -67,7 +67,6 @@ val start : t -> unit
     re-hellos and re-arms the timers, so adjacencies re-form without
     outside help. *)
 
-val router_id : t -> Ipv4.t
 val routes : t -> Lsdb.route list
 (** The current shortest-path routing table. *)
 

@@ -24,7 +24,6 @@ let lsas t =
          Ipv4.compare a.Ospf_msg.adv_router b.Ospf_msg.adv_router)
 
 let size t = Hashtbl.length t.store
-let remove t id = Hashtbl.remove t.store (key id)
 
 type route = { prefix : Prefix.t; cost : int; next_hops : Ipv4.t list }
 

@@ -25,7 +25,6 @@ val lsas : t -> Ospf_msg.lsa list
 (** Sorted by router id. *)
 
 val size : t -> int
-val remove : t -> Ipv4.t -> unit
 
 type route = {
   prefix : Prefix.t;

@@ -19,10 +19,6 @@ let lsa_equal a b =
   && a.seq = b.seq
   && List.equal lsa_link_equal a.links b.links
 
-let pp_lsa fmt l =
-  Format.fprintf fmt "lsa{%a seq=%d links=%d}" Ipv4.pp l.adv_router l.seq
-    (List.length l.links)
-
 type hello = {
   hello_interval_s : int;
   dead_interval_s : int;
@@ -219,8 +215,3 @@ let equal a b =
   | Ls_ack x, Ls_ack y ->
       List.equal (fun (a, s) (b, s') -> Ipv4.equal a b && s = s') x y
   | (Hello _ | Ls_update _ | Ls_ack _), _ -> false
-
-let pp fmt = function
-  | Hello h -> Format.fprintf fmt "HELLO neighbors=%d" (List.length h.neighbors)
-  | Ls_update lsas -> Format.fprintf fmt "LS_UPDATE n=%d" (List.length lsas)
-  | Ls_ack acks -> Format.fprintf fmt "LS_ACK n=%d" (List.length acks)

@@ -25,9 +25,6 @@ type lsa = {
   links : lsa_link list;
 }
 
-val lsa_equal : lsa -> lsa -> bool
-val pp_lsa : Format.formatter -> lsa -> unit
-
 type hello = {
   hello_interval_s : int;
   dead_interval_s : int;
@@ -48,4 +45,3 @@ val decode : Bytes.t -> (Ipv4.t * t, string) result
     length and checksum. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -66,8 +66,6 @@ let create ?trace proc ~program ~ports endpoint =
         Channel.set_receiver endpoint (fun bytes -> receive t bytes);
         Ok t
 
-let interp t = t.engine
-let dpid_ports t = t.ports
 let link_of_port t port = List.assoc_opt port t.ports
 
 let port_of_link t link =

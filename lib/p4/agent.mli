@@ -20,8 +20,6 @@ val create :
 (** [ports] maps pipeline port numbers to directed out-link ids.
     Fails if the program does not validate or ports repeat. *)
 
-val interp : t -> Interp.t
-val dpid_ports : t -> (int * int) list
 val link_of_port : t -> int -> int option
 val port_of_link : t -> int -> int option
 

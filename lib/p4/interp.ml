@@ -29,7 +29,6 @@ type t = {
   mutable next_seq : int;
 }
 
-let program t = t.prog
 
 let create prog =
   match Prog.validate prog with

@@ -28,8 +28,6 @@ type t
 val create : Prog.t -> (t, string) result
 (** Validates the program. *)
 
-val program : t -> Prog.t
-
 val insert : t -> entry -> (unit, string) result
 (** Checks the entry against the table definition (key kinds and
     count, permitted action, argument arity) and installs it,

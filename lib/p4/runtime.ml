@@ -213,14 +213,3 @@ let response_equal a b =
   | Nack x, Nack y -> String.equal x y
   | Counter_value (c, v), Counter_value (c', v') -> String.equal c c' && v = v'
   | (Ack | Nack _ | Counter_value _), _ -> false
-
-let pp_request fmt = function
-  | Hello -> Format.pp_print_string fmt "HELLO"
-  | Insert e -> Format.fprintf fmt "INSERT %s -> %s" e.Interp.e_table e.Interp.action
-  | Delete { d_table; _ } -> Format.fprintf fmt "DELETE %s" d_table
-  | Counter_read c -> Format.fprintf fmt "COUNTER %s" c
-
-let pp_response fmt = function
-  | Ack -> Format.pp_print_string fmt "ACK"
-  | Nack msg -> Format.fprintf fmt "NACK %s" msg
-  | Counter_value (c, v) -> Format.fprintf fmt "COUNTER %s=%d" c v

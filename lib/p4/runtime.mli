@@ -24,5 +24,3 @@ val decode_response : Bytes.t -> (int * response, string) result
 
 val request_equal : request -> request -> bool
 val response_equal : response -> response -> bool
-val pp_request : Format.formatter -> request -> unit
-val pp_response : Format.formatter -> response -> unit

@@ -35,7 +35,12 @@ let resample s ~t0 ~t1 ~width =
   Array.init width (fun i ->
       if counts.(i) = 0 then Float.nan else sums.(i) /. float_of_int counts.(i))
 
-let plot ?(width = 72) ?(height = 16) ?(unit_label = "") fmt series =
+(* Columns of a [plot] and of a [bar_chart]'s longest bar. *)
+let plot_width = 72
+let bar_width = 50
+
+let plot ?(height = 16) fmt series =
+  let width = plot_width in
   let non_empty = List.filter (fun (_, s) -> not (Series.is_empty s)) series in
   match non_empty with
   | [] -> Format.fprintf fmt "(no data)@."
@@ -90,13 +95,12 @@ let plot ?(width = 72) ?(height = 16) ?(unit_label = "") fmt series =
         (width - String.length left) right;
       List.iteri
         (fun si (label, _) ->
-          Format.fprintf fmt "           %c = %s%s@."
+          Format.fprintf fmt "           %c = %s@."
             glyphs.(si mod Array.length glyphs)
-            label
-            (if String.equal unit_label "" then "" else " (" ^ unit_label ^ ")"))
+            label)
         non_empty
 
-let bar_chart ?(width = 50) fmt items =
+let bar_chart fmt items =
   let vmax = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 items in
   let vmax = if vmax <= 0.0 then 1.0 else vmax in
   let label_w =
@@ -104,7 +108,7 @@ let bar_chart ?(width = 50) fmt items =
   in
   List.iter
     (fun (label, v) ->
-      let n = int_of_float (v /. vmax *. float_of_int width) in
+      let n = int_of_float (v /. vmax *. float_of_int bar_width) in
       Format.fprintf fmt "%-*s | %s %.3g@." label_w label
         (String.make (Stdlib.max 0 n) '#')
         v)

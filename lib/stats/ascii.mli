@@ -5,19 +5,12 @@ val sparkline : float list -> string
 (** One line of block characters scaled to the sample's own range,
     e.g. ["▁▃▅▇█"]. Empty string for the empty list. *)
 
-val plot :
-  ?width:int ->
-  ?height:int ->
-  ?unit_label:string ->
-  Format.formatter ->
-  (string * Series.t) list ->
-  unit
+val plot : ?height:int -> Format.formatter -> (string * Series.t) list -> unit
 (** Multi-series scatter/line chart. Each series gets a distinct
     glyph; the legend maps glyphs to the given labels. Time axis in
-    seconds. Series are resampled onto [width] columns by averaging
-    the samples that fall in each column. *)
+    seconds. Series are resampled onto 72 columns by averaging the
+    samples that fall in each column. *)
 
-val bar_chart :
-  ?width:int -> Format.formatter -> (string * float) list -> unit
-(** Horizontal bars scaled to the maximum value, for the Figure 3
-    execution-time comparison. *)
+val bar_chart : Format.formatter -> (string * float) list -> unit
+(** Horizontal bars scaled to the maximum value (50 columns), for the
+    Figure 3 execution-time comparison. *)

@@ -1,16 +1,14 @@
 open Horse_engine
 
 type t = {
-  series_name : string;
   mutable times : Time.t array;
   mutable vals : float array;
   mutable n : int;
 }
 
-let create ?(name = "series") () =
-  { series_name = name; times = Array.make 64 Time.zero; vals = Array.make 64 0.0; n = 0 }
+let create () =
+  { times = Array.make 64 Time.zero; vals = Array.make 64 0.0; n = 0 }
 
-let name t = t.series_name
 
 let add t at v =
   if t.n > 0 && Time.(at < t.times.(t.n - 1)) then
@@ -59,7 +57,7 @@ let integrate t =
   !acc
 
 let between t start stop =
-  let out = create ~name:t.series_name () in
+  let out = create () in
   for i = 0 to t.n - 1 do
     if Time.(t.times.(i) >= start) && Time.(t.times.(i) <= stop) then
       add out t.times.(i) t.vals.(i)
@@ -67,17 +65,17 @@ let between t start stop =
   out
 
 let map t ~f =
-  let out = create ~name:t.series_name () in
+  let out = create () in
   for i = 0 to t.n - 1 do
     add out t.times.(i) (f t.vals.(i))
   done;
   out
 
-let merge_sum ?(name = "sum") series =
+let merge_sum series =
   match series with
-  | [] -> create ~name ()
+  | [] -> create ()
   | first :: _ ->
-      let out = create ~name () in
+      let out = create () in
       let n = first.n in
       List.iter
         (fun s ->
@@ -96,10 +94,3 @@ let merge_sum ?(name = "sum") series =
         add out at total
       done;
       out
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%s (%d samples)" t.series_name t.n;
-  List.iter
-    (fun (at, v) -> Format.fprintf fmt "@,%a\t%.6g" Time.pp at v)
-    (to_list t);
-  Format.fprintf fmt "@]"

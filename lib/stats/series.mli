@@ -5,9 +5,7 @@ open Horse_engine
 
 type t
 
-val create : ?name:string -> unit -> t
-
-val name : t -> string
+val create : unit -> t
 
 val add : t -> Time.t -> float -> unit
 (** Appends a sample. Samples should be added in non-decreasing time
@@ -34,12 +32,10 @@ val integrate : t -> float
     a bps series. 0 with fewer than two samples. *)
 
 val between : t -> Time.t -> Time.t -> t
-(** Samples with [start <= t <= stop], preserving the name. *)
+(** Samples with [start <= t <= stop]. *)
 
 val map : t -> f:(float -> float) -> t
 
-val merge_sum : ?name:string -> t list -> t
+val merge_sum : t list -> t
 (** Pointwise sum of series sharing identical timestamps; series
     sampled on different grids raise [Invalid_argument]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,7 +34,3 @@ let percentile xs p =
       else
         let frac = rank -. float_of_int lo in
         (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.count t.mean
-    t.stddev t.min t.max

@@ -15,5 +15,3 @@ val percentile : float list -> float -> float
 (** [percentile xs p] for [p] in [0, 100], by linear interpolation on
     the sorted sample; 0 on the empty list.
     @raise Invalid_argument if [p] is outside [0, 100]. *)
-
-val pp : Format.formatter -> t -> unit

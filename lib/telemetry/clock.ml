@@ -1,6 +1,5 @@
 let source = ref Unix.gettimeofday
 let now () = !source ()
-let set_source f = source := f
 
 let with_source src f =
   let prev = !source in

@@ -10,9 +10,6 @@ val now : unit -> float
 (** Seconds since an arbitrary epoch, sub-millisecond resolution under
     the default source. *)
 
-val set_source : (unit -> float) -> unit
-(** Replace the clock source globally (for tests / replay). *)
-
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a
 (** [with_source src f] runs [f] with [src] installed, restoring the
     previous source afterwards (exception-safe). *)

@@ -52,9 +52,6 @@ let create () =
     span_tracker = Span.create_tracker ();
   }
 
-let default_registry = lazy (create ())
-let default () = Lazy.force default_registry
-
 let spans t = t.span_tracker
 
 let valid_name s =

@@ -1,4 +1,4 @@
-(** The process-wide metrics registry.
+(** Metrics registries.
 
     A registry holds named metrics — monotonic {!Counter}s, settable
     {!Gauge}s and log-bucketed {!Histogram}s — plus one {!Span}
@@ -10,8 +10,7 @@
 
     Each {!Horse_engine.Sched} (and therefore each
     [Horse_core.Experiment]) owns a registry by default so concurrent
-    experiments in one process do not collide; {!default} provides a
-    shared process-wide instance for code without a natural owner. *)
+    experiments in one process do not collide. *)
 
 module Counter : sig
   type t
@@ -49,9 +48,6 @@ type t
 
 val create : unit -> t
 
-val default : unit -> t
-(** The process-wide registry (created on first use). *)
-
 val counter :
   t -> subsystem:string -> ?help:string -> ?labels:(string * string) list ->
   string -> Counter.t
@@ -73,13 +69,11 @@ val spans : t -> Span.tracker
 val to_list : t -> entry list
 (** Every registered metric, in registration order. *)
 
-val find : t -> ?labels:(string * string) list -> string -> metric option
-(** Lookup by full name (label order irrelevant). *)
-
 val find_counter : t -> ?labels:(string * string) list -> string -> Counter.t option
 val find_gauge : t -> ?labels:(string * string) list -> string -> Gauge.t option
 val find_histogram :
   t -> ?labels:(string * string) list -> string -> Histogram.t option
+(** Lookup by full name and labels (label order irrelevant). *)
 
 val cardinality : t -> int
 (** Number of registered metrics (not counting spans). *)

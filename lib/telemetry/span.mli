@@ -45,6 +45,5 @@ val open_count : tracker -> int
 val virtual_duration_s : record -> float
 val wall_duration_s : record -> float
 
-val pp_record : Format.formatter -> record -> unit
 val pp : Format.formatter -> tracker -> unit
 (** Indented by depth, one record per line. *)

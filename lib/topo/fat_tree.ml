@@ -12,7 +12,11 @@ type t = {
 let n_hosts ~k = k * k * k / 4
 let n_switches ~k = 5 * k * k / 4
 
-let build ?(capacity = 1e9) ?(delay = Horse_engine.Time.of_us 10) ~k () =
+(* Every link: 1 Gbps, 10 µs. *)
+let capacity = 1e9
+let delay = Horse_engine.Time.of_us 10
+
+let build ~k () =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg (Printf.sprintf "Fat_tree.build: k must be even and >= 2, got %d" k);
   let topo = Topology.create () in
@@ -92,11 +96,6 @@ let host_of_ip t ip =
     t.hosts
 
 let pod_of_host t i = i / (t.k * t.k / 4)
-
-let host_prefix _t (n : Topology.node) =
-  match n.Topology.ip with
-  | Some ip -> Prefix.host ip
-  | None -> invalid_arg "Fat_tree.host_prefix: node has no address"
 
 let edge_subnets t =
   let subnets = Array.make (Topology.n_nodes t.topo) [] in

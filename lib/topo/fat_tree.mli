@@ -5,7 +5,7 @@
     - [k] pods, each with [k/2] edge and [k/2] aggregation switches;
     - [(k/2)^2] core switches;
     - [k/2] hosts per edge switch, [k^3/4] hosts in total;
-    - every link has the same capacity (1 Gbps in the demo).
+    - every link has the same capacity (1 Gbps, as in the demo).
 
     Addressing follows the original paper: pod switch [s] of pod [p]
     is [10.p.s.1] (edge switches are [s < k/2], aggregation
@@ -23,9 +23,9 @@ type t = {
   cores : Topology.node array;  (** row-major [(j-1)*(k/2) + (i-1)] *)
 }
 
-val build : ?capacity:float -> ?delay:Horse_engine.Time.t -> k:int -> unit -> t
-(** [build ~k ()] constructs the Fat-Tree. Default capacity 1 Gbps,
-    default delay 10 µs per link.
+val build : k:int -> unit -> t
+(** [build ~k ()] constructs the Fat-Tree: every link 1 Gbps with a
+    10 µs delay.
     @raise Invalid_argument if [k] is odd or [k < 2]. *)
 
 val n_hosts : k:int -> int
@@ -42,10 +42,6 @@ val host_of_ip : t -> Ipv4.t -> Topology.node option
 
 val pod_of_host : t -> int -> int
 (** Pod number of host [i]. *)
-
-val host_prefix : t -> Topology.node -> Prefix.t
-(** The /32 of a host, as advertised by its edge switch in the BGP
-    scenario. *)
 
 val edge_subnets : t -> int -> Prefix.t list
 (** [edge_subnets t] maps the node id of edge switch [e] of pod [p] to

@@ -219,23 +219,3 @@ let ecmp_paths ?(max_paths = default_max_paths) (tree : tree) topo ~dst =
   else
     enumerate ~max_paths ~src:tree.src ~dst (fun v f ->
         List.iter f tree.preds.(v))
-
-let all_pairs_hops topo =
-  let n = Topology.n_nodes topo in
-  let d = Array.make_matrix n n max_int in
-  for i = 0 to n - 1 do
-    d.(i).(i) <- 0
-  done;
-  List.iter
-    (fun (l : Topology.link) -> d.(l.Topology.src).(l.Topology.dst) <- 1)
-    (Topology.links topo);
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if d.(i).(k) < max_int && d.(k).(j) < max_int then
-          let via = d.(i).(k) + d.(k).(j) in
-          if via < d.(i).(j) then d.(i).(j) <- via
-      done
-    done
-  done;
-  d

@@ -86,7 +86,3 @@ val ecmp_pick :
 val expanded : workspace -> int
 (** Nodes whose out-links the last {!ecmp_between} or {!ecmp_pick}
     scanned (0 for [src = dst]); a work counter for tests. *)
-
-val all_pairs_hops : Topology.t -> int array array
-(** Floyd–Warshall hop-count matrix ([max_int] = unreachable); an
-    O(n^3) oracle for tests. *)

@@ -143,7 +143,3 @@ let pp_node fmt n =
   match n.ip with
   | Some ip -> Format.fprintf fmt "%s(%a)" n.name Ipv4.pp ip
   | None -> Format.pp_print_string fmt n.name
-
-let pp_link t fmt l =
-  Format.fprintf fmt "%s -> %s (%.1fGbps)" (node t l.src).name
-    (node t l.dst).name (l.capacity /. 1e9)

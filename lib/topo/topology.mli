@@ -11,8 +11,6 @@ open Horse_net
 
 type kind = Host | Switch | Router
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type node = {
   id : int;
   name : string;
@@ -85,5 +83,3 @@ val node_by_name : t -> string -> node option
 val node_by_ip : t -> Ipv4.t -> node option
 
 val pp_node : Format.formatter -> node -> unit
-val pp_link : t -> Format.formatter -> link -> unit
-(** Renders as ["name -> name (1.0Gbps)"]. *)

@@ -24,10 +24,11 @@ let iter t fn =
     done
   done
 
-let zipf_masses ?(exponent = 1.0) n =
+(* Zipf's law in its classic form: mass 1/rank. *)
+let exponent = 1.0
+
+let zipf_masses n =
   if n < 1 then invalid_arg "Traffic_matrix.zipf_masses: n < 1";
-  if exponent < 0.0 then
-    invalid_arg "Traffic_matrix.zipf_masses: negative exponent";
   Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) exponent)
 
 let gravity ~total ~masses =
@@ -70,22 +71,3 @@ let diurnal_factor ?(trough = 0.2) ~period_s ~phase t_s =
   (* Peaks at whole cycles, bottoms out at [trough] half a cycle
      later. *)
   trough +. ((1.0 -. trough) *. 0.5 *. (1.0 +. Float.cos (two_pi *. cycle)))
-
-(* Scales every row by a per-source factor (>= 0): the building block
-   for diurnal modulation. *)
-let modulate_rows t factor =
-  {
-    n = t.n;
-    demand =
-      Array.mapi
-        (fun src row ->
-          let f = factor src in
-          if f < 0.0 then
-            invalid_arg "Traffic_matrix.modulate_rows: negative factor";
-          Array.map (fun d -> d *. f) row)
-        t.demand;
-  }
-
-let diurnal ?trough ~period_s ~phase_of t ~at_s =
-  modulate_rows t (fun src ->
-      diurnal_factor ?trough ~period_s ~phase:(phase_of src) at_s)

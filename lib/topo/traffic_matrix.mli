@@ -6,8 +6,8 @@
     users of a service). Two classic generators are provided: the
     {b gravity model} — demand between two sites proportional to the
     product of their masses (population, server count) — and a
-    {b diurnal cycle} that modulates each source's rows over the time
-    of day, with per-site phase offsets modelling time zones. *)
+    {b diurnal cycle} ({!diurnal_factor}) that scales demand over the
+    time of day, with per-site phase offsets modelling time zones. *)
 
 type t
 
@@ -24,10 +24,10 @@ val total : t -> float
 val iter : t -> (src:int -> dst:int -> float -> unit) -> unit
 (** Visit every strictly positive cell in row-major order. *)
 
-val zipf_masses : ?exponent:float -> int -> float array
-(** [zipf_masses n] is [1/rank^exponent] (default exponent 1.0): the
-    heavy-tailed city-size distribution CDN populations follow.
-    @raise Invalid_argument on [n < 1] or a negative exponent. *)
+val zipf_masses : int -> float array
+(** [zipf_masses n] is [1/rank] for ranks 1 to [n]: the heavy-tailed
+    city-size distribution CDN populations follow.
+    @raise Invalid_argument on [n < 1]. *)
 
 val gravity : total:float -> masses:float array -> t
 (** Gravity model: cell (i, j), i <> j, proportional to
@@ -45,9 +45,3 @@ val diurnal_factor :
     [trough] (default 0.2).
     @raise Invalid_argument on [period_s <= 0] or trough outside
     [0, 1]. *)
-
-val diurnal :
-  ?trough:float -> period_s:float -> phase_of:(int -> float) -> t ->
-  at_s:float -> t
-(** The matrix at wall-of-day [at_s]: row [src] scaled by
-    {!diurnal_factor} with phase [phase_of src]. *)

@@ -10,12 +10,13 @@ let make_routers topo n =
         ~name:(Printf.sprintf "r%d" i)
         ~ip:(loopback i) Topology.Router)
 
-let defaults capacity delay =
-  (Option.value capacity ~default:10e9, Option.value delay ~default:(Horse_engine.Time.of_ms 5))
+(* Every router-router link: 10 Gbps, 5 ms; host access links: 1 ms. *)
+let capacity = 10e9
+let delay = Horse_engine.Time.of_ms 5
+let host_delay = Horse_engine.Time.of_ms 1
 
-let linear ?capacity ?delay n =
+let linear n =
   if n < 1 then invalid_arg "Wan.linear: n < 1";
-  let capacity, delay = defaults capacity delay in
   let topo = Topology.create () in
   let routers = make_routers topo n in
   for i = 0 to n - 2 do
@@ -23,9 +24,8 @@ let linear ?capacity ?delay n =
   done;
   { topo; routers }
 
-let ring ?capacity ?delay n =
+let ring n =
   if n < 3 then invalid_arg "Wan.ring: n < 3";
-  let capacity, delay = defaults capacity delay in
   let topo = Topology.create () in
   let routers = make_routers topo n in
   for i = 0 to n - 1 do
@@ -35,9 +35,8 @@ let ring ?capacity ?delay n =
   done;
   { topo; routers }
 
-let star ?capacity ?delay n =
+let star n =
   if n < 1 then invalid_arg "Wan.star: n < 1";
-  let capacity, delay = defaults capacity delay in
   let topo = Topology.create () in
   let routers = make_routers topo (n + 1) in
   for i = 1 to n do
@@ -45,10 +44,9 @@ let star ?capacity ?delay n =
   done;
   { topo; routers }
 
-let random_gnp ?capacity ?delay ~seed ~n ~p () =
+let random_gnp ~seed ~n ~p () =
   if n < 1 then invalid_arg "Wan.random_gnp: n < 1";
   if p < 0.0 || p > 1.0 then invalid_arg "Wan.random_gnp: p outside [0,1]";
-  let capacity, delay = defaults capacity delay in
   let rng = Horse_engine.Rng.create seed in
   let topo = Topology.create () in
   let routers = make_routers topo n in
@@ -93,8 +91,7 @@ let abilene_edges =
     (9, 10) (* Washington - New York *);
   ]
 
-let abilene ?capacity ?delay () =
-  let capacity, delay = defaults capacity delay in
+let abilene () =
   let topo = Topology.create () in
   let routers = make_routers topo 11 in
   List.iter
@@ -103,7 +100,7 @@ let abilene ?capacity ?delay () =
     abilene_edges;
   { topo; routers }
 
-let attach_hosts ?(capacity = 1e9) ?(delay = Horse_engine.Time.of_ms 1) t =
+let attach_hosts ?(capacity = 1e9) t =
   Array.mapi
     (fun i router ->
       let prefix = Prefix.make (Ipv4.of_octets 203 (i / 256) (i mod 256) 0) 24 in
@@ -114,7 +111,7 @@ let attach_hosts ?(capacity = 1e9) ?(delay = Horse_engine.Time.of_ms 1) t =
           ~mac:(Mac.of_index (100000 + i))
           Topology.Host
       in
-      ignore (Topology.add_duplex t.topo ~delay ~capacity router host);
+      ignore (Topology.add_duplex t.topo ~delay:host_delay ~capacity router host);
       host)
     t.routers
 

@@ -119,3 +119,24 @@ let converged_reference ~table ~originate nodes =
                   (Horse_net.Prefix.network prefix)))
         prefixes)
     nodes
+
+let all_pairs_hops topo =
+  let module Topology = Horse_topo.Topology in
+  let n = Topology.n_nodes topo in
+  let d = Array.make_matrix n n max_int in
+  for i = 0 to n - 1 do
+    d.(i).(i) <- 0
+  done;
+  List.iter
+    (fun (l : Topology.link) -> d.(l.Topology.src).(l.Topology.dst) <- 1)
+    (Topology.links topo);
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if d.(i).(k) < max_int && d.(k).(j) < max_int then
+          let via = d.(i).(k) + d.(k).(j) in
+          if via < d.(i).(j) then d.(i).(j) <- via
+      done
+    done
+  done;
+  d

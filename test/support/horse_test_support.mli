@@ -59,3 +59,7 @@ val converged_reference :
     ([Horse_core.Routed_core.is_converged]): every node of the list
     resolves, by [Fwd.lookup] on the network address, every prefix
     that some node of the list originates and it does not. *)
+
+val all_pairs_hops : Horse_topo.Topology.t -> int array array
+(** Floyd–Warshall hop-count matrix ([max_int] = unreachable): the
+    O(n^3) oracle for [Horse_topo.Spf]'s shortest-path distances. *)

@@ -515,7 +515,7 @@ let prop_bfs_distance_matches_floyd_warshall =
     QCheck2.Gen.(pair (int_bound 4) (int_bound 10_000))
     (fun topo_case ->
       let topo = path_topology topo_case in
-      let fw = Spf.all_pairs_hops topo in
+      let fw = Horse_test_support.all_pairs_hops topo in
       let n = Topology.n_nodes topo in
       List.for_all
         (fun src ->
