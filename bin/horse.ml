@@ -465,6 +465,13 @@ let megauser_cmd =
     let doc = "Capacity-planning headroom over expected peak link load." in
     Arg.(value & opt float 1.1 & info [ "headroom" ] ~docv:"FACTOR" ~doc)
   in
+  let seed_arg =
+    let doc =
+      "Seeds the random WAN of $(b,--cities); the day itself draws no random \
+       numbers."
+    in
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+  in
   let run duration seed classes users user_demand cities sites ticks headroom
       metrics_out report =
     let wan =
@@ -473,7 +480,7 @@ let megauser_cmd =
         cities
     in
     let r =
-      Scenario.run_wan_megauser ~seed ?wan ~classes ~users
+      Scenario.run_wan_megauser ?wan ~classes ~users
         ~user_demand ~headroom ~sites ~ticks
         ~duration:(Time.of_sec duration) ()
     in

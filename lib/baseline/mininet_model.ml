@@ -95,8 +95,12 @@ let install_routes (ft : Fat_tree.t) (engine : Packet_engine.t) =
            (Topology.nodes topo)))
     ft.Fat_tree.edges
 
+(* CPU oversubscription on the paper's 4-core VM: real-time emulation
+   runs this much slower than its virtual duration. *)
+let contention = 1.2
+
 let run_fat_tree ?(pkt_bytes = 1500)
-    ?(rate = 1e9) ?(stack_work = true) ?(seed = 42) ?(contention = 1.2)
+    ?(rate = 1e9) ?(stack_work = true) ?(seed = 42)
     ?realtime_duration ~pods ~duration () =
   let realtime_duration = Option.value realtime_duration ~default:duration in
   let (ft, engine, sched, streams), creation_real_s =

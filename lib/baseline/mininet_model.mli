@@ -57,7 +57,6 @@ val run_fat_tree :
   ?rate:float ->
   ?stack_work:bool ->
   ?seed:int ->
-  ?contention:float ->
   ?realtime_duration:Time.t ->
   pods:int ->
   duration:Time.t ->
@@ -69,9 +68,8 @@ val run_fat_tree :
     [duration] is the window the packet engine {e actually executes}
     (for cost and fidelity measurement); [realtime_duration] (default:
     [duration]) is the full experiment length used for the real-time
-    wall-clock model: [exec_realtime_s = realtime_duration ×
-    contention]. Defaults: 1500-byte packets, 1 Gbps per flow,
-    [stack_work = true], seed 42, contention 1.2 (CPU oversubscription
-    on the paper's 4-core VM). *)
+    wall-clock model: [exec_realtime_s = realtime_duration × 1.2], the
+    CPU oversubscription on the paper's 4-core VM. Defaults: 1500-byte
+    packets, 1 Gbps per flow, [stack_work = true], seed 42. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -203,13 +203,6 @@ let withdraw_in_id t ~peer id =
     Attr_intern.release t.intern old.iattrs
   end
 
-let set_in t ~peer ~peer_bgp_id ~at prefix attrs =
-  set_in_id t ~peer ~peer_bgp_id ~at (id t prefix) attrs
-
-let withdraw_in t ~peer prefix =
-  let id = find_id t prefix in
-  if id >= 0 then withdraw_in_id t ~peer id
-
 (* One pass over the peer's row updates every affected candidate
    list; the ids come back in prefix order, for one refresh each. *)
 let drop_peer_ids t ~peer =
@@ -229,12 +222,8 @@ let drop_peer_ids t ~peer =
     List.sort (compare_ids t) !dropped
   end
 
-let drop_peer t ~peer = List.map (prefix_of_id t) (drop_peer_ids t ~peer)
-
 let add_local t ~at prefix attrs =
-  set_in t ~peer:local_peer ~peer_bgp_id:Ipv4.any ~at prefix attrs
-
-let remove_local t prefix = withdraw_in t ~peer:local_peer prefix
+  set_in_id t ~peer:local_peer ~peer_bgp_id:Ipv4.any ~at (id t prefix) attrs
 
 (* --- decision process ---------------------------------------------- *)
 
@@ -272,10 +261,6 @@ let decide_id ~multipath t id =
       let survivors = med_filter (take l) in
       if multipath then survivors
       else (match survivors with [] -> [] | winner :: _ -> [ winner ])
-
-let decide ~multipath t prefix =
-  let id = find_id t prefix in
-  if id < 0 then [] else decide_id ~multipath t id
 
 (* The decision process's raw input, read from the rows themselves
    rather than from [cands]. *)
@@ -328,10 +313,6 @@ let refresh_id ~multipath t id =
     t.loc.(id) <- best;
     Changed best
   end
-
-let refresh ?(multipath = true) t prefix =
-  let id = find_id t prefix in
-  if id < 0 then Unchanged else refresh_id ~multipath t id
 
 let best_id t id = t.loc.(id)
 

@@ -32,12 +32,11 @@
     {!find_id} rather than giving it an id.
     Every per-prefix table is an array indexed by id: the Adj-RIB-In
     (one row per peer), the candidate lists and the Loc-RIB. The
-    [_id] functions therefore do no hashing at all: {!set_in_id} is
-    one intern plus one pass over the prefix's candidate list,
-    {!refresh_id} one decision over it, {!best_id} and
-    {!loc_rib_size} an array read. The prefix-taking functions are
-    wrappers that add one lookup. Memory is one slot per id for each
-    peer that sent a route since its last {!drop_peer}.
+    Adj-RIB-In and decision functions take ids and do no hashing at
+    all: {!set_in_id} is one intern plus one pass over the prefix's
+    candidate list, {!refresh_id} one decision over it, {!best_id} and
+    {!loc_rib_size} an array read. Memory is one slot per id for each
+    peer that sent a route since its last {!drop_peer_ids}.
 
     Every Adj-RIB-In slot and every Loc-RIB route holds a reference to
     its {!Attr_intern} record, so a record leaves the table once no
@@ -90,35 +89,28 @@ val compare_ids : t -> int -> int -> int
 
 (** {2 Adj-RIB-In} *)
 
-val set_in :
-  t -> peer:int -> peer_bgp_id:Ipv4.t -> at:Time.t -> Prefix.t -> Msg.attrs -> unit
-(** Installs/replaces the peer's route in the Adj-RIB-In (implicit
-    withdraw semantics). Does {e not} recompute the Loc-RIB — call
-    {!refresh}. Peer ids must be [>= -1]; a RIB keeps one row for
-    every peer id up to the largest it has seen.
-    @raise Invalid_argument on a peer id below [-1]. *)
-
 val set_in_id :
   t -> peer:int -> peer_bgp_id:Ipv4.t -> at:Time.t -> int -> Msg.attrs -> unit
-(** {!set_in} on an id from {!id}. The new record is retained before
-    the slot's old one is released, so re-announcing equal attributes
-    keeps the record. *)
-
-val withdraw_in : t -> peer:int -> Prefix.t -> unit
-(** Idempotent. *)
+(** Installs/replaces the peer's route for the prefix with this id
+    (from {!id}) in the Adj-RIB-In (implicit withdraw semantics). Does
+    {e not} recompute the Loc-RIB — call {!refresh_id}. Peer ids must
+    be [>= -1]; a RIB keeps one row for every peer id up to the
+    largest it has seen. The new record is retained before the slot's
+    old one is released, so re-announcing equal attributes keeps the
+    record.
+    @raise Invalid_argument on a peer id below [-1]. *)
 
 val withdraw_in_id : t -> peer:int -> int -> unit
-
-val drop_peer : t -> peer:int -> Prefix.t list
-(** Removes every route learned from the peer (session failure);
-    returns the affected prefixes, in {!Horse_net.Prefix.compare}
-    order, so the caller can {!refresh} them in that order. *)
+(** Idempotent. *)
 
 val drop_peer_ids : t -> peer:int -> int list
-(** {!drop_peer}, returning the ids (same order). *)
+(** Removes every route learned from the peer (session failure);
+    returns the affected ids, in {!Horse_net.Prefix.compare} order of
+    their prefixes, so the caller can {!refresh_id} them in that
+    order. *)
 
 val add_local : t -> at:Time.t -> Prefix.t -> Msg.attrs -> unit
-val remove_local : t -> Prefix.t -> unit
+(** Installs a locally originated route, as peer {!local_peer}. *)
 
 (** {2 Decision process and Loc-RIB} *)
 
@@ -126,20 +118,15 @@ type refresh_outcome =
   | Unchanged
   | Changed of route list  (** the new best set; [[]] = prefix gone *)
 
-val refresh : ?multipath:bool -> t -> Prefix.t -> refresh_outcome
-(** Recomputes the best set for one prefix and updates the Loc-RIB.
-    [multipath] defaults to [true]. *)
-
 val refresh_id : multipath:bool -> t -> int -> refresh_outcome
-
-val decide : multipath:bool -> t -> Prefix.t -> route list
-(** The incremental decision process, without touching the Loc-RIB. *)
+(** Recomputes the best set for one prefix id by the incremental
+    decision process and updates the Loc-RIB. *)
 
 val candidates : t -> Prefix.t -> route list
 (** Every route held for the prefix: the local one and each peer's
     Adj-RIB-In entry, in no particular order. It reads the tables, not
-    the incremental candidate lists {!decide} uses, so a decision
-    recomputed from it checks those lists. *)
+    the incremental candidate lists {!refresh_id} decides over, so a
+    decision recomputed from it checks those lists. *)
 
 val best : t -> Prefix.t -> route list
 (** Current Loc-RIB entry ([[]] if none). *)
@@ -153,7 +140,7 @@ val loc_rib_ids : t -> int list
 (** The ids of the Loc-RIB's prefixes, sorted by prefix. *)
 
 val loc_rib_size : t -> int
-(** O(1): a counter kept by {!refresh}. *)
+(** O(1): a counter kept by {!refresh_id}. *)
 
 val adj_in : t -> peer:int -> (Prefix.t * Msg.attrs) list
 (** Sorted by prefix; for inspection and tests. *)

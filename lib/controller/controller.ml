@@ -7,9 +7,6 @@ module Gauge = Registry.Gauge
 
 let packet_in_kind = Causal.kind "ctrl:packet_in" Switch.dpid_port_detail
 
-type pending = Flow_stats of (Ofmsg.flow_stats list -> unit)
-             | Port_stats of (Ofmsg.port_stats list -> unit)
-             | Barrier of (unit -> unit)
 
 type sw = {
   endpoint : Channel.endpoint;
@@ -22,7 +19,8 @@ type t = {
   trace : Trace.t option;
   mutable conns : sw list;  (* reversed connection order *)
   mutable next_xid : int;
-  pending : (int, pending) Hashtbl.t;
+  pending : (int, Ofmsg.flow_stats list -> unit) Hashtbl.t;
+      (* flow-stats callbacks by request xid *)
   mutable up_hooks : (sw -> unit) list;
   mutable packet_in_hooks : (sw -> Ofmsg.packet_in -> unit) list;
   mutable port_status_hooks : (sw -> Ofmsg.port_status -> unit) list;
@@ -95,22 +93,13 @@ let handle t sw msg xid =
   | Ofmsg.Stats_reply reply -> (
       match Hashtbl.find_opt t.pending xid with
       | None -> tracef t "unsolicited stats reply xid=%d" xid
-      | Some pending -> (
+      | Some k -> (
           Hashtbl.remove t.pending xid;
-          match (pending, reply) with
-          | Flow_stats k, Ofmsg.Flow_stats_rep entries -> k entries
-          | Port_stats k, Ofmsg.Port_stats_rep entries -> k entries
-          | Flow_stats _, Ofmsg.Port_stats_rep _
-          | Port_stats _, Ofmsg.Flow_stats_rep _ ->
-              tracef t "stats reply kind mismatch xid=%d" xid
-          | Barrier _, (Ofmsg.Flow_stats_rep _ | Ofmsg.Port_stats_rep _) ->
-              tracef t "barrier xid answered with stats, xid=%d" xid))
-  | Ofmsg.Barrier_reply -> (
-      match Hashtbl.find_opt t.pending xid with
-      | Some (Barrier k) ->
-          Hashtbl.remove t.pending xid;
-          k ()
-      | Some (Flow_stats _ | Port_stats _) | None -> ())
+          match reply with
+          | Ofmsg.Flow_stats_rep entries -> k entries
+          | Ofmsg.Port_stats_rep _ ->
+              tracef t "stats reply kind mismatch xid=%d" xid))
+  | Ofmsg.Barrier_reply -> (* the controller sends no barriers *) ()
   | Ofmsg.Features_request | Ofmsg.Packet_out _ | Ofmsg.Flow_mod _
   | Ofmsg.Stats_request _ | Ofmsg.Barrier_request ->
       (* switch-to-controller direction only *)
@@ -148,16 +137,5 @@ let send_packet_out t sw po = send_xid sw (fresh_xid t) (Ofmsg.Packet_out po)
 
 let request_flow_stats t sw k =
   let xid = fresh_xid t in
-  Hashtbl.replace t.pending xid (Flow_stats k);
+  Hashtbl.replace t.pending xid k;
   send_xid sw xid (Ofmsg.Stats_request (Ofmsg.Flow_stats_req Ofmatch.any))
-
-let request_port_stats t sw k =
-  let xid = fresh_xid t in
-  Hashtbl.replace t.pending xid (Port_stats k);
-  send_xid sw xid (Ofmsg.Stats_request (Ofmsg.Port_stats_req 0xFFFF))
-
-let barrier t sw k =
-  let xid = fresh_xid t in
-  Hashtbl.replace t.pending xid (Barrier k);
-  send_xid sw xid Ofmsg.Barrier_request
-

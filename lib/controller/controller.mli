@@ -3,9 +3,9 @@
     A controller is an emulated process speaking real OpenFlow bytes
     over one channel per switch. It runs the handshake (HELLO +
     FEATURES_REQUEST), demultiplexes asynchronous messages to
-    application hooks, and correlates request/reply pairs (stats,
-    barrier) by transaction id. Applications ({!App_learning},
-    {!App_ecmp}, {!App_hedera}) are written against this interface. *)
+    application hooks, and correlates flow-statistics replies with
+    their requests by transaction id. Applications ({!App_ecmp},
+    {!App_hedera}) are written against this interface. *)
 
 open Horse_engine
 open Horse_openflow
@@ -44,10 +44,6 @@ val send_packet_out : t -> sw -> Ofmsg.packet_out -> unit
 val request_flow_stats : t -> sw -> (Ofmsg.flow_stats list -> unit) -> unit
 (** Statistics of every entry (an all-wildcards match). Asynchronous;
     the callback runs when the reply arrives. *)
-
-val request_port_stats : t -> sw -> (Ofmsg.port_stats list -> unit) -> unit
-
-val barrier : t -> sw -> (unit -> unit) -> unit
 
 val packet_in_kind : Causal.kind
 (** The ["ctrl:packet_in"] causal node, printed by

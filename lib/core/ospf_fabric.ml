@@ -1,7 +1,7 @@
 open Horse_engine
 open Horse_topo
 open Horse_ospf
-include Routed_core
+open Routed_core
 
 type t = Daemon.t fabric
 

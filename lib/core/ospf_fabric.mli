@@ -13,7 +13,6 @@
 
 open Horse_net
 open Horse_topo
-open Horse_dataplane
 open Horse_ospf
 
 type t = Daemon.t Routed_core.fabric
@@ -22,36 +21,19 @@ val build :
   cm:Connection_manager.t -> originate:(int -> (Prefix.t * int) list) -> Topology.t -> t
 (** [originate node] lists (prefix, metric) stubs the daemon on that
     node advertises. The daemons keep {!Daemon.default_config}'s
-    timers (hello 2 s, dead 8 s) and are created but not started. *)
+    timers (hello 2 s, dead 8 s) and are created but not started.
 
-val start : t -> unit
-val daemons : t -> (int * Daemon.t) list
-
-(** {2 The routed-fabric surface}
-
-    Shared with {!Routed_fabric} and documented in {!Routed_core}. Here
-    a session is an adjacency (established = Full at both ends), a
-    failed link makes both ends drop the adjacency, re-originate their
-    LSAs and reconverge around it, a restored one re-forms through
-    Init → TwoWay → Full, a crashed daemon's neighbours notice via
-    their dead intervals, and a restarted one re-originates its LSA
-    and resumes hellos. OSPF has no administrative session reset: the
-    fault target's [session_reset] reports [false]. *)
-
-val table : t -> int -> Fwd.t
-val on_fib_change : t -> (int -> Prefix.t -> unit) -> unit
-val is_converged : t -> bool
-val when_converged : t -> (unit -> unit) -> unit
-
-val sessions_expected : t -> int
-val sessions_established : t -> int
-val fail_link : t -> a:int -> b:int -> bool
-val restore_link : t -> a:int -> b:int -> bool
-
-val fault_target : t -> Horse_faults.Injector.target
-(** Described as ["ospf-fabric"]. *)
-
-val fib_fingerprint : t -> string
+    Everything else a fabric offers (start, FIB tables and walks,
+    convergence, sessions, link and node faults, the fault target
+    ["ospf-fabric"], the FIB fingerprint) is the {!Routed_core}
+    surface, called on the fabric directly. Here a session is an
+    adjacency (established = Full at both ends), a failed link makes
+    both ends drop the adjacency, re-originate their LSAs and
+    reconverge around it, a restored one re-forms through Init →
+    TwoWay → Full, a crashed daemon's neighbours notice via their dead
+    intervals, and a restarted one re-originates its LSA and resumes
+    hellos. OSPF has no administrative session reset: the fault
+    target's [session_reset] reports [false]. *)
 
 val fib_write_detail : Topology.t -> int -> string
 (** The printer of the fabric's ["fib:write"] causal nodes, registered

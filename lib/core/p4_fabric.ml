@@ -54,7 +54,7 @@ let build ~cm topo =
       let sched = Connection_manager.scheduler cm in
       let sent = ref 0 and acks = ref 0 in
       let trace = Connection_manager.trace cm in
-      let ctrl_proc = Process.create sched ~name:"p4-controller" in
+      let ctrl_proc = Process.create sched in
       let t =
         {
           fabric_topo = topo;
@@ -72,7 +72,7 @@ let build ~cm topo =
       List.iter
         (fun (n : Topology.node) ->
           if n.Topology.kind = Topology.Switch then begin
-            let proc = Process.create sched ~name:("p4-" ^ n.Topology.name) in
+            let proc = Process.create sched in
             let channel =
               Connection_manager.control_channel
                 ~name:("p4runtime " ^ n.Topology.name) cm

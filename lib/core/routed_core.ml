@@ -144,7 +144,7 @@ let build ~cm proto topo =
           | Some ip -> ip
           | None -> Ipv4.of_octets 10 proto.router_id_net (id / 250) ((id mod 250) + 1)
         in
-        let proc = Process.create sched ~name:(proto.name ^ "-" ^ n.Topology.name) in
+        let proc = Process.create sched in
         let daemon, networks = proto.create proc n ~router_id in
         Hashtbl.replace daemons id daemon;
         Hashtbl.replace processes id proc;

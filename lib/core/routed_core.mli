@@ -156,9 +156,6 @@ val restore_link : 'd fabric -> a:int -> b:int -> bool
 val crash_node : 'd fabric -> int -> bool
 (** Kills the node's daemon process, silently on the wire. *)
 
-val restart_node : 'd fabric -> int -> bool
-(** Respawns a crashed daemon process. *)
-
 val fault_target : 'd fabric -> Horse_faults.Injector.target
 (** The fabric as a fault-injection target (node names resolve via the
     topology). [converged] means {!is_converged} and every session

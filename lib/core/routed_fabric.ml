@@ -78,5 +78,3 @@ let build ?(hold_time = Time.of_sec 9.0) ~cm ~originate topo =
     (daemons t);
   t
 
-let speakers = daemons
-let speaker = daemon

@@ -38,12 +38,14 @@ val start : t -> unit
 (** Starts every speaker at the current virtual time, in speaker-table
     order (schedule this inside the experiment for a t=0 boot). *)
 
-val speakers : t -> (int * Speaker.t) list
-val speaker : t -> int -> Speaker.t option
-
 (** {2 The routed-fabric surface}
 
-    Shared with {!Ospf_fabric} and documented in {!Routed_core}. Here
+    The values below are the {!Routed_core} ones the benchmarks and
+    examples call through this module; the rest of that surface
+    (speakers by node, convergence, session counts, FIB-change hooks,
+    node restarts) is called as [Routed_core] on the fabric directly.
+    Both are documented in {!Routed_core}, and shared with
+    {!Ospf_fabric}. Here
     a session is an eBGP session, a fault that closes one makes both
     speakers retract the peer's routes and propagate withdrawals, a
     crashed speaker's peers find out via their hold timers, a
@@ -55,20 +57,15 @@ val speaker : t -> int -> Speaker.t option
 val table : t -> int -> Fwd.t
 val all_prefixes : t -> Prefix.t list
 val fib_routes_installed : t -> int
-val on_fib_change : t -> (int -> Prefix.t -> unit) -> unit
-val is_converged : t -> bool
 val when_converged : t -> (unit -> unit) -> unit
 
 val path_for :
   ?hash:(Flow_key.t -> int) -> t -> Flow_key.t -> (Spf.path, string) result
 (** Default hash: {!Flow_key.hash_src_dst}, the BGP scenario's. *)
 
-val sessions_expected : t -> int
-val sessions_established : t -> int
 val fail_link : t -> a:int -> b:int -> bool
 val restore_link : t -> a:int -> b:int -> bool
 val crash_node : t -> int -> bool
-val restart_node : t -> int -> bool
 
 val fault_target : t -> Horse_faults.Injector.target
 (** Described as ["routed-fabric"]. *)

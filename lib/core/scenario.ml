@@ -276,8 +276,8 @@ let run (spec : Spec.t) =
     fib_provenance = provenance ();
   }
 
-let run_fat_tree_te ?seed ?sample_every ?config ?faults ~pods ~te ~duration () =
-  run (Spec.make ?seed ?sample_every ?config ?faults ~duration (Spec.Fat_tree pods) te)
+let run_fat_tree_te ?seed ?faults ~pods ~te ~duration () =
+  run (Spec.make ?seed ?faults ~duration (Spec.Fat_tree pods) te)
 
 (* --- Million-user CDN/anycast workload on the WAN -------------------- *)
 
@@ -318,7 +318,7 @@ type mu_cell = {
 (* The megauser day samples the fluid state every 500 ms. *)
 let megauser_sample_every = Time.of_ms 500
 
-let run_wan_megauser ?(seed = 42) ?wan ?(classes = 20_000) ?(users = 1_000_000)
+let run_wan_megauser ?seed:_ ?wan ?(classes = 20_000) ?(users = 1_000_000)
     ?(user_demand = 150e3) ?(headroom = 1.1) ?(sites = 3) ?(ticks = 48)
     ?(duration = Time.of_sec 60.0) () =
   let wan = match wan with Some w -> w | None -> Wan.abilene () in
@@ -333,7 +333,6 @@ let run_wan_megauser ?(seed = 42) ?wan ?(classes = 20_000) ?(users = 1_000_000)
         let hosts = Wan.attach_hosts ~capacity:40e9 wan in
         let sched = Sched.create () in
         let fluid = Fluid.create sched topo in
-        ignore seed;
         (* Anycast replicas: site cities spread across the index range
            (for Abilene that is roughly west-to-east). *)
         let site_city = Array.init sites (fun s -> s * n_cities / sites) in

@@ -132,7 +132,7 @@ let channel_latency = Time.of_ms 1
 let build ~cm ~fluid topo =
   let sched = Connection_manager.scheduler cm in
   let trace = Connection_manager.trace cm in
-  let ctrl_proc = Process.create sched ~name:"controller" in
+  let ctrl_proc = Process.create sched in
   let ctrl = Controller.create ~trace ctrl_proc in
   let t =
     {
@@ -183,7 +183,7 @@ let build ~cm ~fluid topo =
     (fun (n : Topology.node) ->
       if n.Topology.kind = Topology.Switch then begin
         t.n_switches <- t.n_switches + 1;
-        let proc = Process.create sched ~name:("of-" ^ n.Topology.name) in
+        let proc = Process.create sched in
         let channel =
           Connection_manager.control_channel ~latency:channel_latency
             ~name:("openflow " ^ n.Topology.name) cm
@@ -211,29 +211,6 @@ let build ~cm ~fluid topo =
                       int_of_float (Fluid.delivered_bits fluid flow /. 8.0)
                     in
                     (bytes / 1500, bytes)));
-        Switch.set_port_stats_provider agent (fun port ->
-            let tx_bytes =
-              match Switch.link_of_port agent port with
-              | None -> 0
-              | Some link_id ->
-                  (* Approximate: cumulative bits of flows currently
-                     crossing the link. Iterated, not listed — the
-                     stats poller runs every polling interval on every
-                     port, so this path stays allocation-free. *)
-                  let acc = ref 0 in
-                  Fluid.iter_flows_on_link fluid link_id (fun f ->
-                      acc :=
-                        !acc
-                        + int_of_float (Fluid.delivered_bits fluid f /. 8.0));
-                  !acc
-            in
-            {
-              Ofmsg.ps_port = port;
-              ps_rx_packets = 0;
-              ps_tx_packets = tx_bytes / 1500;
-              ps_rx_bytes = 0;
-              ps_tx_bytes = tx_bytes;
-            });
         Switch.on_flow_mod agent (fun _fm -> schedule_retry t);
         Switch.on_packet_out agent (fun _po -> schedule_retry t);
         Switch.start agent;

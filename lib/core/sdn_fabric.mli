@@ -45,16 +45,12 @@ val packet_ins : t -> int
 val handshaken : t -> bool
 (** All switches completed the OpenFlow handshake. *)
 
-val fail_link : t -> a:int -> b:int -> bool
-(** Takes the duplex link between two adjacent switches down: both
-    agents raise PORT_STATUS to the controller, their [link_of_port]
-    stops resolving the ports, and table entries pointing at them act
-    as misses (re-raising PACKET_INs) until the applications repair
-    the paths. Returns [false] if the nodes are not adjacent
-    switches. *)
-
-val restore_link : t -> a:int -> b:int -> bool
-
 val fault_target : t -> Horse_faults.Injector.target
-(** Described as ["sdn-fabric"]: {!fail_link} and {!restore_link} only;
-    [converged] holds when no flow waits for a path. *)
+(** Described as ["sdn-fabric"]: link down and up only; [converged]
+    holds when no flow waits for a path. A link down takes the duplex
+    link between two adjacent switches down: both agents raise
+    PORT_STATUS to the controller, their [link_of_port] stops
+    resolving the ports, and table entries pointing at them act as
+    misses (re-raising PACKET_INs) until the applications repair the
+    paths. Link down and up report [false] unless the named nodes are
+    adjacent switches. *)

@@ -404,14 +404,6 @@ let flows_on_link t link_id =
       |> List.sort (fun (a : Flow.t) (b : Flow.t) ->
              Int.compare a.Flow.id b.Flow.id)
 
-(* Allocation-free variant for telemetry paths: no list, no sort —
-   iteration order is unspecified. *)
-let iter_flows_on_link t link_id fn =
-  ensure_fresh t;
-  match Hashtbl.find_opt t.link_index link_id with
-  | None -> ()
-  | Some members -> Hashtbl.iter (fun _ f -> fn f) members
-
 let link_load t link_id =
   ensure_fresh t;
   match Hashtbl.find_opt t.link_index link_id with

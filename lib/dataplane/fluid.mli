@@ -91,11 +91,6 @@ val flows_on_link : t -> int -> Flow.t list
 (** Active flows whose path crosses the directed link, in start
     order. O(flows on that link) via the membership index. *)
 
-val iter_flows_on_link : t -> int -> (Flow.t -> unit) -> unit
-(** Like {!flows_on_link} but allocation-free: no list is built and
-    the iteration order is unspecified. The choice for telemetry hot
-    paths (e.g. per-port stats providers). *)
-
 val current_rate : t -> Flow.t -> float
 (** Allocated rate right now (0 for a stopped flow). *)
 

@@ -10,7 +10,6 @@ type link_state = {
 type t = {
   sched : Sched.t;
   topo : Topology.t;
-  queue_pkts : int;
   hash : Flow_key.t -> int;
   stack_work : bool;
   tables : Fwd.t array;
@@ -25,13 +24,15 @@ type t = {
   mutable delay_max : float;
 }
 
-let create ?(queue_pkts = 100) ?(hash = Flow_key.hash_5tuple)
+(* The per-link FIFO capacity, in packets. *)
+let queue_pkts = 100
+
+let create ?(hash = Flow_key.hash_5tuple)
     ?(stack_work = false) sched topo () =
   let n = Topology.n_nodes topo and m = Topology.n_links topo in
   {
     sched;
     topo;
-    queue_pkts;
     hash;
     stack_work;
     tables = Array.init n (fun _ -> Fwd.create ());
@@ -91,7 +92,7 @@ let rec arrive t ~node ~key ~bytes_len ~ttl ~sent_at =
 and transmit t ~link_id ~key ~bytes_len ~ttl ~sent_at =
   let link = Topology.link t.topo link_id in
   let state = t.links.(link_id) in
-  if state.queued >= t.queue_pkts then t.drops <- t.drops + 1
+  if state.queued >= queue_pkts then t.drops <- t.drops + 1
   else begin
     state.queued <- state.queued + 1;
     t.tx_packets <- t.tx_packets + 1;

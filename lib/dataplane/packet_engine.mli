@@ -19,17 +19,15 @@ open Horse_topo
 type t
 
 val create :
-  ?queue_pkts:int ->
   ?hash:(Flow_key.t -> int) ->
   ?stack_work:bool ->
   Sched.t ->
   Topology.t ->
   unit ->
   t
-(** [queue_pkts] is the per-link FIFO capacity (default 100);
-    [hash] selects the ECMP member (default 5-tuple hash);
-    [stack_work] (default [false]) encodes/decodes a real frame per
-    hop. *)
+(** Every link has a 100-packet FIFO; [hash] selects the ECMP member
+    (default 5-tuple hash); [stack_work] (default [false])
+    encodes/decodes a real frame per hop. *)
 
 val table : t -> int -> Fwd.t
 (** The forwarding table of a node; program it with routes whose

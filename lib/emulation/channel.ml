@@ -9,9 +9,6 @@ type impairment = {
   duplicate : float;
 }
 
-let no_impairment =
-  { loss = 0.0; extra_delay = Time.zero; jitter = Time.zero; duplicate = 0.0 }
-
 (* What one endpoint receives: its handler, the backlog queued before
    a handler exists, and its own open flag (each side's teardown runs
    its own close hook). *)

@@ -30,9 +30,6 @@ type impairment = {
     {!set_impairment}). With jitter, deliveries may reorder — exactly
     the stress a real flapping WAN path puts on a routing session. *)
 
-val no_impairment : impairment
-(** All zeroes — a clean link. *)
-
 val create : Sched.t -> ?latency:Time.t -> unit -> t
 (** Default latency 1 ms (a LAN-ish control RTT of 2 ms). *)
 

@@ -1,7 +1,6 @@
 open Horse_engine
 
 type t = {
-  proc_name : string;
   sched : Sched.t;
   mutable alive : bool;
   mutable recurrings : Sched.recurring list;
@@ -21,10 +20,9 @@ let restarts_counter sched =
     ~subsystem:"emulation" ~help:"Emulated process restarts"
     "process_restarts_total"
 
-let create sched ~name =
+let create sched =
   Horse_telemetry.Registry.Gauge.add (alive_gauge sched) 1.0;
   {
-    proc_name = name;
     sched;
     alive = true;
     recurrings = [];
@@ -32,7 +30,6 @@ let create sched ~name =
     restart_hooks = [];
   }
 
-let name t = t.proc_name
 let scheduler t = t.sched
 let is_alive t = t.alive
 

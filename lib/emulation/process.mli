@@ -2,19 +2,18 @@
 
     In the authors' system the control plane is made of real OS
     processes (Quagga daemons, SDN controllers) in network namespaces;
-    here a process is an identity plus a set of virtual-time timers,
-    all of which die together when the process is killed — which is
-    how experiments inject control-plane failures (a dead router stops
-    sending KEEPALIVEs and its peers' hold timers expire, exactly as
-    with a killed daemon). *)
+    here a process is a set of virtual-time timers, all of which die
+    together when the process is killed — which is how experiments
+    inject control-plane failures (a dead router stops sending
+    KEEPALIVEs and its peers' hold timers expire, exactly as with a
+    killed daemon). *)
 
 open Horse_engine
 
 type t
 
-val create : Sched.t -> name:string -> t
+val create : Sched.t -> t
 
-val name : t -> string
 val scheduler : t -> Sched.t
 val is_alive : t -> bool
 

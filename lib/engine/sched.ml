@@ -139,7 +139,6 @@ type t = {
   mutable rev_transitions : transition list;
   mutable run_start_wall : float;
   mutable abort_flag : bool;
-  mutable rev_abort_hooks : (unit -> unit) list;
   deferred : (unit -> unit) Queue.t;
   causal_g : Causal.t option;
   mutable cur_cause : Causal.id;
@@ -152,13 +151,13 @@ type t = {
   mutable seg_stepped_end : Time.t;  (* end of the latest such increment *)
   mutable seg_published : totals;  (* already added to the registry *)
   mutable causal_published : int * int;
-      (* causal nodes and drops already added to the registry: a
-         registry shared between schedulers sums their growth *)
+      (* causal nodes and drops already added to the registry, so a
+         repeated snapshot adds only the growth since the last *)
 }
 
 let gauge_of_mode = function Des -> 0.0 | Fti -> 1.0
 
-let create ?(config = default_config) ?registry () =
+let create ?(config = default_config) () =
   if Time.to_us config.fti_increment < 1 then
     invalid_arg "Sched.create: fti_increment must be at least 1 us";
   if Time.(config.quiet_timeout < Time.zero) then
@@ -167,9 +166,7 @@ let create ?(config = default_config) ?registry () =
     invalid_arg "Sched.create: fti_pacing must be non-negative";
   if not (config.max_wall_s >= 0.0) then
     invalid_arg "Sched.create: max_wall_s must be non-negative";
-  let reg =
-    match registry with Some reg -> reg | None -> Registry.create ()
-  in
+  let reg = Registry.create () in
   let m = make_metrics reg in
   Gauge.set m.g_mode (gauge_of_mode Des);
   {
@@ -184,7 +181,6 @@ let create ?(config = default_config) ?registry () =
     rev_transitions = [];
     run_start_wall = Wall.now ();
     abort_flag = false;
-    rev_abort_hooks = [];
     deferred = Queue.create ();
     causal_g = (if config.causal then Some (Causal.create ()) else None);
     cur_cause = Causal.none;
@@ -420,7 +416,6 @@ let control_activity ?(reason = "control-plane activity") t =
   | Fti -> ()
   | Des -> record_transition t Fti reason
 
-let on_abort t f = t.rev_abort_hooks <- f :: t.rev_abort_hooks
 let aborted t = t.abort_flag
 
 let snapshot t =
@@ -492,8 +487,7 @@ let watchdog_expired t =
 
 let fire_abort t =
   t.abort_flag <- true;
-  Counter.incr t.m.m_watchdog_aborts;
-  List.iter (fun f -> f ()) (List.rev t.rev_abort_hooks)
+  Counter.incr t.m.m_watchdog_aborts
 
 (* One loop for both modes: events run at their exact timestamps, and
    FTI only adds the quiet-timeout exit, increment accounting and

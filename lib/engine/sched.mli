@@ -35,7 +35,7 @@
     are recorded and returned in {!stats} (this drives the Figure 1
     reproduction).
 
-    Every scheduler owns (or is given) a telemetry registry and keeps
+    Every scheduler owns a telemetry registry and keeps
     its counters there — [horse_sched_events_total],
     [horse_sched_wall_in_des_seconds] and friends; {!stats} is a view
     over those metrics, so exporters and {!stats} can never
@@ -63,9 +63,8 @@ type config = {
   max_wall_s : float;
       (** Wall-clock watchdog: a {!run} that exceeds this many wall
           seconds is aborted gracefully after the event in progress —
-          {!run} returns a snapshot with [aborted = true] and
-          registered {!on_abort} hooks fire first, so callers can
-          still flush telemetry and print a partial report. [0.0]
+          {!run} returns a snapshot with [aborted = true], so callers
+          can still flush telemetry and print a partial report. [0.0]
           (default) disables it. *)
   causal : bool;
       (** default [true]: record the causal graph — every interesting
@@ -121,12 +120,9 @@ val pp_timeline : Format.formatter -> stats -> unit
 (** The whole transition list, one per line, as the Figure 1
     timeline. *)
 
-val create :
-  ?config:config -> ?registry:Horse_telemetry.Registry.t -> unit -> t
-(** Without [?registry], the scheduler creates a private registry so
-    concurrent experiments in one process never share counters. Pass
-    one explicitly (the same [Horse_telemetry.Registry.t] to each) to
-    aggregate across schedulers.
+val create : ?config:config -> unit -> t
+(** The scheduler creates a private registry, so concurrent
+    experiments in one process never share counters.
     @raise Invalid_argument if [fti_increment] is under 1 us or
     [quiet_timeout], [fti_pacing] or [max_wall_s] is negative. *)
 
@@ -240,11 +236,6 @@ val control_activity : ?reason:string -> t -> unit
     FTI if in DES (recording a transition) and refreshes the quiet
     timer. Called by the Connection Manager, never by data-plane
     code. *)
-
-val on_abort : t -> (unit -> unit) -> unit
-(** Registers a hook run (in registration order) when the [max_wall_s]
-    watchdog aborts a run, before {!run} returns. Use it to flush
-    exporters or mark partial results. *)
 
 val aborted : t -> bool
 (** Whether the last (or current) run was aborted by the watchdog. *)

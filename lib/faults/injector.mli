@@ -76,4 +76,5 @@ val reconvergence : t -> (string * Time.t * Time.t) list
     from an earlier one shares its reconvergence observation. *)
 
 val report_json : t -> Horse_telemetry.Json.t
-(** The per-fault record for run reports and bench artifacts. *)
+(** The per-fault record: the ["faults"] half of the fault smoke's
+    [fault_smoke.json] artifact (test/smoke), beside the armed plan. *)

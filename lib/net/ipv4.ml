@@ -61,14 +61,7 @@ let to_string a =
   Printf.sprintf "%d.%d.%d.%d" x y z w
 
 let any = 0l
-let broadcast = 0xFFFFFFFFl
-let localhost = of_octets 127 0 0 1
-let succ a = Int32.add a 1l
 let add a n = Int32.add a (Int32.of_int n)
-
-let diff a b =
-  let u x = Int32.to_int x land 0xFFFFFFFF in
-  (u a - u b) land 0xFFFFFFFF
 
 let compare a b =
   (* Unsigned comparison via bias. *)

@@ -38,22 +38,9 @@ val to_string : t -> string
 val any : t
 (** [0.0.0.0]. *)
 
-val broadcast : t
-(** [255.255.255.255]. *)
-
-val localhost : t
-(** [127.0.0.1]. *)
-
-val succ : t -> t
-(** Next address, wrapping at [255.255.255.255]. *)
-
 val add : t -> int -> t
 (** [add a n] offsets [a] by [n] (may be negative), with unsigned
     wrap-around. *)
-
-val diff : t -> t -> int
-(** [diff a b] is the unsigned distance [a - b] interpreted in
-    [0, 2^32); exact for all inputs on a 64-bit platform. *)
 
 val compare : t -> t -> int
 (** Unsigned order: [0.0.0.1 < 128.0.0.0 < 255.255.255.255]. *)

@@ -47,7 +47,6 @@ let to_string m =
 
 let broadcast = mask48
 let zero = 0L
-let is_multicast m = Int64.logand (Int64.shift_right_logical m 40) 1L = 1L
 
 let of_index i =
   (* 0x02 first octet: locally administered, unicast. *)

@@ -25,10 +25,6 @@ val broadcast : t
 val zero : t
 (** [00:00:00:00:00:00]. *)
 
-val is_multicast : t -> bool
-(** True iff the group bit (LSB of the first octet) is set; note the
-    broadcast address is also multicast. *)
-
 val of_index : int -> t
 (** [of_index i] is a deterministic locally-administered unicast
     address for node number [i]; distinct for all [i] in [0, 2^40). *)

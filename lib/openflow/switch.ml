@@ -60,7 +60,6 @@ type t = {
   mutable packet_out_hooks : (Ofmsg.packet_out -> unit) list;
   mutable expired_hooks : (Flow_table.entry -> unit) list;
   mutable flow_stats_provider : (Flow_table.entry -> int * int) option;
-  mutable port_stats_provider : (int -> Ofmsg.port_stats) option;
   mutable packet_ins : int;
   mutable flow_mods : int;
   mutable started : bool;
@@ -150,19 +149,17 @@ let handle t msg xid =
       let wanted =
         if port = 0xFFFF then List.map fst t.port_to_link else [ port ]
       in
+      (* The agent keeps no port counters: every port reports zeros. *)
       let stats =
         List.map
           (fun p ->
-            match t.port_stats_provider with
-            | Some provider -> provider p
-            | None ->
-                {
-                  Ofmsg.ps_port = p;
-                  ps_rx_packets = 0;
-                  ps_tx_packets = 0;
-                  ps_rx_bytes = 0;
-                  ps_tx_bytes = 0;
-                })
+            {
+              Ofmsg.ps_port = p;
+              ps_rx_packets = 0;
+              ps_tx_packets = 0;
+              ps_rx_bytes = 0;
+              ps_tx_bytes = 0;
+            })
           wanted
       in
       send_xid t xid (Ofmsg.Stats_reply (Ofmsg.Port_stats_rep stats))
@@ -195,7 +192,6 @@ let create ?trace proc ~dpid ~ports endpoint =
       packet_out_hooks = [];
       expired_hooks = [];
       flow_stats_provider = None;
-      port_stats_provider = None;
       packet_ins = 0;
       flow_mods = 0;
       started = false;
@@ -273,6 +269,5 @@ let on_flow_mod t f = t.flow_mod_hooks <- t.flow_mod_hooks @ [ f ]
 let on_packet_out t f = t.packet_out_hooks <- t.packet_out_hooks @ [ f ]
 let on_expired t f = t.expired_hooks <- t.expired_hooks @ [ f ]
 let set_flow_stats_provider t f = t.flow_stats_provider <- Some f
-let set_port_stats_provider t f = t.port_stats_provider <- Some f
 let packet_ins_sent t = t.packet_ins
 let flow_mods_received t = t.flow_mods

@@ -69,8 +69,6 @@ val set_flow_stats_provider : t -> (Flow_table.entry -> int * int) -> unit
     installs a provider that integrates flow rates, so Hedera sees
     live byte counts. *)
 
-val set_port_stats_provider : t -> (int -> Ofmsg.port_stats) -> unit
-
 val packet_ins_sent : t -> int
 val flow_mods_received : t -> int
 

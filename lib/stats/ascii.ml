@@ -1,23 +1,5 @@
 open Horse_engine
 
-let blocks = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
-                "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]
-
-let sparkline xs =
-  match xs with
-  | [] -> ""
-  | _ ->
-      let lo = List.fold_left Float.min infinity xs in
-      let hi = List.fold_left Float.max neg_infinity xs in
-      let range = if hi -. lo <= 0.0 then 1.0 else hi -. lo in
-      let buf = Buffer.create (List.length xs * 3) in
-      List.iter
-        (fun x ->
-          let level = int_of_float ((x -. lo) /. range *. 7.0) in
-          Buffer.add_string buf blocks.(Stdlib.max 0 (Stdlib.min 7 level)))
-        xs;
-      Buffer.contents buf
-
 let glyphs = [| '*'; '+'; 'o'; 'x'; '#'; '@'; '%'; '&' |]
 
 (* Average the samples of [s] into [width] buckets spanning

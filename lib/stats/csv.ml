@@ -18,10 +18,6 @@ let escape field =
 let write_row fmt fields =
   Format.fprintf fmt "%s@." (String.concat "," (List.map escape fields))
 
-let write_rows fmt ~header rows =
-  write_row fmt header;
-  List.iter (write_row fmt) rows
-
 let write_series fmt series =
   match series with
   | [] -> ()
@@ -30,7 +26,7 @@ let write_series fmt series =
       List.iter
         (fun (_, s) ->
           if Series.length s <> n then
-            invalid_arg "Csv.write_series: sampling grid mismatch")
+            invalid_arg "Csv.save_series: sampling grid mismatch")
         series;
       write_row fmt ("time_s" :: List.map fst series);
       let columns = List.map (fun (_, s) -> Array.of_list (Series.to_list s)) series in
@@ -42,7 +38,7 @@ let write_series fmt series =
                (fun col ->
                  let at', v = col.(i) in
                  if not (Time.equal at at') then
-                   invalid_arg "Csv.write_series: sampling grid mismatch";
+                   invalid_arg "Csv.save_series: sampling grid mismatch";
                  Printf.sprintf "%.6g" v)
                columns
         in

@@ -1,15 +1,8 @@
 (** CSV export of time series, for offline plotting of the
     reproduced figures. *)
 
-val write_series : Format.formatter -> (string * Series.t) list -> unit
-(** Writes [time_s,<name1>,<name2>,...] rows. Series must share the
-    same sampling grid (as produced by one experiment run); a grid
-    mismatch raises [Invalid_argument]. *)
-
 val save_series : path:string -> (string * Series.t) list -> unit
-(** {!write_series} into a file. *)
-
-val write_rows :
-  Format.formatter -> header:string list -> string list list -> unit
-(** Generic row writer; fields containing commas or quotes are
-    escaped per RFC 4180. *)
+(** Writes [time_s,<name1>,<name2>,...] rows into a file; names
+    holding commas, quotes or newlines are escaped per RFC 4180.
+    Series must share the same sampling grid (as produced by one
+    experiment run); a grid mismatch raises [Invalid_argument]. *)

@@ -29,7 +29,6 @@ let length t = t.n
 let is_empty t = t.n = 0
 let to_list t = List.init t.n (fun i -> (t.times.(i), t.vals.(i)))
 let last t = if t.n = 0 then None else Some (t.times.(t.n - 1), t.vals.(t.n - 1))
-let values t = List.init t.n (fun i -> t.vals.(i))
 
 let mean t =
   if t.n = 0 then 0.0
@@ -48,49 +47,9 @@ let max_value t =
   done;
   !m
 
-let integrate t =
-  let acc = ref 0.0 in
-  for i = 0 to t.n - 2 do
-    let dt = Time.to_sec (Time.sub t.times.(i + 1) t.times.(i)) in
-    acc := !acc +. (t.vals.(i) *. dt)
-  done;
-  !acc
-
-let between t start stop =
-  let out = create () in
-  for i = 0 to t.n - 1 do
-    if Time.(t.times.(i) >= start) && Time.(t.times.(i) <= stop) then
-      add out t.times.(i) t.vals.(i)
-  done;
-  out
-
 let map t ~f =
   let out = create () in
   for i = 0 to t.n - 1 do
     add out t.times.(i) (f t.vals.(i))
   done;
   out
-
-let merge_sum series =
-  match series with
-  | [] -> create ()
-  | first :: _ ->
-      let out = create () in
-      let n = first.n in
-      List.iter
-        (fun s ->
-          if s.n <> n then invalid_arg "Series.merge_sum: length mismatch")
-        series;
-      for i = 0 to n - 1 do
-        let at = first.times.(i) in
-        let total =
-          List.fold_left
-            (fun acc s ->
-              if not (Time.equal s.times.(i) at) then
-                invalid_arg "Series.merge_sum: timestamp mismatch";
-              acc +. s.vals.(i))
-            0.0 series
-        in
-        add out at total
-      done;
-      out

@@ -19,7 +19,6 @@ val to_list : t -> (Time.t * float) list
 (** Chronological. *)
 
 val last : t -> (Time.t * float) option
-val values : t -> float list
 
 val mean : t -> float
 (** Arithmetic mean of the values; 0 on an empty series. *)
@@ -27,15 +26,4 @@ val mean : t -> float
 val max_value : t -> float
 (** 0 on an empty series. *)
 
-val integrate : t -> float
-(** Step (left-rectangle) integral of value × seconds — e.g. bits for
-    a bps series. 0 with fewer than two samples. *)
-
-val between : t -> Time.t -> Time.t -> t
-(** Samples with [start <= t <= stop]. *)
-
 val map : t -> f:(float -> float) -> t
-
-val merge_sum : t list -> t
-(** Pointwise sum of series sharing identical timestamps; series
-    sampled on different grids raise [Invalid_argument]. *)

@@ -8,11 +8,11 @@ type t = {
   mutable sum : float;
 }
 
-let create_log ?(buckets_per_decade = 3) ~lo ~hi () =
+let buckets_per_decade = 3
+
+let create_log ~lo ~hi () =
   if not (lo > 0.0 && hi > lo) then
     invalid_arg "Histogram.create_log: need 0 < lo < hi";
-  if buckets_per_decade < 1 then
-    invalid_arg "Histogram.create_log: buckets_per_decade < 1";
   let ratio = 10.0 ** (1.0 /. float_of_int buckets_per_decade) in
   let n =
     int_of_float (Float.ceil (log (hi /. lo) /. log ratio)) |> Stdlib.max 1

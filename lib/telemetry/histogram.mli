@@ -6,9 +6,9 @@
 
 type t
 
-val create_log : ?buckets_per_decade:int -> lo:float -> hi:float -> unit -> t
-(** Logarithmic buckets covering [lo, hi] (default 3 buckets per
-    decade), plus underflow and overflow buckets.
+val create_log : lo:float -> hi:float -> unit -> t
+(** Logarithmic buckets covering [lo, hi], 3 per decade, plus
+    underflow and overflow buckets.
     @raise Invalid_argument unless [0 < lo < hi]. *)
 
 val add : t -> float -> unit

@@ -105,12 +105,12 @@ let gauge t ~subsystem ?(help = "") ?(labels = []) name =
   | M_gauge g -> g
   | m -> kind_error name ~want:"gauge" m
 
-let histogram t ~subsystem ?(help = "") ?(labels = []) ?buckets_per_decade ~lo
+let histogram t ~subsystem ?(help = "") ?(labels = []) ~lo
     ~hi name =
   let name = full_name ~subsystem name in
   match
     get_or_register t ~name ~labels ~help (fun () ->
-        M_histogram (Histogram.create_log ?buckets_per_decade ~lo ~hi ()))
+        M_histogram (Histogram.create_log ~lo ~hi ()))
   with
   | M_histogram h -> h
   | m -> kind_error name ~want:"histogram" m

@@ -58,7 +58,7 @@ val gauge :
 
 val histogram :
   t -> subsystem:string -> ?help:string -> ?labels:(string * string) list ->
-  ?buckets_per_decade:int -> lo:float -> hi:float -> string -> Histogram.t
+  lo:float -> hi:float -> string -> Histogram.t
 
 (** All three raise [Invalid_argument] if the name contains characters
     outside [[a-z0-9_]], or if the same (name, labels) pair was

@@ -16,7 +16,6 @@ type workspace = {
   mutable count : int array;
   mutable counted : int array;
   mutable epoch : int;
-  mutable expanded : int;
 }
 
 let workspace () =
@@ -27,10 +26,7 @@ let workspace () =
     count = [||];
     counted = [||];
     epoch = 0;
-    expanded = 0;
   }
-
-let expanded ws = ws.expanded
 
 (* A node's [dist] entry is current only while its stamp equals the
    epoch, so bumping the epoch resets the workspace without clearing
@@ -52,7 +48,6 @@ let bfs ws ~usable topo ~src ~stop =
   end;
   let epoch = ws.epoch + 1 in
   ws.epoch <- epoch;
-  ws.expanded <- 0;
   ws.stamp.(src) <- epoch;
   ws.dist.(src) <- 0;
   ws.queue.(0) <- src;
@@ -60,7 +55,6 @@ let bfs ws ~usable topo ~src ~stop =
   while !head < !tail && not !found do
     let u = ws.queue.(!head) in
     incr head;
-    ws.expanded <- ws.expanded + 1;
     let d = ws.dist.(u) + 1 in
     List.iter
       (fun (l : Topology.link) ->
@@ -106,22 +100,21 @@ let enumerate ~max_paths ~src ~dst iter =
   walk dst [];
   List.rev !found
 
-let shortest_tree ?(usable = fun _ -> true) topo ~src =
+let shortest_tree topo ~src =
   let ws = workspace () in
-  bfs ws ~usable topo ~src ~stop:(-1);
+  bfs ws ~usable:(fun _ -> true) topo ~src ~stop:(-1);
   let dist = Array.init (Topology.n_nodes topo) (hops ws) in
   let preds = Array.make (Topology.n_nodes topo) [] in
   (* Descending link id, so consing leaves each list ascending. *)
   for id = Topology.n_links topo - 1 downto 0 do
     let l = Topology.link topo id in
     let d = dist.(l.Topology.src) in
-    if d <> max_int && dist.(l.Topology.dst) = d + 1 && usable l then
+    if d <> max_int && dist.(l.Topology.dst) = d + 1 then
       preds.(l.Topology.dst) <- l :: preds.(l.Topology.dst)
   done;
   { src; dist; preds }
 
 let ecmp_between ~usable ws topo ~src ~dst =
-  ws.expanded <- 0;
   if src = dst || dst < 0 || dst >= Topology.n_nodes topo then []
   else begin
     bfs ws ~usable topo ~src ~stop:dst;
@@ -178,7 +171,6 @@ let rec nth_path ws ~usable topo ~src v i suffix =
     choose i (Topology.out_links topo v)
 
 let ecmp_pick ~usable ws topo ~src ~dst index =
-  ws.expanded <- 0;
   if src = dst || dst < 0 || dst >= Topology.n_nodes topo then None
   else begin
     bfs ws ~usable topo ~src ~stop:dst;

@@ -18,12 +18,9 @@ type tree = {
       (** for each node, every in-link lying on some shortest path *)
 }
 
-val shortest_tree :
-  ?usable:(Topology.link -> bool) -> Topology.t -> src:int -> tree
-(** Breadth-first search from [src] over the whole component. Links for
-    which [usable] (default: everything) is [false] are ignored — the
-    hook for administratively-down links. [preds] lists are in
-    ascending link id. *)
+val shortest_tree : Topology.t -> src:int -> tree
+(** Breadth-first search from [src] over the whole component, every
+    link usable. [preds] lists are in ascending link id. *)
 
 val distance : tree -> int -> int option
 (** Distance to a node, [None] if unreachable. *)
@@ -58,11 +55,11 @@ val ecmp_between :
   src:int ->
   dst:int ->
   path list
-(** [ecmp_paths (shortest_tree ~usable topo ~src) topo ~dst], element
-    for element, without building the tree: the search stops once
-    [dst] is discovered and the paths are enumerated backward from it.
-    Needs every link to come from {!Topology.add_duplex}, which is the
-    only link constructor. *)
+(** {!ecmp_paths} over the shortest-path tree from [src] of the links
+    [usable] accepts, element for element, without building the tree:
+    the search stops once [dst] is discovered and the paths are
+    enumerated backward from it. Needs every link to come from
+    {!Topology.add_duplex}, which is the only link constructor. *)
 
 val ecmp_pick :
   usable:(Topology.link -> bool) ->
@@ -82,7 +79,3 @@ val ecmp_pick :
     without calling [index], when [ecmp_between] would return [].
     @raise Invalid_argument if [index] returns an index out of
     range. *)
-
-val expanded : workspace -> int
-(** Nodes whose out-links the last {!ecmp_between} or {!ecmp_pick}
-    scanned (0 for [src = dst]); a work counter for tests. *)

@@ -62,11 +62,12 @@ let gravity ~total ~masses =
 
 let two_pi = 8.0 *. Float.atan 1.0
 
-let diurnal_factor ?(trough = 0.2) ~period_s ~phase t_s =
+(* The night-time demand, as a fraction of the peak. *)
+let trough = 0.2
+
+let diurnal_factor ~period_s ~phase t_s =
   if period_s <= 0.0 then
     invalid_arg "Traffic_matrix.diurnal_factor: period <= 0";
-  if trough < 0.0 || trough > 1.0 then
-    invalid_arg "Traffic_matrix.diurnal_factor: trough outside [0,1]";
   let cycle = (t_s /. period_s) -. phase in
   (* Peaks at whole cycles, bottoms out at [trough] half a cycle
      later. *)

@@ -36,12 +36,10 @@ val gravity : total:float -> masses:float array -> t
     @raise Invalid_argument on fewer than 2 masses, a negative mass,
     an all-zero product set, or [total <= 0]. *)
 
-val diurnal_factor :
-  ?trough:float -> period_s:float -> phase:float -> float -> float
+val diurnal_factor : period_s:float -> phase:float -> float -> float
 (** [diurnal_factor ~period_s ~phase t_s] is the time-of-day demand
     multiplier at [t_s] seconds: a raised cosine peaking at 1.0 once
     per period (at whole cycles plus [phase] — phase is in cycles, so
     0.25 shifts the peak by a quarter period) and bottoming out at
-    [trough] (default 0.2).
-    @raise Invalid_argument on [period_s <= 0] or trough outside
-    [0, 1]. *)
+    0.2 half a period later.
+    @raise Invalid_argument on [period_s <= 0]. *)

@@ -35,15 +35,6 @@ let ring n =
   done;
   { topo; routers }
 
-let star n =
-  if n < 1 then invalid_arg "Wan.star: n < 1";
-  let topo = Topology.create () in
-  let routers = make_routers topo (n + 1) in
-  for i = 1 to n do
-    ignore (Topology.add_duplex topo ~delay ~capacity routers.(0) routers.(i))
-  done;
-  { topo; routers }
-
 let random_gnp ~seed ~n ~p () =
   if n < 1 then invalid_arg "Wan.random_gnp: n < 1";
   if p < 0.0 || p > 1.0 then invalid_arg "Wan.random_gnp: p outside [0,1]";

@@ -18,10 +18,6 @@ val linear : int -> t
 val ring : int -> t
 (** A cycle; needs [n >= 3]. *)
 
-val star : int -> t
-(** [n] leaves around router 0 (so [n + 1] nodes);
-    needs [n >= 1]. *)
-
 val random_gnp : seed:int -> n:int -> p:float -> unit -> t
 (** Erdős–Rényi G(n, p), then augmented with a random spanning chain
     so the graph is always connected. Deterministic in [seed]. *)

@@ -2,12 +2,16 @@
 
    Usage: api_audit.exe ROOT
 
-   Prints, sorted, every [val] declared in ROOT/lib/*/*.mli that no
-   file outside its own module refers to, then every optional argument
-   ([M.v ?l]) of a referenced [val] that no outside caller passes.
-   "Outside" is every .ml/.mli under lib, bin, bench, test and examples
-   except the module's own pair and this directory. The scan is textual,
-   over tokens with comments and string literals removed:
+   Prints two sorted sections from one scan. "# unreferenced" lists
+   every [val] declared in ROOT/lib/*/*.mli that no file outside its
+   own module refers to, then every optional argument ([M.v ?l]) of a
+   referenced [val] that no outside caller passes. "# reached only from
+   test/" lists the values and optional arguments that would join the
+   first section if ROOT/test did not exist: everything only tests
+   call or pass. "Outside" is every .ml/.mli under lib, bin, bench,
+   test and examples except the module's own pair and this directory.
+   The scan is textual, over tokens with comments and string literals
+   removed:
 
    - [M.v] refers to v, also through a library wrapper
      ([Horse_core.M.v]) or a module alias ([module I = Horse_faults.
@@ -25,22 +29,90 @@
    The scan can err both ways (a local [let start] in a file that opens
    M counts as a use of [M.start]); the [dune] rule diffs the output
    against [api_audit.expected], so a change in either direction shows
-   up in review, and an accepted one goes in with [dune promote].
+   up in review, and an accepted one goes in with [dune promote]. The
+   rule over [fixture/] pins how the two sections classify.
 
-   Reviewed keeps, the lines of [api_audit.expected]:
+   Reviewed keeps in "# unreferenced":
    - [Leaf_spine.build ?capacity], [?delay] and [?uplink_capacity], and
      [Leaf_spine.leaf_of_host]: the leaf-spine generator stays whole
-     for the topology-generator work on the roadmap, which needs its
-     link parameters (oversubscribed uplinks) and the host-to-leaf map.
-   - [Process.name]: the reader of the name every process is created
-     with ([Process.create ~name]). Without it the required name is
-     never read, and dropping the name touches every caller of
-     [Process.create]; whether processes keep names is its own change.
+     for the generated-scenario item on the roadmap ("Invariants and
+     generated-scenario differentials"), which needs its link
+     parameters (oversubscribed uplinks) and the host-to-leaf map.
    - [Registry.histogram ?labels], [Registry.find_gauge ?labels] and
      [Registry.find_histogram ?labels]: a metric is keyed by its name
      and labels, every kind is registered and looked up with the same
      shape, and labelled gauges exist (the BGP speaker's), so a lookup
-     without labels could not reach them. *)
+     without labels could not reach them.
+
+   Reviewed keeps in "# reached only from test/", by category. A
+   feature nothing runs is deleted with the tests that only check it,
+   and a test-only duplicate of a production function is deleted for
+   the production one; what stays is one of these.
+   - Read-only inspection: counters, accessors and pure queries a test
+     reads state through, the causal kinds with their payload packers
+     and printers, the codec [equal]s, and observer hooks that only
+     watch ([Routed_core.on_fib_change], [Switch.on_expired]).
+     Agent.{nacks_sent,writes_applied}, App_ecmp.{flows_routed,
+     reroutes}, Attr_intern.{hits,size}, Causal.hash, Channel.{
+     batch_kind,send_kind,bytes_sent,messages_sent,impaired_dropped,
+     impaired_duplicated,peer}, Connection_manager.{channels_created,
+     quiet_since}, Controller.packet_in_kind, Daemon.{adj_kind,lsa_kind,
+     spf_kind,pack_adj,pp_neighbor_state,counters,lsdb,neighbor_state,
+     routes}, Env.edge_switch_of_host, Event_queue.is_cancelled,
+     Export.validate_jsonl_line, Fair_share.Delta.flow_count,
+     Fat_tree.{host_of_ip,pod_of_host}, Flow_key.equal,
+     Flow_table.stats, Fluid.{active_flows,current_rate,flows_on_link,
+     host_rx_rate,host_series,link_utilization}, Fwd.route_count,
+     Histogram.{buckets,overflow,underflow}, Injector.report_json,
+     Lsdb.{lookup,size}, Msg.equal, Ofmatch.fields_equal, Ofmsg.equal,
+     Ospf_fabric.fib_write_detail, Ospf_msg.equal, P4_fabric.{
+     nacks_received,programmed}, Packet.{equal,size}, Packet_engine.{
+     max_delay,mean_delay,rx_bytes,tx_packets}, Registry.{cardinality,
+     find_gauge}, [Registry.find_counter ?labels], Rib.{adj_in,
+     intern_table}, Routed_core.{is_converged,on_fib_change,
+     sessions_established,sessions_expected}, Routed_fabric.{
+     pack_fib_write,fib_write_detail}, Runtime.{request_equal,
+     response_equal}, Sched.{aborted,snapshot}, Sdn_fabric.{handshaken,
+     packet_ins,resolve_now}, Span.open_count, Speaker.{best,counters,
+     decide_kind,established_kind,update_kind,pack_update,peer_state,
+     rib,routes,update_group_count}, Spf.{path_length,
+     path_nodes}, Summary.of_list, Switch.{flow_mod_kind,packet_in_kind,
+     flow_mods_received,is_port_down,on_expired,table}, Topology.routers,
+     Traffic.{in_flight,records,sample_size,unroutable},
+     Traffic_matrix.{demand,n,total}, Wan.router_ip.
+   - Hooks that let a test reach a cap, substitute a fake, check a pure
+     internal alone, or set up a state the shipped runs only reach in
+     bulk: [Causal.create ?max_nodes], Clock.with_source,
+     App_ecmp.path_index, Placer.oversubscription, Mininet_model.{
+     creation_seconds,default_creation_model}, Flow_table.account (hit
+     counters without a lookup), Span.{enter,exit} (a span left open).
+   - Codec and address counterparts: the parsers, constructors and
+     inverses that tests write their inputs and round-trip properties
+     with. Ipv4.{of_string_exn,to_octets}, Mac.{of_string,of_string_exn,
+     to_string}, Prefix.{of_string,of_string_exn,nth,split,size,
+     broadcast}, Packet.{arp_request,arp_reply,tcp}, Flow_key.reverse,
+     Msg.{community,origin_of_int,header_size,max_message_size},
+     Ofmatch.{matches,to_dst}, Plan.{flap_storm,to_string}.
+   - Named by an open roadmap item:
+     - "Invariants and generated-scenario differentials": Rib.candidates
+       and Flow_table.entries (the Loc-RIB and lookup invariants read
+       them), Leaf_spine.{build,host_ip,leaf_prefix} (a generator
+       input), Plan.{to_json,of_string} (the JSON round trip a spec
+       codec follows);
+     - "The megauser day on a routed control plane": Speaker.{announce,
+       withdraw_network} (the anycast drain and its re-announce);
+     - "Measure the fluid model's error": Packet_engine.inject;
+     - "One event record: delete Trace": Trace.{add,by_label,
+       capacity,clear,dropped,entries,length,total_added} and
+       [Trace.create ?capacity], until Trace itself goes after the
+       benchmark change.
+   - BGP policy, for the parked IXP route-server item: Policy.make and
+     [Speaker.add_peer ?import] and [?export]. Removing them would
+     reshape the speaker's update groups, so it is a change of its own.
+   - Speaker.shutdown: the administrative session-down that
+     [Speaker.start_peer] undoes. No fault plan reaches it; deleting it
+     takes the admin-down state out of the session machine, a change to
+     session handling of its own. *)
 
 let keywords =
   [ "and"; "as"; "assert"; "begin"; "class"; "constraint"; "do"; "done"; "downto";
@@ -427,36 +499,39 @@ let () =
           end)
         (sources (Filename.concat lib d)))
     libs;
-  let audit_dir = Filename.concat (Filename.concat root "test") "audit" in
+  let under dir f = String.starts_with ~prefix:(Filename.concat root dir ^ Filename.dir_sep) f in
   let files =
     List.concat_map
       (fun d -> sources (Filename.concat root d))
       [ "lib"; "bin"; "bench"; "test"; "examples" ]
-    |> List.filter (fun f -> not (String.starts_with ~prefix:audit_dir f))
+    |> List.filter (fun f -> not (under (Filename.concat "test" "audit") f))
+    |> List.map (fun f -> (f, lex (read_file f)))
   in
-  List.iter
-    (fun f ->
-      let in_lib = String.starts_with ~prefix:(lib ^ Filename.dir_sep) f in
-      let self = if in_lib then Some (module_of_file f) else None in
-      let toks = lex (read_file f) in
-      scan st ~self toks;
-      (* [include M] in N.ml re-exports every [M.v] that N.mli declares. *)
-      if in_lib && Filename.check_suffix f ".ml" then
-        Array.iteri
-          (fun i t ->
-            match (t, if i + 1 < Array.length toks then Some toks.(i + 1) else None) with
-            | Lid "include", Some (Uid m) when Hashtbl.mem decls_of m ->
-                List.iter
-                  (fun dcl ->
-                    let key = m ^ "." ^ last dcl.key in
-                    if mark st ~self key then
-                      List.iter (fun l -> Hashtbl.replace st.passed (key ^ " ?" ^ l) ())
-                        (Hashtbl.find st.decls key).optional)
-                  (Option.value ~default:[] (Option.bind self (Hashtbl.find_opt decls_of)))
-            | _ -> ())
-          toks)
-    files;
-  let lines =
+  (* The audit lines of a scan of [files]: every value none of them
+     refers to, and every option of a referenced value none passes. *)
+  let unreferenced files =
+    let st = { st with referenced = Hashtbl.create 1024; passed = Hashtbl.create 256 } in
+    List.iter
+      (fun (f, toks) ->
+        let in_lib = under "lib" f in
+        let self = if in_lib then Some (module_of_file f) else None in
+        scan st ~self toks;
+        (* [include M] in N.ml re-exports every [M.v] that N.mli declares. *)
+        if in_lib && Filename.check_suffix f ".ml" then
+          Array.iteri
+            (fun i t ->
+              match (t, if i + 1 < Array.length toks then Some toks.(i + 1) else None) with
+              | Lid "include", Some (Uid m) when Hashtbl.mem decls_of m ->
+                  List.iter
+                    (fun dcl ->
+                      let key = m ^ "." ^ last dcl.key in
+                      if mark st ~self key then
+                        List.iter (fun l -> Hashtbl.replace st.passed (key ^ " ?" ^ l) ())
+                          (Hashtbl.find st.decls key).optional)
+                    (Option.value ~default:[] (Option.bind self (Hashtbl.find_opt decls_of)))
+              | _ -> ())
+            toks)
+      files;
     List.concat_map
       (fun dcl ->
         if not (Hashtbl.mem st.referenced dcl.key) then [ dcl.key ]
@@ -467,5 +542,11 @@ let () =
               if Hashtbl.mem st.passed line then None else Some line)
             dcl.optional)
       !order
+    |> List.sort_uniq compare
   in
-  List.iter print_endline (List.sort_uniq compare lines)
+  let everywhere = unreferenced files in
+  let production = unreferenced (List.filter (fun (f, _) -> not (under "test" f)) files) in
+  print_endline "# unreferenced";
+  List.iter print_endline everywhere;
+  print_endline "# reached only from test/";
+  List.iter (fun l -> if not (List.mem l everywhere) then print_endline l) production

@@ -40,9 +40,9 @@ let leaf_prefix l j =
 let () =
   let out = Sys.argv.(1) in
   let sched = Sched.create () in
-  let mk name asn id_octet networks =
+  let mk asn id_octet networks =
     Speaker.create
-      (Process.create sched ~name)
+      (Process.create sched)
       {
         (Speaker.default_config ~asn ~router_id:(Ipv4.of_octets 1 0 0 id_octet)) with
         Speaker.networks;
@@ -50,12 +50,11 @@ let () =
       }
   in
   let spine_arr =
-    Array.init spines (fun s -> mk (Printf.sprintf "spine%d" s) (64500 + s) (s + 1) [])
+    Array.init spines (fun s -> mk (64500 + s) (s + 1) [])
   in
   let leaf_arr =
     Array.init leaves (fun l ->
-        mk (Printf.sprintf "leaf%d" l) (64600 + l) (100 + l)
-          (List.init prefixes_per_leaf (leaf_prefix l)))
+        mk (64600 + l) (100 + l) (List.init prefixes_per_leaf (leaf_prefix l)))
   in
   Array.iter
     (fun leaf ->

@@ -27,6 +27,7 @@ module Time = Horse_engine.Time
 module Sched = Horse_engine.Sched
 module Causal = Horse_engine.Causal
 module Scenario = Horse_core.Scenario
+module Spec = Horse_core.Spec
 module Json = Horse_telemetry.Json
 
 (* Measured at 1.0 extra minor words per node; with every detail
@@ -42,7 +43,7 @@ let retained_per_node_budget = 4.0
 
 (* The smoke storm's causal graph, pinned: what is recorded and how
    it is formatted must not drift. A BGP session teardown refreshes
-   the dropped prefixes in prefix order ([Rib.drop_peer]), so the
+   the dropped prefixes in prefix order ([Rib.drop_peer_ids]), so the
    order of the decisions in that instant is part of the pin. *)
 let pinned_hash = "1d400f83ec53515ba495650a682252f2"
 let pinned_nodes = 8181
@@ -60,9 +61,10 @@ let run ~causal =
   let live_before = live_words () in
   let before = Gc.minor_words () in
   let r =
-    Scenario.run_fat_tree_te ~pods:4 ~te:Scenario.Bgp_ecmp
-      ~config:{ Sched.default_config with Sched.causal }
-      ~faults:plan ~duration:(Time.of_sec 20.0) ()
+    Scenario.run
+      (Spec.make
+         ~config:{ Sched.default_config with Sched.causal }
+         ~faults:plan ~duration:(Time.of_sec 20.0) (Spec.Fat_tree 4) Spec.Bgp_ecmp)
   in
   let minor = Gc.minor_words () -. before in
   (r, minor, live_words () - live_before)

@@ -39,10 +39,10 @@ val decide_reference :
   Horse_bgp.Rib.t ->
   Horse_net.Prefix.t ->
   Horse_bgp.Rib.route list
-(** The oracle for [Horse_bgp.Rib.decide]: the RFC 4271 steps as a
-    chain of filters over [Rib.candidates], then the BGP-id and
-    peer-id tiebreak. It never reads the sorted candidate lists that
-    [decide] keeps incrementally. *)
+(** The oracle for [Horse_bgp.Rib.refresh_id]'s decision: the RFC 4271
+    steps as a chain of filters over [Rib.candidates], then the BGP-id
+    and peer-id tiebreak. It never reads the sorted candidate lists
+    that [refresh_id] decides over incrementally. *)
 
 val bgp_decode_reference : Bytes.t -> (Horse_bgp.Msg.t, string) result
 (** The oracle for [Horse_bgp.Msg.decode]: the decoder it replaced,

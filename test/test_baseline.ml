@@ -37,9 +37,9 @@ let test_realtime_model () =
   let r =
     Mininet_model.run_fat_tree ~pods:4 ~rate:20e6 ~stack_work:false
       ~duration:(Time.of_ms 50)
-      ~realtime_duration:(Time.of_sec 20.0) ~contention:1.5 ()
+      ~realtime_duration:(Time.of_sec 20.0) ()
   in
-  check (Alcotest.float 1e-9) "realtime exec model" 30.0
+  check (Alcotest.float 1e-9) "realtime exec model" 24.0
     r.Mininet_model.exec_realtime_s;
   (* Default: realtime window = executed window. *)
   let r2 =

@@ -173,12 +173,12 @@ let attrs ?(origin = Msg.Igp) ?(path = [ 65001 ]) ?med ?local_pref
 
 let test_decision_local_pref () =
   let rib = Rib.create () in
-  let pfx = p "10.0.0.0/8" in
-  Rib.set_in rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero pfx
+  let id = Rib.id rib (p "10.0.0.0/8") in
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs ~local_pref:200 ~path:[ 1; 2; 3 ] "10.0.1.1");
-  Rib.set_in rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
     (attrs ~local_pref:100 ~path:[ 1 ] "10.0.2.1");
-  (match Rib.refresh rib pfx with
+  (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] ->
       check Alcotest.int "higher local-pref wins despite longer path" 0
         best.Rib.peer
@@ -187,48 +187,48 @@ let test_decision_local_pref () =
 
 let test_decision_as_path_len () =
   let rib = Rib.create () in
-  let pfx = p "10.0.0.0/8" in
-  Rib.set_in rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero pfx
+  let id = Rib.id rib (p "10.0.0.0/8") in
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs ~path:[ 1; 2 ] "10.0.1.1");
-  Rib.set_in rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
     (attrs ~path:[ 3 ] "10.0.2.1");
-  match Rib.refresh rib pfx with
+  match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] -> check Alcotest.int "shorter path wins" 1 best.Rib.peer
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected single winner"
 
 let test_decision_origin_and_med () =
   let rib = Rib.create () in
-  let pfx = p "10.0.0.0/8" in
+  let id = Rib.id rib (p "10.0.0.0/8") in
   (* same path length: origin decides *)
-  Rib.set_in rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs ~origin:Msg.Incomplete ~path:[ 5 ] "10.0.1.1");
-  Rib.set_in rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
     (attrs ~origin:Msg.Igp ~path:[ 5 ] "10.0.2.1");
-  (match Rib.refresh rib pfx with
+  (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] -> check Alcotest.int "igp beats incomplete" 1 best.Rib.peer
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected winner");
   (* same neighbour AS: MED decides *)
-  Rib.set_in rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs ~origin:Msg.Igp ~path:[ 5 ] ~med:10 "10.0.1.1");
-  Rib.set_in rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
     (attrs ~origin:Msg.Igp ~path:[ 5 ] ~med:5 "10.0.2.1");
-  match Rib.refresh rib pfx with
+  match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] -> check Alcotest.int "lower med wins" 1 best.Rib.peer
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected winner"
 
 let test_decision_multipath () =
   let rib = Rib.create () in
-  let pfx = p "10.0.0.0/8" in
+  let id = Rib.id rib (p "10.0.0.0/8") in
   (* Equal on all tie-break dimensions except bgp-id: multipath keeps
      both, single-path keeps the lower id. *)
-  Rib.set_in rib ~peer:0 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
     (attrs ~path:[ 7 ] "10.0.1.1");
-  Rib.set_in rib ~peer:1 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero pfx
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs ~path:[ 8 ] "10.0.2.1");
-  (match Rib.refresh ~multipath:true rib pfx with
+  (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed routes -> check Alcotest.int "both kept" 2 (List.length routes)
   | Rib.Unchanged -> Alcotest.fail "expected change");
-  match Rib.refresh ~multipath:false rib pfx with
+  match Rib.refresh_id ~multipath:false rib id with
   | Rib.Changed [ best ] ->
       check Alcotest.string "lower bgp id wins" "1.1.1.1"
         (Ipv4.to_string best.Rib.peer_bgp_id)
@@ -237,34 +237,34 @@ let test_decision_multipath () =
 
 let test_rib_withdraw_and_drop_peer () =
   let rib = Rib.create () in
-  let pfx = p "10.0.0.0/8" in
-  Rib.set_in rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero pfx
+  let id = Rib.id rib (p "10.0.0.0/8") in
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs "10.0.1.1");
-  ignore (Rib.refresh rib pfx);
+  ignore (Rib.refresh_id ~multipath:true rib id);
   check Alcotest.int "installed" 1 (Rib.loc_rib_size rib);
-  Rib.withdraw_in rib ~peer:0 pfx;
-  (match Rib.refresh rib pfx with
+  Rib.withdraw_in_id rib ~peer:0 id;
+  (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [] -> ()
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected removal");
   check Alcotest.int "empty" 0 (Rib.loc_rib_size rib);
-  (* drop_peer returns affected prefixes *)
-  Rib.set_in rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3") ~at:Time.zero pfx
+  (* drop_peer_ids returns the affected ids *)
+  Rib.set_in_id rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3") ~at:Time.zero id
     (attrs "10.0.3.1");
-  Rib.set_in rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3") ~at:Time.zero
-    (p "11.0.0.0/8") (attrs "10.0.3.1");
-  let affected = Rib.drop_peer rib ~peer:3 in
+  Rib.set_in_id rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3") ~at:Time.zero
+    (Rib.id rib (p "11.0.0.0/8")) (attrs "10.0.3.1");
+  let affected = Rib.drop_peer_ids rib ~peer:3 in
   check Alcotest.int "two affected" 2 (List.length affected);
   check Alcotest.int "adj-in empty" 0 (List.length (Rib.adj_in rib ~peer:3))
 
 let test_rib_refresh_unchanged () =
   let rib = Rib.create () in
-  let pfx = p "10.0.0.0/8" in
-  Rib.set_in rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero pfx
+  let id = Rib.id rib (p "10.0.0.0/8") in
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs "10.0.1.1");
-  (match Rib.refresh rib pfx with
+  (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed _ -> ()
   | Rib.Unchanged -> Alcotest.fail "first refresh must change");
-  match Rib.refresh rib pfx with
+  match Rib.refresh_id ~multipath:true rib id with
   | Rib.Unchanged -> ()
   | Rib.Changed _ -> Alcotest.fail "second refresh must be stable"
 
@@ -316,7 +316,7 @@ let test_communities_propagate () =
   let ep_a, ep_b = Channel.endpoints chan in
   let a2 =
     Speaker.create
-      (Process.create sched2 ~name:"a2")
+      (Process.create sched2)
       {
         (Speaker.default_config ~asn:65001 ~router_id:(ip "1.1.1.1")) with
         Speaker.networks = [ p "10.1.0.0/16" ];
@@ -324,7 +324,7 @@ let test_communities_propagate () =
   in
   let b2 =
     Speaker.create
-      (Process.create sched2 ~name:"b2")
+      (Process.create sched2)
       (Speaker.default_config ~asn:65002 ~router_id:(ip "2.2.2.2"))
   in
   let export =
@@ -390,8 +390,8 @@ let two_routers ?(config_a = fun c -> c) ?(config_b = fun c -> c) () =
   let ep_a, ep_b = Channel.endpoints chan in
   (* Mimic the CM: any BGP byte holds the clock in FTI. *)
   Channel.set_observer chan (fun _ _ -> Sched.control_activity sched);
-  let proc_a = Process.create sched ~name:"r1" in
-  let proc_b = Process.create sched ~name:"r2" in
+  let proc_a = Process.create sched in
+  let proc_b = Process.create sched in
   let a =
     Speaker.create proc_a
       (config_a
@@ -540,7 +540,7 @@ let test_withdraw_reannounce_one_update () =
   let sched = Sched.create () in
   let mk name asn networks =
     Speaker.create
-      (Process.create sched ~name)
+      (Process.create sched)
       { (Speaker.default_config ~asn ~router_id:(ip name)) with Speaker.networks }
   in
   let a = mk "1.1.1.1" 65001 [] in
@@ -694,12 +694,12 @@ let test_wrong_asn_rejected () =
   let ep_a, ep_b = Channel.endpoints chan in
   let a =
     Speaker.create
-      (Process.create sched ~name:"a")
+      (Process.create sched)
       (Speaker.default_config ~asn:65001 ~router_id:(ip "1.1.1.1"))
   in
   let b =
     Speaker.create
-      (Process.create sched ~name:"b")
+      (Process.create sched)
       (Speaker.default_config ~asn:65002 ~router_id:(ip "2.2.2.2"))
   in
   (* A expects 65009 but B is 65002. *)
@@ -720,7 +720,7 @@ let test_as_path_loop_prevention () =
   let sched = Sched.create () in
   let mk name asn networks =
     Speaker.create
-      (Process.create sched ~name)
+      (Process.create sched)
       {
         (Speaker.default_config ~asn ~router_id:(ip name)) with
         Speaker.networks;
@@ -763,7 +763,7 @@ let test_import_policy_blocks () =
     let ep_a, ep_b = Channel.endpoints chan in
     let a =
       Speaker.create
-        (Process.create sched ~name:"a")
+        (Process.create sched)
         {
           (Speaker.default_config ~asn:65001 ~router_id:(ip "1.1.1.1")) with
           Speaker.networks = [ p "10.1.0.0/16" ];
@@ -771,7 +771,7 @@ let test_import_policy_blocks () =
     in
     let b =
       Speaker.create
-        (Process.create sched ~name:"b")
+        (Process.create sched)
         (Speaker.default_config ~asn:65002 ~router_id:(ip "2.2.2.2"))
     in
     let import =
@@ -798,7 +798,7 @@ let test_linear_convergence_many_prefixes () =
   let networks = List.init 20 (fun i -> Prefix.make (Ipv4.of_octets 20 i 0 0) 16) in
   let mk name asn networks =
     Speaker.create
-      (Process.create sched ~name)
+      (Process.create sched)
       { (Speaker.default_config ~asn ~router_id:(ip name)) with Speaker.networks }
   in
   let r0 = mk "1.0.0.1" 65000 networks in
@@ -1001,9 +1001,9 @@ let sigs_equal a b =
        (fun (p1, a1) (p2, a2) -> p1 = p2 && Msg.attrs_equal a1 a2)
        a b
 
-(* After every operation and its refreshes: each prefix's incremental
-   decision equals the oracle's and is what the Loc-RIB holds, the
-   Loc-RIB size counts the non-empty best sets, and [drop_peer]
+(* After every operation and its refreshes: each prefix's Loc-RIB
+   entry, from the incremental decision, equals the oracle's, the
+   Loc-RIB size counts the non-empty best sets, and [drop_peer_ids]
    returns exactly the prefixes a plain model says the peer held, in
    prefix order. The attribute table holds exactly the records that
    Adj-RIB-In slots and Loc-RIB routes hold, each counting one
@@ -1014,15 +1014,14 @@ let prop_decide_matches_reference =
       let intern = Attr_intern.create () in
       let rib = Rib.create ~intern () in
       let held = Hashtbl.create 64 in
-      let refresh p = ignore (Rib.refresh ~multipath rib p) in
+      let refresh p = ignore (Rib.refresh_id ~multipath rib (Rib.id rib p)) in
       let consistent () =
         Array.for_all
           (fun p ->
-            let d = route_sig (Rib.decide ~multipath rib p) in
-            sigs_equal d
+            sigs_equal
+              (route_sig (Rib.best rib p))
               (route_sig
-                 (Horse_test_support.decide_reference ~multipath rib p))
-            && sigs_equal d (route_sig (Rib.best rib p)))
+                 (Horse_test_support.decide_reference ~multipath rib p)))
           pool
         && Rib.loc_rib_size rib
            = Array.fold_left
@@ -1056,20 +1055,22 @@ let prop_decide_matches_reference =
           let dropped_ok =
             match op with
             | Set_in (i, peer, id, a) ->
-                Rib.set_in rib ~peer ~peer_bgp_id:id ~at:Time.zero pool.(i) a;
+                Rib.set_in_id rib ~peer ~peer_bgp_id:id ~at:Time.zero
+                  (Rib.id rib pool.(i)) a;
                 Hashtbl.replace held (peer, pool.(i)) (id, a);
                 refresh pool.(i);
                 true
             | Reannounce (i, peer) ->
                 (match Hashtbl.find_opt held (peer, pool.(i)) with
                 | Some (id, a) ->
-                    Rib.set_in rib ~peer ~peer_bgp_id:id ~at:Time.zero pool.(i)
+                    Rib.set_in_id rib ~peer ~peer_bgp_id:id ~at:Time.zero
+                      (Rib.id rib pool.(i))
                       { a with Msg.as_path = List.map Fun.id a.Msg.as_path };
                     refresh pool.(i)
                 | None -> ());
                 true
             | Withdraw_in (i, peer) ->
-                Rib.withdraw_in rib ~peer pool.(i);
+                Rib.withdraw_in_id rib ~peer (Rib.id rib pool.(i));
                 Hashtbl.remove held (peer, pool.(i));
                 refresh pool.(i);
                 true
@@ -1079,7 +1080,7 @@ let prop_decide_matches_reference =
                 refresh pool.(i);
                 true
             | Remove_local i ->
-                Rib.remove_local rib pool.(i);
+                Rib.withdraw_in_id rib ~peer:Rib.local_peer (Rib.id rib pool.(i));
                 Hashtbl.remove held (Rib.local_peer, pool.(i));
                 refresh pool.(i);
                 true
@@ -1089,7 +1090,9 @@ let prop_decide_matches_reference =
                   |> List.filter (fun p -> Hashtbl.mem held (peer, p))
                 in
                 List.iter (fun p -> Hashtbl.remove held (peer, p)) expected;
-                let dropped = Rib.drop_peer rib ~peer in
+                let dropped =
+                  List.map (Rib.prefix_of_id rib) (Rib.drop_peer_ids rib ~peer)
+                in
                 List.iter refresh dropped;
                 List.equal Prefix.equal expected dropped
           in
@@ -1170,7 +1173,7 @@ let test_update_groups_and_established_count () =
   let sched = Sched.create () in
   let hub =
     Speaker.create
-      (Process.create sched ~name:"hub")
+      (Process.create sched)
       {
         (Speaker.default_config ~asn:65000 ~router_id:(ip "1.0.0.1")) with
         Speaker.networks = [ p "10.0.0.0/16" ];
@@ -1179,7 +1182,7 @@ let test_update_groups_and_established_count () =
   let spokes =
     List.init 3 (fun i ->
         Speaker.create
-          (Process.create sched ~name:(Printf.sprintf "s%d" i))
+          (Process.create sched)
           (Speaker.default_config ~asn:(65001 + i)
              ~router_id:(Ipv4.of_octets 2 0 0 (i + 1))))
   in
@@ -1244,7 +1247,7 @@ let test_ring_geometry () =
   let speakers =
     Array.init n (fun i ->
         Speaker.create
-          (Process.create sched ~name:(Printf.sprintf "r%d" i))
+          (Process.create sched)
           {
             (Speaker.default_config ~asn:(65000 + i)
                ~router_id:(Ipv4.of_octets 1 0 0 (i + 1)))

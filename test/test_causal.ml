@@ -255,9 +255,10 @@ let storm_plan =
     ~down_for:(Time.of_sec 1.0) ()
 
 let run_storm ?(causal = true) ?(plan = storm_plan) () =
-  Scenario.run_fat_tree_te ~seed:11
-    ~config:{ Sched.default_config with Sched.causal }
-    ~faults:plan ~pods:4 ~te:Scenario.Bgp_ecmp ~duration:(Time.of_sec 8.0) ()
+  Scenario.run
+    (Spec.make ~seed:11
+       ~config:{ Sched.default_config with Sched.causal }
+       ~faults:plan ~duration:(Time.of_sec 8.0) (Spec.Fat_tree 4) Spec.Bgp_ecmp)
 
 let graph_hash (r : Scenario.result) =
   Causal.hash (Option.get r.Scenario.causal)
@@ -313,7 +314,7 @@ let check_pin label ~hash ~nodes g =
   check Alcotest.string (label ^ ": hash") hash (Causal.hash g)
 
 (* The storm's session teardowns refresh the dropped prefixes in
-   prefix order ([Rib.drop_peer]). *)
+   prefix order ([Rib.drop_peer_ids]). *)
 let test_pin_storm () =
   check_pin "bgp storm k=4" ~hash:"d4df17fbc61921d9a2dec4f6cb10dd5d"
     ~nodes:5404
@@ -327,7 +328,7 @@ let test_pin_ospf_ring () =
       ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
       wan.Wan.topo
   in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
   ignore (Experiment.run ~until:(Time.of_sec 30.0) exp);
   check_pin "ospf ring 4" ~hash:"5c7cc763c4d4348c837fb3f0e4f6f91d" ~nodes:268
     (Option.get (Sched.causal (Experiment.scheduler exp)))

@@ -1,6 +1,6 @@
 (* Tests for horse_controller: framework handshake and request
    correlation, Hedera demand estimation, flow placement, and the
-   reactive ECMP / learning applications. *)
+   reactive ECMP application. *)
 
 open Horse_net
 open Horse_engine
@@ -23,14 +23,14 @@ type rig = {
 
 let make_rig ~dpids_ports =
   let sched = Sched.create () in
-  let ctrl = Controller.create (Process.create sched ~name:"ctrl") in
+  let ctrl = Controller.create (Process.create sched) in
   let agents =
     List.map
       (fun (dpid, ports) ->
         let chan = Channel.create sched ~latency:(Time.of_ms 1) () in
         let sw_end, ctrl_end = Channel.endpoints chan in
         let agent =
-          Switch.create (Process.create sched ~name:"sw") ~dpid ~ports sw_end
+          Switch.create (Process.create sched) ~dpid ~ports sw_end
         in
         Switch.start agent;
         Controller.connect ctrl ctrl_end;
@@ -49,37 +49,38 @@ let test_handshake_and_lookup () =
   check Alcotest.bool "by dpid" true (Controller.switch_by_dpid rig.ctrl 2 <> None);
   check Alcotest.bool "unknown dpid" true (Controller.switch_by_dpid rig.ctrl 9 = None)
 
+(* Two flow-stats requests in flight at once: each reply reaches the
+   callback of its own request, matched by transaction id. *)
 let test_stats_correlation () =
-  let rig = make_rig ~dpids_ports:[ (1, [ (1, 10); (2, 11) ]) ] in
-  let agent = List.hd rig.agents in
-  Switch.set_port_stats_provider agent (fun port ->
-      {
-        Ofmsg.ps_port = port;
-        ps_rx_packets = port * 10;
-        ps_tx_packets = 0;
-        ps_rx_bytes = 0;
-        ps_tx_bytes = port * 1000;
-      });
-  let flow_replies = ref [] and port_replies = ref [] and barriers = ref 0 in
+  let rig = make_rig ~dpids_ports:[ (1, [ (1, 10) ]); (2, [ (1, 20) ]) ] in
   ignore (Sched.run ~until:(Time.of_ms 20) rig.sched);
-  let sw = Option.get (Controller.switch_by_dpid rig.ctrl 1) in
+  let sw1 = Option.get (Controller.switch_by_dpid rig.ctrl 1) in
+  let sw2 = Option.get (Controller.switch_by_dpid rig.ctrl 2) in
   ignore
     (Sched.schedule_at rig.sched (Time.of_ms 30) (fun () ->
-         Controller.request_flow_stats rig.ctrl sw (fun entries ->
-             flow_replies := entries :: !flow_replies);
-         Controller.request_port_stats rig.ctrl sw (fun entries ->
-             port_replies := entries :: !port_replies);
-         Controller.barrier rig.ctrl sw (fun () -> incr barriers)));
+         Controller.send_flow_mod rig.ctrl sw2
+           {
+             Ofmsg.match_ = Ofmatch.any;
+             cookie = 0;
+             command = Ofmsg.Add;
+             idle_timeout_s = 0;
+             hard_timeout_s = 0;
+             priority = 1;
+             actions = [ Action.Output 1 ];
+           }));
+  let replies = ref [] in
+  ignore
+    (Sched.schedule_at rig.sched (Time.of_ms 60) (fun () ->
+         List.iter
+           (fun sw ->
+             Controller.request_flow_stats rig.ctrl sw (fun entries ->
+                 replies := (Controller.dpid sw, List.length entries) :: !replies))
+           [ sw1; sw2 ]));
   ignore (Sched.run ~until:(Time.of_ms 200) rig.sched);
-  check Alcotest.int "flow reply" 1 (List.length !flow_replies);
-  check Alcotest.int "port reply" 1 (List.length !port_replies);
-  check Alcotest.int "barrier" 1 !barriers;
-  match !port_replies with
-  | [ entries ] ->
-      check Alcotest.int "two ports" 2 (List.length entries);
-      check Alcotest.bool "provider data" true
-        (List.exists (fun e -> e.Ofmsg.ps_tx_bytes = 2000) entries)
-  | _ -> Alcotest.fail "missing port stats"
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "one reply per request, with its switch's entries" [ (1, 0); (2, 1) ]
+    (List.sort compare !replies)
 
 let test_flow_mod_reaches_switch () =
   let rig = make_rig ~dpids_ports:[ (1, [ (1, 10) ]) ] in
@@ -308,11 +309,11 @@ let mini_env_rig () =
       (Topology.out_links topo s0.Topology.id)
   in
   let sched = Sched.create () in
-  let ctrl = Controller.create (Process.create sched ~name:"ctrl") in
+  let ctrl = Controller.create (Process.create sched) in
   let chan = Channel.create sched ~latency:(Time.of_ms 1) () in
   let sw_end, ctrl_end = Channel.endpoints chan in
   let agent =
-    Switch.create (Process.create sched ~name:"sw") ~dpid:s0.Topology.id ~ports
+    Switch.create (Process.create sched) ~dpid:s0.Topology.id ~ports
       sw_end
   in
   Switch.start agent;
@@ -371,32 +372,6 @@ let test_app_ecmp_reactive () =
         (List.exists (fun a -> Action.equal a (Action.Output 2)) e.Flow_table.actions)
   | None -> Alcotest.fail "flow entry missing"
 
-let test_app_learning () =
-  let sched, ctrl, agent, _, _, _, _ = mini_env_rig () in
-  let app = App_learning.install ctrl in
-  let mac_a = Mac.of_index 11 and mac_b = Mac.of_index 22 in
-  let frame ~src ~dst =
-    Packet.encode
-      (Packet.udp ~src_mac:src ~dst_mac:dst ~src:(ip "10.0.0.1")
-         ~dst:(ip "10.0.0.2") ~src_port:1 ~dst_port:2 Bytes.empty)
-  in
-  ignore
-    (Sched.schedule_at sched (Time.of_ms 20) (fun () ->
-         Switch.packet_in agent ~in_port:1 (frame ~src:mac_a ~dst:mac_b)));
-  ignore (Sched.run ~until:(Time.of_ms 50) sched);
-  (* Unknown destination: flooded, mac_a learned on port 1. *)
-  check Alcotest.int "flooded" 1 (App_learning.floods app);
-  check (Alcotest.option Alcotest.int) "learned" (Some 1)
-    (App_learning.lookup app ~dpid:1 mac_a);
-  ignore
-    (Sched.schedule_at sched (Time.of_ms 60) (fun () ->
-         Switch.packet_in agent ~in_port:2 (frame ~src:mac_b ~dst:mac_a)));
-  ignore (Sched.run ~until:(Time.of_ms 100) sched);
-  (* Known destination: unicast flow-mod installed. *)
-  check Alcotest.int "unicast" 1 (App_learning.unicasts app);
-  check Alcotest.int "two macs" 2 (App_learning.macs_learned app);
-  check Alcotest.int "entry installed" 1 (Flow_table.size (Switch.table agent))
-
 (* --- Env path queries vs the full shortest-path tree ------------------------ *)
 
 let path_env topo =
@@ -406,15 +381,10 @@ let path_env topo =
 let link_ids paths =
   List.map (List.map (fun (l : Topology.link) -> l.Topology.link_id)) paths
 
-(* The oracle: every shortest path from a full tree over the links not
-   in [down], the test's own model of the link state. *)
-let tree_paths topo ~down ~src ~dst =
-  let usable (l : Topology.link) = not (Hashtbl.mem down l.Topology.link_id) in
-  Spf.ecmp_paths (Spf.shortest_tree ~usable topo ~src) topo ~dst
-
-(* Hop count over links not in [down], from a plain queue BFS that
-   shares no code with Spf. *)
-let reference_hops topo ~down ~src ~dst =
+(* Hop counts from [src] over links not in [down], the test's own model
+   of the link state, from a plain queue BFS that shares no code with
+   Spf. *)
+let reference_dist topo ~down ~src =
   let dist = Array.make (Topology.n_nodes topo) max_int in
   let q = Queue.create () in
   dist.(src) <- 0;
@@ -431,7 +401,20 @@ let reference_hops topo ~down ~src ~dst =
         end)
       (Topology.out_links topo u)
   done;
-  dist.(dst)
+  dist
+
+(* The oracle: every shortest path of the full tree that the reference
+   BFS gives over the up links. *)
+let tree_paths topo ~down ~src ~dst =
+  let dist = reference_dist topo ~down ~src in
+  let preds = Array.make (Topology.n_nodes topo) [] in
+  for id = Topology.n_links topo - 1 downto 0 do
+    let l = Topology.link topo id in
+    let d = dist.(l.Topology.src) in
+    if d <> max_int && dist.(l.Topology.dst) = d + 1 && not (Hashtbl.mem down id) then
+      preds.(l.Topology.dst) <- l :: preds.(l.Topology.dst)
+  done;
+  Spf.ecmp_paths { Spf.src; dist; preds } topo ~dst
 
 (* [Env.ecmp_pick] is told the number of [paths] and builds path [i]
    for each index [i] below it; with no path it returns [None] without
@@ -460,7 +443,7 @@ let pick_agrees env paths ~src ~dst =
 let same_paths env ~down ~src ~dst =
   let topo = Env.topo env in
   let paths = Env.ecmp_paths env ~src ~dst in
-  let hops = reference_hops topo ~down ~src ~dst in
+  let hops = (reference_dist topo ~down ~src).(dst) in
   link_ids paths = link_ids (tree_paths topo ~down ~src ~dst)
   && (paths = []) = (src = dst || hops = max_int)
   && List.for_all
@@ -577,7 +560,6 @@ let () =
           Alcotest.test_case "path_index pure" `Quick test_path_index_pure;
           Alcotest.test_case "env helpers" `Quick test_env_helpers;
           Alcotest.test_case "ecmp reactive" `Quick test_app_ecmp_reactive;
-          Alcotest.test_case "learning switch" `Quick test_app_learning;
         ] );
       ( "paths",
         [

@@ -48,20 +48,20 @@ let build_bgp_fat_tree ?(k = 4) () =
 let test_bgp_fabric_converges () =
   let ft, exp, fabric = build_bgp_fat_tree () in
   check Alcotest.int "session per inter-switch link" 32
-    (Routed_fabric.sessions_expected fabric);
+    (Routed_core.sessions_expected fabric);
   let converged_at = ref None in
   Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
   Routed_fabric.when_converged fabric (fun () ->
       converged_at := Some (Sched.now (Experiment.scheduler exp)));
   let stats = Experiment.run ~until:(Time.of_sec 60.0) exp in
-  check Alcotest.bool "converged" true (Routed_fabric.is_converged fabric);
+  check Alcotest.bool "converged" true (Routed_core.is_converged fabric);
   (match !converged_at with
   | Some at ->
       check Alcotest.bool "converged quickly (< 5s virtual)" true
         Time.(at < Time.of_sec 5.0)
   | None -> Alcotest.fail "never converged");
   check Alcotest.int "all sessions established" 32
-    (Routed_fabric.sessions_established fabric);
+    (Routed_core.sessions_established fabric);
   (* The engine must have gone FTI during convergence and returned to
      DES afterwards. *)
   check Alcotest.bool "entered FTI" true (stats.Sched.fti_increments > 0);
@@ -130,7 +130,7 @@ let test_bgp_fabric_link_failure_withdraw () =
   Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
   ignore (Experiment.run ~until:(Time.of_sec 10.0) exp);
   let agg = ft.Fat_tree.aggs.(0).(0) in
-  let speaker = Option.get (Routed_fabric.speaker fabric agg.Topology.id) in
+  let speaker = Option.get (Routed_core.daemon fabric agg.Topology.id) in
   Experiment.at exp (Time.of_sec 11.0) (fun () ->
       Horse_bgp.Speaker.shutdown speaker);
   ignore (Experiment.run ~until:(Time.of_sec 30.0) exp);
@@ -198,7 +198,7 @@ let test_bgp_random_wans_converge () =
       in
       Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
       ignore (Experiment.run ~until:(Time.of_sec 30.0) exp);
-      if not (Routed_fabric.is_converged fabric) then
+      if not (Routed_core.is_converged fabric) then
         Alcotest.failf "seed %d: not converged" seed;
       (* FIB walk between every pair. *)
       let n = Array.length wan.Wan.routers in
@@ -359,13 +359,16 @@ let test_sdn_fabric_link_failure () =
     match !original with Some p -> p | None -> Alcotest.fail "never routed"
   in
   (* Cut the second hop of the path (edge -> agg, a link with ECMP
-     alternatives). *)
+     alternatives), through the fabric's fault target. *)
   let cut =
     match original with _ :: (l : Topology.link) :: _ -> l | _ -> Alcotest.fail "short path"
   in
+  let target = Sdn_fabric.fault_target fabric in
+  let name id = (Topology.node ft.Fat_tree.topo id).Topology.name in
+  let a = name cut.Topology.src and b = name cut.Topology.dst in
   Experiment.at exp (Time.of_sec 3.0) (fun () ->
       check Alcotest.bool "fail accepted" true
-        (Sdn_fabric.fail_link fabric ~a:cut.Topology.src ~b:cut.Topology.dst));
+        (target.Horse_faults.Injector.link_down ~a ~b));
   ignore (Experiment.run ~until:(Time.of_sec 5.0) exp);
   check Alcotest.int "app rerouted the flow" 1
     (Horse_controller.App_ecmp.reroutes app);
@@ -383,7 +386,7 @@ let test_sdn_fabric_link_failure () =
   (* Restore and check the fabric accepts it. *)
   Experiment.at exp (Time.of_sec 6.0) (fun () ->
       check Alcotest.bool "restore accepted" true
-        (Sdn_fabric.restore_link fabric ~a:cut.Topology.src ~b:cut.Topology.dst));
+        (target.Horse_faults.Injector.link_up ~a ~b));
   ignore (Experiment.run ~until:(Time.of_sec 8.0) exp);
   check Alcotest.bool "flow still resolvable" true
     (Sdn_fabric.resolve_now fabric key <> None)
@@ -393,7 +396,7 @@ let test_sdn_fabric_link_failure () =
 let duration = Time.of_sec 20.0
 
 let run_te te =
-  Scenario.run_fat_tree_te ~pods:4 ~te ~duration ~sample_every:(Time.of_sec 1.0) ()
+  Scenario.run (Spec.make ~sample_every:(Time.of_sec 1.0) ~duration (Spec.Fat_tree 4) te)
 
 let check_result_sanity (r : Scenario.result) =
   check Alcotest.int "hosts" 16 r.Scenario.n_hosts;

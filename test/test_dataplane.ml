@@ -1019,8 +1019,8 @@ let test_packet_engine_matches_fluid_uncongested () =
     "engines agree" fluid_bits packet_bits
 
 let test_packet_engine_tail_drop () =
-  (* Two 1 Gbps streams into one 1 Gbps link with a small queue: about
-     half the packets must drop. *)
+  (* Two 1 Gbps streams into one 1 Gbps link: once its 100-packet queue
+     fills, about half the packets must drop. *)
   let topo = Topology.create () in
   let h0 = Topology.add_node topo ~ip:(Ipv4.of_octets 10 9 0 1) Topology.Host in
   let h1 = Topology.add_node topo ~ip:(Ipv4.of_octets 10 9 0 2) Topology.Host in
@@ -1030,7 +1030,7 @@ let test_packet_engine_tail_drop () =
   let l1, _ = Topology.add_duplex topo ~capacity:1e9 h1 s in
   let l2, _ = Topology.add_duplex topo ~capacity:1e9 s h2 in
   let sched = Sched.create () in
-  let engine = Packet_engine.create ~queue_pkts:10 sched topo () in
+  let engine = Packet_engine.create sched topo () in
   let dst = Ipv4.of_octets 10 9 0 3 in
   Fwd.set_route (Packet_engine.table engine h0.Topology.id) (Prefix.host dst)
     ~next_hops:[ l0.Topology.link_id ];

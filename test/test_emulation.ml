@@ -116,7 +116,7 @@ let test_peer_endpoint () =
 
 let test_process_timers () =
   let sched = Sched.create () in
-  let proc = Process.create sched ~name:"daemon" in
+  let proc = Process.create sched in
   let one_shot = ref 0 and periodic = ref 0 in
   Process.after proc (Time.of_ms 10) (fun () -> incr one_shot);
   ignore (Process.every proc (Time.of_ms 20) (fun () -> incr periodic));
@@ -126,7 +126,7 @@ let test_process_timers () =
 
 let test_process_kill_suppresses_timers () =
   let sched = Sched.create () in
-  let proc = Process.create sched ~name:"daemon" in
+  let proc = Process.create sched in
   let fired = ref 0 and cleanup = ref 0 in
   Process.after proc (Time.of_ms 50) (fun () -> incr fired);
   ignore (Process.every proc (Time.of_ms 10) (fun () -> incr fired));

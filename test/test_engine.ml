@@ -945,28 +945,27 @@ let test_sched_metrics_agree_with_stats () =
   check Alcotest.int "snapshot events" stats.Sched.events_executed
     snap.Sched.events_executed
 
-(* Two schedulers may share one registry: each adds only its own
-   growth to the shared causal counters, however often it snapshots. *)
-let test_shared_registry_causal_counts () =
+(* A scheduler adds only its causal growth to its registry's counters,
+   however often it runs and snapshots. *)
+let test_causal_counts_once () =
   let module Registry = Horse_telemetry.Registry in
-  let reg = Registry.create () in
-  let kind = Causal.kind "test:shared" (fun _ -> "") in
-  let points sched n =
+  let sched = Sched.create () in
+  let kind = Causal.kind "test:once" (fun _ -> "") in
+  let points at n =
     ignore
-      (Sched.schedule_at sched (Time.of_ms 1) (fun () ->
+      (Sched.schedule_at sched at (fun () ->
            for i = 1 to n do
              ignore (Sched.cause_point sched kind i)
            done))
   in
-  let a = Sched.create ~registry:reg () in
-  let b = Sched.create ~registry:reg () in
-  points a 5;
-  points b 1;
-  ignore (Sched.run ~until:(Time.of_ms 2) a);
-  ignore (Sched.run ~until:(Time.of_ms 2) b);
-  ignore (Sched.snapshot a);
-  ignore (Sched.snapshot b);
-  match Registry.find_counter reg "horse_causal_nodes_total" with
+  points (Time.of_ms 1) 5;
+  ignore (Sched.run ~until:(Time.of_ms 2) sched);
+  ignore (Sched.snapshot sched);
+  points (Time.of_ms 3) 1;
+  ignore (Sched.run ~until:(Time.of_ms 4) sched);
+  ignore (Sched.snapshot sched);
+  ignore (Sched.snapshot sched);
+  match Registry.find_counter (Sched.registry sched) "horse_causal_nodes_total" with
   | Some c -> check Alcotest.int "nodes of both runs" 6 (Registry.Counter.value c)
   | None -> Alcotest.fail "counter horse_causal_nodes_total not registered"
 
@@ -1117,8 +1116,8 @@ let () =
           prop_sched_matches_reference;
           Alcotest.test_case "metrics agree with stats" `Quick
             test_sched_metrics_agree_with_stats;
-          Alcotest.test_case "shared registry sums causal counts" `Quick
-            test_shared_registry_causal_counts;
+          Alcotest.test_case "repeated snapshots count once" `Quick
+            test_causal_counts_once;
           Alcotest.test_case "schedule-pop-fire word budget" `Quick
             test_sched_cycle_word_budget;
         ] );

@@ -106,6 +106,9 @@ let test_flap_storm_shape () =
 
 (* --- channel impairments ------------------------------------------------ *)
 
+let clean =
+  { Channel.loss = 0.0; extra_delay = Time.zero; jitter = Time.zero; duplicate = 0.0 }
+
 let impaired_channel imp =
   let sched = Sched.create () in
   let chan = Channel.create sched ~latency:(Time.of_ms 1) () in
@@ -117,7 +120,7 @@ let impaired_channel imp =
 
 let test_impairment_loss_all () =
   let sched, ep_a, chan, arrivals =
-    impaired_channel { Channel.no_impairment with Channel.loss = 1.0 }
+    impaired_channel { clean with Channel.loss = 1.0 }
   in
   ignore
     (Sched.schedule_at sched Time.zero (fun () ->
@@ -130,7 +133,7 @@ let test_impairment_loss_all () =
 
 let test_impairment_duplicate_all () =
   let sched, ep_a, chan, arrivals =
-    impaired_channel { Channel.no_impairment with Channel.duplicate = 1.0 }
+    impaired_channel { clean with Channel.duplicate = 1.0 }
   in
   ignore
     (Sched.schedule_at sched Time.zero (fun () ->
@@ -142,7 +145,7 @@ let test_impairment_duplicate_all () =
 let test_impairment_extra_delay () =
   let sched, ep_a, _, arrivals =
     impaired_channel
-      { Channel.no_impairment with Channel.extra_delay = Time.of_ms 10 }
+      { clean with Channel.extra_delay = Time.of_ms 10 }
   in
   ignore
     (Sched.schedule_at sched Time.zero (fun () ->
@@ -185,8 +188,6 @@ let test_impairment_deterministic () =
 let test_watchdog_aborts_runaway_run () =
   let config = { Sched.default_config with Sched.max_wall_s = 0.02 } in
   let sched = Sched.create ~config () in
-  let hook_fired = ref false in
-  Sched.on_abort sched (fun () -> hook_fired := true);
   let sink = ref 0 in
   ignore
     (Sched.every sched (Time.of_us 10) (fun () ->
@@ -196,7 +197,6 @@ let test_watchdog_aborts_runaway_run () =
   let stats = Sched.run ~until:(Time.of_sec 100.0) sched in
   check Alcotest.bool "aborted flag in stats" true stats.Sched.aborted;
   check Alcotest.bool "aborted accessor" true (Sched.aborted sched);
-  check Alcotest.bool "abort hook fired" true !hook_fired;
   check Alcotest.bool "stopped before the horizon" true
     Time.(stats.Sched.end_time < Time.of_sec 100.0)
 
@@ -274,9 +274,9 @@ let test_injection_heals_and_replays () =
   check Alcotest.int "none skipped" 0 (Injector.skipped inj1);
   (* Self-healed: all sessions re-established, all FIBs complete. *)
   check Alcotest.int "all sessions re-established"
-    (Routed_fabric.sessions_expected fabric1)
-    (Routed_fabric.sessions_established fabric1);
-  check Alcotest.bool "fibs complete" true (Routed_fabric.is_converged fabric1);
+    (Routed_core.sessions_expected fabric1)
+    (Routed_core.sessions_established fabric1);
+  check Alcotest.bool "fibs complete" true (Routed_core.is_converged fabric1);
   check Alcotest.int "no fault left healing" 0 (Injector.pending inj1);
   check Alcotest.bool "reconvergence recorded" true
     (List.length (Injector.reconvergence inj1) > 0);
@@ -326,8 +326,8 @@ let test_overlapping_downs_skipped () =
   check Alcotest.int "one skipped" 1 (Injector.skipped inj);
   check Alcotest.int "two applied" 2 (Injector.injected inj);
   check Alcotest.int "healed"
-    (Routed_fabric.sessions_expected fabric)
-    (Routed_fabric.sessions_established fabric)
+    (Routed_core.sessions_expected fabric)
+    (Routed_core.sessions_established fabric)
 
 (* --- ospf fabric: fail + restore ---------------------------------------- *)
 
@@ -341,20 +341,20 @@ let test_ospf_fabric_restore_link () =
   in
   let a = wan.Wan.routers.(0).Topology.id in
   let b = wan.Wan.routers.(1).Topology.id in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
   let failed = ref false and restored = ref false in
   Experiment.at exp (Time.of_sec 15.0) (fun () ->
-      failed := Ospf_fabric.fail_link fabric ~a ~b);
+      failed := Routed_core.fail_link fabric ~a ~b);
   Experiment.at exp (Time.of_sec 25.0) (fun () ->
-      restored := Ospf_fabric.restore_link fabric ~a ~b);
+      restored := Routed_core.restore_link fabric ~a ~b);
   ignore (Experiment.run ~until:(Time.of_sec 60.0) exp);
   check Alcotest.bool "link failed" true !failed;
   check Alcotest.bool "link restored" true !restored;
   check Alcotest.int "all adjacencies full again"
-    (Ospf_fabric.sessions_expected fabric)
-    (Ospf_fabric.sessions_established fabric);
+    (Routed_core.sessions_expected fabric)
+    (Routed_core.sessions_established fabric);
   check Alcotest.bool "routing tables complete" true
-    (Ospf_fabric.is_converged fabric)
+    (Routed_core.is_converged fabric)
 
 let test_ospf_overlapping_downs_skipped () =
   let wan = Wan.ring 4 in
@@ -364,19 +364,19 @@ let test_ospf_overlapping_downs_skipped () =
       ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
       wan.Wan.topo
   in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
   let inj =
     Injector.arm
       (Experiment.scheduler exp)
-      ~target:(Ospf_fabric.fault_target fabric)
+      ~target:(Routed_core.fault_target fabric)
       overlapping_downs_plan
   in
   ignore (Experiment.run ~until:(Time.of_sec 70.0) exp);
   check Alcotest.int "one skipped" 1 (Injector.skipped inj);
   check Alcotest.int "two applied" 2 (Injector.injected inj);
   check Alcotest.int "all adjacencies full again"
-    (Ospf_fabric.sessions_expected fabric)
-    (Ospf_fabric.sessions_established fabric)
+    (Routed_core.sessions_expected fabric)
+    (Routed_core.sessions_established fabric)
 
 (* --- the k=4 BGP fat-tree's work, pinned ------------------------------ *)
 
@@ -489,7 +489,7 @@ let ring_target ~ospf =
   let start, target =
     if ospf then
       let f = Ospf_fabric.build ~cm ~originate:(fun n -> [ (prefix n, 0) ]) wan.Wan.topo in
-      ((fun () -> Ospf_fabric.start f), Ospf_fabric.fault_target f)
+      ((fun () -> Routed_core.start f), Routed_core.fault_target f)
     else
       let f = Routed_fabric.build ~cm ~originate:(fun n -> [ prefix n ]) wan.Wan.topo in
       ((fun () -> Routed_fabric.start f), Routed_fabric.fault_target f)
@@ -555,10 +555,10 @@ let check_latch ~sched ~on_fib_change ~is_converged ~when_converged ~oracle run 
 
 let check_bgp_latch ~exp ~originate fabric =
   let sched = Experiment.scheduler exp in
-  let nodes = List.map fst (Routed_fabric.speakers fabric) in
+  let nodes = List.map fst (Routed_core.daemons fabric) in
   check_latch ~sched
-    ~on_fib_change:(Routed_fabric.on_fib_change fabric)
-    ~is_converged:(fun () -> Routed_fabric.is_converged fabric)
+    ~on_fib_change:(Routed_core.on_fib_change fabric)
+    ~is_converged:(fun () -> Routed_core.is_converged fabric)
     ~when_converged:(Routed_fabric.when_converged fabric)
     ~oracle:(fun () ->
       Horse_test_support.converged_reference
@@ -588,20 +588,20 @@ let test_latch_ospf_ring () =
       ~originate:(fun node -> List.map (fun p -> (p, 0)) (originate node))
       wan.Wan.topo
   in
-  let nodes = List.map fst (Ospf_fabric.daemons fabric) in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  let nodes = List.map fst (Routed_core.daemons fabric) in
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
   Experiment.at exp (Time.of_sec 15.0) (fun () ->
-      ignore (Ospf_fabric.fail_link fabric ~a:0 ~b:1));
+      ignore (Routed_core.fail_link fabric ~a:0 ~b:1));
   Experiment.at exp (Time.of_sec 25.0) (fun () ->
-      ignore (Ospf_fabric.restore_link fabric ~a:0 ~b:1));
+      ignore (Routed_core.restore_link fabric ~a:0 ~b:1));
   check_latch
     ~sched:(Experiment.scheduler exp)
-    ~on_fib_change:(Ospf_fabric.on_fib_change fabric)
-    ~is_converged:(fun () -> Ospf_fabric.is_converged fabric)
-    ~when_converged:(Ospf_fabric.when_converged fabric)
+    ~on_fib_change:(Routed_core.on_fib_change fabric)
+    ~is_converged:(fun () -> Routed_core.is_converged fabric)
+    ~when_converged:(Routed_core.when_converged fabric)
     ~oracle:(fun () ->
       Horse_test_support.converged_reference
-        ~table:(Ospf_fabric.table fabric) ~originate nodes)
+        ~table:(Routed_core.table fabric) ~originate nodes)
     (fun () -> ignore (Experiment.run ~until:(Time.of_sec 40.0) exp))
 
 (* A /8, a /16 inside it and a /24 inside that, on three routers of a
@@ -621,12 +621,13 @@ let test_latch_overlapping () =
   Experiment.at exp (Time.of_sec 5.0) (fun () ->
       ignore (Routed_fabric.crash_node fabric 0));
   Experiment.at exp (Time.of_sec 25.0) (fun () ->
-      ignore (Routed_fabric.restart_node fabric 0));
+      let target = Routed_core.fault_target fabric in
+      ignore (target.Injector.node_restart wan.Wan.routers.(0).Topology.name));
   Experiment.at exp (Time.of_sec 30.0) (fun () ->
       ignore (Routed_fabric.fail_link fabric ~a:1 ~b:2));
   check_bgp_latch ~exp ~originate fabric (fun () ->
       ignore (Experiment.run ~until:(Time.of_sec 60.0) exp));
-  check Alcotest.bool "healed" true (Routed_fabric.is_converged fabric)
+  check Alcotest.bool "healed" true (Routed_core.is_converged fabric)
 
 (* OSPF on the k=4 fat tree converges to the same FIBs as BGP (the
    fingerprint pinned in [fat_tree_work]), at an exact instant. *)
@@ -639,16 +640,16 @@ let test_ospf_fat_tree_fibs () =
       ~originate:(fun node -> List.map (fun p -> (p, 0)) (Fat_tree.edge_subnets ft node))
       ft.Fat_tree.topo
   in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
   let converged = ref None in
-  Ospf_fabric.when_converged fabric (fun () ->
+  Routed_core.when_converged fabric (fun () ->
       converged := Some (Time.to_us (Sched.now sched)));
   ignore (Experiment.run ~until:(Time.of_sec 10.0) exp);
   check
     (Alcotest.option Alcotest.int)
     "convergence instant" (Some 2_011_050) !converged;
   check Alcotest.string "fib fingerprint" "0a9e8e63eee7c80d79f89d0181f3255b"
-    (Ospf_fabric.fib_fingerprint fabric)
+    (Routed_core.fib_fingerprint fabric)
 
 let () =
   Alcotest.run "horse_faults"

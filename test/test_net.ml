@@ -36,10 +36,7 @@ let gen_flow_key =
 let test_ipv4_literals () =
   check Alcotest.string "to_string" "10.1.2.3"
     (Ipv4.to_string (Ipv4.of_octets 10 1 2 3));
-  check Alcotest.string "any" "0.0.0.0" (Ipv4.to_string Ipv4.any);
-  check Alcotest.string "broadcast" "255.255.255.255"
-    (Ipv4.to_string Ipv4.broadcast);
-  check Alcotest.string "localhost" "127.0.0.1" (Ipv4.to_string Ipv4.localhost)
+  check Alcotest.string "any" "0.0.0.0" (Ipv4.to_string Ipv4.any)
 
 let test_ipv4_parse_good () =
   List.iter
@@ -62,12 +59,12 @@ let test_ipv4_parse_bad () =
 
 let test_ipv4_arithmetic () =
   let a = Ipv4.of_octets 10 0 0 255 in
-  check Alcotest.string "succ wraps octet" "10.0.1.0" (Ipv4.to_string (Ipv4.succ a));
+  check Alcotest.string "add carries into the next octet" "10.0.1.0"
+    (Ipv4.to_string (Ipv4.add a 1));
   check Alcotest.string "add 257" "10.0.2.0"
     (Ipv4.to_string (Ipv4.add a 257));
-  check Alcotest.int "diff" 257 (Ipv4.diff (Ipv4.add a 257) a);
   check Alcotest.string "wrap around" "0.0.0.0"
-    (Ipv4.to_string (Ipv4.succ Ipv4.broadcast))
+    (Ipv4.to_string (Ipv4.add (Ipv4.of_octets 255 255 255 255) 1))
 
 let test_ipv4_unsigned_order () =
   let lo = Ipv4.of_octets 1 0 0 0 and hi = Ipv4.of_octets 200 0 0 0 in
@@ -151,9 +148,7 @@ let test_prefix_nth () =
 let test_mac_basics () =
   let m = Mac.of_string_exn "00:1B:21:3c:9D:f8" in
   check Alcotest.string "lowercase format" "00:1b:21:3c:9d:f8" (Mac.to_string m);
-  check Alcotest.bool "broadcast is multicast" true (Mac.is_multicast Mac.broadcast);
-  check Alcotest.bool "of_index is unicast" false
-    (Mac.is_multicast (Mac.of_index 7));
+  check Alcotest.string "broadcast" "ff:ff:ff:ff:ff:ff" (Mac.to_string Mac.broadcast);
   check Alcotest.bool "bad string" true (Mac.of_string "00:1b:21:3c:9d" = None);
   check Alcotest.bool "bad hex" true (Mac.of_string "zz:1b:21:3c:9d:f8" = None)
 

@@ -627,7 +627,7 @@ let switch_rig () =
   let sched = Sched.create () in
   let chan = Channel.create sched ~latency:(Time.of_ms 1) () in
   let sw_end, ctrl_end = Channel.endpoints chan in
-  let proc = Process.create sched ~name:"sw" in
+  let proc = Process.create sched in
   let agent =
     Switch.create proc ~dpid:42 ~ports:[ (1, 100); (2, 200) ] sw_end
   in
@@ -797,7 +797,7 @@ let test_switch_expiry_hook () =
   (* Like every timer of a killed process, expiry waits for the
      restart, which re-aims it. *)
   let sched = Sched.create () in
-  let proc = Process.create sched ~name:"sw" in
+  let proc = Process.create sched in
   let sw_end, ctrl_end =
     Channel.endpoints (Channel.create sched ~latency:(Time.of_ms 1) ())
   in

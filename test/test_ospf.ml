@@ -165,7 +165,7 @@ let two_daemons () =
   let ep_a, ep_b = Channel.endpoints chan in
   let mk name stubs =
     Daemon.create
-      (Process.create sched ~name)
+      (Process.create sched)
       {
         (Daemon.default_config ~router_id:(ip name)) with
         Daemon.stub_prefixes = stubs;
@@ -203,10 +203,10 @@ let test_daemon_crash_clears_routes () =
   let sched = Sched.create () in
   let chan = Channel.create sched () in
   let ep_a, ep_b = Channel.endpoints chan in
-  let proc_b = Process.create sched ~name:"2.2.2.2" in
+  let proc_b = Process.create sched in
   let a =
     Daemon.create
-      (Process.create sched ~name:"1.1.1.1")
+      (Process.create sched)
       (Daemon.default_config ~router_id:(ip "1.1.1.1"))
   in
   let b =
@@ -235,10 +235,10 @@ let test_daemon_restart_reforms_adjacency () =
   let sched = Sched.create () in
   let chan = Channel.create sched () in
   let ep_a, ep_b = Channel.endpoints chan in
-  let proc_b = Process.create sched ~name:"2.2.2.2" in
+  let proc_b = Process.create sched in
   let a =
     Daemon.create
-      (Process.create sched ~name:"1.1.1.1")
+      (Process.create sched)
       (Daemon.default_config ~router_id:(ip "1.1.1.1"))
   in
   let b =
@@ -276,15 +276,15 @@ let test_ospf_fabric_wan () =
       ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
       wan.Wan.topo
   in
-  check Alcotest.int "adjacency per link" 15 (Ospf_fabric.sessions_expected fabric);
+  check Alcotest.int "adjacency per link" 15 (Routed_core.sessions_expected fabric);
   let converged_at = ref None in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
-  Ospf_fabric.when_converged fabric (fun () ->
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
+  Routed_core.when_converged fabric (fun () ->
       converged_at := Some (Sched.now (Experiment.scheduler exp)));
   let stats = Experiment.run ~until:(Time.of_sec 30.0) exp in
-  check Alcotest.bool "converged" true (Ospf_fabric.is_converged fabric);
+  check Alcotest.bool "converged" true (Routed_core.is_converged fabric);
   check Alcotest.bool "reported" true (!converged_at <> None);
-  check Alcotest.int "all adjacencies full" 15 (Ospf_fabric.sessions_established fabric);
+  check Alcotest.int "all adjacencies full" 15 (Routed_core.sessions_established fabric);
   check Alcotest.bool "hellos kept the engine busy" true
     (stats.Sched.fti_increments > 0);
   (* Routing correctness: hop distances via the FIBs match SPF over
@@ -299,7 +299,7 @@ let test_ospf_fabric_wan () =
       in
       (* Walk the FIBs router-by-router: the source "host" is the
          router itself here, so walk manually from node 0. *)
-      let table = Ospf_fabric.table fabric in
+      let table = Routed_core.table fabric in
       let rec hops node n =
         if node = dst then Some n
         else if n > 15 then None
@@ -326,22 +326,22 @@ let test_ospf_fabric_failure () =
       ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
       wan.Wan.topo
   in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
   ignore (Experiment.run ~until:(Time.of_sec 10.0) exp);
-  check Alcotest.bool "converged" true (Ospf_fabric.is_converged fabric);
+  check Alcotest.bool "converged" true (Routed_core.is_converged fabric);
   (* r0's route to r3's prefix: two ECMP ways around the ring. *)
   let dst = Prefix.network (Wan.router_prefix wan 3) in
   let group_size () =
-    match Horse_dataplane.Fwd.lookup (Ospf_fabric.table fabric 0) dst with
+    match Horse_dataplane.Fwd.lookup (Routed_core.table fabric 0) dst with
     | Some g -> List.length g
     | None -> 0
   in
   check Alcotest.int "ecmp around the ring" 2 (group_size ());
   (* Cut r0-r1: everything must go the other way. *)
   Experiment.at exp (Time.of_sec 11.0) (fun () ->
-      check Alcotest.bool "failed" true (Ospf_fabric.fail_link fabric ~a:0 ~b:1));
+      check Alcotest.bool "failed" true (Routed_core.fail_link fabric ~a:0 ~b:1));
   ignore (Experiment.run ~until:(Time.of_sec 30.0) exp);
-  check Alcotest.bool "still converged" true (Ospf_fabric.is_converged fabric);
+  check Alcotest.bool "still converged" true (Routed_core.is_converged fabric);
   check Alcotest.int "single path after failure" 1 (group_size ())
 
 let test_ospf_periodic_fti () =
@@ -357,7 +357,7 @@ let test_ospf_periodic_fti () =
       ~originate:(fun node -> [ (Wan.router_prefix wan node, 0) ])
       wan.Wan.topo
   in
-  Experiment.at exp Time.zero (fun () -> Ospf_fabric.start fabric);
+  Experiment.at exp Time.zero (fun () -> Routed_core.start fabric);
   let stats = Experiment.run ~until:(Time.of_sec 20.0) exp in
   (* Hellos every 2 s with a 0.5 s quiet timeout: roughly one FTI
      episode per hello round. *)

@@ -328,7 +328,7 @@ let test_agent_programming () =
   let agent =
     Result.get_ok
       (Agent.create
-         (Process.create sched ~name:"p4sw")
+         (Process.create sched)
          ~program:simple_program
          ~ports:[ (1, 100); (2, 200) ]
          sw_end)

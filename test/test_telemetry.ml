@@ -213,7 +213,7 @@ let test_prometheus_golden () =
 let test_histogram_prometheus_expansion () =
   let reg = Registry.create () in
   let h =
-    Registry.histogram reg ~subsystem:"x" ~buckets_per_decade:1 ~lo:0.1 ~hi:10.0
+    Registry.histogram reg ~subsystem:"x" ~lo:0.1 ~hi:10.0
       "h_seconds"
   in
   Histogram.add h 0.05;
