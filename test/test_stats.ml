@@ -21,9 +21,23 @@ let test_series_basics () =
   check (Alcotest.float 1e-9) "mean" 2.0 (Series.mean s);
   check (Alcotest.float 1e-9) "max" 3.0 (Series.max_value s);
   check Alcotest.bool "last" true
-    (match Series.last s with Some (_, v) -> v = 3.0 | None -> false);
+    (match Series.last s with Some (_, v) -> v = 3.0 | None -> false)
+
+(* [map] keeps every timestamp, so the samples between two times are the
+   same samples before and after mapping. *)
+let test_series_between_and_map () =
+  let s = series_of [ (0, 1.0); (100, 2.0); (200, 3.0); (300, 4.0) ] in
   let doubled = Series.map s ~f:(fun v -> 2.0 *. v) in
-  check (Alcotest.float 1e-9) "map mean" 4.0 (Series.mean doubled)
+  check (Alcotest.float 1e-9) "map mean" 5.0 (Series.mean doubled);
+  let between series =
+    List.filter_map
+      (fun (t, v) ->
+        let ms = Time.to_ms t in
+        if ms >= 100.0 && ms <= 200.0 then Some v else None)
+      (Series.to_list series)
+  in
+  check (Alcotest.list (Alcotest.float 1e-9)) "between" [ 4.0; 6.0 ] (between doubled);
+  check (Alcotest.list (Alcotest.float 1e-9)) "source untouched" [ 2.0; 3.0 ] (between s)
 
 let test_series_monotonic () =
   let s = series_of [ (100, 1.0) ] in
@@ -134,6 +148,7 @@ let () =
       ( "series",
         [
           Alcotest.test_case "basics" `Quick test_series_basics;
+          Alcotest.test_case "between/map" `Quick test_series_between_and_map;
           Alcotest.test_case "monotonic enforcement" `Quick test_series_monotonic;
         ] );
       ( "summary",
