@@ -598,6 +598,28 @@ let micro () =
              flow_links;
            Delta.flush d))
   in
+  (* The megauser day's delta shape: one saturated link with 1,500
+     members, whose flush clamps every member and then promotes them
+     all into the arrival's scope. Each run swaps one member for one
+     arrival, so the link keeps its size across runs. *)
+  let test_delta_megauser =
+    let module Delta = Horse_dataplane.Fair_share.Delta in
+    let members = 1500 in
+    let demand id = [| 0.5; 1.0; 2.0 |].(id mod 3) in
+    let d = Delta.create ~capacity:(fun _ -> 1000.0) () in
+    for id = 0 to members - 1 do
+      Delta.add_flow d ~id ~demand:(demand id) ~links:[ 0 ]
+    done;
+    Delta.flush d;
+    let absent = ref members in
+    Test.make ~name:"delta scoped flush, megauser shape"
+      (Staged.stage (fun () ->
+           let leave = (!absent + 7919) mod (members + 1) in
+           Delta.remove_flow d ~id:leave;
+           Delta.add_flow d ~id:!absent ~demand:(demand !absent) ~links:[ 0 ];
+           absent := leave;
+           Delta.flush d))
+  in
   let test_fat_tree =
     Test.make ~name:"fat-tree build k=8"
       (Staged.stage (fun () -> ignore (Fat_tree.build ~k:8 ())))
@@ -710,6 +732,7 @@ let micro () =
         test_event_queue;
         test_event_queue_reaim;
         test_fair_share;
+        test_delta_megauser;
         test_fat_tree;
         test_bgp_codec;
         test_of_lookup;

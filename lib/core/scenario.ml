@@ -312,6 +312,7 @@ type mu_cell = {
   mc_users : int;  (* per class *)
   mutable mc_served_by : int;
   mutable mc_active : Flow.t list;  (* newest first *)
+  mutable mc_n_active : int;  (* = List.length mc_active *)
   mutable mc_seq : int;
 }
 
@@ -390,6 +391,7 @@ let run_wan_megauser ?seed:_ ?wan ?(classes = 20_000) ?(users = 1_000_000)
                           /. float_of_int k)));
                 mc_served_by = ranked.(src).(0);
                 mc_active = [];
+                mc_n_active = 0;
                 mc_seq = 0;
               }
               :: !cells);
@@ -446,7 +448,8 @@ let run_wan_megauser ?seed:_ ?wan ?(classes = 20_000) ?(users = 1_000_000)
                 Fluid.start_flow ~demand:cell.mc_demand ~users:cell.mc_users
                   fluid ~key ~path
               in
-              cell.mc_active <- f :: cell.mc_active
+              cell.mc_active <- f :: cell.mc_active;
+              cell.mc_n_active <- cell.mc_n_active + 1
           | None, _ | _, None -> assert false (* WAN hosts have IPs *)
         in
         let stop_class (cell : mu_cell) =
@@ -454,6 +457,7 @@ let run_wan_megauser ?seed:_ ?wan ?(classes = 20_000) ?(users = 1_000_000)
           | [] -> ()
           | f :: rest ->
               cell.mc_active <- rest;
+              cell.mc_n_active <- cell.mc_n_active - 1;
               Fluid.stop_flow fluid f
         in
         let tick_dt = duration_s /. float_of_int ticks in
@@ -470,8 +474,7 @@ let run_wan_megauser ?seed:_ ?wan ?(classes = 20_000) ?(users = 1_000_000)
                 max 0
                   (int_of_float (Float.round (float_of_int cell.mc_k *. f)))
               in
-              let cur = List.length cell.mc_active in
-              let delta = target - cur in
+              let delta = target - cell.mc_n_active in
               (* Spread the cell's arrivals/departures across the tick
                  window so each is its own solve instant. *)
               for j = 0 to abs delta - 1 do
@@ -510,7 +513,7 @@ let run_wan_megauser ?seed:_ ?wan ?(classes = 20_000) ?(users = 1_000_000)
              Array.iter
                (fun (c : mu_cell) ->
                  served.(c.mc_served_by) <-
-                   served.(c.mc_served_by) + List.length c.mc_active)
+                   served.(c.mc_served_by) + c.mc_n_active)
                cells;
              let busiest = ref 0 in
              Array.iteri

@@ -51,17 +51,28 @@ module Delta = struct
   (* Flush workspace, grown on demand and reused across flushes. A
      round's solve covers [n] flows ([sol]: scope first, then clamped)
      over [nl] dense links; per-flow link lists and per-link member
-     lists are flat offset/index arrays. *)
+     lists are flat offset/index arrays. The sorts run on the unboxed
+     key arrays and move records only once the order is known. *)
   type work = {
     mutable sol : dflow array;
+    mutable key : int array;  (* fids to sort, carrying [idx] *)
+    mutable idx : int array;
+    mutable kbuf : int array;  (* merge buffers for [key] and [idx] *)
+    mutable ibuf : int array;
+    mutable runs : int array;  (* ascending-run starts during the sort *)
+    mutable src_link : int array;
+        (* clamped flow m is member [src_pos.(m)] of in-solve link
+           [src_link.(m)] *)
+    mutable src_pos : int array;
     mutable insolve_links : dlink array;
     mutable n_insolve : int;
     mutable lid_of : dlink array;  (* dense link -> link *)
     mutable nl : int;  (* dense links so far *)
     mutable nfl : int;  (* entries of [fl] so far *)
-    mutable eff : float array;  (* effective demand per flow *)
+    mutable eff : float array;
+        (* effective demand per flow; the water fill sorts it in place *)
     mutable rates : float array;
-    mutable order : int array;  (* flows by ascending [eff] *)
+    mutable order : int array;  (* order.(i) is the flow of eff.(i) *)
     mutable frozen : bool array;
     mutable fl_off : int array;  (* flow i's links: fl.(fl_off.(i) ..) *)
     mutable fl : int array;
@@ -124,6 +135,13 @@ module Delta = struct
       ws =
         {
           sol = [||];
+          key = [||];
+          idx = [||];
+          kbuf = [||];
+          ibuf = [||];
+          runs = [||];
+          src_link = [||];
+          src_pos = [||];
           insolve_links = [||];
           n_insolve = 0;
           lid_of = [||];
@@ -359,62 +377,120 @@ module Delta = struct
 
   (* --- the scoped water fill --- *)
 
-  (* In-place heapsorts: [a.(lo .. lo+n-1)] by fid (fids are unique),
-     and [order.(0 .. n-1)] by [eff] (any order among equal demands is
-     fine: freezes of equal value commute). *)
-  let sort_by_fid (a : dflow array) lo n =
-    let swap i j =
-      let tmp = a.(lo + i) in
-      a.(lo + i) <- a.(lo + j);
-      a.(lo + j) <- tmp
-    in
-    let rec sift_down i len =
-      let l = (2 * i) + 1 in
-      if l < len then begin
-        let c =
-          if l + 1 < len && a.(lo + l).fid < a.(lo + l + 1).fid then l + 1
-          else l
-        in
-        if a.(lo + i).fid < a.(lo + c).fid then begin
-          swap i c;
-          sift_down c len
-        end
-      end
-    in
-    for i = (n / 2) - 1 downto 0 do
-      sift_down i n
-    done;
-    for last = n - 1 downto 1 do
-      swap 0 last;
-      sift_down 0 last
-    done
+  (* Room for [n] entries in the sort keys and the clamped gather. The
+     four arrays always grow together, so they keep one length. *)
+  let reserve w n =
+    if n > Array.length w.key then begin
+      w.key <- grow w.key n 0;
+      w.idx <- grow w.idx n 0;
+      w.src_link <- grow w.src_link n 0;
+      w.src_pos <- grow w.src_pos n 0
+    end
 
-  let sort_by_eff (order : int array) n (eff : float array) =
-    let swap i j =
-      let tmp = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- tmp
-    in
-    let rec sift_down i len =
-      let l = (2 * i) + 1 in
-      if l < len then begin
-        let c =
-          if l + 1 < len && eff.(order.(l)) < eff.(order.(l + 1)) then l + 1
-          else l
-        in
-        if eff.(order.(i)) < eff.(order.(c)) then begin
-          swap i c;
-          sift_down c len
-        end
+  (* Sorts [w.key.(0 .. n-1)] ascending, carrying [w.idx] along (keys
+     are unique fids). A natural merge sort: the runs already ascending
+     in the input (the clamped gather is one per member vector) are
+     merged pairwise through [kbuf]/[ibuf] until one is left. *)
+  let sort_keys w n =
+    w.kbuf <- grow w.kbuf n 0;
+    w.ibuf <- grow w.ibuf n 0;
+    w.runs <- grow w.runs (n + 1) 0;
+    let runs = w.runs in
+    let nr = ref 0 in
+    for i = 0 to n - 1 do
+      if i = 0 || w.key.(i) < w.key.(i - 1) then begin
+        runs.(!nr) <- i;
+        incr nr
       end
-    in
-    for i = (n / 2) - 1 downto 0 do
-      sift_down i n
     done;
-    for last = n - 1 downto 1 do
-      swap 0 last;
-      sift_down 0 last
-    done
+    runs.(!nr) <- n;
+    let key = ref w.key and idx = ref w.idx in
+    let kb = ref w.kbuf and ib = ref w.ibuf in
+    while !nr > 1 do
+      let sk = !key and si = !idx and dk = !kb and di = !ib in
+      for r = 0 to (!nr - 1) / 2 do
+        let lo = runs.(2 * r) in
+        let mid = runs.(min (2 * r + 1) !nr) in
+        let hi = runs.(min (2 * r + 2) !nr) in
+        let i = ref lo and j = ref mid in
+        for o = lo to hi - 1 do
+          if !j >= hi || (!i < mid && sk.(!i) < sk.(!j)) then begin
+            dk.(o) <- sk.(!i);
+            di.(o) <- si.(!i);
+            incr i
+          end
+          else begin
+            dk.(o) <- sk.(!j);
+            di.(o) <- si.(!j);
+            incr j
+          end
+        done;
+        runs.(r) <- lo
+      done;
+      nr := (!nr + 1) / 2;
+      runs.(!nr) <- n;
+      key := dk;
+      idx := di;
+      kb := sk;
+      ib := si
+    done;
+    if !key != w.key then begin
+      Array.blit !key 0 w.key 0 n;
+      Array.blit !idx 0 w.idx 0 n
+    end
+
+  (* Sorts [key.(lo .. hi-1)] ascending, carrying [order] along: a
+     quicksort with a three-way partition, so the few distinct demands
+     and clamped rates of a real scope cost one pass each. Any order
+     among equal keys is fine: freezes of equal value commute. *)
+  let rec sort_by_eff (key : float array) (order : int array) lo hi =
+    let swap i j =
+      let k = key.(i) and o = order.(i) in
+      key.(i) <- key.(j);
+      order.(i) <- order.(j);
+      key.(j) <- k;
+      order.(j) <- o
+    in
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let j = ref i in
+        while !j > lo && key.(!j) < key.(!j - 1) do
+          swap !j (!j - 1);
+          decr j
+        done
+      done
+    else begin
+      let a = key.(lo) and b = key.((lo + hi) / 2) and c = key.(hi - 1) in
+      let p =
+        if a < b then if b < c then b else if a < c then c else a
+        else if a < c then a
+        else if b < c then c
+        else b
+      in
+      (* [lo, lt) < p, [lt, i) = p, (gt, hi) > p *)
+      let lt = ref lo and i = ref lo and gt = ref (hi - 1) in
+      while !i <= !gt do
+        let k = key.(!i) in
+        if k < p then begin
+          swap !lt !i;
+          incr lt;
+          incr i
+        end
+        else if k > p then begin
+          swap !i !gt;
+          decr gt
+        end
+        else incr i
+      done;
+      if !lt - lo < hi - !gt - 1 then begin
+        sort_by_eff key order lo !lt;
+        sort_by_eff key order (!gt + 1) hi
+      end
+      else begin
+        sort_by_eff key order (!gt + 1) hi;
+        sort_by_eff key order lo !lt
+      end
+    end
 
   (* One scoped water-fill over the [n] flows and [nl] dense links laid
      out in [w]. Fills [w.rates] and the per-dense-link saturation
@@ -460,7 +536,7 @@ module Delta = struct
       if eff.(i) = 0.0 then freeze i 0.0
       else if fl_off.(i + 1) = fl_off.(i) then freeze i eff.(i)
     done;
-    sort_by_eff order n eff;
+    sort_by_eff eff order 0 n;
     let ptr = ref 0 in
     while !n_unfrozen > 0 do
       let level = ref infinity and bott = ref (-1) in
@@ -477,15 +553,15 @@ module Delta = struct
         end
       done;
       while !ptr < n && frozen.(order.(!ptr)) do incr ptr done;
-      let dmin = eff.(order.(!ptr)) in
+      let dmin = eff.(!ptr) in
       if !bott < 0 || dmin <= !level then begin
         let threshold = if !bott < 0 then dmin else !level in
         let continue = ref true in
         while !continue && !ptr < n do
           let i = order.(!ptr) in
           if frozen.(i) then incr ptr
-          else if eff.(i) <= threshold then begin
-            freeze i eff.(i);
+          else if eff.(!ptr) <= threshold then begin
+            freeze i eff.(!ptr);
             incr ptr
           end
           else continue := false
@@ -542,30 +618,66 @@ module Delta = struct
         end;
         lay_links t w ~scoped rest
 
-  (* Lays out one round over the scope [sol.(0 .. ns-1)]: appends the
-     clamped flows, numbers the dense links and fills the flat link
-     and member lists. Returns [(n, nl)]. *)
+  (* Sorts the scope [sol.(0 .. ns-1)] by fid: sorts the keys, then
+     applies the permutation cycle by cycle, so each record moves once. *)
+  let sort_scope w ns =
+    reserve w ns;
+    for i = 0 to ns - 1 do
+      w.key.(i) <- w.sol.(i).fid;
+      w.idx.(i) <- i
+    done;
+    sort_keys w ns;
+    for s = 0 to ns - 1 do
+      if w.idx.(s) <> s then begin
+        let first = w.sol.(s) in
+        let cur = ref s in
+        while w.idx.(!cur) <> s do
+          let next = w.idx.(!cur) in
+          w.sol.(!cur) <- w.sol.(next);
+          w.idx.(!cur) <- !cur;
+          cur := next
+        done;
+        w.sol.(!cur) <- first;
+        w.idx.(!cur) <- !cur
+      end
+    done
+
+  (* The clamped flow gathered [m]th by this round's {!layout}. *)
+  let clamped_flow w m =
+    w.insolve_links.(w.src_link.(m)).members.(w.src_pos.(m))
+
+  (* Lays out one round over the fid-sorted scope [sol.(0 .. ns-1)]:
+     appends the clamped flows, numbers the dense links and fills the
+     flat link and member lists. Returns [(n, nl)]. *)
   let layout t ns =
     let w = t.ws and epoch = t.epoch and round = t.round in
-    sort_by_fid w.sol 0 ns;
     (* Every other member of an in-solve link is clamped at its
-       previous rate. *)
-    let n = ref ns in
+       previous rate. Gather their fids and where they sit, sort the
+       fids, then write each record once, in fid order, after the
+       scope. *)
+    let nc = ref 0 in
     for k = 0 to w.n_insolve - 1 do
       let l = w.insolve_links.(k) in
       for j = 0 to l.n_members - 1 do
         let f = l.members.(j) in
         if f.scope <> epoch && f.clamped <> round then begin
           f.clamped <- round;
-          w.sol <- grow w.sol (!n + 1) nobody;
-          w.sol.(!n) <- f;
-          incr n
+          reserve w (!nc + 1);
+          w.key.(!nc) <- f.fid;
+          w.idx.(!nc) <- !nc;
+          w.src_link.(!nc) <- k;
+          w.src_pos.(!nc) <- j;
+          incr nc
         end
       done
     done;
-    let n = !n in
-    (* Canonical flow order: scope first, then clamped, both by fid. *)
-    sort_by_fid w.sol ns (n - ns);
+    let nc = !nc in
+    sort_keys w nc;
+    let n = ns + nc in
+    w.sol <- grow w.sol n nobody;
+    for i = 0 to nc - 1 do
+      w.sol.(ns + i) <- clamped_flow w w.idx.(i)
+    done;
     w.eff <- grow w.eff n 0.0;
     w.rates <- grow w.rates n 0.0;
     w.order <- grow w.order n 0;
@@ -641,6 +753,31 @@ module Delta = struct
     done;
     !count
 
+  (* Merges the [p] promoted flows into the scope [sol.(0 .. ns-1)] and
+     enters them into it. They are all clamped, so they already run in
+     fid order through the sorted gather; the merge walks both runs
+     from the back, leaving the scope records below the first promoted
+     fid in place. Promoted records are read back through the gather,
+     since the merge overwrites the clamped tail. *)
+  let merge_promoted t ns n p =
+    let w = t.ws and round = t.round in
+    let i = ref (ns - 1) and c = ref (n - ns - 1) and o = ref (ns + p - 1) in
+    while !o > !i do
+      let f = clamped_flow w w.idx.(!c) in
+      if f.promoted <> round then decr c
+      else if !i >= 0 && w.sol.(!i).fid > f.fid then begin
+        w.sol.(!o) <- w.sol.(!i);
+        decr i;
+        decr o
+      end
+      else begin
+        enter_scope t f;
+        w.sol.(!o) <- f;
+        decr c;
+        decr o
+      end
+    done
+
   let commit t ns =
     let w = t.ws and round = t.round in
     for i = 0 to ns - 1 do
@@ -691,6 +828,7 @@ module Delta = struct
             incr ns
           end)
         t.seed_flows;
+      sort_scope w !ns;
       List.iter
         (fun lid ->
           let l = find_link t lid in
@@ -721,16 +859,8 @@ module Delta = struct
         end
         else begin
           t.s_promotions <- t.s_promotions + promoted;
-          (* Promoted flows are all clamped: move them, in order, from
-             the clamped tail into the scope. *)
-          for i = !ns to n - 1 do
-            let f = w.sol.(i) in
-            if f.promoted = t.round then begin
-              enter_scope t f;
-              w.sol.(!ns) <- f;
-              incr ns
-            end
-          done
+          merge_promoted t !ns n promoted;
+          ns := !ns + promoted
         end
       done
     end

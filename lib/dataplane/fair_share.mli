@@ -46,7 +46,13 @@
     per-flush sets — scope, in-solve links, clamped and promoted flows,
     dense link numbering — are epoch/round stamps on the flow and link
     records, and the water fill runs on flat work arrays reused across
-    flushes.
+    flushes. No sort swaps flow records: the sorts run on unboxed keys
+    carrying an index, and each record moves once the order is known.
+    The scope is sorted by id once per flush. Each round gathers the
+    clamped flows' ids from the in-solve links' id-sorted member
+    vectors and merge-sorts those runs. Promoted flows, already in id
+    order, are merged into the sorted scope in linear time. The demand
+    order is a three-way-partition quicksort of the float demands.
 
     {b Orderings.} Float sums depend on their order, so the solver
     fixes three orders, and its rates and timers depend on them bit

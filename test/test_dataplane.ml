@@ -544,6 +544,50 @@ let test_delta_departure_propagates () =
   check (Alcotest.float 1e-9) "f2 rises" 1.5 (Fair_share.Delta.rate d ~id:2);
   check (Alcotest.float 1e-9) "f0 gone" 0.0 (Fair_share.Delta.rate d ~id:0)
 
+let test_delta_promotion_merge () =
+  (* Two saturated links, flows with negative and out-of-order ids.
+     Three arrivals lower both levels, so the first round promotes every
+     clamped flow, and their ids interleave the scope's: the second
+     round must solve the merged scope in ascending id order. Two
+     fast-path arrivals on a roomy link ride along in the same flush. *)
+  let caps = [| 10.0; 1e6; 6.0 |] in
+  let capacity l = caps.(l) in
+  let d = Fair_share.Delta.create ~capacity () in
+  let flows = ref [] in
+  let add id demand links =
+    Fair_share.Delta.add_flow d ~id ~demand ~links;
+    flows := (id, { Fair_share_reference.demand; links }) :: !flows
+  in
+  add 7 5.0 [ 0 ];
+  add (-3) 5.0 [ 0; 2 ];
+  add 12 5.0 [ 2 ];
+  add (-8) 5.0 [ 0 ];
+  add 1 5.0 [ 2 ];
+  Fair_share.Delta.flush d;
+  let before = Fair_share.Delta.stats d in
+  add 100 1.0 [ 1 ];
+  add 4 5.0 [ 0 ];
+  add (-100) 1.0 [ 1 ];
+  add (-5) 5.0 [ 0; 2 ];
+  add 9 5.0 [ 2 ];
+  Fair_share.Delta.flush d;
+  let after = Fair_share.Delta.stats d in
+  check Alcotest.bool "the flush ran a second round" true
+    (after.Fair_share.Delta.expansions > before.Fair_share.Delta.expansions);
+  check (Alcotest.list Alcotest.int)
+    "fast-path ids, then the scope by ascending id"
+    [ 100; -100; -8; -5; -3; 1; 4; 7; 9; 12 ]
+    (Fair_share.Delta.touched d);
+  let ids, inputs = List.split (List.rev !flows) in
+  let want = Fair_share_reference.compute ~capacity (Array.of_list inputs) in
+  List.iteri
+    (fun i id ->
+      check (Alcotest.float 1e-9)
+        (Printf.sprintf "flow %d" id)
+        want.(i)
+        (Fair_share.Delta.rate d ~id))
+    ids
+
 (* Link 9 has no valid capacity: any call naming it must raise before
    it changes any state. *)
 let capacity_bad_9 = function 9 -> 0.0 | _ -> 1.0
@@ -1150,6 +1194,8 @@ let () =
             test_delta_departure_propagates;
           Alcotest.test_case "delta: pending flow removal" `Quick
             test_delta_pending_removal;
+          Alcotest.test_case "delta: promotion merge keeps scope order" `Quick
+            test_delta_promotion_merge;
           Alcotest.test_case "delta: bit-identity pin" `Quick
             test_delta_bit_identity_pin;
           Alcotest.test_case "delta: add_flow is exception-safe" `Quick
