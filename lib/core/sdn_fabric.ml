@@ -23,6 +23,13 @@ type t = {
   mutable pending : pending list;
   mutable retry_scheduled : bool;
   mutable n_switches : int;
+  (* 5-tuple -> newest active flow, rebuilt from the fluid engine
+     whenever its flow set changed since the last lookup: flows
+     started and flows stopped together stamp that set. *)
+  by_key : Flow.t Flow_key.Table.t;
+  mutable keys_started : int;
+  mutable keys_stopped : int;
+  mutable key_rebuilds : int;
 }
 
 (* 5-tuple reconstruction from an exact-match entry (as installed by
@@ -126,6 +133,26 @@ let schedule_retry t =
     ignore (Sched.schedule_after t.sched Time.zero (fun () -> retry_pending t))
   end
 
+(* Stats polls look up every flow-table entry, so a lookup must not
+   scan the flows: the table is rebuilt at most once per change of the
+   flow set, and ascending-id replace leaves the newest flow of each
+   5-tuple. *)
+let find_flow t key =
+  let stopped = Fluid.completed_flow_count t.fluid in
+  let started = Fluid.flow_count t.fluid + stopped in
+  if started <> t.keys_started || stopped <> t.keys_stopped then begin
+    Flow_key.Table.clear t.by_key;
+    List.iter
+      (fun (f : Flow.t) -> Flow_key.Table.replace t.by_key f.Flow.key f)
+      (Fluid.active_flows t.fluid);
+    t.keys_started <- started;
+    t.keys_stopped <- stopped;
+    t.key_rebuilds <- t.key_rebuilds + 1
+  end;
+  Flow_key.Table.find_opt t.by_key key
+
+let key_rebuilds t = t.key_rebuilds
+
 (* Latency of every controller-switch channel. *)
 let channel_latency = Time.of_ms 1
 
@@ -155,6 +182,10 @@ let build ~cm ~fluid topo =
       pending = [];
       retry_scheduled = false;
       n_switches = 0;
+      by_key = Flow_key.Table.create 256;
+      keys_started = -1;
+      keys_stopped = -1;
+      key_rebuilds = 0;
     }
   in
   (* Port numbering: the i-th out-link of a switch is port i+1. *)
@@ -204,7 +235,7 @@ let build ~cm ~fluid topo =
             match key_of_match entry.Flow_table.match_ with
             | None -> (entry.Flow_table.packets, entry.Flow_table.bytes)
             | Some key -> (
-                match Fluid.find_flow fluid key with
+                match find_flow t key with
                 | None -> (entry.Flow_table.packets, entry.Flow_table.bytes)
                 | Some flow ->
                     let bytes =

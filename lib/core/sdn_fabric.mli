@@ -38,6 +38,16 @@ val resolve_now : t -> Flow_key.t -> Spf.path option
 (** Pure table walk without PACKET_IN side effects; [None] on any
     miss. Used to re-resolve after a reroute. *)
 
+val find_flow : t -> Flow_key.t -> Flow.t option
+(** The active flow with this exact 5-tuple, the newest when several
+    share it: the lookup behind the edge switches' flow statistics.
+    The index is rebuilt from {!Fluid.active_flows} on the first
+    lookup after the flow set changed, so it costs O(1) amortised per
+    lookup while flows are steady. *)
+
+val key_rebuilds : t -> int
+(** Times {!find_flow} rebuilt its index. *)
+
 val pending_flows : t -> int
 val packet_ins : t -> int
 (** Total PACKET_INs raised by all agents. *)

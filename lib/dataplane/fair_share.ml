@@ -92,13 +92,18 @@ module Delta = struct
     mutable dlinks : dlink array;  (* by link id; [absent] when unused *)
     mutable seed_flows : dflow list;  (* dirtied since the last flush *)
     mutable seed_links : int list;
-    mutable fast_touched : int list;
-        (* flows committed by the fast path since the last flush *)
+    mutable fast_touched : dflow list;
+        (* flows committed by the fast path since the last flush,
+           newest first *)
     mutable pending_fast_flows : int;
     mutable pending_fast_links : int;
         (* fast-path work, folded into the stats at the next flush so
            callers diffing stats around a solve see it *)
-    mutable last_touched : int list;
+    mutable last_fast : dflow list;
+        (* the last flush's fast commits: newest first, or in event
+           order when the flush ran a water fill *)
+    mutable last_scope : int;
+        (* that water fill's scope, still [ws.sol.(0 .. last_scope-1)] *)
     mutable epoch : int;  (* flushes that ran a solve *)
     mutable round : int;  (* solve rounds, over all flushes *)
     ws : work;
@@ -129,7 +134,8 @@ module Delta = struct
       fast_touched = [];
       pending_fast_flows = 0;
       pending_fast_links = 0;
-      last_touched = [];
+      last_fast = [];
+      last_scope = 0;
       epoch = 0;
       round = 0;
       ws =
@@ -242,8 +248,8 @@ module Delta = struct
      run below capacity; the scoped solve in {!flush} only runs for
      events that actually move a bottleneck. *)
 
-  let fast_commit t ~id ~links =
-    t.fast_touched <- id :: t.fast_touched;
+  let fast_commit t f ~links =
+    t.fast_touched <- f :: t.fast_touched;
     t.pending_fast_flows <- t.pending_fast_flows + 1;
     t.pending_fast_links <- t.pending_fast_links + List.length links
 
@@ -274,7 +280,7 @@ module Delta = struct
           let l = t.dlinks.(lid) in
           l.lload <- l.lload +. demand)
         links;
-      fast_commit t ~id ~links
+      fast_commit t f ~links
     end
     else begin
       f.pending <- true;
@@ -351,7 +357,7 @@ module Delta = struct
               let l = t.dlinks.(lid) in
               l.lload <- l.lload +. f.rate)
             links;
-          fast_commit t ~id ~links
+          fast_commit t f ~links
         end
         else begin
           f.pending <- true;
@@ -362,7 +368,23 @@ module Delta = struct
   let rate t ~id =
     match Itbl.find_opt t.dflows id with Some f -> f.rate | None -> 0.0
 
-  let touched t = t.last_touched
+  (* A flow removed since its commit reads rate 0. *)
+  let iter_touched t visit =
+    let visit_flow f = if f.live then visit f.fid f.rate else visit f.fid 0.0 in
+    List.iter visit_flow t.last_fast;
+    for i = 0 to t.last_scope - 1 do
+      visit_flow t.ws.sol.(i)
+    done
+
+  let fold_link t ~link f init =
+    let l = find_link t link in
+    let acc = ref init in
+    for j = 0 to l.n_members - 1 do
+      let m = l.members.(j) in
+      acc := f m.fid m.rate !acc
+    done;
+    !acc
+
   let flow_count t = Itbl.length t.dflows
 
   let stats t =
@@ -809,8 +831,9 @@ module Delta = struct
     t.s_links_touched <- t.s_links_touched + t.pending_fast_links;
     t.pending_fast_flows <- 0;
     t.pending_fast_links <- 0;
-    if t.seed_flows = [] && t.seed_links = [] then t.last_touched <- fast
-    else begin
+    t.last_fast <- fast;
+    t.last_scope <- 0;
+    if t.seed_flows <> [] || t.seed_links <> [] then begin
       (* Scope flows are fully re-solved (all their links join the
          in-solve set); every other member of an in-solve link is
          clamped at its previous rate, behaving exactly like a
@@ -849,11 +872,8 @@ module Delta = struct
         let promoted = mark_promotions t !ns n nl in
         if promoted = 0 then begin
           commit t !ns;
-          let scope = ref [] in
-          for i = !ns - 1 downto 0 do
-            scope := w.sol.(i).fid :: !scope
-          done;
-          t.last_touched <- List.rev_append fast !scope;
+          t.last_fast <- List.rev fast;
+          t.last_scope <- !ns;
           t.s_solves <- t.s_solves + 1;
           stable := true
         end

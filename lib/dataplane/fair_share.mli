@@ -61,9 +61,10 @@
       flows by ascending id;
     - dense link numbers follow first reference over that flow order,
       and break ties between equal bottleneck shares;
-    - {!Delta.touched} lists fast-path flows in event order, then the
-      scope by ascending id ([Fluid] arms completion timers in that
-      order).
+    - {!Delta.iter_touched} visits the fast-path flows, then the scope
+      by ascending id ([Fluid] arms completion timers in that order).
+      The fast-path flows come in event order when the flush ran a
+      water fill, and newest first when it ran none.
 
     Freezes of equal value commute, so the demand sort may order ties
     freely. *)
@@ -107,11 +108,22 @@ module Delta : sig
       nothing is pending). *)
 
   val rate : t -> id:int -> float
-  (** Rate as of the last flush (0 for an unknown id). *)
+  (** Rate as of the last flush (0 for an unknown id). A hash lookup:
+      a caller that follows a flush reads {!iter_touched} instead. *)
 
-  val touched : t -> int list
-  (** Flow ids whose rate was (re)assigned by the last flush —
-      everything else is untouched memory. *)
+  val iter_touched : t -> (int -> float -> unit) -> unit
+  (** [iter_touched d f] calls [f id rate] for each flow whose rate the
+      last flush (re)assigned, in the order {b Orderings} gives;
+      everything else is untouched memory. A flow can be visited more
+      than once: once per fast-path commit, and again in the scope. A
+      flow removed since then is still visited, with rate 0. No
+      lookup: the flush keeps the flow records it touched. *)
+
+  val fold_link : t -> link:int -> (int -> float -> 'a -> 'a) -> 'a -> 'a
+  (** [fold_link d ~link f init] folds [f id rate] over the flows whose
+      path crosses [link], by ascending id: the link's member vector.
+      Rates are as of the last flush; a flow added or rerouted since
+      reads its stale rate, so flush first. O(members). *)
 
   val flow_count : t -> int
   val stats : t -> stats

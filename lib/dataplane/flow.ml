@@ -15,9 +15,4 @@ type t = {
   mutable stopped_at : Time.t option;
 }
 
-let dst_node t =
-  match List.rev t.path with
-  | [] -> None
-  | l :: _ -> Some l.Horse_topo.Topology.dst
-
 let link_ids t = List.map (fun l -> l.Horse_topo.Topology.link_id) t.path

@@ -26,8 +26,5 @@ type t = {
   mutable stopped_at : Time.t option;
 }
 
-val dst_node : t -> int option
-(** Last node of the path. *)
-
 val link_ids : t -> int list
 

@@ -83,21 +83,36 @@ type finite_state = {
   mutable timer : Event_queue.handle option;
 }
 
-module Key_tbl = Flow_key.Table
+(* Placeholders for empty slots of the id-indexed store; never
+   mutated. *)
+let gone =
+  {
+    Flow.id = -1;
+    key = Flow_key.make ~src:Ipv4.any ~dst:Ipv4.any ();
+    demand = 0.0;
+    users = 0;
+    started = Time.zero;
+    path = [];
+    rate = 0.0;
+    delivered_bits = 0.0;
+    last_integration = Time.zero;
+    active = false;
+    stopped_at = None;
+  }
+
+let open_ended =
+  { size = infinity; on_complete = ignore; timer = None }
 
 type t = {
   sched : Sched.t;
   topo : Topology.t;
   m : metrics;
   delta : Fair_share.Delta.t;
-  (* Indexed flow state: stopped flows retire out of every scan
-     path. *)
-  active : (int, Flow.t) Hashtbl.t;  (* flow id -> active flow *)
-  by_key : Flow.t Key_tbl.t;  (* newest binding first *)
-  link_index : (int, (int, Flow.t) Hashtbl.t) Hashtbl.t;
-      (* link id -> active member flows by id *)
-  dst_index : (int, (int, Flow.t) Hashtbl.t) Hashtbl.t;
-      (* dst node -> active terminating flows by id *)
+  (* The flow store, indexed by the dense flow id: a stopped flow's
+     slots hold the placeholders, so only active flows stay
+     reachable. Link membership lives in [delta]. *)
+  mutable flows : Flow.t array;  (* id -> active flow, or [gone] *)
+  mutable finite : finite_state array;  (* id -> state, or [open_ended] *)
   mutable n_active : int;
   mutable n_users : int;
   mutable next_id : int;
@@ -113,7 +128,6 @@ type t = {
      read. *)
   mutable dirty : bool;
   mutable flush_hooked : bool;
-  finite : (int, finite_state) Hashtbl.t;  (* flow id -> finite state *)
   aggregate : Horse_stats.Series.t;
   host_series : (int, Horse_stats.Series.t) Hashtbl.t;
   mutable sampler : Sched.recurring option;
@@ -128,10 +142,8 @@ let create sched topo =
       Fair_share.Delta.create
         ~capacity:(fun l -> (Topology.link topo l).Topology.capacity)
         ();
-    active = Hashtbl.create 256;
-    by_key = Key_tbl.create 256;
-    link_index = Hashtbl.create 256;
-    dst_index = Hashtbl.create 64;
+    flows = Array.make 256 gone;
+    finite = Array.make 256 open_ended;
     n_active = 0;
     n_users = 0;
     next_id = 0;
@@ -142,56 +154,34 @@ let create sched topo =
     completed_flows = 0;
     dirty = false;
     flush_hooked = false;
-    finite = Hashtbl.create 32;
     aggregate = Horse_stats.Series.create ();
     host_series = Hashtbl.create 32;
     sampler = None;
   }
 
-
-(* --- membership indexes ------------------------------------------- *)
-
-let index_add tbl key (f : Flow.t) =
-  let inner =
-    match Hashtbl.find_opt tbl key with
-    | Some inner -> inner
-    | None ->
-        let inner = Hashtbl.create 8 in
-        Hashtbl.add tbl key inner;
-        inner
-  in
-  Hashtbl.replace inner f.Flow.id f
-
-let index_remove tbl key (f : Flow.t) =
-  match Hashtbl.find_opt tbl key with
-  | None -> ()
-  | Some inner ->
-      Hashtbl.remove inner f.Flow.id;
-      if Hashtbl.length inner = 0 then Hashtbl.remove tbl key
-
-let enroll t (f : Flow.t) =
-  Hashtbl.replace t.active f.Flow.id f;
-  Key_tbl.add t.by_key f.Flow.key f;
-  List.iter (fun l -> index_add t.link_index l f) (Flow.link_ids f);
-  Option.iter (fun dst -> index_add t.dst_index dst f) (Flow.dst_node f)
-
-(* Remove one specific binding of [f.key] while keeping any other
-   active flows that share the 5-tuple findable (newest first, as
-   before the index existed). *)
-let unbind_key t (f : Flow.t) =
-  let all = Key_tbl.find_all t.by_key f.Flow.key in
-  if List.memq f all then begin
-    List.iter (fun _ -> Key_tbl.remove t.by_key f.Flow.key) all;
-    List.iter
-      (fun g -> Key_tbl.add t.by_key f.Flow.key g)
-      (List.rev (List.filter (fun g -> g != f) all))
+(* [a] with room for index [i], keeping its contents. *)
+let grow a i fill =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
   end
 
-let retire t (f : Flow.t) =
-  Hashtbl.remove t.active f.Flow.id;
-  unbind_key t f;
-  List.iter (fun l -> index_remove t.link_index l f) (Flow.link_ids f);
-  Option.iter (fun dst -> index_remove t.dst_index dst f) (Flow.dst_node f)
+(* Every active flow, by ascending id. *)
+let iter_active t f =
+  let flows = t.flows in
+  for id = 0 to t.next_id - 1 do
+    let fl = flows.(id) in
+    if fl != gone then f fl
+  done
+
+(* The node a path ends at, or -1 for an empty path. *)
+let rec last_dst = function
+  | [] -> -1
+  | [ (l : Topology.link) ] -> l.Topology.dst
+  | _ :: rest -> last_dst rest
 
 (* Integrate a flow's delivered bits up to [now] at its current
    rate. *)
@@ -216,16 +206,13 @@ let rec solve t =
   let before = Fair_share.Delta.stats d in
   Fair_share.Delta.flush d;
   let after = Fair_share.Delta.stats d in
-  let touched =
-    List.filter_map
-      (fun fid -> Hashtbl.find_opt t.active fid)
-      (Fair_share.Delta.touched d)
-  in
-  List.iter
-    (fun (f : Flow.t) ->
-      integrate_flow now f;
-      f.Flow.rate <- Fair_share.Delta.rate d ~id:f.Flow.id)
-    touched;
+  Fair_share.Delta.iter_touched d (fun id rate ->
+      let f = t.flows.(id) in
+      if f != gone then begin
+        integrate_flow now f;
+        f.Flow.rate <- rate;
+        aim_completion t f
+      end);
   let work = after.Fair_share.Delta.flows_touched - before.Fair_share.Delta.flows_touched in
   t.solve_work <- t.solve_work + work;
   t.recomputes <- t.recomputes + 1;
@@ -238,7 +225,6 @@ let rec solve t =
   Counter.add t.m.m_delta_promotions
     (after.Fair_share.Delta.promotions - before.Fair_share.Delta.promotions);
   Histogram.add t.m.h_recompute_flows (float_of_int work);
-  List.iter (fun f -> aim_completion t f) touched;
   Histogram.add t.m.h_recompute_wall (Wall.now () -. wall0)
 
 (* Request a recompute: the request is folded into one solve that
@@ -261,29 +247,29 @@ and request_recompute t =
 and ensure_fresh t = if t.dirty then solve t
 
 and aim_completion t (f : Flow.t) =
-  match Hashtbl.find_opt t.finite f.Flow.id with
-  | None -> ()
-  | Some fin ->
-      Option.iter Event_queue.cancel fin.timer;
-      fin.timer <- None;
-      if f.Flow.active then begin
-        let remaining = Float.max 0.0 (fin.size -. f.Flow.delivered_bits) in
-        let fire at =
-          fin.timer <- Some (Sched.schedule_at t.sched at (fun () -> complete t f))
-        in
-        if remaining <= 0.0 then fire (Sched.now t.sched)
-        else if f.Flow.rate > 0.0 then
-          fire
-            (Time.add (Sched.now t.sched) (Time.of_sec (remaining /. f.Flow.rate)))
-      end
+  let fin = t.finite.(f.Flow.id) in
+  if fin != open_ended then begin
+    Option.iter Event_queue.cancel fin.timer;
+    fin.timer <- None;
+    if f.Flow.active then begin
+      let remaining = Float.max 0.0 (fin.size -. f.Flow.delivered_bits) in
+      let fire at =
+        fin.timer <- Some (Sched.schedule_at t.sched at (fun () -> complete t f))
+      in
+      if remaining <= 0.0 then fire (Sched.now t.sched)
+      else if f.Flow.rate > 0.0 then
+        fire
+          (Time.add (Sched.now t.sched) (Time.of_sec (remaining /. f.Flow.rate)))
+    end
+  end
 
 and complete t (f : Flow.t) =
-  match Hashtbl.find_opt t.finite f.Flow.id with
-  | None -> ()
-  | Some fin ->
-      Hashtbl.remove t.finite f.Flow.id;
-      stop_flow t f;
-      fin.on_complete f
+  let fin = t.finite.(f.Flow.id) in
+  if fin != open_ended then begin
+    t.finite.(f.Flow.id) <- open_ended;
+    stop_flow t f;
+    fin.on_complete f
+  end
 
 and stop_flow t (f : Flow.t) =
   if f.Flow.active then begin
@@ -301,25 +287,26 @@ and stop_flow t (f : Flow.t) =
       (Time.to_sec (Time.sub (Sched.now t.sched) f.Flow.started));
     t.completed_bits <- t.completed_bits +. f.Flow.delivered_bits;
     t.completed_flows <- t.completed_flows + 1;
-    (match Hashtbl.find_opt t.finite f.Flow.id with
-    | Some fin ->
-        Option.iter Event_queue.cancel fin.timer;
-        Hashtbl.remove t.finite f.Flow.id
-    | None -> ());
-    retire t f;
+    let fin = t.finite.(f.Flow.id) in
+    if fin != open_ended then begin
+      Option.iter Event_queue.cancel fin.timer;
+      t.finite.(f.Flow.id) <- open_ended
+    end;
+    t.flows.(f.Flow.id) <- gone;
     request_recompute t
   end
 
 (* --- queries -------------------------------------------------------- *)
 
 let active_flows t =
-  ensure_fresh t;
-  let flows = Hashtbl.fold (fun _ f acc -> f :: acc) t.active [] in
-  List.sort (fun (a : Flow.t) (b : Flow.t) -> Int.compare a.Flow.id b.Flow.id) flows
+  let acc = ref [] in
+  for id = t.next_id - 1 downto 0 do
+    let f = t.flows.(id) in
+    if f != gone then acc := f :: !acc
+  done;
+  !acc
 
 let flow_count t = t.n_active
-
-let find_flow t key = Key_tbl.find_opt t.by_key key
 
 let check_path path =
   let rec contiguous = function
@@ -350,8 +337,10 @@ let start_flow ?(demand = 1e9) ?(users = 1) t ~key ~path =
       stopped_at = None;
     }
   in
+  t.flows <- grow t.flows f.Flow.id gone;
+  t.finite <- grow t.finite f.Flow.id open_ended;
+  t.flows.(f.Flow.id) <- f;
   t.next_id <- t.next_id + 1;
-  enroll t f;
   t.n_active <- t.n_active + 1;
   t.n_users <- t.n_users + users;
   Counter.incr t.m.m_started;
@@ -366,8 +355,7 @@ let start_finite_flow ?demand t ~key ~path ~size_bits ~on_complete =
   if size_bits <= 0.0 then
     invalid_arg "Fluid.start_finite_flow: size <= 0";
   let f = start_flow ?demand t ~key ~path in
-  Hashtbl.replace t.finite f.Flow.id
-    { size = size_bits; on_complete; timer = None };
+  t.finite.(f.Flow.id) <- { size = size_bits; on_complete; timer = None };
   (* The rate is not assigned yet; the pending solve aims the
      completion. *)
   f
@@ -375,11 +363,7 @@ let start_finite_flow ?demand t ~key ~path ~size_bits ~on_complete =
 let set_path t (f : Flow.t) path =
   if not f.Flow.active then invalid_arg "Fluid.set_path: flow is stopped";
   check_path path;
-  List.iter (fun l -> index_remove t.link_index l f) (Flow.link_ids f);
-  Option.iter (fun dst -> index_remove t.dst_index dst f) (Flow.dst_node f);
   f.Flow.path <- path;
-  List.iter (fun l -> index_add t.link_index l f) (Flow.link_ids f);
-  Option.iter (fun dst -> index_add t.dst_index dst f) (Flow.dst_node f);
   Fair_share.Delta.set_links t.delta ~id:f.Flow.id ~links:(Flow.link_ids f);
   request_recompute t
 
@@ -397,46 +381,57 @@ let delivered_bits t (f : Flow.t) =
 
 let flows_on_link t link_id =
   ensure_fresh t;
-  match Hashtbl.find_opt t.link_index link_id with
-  | None -> []
-  | Some members ->
-      Hashtbl.fold (fun _ f acc -> f :: acc) members []
-      |> List.sort (fun (a : Flow.t) (b : Flow.t) ->
-             Int.compare a.Flow.id b.Flow.id)
+  List.rev
+    (Fair_share.Delta.fold_link t.delta ~link:link_id
+       (fun id _ acc -> t.flows.(id) :: acc)
+       [])
 
 let link_load t link_id =
   ensure_fresh t;
-  match Hashtbl.find_opt t.link_index link_id with
-  | None -> 0.0
-  | Some members ->
-      Hashtbl.fold (fun _ (f : Flow.t) acc -> acc +. f.Flow.rate) members 0.0
+  Fair_share.Delta.fold_link t.delta ~link:link_id
+    (fun _ rate acc -> acc +. rate)
+    0.0
 
 let link_utilization t link_id =
   link_load t link_id /. (Topology.link t.topo link_id).Topology.capacity
 
 let total_rx_rate t =
   ensure_fresh t;
-  Hashtbl.fold (fun _ (f : Flow.t) acc -> acc +. f.Flow.rate) t.active 0.0
+  let sum = ref 0.0 in
+  iter_active t (fun f -> sum := !sum +. f.Flow.rate);
+  !sum
 
 let host_rx_rate t node_id =
   ensure_fresh t;
-  match Hashtbl.find_opt t.dst_index node_id with
-  | None -> 0.0
-  | Some members ->
-      Hashtbl.fold (fun _ (f : Flow.t) acc -> acc +. f.Flow.rate) members 0.0
+  let sum = ref 0.0 in
+  iter_active t (fun f ->
+      if last_dst f.Flow.path = node_id then sum := !sum +. f.Flow.rate);
+  !sum
 
+(* One pass over the active flows sums the aggregate and every node's
+   rate. A node gains a host series once a flow terminating there is
+   active at a sample. *)
 let sample t =
   ensure_fresh t;
   let now = Sched.now t.sched in
-  Horse_stats.Series.add t.aggregate now (total_rx_rate t);
+  let n = Topology.n_nodes t.topo in
+  let node_rx = Array.make n 0.0 and node_flows = Array.make n 0 in
+  let total = ref 0.0 in
+  iter_active t (fun f ->
+      let rate = f.Flow.rate in
+      total := !total +. rate;
+      let dst = last_dst f.Flow.path in
+      if dst >= 0 then begin
+        node_rx.(dst) <- node_rx.(dst) +. rate;
+        node_flows.(dst) <- node_flows.(dst) + 1
+      end);
+  Horse_stats.Series.add t.aggregate now !total;
+  for dst = 0 to n - 1 do
+    if node_flows.(dst) > 0 && not (Hashtbl.mem t.host_series dst) then
+      Hashtbl.add t.host_series dst (Horse_stats.Series.create ())
+  done;
   Hashtbl.iter
-    (fun dst _ ->
-      if not (Hashtbl.mem t.host_series dst) then
-        Hashtbl.add t.host_series dst
-          (Horse_stats.Series.create ()))
-    t.dst_index;
-  Hashtbl.iter
-    (fun dst series -> Horse_stats.Series.add series now (host_rx_rate t dst))
+    (fun dst series -> Horse_stats.Series.add series now node_rx.(dst))
     t.host_series
 
 let start_sampling t ~every =
@@ -456,6 +451,6 @@ let delta_stats t = Some (Fair_share.Delta.stats t.delta)
 
 let total_delivered_bits t =
   ensure_fresh t;
-  Hashtbl.fold
-    (fun _ (f : Flow.t) acc -> acc +. delivered_bits t f)
-    t.active t.completed_bits
+  let sum = ref t.completed_bits in
+  iter_active t (fun f -> sum := !sum +. delivered_bits t f);
+  !sum

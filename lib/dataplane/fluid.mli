@@ -19,11 +19,15 @@
     counters: every read accessor flushes first, so rates are always
     consistent with the full mutation history.
 
-    {b Indexed flow state.} Stopped flows retire out of every scan
-    path into completed accumulators; an active table plus per-link
-    and per-destination membership indexes make {!find_flow},
-    {!link_load}, {!host_rx_rate}, {!total_rx_rate} and the sampler
-    proportional to the active (or per-link) flow count.
+    {b One flow store.} Flows are numbered densely from 0 in start
+    order, and active flows sit in an array indexed by that id; a
+    stopped flow's slot is cleared, so it retires out of every scan
+    into completed accumulators. Link membership is not kept twice:
+    the per-link readers ({!flows_on_link}, {!link_load}) fold over
+    the solver's id-sorted member vector for that link. Scans over all
+    flows ({!active_flows}, {!total_rx_rate}, {!total_delivered_bits},
+    the sampler) walk the ids in ascending order, so every float sum
+    has one fixed order. A solve looks no flow up by hash.
 
     {b Incremental solves.} Rates come from one {!Fair_share.Delta}
     engine: it keeps per-link bottleneck state across solves and
@@ -79,17 +83,15 @@ val set_path : t -> Flow.t -> Spf.path -> unit
     flow. *)
 
 val active_flows : t -> Flow.t list
-(** In start order. *)
+(** In start order (ascending id). Membership does not wait for a
+    pending solve, so this runs no solve; read rates through
+    {!current_rate}. O(flows ever started). *)
 
 val flow_count : t -> int
 
-val find_flow : t -> Flow_key.t -> Flow.t option
-(** The active flow with this exact 5-tuple, if any (the newest when
-    several share the tuple). O(1) via the key index. *)
-
 val flows_on_link : t -> int -> Flow.t list
 (** Active flows whose path crosses the directed link, in start
-    order. O(flows on that link) via the membership index. *)
+    order. O(flows on that link): the solver's member vector. *)
 
 val current_rate : t -> Flow.t -> float
 (** Allocated rate right now (0 for a stopped flow). *)
@@ -99,17 +101,21 @@ val delivered_bits : t -> Flow.t -> float
     read). *)
 
 val link_load : t -> int -> float
-(** Total allocated bps crossing a directed link. *)
+(** Total allocated bps crossing a directed link, summed by ascending
+    flow id. O(flows on that link). *)
 
 val link_utilization : t -> int -> float
 (** [link_load / capacity], in [0, 1] for a feasible allocation. *)
 
 val total_rx_rate : t -> float
-(** Sum of all active flows' rates — the demonstration's "aggregated
-    rate of all flows arriving at the hosts". *)
+(** Sum of all active flows' rates by ascending id — the
+    demonstration's "aggregated rate of all flows arriving at the
+    hosts". *)
 
 val host_rx_rate : t -> int -> float
-(** Aggregate rate of flows terminating at the given node. *)
+(** Aggregate rate of flows terminating at the given node, summed by
+    ascending flow id. Computed on demand, O(flows ever started); the
+    sampler sums every node in one pass instead. *)
 
 val start_sampling : t -> every:Time.t -> unit
 (** Begin periodic sampling of the aggregate rx rate (and per-host
@@ -122,8 +128,8 @@ val host_series : t -> int -> Horse_stats.Series.t option
     terminated at least one flow. *)
 
 val total_delivered_bits : t -> float
-(** Bits delivered by all flows ever — active (integrated to now) and
-    completed. *)
+(** Bits delivered by all flows ever — the completed total, then each
+    active flow (integrated to now) by ascending id. *)
 
 val completed_flow_count : t -> int
 (** Flows that have stopped or completed since creation. *)

@@ -59,10 +59,12 @@
      quiet_since}, Controller.packet_in_kind, Daemon.{adj_kind,lsa_kind,
      spf_kind,pack_adj,pp_neighbor_state,counters,lsdb,neighbor_state,
      routes}, Env.edge_switch_of_host, Event_queue.is_cancelled,
-     Export.validate_jsonl_line, Fair_share.Delta.flow_count,
+     Export.validate_jsonl_line, Fair_share.Delta.{flow_count,rate}
+     ([Fluid] reads rates through [iter_touched]; the solver tests
+     compare every live flow's rate with the oracle),
      Fat_tree.{host_of_ip,pod_of_host}, Flow_key.equal,
-     Flow_table.stats, Fluid.{active_flows,current_rate,flows_on_link,
-     host_rx_rate,host_series,link_utilization}, Fwd.route_count,
+     Flow_table.stats, Fluid.{current_rate,flows_on_link,host_rx_rate,
+     host_series,link_utilization}, Fwd.route_count,
      Histogram.{buckets,overflow,underflow}, Injector.report_json,
      Lsdb.{lookup,size}, Msg.equal, Ofmatch.fields_equal, Ofmsg.equal,
      Ospf_fabric.fib_write_detail, Ospf_msg.equal, P4_fabric.{
@@ -72,8 +74,9 @@
      intern_table}, Routed_core.{is_converged,on_fib_change,
      sessions_established,sessions_expected}, Routed_fabric.{
      pack_fib_write,fib_write_detail}, Runtime.{request_equal,
-     response_equal}, Sched.{aborted,snapshot}, Sdn_fabric.{handshaken,
-     packet_ins,resolve_now}, Span.open_count, Speaker.{best,counters,
+     response_equal}, Sched.{aborted,snapshot}, Sdn_fabric.{find_flow,
+     handshaken,key_rebuilds,packet_ins,resolve_now} ([find_flow] is
+     the flow-statistics lookup, called inside its own module), Span.open_count, Speaker.{best,counters,
      decide_kind,established_kind,update_kind,pack_update,peer_state,
      rib,routes,update_group_count}, Spf.{path_length,
      path_nodes}, Summary.of_list, Switch.{flow_mod_kind,packet_in_kind,

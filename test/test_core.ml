@@ -391,6 +391,50 @@ let test_sdn_fabric_link_failure () =
   check Alcotest.bool "flow still resolvable" true
     (Sdn_fabric.resolve_now fabric key <> None)
 
+let test_sdn_fabric_key_index () =
+  (* The 5-tuple lookup behind the edge switches' flow statistics: the
+     newest active flow of a key wins, an older one reappears when the
+     newer stops, a stopped flow is never returned, and the index is
+     rebuilt only after the flow set changed. *)
+  let ft = Fat_tree.build ~k:4 () in
+  let exp = Experiment.create ft.Fat_tree.topo in
+  let fluid = Experiment.fluid exp in
+  let fabric = Sdn_fabric.build ~cm:(Experiment.cm exp) ~fluid ft.Fat_tree.topo in
+  let key i =
+    Flow_key.make
+      ~src:(Fat_tree.host_ip ft 0)
+      ~dst:(Fat_tree.host_ip ft 15)
+      ~src_port:(1000 + i) ~dst_port:2000 ()
+  in
+  let start i = Fluid.start_flow fluid ~key:(key i) ~path:[] in
+  let found i =
+    Option.map (fun (f : Flow.t) -> f.Flow.id) (Sdn_fabric.find_flow fabric (key i))
+  in
+  let id (f : Flow.t) = Some f.Flow.id in
+  let rebuilds want what = check Alcotest.int what want (Sdn_fabric.key_rebuilds fabric) in
+  let lookup = Alcotest.(option int) in
+  let fa = start 1 in
+  let fb = start 2 in
+  let fdup = start 1 in
+  check lookup "newest duplicate wins" (id fdup) (found 1);
+  check lookup "other key" (id fb) (found 2);
+  check lookup "unknown key" None (found 9);
+  rebuilds 1 "one rebuild while the flow set is steady";
+  Fluid.stop_flow fluid fdup;
+  check lookup "older binding reappears" (id fa) (found 1);
+  rebuilds 2 "rebuilt after a stop";
+  Fluid.stop_flow fluid fa;
+  check lookup "key gone once both stopped" None (found 1);
+  check lookup "still there" (id fb) (found 2);
+  rebuilds 3 "one rebuild per change";
+  (* A start and a stop leave the active count as it was; the stamp
+     still sees the change. *)
+  let fc = start 3 in
+  Fluid.stop_flow fluid fb;
+  check lookup "stopped flow not returned" None (found 2);
+  check lookup "new flow found" (id fc) (found 3);
+  rebuilds 4 "start plus stop is a change"
+
 (* --- Scenarios (the demonstration) ------------------------------------------- *)
 
 let duration = Time.of_sec 20.0
@@ -506,6 +550,28 @@ let test_spec_wan_kill () =
     (List.map (fun (at, _) -> Time.to_us at) r.Scenario.stopped);
   check Alcotest.int "crash injected" 1
     (Horse_faults.Injector.injected (Option.get r.Scenario.injector))
+
+(* Work gate on the fluid store, counted in minor words (never wall
+   time): a 2,000-class megauser day, set-up included, allocates 148.4
+   words per fluid event (a class start, stop or reroute). The budget
+   is that plus 15 %. Keeping five per-flow hash tables in [Fluid]
+   cost 288.5. [Gc.minor_words] counts every word allocated so far;
+   [Gc.quick_stat] would miss the words of an unfinished minor
+   collection. *)
+let megauser_words_per_event = 170.0
+
+let test_megauser_words_per_event () =
+  let before = Gc.minor_words () in
+  let r =
+    Scenario.run_wan_megauser ~classes:2000 ~duration:(Time.of_sec 30.0) ()
+  in
+  let words = Gc.minor_words () -. before in
+  let events = r.Scenario.mu_events in
+  check Alcotest.bool "the day ran fluid events" true (events > 1000);
+  let per_event = words /. float_of_int events in
+  if per_event > megauser_words_per_event then
+    Alcotest.failf "%.1f minor words per fluid event (budget %.0f)" per_event
+      megauser_words_per_event
 
 let test_spec_rejected () =
   let rejects name spec =
@@ -624,6 +690,7 @@ let () =
             test_sdn_fabric_reactive_routing;
           Alcotest.test_case "link failure reroute" `Quick
             test_sdn_fabric_link_failure;
+          Alcotest.test_case "5-tuple index" `Quick test_sdn_fabric_key_index;
         ] );
       ( "traffic",
         [
@@ -645,5 +712,7 @@ let () =
           Alcotest.test_case "spec: wan kill as a plan" `Quick test_spec_wan_kill;
           Alcotest.test_case "spec: rejected combinations" `Quick
             test_spec_rejected;
+          Alcotest.test_case "megauser: minor words per fluid event" `Quick
+            test_megauser_words_per_event;
         ] );
     ]

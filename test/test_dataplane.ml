@@ -111,6 +111,12 @@ let delta_solve ~capacity flows =
   Fair_share.Delta.flush d;
   Array.mapi (fun id _ -> Fair_share.Delta.rate d ~id) flows
 
+(* The ids [Delta.iter_touched] visits, in its order. *)
+let delta_touched d =
+  let ids = ref [] in
+  Fair_share.Delta.iter_touched d (fun id _ -> ids := id :: !ids);
+  List.rev !ids
+
 let test_fair_share_single_bottleneck () =
   (* Three flows share one 9 Gbps link: 3 Gbps each. *)
   let flows =
@@ -349,10 +355,12 @@ let gen_delta_schedule =
   return (caps, events)
 
 (* Replays a schedule through Delta while mirroring the alive set, and
-   at every flush asserts (a) flows outside [Delta.touched] kept
+   at every flush asserts (a) flows outside [Delta.iter_touched] kept
    bit-identical rates — the untouched region is physically unchanged
-   — and (b) the full alive state matches the progressive-filling
-   oracle. *)
+   — and the rates it hands back are the flows' own, (b) the full
+   alive state matches the progressive-filling oracle, and (c) each
+   link's [fold_link] visits exactly its alive members, by ascending
+   id, at their rates. *)
 let run_delta_schedule ?ids (caps, events) =
   let capacity l = caps.(l) in
   let delta = Fair_share.Delta.create ~capacity () in
@@ -375,7 +383,10 @@ let run_delta_schedule ?ids (caps, events) =
         alive []
     in
     Fair_share.Delta.flush delta;
-    let touched = Fair_share.Delta.touched delta in
+    let touched = delta_touched delta in
+    Fair_share.Delta.iter_touched delta (fun id rate ->
+        let want = if Hashtbl.mem alive id then Fair_share.Delta.rate delta ~id else 0.0 in
+        if Int64.bits_of_float rate <> Int64.bits_of_float want then ok := false);
     List.iter
       (fun (id, bits) ->
         if
@@ -392,7 +403,24 @@ let run_delta_schedule ?ids (caps, events) =
       (fun i id ->
         if Float.abs (Fair_share.Delta.rate delta ~id -. want.(i)) > 1e-9 then
           ok := false)
-      ids
+      ids;
+    Array.iteri
+      (fun link _ ->
+        let members =
+          Fair_share.Delta.fold_link delta ~link
+            (fun id rate acc -> (id, rate) :: acc)
+            []
+        in
+        let want =
+          List.filter_map
+            (fun id ->
+              if List.mem link (Hashtbl.find alive id).Fair_share_reference.links
+              then Some (id, Fair_share.Delta.rate delta ~id)
+              else None)
+            ids
+        in
+        if List.rev members <> want then ok := false)
+      caps
   in
   List.iter
     (fun ev ->
@@ -507,7 +535,7 @@ let test_delta_scoped_arrival () =
   check (Alcotest.float 1e-9) "f0 keeps its rate" 1.0
     (Fair_share.Delta.rate d ~id:0);
   check Alcotest.bool "f0 outside the delta scope" false
-    (List.mem 0 (Fair_share.Delta.touched d))
+    (List.mem 0 (delta_touched d))
 
 let test_delta_pending_removal () =
   (* A flow rerouted and then removed before any flush never entered a
@@ -577,7 +605,7 @@ let test_delta_promotion_merge () =
   check (Alcotest.list Alcotest.int)
     "fast-path ids, then the scope by ascending id"
     [ 100; -100; -8; -5; -3; 1; 4; 7; 9; 12 ]
-    (Fair_share.Delta.touched d);
+    (delta_touched d);
   let ids, inputs = List.split (List.rev !flows) in
   let want = Fair_share_reference.compute ~capacity (Array.of_list inputs) in
   List.iteri
@@ -659,7 +687,7 @@ let delta_pin_digest () =
     Fair_share.Delta.flush d;
     List.iter
       (fun id -> Buffer.add_string buf (string_of_int id ^ ","))
-      (Fair_share.Delta.touched d);
+      (delta_touched d);
     Buffer.add_char buf '|';
     let ids =
       List.sort Int.compare (Array.to_list (Array.sub alive 0 !n_alive))
@@ -965,42 +993,161 @@ let test_fluid_coalesced_reads_are_fresh () =
            (Fluid.current_rate fluid f2)));
   ignore (Sched.run ~until:(Time.of_sec 1.0) sched)
 
-let test_fluid_indexes_after_churn () =
-  (* find_flow / flows_on_link / host_rx_rate are backed by indexes
-     now; churn (start, duplicate keys, stop) must keep them exact. *)
-  let topo, _, h1, path = dumbbell () in
-  let sched = Sched.create () in
-  let fluid = Fluid.create sched topo in
-  let l0 = (List.hd path).Topology.link_id in
-  let fa = ref None and fb = ref None and fdup = ref None in
-  ignore
-    (Sched.schedule_at sched Time.zero (fun () ->
-         fa := Some (Fluid.start_flow ~demand:1e9 fluid ~key:(key_i 1) ~path);
-         fb := Some (Fluid.start_flow ~demand:1e9 fluid ~key:(key_i 2) ~path);
-         (* Same 5-tuple as fa: the newest binding must win lookups. *)
-         fdup := Some (Fluid.start_flow ~demand:1e9 fluid ~key:(key_i 1) ~path)));
-  ignore (Sched.run ~until:(Time.of_sec 1.0) sched);
-  let fa = Option.get !fa and fb = Option.get !fb and fdup = Option.get !fdup in
-  check Alcotest.int "three flows cross the access link" 3
-    (List.length (Fluid.flows_on_link fluid l0));
-  (match Fluid.find_flow fluid (key_i 1) with
-  | Some f -> check Alcotest.int "newest duplicate wins" fdup.Flow.id f.Flow.id
-  | None -> Alcotest.fail "key 1 not found");
-  Fluid.stop_flow fluid fdup;
-  (match Fluid.find_flow fluid (key_i 1) with
-  | Some f -> check Alcotest.int "older binding resurfaces" fa.Flow.id f.Flow.id
-  | None -> Alcotest.fail "key 1 lost after stopping the duplicate");
-  Fluid.stop_flow fluid fa;
-  check Alcotest.bool "key 1 gone once both stopped" true
-    (Fluid.find_flow fluid (key_i 1) = None);
-  check Alcotest.int "one flow left on the link" 1
-    (List.length (Fluid.flows_on_link fluid l0));
-  check Alcotest.int "completed accumulator" 2
-    (Fluid.completed_flow_count fluid);
-  check (Alcotest.float 1.0) "host rate equals the survivor" 1e9
-    (Fluid.host_rx_rate fluid h1.Topology.id);
-  check (Alcotest.float 1.0) "fb holds the full link" 1e9
-    (Fluid.current_rate fluid fb)
+(* --- Fluid readers under random churn ---------------------------------- *)
+
+(* Hosts h0, h1 on switch s0 and h2, h3 on switch s1; s0 reaches s1
+   through a narrow middle switch [a] or a wide one [b]. The candidate
+   paths cross in the middle, and one is empty (a locally delivered
+   flow). *)
+let churn_topology () =
+  let topo = Topology.create () in
+  let host i = Topology.add_node topo ~ip:(Ipv4.of_octets 10 7 0 (i + 1)) Topology.Host in
+  let switch () = Topology.add_node topo Topology.Switch in
+  let h0 = host 0 in
+  let h1 = host 1 in
+  let s0 = switch () in
+  let a = switch () in
+  let b = switch () in
+  let s1 = switch () in
+  let h2 = host 2 in
+  let h3 = host 3 in
+  let duplex c x y = Topology.add_duplex topo ~capacity:c x y in
+  let h0s0, s0h0 = duplex 1e9 h0 s0 in
+  let h1s0, _ = duplex 1e9 h1 s0 in
+  let s0a, as0 = duplex 0.6e9 s0 a in
+  let as1, s1a = duplex 0.6e9 a s1 in
+  let s0b, bs0 = duplex 1e9 s0 b in
+  let bs1, s1b = duplex 1e9 b s1 in
+  let s1h2, h2s1 = duplex 1e9 s1 h2 in
+  let s1h3, _ = duplex 1e9 s1 h3 in
+  let paths =
+    [|
+      [ h0s0; s0a; as1; s1h2 ];
+      [ h0s0; s0b; bs1; s1h2 ];
+      [ h1s0; s0a; as1; s1h3 ];
+      [ h1s0; s0b; bs1; s1h3 ];
+      [ h0s0; s0a; as1; s1h3 ];
+      [ h2s1; s1b; bs0; s0h0 ];
+      [ h2s1; s1a; as0 ];
+      [];
+    |]
+  in
+  (topo, paths)
+
+type churn_op =
+  | Op_start of float * int * int  (* demand, path, key *)
+  | Op_finite of float * int * int * float  (* ... and size in bits *)
+  | Op_stop of int  (* the k-th active flow, mod the active count *)
+  | Op_set_path of int * int
+  | Op_advance of float  (* seconds; finite flows may complete *)
+
+let gen_churn =
+  let open QCheck2.Gen in
+  let path = int_range 0 7 and key = int_range 0 3 in
+  let demand = float_range 0.05e9 1.5e9 in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (4, map3 (fun d p k -> Op_start (d, p, k)) demand path key);
+         ( 2,
+           let* d = demand and* p = path and* k = key in
+           let* size = float_range 0.01e9 1e9 in
+           return (Op_finite (d, p, k, size)) );
+         (2, map (fun k -> Op_stop k) (int_range 0 100));
+         (2, map2 (fun k p -> Op_set_path (k, p)) (int_range 0 100) path);
+         (2, map (fun dt -> Op_advance dt) (float_range 0.01 1.0));
+       ])
+
+let live_ids live =
+  List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) live [])
+
+(* Every reader checked against a naive recomputation from the model's
+   own live set and each flow's path. *)
+let check_fluid_readers topo fluid ~live ~stopped =
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+  let active = Fluid.active_flows fluid in
+  let ids = List.map (fun (f : Flow.t) -> f.Flow.id) active in
+  let rate f = Fluid.current_rate fluid f in
+  let sum flows = List.fold_left (fun acc f -> acc +. rate f) 0.0 flows in
+  let ends_at node (f : Flow.t) =
+    match List.rev f.Flow.path with
+    | [] -> false
+    | (l : Topology.link) :: _ -> l.Topology.dst = node
+  in
+  ids = live_ids live
+  && List.for_all
+       (fun (f : Flow.t) -> f.Flow.active && Hashtbl.find live f.Flow.id == f)
+       active
+  && Fluid.flow_count fluid = List.length active
+  && Fluid.completed_flow_count fluid = stopped
+  && close (Fluid.total_rx_rate fluid) (sum active)
+  && List.for_all
+       (fun (l : Topology.link) ->
+         let lid = l.Topology.link_id in
+         let on = List.filter (fun f -> List.mem lid (Flow.link_ids f)) active in
+         List.equal ( == ) (Fluid.flows_on_link fluid lid) on
+         && close (Fluid.link_load fluid lid) (sum on))
+       (Topology.links topo)
+  && List.for_all
+       (fun (n : Topology.node) ->
+         close
+           (Fluid.host_rx_rate fluid n.Topology.id)
+           (sum (List.filter (ends_at n.Topology.id) active)))
+       (Topology.nodes topo)
+
+let prop_fluid_readers_under_churn =
+  qtest ~count:100 "readers under churn"
+    gen_churn (fun ops ->
+      let topo, paths = churn_topology () in
+      let sched = Sched.create () in
+      let fluid = Fluid.create sched topo in
+      let live : (int, Flow.t) Hashtbl.t = Hashtbl.create 16 in
+      let stopped = ref 0 in
+      let now = ref Time.zero in
+      (* Each op runs in an instant of its own, so its solve drains
+         before the readers look. *)
+      let step dt action =
+        now := Time.add !now dt;
+        ignore (Sched.schedule_at sched !now action);
+        ignore (Sched.run ~until:!now sched)
+      in
+      let retire (f : Flow.t) =
+        if Hashtbl.mem live f.Flow.id then begin
+          Hashtbl.remove live f.Flow.id;
+          incr stopped
+        end
+      in
+      let nth k =
+        match live_ids live with
+        | [] -> None
+        | ids -> Some (Hashtbl.find live (List.nth ids (k mod List.length ids)))
+      in
+      let started f = Hashtbl.replace live f.Flow.id f in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Op_start (demand, p, k) ->
+              step (Time.of_ms 1) (fun () ->
+                  started
+                    (Fluid.start_flow ~demand fluid ~key:(key_i k) ~path:paths.(p)))
+          | Op_finite (demand, p, k, size_bits) ->
+              step (Time.of_ms 1) (fun () ->
+                  started
+                    (Fluid.start_finite_flow ~demand fluid ~key:(key_i k)
+                       ~path:paths.(p) ~size_bits ~on_complete:retire))
+          | Op_stop k ->
+              step (Time.of_ms 1) (fun () ->
+                  Option.iter
+                    (fun f ->
+                      Fluid.stop_flow fluid f;
+                      retire f)
+                    (nth k))
+          | Op_set_path (k, p) ->
+              step (Time.of_ms 1) (fun () ->
+                  Option.iter (fun f -> Fluid.set_path fluid f paths.(p)) (nth k))
+          | Op_advance dt -> step (Time.of_sec dt) ignore);
+          check_fluid_readers topo fluid ~live ~stopped:!stopped)
+        ops)
 
 (* --- Packet engine -------------------------------------------------------- *)
 
@@ -1219,8 +1366,7 @@ let () =
           Alcotest.test_case "recompute coalescing" `Quick test_fluid_coalescing;
           Alcotest.test_case "coalesced reads are fresh" `Quick
             test_fluid_coalesced_reads_are_fresh;
-          Alcotest.test_case "indexes after churn" `Quick
-            test_fluid_indexes_after_churn;
+          prop_fluid_readers_under_churn;
         ] );
       ( "packet_engine",
         [
