@@ -46,7 +46,9 @@ let ip_index t =
 
 let host_of_ip t ip = Hashtbl.find_opt (ip_index t) ip
 
-let set_link_usable t link_id usable = t.down.(link_id) <- not usable
+let set_link_usable t link_id usable =
+  t.down.(link_id) <- not usable;
+  Spf.invalidate t.ws
 
 let ecmp_paths t ~src ~dst =
   Spf.ecmp_between ~usable:t.usable t.ws t.env_topo ~src ~dst

@@ -34,9 +34,9 @@ val host_of_ip : t -> Ipv4.t -> int option
 
 val ecmp_paths : t -> src:int -> dst:int -> Spf.path list
 (** All equal-cost shortest paths between two nodes over usable links,
-    in {!Spf.ecmp_paths} order (at most 64). Each call is one
-    {!Spf.ecmp_between} search; nothing is cached, since a reactive
-    controller rarely asks twice from the same source. Hedera scores
+    in {!Spf.ecmp_paths} order (at most 64), from one
+    {!Spf.ecmp_between} search rooted at [src]. It shares {!ecmp_pick}'s
+    workspace, so a pick after it starts a new search. Hedera scores
     the whole list; an application that keeps one path uses
     {!ecmp_pick}. *)
 
@@ -44,6 +44,9 @@ val ecmp_pick : t -> src:int -> dst:int -> (int -> int) -> Spf.path option
 (** [ecmp_pick t ~src ~dst index] is path [index n] of the [n] that
     {!ecmp_paths} would return ([1 <= n <= 64]), built alone by
     {!Spf.ecmp_pick}: same order, same cap, no list of candidates.
+    A single-homed host is searched from its edge switch, and the
+    search stays open, so picks from the hosts behind one switch share
+    it until the link state changes or another search runs.
     [None], without calling [index], when there is no path. *)
 
 val edge_switch_of_host : t -> int -> int option
@@ -54,5 +57,6 @@ val edge_dpids : t -> int list
 
 val set_link_usable : t -> int -> bool -> unit
 (** Administratively marks a directed link up/down; down links are
-    excluded from {!ecmp_paths} and {!ecmp_pick}. The applications
-    call this from PORT_STATUS notifications. *)
+    excluded from {!ecmp_paths} and {!ecmp_pick}. Drops the open
+    search, whose distances assumed the old link state. The
+    applications call this from PORT_STATUS notifications. *)

@@ -16,6 +16,9 @@ type workspace = {
   mutable count : int array;
   mutable counted : int array;
   mutable epoch : int;
+  mutable root : int;
+  mutable head : int;
+  mutable tail : int;
 }
 
 let workspace () =
@@ -26,17 +29,28 @@ let workspace () =
     count = [||];
     counted = [||];
     epoch = 0;
+    root = -1;
+    head = 0;
+    tail = 0;
   }
+
+let invalidate ws = ws.root <- -1
 
 (* A node's [dist] entry is current only while its stamp equals the
    epoch, so bumping the epoch resets the workspace without clearing
    any array. *)
 let hops ws v = if ws.stamp.(v) = ws.epoch then ws.dist.(v) else max_int
 
-(* Unit-weight BFS from [src] over usable links. It stops as soon as
-   [stop] is discovered: by then every node closer than [stop] has its
-   final distance. [stop = -1] searches the whole component. *)
-let bfs ws ~usable topo ~src ~stop =
+(* Unit-weight BFS from [root] over usable links, kept open between
+   calls: the epoch's stamps, the queue between [head] and [tail] and
+   the [count] memo all belong to the search from [ws.root]. A call
+   with the same root resumes it; any other root starts a new epoch.
+   Either way the search runs only until [dst] is discovered ([dst =
+   -1] searches the whole component): by then every node closer than
+   [dst] has its final distance, and a node keeps its distance for the
+   rest of the epoch. A node with one link, other than the root, is
+   never queued: that link leads back to the node that found it. *)
+let reach ws ~usable topo ~root ~dst =
   let n = Topology.n_nodes topo in
   if Array.length ws.dist < n then begin
     ws.dist <- Array.make n 0;
@@ -44,17 +58,22 @@ let bfs ws ~usable topo ~src ~stop =
     ws.queue <- Array.make n 0;
     ws.count <- Array.make n 0;
     ws.counted <- Array.make n 0;
-    ws.epoch <- 0
+    ws.epoch <- 0;
+    ws.root <- -1
   end;
-  let epoch = ws.epoch + 1 in
-  ws.epoch <- epoch;
-  ws.stamp.(src) <- epoch;
-  ws.dist.(src) <- 0;
-  ws.queue.(0) <- src;
-  let head = ref 0 and tail = ref 1 and found = ref false in
-  while !head < !tail && not !found do
-    let u = ws.queue.(!head) in
-    incr head;
+  if ws.root <> root then begin
+    ws.epoch <- ws.epoch + 1;
+    ws.root <- root;
+    ws.stamp.(root) <- ws.epoch;
+    ws.dist.(root) <- 0;
+    ws.queue.(0) <- root;
+    ws.head <- 0;
+    ws.tail <- 1
+  end;
+  let epoch = ws.epoch in
+  while ws.head < ws.tail && (dst < 0 || ws.stamp.(dst) <> epoch) do
+    let u = ws.queue.(ws.head) in
+    ws.head <- ws.head + 1;
     let d = ws.dist.(u) + 1 in
     List.iter
       (fun (l : Topology.link) ->
@@ -62,9 +81,11 @@ let bfs ws ~usable topo ~src ~stop =
         if ws.stamp.(v) <> epoch && usable l then begin
           ws.stamp.(v) <- epoch;
           ws.dist.(v) <- d;
-          ws.queue.(!tail) <- v;
-          incr tail;
-          if v = stop then found := true
+          match Topology.out_links topo v with
+          | [ _ ] -> ()
+          | _ ->
+              ws.queue.(ws.tail) <- v;
+              ws.tail <- ws.tail + 1
         end)
       (Topology.out_links topo u)
   done
@@ -102,7 +123,7 @@ let enumerate ~max_paths ~src ~dst iter =
 
 let shortest_tree topo ~src =
   let ws = workspace () in
-  bfs ws ~usable:(fun _ -> true) topo ~src ~stop:(-1);
+  reach ws ~usable:(fun _ -> true) topo ~root:src ~dst:(-1);
   let dist = Array.init (Topology.n_nodes topo) (hops ws) in
   let preds = Array.make (Topology.n_nodes topo) [] in
   (* Descending link id, so consing leaves each list ascending. *)
@@ -117,19 +138,21 @@ let shortest_tree topo ~src =
 let ecmp_between ~usable ws topo ~src ~dst =
   if src = dst || dst < 0 || dst >= Topology.n_nodes topo then []
   else begin
-    bfs ws ~usable topo ~src ~stop:dst;
+    reach ws ~usable topo ~root:src ~dst;
     if hops ws dst = max_int then []
     else
       enumerate ~max_paths:default_max_paths ~src ~dst
         (iter_preds ~usable topo (hops ws))
   end
 
-(* Shortest paths from [src] to [v] over the last search, saturating at
-   [default_max_paths]: at most that many are ever enumerated, and an
-   index below the cap descends the same way whether or not a count is
-   saturated. Memoised in [count] while [counted] holds the epoch. *)
-let rec paths_to ws ~usable topo ~src v =
-  if v = src then 1
+(* Shortest paths from [root] to [v] over the open search, saturating
+   at [default_max_paths]: at most that many are ever enumerated, and
+   an index below the cap descends the same way whether or not a count
+   is saturated. Memoised in [count] while [counted] holds the epoch;
+   a count is final once [v] is discovered, so the memo serves every
+   later pick from the same root. *)
+let rec paths_to ws ~usable topo ~root v =
+  if v = root then 1
   else if ws.counted.(v) = ws.epoch then ws.count.(v)
   else begin
     let d = hops ws v - 1 in
@@ -140,7 +163,7 @@ let rec paths_to ws ~usable topo ~src v =
           if hops ws l.Topology.src = d && usable l then
             let acc =
               min default_max_paths
-                (acc + paths_to ws ~usable topo ~src l.Topology.src)
+                (acc + paths_to ws ~usable topo ~root l.Topology.src)
             in
             if acc = default_max_paths then acc else sum acc rest
           else sum acc rest
@@ -154,8 +177,8 @@ let rec paths_to ws ~usable topo ~src v =
 (* Path [i] of the backward enumeration from [v]: the in-links are
    tried in ascending id, as [iter_preds] yields them, and each one
    covers as many indices as there are paths to its source. *)
-let rec nth_path ws ~usable topo ~src v i suffix =
-  if v = src then suffix
+let rec nth_path ws ~usable topo ~root v i suffix =
+  if v = root then suffix
   else
     let d = hops ws v - 1 in
     let rec choose i = function
@@ -163,24 +186,35 @@ let rec nth_path ws ~usable topo ~src v i suffix =
       | (out : Topology.link) :: rest ->
           let l = Topology.link topo out.Topology.peer in
           if hops ws l.Topology.src = d && usable l then
-            let c = paths_to ws ~usable topo ~src l.Topology.src in
+            let c = paths_to ws ~usable topo ~root l.Topology.src in
             if i >= c then choose (i - c) rest
-            else nth_path ws ~usable topo ~src l.Topology.src i (l :: suffix)
+            else nth_path ws ~usable topo ~root l.Topology.src i (l :: suffix)
           else choose i rest
     in
     choose i (Topology.out_links topo v)
 
+(* A source with one link reaches everything through it, so its paths
+   are that uplink followed by the paths from the node at the other
+   end, in the same order and under the same cap: the search is rooted
+   there, and every source behind the same switch shares it. *)
 let ecmp_pick ~usable ws topo ~src ~dst index =
   if src = dst || dst < 0 || dst >= Topology.n_nodes topo then None
-  else begin
-    bfs ws ~usable topo ~src ~stop:dst;
-    if hops ws dst = max_int then None
-    else
-      let n = paths_to ws ~usable topo ~src dst in
-      let i = index n in
-      if i < 0 || i >= n then invalid_arg "Spf.ecmp_pick: index out of range";
-      Some (nth_path ws ~usable topo ~src dst i [])
-  end
+  else
+    let root, uplink =
+      match Topology.out_links topo src with
+      | [ up ] -> (up.Topology.dst, [ up ])
+      | _ -> (src, [])
+    in
+    if not (List.for_all usable uplink) then None
+    else begin
+      reach ws ~usable topo ~root ~dst;
+      if hops ws dst = max_int then None
+      else
+        let n = paths_to ws ~usable topo ~root dst in
+        let i = index n in
+        if i < 0 || i >= n then invalid_arg "Spf.ecmp_pick: index out of range";
+        Some (uplink @ nth_path ws ~usable topo ~root dst i [])
+    end
 
 let distance (tree : tree) v =
   if v < 0 || v >= Array.length tree.dist || tree.dist.(v) = max_int then None

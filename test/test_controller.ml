@@ -469,28 +469,66 @@ let path_topology (shape, seed) =
         .Leaf_spine.topo
   | _ -> (Wan.random_gnp ~seed ~n:(2 + (seed mod 19)) ~p:0.25 ()).Wan.topo
 
-(* An op is a link toggle (down with probability 1/2, so links also
-   come back up) or a query between two nodes of any kind. Endpoints
-   are drawn modulo the node count, so src = dst and switch endpoints
-   occur; down links make some pairs unreachable. *)
+(* A host behind the same switch as [src]: some one-link node whose
+   link leads where [src]'s one link leads, chosen by [i]; [src] itself
+   when it has several links or no sibling. *)
+let sibling topo src i =
+  match Topology.out_links topo src with
+  | [ up ] -> (
+      let behind =
+        List.filter_map
+          (fun (l : Topology.link) ->
+            match Topology.out_links topo l.Topology.dst with
+            | [ _ ] -> Some l.Topology.dst
+            | _ -> None)
+          (Topology.out_links topo up.Topology.dst)
+      in
+      match behind with
+      | [] -> src
+      | _ -> List.nth behind (i mod List.length behind))
+  | _ -> src
+
+(* An op is one of:
+   - a link toggle (down with probability 1/2, so links also come back
+     up), drawn twice as often as each other op;
+   - a query, [same_paths] between two nodes of any kind;
+   - a Hedera-style [ecmp_paths] alone, checked against the tree;
+   - a pick alone from a node of any kind, checked against the tree
+     index by index with no [ecmp_paths] in between;
+   - the same pick from a sibling of the last pick's source, so
+     consecutive picks share the search from one edge switch, across
+     toggles and after [ecmp_paths] from elsewhere.
+   Endpoints are drawn modulo the node count, so src = dst and switch
+   endpoints occur; down links make some pairs unreachable. *)
 let prop_env_paths_match_tree =
   qtest ~count:150 "env: ecmp_paths equals the tree's paths under link toggles"
     QCheck2.Gen.(
       pair
         (pair (int_bound 4) (int_bound 10_000))
         (list_size (int_range 1 60)
-           (quad bool (int_bound 100_000) (int_bound 100_000) bool)))
+           (quad (int_bound 5) (int_bound 100_000) (int_bound 100_000) bool)))
     (fun (topo_case, ops) ->
       let topo = path_topology topo_case in
       let env = path_env topo and down = Hashtbl.create 16 in
       let n = Topology.n_nodes topo and nl = Topology.n_links topo in
+      let last = ref 0 in
+      let pick ~src ~dst =
+        last := src;
+        pick_agrees env (tree_paths topo ~down ~src ~dst) ~src ~dst
+      in
       List.for_all
-        (fun (toggle, a, b, up) ->
-          if toggle then begin
-            set_link env down (a mod nl) up;
-            true
-          end
-          else same_paths env ~down ~src:(a mod n) ~dst:(b mod n))
+        (fun (op, a, b, up) ->
+          let src = a mod n and dst = b mod n in
+          match op with
+          | 0 | 1 ->
+              set_link env down (a mod nl) up;
+              true
+          | 2 -> same_paths env ~down ~src ~dst
+          | 3 ->
+              link_ids (Env.ecmp_paths env ~src ~dst)
+              = link_ids (tree_paths topo ~down ~src ~dst)
+          | 4 -> pick ~src ~dst
+          | _ -> pick ~src:(sibling topo !last a) ~dst)
         ops)
 
 let prop_bfs_distance_matches_floyd_warshall =
@@ -527,6 +565,35 @@ let test_env_paths_truncated () =
   set_link env down (List.nth first 2).Topology.link_id false;
   check Alcotest.bool "same paths with a core link down" true
     (same_paths env ~down ~src ~dst)
+
+(* A host with two uplinks, to both edge switches of its pod, has twice
+   the inter-pod paths of its neighbours: a search from the far end of
+   one uplink would find half of them. It is searched from itself, and
+   so is a switch source; picks from a single-homed neighbour before and
+   after it still agree with the tree. *)
+let test_env_pick_multihomed () =
+  let ft = Fat_tree.build ~k:4 () in
+  let topo = ft.Fat_tree.topo and hosts = ft.Fat_tree.hosts in
+  let h0 = hosts.(0) and h1 = hosts.(1) in
+  ignore (Topology.add_duplex topo ~capacity:1e9 h0 ft.Fat_tree.edges.(0).(1));
+  let env = path_env topo and down = Hashtbl.create 1 in
+  let dst = hosts.(Array.length hosts - 1).Topology.id in
+  check Alcotest.int "two uplinks double the paths" 8
+    (List.length (Env.ecmp_paths env ~src:h0.Topology.id ~dst));
+  List.iter
+    (fun (name, src) ->
+      check Alcotest.bool name true (same_paths env ~down ~src ~dst))
+    [
+      ("single-homed neighbour", h1.Topology.id);
+      ("multi-homed host", h0.Topology.id);
+      ("single-homed neighbour again", h1.Topology.id);
+      ("edge switch", ft.Fat_tree.edges.(0).(0).Topology.id);
+      ("core switch", ft.Fat_tree.cores.(0).Topology.id);
+    ];
+  let first_uplink = List.hd (Topology.out_links topo h0.Topology.id) in
+  set_link env down first_uplink.Topology.link_id false;
+  check Alcotest.bool "multi-homed host, first uplink down" true
+    (same_paths env ~down ~src:h0.Topology.id ~dst)
 
 let () =
   Alcotest.run "horse_controller"
@@ -566,5 +633,7 @@ let () =
           prop_env_paths_match_tree;
           prop_bfs_distance_matches_floyd_warshall;
           Alcotest.test_case "k=18 truncation" `Quick test_env_paths_truncated;
+          Alcotest.test_case "multi-homed source" `Quick
+            test_env_pick_multihomed;
         ] );
     ]

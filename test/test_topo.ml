@@ -259,6 +259,45 @@ let test_ecmp_between_work () =
   check Alcotest.int "pick: src = dst scans nothing" 0
     (work (fun () -> Spf.ecmp_pick ~usable ws topo ~src ~dst:src (fun _ -> 0)))
 
+(* Work gate for the picks of a reactive controller: one pick per host
+   of a k=8 fat tree, each to a host four pods away, counted as calls
+   to [usable]. Taken in host-id order, the 4 hosts behind one edge
+   switch follow each other, so they share one search from that switch
+   and its path counts: 7,456 calls, where a search per pick from the
+   source host makes 26,112. Alternating edge switches, every pick
+   starts a new search, which may cost no more than that per-host
+   search did (25,984 calls). *)
+let picks_work order =
+  let ft = Fat_tree.build ~k:8 () in
+  let topo = ft.Fat_tree.topo and hosts = ft.Fat_tree.hosts in
+  let n = Array.length hosts in
+  let ws = Spf.workspace () in
+  let asked = ref 0 in
+  let usable _ =
+    incr asked;
+    true
+  in
+  Array.iteri
+    (fun i h ->
+      let src = hosts.(h).Topology.id in
+      let dst = hosts.((h + (n / 2)) mod n).Topology.id in
+      match Spf.ecmp_pick ~usable ws topo ~src ~dst (fun c -> i mod c) with
+      | Some p -> check Alcotest.int "6 hops" 6 (Spf.path_length p)
+      | None -> Alcotest.fail "inter-pod pick found no path")
+    (order n);
+  !asked
+
+let test_ecmp_pick_work () =
+  let by_id n = Array.init n Fun.id in
+  (* 32 edge switches of 4 hosts: consecutive picks change switch. *)
+  let alternating n =
+    Array.init n (fun j -> (j mod (n / 4) * 4) + (j / (n / 4)))
+  in
+  check Alcotest.bool "host-id order <= 8,000 calls" true
+    (picks_work by_id <= 8_000);
+  check Alcotest.bool "alternating order <= 26,112 calls" true
+    (picks_work alternating <= 26_112)
+
 let test_ecmp_paths_distinct_and_valid () =
   let ft = Fat_tree.build ~k:4 () in
   let topo = ft.Fat_tree.topo in
@@ -430,6 +469,7 @@ let () =
           Alcotest.test_case "ecmp paths distinct and valid" `Quick
             test_ecmp_paths_distinct_and_valid;
           Alcotest.test_case "ecmp_between work" `Quick test_ecmp_between_work;
+          Alcotest.test_case "ecmp_pick work" `Quick test_ecmp_pick_work;
           prop_spf_matches_floyd_warshall;
           prop_ecmp_paths_equal_length;
         ] );
