@@ -51,7 +51,7 @@ type t = {
 
 let initial_ids = 16
 
-let create ?intern () =
+let create intern =
   {
     ids = Prefix_tbl.create initial_ids;
     prefixes = Array.make initial_ids Prefix.any;
@@ -60,8 +60,7 @@ let create ?intern () =
     cands = Array.make initial_ids [];
     loc = Array.make initial_ids [];
     loc_size = 0;
-    intern =
-      (match intern with Some i -> i | None -> Attr_intern.create ());
+    intern;
   }
 
 let intern_table t = t.intern

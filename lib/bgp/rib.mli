@@ -40,7 +40,7 @@
 
     Every Adj-RIB-In slot and every Loc-RIB route holds a reference to
     its {!Attr_intern} record, so a record leaves the table once no
-    route carries it. That adds O(1) to {!set_in_id} and
+    route of any RIB sharing the table, and no memo entry, holds it. That adds O(1) to {!set_in_id} and
     {!withdraw_in_id} (one retain, one release), one release per route
     to {!drop_peer_ids}, and one retain and one release per route of
     the best sets a changed {!refresh_id} swaps; an unchanged refresh
@@ -63,10 +63,10 @@ type route = {
 
 type t
 
-val create : ?intern:Attr_intern.t -> unit -> t
-(** [intern] shares the owner's attribute table (the speaker passes
-    its own so Adj-RIB-Out grouping reuses the same uids); a private
-    table is created otherwise. *)
+val create : Attr_intern.t -> t
+(** An empty RIB whose routes hold their records in the given table
+    (a speaker passes its fabric's, so Adj-RIB-Out grouping and every
+    other RIB of the fabric see the same uids). *)
 
 val intern_table : t -> Attr_intern.t
 (** The attribute table the RIB's routes hold their records in. *)

@@ -144,7 +144,7 @@ type peer = {
 }
 
 and group = {
-  gid : int;
+  memo_key : int;  (* this group's key in the records' export memos *)
   g_export : Policy.t;
   g_prefix_independent : bool;
   mutable members : peer list;  (* reversed insertion order *)
@@ -152,10 +152,6 @@ and group = {
   g_pending : Ids.t;  (* ids with a pending state, unsorted *)
   mutable g_state : Bytes.t;  (* per id: a [state_*] value *)
   mutable g_mrai_armed : bool;
-  export_memo : Attr_intern.interned option Uid_tbl.t;
-      (* Loc-RIB attrs uid -> post-policy interned attrs, which the
-         entry holds; only consulted when the export policy is
-         prefix-independent, and purged when the input is freed *)
   packer : Msg.Packer.t;
 }
 
@@ -177,9 +173,6 @@ type metrics = {
   m_updates_sent : Counter.t;
   m_prefixes_sent : Counter.t;
   m_withdrawn_sent : Counter.t;
-  m_intern_hits : Counter.t;
-  m_interned : Counter.t;
-  g_attrs_live : Gauge.t;
   m_group_flushes : Counter.t;
   m_peer_flushes : Counter.t;
 }
@@ -222,18 +215,6 @@ let make_metrics reg ~router_id =
       Registry.counter reg ~subsystem:"bgp"
         ~help:"Prefixes withdrawn across all sent UPDATEs"
         "withdrawn_prefixes_sent_total";
-    m_intern_hits =
-      Registry.counter reg ~subsystem:"bgp"
-        ~help:"Path-attribute intern lookups resolved to an existing record"
-        "attr_intern_hits_total";
-    m_interned =
-      Registry.counter reg ~subsystem:"bgp"
-        ~help:"Path-attribute records inserted into intern tables"
-        "attrs_interned_total";
-    g_attrs_live =
-      Registry.gauge reg ~subsystem:"bgp"
-        ~help:"Path-attribute records held in intern tables"
-        "attrs_live";
     m_group_flushes =
       Registry.counter reg ~subsystem:"bgp"
         ~help:"Update-group flushes (shared Adj-RIB-Out computations)"
@@ -278,66 +259,59 @@ let tracef t fmt =
   | Some trace -> Trace.addf trace ~at:(now t) ~label:"bgp" fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
-(* A freed record's uid never comes back, so the memo entries keyed on
-   it can never hit again: each group drops its entry and lets go of
-   the entry's output. *)
-let rec purge_memos intern uid = function
-  | [] -> ()
-  | group :: rest ->
-      (match Uid_tbl.find group.export_memo uid with
-      | cached -> (
-          Uid_tbl.remove group.export_memo uid;
-          match cached with
-          | Some out -> Attr_intern.release intern out
-          | None -> ())
-      | exception Not_found -> ());
-      purge_memos intern uid rest
+let attr_table sched =
+  let reg = Sched.registry sched in
+  let hits =
+    Registry.counter reg ~subsystem:"bgp"
+      ~help:"Path-attribute intern lookups resolved to an existing record"
+      "attr_intern_hits_total"
+  in
+  let interned =
+    Registry.counter reg ~subsystem:"bgp"
+      ~help:"Path-attribute records inserted into the attribute table"
+      "attrs_interned_total"
+  in
+  let live =
+    Registry.gauge reg ~subsystem:"bgp"
+      ~help:"Path-attribute records held in the attribute table" "attrs_live"
+  in
+  Attr_intern.create
+    ~on_hit:(fun () -> Counter.incr hits)
+    ~on_miss:(fun () ->
+      Counter.incr interned;
+      Gauge.add live 1.0)
+    ~on_free:(fun () -> Gauge.add live (-1.0))
+    ()
 
-let forget_attrs t (i : Attr_intern.interned) =
-  Gauge.add t.m.g_attrs_live (-1.0);
-  purge_memos t.intern i.Attr_intern.uid t.groups
-
-let create ?trace proc cfg =
+let create ~intern ?trace proc cfg =
   let m =
     make_metrics (Sched.registry (Process.scheduler proc)) ~router_id:cfg.router_id
   in
-  let intern =
-    Attr_intern.create
-      ~on_hit:(fun () -> Counter.incr m.m_intern_hits)
-      ~on_miss:(fun () ->
-        Counter.incr m.m_interned;
-        Gauge.add m.g_attrs_live 1.0)
-      ()
-  in
-  let t =
-    {
-      proc;
-      cfg;
-      intern;
-      rib = Rib.create ~intern ();
-      trace;
-      m;
-      peers = [||];
-      groups = [];
-      rib_hooks = Hooks.create ();
-      started = false;
-      established = 0;
-      opens_sent = 0;
-      updates_sent = 0;
-      updates_received = 0;
-      keepalives_sent = 0;
-      keepalives_received = 0;
-      notifications_sent = 0;
-      decode_errors = 0;
-      inbox = Queue.create ();
-      busy = false;
-      affected = Ids.create ();
-      marks = [||];
-      stamp = 0;
-    }
-  in
-  Attr_intern.set_on_free intern (forget_attrs t);
-  t
+  {
+    proc;
+    cfg;
+    intern;
+    rib = Rib.create intern;
+    trace;
+    m;
+    peers = [||];
+    groups = [];
+    rib_hooks = Hooks.create ();
+    started = false;
+    established = 0;
+    opens_sent = 0;
+    updates_sent = 0;
+    updates_received = 0;
+    keepalives_sent = 0;
+    keepalives_received = 0;
+    notifications_sent = 0;
+    decode_errors = 0;
+    inbox = Queue.create ();
+    busy = false;
+    affected = Ids.create ();
+    marks = [||];
+    stamp = 0;
+  }
 
 let asn t = t.cfg.asn
 let rib t = t.rib
@@ -429,28 +403,28 @@ let export_attrs t (route : Rib.route) =
     communities = route.Rib.attrs.Msg.communities;
   }
 
+let export t group prefix (first : Rib.route) =
+  match Policy.eval group.g_export prefix (export_attrs t first) with
+  | None -> None
+  | Some attrs -> Some (Attr_intern.intern t.intern attrs)
+
 (* One export computation per (group, Loc-RIB attrs): the rewrite,
    the policy evaluation and the interning of the result are memoized
-   on the interned input's uid whenever the policy cannot observe the
-   prefix. A memo entry holds its output; otherwise the output's only
-   holder is the flush bucket it lands in. *)
+   on the interned input itself whenever the policy cannot observe the
+   prefix. A memo entry holds its output until the input is freed;
+   otherwise the output's only holder is the flush bucket it lands
+   in. *)
 let export_for t group prefix (first : Rib.route) =
-  let eval () =
-    match Policy.eval group.g_export prefix (export_attrs t first) with
-    | None -> None
-    | Some attrs -> Some (Attr_intern.intern t.intern attrs)
-  in
   if group.g_prefix_independent then begin
-    let key = first.Rib.iattrs.Attr_intern.uid in
-    match Uid_tbl.find group.export_memo key with
-    | cached -> cached
+    let input = first.Rib.iattrs in
+    match Attr_intern.find_memo input group.memo_key with
+    | out -> out
     | exception Not_found ->
-        let r = eval () in
-        (match r with Some out -> Attr_intern.retain out | None -> ());
-        Uid_tbl.add group.export_memo key r;
-        r
+        let out = export t group prefix first in
+        Attr_intern.add_memo input group.memo_key out;
+        out
   end
-  else eval ()
+  else export t group prefix first
 
 let advertised peer id = flag peer.advertised id = 1
 let advertise peer id = peer.advertised <- with_flag peer.advertised id 1
@@ -930,7 +904,7 @@ let find_group t export =
   | None ->
       let g =
         {
-          gid = List.length t.groups;
+          memo_key = Attr_intern.memo_key t.intern;
           g_export = export;
           g_prefix_independent = Policy.prefix_independent export;
           members = [];
@@ -938,7 +912,6 @@ let find_group t export =
           g_pending = Ids.create ();
           g_state = Bytes.empty;
           g_mrai_armed = false;
-          export_memo = Uid_tbl.create 32;
           packer = Msg.Packer.create ();
         }
       in

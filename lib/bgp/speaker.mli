@@ -23,7 +23,11 @@
     member; flushes pack as many NLRI as fit into each 4096-byte
     UPDATE ({!Msg.Packer}); with MRAI zero, flushes coalesce to the
     end of the current scheduler instant, so a received UPDATE
-    carrying k prefixes triggers one outgoing flush, not k. *)
+    carrying k prefixes triggers one outgoing flush, not k. A group
+    whose export policy cannot see the prefix memoizes each export on
+    the input's {!Attr_intern} record, and every speaker of a fabric
+    interns into one table ({!attr_table}), so the record an export
+    produces is the one its receivers find when they decode it. *)
 
 open Horse_net
 open Horse_engine
@@ -57,7 +61,18 @@ val default_config : asn:int -> router_id:Ipv4.t -> config
 
 type t
 
-val create : ?trace:Trace.t -> Process.t -> config -> t
+val attr_table : Sched.t -> Attr_intern.t
+(** A path-attribute table for the speakers of one fabric. Its lookups
+    and records feed the scheduler registry's
+    [horse_bgp_attr_intern_hits_total],
+    [horse_bgp_attrs_interned_total] and [horse_bgp_attrs_live]. *)
+
+val create : intern:Attr_intern.t -> ?trace:Trace.t -> Process.t -> config -> t
+(** [intern] is the attribute table the speaker shares with the other
+    speakers of its fabric: its RIB's routes, its update groups' export
+    memos and its flush buckets all hold records there, so a record one
+    speaker exports is the record its peers intern on receipt. *)
+
 val asn : t -> int
 
 val rib : t -> Rib.t

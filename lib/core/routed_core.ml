@@ -4,6 +4,8 @@ open Horse_topo
 open Horse_dataplane
 open Horse_emulation
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type 'd protocol = {
   name : string;
   describe : string;
@@ -45,7 +47,7 @@ type 'd fabric = {
   mutable sessions : session list;  (* newest first *)
   fib_kind : Causal.kind;
   mutable fib_writes : int;
-  fib_prov : (int * Prefix.t, Causal.id) Hashtbl.t;
+  fib_prov : Causal.id Int_tbl.t;  (* by [prov_key] *)
   fib_hooks : (int -> Prefix.t -> unit) Hooks.t;
   (* The convergence latch: [state.(node)] holds one of [own],
      [missing], [resolved] per tracked prefix, [n_missing] counts the
@@ -115,12 +117,17 @@ let fib_update t payload f =
       ignore (Sched.cause_point (sched t) t.fib_kind payload);
       f ())
 
+(* The node id above the prefix's 38 bits: an unboxed key with no
+   polymorphic hash or compare. *)
+let prov_key node prefix = (node lsl 38) lor Prefix.to_bits prefix
+
 let write t node prefix next_hops =
   route t node prefix next_hops;
   t.fib_writes <- t.fib_writes + 1;
   (* Terminal provenance: the entry remembers the chain that last
      wrote it. *)
-  Hashtbl.replace t.fib_prov (node, prefix) (Sched.current_cause (sched t));
+  Int_tbl.replace t.fib_prov (prov_key node prefix)
+    (Sched.current_cause (sched t));
   Hooks.iter (fun f -> f node prefix) t.fib_hooks
 
 let link_of t node handle = Hashtbl.find_opt t.end_links.(node) handle
@@ -169,7 +176,7 @@ let build ~cm proto topo =
       sessions = [];
       fib_kind;
       fib_writes = 0;
-      fib_prov = Hashtbl.create 256;
+      fib_prov = Int_tbl.create 256;
       fib_hooks = Hooks.create ();
       tracked;
       state = Array.make n_nodes Bytes.empty;
@@ -427,7 +434,7 @@ let fib_provenance t =
           if Bytes.get st i = resolved then
             let cause =
               Option.value
-                (Hashtbl.find_opt t.fib_prov (node, prefix))
+                (Int_tbl.find_opt t.fib_prov (prov_key node prefix))
                 ~default:Causal.none
             in
             acc := (node_name t node, prefix, cause) :: !acc)

@@ -41,6 +41,7 @@ let install_fib t node prefix (routes : Rib.route list) =
 let asn_base = 64512
 
 let build ?(hold_time = Time.of_sec 9.0) ~cm ~originate topo =
+  let intern = Speaker.attr_table (Connection_manager.scheduler cm) in
   let t =
     Routed_core.build ~cm
       {
@@ -58,7 +59,8 @@ let build ?(hold_time = Time.of_sec 9.0) ~cm ~originate topo =
                 networks;
               }
             in
-            (Speaker.create ~trace:(Connection_manager.trace cm) proc config, networks));
+            ( Speaker.create ~intern ~trace:(Connection_manager.trace cm) proc config,
+              networks ));
         attach =
           (fun speaker ~remote ep ->
             Speaker.add_peer speaker ~remote_asn:(Speaker.asn remote) ep);

@@ -31,7 +31,9 @@ val build :
     advertises (typically: edge switches advertise their host
     subnet). Host-facing /32 routes are installed statically, as a
     real fabric's connected routes would be. Speakers are created but
-    not started. Default hold time 9 s. ASNs count up from 64512, and
+    not started, and all of them intern path attributes in one
+    {!Speaker.attr_table}, so a record lives once per fabric, not
+    once per speaker that holds it. Default hold time 9 s. ASNs count up from 64512, and
     the MRAI is {!Speaker.default_config}'s (0). *)
 
 val start : t -> unit

@@ -1,57 +1,78 @@
 open Horse_net
+module Int_tbl = Hashtbl.Make (Int)
 
-(* One hash table per prefix length; lookup probes lengths from /32
-   down to /0, so a miss costs at most 33 probes. *)
+(* One table per prefix length, keyed on the unboxed network address.
+   A length gets its table on its first route; bit [len] of [present]
+   is set while that table holds a route, so a lookup probes only the
+   lengths in use, longest first. *)
 type t = {
-  by_len : (int32, int list) Hashtbl.t array;  (* index: prefix length *)
+  by_len : int list Int_tbl.t array;  (* index: prefix length *)
+  mutable present : int;
   mutable count : int;
 }
 
-let create () = { by_len = Array.init 33 (fun _ -> Hashtbl.create 8); count = 0 }
+(* Stands in for the lengths that never held a route; never written. *)
+let unused : int list Int_tbl.t = Int_tbl.create 1
 
-let key p = Ipv4.to_int32 (Prefix.network p)
+let create () = { by_len = Array.make 33 unused; present = 0; count = 0 }
+
+let addr a = Int32.to_int (Ipv4.to_int32 a) land 0xFFFF_FFFF
+let key p = addr (Prefix.network p)
+let mask len = (0xFFFF_FFFF lsl (32 - len)) land 0xFFFF_FFFF
 
 let set_route t p ~next_hops =
   if next_hops = [] then invalid_arg "Fwd.set_route: empty next-hop set";
   let group = List.sort_uniq Int.compare next_hops in
-  let table = t.by_len.(Prefix.length p) in
-  if not (Hashtbl.mem table (key p)) then t.count <- t.count + 1;
-  Hashtbl.replace table (key p) group
+  let len = Prefix.length p in
+  if t.by_len.(len) == unused then t.by_len.(len) <- Int_tbl.create 8;
+  let table = t.by_len.(len) in
+  if not (Int_tbl.mem table (key p)) then begin
+    t.count <- t.count + 1;
+    t.present <- t.present lor (1 lsl len)
+  end;
+  Int_tbl.replace table (key p) group
 
 let remove_route t p =
-  let table = t.by_len.(Prefix.length p) in
-  if Hashtbl.mem table (key p) then begin
-    Hashtbl.remove table (key p);
-    t.count <- t.count - 1
+  let len = Prefix.length p in
+  let table = t.by_len.(len) in
+  if Int_tbl.mem table (key p) then begin
+    Int_tbl.remove table (key p);
+    t.count <- t.count - 1;
+    if Int_tbl.length table = 0 then t.present <- t.present land lnot (1 lsl len)
   end
 
-let lookup t addr =
-  let a = Ipv4.to_int32 addr in
+(* The ECMP group of the longest match, [[]] on a miss (an installed
+   group is never empty). *)
+let find_group t a =
   let rec probe len =
-    if len < 0 then None
+    if len < 0 then []
+    else if t.present land (1 lsl len) = 0 then probe (len - 1)
     else
-      let masked =
-        if len = 0 then 0l else Int32.logand a (Int32.shift_left 0xFFFFFFFFl (32 - len))
-      in
-      match Hashtbl.find_opt t.by_len.(len) masked with
-      | Some group -> Some group
-      | None -> probe (len - 1)
+      match Int_tbl.find t.by_len.(len) (a land mask len) with
+      | group -> group
+      | exception Not_found -> probe (len - 1)
   in
   probe 32
 
-let lookup_select t addr ~hash =
-  match lookup t addr with
-  | None -> None
-  | Some [] -> None
-  | Some group -> Some (List.nth group (hash mod List.length group))
+let lookup t a =
+  match find_group t (addr a) with [] -> None | group -> Some group
+
+let lookup_select t a ~hash =
+  match find_group t (addr a) with
+  | [] -> None
+  | group -> Some (List.nth group (hash mod List.length group))
+
+let lengths t =
+  List.filter (fun len -> t.present land (1 lsl len) <> 0) (List.init 33 (( - ) 32))
 
 let routes t =
   let all = ref [] in
   Array.iteri
     (fun len table ->
-      Hashtbl.iter
+      Int_tbl.iter
         (fun net group ->
-          all := (Prefix.make (Ipv4.of_int32 net) len, group) :: !all)
+          all :=
+            (Prefix.make (Ipv4.of_int32 (Int32.of_int net)) len, group) :: !all)
         table)
     t.by_len;
   List.sort (fun (p, _) (q, _) -> Prefix.compare p q) !all

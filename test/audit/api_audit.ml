@@ -64,7 +64,7 @@
      compare every live flow's rate with the oracle),
      Fat_tree.{host_of_ip,pod_of_host}, Flow_key.equal,
      Flow_table.stats, Fluid.{current_rate,flows_on_link,host_rx_rate,
-     host_series,link_utilization}, Fwd.route_count,
+     host_series,link_utilization}, Fwd.{lengths,route_count},
      Histogram.{buckets,overflow,underflow}, Injector.report_json,
      Lsdb.{lookup,size}, Msg.equal, Ofmatch.fields_equal, Ofmsg.equal,
      Ospf_fabric.fib_write_detail, Ospf_msg.equal, P4_fabric.{

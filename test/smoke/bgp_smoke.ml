@@ -7,9 +7,9 @@
    minor-heap words the run allocates per announced prefix, so a
    receive, decision or flush path that starts boxing or hashing per
    prefix again fails too. A session reset then checks attribute
-   lifetimes: the live-record gauge must equal the speakers' intern
-   tables, and every live record must have a holder. The budgets count
-   work, not wall time.
+   lifetimes: the live-record gauge must equal the attribute table the
+   speakers share, and every live record must have a holder. The
+   budgets count work, not wall time.
 
    Writes the run's full telemetry snapshot to the path given as
    argv(1), in the same JSON shape as results/BENCH_*.json. *)
@@ -40,8 +40,9 @@ let leaf_prefix l j =
 let () =
   let out = Sys.argv.(1) in
   let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
   let mk asn id_octet networks =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched)
       {
         (Speaker.default_config ~asn ~router_id:(Ipv4.of_octets 1 0 0 id_octet)) with
@@ -137,55 +138,69 @@ let () =
       words_per_prefix words_per_prefix_budget;
     exit 1
   end;
-  (* Attribute lifetimes. The aggregate live gauge must equal the sum
-     of the speakers' intern tables, and every live record must have a
-     holder: a RIB route, or an export-memo entry (one per update
-     group) keyed on a record a RIB route holds. A session reset makes
-     the fabric explore longer paths and then withdraw them again;
-     those records must be freed (and the ones the reset dropped
-     re-inserted) rather than kept. *)
+  (* Attribute lifetimes. The live gauge must equal the shared table's
+     size, and every live record must have a holder: a RIB route, or
+     an export-memo entry (one per update group) on a live record. The
+     table keeps at most the records RIB routes hold plus, for each
+     speaker, its groups times the records its RIB holds: the sum of
+     the (1 + groups) x held bounds the speakers' own tables kept, with
+     each RIB-held record counted once. The holder audit then counts
+     every record's holders exactly. A session reset makes the fabric
+     explore longer paths and withdraw them again; the memo entries
+     that exported them keep them, and the gates must still hold. *)
   let speakers = Array.append spine_arr leaf_arr in
+  let ribs = Array.to_list (Array.map Speaker.rib speakers) in
+  let all_prefixes =
+    List.concat
+      (List.init leaves (fun l -> List.init prefixes_per_leaf (leaf_prefix l)))
+  in
   let live () =
     match Registry.find_gauge reg "horse_bgp_attrs_live" with
     | Some g -> int_of_float (Registry.Gauge.value g)
     | None -> failwith "bgp-smoke: gauge not registered: horse_bgp_attrs_live"
   in
-  let rib_held s =
-    let rib = Speaker.rib s in
-    let uids = Hashtbl.create 16 in
-    for l = 0 to leaves - 1 do
-      for j = 0 to prefixes_per_leaf - 1 do
-        let prefix = leaf_prefix l j in
+  (* The distinct records the RIBs hold. *)
+  let rib_held ribs =
+    let uids = Hashtbl.create 64 in
+    List.iter
+      (fun rib ->
         List.iter
-          (fun (r : Rib.route) ->
-            Hashtbl.replace uids r.Rib.iattrs.Attr_intern.uid ())
-          (Rib.candidates rib prefix @ Rib.best rib prefix)
-      done
-    done;
+          (fun prefix ->
+            List.iter
+              (fun (r : Rib.route) ->
+                Hashtbl.replace uids r.Rib.iattrs.Attr_intern.uid ())
+              (Rib.candidates rib prefix @ Rib.best rib prefix))
+          all_prefixes)
+      ribs;
     Hashtbl.length uids
   in
   let check_tables when_ =
-    let tables = ref 0 in
-    Array.iteri
-      (fun k s ->
-        let size = Attr_intern.size (Rib.intern_table (Speaker.rib s)) in
-        let bound = (1 + Speaker.update_group_count s) * rib_held s in
-        tables := !tables + size;
-        if size > bound then begin
-          Printf.eprintf
-            "bgp-smoke: %s: speaker %d keeps %d attribute records, at most \
-             %d have a holder\n"
-            when_ k size bound;
-          exit 1
-        end)
-      speakers;
-    if live () <> !tables then begin
+    let size = Attr_intern.size intern in
+    let bound =
+      Array.fold_left
+        (fun n s ->
+          n + (Speaker.update_group_count s * rib_held [ Speaker.rib s ]))
+        (rib_held ribs) speakers
+    in
+    if size > bound then begin
       Printf.eprintf
-        "bgp-smoke: %s: horse_bgp_attrs_live reads %d, the intern tables \
-         hold %d records\n"
-        when_ (live ()) !tables;
+        "bgp-smoke: %s: the shared table keeps %d attribute records, at \
+         most %d have a holder\n"
+        when_ size bound;
       exit 1
-    end
+    end;
+    if live () <> size then begin
+      Printf.eprintf
+        "bgp-smoke: %s: horse_bgp_attrs_live reads %d, the shared table \
+         holds %d records\n"
+        when_ (live ()) size;
+      exit 1
+    end;
+    match Horse_test_support.attr_holder_audit intern ribs all_prefixes with
+    | Ok () -> ()
+    | Error e ->
+        Printf.eprintf "bgp-smoke: %s: holder audit: %s\n" when_ e;
+        exit 1
   in
   check_tables "converged";
   let converged_live = live () in

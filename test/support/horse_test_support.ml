@@ -140,3 +140,47 @@ let all_pairs_hops topo =
     done
   done;
   d
+
+let attr_holder_audit intern ribs prefixes =
+  let open Horse_bgp in
+  let holders = Hashtbl.create 256 in
+  (* A record's memo is walked the first time the record is reached,
+     so each entry counts its output once. *)
+  let rec hold (i : Attr_intern.interned) =
+    match Hashtbl.find_opt holders i.Attr_intern.uid with
+    | Some (n, _) -> Hashtbl.replace holders i.Attr_intern.uid (n + 1, i)
+    | None ->
+        Hashtbl.replace holders i.Attr_intern.uid (1, i);
+        hold_memo i.Attr_intern.memo
+  and hold_memo = function
+    | Attr_intern.No_memo -> ()
+    | Attr_intern.Memo { out; rest; _ } ->
+        Option.iter hold out;
+        hold_memo rest
+  in
+  List.iter
+    (fun rib ->
+      List.iter
+        (fun prefix ->
+          List.iter
+            (fun (r : Rib.route) -> hold r.Rib.iattrs)
+            (Rib.candidates rib prefix @ Rib.best rib prefix))
+        prefixes)
+    ribs;
+  let miscounted =
+    Hashtbl.fold
+      (fun _ (n, (i : Attr_intern.interned)) acc ->
+        if i.Attr_intern.refs <> n then (i, n) :: acc else acc)
+      holders []
+  in
+  if Attr_intern.size intern <> Hashtbl.length holders then
+    Error
+      (Printf.sprintf "the table keeps %d records, %d have a holder"
+         (Attr_intern.size intern) (Hashtbl.length holders))
+  else
+    match miscounted with
+    | [] -> Ok ()
+    | (i, n) :: _ ->
+        Error
+          (Printf.sprintf "%d records miscounted, e.g. uid %d: refs %d, %d holders"
+             (List.length miscounted) i.Attr_intern.uid i.Attr_intern.refs n)

@@ -63,3 +63,16 @@ val converged_reference :
 val all_pairs_hops : Horse_topo.Topology.t -> int array array
 (** Floyd–Warshall hop-count matrix ([max_int] = unreachable): the
     O(n^3) oracle for [Horse_topo.Spf]'s shortest-path distances. *)
+
+val attr_holder_audit :
+  Horse_bgp.Attr_intern.t ->
+  Horse_bgp.Rib.t list ->
+  Horse_net.Prefix.t list ->
+  (unit, string) result
+(** The holder audit for an attribute table that RIBs share. It reaches
+    every record that an Adj-RIB-In slot or a Loc-RIB route of one of
+    the RIBs holds for one of the prefixes, and every record a memo
+    entry of a reached record holds. Each reached record's [refs] must
+    equal its holders (slots, routes and memo outputs), and the table
+    must keep exactly the reached records; [Error] says which failed.
+    Run it between events: a flush bucket's hold is not counted. *)

@@ -172,7 +172,7 @@ let attrs ?(origin = Msg.Igp) ?(path = [ 65001 ]) ?med ?local_pref
   { Msg.origin; as_path = path; next_hop = ip nh; med; local_pref; communities }
 
 let test_decision_local_pref () =
-  let rib = Rib.create () in
+  let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
   Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs ~local_pref:200 ~path:[ 1; 2; 3 ] "10.0.1.1");
@@ -186,7 +186,7 @@ let test_decision_local_pref () =
   ()
 
 let test_decision_as_path_len () =
-  let rib = Rib.create () in
+  let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
   Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs ~path:[ 1; 2 ] "10.0.1.1");
@@ -197,7 +197,7 @@ let test_decision_as_path_len () =
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected single winner"
 
 let test_decision_origin_and_med () =
-  let rib = Rib.create () in
+  let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
   (* same path length: origin decides *)
   Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
@@ -217,7 +217,7 @@ let test_decision_origin_and_med () =
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected winner"
 
 let test_decision_multipath () =
-  let rib = Rib.create () in
+  let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
   (* Equal on all tie-break dimensions except bgp-id: multipath keeps
      both, single-path keeps the lower id. *)
@@ -236,7 +236,7 @@ let test_decision_multipath () =
   | Rib.Unchanged -> Alcotest.fail "expected change"
 
 let test_rib_withdraw_and_drop_peer () =
-  let rib = Rib.create () in
+  let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
   Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs "10.0.1.1");
@@ -257,7 +257,7 @@ let test_rib_withdraw_and_drop_peer () =
   check Alcotest.int "adj-in empty" 0 (List.length (Rib.adj_in rib ~peer:3))
 
 let test_rib_refresh_unchanged () =
-  let rib = Rib.create () in
+  let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
   Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
     (attrs "10.0.1.1");
@@ -312,10 +312,11 @@ let test_communities_propagate () =
      hop and arrive at the peer (transitive attribute). *)
   let tag = Msg.community ~asn:65001 300 in
   let sched2 = Sched.create () in
+  let intern = Speaker.attr_table sched2 in
   let chan = Channel.create sched2 () in
   let ep_a, ep_b = Channel.endpoints chan in
   let a2 =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched2)
       {
         (Speaker.default_config ~asn:65001 ~router_id:(ip "1.1.1.1")) with
@@ -323,7 +324,7 @@ let test_communities_propagate () =
       }
   in
   let b2 =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched2)
       (Speaker.default_config ~asn:65002 ~router_id:(ip "2.2.2.2"))
   in
@@ -386,6 +387,7 @@ let two_routers ?(config_a = fun c -> c) ?(config_b = fun c -> c) () =
     { Sched.default_config with Sched.quiet_timeout = Time.of_sec 1.0 }
   in
   let sched = Sched.create ~config:sched_config () in
+  let intern = Speaker.attr_table sched in
   let chan = Channel.create sched () in
   let ep_a, ep_b = Channel.endpoints chan in
   (* Mimic the CM: any BGP byte holds the clock in FTI. *)
@@ -393,7 +395,7 @@ let two_routers ?(config_a = fun c -> c) ?(config_b = fun c -> c) () =
   let proc_a = Process.create sched in
   let proc_b = Process.create sched in
   let a =
-    Speaker.create proc_a
+    Speaker.create ~intern proc_a
       (config_a
          {
            (Speaker.default_config ~asn:65001 ~router_id:(ip "1.1.1.1")) with
@@ -401,7 +403,7 @@ let two_routers ?(config_a = fun c -> c) ?(config_b = fun c -> c) () =
          })
   in
   let b =
-    Speaker.create proc_b
+    Speaker.create ~intern proc_b
       (config_b
          {
            (Speaker.default_config ~asn:65002 ~router_id:(ip "2.2.2.2")) with
@@ -495,8 +497,8 @@ let test_withdraw_unknown_prefix () =
 
 (* Path exploration: one peer re-announces one prefix with 1,000
    distinct AS paths. Each replaced record is freed together with the
-   export-memo entry keyed on it, so the speaker keeps a handful of
-   records rather than one per path it ever saw. *)
+   export-memo entry on it, so the table keeps a handful of records
+   rather than one per path the speaker ever saw. *)
 let test_attr_records_freed_under_churn () =
   let sched, chan, a, b, _, _, _, _ = two_routers () in
   ignore
@@ -527,9 +529,12 @@ let test_attr_records_freed_under_churn () =
       check (Alcotest.list Alcotest.int) "last path wins" [ 65002; 1000 + paths ]
         r.Rib.attrs.Msg.as_path
   | routes -> Alcotest.failf "a has %d routes" (List.length routes));
-  (* Three Loc-RIB records (the local route, b's own prefix, the last
-     path) and the export of each. *)
-  check Alcotest.int "records live" 6
+  (* The two speakers share one table of eight records: each one's
+     local route and its export, which the other's Adj-RIB-In holds;
+     each one's export of the other's route, which its memo holds
+     (split horizon keeps it off the wire); the last path and a's
+     export of it. *)
+  check Alcotest.int "records live" 8
     (Attr_intern.size (Rib.intern_table (Speaker.rib a)))
 
 (* One UPDATE that withdraws a prefix and announces it again with equal
@@ -538,8 +543,9 @@ let test_attr_records_freed_under_churn () =
    decision reports no change and no UPDATE goes out. *)
 let test_withdraw_reannounce_one_update () =
   let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
   let mk name asn networks =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched)
       { (Speaker.default_config ~asn ~router_id:(ip name)) with Speaker.networks }
   in
@@ -690,15 +696,16 @@ let test_graceful_shutdown () =
 
 let test_wrong_asn_rejected () =
   let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
   let chan = Channel.create sched () in
   let ep_a, ep_b = Channel.endpoints chan in
   let a =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched)
       (Speaker.default_config ~asn:65001 ~router_id:(ip "1.1.1.1"))
   in
   let b =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched)
       (Speaker.default_config ~asn:65002 ~router_id:(ip "2.2.2.2"))
   in
@@ -718,8 +725,9 @@ let test_as_path_loop_prevention () =
      a route whose path already contains its ASN (and no routing loop
      can form). Check b's route to a's prefix stays 1 hop. *)
   let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
   let mk name asn networks =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched)
       {
         (Speaker.default_config ~asn ~router_id:(ip name)) with
@@ -759,10 +767,11 @@ let test_import_policy_blocks () =
   let sched, _, a, b, _, _, _, _ =
     (* reuse helper but we need policy at add_peer time, so build inline *)
     let sched = Sched.create () in
+    let intern = Speaker.attr_table sched in
     let chan = Channel.create sched () in
     let ep_a, ep_b = Channel.endpoints chan in
     let a =
-      Speaker.create
+      Speaker.create ~intern
         (Process.create sched)
         {
           (Speaker.default_config ~asn:65001 ~router_id:(ip "1.1.1.1")) with
@@ -770,7 +779,7 @@ let test_import_policy_blocks () =
         }
     in
     let b =
-      Speaker.create
+      Speaker.create ~intern
         (Process.create sched)
         (Speaker.default_config ~asn:65002 ~router_id:(ip "2.2.2.2"))
     in
@@ -795,9 +804,10 @@ let test_linear_convergence_many_prefixes () =
   (* r0 - r1 - r2 - r3, r0 originates 20 prefixes; all must reach r3
      with path length 3. *)
   let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
   let networks = List.init 20 (fun i -> Prefix.make (Ipv4.of_octets 20 i 0 0) 16) in
   let mk name asn networks =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched)
       { (Speaker.default_config ~asn ~router_id:(ip name)) with Speaker.networks }
   in
@@ -1012,7 +1022,7 @@ let prop_decide_matches_reference =
   qtest ~count:500 "rib: incremental decide == reference decision process"
     gen_rib_ops (fun (pool, multipath, ops) ->
       let intern = Attr_intern.create () in
-      let rib = Rib.create ~intern () in
+      let rib = Rib.create intern in
       let held = Hashtbl.create 64 in
       let refresh p = ignore (Rib.refresh_id ~multipath rib (Rib.id rib p)) in
       let consistent () =
@@ -1135,9 +1145,8 @@ let test_attr_intern_dedup () =
    and reports it, and an equal record inserted later is a new record
    under a new uid. *)
 let test_attr_intern_lifetime () =
-  let tbl = Attr_intern.create () in
-  let freed = ref [] in
-  Attr_intern.set_on_free tbl (fun i -> freed := i.Attr_intern.uid :: !freed);
+  let freed = ref 0 in
+  let tbl = Attr_intern.create ~on_free:(fun () -> incr freed) () in
   (* Enough records to share buckets, so unlinking walks chains. *)
   let all =
     List.init 300 (fun i -> Attr_intern.intern tbl (attrs ~path:[ i ] "10.0.0.1"))
@@ -1147,11 +1156,10 @@ let test_attr_intern_lifetime () =
   Attr_intern.retain i0;
   Attr_intern.release tbl i0;
   check Alcotest.int "still held once" 1 i0.Attr_intern.refs;
-  check (Alcotest.list Alcotest.int) "nothing freed yet" [] !freed;
+  check Alcotest.int "nothing freed yet" 0 !freed;
   List.iteri (fun k i -> if k mod 2 = 0 then Attr_intern.release tbl i) all;
   check Alcotest.int "half left" 150 (Attr_intern.size tbl);
-  check Alcotest.int "freed in release order" 150 (List.length !freed);
-  check Alcotest.int "last freed" 298 (List.hd !freed);
+  check Alcotest.int "each reported once" 150 !freed;
   List.iteri
     (fun k i ->
       let again = Attr_intern.intern tbl i.Attr_intern.attrs in
@@ -1167,12 +1175,53 @@ let test_attr_intern_lifetime () =
     (Invalid_argument "Attr_intern.release: record not retained") (fun () ->
       Attr_intern.release tbl unheld)
 
+(* A memo entry lives on its input and holds its output: freeing the
+   input releases the output, which frees an output nothing else holds
+   and, through that output's own memo, the records it exported. *)
+let test_attr_memo_lifetime () =
+  let freed = ref 0 in
+  let tbl = Attr_intern.create ~on_free:(fun () -> incr freed) () in
+  let rec_ path = Attr_intern.intern tbl (attrs ~path "10.0.0.1") in
+  let input = rec_ [ 1 ] and out = rec_ [ 2; 1 ] and out2 = rec_ [ 3; 2; 1 ] in
+  let kept = rec_ [ 4; 1 ] in
+  let k = Attr_intern.memo_key tbl and k' = Attr_intern.memo_key tbl in
+  check Alcotest.bool "fresh keys differ" true (k <> k');
+  Alcotest.check_raises "memo on a record nobody holds"
+    (Invalid_argument "Attr_intern.add_memo: input not retained") (fun () ->
+      Attr_intern.add_memo input k (Some out));
+  Attr_intern.retain input;
+  Attr_intern.retain kept;
+  Attr_intern.add_memo input k (Some out);
+  Attr_intern.add_memo input k' (Some kept);
+  Attr_intern.add_memo out k None;
+  Attr_intern.add_memo out k' (Some out2);
+  check Alcotest.int "an entry holds its output" 1 out.Attr_intern.refs;
+  check Alcotest.int "two holders" 2 kept.Attr_intern.refs;
+  check Alcotest.bool "found under its key" true
+    (match Attr_intern.find_memo input k with
+    | Some o -> o == out
+    | None -> false);
+  check Alcotest.bool "a rejection is memoized" true
+    (Attr_intern.find_memo out k = None);
+  Alcotest.check_raises "no entry under an unused key" Not_found (fun () ->
+      ignore (Attr_intern.find_memo out2 k));
+  check Alcotest.int "four live" 4 (Attr_intern.size tbl);
+  Attr_intern.release tbl input;
+  check Alcotest.int "input, output and its export freed" 3 !freed;
+  check Alcotest.int "the held output stays" 1 (Attr_intern.size tbl);
+  check Alcotest.int "one holder left" 1 kept.Attr_intern.refs;
+  check Alcotest.bool "the memo went with its record" true
+    (match input.Attr_intern.memo with
+    | Attr_intern.No_memo -> true
+    | Attr_intern.Memo _ -> false)
+
 (* --- update groups + ring geometry oracle ------------------------------------ *)
 
 let test_update_groups_and_established_count () =
   let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
   let hub =
-    Speaker.create
+    Speaker.create ~intern
       (Process.create sched)
       {
         (Speaker.default_config ~asn:65000 ~router_id:(ip "1.0.0.1")) with
@@ -1181,7 +1230,7 @@ let test_update_groups_and_established_count () =
   in
   let spokes =
     List.init 3 (fun i ->
-        Speaker.create
+        Speaker.create ~intern
           (Process.create sched)
           (Speaker.default_config ~asn:(65001 + i)
              ~router_id:(Ipv4.of_octets 2 0 0 (i + 1))))
@@ -1235,6 +1284,7 @@ let test_update_groups_and_established_count () =
 let test_ring_geometry () =
   let n = 6 and per = 8 in
   let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
   let networks i =
     List.init per (fun j -> Prefix.make (Ipv4.of_octets 10 i j 0) 24)
   in
@@ -1246,7 +1296,7 @@ let test_ring_geometry () =
   Hashtbl.replace origin late 1;
   let speakers =
     Array.init n (fun i ->
-        Speaker.create
+        Speaker.create ~intern
           (Process.create sched)
           {
             (Speaker.default_config ~asn:(65000 + i)
@@ -1319,6 +1369,7 @@ let () =
           prop_decide_matches_reference;
           Alcotest.test_case "attr interning" `Quick test_attr_intern_dedup;
           Alcotest.test_case "attr lifetimes" `Quick test_attr_intern_lifetime;
+          Alcotest.test_case "attr memo lifetimes" `Quick test_attr_memo_lifetime;
         ] );
       ( "policy",
         [

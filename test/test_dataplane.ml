@@ -45,6 +45,34 @@ let test_fwd_remove_and_replace () =
   check Alcotest.bool "no match" true
     (Fwd.lookup t (Ipv4.of_octets 192 168 0 1) = None)
 
+(* A length is probed only while it holds a route: its last removal
+   drops it, and a route that comes back restores it. *)
+let test_fwd_lengths_in_use () =
+  let t = Fwd.create () in
+  let ints = Alcotest.list Alcotest.int in
+  check ints "a new table probes nothing" [] (Fwd.lengths t);
+  let a = Prefix.of_string_exn "10.0.1.0/24"
+  and b = Prefix.of_string_exn "10.0.2.0/24"
+  and h = Prefix.of_string_exn "10.0.1.7/32" in
+  List.iter (fun p -> Fwd.set_route t p ~next_hops:[ 1 ]) [ a; b; h ];
+  check ints "longest first" [ 32; 24 ] (Fwd.lengths t);
+  Fwd.remove_route t a;
+  check ints "a /24 is left" [ 32; 24 ] (Fwd.lengths t);
+  Fwd.remove_route t b;
+  check ints "the last /24 clears its length" [ 32 ] (Fwd.lengths t);
+  check (Alcotest.option (Alcotest.list Alcotest.int)) "the /32 still matches"
+    (Some [ 1 ])
+    (Fwd.lookup t (Ipv4.of_string_exn "10.0.1.7"));
+  check Alcotest.bool "nothing covers the /24" true
+    (Fwd.lookup t (Ipv4.of_string_exn "10.0.1.8") = None);
+  Fwd.remove_route t h;
+  check ints "empty again" [] (Fwd.lengths t);
+  Fwd.set_route t b ~next_hops:[ 2 ];
+  check ints "a returning length" [ 24 ] (Fwd.lengths t);
+  check (Alcotest.option (Alcotest.list Alcotest.int)) "and its route"
+    (Some [ 2 ])
+    (Fwd.lookup t (Ipv4.of_string_exn "10.0.2.1"))
+
 let test_fwd_lookup_select () =
   let t = Fwd.create () in
   Fwd.set_route t Prefix.any ~next_hops:[ 10; 20; 30 ];
@@ -63,11 +91,12 @@ let test_fwd_empty_group_rejected () =
 let prop_fwd_matches_naive =
   qtest ~count:100 "fwd: lookup matches the naive longest-match oracle"
     QCheck2.Gen.(
-      pair
+      triple
         (list_size (int_range 1 30)
            (pair int32 (int_range 0 32)))
+        (list_size (int_range 0 10) (int_range 0 29))
         int32)
-    (fun (routes, addr32) ->
+    (fun (routes, removed, addr32) ->
       let t = Fwd.create () in
       let routes =
         List.mapi
@@ -77,6 +106,17 @@ let prop_fwd_matches_naive =
       (* Later set_route calls overwrite equal prefixes, mirroring the
          oracle's preference for the last binding. *)
       List.iter (fun (p, hops) -> Fwd.set_route t p ~next_hops:hops) routes;
+      (* Removing a prefix drops every binding of it, and may empty its
+         length. *)
+      let removed =
+        List.filter_map (fun i -> Option.map fst (List.nth_opt routes i)) removed
+      in
+      List.iter (Fwd.remove_route t) removed;
+      let routes =
+        List.filter
+          (fun (p, _) -> not (List.exists (Prefix.equal p) removed))
+          routes
+      in
       let addr = Ipv4.of_int32 addr32 in
       let naive =
         List.fold_left
@@ -90,10 +130,13 @@ let prop_fwd_matches_naive =
             else acc)
           None routes
       in
-      match (Fwd.lookup t addr, naive) with
+      (match (Fwd.lookup t addr, naive) with
       | None, None -> true
       | Some got, Some (_, want) -> got = want
       | Some _, None | None, Some _ -> false)
+      && Fwd.lengths t
+         = List.sort_uniq (fun a b -> Int.compare b a)
+             (List.map (fun (p, _) -> Prefix.length p) routes))
 
 (* --- Fair share --------------------------------------------------------- *)
 
@@ -1314,6 +1357,7 @@ let () =
         [
           Alcotest.test_case "lpm order" `Quick test_fwd_lpm_order;
           Alcotest.test_case "remove/replace" `Quick test_fwd_remove_and_replace;
+          Alcotest.test_case "lengths in use" `Quick test_fwd_lengths_in_use;
           Alcotest.test_case "lookup_select" `Quick test_fwd_lookup_select;
           Alcotest.test_case "empty group rejected" `Quick
             test_fwd_empty_group_rejected;

@@ -437,11 +437,31 @@ let storm_trace =
     "14684064 link_up agg-p3-0<->edge-p3-1";
   ]
 
+(* The fabric's speakers share one attribute table, and every record in
+   it is held: the holder audit counts each record's Adj-RIB-In slots,
+   Loc-RIB routes and memo outputs over every speaker. *)
+let audit_attr_holders fabric =
+  let ribs =
+    List.map (fun (_, s) -> Horse_bgp.Speaker.rib s) (Routed_core.daemons fabric)
+  in
+  let intern = Horse_bgp.Rib.intern_table (List.hd ribs) in
+  check Alcotest.bool "one attribute table per fabric" true
+    (List.for_all (fun rib -> Horse_bgp.Rib.intern_table rib == intern) ribs);
+  match
+    Horse_test_support.attr_holder_audit intern ribs
+      (Routed_fabric.all_prefixes fabric)
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "attribute holder audit: %s" e
+
 (* The BGP fat-tree (k=4, no flows) run for 25 s: the final FIBs, the
    CM message and FIB-write counts, the convergence instant and the
    fault trace are pinned, so any change to what the control
-   plane does shows up here. *)
-let fat_tree_work ~storm ~messages ~fib_writes ~faults () =
+   plane does shows up here. The attribute table is audited mid-storm
+   (the crashed aggregation switch is down) and at the end, and
+   [inserted], when given, bounds the records the run inserted into
+   it. *)
+let fat_tree_work ~storm ~messages ~fib_writes ~faults ?inserted () =
   let ft = Fat_tree.build ~k:4 () in
   let exp = Experiment.create ft.Fat_tree.topo in
   let sched = Experiment.scheduler exp in
@@ -461,7 +481,23 @@ let fat_tree_work ~storm ~messages ~fib_writes ~faults () =
            (fat_tree_storm_plan ft))
     else None
   in
+  Experiment.at exp (Time.of_sec 8.0) (fun () -> audit_attr_holders fabric);
   ignore (Experiment.run ~until:(Time.of_sec 25.0) exp);
+  audit_attr_holders fabric;
+  Option.iter
+    (fun gate ->
+      let n =
+        match
+          Horse_telemetry.Registry.find_counter (Experiment.registry exp)
+            "horse_bgp_attrs_interned_total"
+        with
+        | Some c -> Horse_telemetry.Registry.Counter.value c
+        | None -> Alcotest.fail "horse_bgp_attrs_interned_total not registered"
+      in
+      check Alcotest.bool
+        (Printf.sprintf "%d attribute records inserted (gate %d)" n gate)
+        true (n <= gate))
+    inserted;
   check Alcotest.string "fib fingerprint" "0a9e8e63eee7c80d79f89d0181f3255b"
     (Routed_fabric.fib_fingerprint fabric);
   check Alcotest.int "control messages" messages
@@ -477,6 +513,50 @@ let fat_tree_work ~storm ~messages ~fib_writes ~faults () =
     | None -> []
   in
   check (Alcotest.list Alcotest.string) "fault trace" faults trace
+
+(* In a fabric every record but the local routes is some speaker's
+   export, held by that export's memo entry on its input, so records
+   are freed only when the local route they descend from goes. An edge
+   switch that withdraws its subnet frees every record on its paths;
+   the audit then finds a record a dead memo entry still holds as one
+   the table keeps without a holder. *)
+let test_withdrawn_subnet_frees_records () =
+  let ft = Fat_tree.build ~k:4 () in
+  let exp = Experiment.create ft.Fat_tree.topo in
+  let fabric =
+    Routed_fabric.build ~cm:(Experiment.cm exp)
+      ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
+  in
+  let edge = ft.Fat_tree.edges.(0).(0).Topology.id in
+  let speaker = List.assoc edge (Routed_core.daemons fabric) in
+  let subnet = List.hd (Fat_tree.edge_subnets ft edge) in
+  let intern = Horse_bgp.Rib.intern_table (Horse_bgp.Speaker.rib speaker) in
+  let live = ref [] in
+  let sample () =
+    audit_attr_holders fabric;
+    live := Horse_bgp.Attr_intern.size intern :: !live
+  in
+  Experiment.at exp Time.zero (fun () -> Routed_fabric.start fabric);
+  Experiment.at exp (Time.of_sec 5.0) (fun () ->
+      sample ();
+      Horse_bgp.Speaker.withdraw_network speaker subnet);
+  Experiment.at exp (Time.of_sec 10.0) (fun () ->
+      sample ();
+      Horse_bgp.Speaker.announce speaker subnet);
+  ignore (Experiment.run ~until:(Time.of_sec 15.0) exp);
+  sample ();
+  match List.rev !live with
+  | [ converged; withdrawn; back ] ->
+      check Alcotest.bool
+        (Printf.sprintf "records freed by the withdrawal (%d -> %d)" converged
+           withdrawn)
+        true (withdrawn < converged);
+      check Alcotest.bool
+        (Printf.sprintf "and inserted again (%d -> %d)" withdrawn back)
+        true (back > withdrawn);
+      check Alcotest.string "fib fingerprint" "0a9e8e63eee7c80d79f89d0181f3255b"
+        (Routed_fabric.fib_fingerprint fabric)
+  | _ -> Alcotest.fail "three samples expected"
 
 (* --- the routed core: one fault surface, one convergence latch ---------- *)
 
@@ -693,10 +773,12 @@ let () =
         [
           Alcotest.test_case "clean k=4 work" `Quick
             (fat_tree_work ~storm:false ~messages:1_248 ~fib_writes:352
-               ~faults:[]);
+               ~faults:[] ~inserted:329);
           Alcotest.test_case "failure storm k=4 work" `Quick
             (fat_tree_work ~storm:true ~messages:2_798 ~fib_writes:1_240
                ~faults:storm_trace);
+          Alcotest.test_case "withdrawn subnet frees its records" `Quick
+            test_withdrawn_subnet_frees_records;
         ] );
       ( "ospf-fabric",
         [
