@@ -33,14 +33,23 @@ let attrs_equal a b =
   && Option.equal Int.equal a.local_pref b.local_pref
   && List.equal Int.equal a.communities b.communities
 
+(* One multiply–xorshift step per field: [h * 31 + x] lets
+   different records, such as AS paths that trade one hop for
+   another, share a hash. *)
+let mix h x =
+  let h = (h lxor x) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+(* Elements are mixed in as [x + 1] and the list ends with a 0, so a
+   list's length and where it ends both reach the hash. *)
 let hash_int_list seed l =
-  List.fold_left (fun h x -> (h * 31) + x + 1) seed l
+  mix (List.fold_left (fun h x -> mix h (x + 1)) seed l) 0
 
 let attrs_hash a =
-  let h = origin_to_int a.origin in
-  let h = (h * 31) + Ipv4.hash a.next_hop in
-  let h = (h * 31) + Option.value a.med ~default:(-7) in
-  let h = (h * 31) + Option.value a.local_pref ~default:(-13) in
+  let h = mix 0 (origin_to_int a.origin) in
+  let h = mix h (Ipv4.hash a.next_hop) in
+  let h = mix h (Option.value a.med ~default:(-7)) in
+  let h = mix h (Option.value a.local_pref ~default:(-13)) in
   let h = hash_int_list h a.as_path in
   let h = hash_int_list h a.communities in
   h land max_int

@@ -1,5 +1,4 @@
 open Horse_net
-open Horse_engine
 
 let local_peer = -1
 
@@ -9,7 +8,6 @@ type route = {
   iattrs : Attr_intern.interned;
   peer : int;
   peer_bgp_id : Ipv4.t;
-  learned_at : Time.t;
 }
 
 module Prefix_tbl = Hashtbl.Make (struct
@@ -28,7 +26,6 @@ let no_route =
     iattrs;
     peer = min_int;
     peer_bgp_id = Ipv4.any;
-    learned_at = Time.zero;
   }
 
 (* Every per-prefix table is an array indexed by the prefix's id. The
@@ -173,7 +170,7 @@ and insert_sorted r = function
   | x :: rest as l ->
       if cmp_route r x <= 0 then r :: l else x :: insert_sorted r rest
 
-let set_in_id t ~peer ~peer_bgp_id ~at id attrs =
+let set_in_id t ~peer ~peer_bgp_id id attrs =
   let iattrs = Attr_intern.intern t.intern attrs in
   let r =
     {
@@ -182,7 +179,6 @@ let set_in_id t ~peer ~peer_bgp_id ~at id attrs =
       iattrs;
       peer;
       peer_bgp_id;
-      learned_at = at;
     }
   in
   (* Retained before the old record goes, so an equal re-announcement
@@ -221,8 +217,8 @@ let drop_peer_ids t ~peer =
     List.sort (compare_ids t) !dropped
   end
 
-let add_local t ~at prefix attrs =
-  set_in_id t ~peer:local_peer ~peer_bgp_id:Ipv4.any ~at (id t prefix) attrs
+let add_local t prefix attrs =
+  set_in_id t ~peer:local_peer ~peer_bgp_id:Ipv4.any (id t prefix) attrs
 
 (* --- decision process ---------------------------------------------- *)
 

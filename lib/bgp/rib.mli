@@ -47,7 +47,6 @@
     touches no count. *)
 
 open Horse_net
-open Horse_engine
 
 val local_peer : int
 (** The pseudo peer id (-1) of locally originated routes. *)
@@ -58,7 +57,6 @@ type route = {
   iattrs : Attr_intern.interned;  (** hash-consed handle *)
   peer : int;  (** {!local_peer} for local routes *)
   peer_bgp_id : Ipv4.t;
-  learned_at : Time.t;
 }
 
 type t
@@ -90,7 +88,7 @@ val compare_ids : t -> int -> int -> int
 (** {2 Adj-RIB-In} *)
 
 val set_in_id :
-  t -> peer:int -> peer_bgp_id:Ipv4.t -> at:Time.t -> int -> Msg.attrs -> unit
+  t -> peer:int -> peer_bgp_id:Ipv4.t -> int -> Msg.attrs -> unit
 (** Installs/replaces the peer's route for the prefix with this id
     (from {!id}) in the Adj-RIB-In (implicit withdraw semantics). Does
     {e not} recompute the Loc-RIB — call {!refresh_id}. Peer ids must
@@ -109,7 +107,7 @@ val drop_peer_ids : t -> peer:int -> int list
     their prefixes, so the caller can {!refresh_id} them in that
     order. *)
 
-val add_local : t -> at:Time.t -> Prefix.t -> Msg.attrs -> unit
+val add_local : t -> Prefix.t -> Msg.attrs -> unit
 (** Installs a locally originated route, as peer {!local_peer}. *)
 
 (** {2 Decision process and Loc-RIB} *)

@@ -139,7 +139,9 @@ type peer = {
       (* initial table transfer, ids in prefix order, sent by
          [flush_peer] *)
   mutable mrai_armed : bool;
-  mutable advertised : Bytes.t;  (* per id: 1 once announced to this peer *)
+  mutable adj_out : int array;
+      (* per id: 1 + the uid of the record last announced to this peer,
+         0 if it holds no route from us; grown on demand *)
   mutable admin_down : bool;
 }
 
@@ -153,6 +155,18 @@ and group = {
   mutable g_state : Bytes.t;  (* per id: a [state_*] value *)
   mutable g_mrai_armed : bool;
   packer : Msg.Packer.t;
+}
+
+(* The NLRI of one flush that share exported attributes and, in a group
+   flush, the set of members split horizon excludes. A bucket holds its
+   record until the flush ends ([release_buckets]). *)
+type bucket = {
+  b_iattrs : Attr_intern.interned;
+  b_slot : int;  (* the slot value of a member that holds [b_iattrs] *)
+  b_excluded : int list;  (* sorted member ids *)
+  mutable b_ids : int list;  (* reversed until [in_order] *)
+  mutable b_len : int;
+  mutable b_packed : Msg.packed list;  (* every id's UPDATEs, once packed *)
 }
 
 (* Registry handles shared by every speaker on the same scheduler:
@@ -175,6 +189,8 @@ type metrics = {
   m_withdrawn_sent : Counter.t;
   m_group_flushes : Counter.t;
   m_peer_flushes : Counter.t;
+  m_suppressed_announce : Counter.t;
+  m_suppressed_withdraw : Counter.t;
 }
 
 let make_metrics reg ~router_id =
@@ -183,6 +199,15 @@ let make_metrics reg ~router_id =
       ~help:"BGP messages by direction and type"
       ~labels:[ ("dir", dir); ("type", ty) ]
       "messages_total"
+  in
+  let suppressed kind =
+    Registry.counter reg ~subsystem:"bgp"
+      ~help:
+        "Prefixes not sent to a peer because its Adj-RIB-Out already \
+         matched: announcements of the record it holds, withdrawals of \
+         prefixes it does not hold"
+      ~labels:[ ("kind", kind) ]
+      "updates_suppressed_total"
   in
   {
     tx_open = msg "tx" "open";
@@ -223,6 +248,8 @@ let make_metrics reg ~router_id =
       Registry.counter reg ~subsystem:"bgp"
         ~help:"Per-peer flushes (initial table transfers)"
         "peer_flushes_total";
+    m_suppressed_announce = suppressed "announce";
+    m_suppressed_withdraw = suppressed "withdraw";
   }
 
 type t = {
@@ -246,6 +273,8 @@ type t = {
   mutable decode_errors : int;
   inbox : (peer * Bytes.t * Causal.id) Queue.t;
   mutable busy : bool;
+  buckets : bucket list Uid_tbl.t;
+      (* one flush's buckets by exported uid; empty between flushes *)
   affected : Ids.t;  (* ids an UPDATE touched *)
   mutable marks : int array;  (* per id: the last [stamp] that touched it *)
   mutable stamp : int;
@@ -308,6 +337,7 @@ let create ~intern ?trace proc cfg =
     decode_errors = 0;
     inbox = Queue.create ();
     busy = false;
+    buckets = Uid_tbl.create 16;
     affected = Ids.create ();
     marks = [||];
     stamp = 0;
@@ -376,20 +406,6 @@ let send_msg t peer msg =
       Counter.incr t.m.tx_notification);
   Channel.send peer.endpoint (Msg.encode msg)
 
-(* Pre-serialized packed UPDATEs: the byte buffers may be shared
-   between the members of an update group; one scheduler event
-   delivers the whole batch. *)
-let send_packed t peer (msgs : Msg.packed list) =
-  match msgs with
-  | [] -> ()
-  | msgs ->
-      List.iter
-        (fun (m : Msg.packed) ->
-          count_update t ~announced:m.Msg.announced ~withdrawn:m.Msg.withdrawn)
-        msgs;
-      Channel.send_many peer.endpoint
-        (List.map (fun (m : Msg.packed) -> m.Msg.bytes) msgs)
-
 (* Export-time attribute rewrite (eBGP): prepend our ASN, set
    NEXT_HOP to ourselves, strip MED and LOCAL_PREF; COMMUNITIES are
    transitive and carried through. *)
@@ -426,21 +442,50 @@ let export_for t group prefix (first : Rib.route) =
   end
   else export t group prefix first
 
-let advertised peer id = flag peer.advertised id = 1
-let advertise peer id = peer.advertised <- with_flag peer.advertised id 1
+(* --- Adj-RIB-Out ------------------------------------------------------ *)
 
-let unadvertise peer id =
-  if id < Bytes.length peer.advertised then Bytes.set_uint8 peer.advertised id 0
+(* A peer's Adj-RIB-Out slot for [id]: 1 + the uid of the record last
+   announced to it, 0 if it holds no route from us. A slot keeps the
+   uid only, so it holds no record alive; uids are never reused, so a
+   record freed and interned again under a new uid costs at most one
+   redundant announcement, never a missing one. *)
+let slot peer id =
+  if id < Array.length peer.adj_out then peer.adj_out.(id) else 0
+
+let set_slot peer id v =
+  if id >= Array.length peer.adj_out then begin
+    let a = Array.make (max (id + 1) (2 * Array.length peer.adj_out)) 0 in
+    Array.blit peer.adj_out 0 a 0 (Array.length peer.adj_out);
+    peer.adj_out <- a
+  end;
+  peer.adj_out.(id) <- v
+
+let rec set_slots peer v = function
+  | [] -> ()
+  | id :: rest ->
+      set_slot peer id v;
+      set_slots peer v rest
+
+let rec clear_slots peer = function
+  | [] -> ()
+  | id :: rest ->
+      if id < Array.length peer.adj_out then peer.adj_out.(id) <- 0;
+      clear_slots peer rest
+
+(* [n] plus how many of [ids] the peer's slots do not read [v]. With
+   [v] = 0 that is how many it holds. *)
+let rec count_unlike peer v n = function
+  | [] -> n
+  | id :: rest ->
+      count_unlike peer v (if slot peer id <> v then n + 1 else n) rest
+
+(* The ids of [ids] whose slot does not read [v], in order. *)
+let rec unlike peer v = function
+  | [] -> []
+  | id :: rest ->
+      if slot peer id <> v then id :: unlike peer v rest else unlike peer v rest
+
 let prefixes t ids = List.map (Rib.prefix_of_id t.rib) ids
-
-(* The NLRI of one flush that share exported attributes and, in a group
-   flush, the set of members split horizon excludes. A bucket holds its
-   record until the flush ends ([release_buckets]). *)
-type bucket = {
-  b_iattrs : Attr_intern.interned;
-  b_excluded : int list;  (* sorted member ids *)
-  mutable b_ids : int list;  (* reversed *)
-}
 
 let rec find_bucket excluded = function
   | [] -> raise_notrace Not_found
@@ -450,24 +495,97 @@ let rec find_bucket excluded = function
 
 (* Adds [id] to the bucket of ([ia], [excluded]), creating it (and
    prepending it to [order]) on first use. *)
-let add_to_bucket buckets order (ia : Attr_intern.interned) excluded id =
+let add_to_bucket t order (ia : Attr_intern.interned) excluded id =
   let uid = ia.Attr_intern.uid in
   let same_uid =
-    match Uid_tbl.find buckets uid with l -> l | exception Not_found -> []
+    match Uid_tbl.find t.buckets uid with l -> l | exception Not_found -> []
   in
   match find_bucket excluded same_uid with
-  | b -> b.b_ids <- id :: b.b_ids
+  | b ->
+      b.b_ids <- id :: b.b_ids;
+      b.b_len <- b.b_len + 1
   | exception Not_found ->
       Attr_intern.retain ia;
-      let b = { b_iattrs = ia; b_excluded = excluded; b_ids = [ id ] } in
-      Uid_tbl.replace buckets uid (b :: same_uid);
+      let b =
+        {
+          b_iattrs = ia;
+          b_slot = uid + 1;
+          b_excluded = excluded;
+          b_ids = [ id ];
+          b_len = 1;
+          b_packed = [];
+        }
+      in
+      Uid_tbl.replace t.buckets uid (b :: same_uid);
       order := b :: !order
+
+(* The buckets of a reversed [order], in creation order and each with
+   its ids in order. Empties the speaker's bucket table. *)
+let in_order t order =
+  Uid_tbl.clear t.buckets;
+  List.rev_map
+    (fun b ->
+      b.b_ids <- List.rev b.b_ids;
+      b)
+    order
 
 let rec release_buckets intern = function
   | [] -> ()
   | b :: rest ->
       Attr_intern.release intern b.b_iattrs;
       release_buckets intern rest
+
+let pack_reach t packer b ids =
+  Msg.Packer.pack packer
+    ~reach:(b.b_iattrs.Attr_intern.attrs, prefixes t ids)
+    ()
+
+let pack_withdrawn t packer ids =
+  Msg.Packer.pack packer ~withdrawn:(prefixes t ids) ()
+
+(* A bucket is packed once, the first time a peer needs all of it. *)
+let bucket_packed t packer b =
+  if b.b_packed = [] then b.b_packed <- pack_reach t packer b b.b_ids;
+  b.b_packed
+
+(* Counts [msgs] as sent and pushes their buffers onto [acc], a batch
+   in reverse. *)
+let rec push_packed t acc = function
+  | [] -> acc
+  | (m : Msg.packed) :: rest ->
+      count_update t ~announced:m.Msg.announced ~withdrawn:m.Msg.withdrawn;
+      push_packed t (m.Msg.bytes :: acc) rest
+
+(* One scheduler event delivers a batch built in reverse. *)
+let send_batch peer = function
+  | [] -> ()
+  | rev -> Channel.send_many peer.endpoint (List.rev rev)
+
+(* Announces to [peer] the NLRI of [b] that its Adj-RIB-Out does not
+   already hold with [b]'s record: through the bucket's shared buffers
+   when it needs them all, through a pack of its own otherwise. *)
+let announce_to t packer peer acc b =
+  let need = count_unlike peer b.b_slot 0 b.b_ids in
+  if need < b.b_len then Counter.add t.m.m_suppressed_announce (b.b_len - need);
+  if need = 0 then acc
+  else begin
+    let msgs =
+      if need = b.b_len then bucket_packed t packer b
+      else pack_reach t packer b (unlike peer b.b_slot b.b_ids)
+    in
+    set_slots peer b.b_slot b.b_ids;
+    push_packed t acc msgs
+  end
+
+(* [announce_to] every bucket that does not exclude [member]. *)
+let rec announce_all t packer member acc = function
+  | [] -> acc
+  | b :: rest ->
+      let acc =
+        if List.mem member.id b.b_excluded then acc
+        else announce_to t packer member acc b
+      in
+      announce_all t packer member acc rest
 
 (* Flush one peer's initial table transfer after its session comes
    up. NLRI sharing identical exported attributes group together — by
@@ -479,7 +597,6 @@ let flush_peer t peer =
     let announces = peer.pending_announce in
     peer.pending_announce <- [];
     (* Re-read the loc-rib at flush time (MRAI coalescing). *)
-    let buckets = Uid_tbl.create 16 in
     let order = ref [] in
     let withdraws = ref [] in
     List.iter
@@ -495,48 +612,79 @@ let flush_peer t peer =
                 export_for t peer.group (Rib.prefix_of_id t.rib id) first
               with
               | None -> withdraws := id :: !withdraws
-              | Some ia -> add_to_bucket buckets order ia [] id))
+              | Some ia -> add_to_bucket t order ia [] id))
       announces;
     (* [announces] is in prefix order, so each list below is too. *)
-    let withdraws =
-      List.rev (List.filter (fun id -> advertised peer id) !withdraws)
+    let buckets = in_order t !order in
+    let packer = peer.group.packer in
+    let withdraws = unlike peer 0 (List.rev !withdraws) in
+    clear_slots peer withdraws;
+    let acc =
+      if withdraws = [] then []
+      else push_packed t [] (pack_withdrawn t packer withdraws)
     in
-    List.iter (fun id -> unadvertise peer id) withdraws;
-    let msgs = ref [] in
-    if withdraws <> [] then
-      msgs :=
-        Msg.Packer.pack peer.group.packer ~withdrawn:(prefixes t withdraws) ();
-    List.iter
-      (fun b ->
-        let ids = List.rev b.b_ids in
-        msgs :=
-          !msgs
-          @ Msg.Packer.pack peer.group.packer
-              ~reach:(b.b_iattrs.Attr_intern.attrs, prefixes t ids) ();
-        List.iter (fun id -> advertise peer id) ids)
-      (List.rev !order);
-    release_buckets t.intern !order;
-    send_packed t peer !msgs
+    let acc = announce_all t packer peer acc buckets in
+    release_buckets t.intern buckets;
+    send_batch peer acc
   end
 
+(* Split horizon: the Established members of [group] that sourced one
+   of [bests], added to the sorted, duplicate-free [acc]. *)
+let rec horizon_of t group acc = function
+  | [] -> acc
+  | (r : Rib.route) :: rest ->
+      let p = r.Rib.peer in
+      let acc =
+        if p = Rib.local_peer then acc
+        else
+          let peer = t.peers.(p) in
+          if peer.group == group && peer.state = Established then
+            insert_id p acc
+          else acc
+      in
+      horizon_of t group acc rest
+
+and insert_id x = function
+  | [] -> [ x ]
+  | y :: rest as l ->
+      if x < y then x :: l else if x = y then l else y :: insert_id x rest
+
+(* The ids [member] holds in the buckets that exclude it, in reverse,
+   with their slots cleared: what split horizon retracts. *)
+let rec retract_all member acc = function
+  | [] -> acc
+  | b :: rest ->
+      let acc =
+        if List.mem member.id b.b_excluded then retract member acc b.b_ids
+        else acc
+      in
+      retract_all member acc rest
+
+and retract member acc = function
+  | [] -> acc
+  | id :: rest ->
+      if slot member id <> 0 then begin
+        member.adj_out.(id) <- 0;
+        retract member (id :: acc) rest
+      end
+      else retract member acc rest
+
 (* Flush a whole update group: the Adj-RIB-Out computation (best
-   lookup, export rewrite + policy, serialization) runs once; every
-   Established member receives the shared buffers. Split horizon is
-   the only per-peer part — prefixes whose best route was learned
-   from a member are diverted into that member's private withdraw
-   set. The pending ids are sorted once, so every list built below is
-   in prefix order. *)
+   lookup, export rewrite + policy, serialization) runs once per
+   group, and each Established member is sent only what changes its
+   own Adj-RIB-Out. A bucket is packed once and its buffers are shared
+   by every member that needs all of it; a member that needs part of a
+   bucket gets a pack of its own. Split horizon diverts prefixes whose
+   best route was learned from a member into that member's private
+   retractions. The pending ids are sorted once, so the withdrawals
+   and each bucket's ids are in prefix order. *)
 let flush_group t group =
   group.g_mrai_armed <- false;
   if Process.is_alive t.proc && group.up_members > 0 then begin
     Counter.incr t.m.m_group_flushes;
     let pending = Ids.take_sorted (Rib.compare_ids t.rib) group.g_pending in
-    let members =
-      List.filter (fun p -> p.state = Established) group.members
-    in
     (* Buckets keyed by (exported attrs uid, excluded member ids):
        almost always the excluded set is empty or one peer. *)
-    let buckets = Uid_tbl.create 16 in
     let order = ref [] in
     let withdraws = ref [] in
     Array.iter
@@ -548,67 +696,46 @@ let flush_group t group =
           match Rib.best_id t.rib id with
           | [] -> withdraws := id :: !withdraws
           | (first :: _ : Rib.route list) as bests -> (
-              let excluded =
-                List.fold_left
-                  (fun acc (r : Rib.route) ->
-                    if r.Rib.peer = Rib.local_peer then acc
-                    else
-                      let p = t.peers.(r.Rib.peer) in
-                      if p.group == group && p.state = Established then
-                        r.Rib.peer :: acc
-                      else acc)
-                  [] bests
-                |> List.sort_uniq Int.compare
-              in
               match export_for t group (Rib.prefix_of_id t.rib id) first with
               | None -> withdraws := id :: !withdraws
-              | Some ia -> add_to_bucket buckets order ia excluded id))
+              | Some ia ->
+                  add_to_bucket t order ia (horizon_of t group [] bests) id))
       pending;
+    let buckets = in_order t !order in
     let withdraws = List.rev !withdraws in
-    (* Serialize once per bucket (and once for the withdraw set). *)
-    let withdraw_msgs =
-      if withdraws = [] then []
-      else Msg.Packer.pack group.packer ~withdrawn:(prefixes t withdraws) ()
-    in
-    let packed_buckets =
-      List.rev_map
-        (fun b ->
-          let ids = List.rev b.b_ids in
-          ( b.b_excluded,
-            ids,
-            Msg.Packer.pack group.packer
-              ~reach:(b.b_iattrs.Attr_intern.attrs, prefixes t ids) () ))
-        !order
-    in
-    release_buckets t.intern !order;
+    let n_withdraws = List.length withdraws in
+    let packer = group.packer in
+    (* Packed on first use, shared by every member that holds them all. *)
+    let withdrawn_packed = ref [] in
     List.iter
       (fun member ->
-        let msgs = ref withdraw_msgs in
-        List.iter (fun id -> unadvertise member id) withdraws;
-        let horizon = ref [] in
-        List.iter
-          (fun (excluded, ids, packed) ->
-            if List.mem member.id excluded then
-              (* Split horizon: this member sourced the best route;
-                 retract anything it was previously advertised. *)
-              List.iter
-                (fun id ->
-                  if advertised member id then begin
-                    horizon := id :: !horizon;
-                    unadvertise member id
-                  end)
-                ids
-            else begin
-              msgs := !msgs @ packed;
-              List.iter (fun id -> advertise member id) ids
-            end)
-          packed_buckets;
-        if !horizon <> [] then
-          msgs :=
-            !msgs
-            @ Msg.Packer.pack group.packer ~withdrawn:(prefixes t !horizon) ();
-        send_packed t member !msgs)
-      members
+        if member.state = Established then begin
+          let held = count_unlike member 0 0 withdraws in
+          if held < n_withdraws then
+            Counter.add t.m.m_suppressed_withdraw (n_withdraws - held);
+          let acc =
+            if held = 0 then []
+            else if held = n_withdraws then begin
+              if !withdrawn_packed = [] then
+                withdrawn_packed := pack_withdrawn t packer withdraws;
+              push_packed t [] !withdrawn_packed
+            end
+            else
+              push_packed t []
+                (pack_withdrawn t packer (unlike member 0 withdraws))
+          in
+          clear_slots member withdraws;
+          let acc = announce_all t packer member acc buckets in
+          let acc =
+            match retract_all member [] buckets with
+            | [] -> acc
+            | horizon ->
+                push_packed t acc (pack_withdrawn t packer (List.rev horizon))
+          in
+          send_batch member acc
+        end)
+      group.members;
+    release_buckets t.intern buckets
   end
 
 let schedule_group_flush t group =
@@ -702,7 +829,7 @@ let session_down t peer ~reason =
     (* The handle stays: the next send_open re-arms it in place. *)
     Option.iter Sched.cancel peer.hold_ev;
     peer.pending_announce <- [];
-    Bytes.fill peer.advertised 0 (Bytes.length peer.advertised) '\000';
+    Array.fill peer.adj_out 0 (Array.length peer.adj_out) 0;
     List.iter (refresh_and_propagate t) (Rib.drop_peer_ids t.rib ~peer:peer.id)
   end
 
@@ -823,8 +950,8 @@ let handle_update t peer (u : Msg.update) =
             | None -> withdraw_in t peer prefix
             | Some attrs ->
                 let id = Rib.id t.rib prefix in
-                Rib.set_in_id t.rib ~peer:peer.id ~peer_bgp_id:peer.remote_id
-                  ~at:(now t) id attrs;
+                Rib.set_in_id t.rib ~peer:peer.id ~peer_bgp_id:peer.remote_id id
+                  attrs;
                 mark_affected t id)
           nlri);
   (* One decision per touched prefix, in prefix order. *)
@@ -937,7 +1064,7 @@ let add_peer ?(import = Policy.accept_all) ?(export = Policy.accept_all) t
       hold_ev = None;
       pending_announce = [];
       mrai_armed = false;
-      advertised = Bytes.empty;
+      adj_out = [||];
       admin_down = false;
     }
   in
@@ -992,7 +1119,7 @@ let local_attrs t =
   }
 
 let announce t prefix =
-  Rib.add_local t.rib ~at:(now t) prefix (local_attrs t);
+  Rib.add_local t.rib prefix (local_attrs t);
   refresh_and_propagate t (Rib.id t.rib prefix)
 
 let withdraw_network t prefix =

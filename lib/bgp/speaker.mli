@@ -19,15 +19,23 @@
     The speaker behaves like a large-scale production daemon: peers whose export policies are
     {!Policy.equal} share one {e update group}, so the Adj-RIB-Out
     computation, the export-policy evaluation and the serialized
-    UPDATE buffers are produced once per group and shared by every
-    member; flushes pack as many NLRI as fit into each 4096-byte
-    UPDATE ({!Msg.Packer}); with MRAI zero, flushes coalesce to the
-    end of the current scheduler instant, so a received UPDATE
-    carrying k prefixes triggers one outgoing flush, not k. A group
-    whose export policy cannot see the prefix memoizes each export on
-    the input's {!Attr_intern} record, and every speaker of a fabric
-    interns into one table ({!attr_table}), so the record an export
-    produces is the one its receivers find when they decode it. *)
+    UPDATE buffers are produced once per group; flushes pack as many
+    NLRI as fit into each 4096-byte UPDATE ({!Msg.Packer}); with MRAI
+    zero, flushes coalesce to the end of the current scheduler
+    instant, so a received UPDATE carrying k prefixes triggers one
+    outgoing flush, not k. Each peer keeps its own Adj-RIB-Out, the
+    {!Attr_intern} uid of the record last announced per prefix, and a
+    flush sends a member only what changes it: no announcement of the
+    record it already holds, no withdrawal of a prefix it does not
+    hold (FRR's [bgp suppress-duplicates]). Members that need a whole
+    packed bucket share its buffers; a session that goes down forgets
+    its Adj-RIB-Out, so a re-established one receives the full table.
+    [horse_bgp_updates_suppressed_total{kind=announce|withdraw}]
+    counts what was not sent. A group whose export policy cannot see
+    the prefix memoizes each export on the input's {!Attr_intern}
+    record, and every speaker of a fabric interns into one table
+    ({!attr_table}), so the record an export produces is the one its
+    receivers find when they decode it. *)
 
 open Horse_net
 open Horse_engine

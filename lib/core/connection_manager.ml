@@ -12,6 +12,7 @@ type t = {
   m_bytes : Counter.t;
   g_last_activity : Gauge.t;
   mutable last_activity : Time.t;
+  channel_hooks : (Channel.t -> unit) Hooks.t;
 }
 
 let create sched trace =
@@ -30,6 +31,7 @@ let create sched trace =
         ~help:"Virtual time of the last observed control message, seconds"
         "last_activity_seconds";
     last_activity = Time.zero;
+    channel_hooks = Hooks.create ();
   }
 
 let scheduler t = t.sched
@@ -46,7 +48,10 @@ let control_channel ?latency ?(name = "control") t =
       t.last_activity <- Sched.now t.sched;
       Gauge.set t.g_last_activity (Time.to_sec t.last_activity);
       Sched.control_activity ~reason:name t.sched);
+  Hooks.iter (fun f -> f channel) t.channel_hooks;
   channel
+
+let on_channel t f = Hooks.add t.channel_hooks f
 
 let channels_created t = Counter.value t.m_channels
 let messages_observed t = Counter.value t.m_messages

@@ -27,6 +27,11 @@ val control_channel :
 (** A duplex channel whose traffic is observed by the CM. The name
     appears in the FTI-transition reasons and in the trace. *)
 
+val on_channel : t -> (Channel.t -> unit) -> unit
+(** Runs the callback on every channel {!control_channel} creates from
+    now on, after the CM's own observer is installed, so a callback
+    can add an observer of its own ({!Channel.set_observer}). *)
+
 val channels_created : t -> int
 val messages_observed : t -> int
 val bytes_observed : t -> int

@@ -188,7 +188,15 @@ let clear_impairment t = t.impair <- None
 let impairment t = Option.map fst t.impair
 let impaired_dropped t = t.dropped
 let impaired_duplicated t = t.duplicated
-let set_observer t obs = t.observer <- Some obs
+let set_observer t obs =
+  t.observer <-
+    Some
+      (match t.observer with
+      | None -> obs
+      | Some first ->
+          fun dir msg ->
+            first dir msg;
+            obs dir msg)
 let set_on_close e f = e.mine.on_close <- Some f
 
 let close_side t side =

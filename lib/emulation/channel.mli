@@ -6,9 +6,9 @@
     protocol layers serialize real wire formats into them — delivered
     to the peer endpoint's receiver after a fixed latency.
 
-    Every send is reported to the channel's observer (installed by the
-    Connection Manager) {e at send time}; this is the hook that drives
-    the DES→FTI transition. *)
+    Every send is reported to the channel's observers (the Connection
+    Manager installs the first) {e at send time}; this is the hook that
+    drives the DES→FTI transition. *)
 
 open Horse_engine
 
@@ -64,8 +64,8 @@ val batch_kind : Causal.kind
     message count, printed ["batch n=<count>"]. *)
 
 val set_observer : t -> (direction -> Bytes.t -> unit) -> unit
-(** At most one observer; it sees every message at send time, before
-    latency. *)
+(** Adds an observer. Every observer sees every message at send time,
+    before latency, in the order the observers were added. *)
 
 val set_on_close : endpoint -> (unit -> unit) -> unit
 (** Runs when the channel closes (either side), once. *)

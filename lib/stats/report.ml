@@ -61,6 +61,22 @@ let pp fmt reg =
   let spans = Span.records (Registry.spans reg) in
   if spans <> [] then
     Format.fprintf fmt "@\nspans:@\n%a@\n" Span.pp (Registry.spans reg);
+  (match
+     ( Registry.find_counter reg ~labels:[ ("kind", "announce") ]
+         "horse_bgp_updates_suppressed_total",
+       Registry.find_counter reg ~labels:[ ("kind", "withdraw") ]
+         "horse_bgp_updates_suppressed_total",
+       Registry.find_counter reg "horse_bgp_prefixes_sent_total" )
+   with
+  | Some announce, Some withdraw, Some sent ->
+      Format.fprintf fmt
+        "@\nbgp adj-rib-out: %d announcements of a held record and %d \
+         withdrawals of an unheld prefix suppressed (%d prefixes \
+         announced)@\n"
+        (Registry.Counter.value announce)
+        (Registry.Counter.value withdraw)
+        (Registry.Counter.value sent)
+  | _ -> ());
   (match Registry.find_counter reg "horse_causal_dropped_total" with
   | Some c when Registry.Counter.value c > 0 ->
       Format.fprintf fmt

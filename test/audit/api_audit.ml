@@ -51,14 +51,16 @@
    - Read-only inspection: counters, accessors and pure queries a test
      reads state through, the causal kinds with their payload packers
      and printers, the codec [equal]s, and observer hooks that only
-     watch ([Routed_core.on_fib_change], [Switch.on_expired]).
+     watch ([Routed_core.on_fib_change], [Switch.on_expired], and
+     [Connection_manager.on_channel], through which a test adds its
+     own observer to each control channel).
      Agent.{nacks_sent,writes_applied}, App_ecmp.{flows_routed,
      reroutes}, Attr_intern.{hits,size}, Causal.hash, Channel.{
      batch_kind,send_kind,bytes_sent,messages_sent,impaired_dropped,
      impaired_duplicated,peer}, Connection_manager.{channels_created,
-     quiet_since}, Controller.packet_in_kind, Daemon.{adj_kind,lsa_kind,
-     spf_kind,pack_adj,pp_neighbor_state,counters,lsdb,neighbor_state,
-     routes}, Env.edge_switch_of_host, Event_queue.is_cancelled,
+     on_channel,quiet_since}, Controller.packet_in_kind, Daemon.{
+     adj_kind,lsa_kind,spf_kind,pack_adj,pp_neighbor_state,counters,lsdb,
+     neighbor_state,routes}, Env.edge_switch_of_host, Event_queue.is_cancelled,
      Export.validate_jsonl_line, Fair_share.Delta.{flow_count,rate}
      ([Fluid] reads rates through [iter_touched]; the solver tests
      compare every live flow's rate with the oracle),
@@ -70,7 +72,7 @@
      Ospf_fabric.fib_write_detail, Ospf_msg.equal, P4_fabric.{
      nacks_received,programmed}, Packet.{equal,size}, Packet_engine.{
      max_delay,mean_delay,rx_bytes,tx_packets}, Registry.{cardinality,
-     find_gauge}, [Registry.find_counter ?labels], Rib.{adj_in,
+     find_gauge}, Rib.{adj_in,
      intern_table}, Routed_core.{is_converged,on_fib_change,
      sessions_established,sessions_expected}, Routed_fabric.{
      pack_fib_write,fib_write_detail}, Runtime.{request_equal,

@@ -45,8 +45,8 @@ let retained_per_node_budget = 4.0
    it is formatted must not drift. A BGP session teardown refreshes
    the dropped prefixes in prefix order ([Rib.drop_peer_ids]), so the
    order of the decisions in that instant is part of the pin. *)
-let pinned_hash = "1d400f83ec53515ba495650a682252f2"
-let pinned_nodes = 8181
+let pinned_hash = "83e30967de9a50a8a0ddef2ce54a7163"
+let pinned_nodes = 7527
 
 (* The shared smoke storm: 22 fault events over a 20s virtual run. *)
 let plan = Horse_test_support.smoke_storm_plan ()

@@ -174,9 +174,9 @@ let attrs ?(origin = Msg.Igp) ?(path = [ 65001 ]) ?med ?local_pref
 let test_decision_local_pref () =
   let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
-  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") id
     (attrs ~local_pref:200 ~path:[ 1; 2; 3 ] "10.0.1.1");
-  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") id
     (attrs ~local_pref:100 ~path:[ 1 ] "10.0.2.1");
   (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] ->
@@ -188,9 +188,9 @@ let test_decision_local_pref () =
 let test_decision_as_path_len () =
   let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
-  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") id
     (attrs ~path:[ 1; 2 ] "10.0.1.1");
-  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") id
     (attrs ~path:[ 3 ] "10.0.2.1");
   match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] -> check Alcotest.int "shorter path wins" 1 best.Rib.peer
@@ -200,17 +200,17 @@ let test_decision_origin_and_med () =
   let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
   (* same path length: origin decides *)
-  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") id
     (attrs ~origin:Msg.Incomplete ~path:[ 5 ] "10.0.1.1");
-  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") id
     (attrs ~origin:Msg.Igp ~path:[ 5 ] "10.0.2.1");
   (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] -> check Alcotest.int "igp beats incomplete" 1 best.Rib.peer
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected winner");
   (* same neighbour AS: MED decides *)
-  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") id
     (attrs ~origin:Msg.Igp ~path:[ 5 ] ~med:10 "10.0.1.1");
-  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "2.2.2.2") id
     (attrs ~origin:Msg.Igp ~path:[ 5 ] ~med:5 "10.0.2.1");
   match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed [ best ] -> check Alcotest.int "lower med wins" 1 best.Rib.peer
@@ -221,9 +221,9 @@ let test_decision_multipath () =
   let id = Rib.id rib (p "10.0.0.0/8") in
   (* Equal on all tie-break dimensions except bgp-id: multipath keeps
      both, single-path keeps the lower id. *)
-  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "2.2.2.2") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "2.2.2.2") id
     (attrs ~path:[ 7 ] "10.0.1.1");
-  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:1 ~peer_bgp_id:(ip "1.1.1.1") id
     (attrs ~path:[ 8 ] "10.0.2.1");
   (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed routes -> check Alcotest.int "both kept" 2 (List.length routes)
@@ -238,7 +238,7 @@ let test_decision_multipath () =
 let test_rib_withdraw_and_drop_peer () =
   let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
-  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") id
     (attrs "10.0.1.1");
   ignore (Rib.refresh_id ~multipath:true rib id);
   check Alcotest.int "installed" 1 (Rib.loc_rib_size rib);
@@ -248,9 +248,9 @@ let test_rib_withdraw_and_drop_peer () =
   | Rib.Changed _ | Rib.Unchanged -> Alcotest.fail "expected removal");
   check Alcotest.int "empty" 0 (Rib.loc_rib_size rib);
   (* drop_peer_ids returns the affected ids *)
-  Rib.set_in_id rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3") id
     (attrs "10.0.3.1");
-  Rib.set_in_id rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3") ~at:Time.zero
+  Rib.set_in_id rib ~peer:3 ~peer_bgp_id:(ip "3.3.3.3")
     (Rib.id rib (p "11.0.0.0/8")) (attrs "10.0.3.1");
   let affected = Rib.drop_peer_ids rib ~peer:3 in
   check Alcotest.int "two affected" 2 (List.length affected);
@@ -259,7 +259,7 @@ let test_rib_withdraw_and_drop_peer () =
 let test_rib_refresh_unchanged () =
   let rib = Rib.create (Attr_intern.create ()) in
   let id = Rib.id rib (p "10.0.0.0/8") in
-  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") ~at:Time.zero id
+  Rib.set_in_id rib ~peer:0 ~peer_bgp_id:(ip "1.1.1.1") id
     (attrs "10.0.1.1");
   (match Rib.refresh_id ~multipath:true rib id with
   | Rib.Changed _ -> ()
@@ -1065,7 +1065,7 @@ let prop_decide_matches_reference =
           let dropped_ok =
             match op with
             | Set_in (i, peer, id, a) ->
-                Rib.set_in_id rib ~peer ~peer_bgp_id:id ~at:Time.zero
+                Rib.set_in_id rib ~peer ~peer_bgp_id:id
                   (Rib.id rib pool.(i)) a;
                 Hashtbl.replace held (peer, pool.(i)) (id, a);
                 refresh pool.(i);
@@ -1073,7 +1073,7 @@ let prop_decide_matches_reference =
             | Reannounce (i, peer) ->
                 (match Hashtbl.find_opt held (peer, pool.(i)) with
                 | Some (id, a) ->
-                    Rib.set_in_id rib ~peer ~peer_bgp_id:id ~at:Time.zero
+                    Rib.set_in_id rib ~peer ~peer_bgp_id:id
                       (Rib.id rib pool.(i))
                       { a with Msg.as_path = List.map Fun.id a.Msg.as_path };
                     refresh pool.(i)
@@ -1085,7 +1085,7 @@ let prop_decide_matches_reference =
                 refresh pool.(i);
                 true
             | Add_local (i, a) ->
-                Rib.add_local rib ~at:Time.zero pool.(i) a;
+                Rib.add_local rib pool.(i) a;
                 Hashtbl.replace held (Rib.local_peer, pool.(i)) (Ipv4.any, a);
                 refresh pool.(i);
                 true
@@ -1214,6 +1214,197 @@ let test_attr_memo_lifetime () =
     (match input.Attr_intern.memo with
     | Attr_intern.No_memo -> true
     | Attr_intern.Memo _ -> false)
+
+(* --- Adj-RIB-Out: what a group flush sends each member ------------------- *)
+
+(* A hub (AS 65000) with one eBGP peer per entry of [networks], all in
+   the hub's one update group; spoke [i] is AS 65001+i with router id
+   i+1.i+1.i+1.i+1 and originates [networks.(i)]. Every UPDATE the hub
+   sends is decoded and kept per spoke, newest first. *)
+type hub = {
+  sched : Sched.t;
+  hub : Speaker.t;
+  spokes : Speaker.t array;
+  hub_peer : int array;  (* the hub's peer id of each spoke *)
+  sent : Msg.update list array;
+}
+
+let hub_and_spokes networks =
+  let sched = Sched.create () in
+  let intern = Speaker.attr_table sched in
+  let mk router_id asn networks =
+    Speaker.create ~intern (Process.create sched)
+      { (Speaker.default_config ~asn ~router_id) with Speaker.networks }
+  in
+  let hub = mk (ip "10.0.0.1") 65000 [] in
+  let spokes =
+    Array.mapi
+      (fun i nets ->
+        mk (Ipv4.of_octets (i + 1) (i + 1) (i + 1) (i + 1)) (65001 + i) nets)
+      networks
+  in
+  let sent = Array.make (Array.length spokes) [] in
+  let hub_peer =
+    Array.mapi
+      (fun i spoke ->
+        let chan = Channel.create sched () in
+        let eh, es = Channel.endpoints chan in
+        Channel.set_observer chan (fun dir bytes ->
+            match (dir, Msg.decode bytes) with
+            | Channel.A_to_b, Ok (Msg.Update u) -> sent.(i) <- u :: sent.(i)
+            | _ -> ());
+        let id = Speaker.add_peer hub ~remote_asn:(Speaker.asn spoke) eh in
+        ignore (Speaker.add_peer spoke ~remote_asn:65000 es);
+        id)
+      spokes
+  in
+  ignore
+    (Sched.schedule_at sched Time.zero (fun () ->
+         Speaker.start hub;
+         Array.iter Speaker.start spokes));
+  ignore (Sched.run ~until:(Time.of_sec 5.0) sched);
+  { sched; hub; spokes; hub_peer; sent }
+
+(* Runs [f] at [at] and the run on to [until]; returns, per spoke, the
+   UPDATEs the hub sent it in between, oldest first. *)
+let hub_step h ~at ~until f =
+  let before = Array.map List.length h.sent in
+  ignore (Sched.schedule_at h.sched at f);
+  ignore (Sched.run ~until h.sched);
+  Array.mapi
+    (fun i us ->
+      List.rev (List.filteri (fun j _ -> j < List.length us - before.(i)) us))
+    h.sent
+
+(* The AS paths announced for [prefix] in [updates]. *)
+let announced prefix updates =
+  List.concat_map
+    (fun (u : Msg.update) ->
+      match u.Msg.reach with
+      | Some (a, nlri) when List.exists (Prefix.equal prefix) nlri ->
+          [ a.Msg.as_path ]
+      | Some _ | None -> [])
+    updates
+
+let withdrawn prefix updates =
+  List.exists
+    (fun (u : Msg.update) -> List.exists (Prefix.equal prefix) u.Msg.withdrawn)
+    updates
+
+let suppressed h kind =
+  match
+    Horse_telemetry.Registry.find_counter
+      (Sched.registry h.sched)
+      ~labels:[ ("kind", kind) ]
+      "horse_bgp_updates_suppressed_total"
+  with
+  | Some c -> Horse_telemetry.Registry.Counter.value c
+  | None -> Alcotest.fail "horse_bgp_updates_suppressed_total not registered"
+
+let paths = Alcotest.(list (list int))
+let shared = p "10.9.0.0/16"
+
+(* Spoke 0 originates [shared]; at 6 s spoke 1 originates it too. The
+   hub's best set grows to an ECMP pair whose first route is still
+   spoke 0's (the lower router id), so the exported record is
+   unchanged: spoke 2 already holds it and is sent nothing. *)
+let ecmp_member_added () =
+  let h = hub_and_spokes [| [ shared ]; []; [] |] in
+  check paths "spoke 2 holds the hub's export" [ [ 65000; 65001 ] ]
+    (announced shared h.sent.(2));
+  let before = suppressed h "announce" in
+  let step =
+    hub_step h ~at:(Time.of_sec 6.0) ~until:(Time.of_sec 8.0) (fun () ->
+        Speaker.announce h.spokes.(1) shared)
+  in
+  check Alcotest.int "hub's best set grew to two" 2
+    (List.length (Speaker.best h.hub shared));
+  (h, step, suppressed h "announce" - before)
+
+let test_unchanged_export_not_resent () =
+  let h, step, suppressed = ecmp_member_added () in
+  check paths "nothing announced to spoke 2" [] (announced shared step.(2));
+  check Alcotest.bool "nor withdrawn" false (withdrawn shared step.(2));
+  check Alcotest.int "suppression counted" 1 suppressed;
+  match Speaker.best h.spokes.(2) shared with
+  | [ r ] ->
+      check (Alcotest.list Alcotest.int) "spoke 2 keeps its route"
+        [ 65000; 65001 ] r.Rib.attrs.Msg.as_path
+  | routes -> Alcotest.failf "spoke 2 has %d routes" (List.length routes)
+
+(* Spoke 1 joined the hub's best set, so split horizon retracts what
+   the hub announced it; spoke 0 was never announced [shared] and gets
+   neither an announcement nor a withdrawal. *)
+let test_split_horizon_retraction_sent () =
+  let h, step, _ = ecmp_member_added () in
+  check Alcotest.bool "spoke 1 sent the retraction" true
+    (withdrawn shared step.(1));
+  check Alcotest.bool "spoke 1 holds no hub route" false
+    (List.exists
+       (fun (prefix, _) -> Prefix.equal prefix shared)
+       (Rib.adj_in (Speaker.rib h.spokes.(1)) ~peer:0));
+  check paths "nothing announced to spoke 0" [] (announced shared step.(0));
+  check Alcotest.bool "nor withdrawn" false (withdrawn shared step.(0))
+
+(* Spoke 0 then stops originating [shared]: the hub's first route is
+   spoke 1's, a new export record, which goes to every member that
+   split horizon does not exclude. Spoke 1, excluded and holding
+   nothing, gets no withdrawal. *)
+let test_changed_export_sent () =
+  let h, _, _ = ecmp_member_added () in
+  let step =
+    hub_step h ~at:(Time.of_sec 9.0) ~until:(Time.of_sec 11.0) (fun () ->
+        Speaker.withdraw_network h.spokes.(0) shared)
+  in
+  check paths "spoke 2 gets the new record" [ [ 65000; 65002 ] ]
+    (announced shared step.(2));
+  check paths "spoke 0 too" [ [ 65000; 65002 ] ] (announced shared step.(0));
+  check paths "nothing announced to spoke 1" [] (announced shared step.(1));
+  check Alcotest.bool "nor withdrawn" false (withdrawn shared step.(1))
+
+(* Spoke 2 withdraws its prefix: spokes 0 and 1 were announced it and
+   get the withdrawal; spoke 2 sourced it, was never announced it, and
+   gets none. *)
+let test_withdrawal_only_to_holders () =
+  let own = p "10.3.0.0/16" in
+  let h = hub_and_spokes [| []; []; [ own ] |] in
+  check paths "spoke 2 never announced its own prefix" []
+    (announced own h.sent.(2));
+  let before = suppressed h "withdraw" in
+  let step =
+    hub_step h ~at:(Time.of_sec 6.0) ~until:(Time.of_sec 8.0) (fun () ->
+        Speaker.withdraw_network h.spokes.(2) own)
+  in
+  check Alcotest.bool "spoke 0 withdrawn" true (withdrawn own step.(0));
+  check Alcotest.bool "spoke 1 withdrawn" true (withdrawn own step.(1));
+  check Alcotest.bool "spoke 2 not" false (withdrawn own step.(2));
+  (* The counter is the scheduler's: spokes 0 and 1 each lose the route
+     too and skip withdrawing it from the hub, which sourced it. *)
+  check Alcotest.int "suppressions counted" 3 (suppressed h "withdraw" - before)
+
+(* A reset session forgets what the peer held: once ConnectRetry brings
+   it back, the peer is sent the hub's whole table again. *)
+let test_reset_resends_table () =
+  let h =
+    hub_and_spokes
+      [| [ p "10.1.0.0/16" ]; [ p "10.2.0.0/16" ]; [ p "10.3.0.0/16" ] |]
+  in
+  let step =
+    hub_step h ~at:(Time.of_sec 6.0) ~until:(Time.of_sec 20.0) (fun () ->
+        Speaker.reset_session h.hub h.hub_peer.(2))
+  in
+  check Alcotest.bool "session back" true
+    (Speaker.peer_state h.hub h.hub_peer.(2) = Speaker.Established);
+  List.iter
+    (fun (prefix, path) ->
+      check paths
+        (Prefix.to_string prefix ^ " announced again")
+        [ path ] (announced prefix step.(2)))
+    [
+      (p "10.1.0.0/16", [ 65000; 65001 ]); (p "10.2.0.0/16", [ 65000; 65002 ]);
+    ];
+  check Alcotest.int "spoke 2 learned both again" 2
+    (List.length (Rib.adj_in (Speaker.rib h.spokes.(2)) ~peer:0))
 
 (* --- update groups + ring geometry oracle ------------------------------------ *)
 
@@ -1410,5 +1601,18 @@ let () =
             test_update_groups_and_established_count;
           Alcotest.test_case "ring loc-rib matches ring geometry" `Quick
             test_ring_geometry;
+        ] );
+      ( "adj-out",
+        [
+          Alcotest.test_case "unchanged export not re-sent" `Quick
+            test_unchanged_export_not_resent;
+          Alcotest.test_case "changed export sent" `Quick
+            test_changed_export_sent;
+          Alcotest.test_case "withdrawal only to holders" `Quick
+            test_withdrawal_only_to_holders;
+          Alcotest.test_case "reset re-sends the table" `Quick
+            test_reset_resends_table;
+          Alcotest.test_case "split-horizon retraction sent" `Quick
+            test_split_horizon_retraction_sent;
         ] );
     ]

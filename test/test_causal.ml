@@ -316,8 +316,8 @@ let check_pin label ~hash ~nodes g =
 (* The storm's session teardowns refresh the dropped prefixes in
    prefix order ([Rib.drop_peer_ids]). *)
 let test_pin_storm () =
-  check_pin "bgp storm k=4" ~hash:"d4df17fbc61921d9a2dec4f6cb10dd5d"
-    ~nodes:5404
+  check_pin "bgp storm k=4" ~hash:"27ec43ba0ed92f2a4a206448e0b37968"
+    ~nodes:5016
     (Option.get (run_storm ()).Scenario.causal)
 
 let test_pin_ospf_ring () =

@@ -454,17 +454,61 @@ let audit_attr_holders fabric =
   | Ok () -> ()
   | Error e -> Alcotest.failf "attribute holder audit: %s" e
 
+(* What every control channel carries, checked against Adj-RIB-Out
+   suppression: per direction, the attributes last announced for each
+   prefix. A withdrawal forgets the prefix, and an OPEN starts a new
+   session, which forgets the direction (a speaker sends its OPEN
+   before any UPDATE of the new session, and its Adj-RIB-Out was
+   cleared when the old one went down). An announcement equal to the
+   one the direction last carried for its prefix is a duplicate.
+   Returns (announcements seen, duplicates seen). *)
+let watch_announcements cm =
+  let announced = ref 0 and duplicates = ref 0 in
+  Connection_manager.on_channel cm (fun chan ->
+      let last = [| Hashtbl.create 64; Hashtbl.create 64 |] in
+      Channel.set_observer chan (fun dir bytes ->
+          let held =
+            last.(match dir with Channel.A_to_b -> 0 | Channel.B_to_a -> 1)
+          in
+          match Horse_bgp.Msg.decode bytes with
+          | Ok (Horse_bgp.Msg.Open _) -> Hashtbl.reset held
+          | Ok (Horse_bgp.Msg.Update u) -> (
+              List.iter
+                (fun prefix ->
+                  Hashtbl.remove held (Horse_net.Prefix.to_bits prefix))
+                u.Horse_bgp.Msg.withdrawn;
+              match u.Horse_bgp.Msg.reach with
+              | None -> ()
+              | Some (attrs, nlri) ->
+                  List.iter
+                    (fun prefix ->
+                      let key = Horse_net.Prefix.to_bits prefix in
+                      incr announced;
+                      (match Hashtbl.find_opt held key with
+                      | Some a when Horse_bgp.Msg.attrs_equal a attrs ->
+                          incr duplicates
+                      | Some _ | None -> ());
+                      Hashtbl.replace held key attrs)
+                    nlri)
+          | Ok (Horse_bgp.Msg.Keepalive | Horse_bgp.Msg.Notification _)
+          | Error _ ->
+              ()));
+  (announced, duplicates)
+
 (* The BGP fat-tree (k=4, no flows) run for 25 s: the final FIBs, the
    CM message and FIB-write counts, the convergence instant and the
    fault trace are pinned, so any change to what the control
    plane does shows up here. The attribute table is audited mid-storm
    (the crashed aggregation switch is down) and at the end, and
    [inserted], when given, bounds the records the run inserted into
-   it. *)
+   it. No channel direction carries a duplicate announcement
+   ([watch_announcements]); these runs free no attribute record, so no
+   uid changes under a held route. *)
 let fat_tree_work ~storm ~messages ~fib_writes ~faults ?inserted () =
   let ft = Fat_tree.build ~k:4 () in
   let exp = Experiment.create ft.Fat_tree.topo in
   let sched = Experiment.scheduler exp in
+  let announced, duplicates = watch_announcements (Experiment.cm exp) in
   let fabric =
     Routed_fabric.build ~cm:(Experiment.cm exp)
       ~originate:(Fat_tree.edge_subnets ft) ft.Fat_tree.topo
@@ -498,6 +542,22 @@ let fat_tree_work ~storm ~messages ~fib_writes ~faults ?inserted () =
         (Printf.sprintf "%d attribute records inserted (gate %d)" n gate)
         true (n <= gate))
     inserted;
+  check Alcotest.bool
+    (Printf.sprintf "%d announcements on the wire" !announced)
+    true (!announced > 0);
+  check Alcotest.int "duplicate announcements" 0 !duplicates;
+  let suppressed =
+    match
+      Horse_telemetry.Registry.find_counter (Experiment.registry exp)
+        ~labels:[ ("kind", "announce") ] "horse_bgp_updates_suppressed_total"
+    with
+    | Some c -> Horse_telemetry.Registry.Counter.value c
+    | None -> Alcotest.fail "horse_bgp_updates_suppressed_total not registered"
+  in
+  (* The clean run re-announces nothing; the storm's flaps do. *)
+  check Alcotest.bool
+    (Printf.sprintf "%d announcements suppressed" suppressed)
+    storm (suppressed > 0);
   check Alcotest.string "fib fingerprint" "0a9e8e63eee7c80d79f89d0181f3255b"
     (Routed_fabric.fib_fingerprint fabric);
   check Alcotest.int "control messages" messages
@@ -775,7 +835,7 @@ let () =
             (fat_tree_work ~storm:false ~messages:1_248 ~fib_writes:352
                ~faults:[] ~inserted:329);
           Alcotest.test_case "failure storm k=4 work" `Quick
-            (fat_tree_work ~storm:true ~messages:2_798 ~fib_writes:1_240
+            (fat_tree_work ~storm:true ~messages:2_595 ~fib_writes:1_232
                ~faults:storm_trace);
           Alcotest.test_case "withdrawn subnet frees its records" `Quick
             test_withdrawn_subnet_frees_records;

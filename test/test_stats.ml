@@ -1,5 +1,5 @@
 (* Tests for horse_stats: series, summaries, CSV, ASCII rendering and
-   the run report's causal-drop warning. *)
+   the run report's BGP suppression line and causal-drop warning. *)
 
 open Horse_engine
 open Horse_stats
@@ -142,6 +142,26 @@ let test_report_causal_drops () =
   check Alcotest.bool "drops warn" true
     (contains (report ()) "WARNING: causal graph dropped 3 nodes")
 
+let test_report_bgp_suppression () =
+  let reg = Registry.create () in
+  let report () = Format.asprintf "%a" Report.pp reg in
+  check Alcotest.bool "no BGP counters, no line" false
+    (contains (report ()) "adj-rib-out");
+  let counter ?labels name =
+    Registry.counter reg ~subsystem:"bgp" ?labels name
+  in
+  Registry.Counter.add
+    (counter ~labels:[ ("kind", "announce") ] "updates_suppressed_total")
+    7;
+  Registry.Counter.add
+    (counter ~labels:[ ("kind", "withdraw") ] "updates_suppressed_total")
+    2;
+  Registry.Counter.add (counter "prefixes_sent_total") 40;
+  check Alcotest.bool "suppression line" true
+    (contains (report ())
+       "bgp adj-rib-out: 7 announcements of a held record and 2 withdrawals \
+        of an unheld prefix suppressed (40 prefixes announced)")
+
 let () =
   Alcotest.run "horse_stats"
     [
@@ -174,5 +194,7 @@ let () =
         [
           Alcotest.test_case "causal drops warn" `Quick
             test_report_causal_drops;
+          Alcotest.test_case "bgp suppression line" `Quick
+            test_report_bgp_suppression;
         ] );
     ]
