@@ -169,9 +169,9 @@ type bucket = {
   mutable b_packed : Msg.packed list;  (* every id's UPDATEs, once packed *)
 }
 
-(* Registry handles shared by every speaker on the same scheduler:
-   message counters are aggregates labeled by direction and type, the
-   RIB gauge is per-router. *)
+(* Registry handles shared by every speaker of a fabric, looked up
+   once per fabric: message counters are aggregates labeled by
+   direction and type. The per-router RIB gauge sits on the speaker. *)
 type metrics = {
   tx_open : Counter.t;
   tx_update : Counter.t;
@@ -183,7 +183,6 @@ type metrics = {
   rx_notification : Counter.t;
   m_decode : Counter.t;
   g_established : Gauge.t;
-  g_rib : Gauge.t;
   m_updates_sent : Counter.t;
   m_prefixes_sent : Counter.t;
   m_withdrawn_sent : Counter.t;
@@ -193,7 +192,7 @@ type metrics = {
   m_suppressed_withdraw : Counter.t;
 }
 
-let make_metrics reg ~router_id =
+let make_metrics reg =
   let msg dir ty =
     Registry.counter reg ~subsystem:"bgp"
       ~help:"BGP messages by direction and type"
@@ -224,10 +223,6 @@ let make_metrics reg ~router_id =
     g_established =
       Registry.gauge reg ~subsystem:"bgp"
         ~help:"Currently established BGP sessions" "established_sessions";
-    g_rib =
-      Registry.gauge reg ~subsystem:"bgp" ~help:"Loc-RIB prefixes per router"
-        ~labels:[ ("router", Ipv4.to_string router_id) ]
-        "rib_routes";
     m_updates_sent =
       Registry.counter reg ~subsystem:"bgp"
         ~help:"UPDATE messages sent (packing denominator)"
@@ -259,6 +254,7 @@ type t = {
   rib : Rib.t;
   trace : Trace.t option;
   m : metrics;
+  g_rib : Gauge.t;  (* Loc-RIB prefixes of this router *)
   mutable peers : peer array;  (* by id, which is insertion order *)
   mutable groups : group list;
   rib_hooks : (Prefix.t -> Rib.route list -> unit) Hooks.t;
@@ -288,6 +284,8 @@ let tracef t fmt =
   | Some trace -> Trace.addf trace ~at:(now t) ~label:"bgp" fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
+type attr_table = { table : Attr_intern.t; shared : metrics }
+
 let attr_table sched =
   let reg = Sched.registry sched in
   let hits =
@@ -304,25 +302,30 @@ let attr_table sched =
     Registry.gauge reg ~subsystem:"bgp"
       ~help:"Path-attribute records held in the attribute table" "attrs_live"
   in
-  Attr_intern.create
-    ~on_hit:(fun () -> Counter.incr hits)
-    ~on_miss:(fun () ->
-      Counter.incr interned;
-      Gauge.add live 1.0)
-    ~on_free:(fun () -> Gauge.add live (-1.0))
-    ()
+  let table =
+    Attr_intern.create
+      ~on_hit:(fun () -> Counter.incr hits)
+      ~on_miss:(fun () ->
+        Counter.incr interned;
+        Gauge.add live 1.0)
+      ~on_free:(fun () -> Gauge.add live (-1.0))
+      ()
+  in
+  { table; shared = make_metrics reg }
 
 let create ~intern ?trace proc cfg =
-  let m =
-    make_metrics (Sched.registry (Process.scheduler proc)) ~router_id:cfg.router_id
-  in
+  let reg = Sched.registry (Process.scheduler proc) in
   {
     proc;
     cfg;
-    intern;
-    rib = Rib.create intern;
+    intern = intern.table;
+    rib = Rib.create intern.table;
     trace;
-    m;
+    m = intern.shared;
+    g_rib =
+      Registry.gauge reg ~subsystem:"bgp" ~help:"Loc-RIB prefixes per router"
+        ~labels:[ ("router", Ipv4.to_string cfg.router_id) ]
+        "rib_routes";
     peers = [||];
     groups = [];
     rib_hooks = Hooks.create ();
@@ -779,7 +782,7 @@ let refresh_and_propagate t id =
   match Rib.refresh_id ~multipath:t.cfg.multipath t.rib id with
   | Rib.Unchanged -> ()
   | Rib.Changed routes ->
-      Gauge.set t.m.g_rib (float_of_int (Rib.loc_rib_size t.rib));
+      Gauge.set t.g_rib (float_of_int (Rib.loc_rib_size t.rib));
       let prefix = Rib.prefix_of_id t.rib id in
       (* Each changed prefix is an independent decision: FIB writes and
          the UPDATEs it queues chain under this node, siblings under

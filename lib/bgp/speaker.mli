@@ -69,17 +69,24 @@ val default_config : asn:int -> router_id:Ipv4.t -> config
 
 type t
 
-val attr_table : Sched.t -> Attr_intern.t
+type attr_table
+(** What the speakers of one fabric share: the path-attribute table
+    ({!Attr_intern.t}) and the scheduler-wide BGP counters. *)
+
+val attr_table : Sched.t -> attr_table
 (** A path-attribute table for the speakers of one fabric. Its lookups
     and records feed the scheduler registry's
     [horse_bgp_attr_intern_hits_total],
-    [horse_bgp_attrs_interned_total] and [horse_bgp_attrs_live]. *)
+    [horse_bgp_attrs_interned_total] and [horse_bgp_attrs_live]. It
+    also looks up, once, the message, flush and suppression counters
+    every speaker of the fabric adds to. *)
 
-val create : intern:Attr_intern.t -> ?trace:Trace.t -> Process.t -> config -> t
+val create : intern:attr_table -> ?trace:Trace.t -> Process.t -> config -> t
 (** [intern] is the attribute table the speaker shares with the other
     speakers of its fabric: its RIB's routes, its update groups' export
     memos and its flush buckets all hold records there, so a record one
-    speaker exports is the record its peers intern on receipt. *)
+    speaker exports is the record its peers intern on receipt. Only the
+    speaker's [horse_bgp_rib_routes{router}] gauge is its own. *)
 
 val asn : t -> int
 

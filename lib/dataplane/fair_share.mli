@@ -40,19 +40,30 @@
     Flows outside the final scope are never written: their rates are
     physically the same floats as before the flush.
 
-    {b Data layout.} A flush allocates no hash table. Links sit in an
-    array indexed by link id; each keeps its members in a vector
-    sorted by ascending flow id (binary-search insert and remove). The
-    per-flush sets — scope, in-solve links, clamped and promoted flows,
-    dense link numbering — are epoch/round stamps on the flow and link
-    records, and the water fill runs on flat work arrays reused across
-    flushes. No sort swaps flow records: the sorts run on unboxed keys
-    carrying an index, and each record moves once the order is known.
-    The scope is sorted by id once per flush. Each round gathers the
-    clamped flows' ids from the in-solve links' id-sorted member
-    vectors and merge-sorts those runs. Promoted flows, already in id
-    order, are merged into the sorted scope in linear time. The demand
-    order is a three-way-partition quicksort of the float demands.
+    {b Data layout.} A flush allocates no hash table and hashes
+    nothing, and its loops store no pointer, so they run no write
+    barrier. Each flow's state lives in columns indexed by a dense
+    slot: its id and the scope, clamped and promoted stamps in int
+    arrays, demand and rate in float arrays, the live and pending bits
+    in a byte column, and its links in a list column. A removed flow's
+    slot is handed out again from the second flush after the removal
+    on. An id-to-slot map serves only {!Delta.add_flow},
+    {!Delta.remove_flow}, {!Delta.set_links} and {!Delta.rate}. Link
+    state (capacity, water level, load, stamps) lives in columns
+    indexed by link id. Each link keeps its members as an int array of
+    slots sorted by ascending flow id; insert and remove find the
+    position by binary search and shift the tail with a typed loop.
+    The per-flush sets — scope, in-solve links, clamped and promoted
+    flows, dense link numbering — are epoch/round stamps in those
+    columns, and the water fill runs on flat int and float work arrays
+    reused across flushes. A work array is replaced only when it is
+    full, so filling it writes no record field.
+    The sorts run on unboxed keys carrying the slot. The scope is
+    sorted by id once per flush. Each round gathers the clamped flows'
+    ids from the in-solve links' id-sorted member vectors and
+    merge-sorts those runs. Promoted flows, already in id order, are
+    merged into the sorted scope in linear time. The demand order is a
+    three-way-partition quicksort of the float demands.
 
     {b Orderings.} Float sums depend on their order, so the solver
     fixes three orders, and its rates and timers depend on them bit
@@ -82,11 +93,12 @@ module Delta : sig
     promotions : int;  (** clamped flows pulled into a scope *)
   }
 
-  val create : capacity:(int -> float) -> unit -> t
+  val create : ?links:int -> capacity:(int -> float) -> unit -> t
   (** [capacity] gives the bps capacity of a link id; it is consulted
       when a link gains its first member and must be positive. Link ids
       must be non-negative; the link table is an array indexed by
-      them. *)
+      them. [links] (default 256) is the number of link ids the table
+      starts with room for; it grows past that on demand. *)
 
   val add_flow : t -> id:int -> demand:float -> links:int list -> unit
   (** Any int is a valid id, in any arrival order.

@@ -1,6 +1,8 @@
 open Horse_net
 open Horse_engine
 
+type meter = { mutable rate : float; mutable delivered_bits : float }
+
 type t = {
   id : int;
   key : Flow_key.t;
@@ -8,8 +10,8 @@ type t = {
   users : int;
   started : Time.t;
   mutable path : Horse_topo.Spf.path;
-  mutable rate : float;
-  mutable delivered_bits : float;
+  mutable dst : int;
+  meter : meter;
   mutable last_integration : Time.t;
   mutable active : bool;
   mutable stopped_at : Time.t option;

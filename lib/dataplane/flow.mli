@@ -8,6 +8,15 @@
 open Horse_net
 open Horse_engine
 
+(** The fluid engine's accounting for one flow. Both fields are
+    unboxed floats, so updating them allocates nothing and runs no
+    write barrier. Read them through {!Fluid.current_rate} and
+    {!Fluid.delivered_bits}, which bring them up to date first. *)
+type meter = {
+  mutable rate : float;  (** allocated rate as of the last solve, bps *)
+  mutable delivered_bits : float;  (** integrated up to [last_integration] *)
+}
+
 type t = {
   id : int;
   key : Flow_key.t;
@@ -19,8 +28,8 @@ type t = {
           class aggregates, so per-user figures divide by this. *)
   started : Time.t;
   mutable path : Horse_topo.Spf.path;
-  mutable rate : float;  (** current allocated rate, bps *)
-  mutable delivered_bits : float;  (** integrated up to [last_integration] *)
+  mutable dst : int;  (** the node [path] ends at; -1 for an empty path *)
+  meter : meter;
   mutable last_integration : Time.t;
   mutable active : bool;
   mutable stopped_at : Time.t option;

@@ -93,8 +93,8 @@ let gone =
     users = 0;
     started = Time.zero;
     path = [];
-    rate = 0.0;
-    delivered_bits = 0.0;
+    dst = -1;
+    meter = { Flow.rate = 0.0; delivered_bits = 0.0 };
     last_integration = Time.zero;
     active = false;
     stopped_at = None;
@@ -139,7 +139,7 @@ let create sched topo =
     topo;
     m = make_metrics (Sched.registry sched);
     delta =
-      Fair_share.Delta.create
+      Fair_share.Delta.create ~links:(Topology.n_links topo)
         ~capacity:(fun l -> (Topology.link topo l).Topology.capacity)
         ();
     flows = Array.make 256 gone;
@@ -159,12 +159,13 @@ let create sched topo =
     sampler = None;
   }
 
-(* [a] with room for index [i], keeping its contents. *)
+(* [a] with room for index [i], keeping its contents. It grows by
+   half: the store holds a word per flow ever started. *)
 let grow a i fill =
   let len = Array.length a in
   if i < len then a
   else begin
-    let b = Array.make (max (i + 1) (2 * len)) fill in
+    let b = Array.make (max (i + 1) (len + (len / 2))) fill in
     Array.blit a 0 b 0 len;
     b
   end
@@ -188,8 +189,9 @@ let rec last_dst = function
 let integrate_flow now (f : Flow.t) =
   if f.Flow.active then begin
     let dt = Time.to_sec (Time.sub now f.Flow.last_integration) in
+    let m = f.Flow.meter in
     if dt > 0.0 then
-      f.Flow.delivered_bits <- f.Flow.delivered_bits +. (f.Flow.rate *. dt)
+      m.Flow.delivered_bits <- m.Flow.delivered_bits +. (m.Flow.rate *. dt)
   end;
   f.Flow.last_integration <- Time.max f.Flow.last_integration now
 
@@ -210,7 +212,7 @@ let rec solve t =
       let f = t.flows.(id) in
       if f != gone then begin
         integrate_flow now f;
-        f.Flow.rate <- rate;
+        f.Flow.meter.Flow.rate <- rate;
         aim_completion t f
       end);
   let work = after.Fair_share.Delta.flows_touched - before.Fair_share.Delta.flows_touched in
@@ -252,14 +254,15 @@ and aim_completion t (f : Flow.t) =
     Option.iter Event_queue.cancel fin.timer;
     fin.timer <- None;
     if f.Flow.active then begin
-      let remaining = Float.max 0.0 (fin.size -. f.Flow.delivered_bits) in
+      let m = f.Flow.meter in
+      let remaining = Float.max 0.0 (fin.size -. m.Flow.delivered_bits) in
       let fire at =
         fin.timer <- Some (Sched.schedule_at t.sched at (fun () -> complete t f))
       in
       if remaining <= 0.0 then fire (Sched.now t.sched)
-      else if f.Flow.rate > 0.0 then
+      else if m.Flow.rate > 0.0 then
         fire
-          (Time.add (Sched.now t.sched) (Time.of_sec (remaining /. f.Flow.rate)))
+          (Time.add (Sched.now t.sched) (Time.of_sec (remaining /. m.Flow.rate)))
     end
   end
 
@@ -275,7 +278,7 @@ and stop_flow t (f : Flow.t) =
   if f.Flow.active then begin
     integrate_flow (Sched.now t.sched) f;
     f.Flow.active <- false;
-    f.Flow.rate <- 0.0;
+    f.Flow.meter.Flow.rate <- 0.0;
     f.Flow.stopped_at <- Some (Sched.now t.sched);
     t.n_active <- t.n_active - 1;
     t.n_users <- t.n_users - f.Flow.users;
@@ -285,7 +288,7 @@ and stop_flow t (f : Flow.t) =
     Fair_share.Delta.remove_flow t.delta ~id:f.Flow.id;
     Histogram.add t.m.h_duration
       (Time.to_sec (Time.sub (Sched.now t.sched) f.Flow.started));
-    t.completed_bits <- t.completed_bits +. f.Flow.delivered_bits;
+    t.completed_bits <- t.completed_bits +. f.Flow.meter.Flow.delivered_bits;
     t.completed_flows <- t.completed_flows + 1;
     let fin = t.finite.(f.Flow.id) in
     if fin != open_ended then begin
@@ -330,8 +333,8 @@ let start_flow ?(demand = 1e9) ?(users = 1) t ~key ~path =
       users;
       started = now;
       path;
-      rate = 0.0;
-      delivered_bits = 0.0;
+      dst = last_dst path;
+      meter = { Flow.rate = 0.0; delivered_bits = 0.0 };
       last_integration = now;
       active = true;
       stopped_at = None;
@@ -364,20 +367,22 @@ let set_path t (f : Flow.t) path =
   if not f.Flow.active then invalid_arg "Fluid.set_path: flow is stopped";
   check_path path;
   f.Flow.path <- path;
+  f.Flow.dst <- last_dst path;
   Fair_share.Delta.set_links t.delta ~id:f.Flow.id ~links:(Flow.link_ids f);
   request_recompute t
 
 let current_rate t (f : Flow.t) =
   ensure_fresh t;
-  if f.Flow.active then f.Flow.rate else 0.0
+  if f.Flow.active then f.Flow.meter.Flow.rate else 0.0
 
 let delivered_bits t (f : Flow.t) =
   ensure_fresh t;
   let now = Sched.now t.sched in
+  let m = f.Flow.meter in
   if f.Flow.active then
     let dt = Time.to_sec (Time.sub now f.Flow.last_integration) in
-    f.Flow.delivered_bits +. (f.Flow.rate *. Float.max 0.0 dt)
-  else f.Flow.delivered_bits
+    m.Flow.delivered_bits +. (m.Flow.rate *. Float.max 0.0 dt)
+  else m.Flow.delivered_bits
 
 let flows_on_link t link_id =
   ensure_fresh t;
@@ -398,14 +403,14 @@ let link_utilization t link_id =
 let total_rx_rate t =
   ensure_fresh t;
   let sum = ref 0.0 in
-  iter_active t (fun f -> sum := !sum +. f.Flow.rate);
+  iter_active t (fun f -> sum := !sum +. f.Flow.meter.Flow.rate);
   !sum
 
 let host_rx_rate t node_id =
   ensure_fresh t;
   let sum = ref 0.0 in
   iter_active t (fun f ->
-      if last_dst f.Flow.path = node_id then sum := !sum +. f.Flow.rate);
+      if f.Flow.dst = node_id then sum := !sum +. f.Flow.meter.Flow.rate);
   !sum
 
 (* One pass over the active flows sums the aggregate and every node's
@@ -418,9 +423,9 @@ let sample t =
   let node_rx = Array.make n 0.0 and node_flows = Array.make n 0 in
   let total = ref 0.0 in
   iter_active t (fun f ->
-      let rate = f.Flow.rate in
+      let rate = f.Flow.meter.Flow.rate in
       total := !total +. rate;
-      let dst = last_dst f.Flow.path in
+      let dst = f.Flow.dst in
       if dst >= 0 then begin
         node_rx.(dst) <- node_rx.(dst) +. rate;
         node_flows.(dst) <- node_flows.(dst) + 1

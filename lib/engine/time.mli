@@ -5,7 +5,7 @@
     this type; wall-clock time (the thing Horse saves) is measured
     separately by {!Wall}. *)
 
-type t
+type t [@@immediate]
 (** Microseconds since experiment start. Always non-negative in values
     produced by the engine; arithmetic is unchecked. *)
 

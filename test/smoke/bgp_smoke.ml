@@ -175,6 +175,7 @@ let () =
     Hashtbl.length uids
   in
   let check_tables when_ =
+    let intern = Rib.intern_table (List.hd ribs) in
     let size = Attr_intern.size intern in
     let bound =
       Array.fold_left

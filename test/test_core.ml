@@ -552,13 +552,14 @@ let test_spec_wan_kill () =
     (Horse_faults.Injector.injected (Option.get r.Scenario.injector))
 
 (* Work gate on the fluid store, counted in minor words (never wall
-   time): a 2,000-class megauser day, set-up included, allocates 148.4
+   time): a 2,000-class megauser day, set-up included, allocates 115.4
    words per fluid event (a class start, stop or reroute). The budget
-   is that plus 15 %. Keeping five per-flow hash tables in [Fluid]
+   is that plus 15 %. Boxed rates in the solver's flow records and in
+   [Flow.t] cost 148.4; keeping five per-flow hash tables in [Fluid]
    cost 288.5. [Gc.minor_words] counts every word allocated so far;
    [Gc.quick_stat] would miss the words of an unfinished minor
    collection. *)
-let megauser_words_per_event = 170.0
+let megauser_words_per_event = 133.0
 
 let test_megauser_words_per_event () =
   let before = Gc.minor_words () in

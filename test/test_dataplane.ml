@@ -659,6 +659,83 @@ let test_delta_promotion_merge () =
         (Fair_share.Delta.rate d ~id))
     ids
 
+let test_delta_slot_reuse () =
+  (* Flow state lives in slots that a removed flow frees; the slot is
+     handed out again from the second flush after the removal on. Ids
+     5, 1 and 9 take slots 0, 1 and 2; after 1 leaves, 3 takes slot 1.
+     Member vectors run by id, not by slot, and the removed id reads
+     rate 0. *)
+  let capacity = capacity_all 6.0 in
+  let d = Fair_share.Delta.create ~capacity () in
+  let flows = Hashtbl.create 4 in
+  let add id demand =
+    Fair_share.Delta.add_flow d ~id ~demand ~links:[ 0 ];
+    Hashtbl.replace flows id { Fair_share_reference.demand; links = [ 0 ] }
+  in
+  add 5 4.0;
+  add 1 4.0;
+  add 9 1.0;
+  Fair_share.Delta.flush d;
+  Fair_share.Delta.remove_flow d ~id:1;
+  Hashtbl.remove flows 1;
+  Fair_share.Delta.flush d;
+  Fair_share.Delta.flush d;
+  add 3 4.0;
+  Fair_share.Delta.flush d;
+  check (Alcotest.list Alcotest.int) "members by ascending id" [ 3; 5; 9 ]
+    (List.rev
+       (Fair_share.Delta.fold_link d ~link:0 (fun id _ acc -> id :: acc) []));
+  check Alcotest.int "flow count" 3 (Fair_share.Delta.flow_count d);
+  check (Alcotest.float 0.0) "removed id reads 0" 0.0
+    (Fair_share.Delta.rate d ~id:1);
+  let ids = [ 3; 5; 9 ] in
+  let want =
+    Fair_share_reference.compute ~capacity
+      (Array.of_list (List.map (Hashtbl.find flows) ids))
+  in
+  List.iteri
+    (fun i id ->
+      check (Alcotest.float 1e-9)
+        (Printf.sprintf "flow %d" id)
+        want.(i)
+        (Fair_share.Delta.rate d ~id))
+    ids
+
+(* Work gate on the delta solver, counted in minor words (never wall
+   time): add/remove churn on one saturated link with 3,000 members,
+   each flush promoting every member into the scope. Flow state lives
+   in unboxed columns, so committing a rate allocates nothing: 31.0
+   words per event, budget that plus 15 %. Boxed rates in flow records
+   and a boxed float per freeze cost 9,087.5. *)
+let delta_churn_words_per_event = 36.0
+
+let test_delta_churn_words () =
+  let members = 3000 in
+  let demand id = [| 0.5; 1.0; 2.0 |].(id mod 3) in
+  let d = Fair_share.Delta.create ~capacity:(capacity_all 1000.0) () in
+  for id = 0 to members - 1 do
+    Fair_share.Delta.add_flow d ~id ~demand:(demand id) ~links:[ 0 ]
+  done;
+  Fair_share.Delta.flush d;
+  let absent = ref members in
+  let rounds = 200 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    let leave = (!absent + 7919) mod (members + 1) in
+    Fair_share.Delta.remove_flow d ~id:leave;
+    Fair_share.Delta.add_flow d ~id:!absent ~demand:(demand !absent)
+      ~links:[ 0 ];
+    absent := leave;
+    Fair_share.Delta.flush d
+  done;
+  let words = Gc.minor_words () -. before in
+  let per_event = words /. float_of_int (2 * rounds) in
+  check Alcotest.int "every member stays" members
+    (Fair_share.Delta.flow_count d);
+  if per_event > delta_churn_words_per_event then
+    Alcotest.failf "%.2f minor words per delta event (budget %.1f)" per_event
+      delta_churn_words_per_event
+
 (* Link 9 has no valid capacity: any call naming it must raise before
    it changes any state. *)
 let capacity_bad_9 = function 9 -> 0.0 | _ -> 1.0
@@ -903,7 +980,7 @@ let test_finite_flow_exact_completion () =
   | [ (at, f) ] ->
       check (Alcotest.float 1e-6) "1 Gbit at 1 Gbps completes at 1s" 1.0 at;
       check (Alcotest.float 1e3) "delivered exactly the size" 1e9
-        f.Flow.delivered_bits;
+        (Fluid.delivered_bits fluid f);
       check Alcotest.bool "flow stopped" false f.Flow.active;
       check Alcotest.int "no active flows left" 0 (Fluid.flow_count fluid);
       check (Alcotest.float 1e4) "total accounts completed flows" 1e9
@@ -955,7 +1032,7 @@ let test_finite_flow_stop_before_completion () =
   ignore (Sched.run ~until:(Time.of_sec 20.0) sched);
   check Alcotest.int "manual stop suppresses completion" 0 !fired;
   check (Alcotest.float 1e4) "partial delivery recorded" 2e9
-    (Option.get !flow).Flow.delivered_bits
+    (Fluid.delivered_bits fluid (Option.get !flow))
 
 let test_fluid_sampling () =
   let topo, _, _, path = dumbbell () in
@@ -1393,6 +1470,9 @@ let () =
             test_delta_add_flow_exception_safe;
           Alcotest.test_case "delta: set_links is exception-safe" `Quick
             test_delta_set_links_exception_safe;
+          Alcotest.test_case "delta: slot reuse" `Quick test_delta_slot_reuse;
+          Alcotest.test_case "delta: minor words per churn event" `Quick
+            test_delta_churn_words;
         ] );
       ( "fluid",
         [
